@@ -6,9 +6,9 @@ Compares a fresh ``BENCH_gateway.json`` against the committed baseline
 very different halves and the gate treats them accordingly:
 
 * ``sim_twin`` is a pure function of ``(seed, pinned profile, config)``
-  — simulator summary, trace digest and the replay-driver parity flag
-  are compared with an exact deep-diff.  Any drift is a behavior change
-  in the shared ``ServingCore`` seam, never noise.
+  — simulator summary and trace digest are compared with an exact
+  deep-diff.  Any drift is a behavior change in the ``ServingCore``
+  driver, never noise.
 * ``live_twin`` and ``streaming`` ran against a real localhost server,
   so their measured fields are machine-dependent.  They are *not*
   diffed; instead the gate re-asserts the committed validation bands on
@@ -68,12 +68,6 @@ def invariants(name: str, scenario: dict) -> list[str]:
             failures.append(
                 f"streaming: {scenario.get('n_streamed')} of "
                 f"{scenario.get('n_requests')} responses streamed"
-            )
-    elif name == "sim_twin":
-        if not scenario.get("replay_bit_identical", False):
-            failures.append(
-                "sim_twin: gateway-style replay driver diverged from the "
-                "simulator on the committed trace"
             )
     return failures
 

@@ -7,10 +7,8 @@ benchmark closes the loop with three scenario families feeding
 ``BENCH_gateway.json``:
 
 * ``sim_twin``   — the committed twin scenario (pinned profile, seeded
-  bursty overload) through the simulator *and* the synchronous
-  gateway-style replay driver.  Both are pure functions of the trace, so
-  the gate compares this scenario exactly — digest included — and
-  asserts the two drivers agree on every request's fate;
+  bursty overload) through the simulator.  A pure function of the trace,
+  so the gate compares this scenario exactly — digest included;
 * ``live_twin``  — the same trace replayed against a live localhost
   gateway sleeping the pinned profile.  Real scheduling adds jitter, so
   the recorded deltas (shed rate, throughput ratio, per-request
@@ -38,7 +36,6 @@ from repro.gateway import (
     ProfileExecutor,
     TraceRequest,
     build_trace,
-    replay_decisions,
     run_twin,
     summarize_records,
     trace_digest,
@@ -97,15 +94,12 @@ def _profile() -> LatencyProfile:
 
 
 def test_sim_twin():
-    """The deterministic half: simulator and gateway-style replay driver
-    must agree on every request's fate for the committed trace."""
+    """The deterministic half: the committed trace on the modeled clock."""
     profile = _profile()
     config = ServeConfig(**CONFIG_KW)
     trace = build_trace(SPEC)
     arrivals = [t.at_s for t in trace]
     report = ServeSimulator(profile, config).run(arrivals, duration_s=SPEC.duration_s)
-    replayed = replay_decisions(profile, config, arrivals)
-    sim_statuses = [o.status for o in report.outcomes]
 
     s = report.summary()
     print_table(
@@ -130,10 +124,8 @@ def test_sim_twin():
         "max_wait_s": CONFIG_KW["policy"].max_wait_s,
         "replicas": CONFIG_KW["replicas"],
         "trace_digest": trace_digest(trace),
-        "replay_bit_identical": replayed == sim_statuses,
         "summary": s,
     }
-    assert replayed == sim_statuses
     assert s["shed_rate"] > 0.1, "twin scenario must genuinely shed"
 
 

@@ -399,10 +399,7 @@ def gen_gateway_vs_sim(artifact: dict) -> list[str]:
     lines += _md_table(["Quantity", "Simulator", "Live gateway", "CI band"], rows)
     lines += [
         "",
-        f"The synchronous gateway-style replay driver is **bit-identical** "
-        f"to the simulator on this trace "
-        f"(`replay_bit_identical: {str(sim['replay_bit_identical']).lower()}`), "
-        f"and all {stream['n_streamed']} streamed responses in the "
+        f"All {stream['n_streamed']} streamed responses in the "
         f"streaming scenario flushed their first partial before the final "
         f"frame (max lead {stream['stream_lead_ms_max']:.1f} ms on the "
         f"baseline machine).",

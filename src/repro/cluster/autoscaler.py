@@ -16,14 +16,13 @@ the same digest, byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..serve.latency import LatencyProfile
 from ..serve.simulator import BatchPolicy, ServeConfig, ServeSimulator
+from ..utils import canonical_digest
 from .errors import ClusterConfigError
 from .hosts import HostSpec, ReplicaSpec
 from .placement import PlacementResult, pack
@@ -155,16 +154,14 @@ class ClusterReport:
 
     def digest(self) -> str:
         """Stable hash of the full windowed timeline + scale events."""
-        payload = json.dumps(
+        return canonical_digest(
             {
                 "seed": self.scenario_seed,
                 "window_s": self.window_s,
                 "records": self.timeline(),
                 "events": [e.as_dict() for e in self.events],
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def summary(self) -> dict:
         pools = sorted(self.final_replicas)

@@ -18,8 +18,6 @@ in this package, the outcome is a pure function of
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +25,7 @@ from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..serve.latency import LatencyProfile
 from ..serve.simulator import BatchPolicy, ServeConfig, ServeSimulator
+from ..utils import canonical_digest
 from .errors import ClusterConfigError
 from .scenario import ClusterScenario, route_arrivals
 
@@ -107,15 +106,13 @@ class CanaryReport:
     steps: list[CanaryStepRecord]
 
     def digest(self) -> str:
-        payload = json.dumps(
+        return canonical_digest(
             {
                 "status": self.status,
                 "final_fraction": self.final_fraction,
                 "steps": [s.as_dict() for s in self.steps],
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def summary(self) -> dict:
         return {

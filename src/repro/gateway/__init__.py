@@ -3,9 +3,10 @@
 ``repro.gateway`` lifts the serving stack off the discrete-event
 simulator and onto real localhost sockets: a stdlib-only HTTP/1.1 server
 (:mod:`repro.gateway.server`) drives the *same*
-:class:`~repro.serve.core.ServingCore` — dynamic batcher + SLO admission,
-clock injected — that :class:`~repro.serve.simulator.ServeSimulator`
-drives, against real batched ``no_grad`` forwards
+:class:`~repro.serve.core.ServingCore` — admission, batching, replica
+pool and outcome ledger, clock injected — that
+:class:`~repro.serve.simulator.ServeSimulator` drives, against real
+batched ``no_grad`` forwards
 (:mod:`repro.gateway.executor`).  Streaming responses flush one chunked
 frame per completed batch step; graceful shutdown sheds the queue with
 accounted reasons.
@@ -31,7 +32,7 @@ from .client import (
 from .executor import ModelExecutor, ProfileExecutor
 from .http import HttpError, HttpRequest, HttpResponse
 from .server import GatewayServer, run_server
-from .validate import TwinResult, replay_decisions, run_twin, run_twin_async
+from .validate import TwinResult, run_twin, run_twin_async
 
 __all__ = [
     "LoadClient",
@@ -48,7 +49,6 @@ __all__ = [
     "GatewayServer",
     "run_server",
     "TwinResult",
-    "replay_decisions",
     "run_twin",
     "run_twin_async",
 ]

@@ -24,13 +24,13 @@ Two replay modes:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..serve.loadgen import _KIND_IDS, ArrivalSpec, generate_arrivals
+from ..utils import canonical_digest
 from . import http as _http
 
 __all__ = [
@@ -87,8 +87,7 @@ def build_trace(
 
 def trace_digest(trace: list[TraceRequest]) -> str:
     """Stable hash of the full offered trace (ids, times, payloads)."""
-    payload = json.dumps([t.as_dict() for t in trace], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return canonical_digest([t.as_dict() for t in trace])
 
 
 @dataclass

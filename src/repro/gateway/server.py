@@ -1,30 +1,39 @@
-"""The asyncio serving gateway: real sockets over the simulator's policy.
+"""The asyncio serving gateway: real sockets over the simulator's driver.
 
 :class:`GatewayServer` is the live twin of
-:class:`~repro.serve.simulator.ServeSimulator`.  Both drive the *same*
-:class:`~repro.serve.core.ServingCore` (admission + dynamic batching,
-clock injected); the simulator feeds it modeled timestamps, the gateway
-feeds it the event-loop clock (``loop.time()`` rebased to a run epoch, so
-all timestamps are small floats like the sim's).  Everything else maps
-one-to-one:
+:class:`~repro.serve.simulator.ServeSimulator`.  Both are clock adapters
+over the *same* :class:`~repro.serve.core.ServingCore`, which owns
+admission, dynamic batching, the replica pool and the outcome ledger; the
+simulator feeds it modeled timestamps, the gateway feeds it the
+event-loop clock (``loop.time()`` rebased to a run epoch, so all
+timestamps are small floats like the sim's).  What each adapter supplies:
 
-===========================  =====================================
-simulator                    gateway
-===========================  =====================================
-modeled arrival time         ``now()`` when the POST body is parsed
-replica min-heap ``free_at``  per-replica ``busy_until`` estimates
-batch dispatch event         per-replica worker task waking at
-                             ``core.dispatch_due(now())``
-``profile.latency(B)``       executor ``run_step`` (real forwards or
-                             a profile-timed sleep)
-``ServeReport``              the same class, built from live outcomes
-===========================  =====================================
+==================  ==========================  ==========================
+``ServingCore``     simulator supplies          gateway supplies
+==================  ==========================  ==========================
+``offer``           modeled arrival time        ``now()`` when the POST
+                                                body is parsed
+``dispatch_due``    the next modeled event      what an idle worker task
+                                                sleeps until
+``start_batch``     ``profile.latency(B)``      ``executor.estimate`` —
+                    as the estimate             what admission sees while
+                                                the batch is in flight
+``finish_batch``    the same                    elapsed ``run_step`` time
+                    ``profile.latency(B)``      (real forwards or a
+                    as the actual               profile-timed sleep)
+``fail_batch``      never                       ``run_step`` raised
+``report``          ``ServeReport``             the same class, same
+                                                ledger
+==================  ==========================  ==========================
 
 Streaming: a request with ``steps=k`` gets a chunked response whose
 frames are flushed one per completed batch step — partial results arrive
 while later steps are still computing.  Graceful shutdown stops
 accepting, sheds the queue with reason ``shutdown`` (clients get 503s,
-the report accounts every request), then drains in-flight batches.
+the report accounts every request), then drains in-flight batches.  An
+executor exception sheds exactly that batch with reason ``error``
+(clients get 500s, or the terminal frame of a stream already begun),
+frees the replica, and the worker keeps serving.
 
 Metrics mirror the simulator's under the ``serve.gateway.*`` namespace.
 """
@@ -32,25 +41,22 @@ Metrics mirror the simulator's under the ``serve.gateway.*`` namespace.
 from __future__ import annotations
 
 import asyncio
+import logging
 from dataclasses import dataclass, field
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from ..serve.admission import SHED_DEADLINE, SHED_SHUTDOWN
+from ..serve.admission import SHED_ERROR, SHED_SHUTDOWN
 from ..serve.batcher import Request
-from ..serve.core import ServingCore
-from ..serve.simulator import (
-    COMPLETED,
-    BatchRecord,
-    RequestOutcome,
-    ServeConfig,
-    ServeReport,
-)
+from ..serve.core import COMPLETED, RequestOutcome, ServeReport, ServingCore
+from ..serve.simulator import ServeConfig
 from . import http as _http
 
 __all__ = ["GatewayServer", "run_server", "NAMESPACE"]
 
 NAMESPACE = "serve.gateway"
+
+_log = logging.getLogger(__name__)
 
 # Auto-assigned request ids start far above any client-chosen trace id so
 # the two ranges never collide in the outcome map.
@@ -99,10 +105,6 @@ class GatewayServer:
         self._workers: list[asyncio.Task] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._pending: dict[int, _Pending] = {}
-        self._outcomes: dict[int, RequestOutcome] = {}
-        self._batches: list[BatchRecord] = []
-        self._queue_depths: list[int] = []
-        self._busy_until = [0.0] * config.replicas
         self._auto_rid = _AUTO_RID_BASE
 
     # -- clock ----------------------------------------------------------
@@ -115,10 +117,6 @@ class GatewayServer:
         """
         return self._loop.time() - self._t0
 
-    def _earliest_free(self) -> float:
-        """The pool's earliest replica-free estimate (the sim's heap head)."""
-        return min(self._busy_until)
-
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
@@ -126,8 +124,10 @@ class GatewayServer:
         self._t0 = self._loop.time()
         self._server = await asyncio.start_server(self._handle_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        # One task per replica slot; the core picks which replica a batch
+        # rides, so the tasks themselves are interchangeable.
         self._workers = [
-            asyncio.ensure_future(self._worker(r)) for r in range(self.config.replicas)
+            asyncio.ensure_future(self._worker()) for _ in range(self.config.replicas)
         ]
         if _metrics.COLLECT:
             _metrics.REGISTRY.gauge(f"{NAMESPACE}.pool.replicas").labels(
@@ -142,8 +142,8 @@ class GatewayServer:
         self._stopping = True
         if self._server is not None:
             self._server.close()
-        for req in self.core.shed_queue(SHED_SHUTDOWN):
-            self._finish_shed(req, SHED_SHUTDOWN)
+        for outcome in self.core.shed_queue(SHED_SHUTDOWN):
+            self._resolve(outcome)
         self._work.set()
         if self._workers:
             await asyncio.gather(*self._workers)
@@ -167,28 +167,16 @@ class GatewayServer:
 
     def report(self, duration_s: float | None = None) -> ServeReport:
         """The run so far as the simulator's own report class."""
-        outcomes = sorted(self._outcomes.values(), key=lambda o: (o.arrival_s, o.rid))
-        horizon = duration_s
-        if horizon is None:
-            last_completion = max((b.completion_s for b in self._batches), default=0.0)
-            last_arrival = max((o.arrival_s for o in outcomes), default=0.0)
-            horizon = max(last_completion, last_arrival)
-        return ServeReport(
-            duration_s=float(horizon),
-            slo_s=self.config.slo_s,
-            outcomes=outcomes,
-            batches=list(self._batches),
-            queue_depths=list(self._queue_depths),
-            replicas=self.config.replicas,
-        )
+        return self.core.report(duration_s)
 
     # -- dispatch workers ------------------------------------------------
 
-    async def _worker(self, replica: int) -> None:
-        """One replica: wake at ``core.dispatch_due``, cut, execute.
+    async def _worker(self) -> None:
+        """One replica slot: wake at ``core.dispatch_due``, cut, execute.
 
-        The due/cut pair runs without an intervening ``await``, so on the
-        single-threaded loop two workers can never cut the same batch.
+        The due/cut/start sequence runs without an intervening ``await``,
+        so on the single-threaded loop two workers can never cut the same
+        batch or claim the same replica.
         """
         core = self.core
         while True:
@@ -200,8 +188,9 @@ class GatewayServer:
                 # wait (no await in between) — the clear/wait pair is safe.
                 await self._work.wait()
                 continue
-            due = core.dispatch_due(self.now())
-            delay = due - self.now()
+            # An idle worker means an idle replica, so ``due`` is never
+            # held back by the pool — only by the batch not being ready.
+            delay = core.dispatch_due() - self.now()
             if delay > 0:
                 self._work.clear()
                 try:
@@ -213,67 +202,44 @@ class GatewayServer:
                 continue
             dispatch_s = self.now()
             live, expired = core.cut_batch(dispatch_s)
-            for req in expired:
-                self._finish_shed(req, SHED_DEADLINE)
+            for outcome in expired:
+                self._resolve(outcome)
             if not live:
                 continue
-            await self._run_batch(replica, live, dispatch_s)
+            await self._run_batch(live, dispatch_s)
 
-    async def _run_batch(self, replica: int, live: list[Request], dispatch_s: float) -> None:
-        pendings = [self._pending.pop(r.rid) for r in live]
+    async def _run_batch(self, live: list[Request], dispatch_s: float) -> None:
+        core = self.core
+        pendings = [self._pending[r.rid] for r in live]
         payloads = [p.payload for p in pendings]
         steps = max(p.steps for p in pendings)
-        # Publish the busy estimate *before* the first await so admission
-        # decisions made while this batch is in flight see it — the live
-        # analogue of the simulator's replica heap.
-        self._busy_until[replica] = dispatch_s + self.executor.estimate(len(live), steps)
-        with _trace.span(
-            f"{NAMESPACE}.batch", replica=replica, size=len(live), steps=steps
-        ):
-            for step in range(steps):
-                results = await self.executor.run_step(live, payloads, step)
-                t = self.now()
-                for req, pend, result in zip(live, pendings, results):
-                    if step < pend.steps:
-                        pend.events.put_nowait(("step", step, result, t))
-        completion = self.now()
-        self._busy_until[replica] = completion
-        record = BatchRecord(
-            index=len(self._batches),
-            replica=replica,
-            dispatch_s=dispatch_s,
-            size=len(live),
-            service_s=completion - dispatch_s,
-            completion_s=completion,
-        )
-        self._batches.append(record)
-        for req, pend in zip(live, pendings):
-            outcome = RequestOutcome(
-                req.rid,
-                req.arrival_s,
-                COMPLETED,
-                completion_s=completion,
-                latency_s=completion - req.arrival_s,
-                slo_ok=completion <= req.deadline_s,
-                batch=record.index,
-            )
-            self._outcomes[req.rid] = outcome
-            pend.events.put_nowait(("done", outcome))
-        if _metrics.COLLECT:
-            _metrics.REGISTRY.counter(f"{NAMESPACE}.batches").inc()
-            _metrics.REGISTRY.counter(f"{NAMESPACE}.completed").inc(len(live))
-            _metrics.REGISTRY.histogram(f"{NAMESPACE}.batch_size").observe(len(live))
-            for req in live:
-                _metrics.REGISTRY.histogram(f"{NAMESPACE}.latency_ms").observe(
-                    (completion - req.arrival_s) * 1e3
-                )
+        # Claim the replica with the busy estimate *before* the first
+        # await, so admission decisions made while this batch is in
+        # flight see it.
+        replica = core.start_batch(dispatch_s, self.executor.estimate(len(live), steps))
+        try:
+            with _trace.span(
+                f"{NAMESPACE}.batch", replica=replica, size=len(live), steps=steps
+            ):
+                for step in range(steps):
+                    results = await self.executor.run_step(live, payloads, step)
+                    t = self.now()
+                    for pend, result in zip(pendings, results):
+                        if step < pend.steps:
+                            pend.events.put_nowait(("step", step, result, t))
+        except Exception:
+            # A failing executor must cost exactly this batch: account it,
+            # answer its clients, free the replica, keep the worker alive.
+            _log.exception("executor failed on a batch of %d; shedding it", len(live))
+            outcomes = core.fail_batch(replica, live, self.now())
+        else:
+            outcomes = core.finish_batch(replica, live, dispatch_s, self.now() - dispatch_s)
+        for outcome in outcomes:
+            self._resolve(outcome)
 
-    def _finish_shed(self, req: Request, reason: str) -> None:
-        outcome = RequestOutcome(req.rid, req.arrival_s, f"shed_{reason}")
-        self._outcomes[req.rid] = outcome
-        pend = self._pending.pop(req.rid, None)
-        if pend is not None:
-            pend.events.put_nowait(("done", outcome))
+    def _resolve(self, outcome: RequestOutcome) -> None:
+        """Hand a request's terminal outcome to its waiting handler."""
+        self._pending.pop(outcome.rid).events.put_nowait(("done", outcome))
 
     # -- connection handling ---------------------------------------------
 
@@ -356,7 +322,7 @@ class GatewayServer:
         stream = bool(body.get("stream", steps > 1))
         if steps < 1 or steps > 64:
             raise _http.HttpError(400, "steps must be in [1, 64]")
-        if rid in self._pending or rid in self._outcomes:
+        if rid in self.core.outcomes:
             raise _http.HttpError(400, f"duplicate request id {rid}")
         if rid == self._auto_rid:
             self._auto_rid += 1
@@ -365,22 +331,18 @@ class GatewayServer:
         req = Request(rid, arrival, arrival + self.config.slo_s)
         if self._stopping:
             # Late arrival during drain: accounted, never queued.
-            self._outcomes[rid] = RequestOutcome(rid, arrival, f"shed_{SHED_SHUTDOWN}")
+            outcome = self.core.refuse(req, SHED_SHUTDOWN)
             writer.write(
                 _http.render_response(
-                    503,
-                    {"rid": rid, "status": f"shed_{SHED_SHUTDOWN}"},
-                    keep_alive=False,
+                    503, {"rid": rid, "status": outcome.status}, keep_alive=False
                 )
             )
             return False
 
         with _trace.span(f"{NAMESPACE}.request", rid=rid, steps=steps):
-            decision = self.core.offer(req, self._earliest_free())
-            self._queue_depths.append(self.core.queue_depth)
+            decision = self.core.offer(req)
             if not decision.admitted:
-                outcome = RequestOutcome(rid, arrival, "shed_admission")
-                self._outcomes[rid] = outcome
+                outcome = self.core.outcomes[rid]
                 writer.write(
                     _http.render_response(
                         503,
@@ -428,9 +390,10 @@ class GatewayServer:
                 )
             )
             return keep
+        status = 500 if outcome.status == f"shed_{SHED_ERROR}" else 503
         writer.write(
             _http.render_response(
-                503, {"rid": rid, "status": outcome.status}, keep_alive=keep
+                status, {"rid": rid, "status": outcome.status}, keep_alive=keep
             )
         )
         return keep

@@ -10,18 +10,13 @@ seeded trace** through both
   sleeps exactly that profile (real sockets, real event loop, same
   ``ServingCore`` policy),
 
-then compare what each decided.  Two layers of comparison:
-
-* :func:`replay_decisions` — a *synchronous* gateway-style driver
-  (``offer`` / ``dispatch_due`` / ``cut_batch`` over a replica
-  busy-until list) on the same injected timestamps the simulator uses.
-  This must be **bit-identical** to the simulator's timeline — a
-  Hypothesis property enforces it.  Any divergence is a seam bug in the
-  shared core, not timing noise.
-* :func:`run_twin` — the live replay.  Real scheduling adds jitter
-  (connection setup, loop wakeups, sleep granularity), so the gate is
-  banded: shed-rate delta, throughput ratio, and per-request
-  admission/status agreement against the sim within committed bands.
+then compare what each decided.  Both sides are clock adapters over the
+one ``ServingCore`` driver, so on identical timestamps there is nothing
+for them to disagree about; what :func:`run_twin` measures is the live
+clock itself.  Real scheduling adds jitter (connection setup, loop
+wakeups, sleep granularity), so the gate is banded: shed-rate delta,
+throughput ratio, and per-request admission/status agreement against the
+sim within committed bands.
 """
 
 from __future__ import annotations
@@ -29,57 +24,15 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from ..serve.core import ServingCore
+from ..serve.core import ServeReport
 from ..serve.latency import LatencyProfile
 from ..serve.loadgen import ArrivalSpec
-from ..serve.simulator import COMPLETED, ServeConfig, ServeReport, ServeSimulator
+from ..serve.simulator import ServeConfig, ServeSimulator
 from .client import LoadClient, RequestRecord, build_trace, trace_digest
 from .executor import ProfileExecutor
 from .server import GatewayServer
 
-__all__ = ["replay_decisions", "TwinResult", "run_twin", "run_twin_async"]
-
-
-def replay_decisions(
-    profile: LatencyProfile, config: ServeConfig, arrival_times
-) -> list[str]:
-    """Gateway-style synchronous replay → per-request final statuses.
-
-    Drives :class:`ServingCore` exactly the way the gateway's event loop
-    does — ``offer`` at each arrival with ``min(busy_until)``, dispatch
-    at ``dispatch_due``, service times from the profile — but on the
-    injected timestamps instead of a wall clock.  Bit-identical to
-    :meth:`ServeSimulator.run` by construction; the property tests
-    assert it stays that way.
-    """
-    arrivals = [float(t) for t in arrival_times]
-    from ..serve.batcher import Request
-
-    requests = [Request(i, t, t + config.slo_s) for i, t in enumerate(arrivals)]
-    statuses: dict[int, str] = {}
-    core = ServingCore(profile, config, namespace="serve.gateway")
-    busy_until = [0.0] * config.replicas
-    i, n = 0, len(requests)
-    while i < n or len(core):
-        earliest_free = min(busy_until)
-        dispatch_s = core.dispatch_due(earliest_free)
-        if i < n and (dispatch_s is None or requests[i].arrival_s < dispatch_s):
-            req = requests[i]
-            i += 1
-            decision = core.offer(req, earliest_free)
-            if not decision.admitted:
-                statuses[req.rid] = "shed_admission"
-            continue
-        live, expired = core.cut_batch(dispatch_s)
-        for req in expired:
-            statuses[req.rid] = "shed_deadline"
-        if not live:
-            continue
-        replica = busy_until.index(min(busy_until))
-        busy_until[replica] = dispatch_s + profile.latency(len(live))
-        for req in live:
-            statuses[req.rid] = COMPLETED
-    return [statuses[r] for r in range(n)]
+__all__ = ["TwinResult", "run_twin", "run_twin_async"]
 
 
 @dataclass

@@ -17,14 +17,13 @@ benchmark and the CI smoke rather than waiting for a real regression.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from ..cluster import CanaryConfig, ClusterScenario, LoadPhase, run_canary
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..serve.latency import LatencyProfile
+from ..utils import canonical_digest
 from .registry import CheckpointRecord
 
 __all__ = [
@@ -92,7 +91,7 @@ class DeploymentReport:
         return self.status == "promoted"
 
     def digest(self) -> str:
-        payload = json.dumps(
+        return canonical_digest(
             {
                 "name": self.record.name,
                 "version": self.record.version,
@@ -102,10 +101,8 @@ class DeploymentReport:
                 "final_fraction": self.final_fraction,
                 "canary_digest": self.canary_digest,
                 "degrade_factor": self.degrade_factor,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def summary(self) -> dict:
         return {

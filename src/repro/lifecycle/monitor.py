@@ -17,8 +17,6 @@ reports the spectrum of the *effective* weight the layer applies.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +26,7 @@ from ..core.spectrum import energy_rank, layer_spectra
 from ..nn.module import Module
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
+from ..utils import canonical_digest
 
 __all__ = ["SpectrumSnapshot", "SpectrumMonitor"]
 
@@ -57,16 +56,14 @@ class SpectrumSnapshot:
         }
 
     def digest(self) -> str:
-        payload = json.dumps(
+        return canonical_digest(
             {
                 "index": self.index,
                 "epoch": self.epoch,
                 "phase": self.phase,
-                "spectra": {k: list(v) for k, v in sorted(self.spectra.items())},
-            },
-            sort_keys=True,
+                "spectra": {k: list(v) for k, v in self.spectra.items()},
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def as_dict(self) -> dict:
         """Digest-level summary (the full spectra stay in memory only)."""
@@ -106,5 +103,4 @@ class SpectrumMonitor:
 
     def digest(self) -> str:
         """Digest over the whole snapshot stream."""
-        payload = json.dumps([s.digest() for s in self.snapshots])
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return canonical_digest([s.digest() for s in self.snapshots])

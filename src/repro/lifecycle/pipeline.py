@@ -33,8 +33,6 @@ compute) are deliberately excluded from the digest.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +45,7 @@ from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..optim import SGD
 from ..serve.registry import IMAGE_MODELS, build_model, hybrid_config_for, input_spec_for
-from ..utils import set_seed
+from ..utils import canonical_digest, set_seed
 from .errors import LifecycleConfigError
 from .monitor import SpectrumMonitor
 from .scheduler import RankPolicy, RankScheduler
@@ -138,8 +136,7 @@ class LifecycleConfig:
         }
 
     def digest(self) -> str:
-        payload = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return canonical_digest(self.as_dict())
 
     @property
     def run_id(self) -> str:
@@ -178,8 +175,7 @@ class LifecycleRun:
         return self.macs_full / max(self.macs_factorized, 1)
 
     def rank_map_digest(self) -> str:
-        payload = json.dumps(dict(sorted(self.rank_map.items())), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return canonical_digest(self.rank_map)
 
     def n_layers_differ_from_global(self) -> int:
         """Layers whose allocated rank differs from the global-ratio map."""
@@ -236,8 +232,7 @@ class LifecycleRun:
         }
 
     def timeline_digest(self) -> str:
-        payload = json.dumps(self._payload(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return canonical_digest(self._payload())
 
     def summary(self) -> dict:
         """JSON-safe run record (everything but the weights)."""

@@ -82,7 +82,12 @@ def autocast_round_trip(model: Module) -> None:
 
 
 def cast_gradients_fp16(params: Iterable[Parameter]) -> None:
-    """Round gradients through fp16, emulating a half-precision backward."""
-    for p in params:
-        if p.grad is not None:
-            p.grad = p.grad.astype(np.float16).astype(np.float32)
+    """Round gradients through fp16, emulating a half-precision backward.
+
+    Magnitudes beyond fp16's range saturate to ``inf`` on purpose — that
+    overflow is what a dynamic loss scaler detects and backs off from.
+    """
+    with np.errstate(over="ignore"):
+        for p in params:
+            if p.grad is not None:
+                p.grad = p.grad.astype(np.float16).astype(np.float32)

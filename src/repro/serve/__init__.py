@@ -19,8 +19,10 @@ Pieces (each usable standalone):
 * :mod:`repro.serve.batcher`   — torch-serve-style dynamic batching
   (``max_batch_size`` + ``max_wait_ms`` deadline flush).
 * :mod:`repro.serve.admission` — SLO-aware deadline shedding.
-* :mod:`repro.serve.simulator` — the event loop; emits per-request
-  timelines, shed accounting and ``serve.*`` observability metrics.
+* :mod:`repro.serve.core`      — the one clock-agnostic driver: policy,
+  replica pool, per-request timeline / shed ledger and ``serve.*``
+  observability metrics.
+* :mod:`repro.serve.simulator` — the modeled clock over that driver.
 
 Typical use::
 
@@ -39,12 +41,13 @@ Typical use::
 from .admission import (
     SHED_ADMISSION,
     SHED_DEADLINE,
+    SHED_ERROR,
     SHED_SHUTDOWN,
     AdmissionController,
     AdmissionDecision,
 )
 from .batcher import BatchPolicy, DynamicBatcher, Request
-from .core import ServingCore
+from .core import BatchRecord, RequestOutcome, ServeReport, ServingCore
 from .inputs import INPUT_KINDS, InputSpec
 from .latency import DEFAULT_BATCH_SIZES, LatencyProfile, measure_latency_profile
 from .loadgen import ArrivalSpec, generate_arrivals
@@ -59,7 +62,7 @@ from .registry import (
     hybrid_config_for,
     input_spec_for,
 )
-from .simulator import BatchRecord, RequestOutcome, ServeConfig, ServeReport, ServeSimulator
+from .simulator import ServeConfig, ServeSimulator
 
 __all__ = [
     "AdmissionController",
@@ -67,6 +70,7 @@ __all__ = [
     "SHED_ADMISSION",
     "SHED_DEADLINE",
     "SHED_SHUTDOWN",
+    "SHED_ERROR",
     "ServingCore",
     "ArrivalSpec",
     "generate_arrivals",

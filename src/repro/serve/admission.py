@@ -27,12 +27,14 @@ __all__ = [
     "SHED_ADMISSION",
     "SHED_DEADLINE",
     "SHED_SHUTDOWN",
+    "SHED_ERROR",
 ]
 
 # Shed reasons, used as metric labels and timeline statuses.
 SHED_ADMISSION = "admission"  # predicted SLO miss at arrival
 SHED_DEADLINE = "deadline"  # expired in the queue before dispatch
 SHED_SHUTDOWN = "shutdown"  # queue drained by a gateway graceful shutdown
+SHED_ERROR = "error"  # the batch's executor raised; clients get a 500
 
 
 @dataclass(frozen=True)

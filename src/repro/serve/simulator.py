@@ -1,11 +1,11 @@
 """Discrete-event serving simulation over measured latency profiles.
 
-The simulator composes the serving pieces — seeded arrivals, SLO
-admission control, the dynamic batcher, and a pool of replica workers —
-into one event loop on the modeled clock.  Per-batch service times come
-from a :class:`~repro.serve.latency.LatencyProfile` (measured ``no_grad``
-forwards of the real model), so the run is a *pure function* of
-``(arrival times, profile, config)``: two runs with the same inputs
+The simulator is the *modeled clock* over
+:class:`~repro.serve.core.ServingCore`, which owns admission, the dynamic
+batcher, the replica pool and the outcome ledger.  Per-batch service
+times come from a :class:`~repro.serve.latency.LatencyProfile` (measured
+``no_grad`` forwards of the real model), so the run is a *pure function*
+of ``(arrival times, profile, config)``: two runs with the same inputs
 produce identical request timelines, shed decisions, and digests — the
 serving analogue of the fault injector's determinism guarantee.
 
@@ -26,23 +26,15 @@ Latency quantiles, throughput, queue depth and shed rate flow through
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from .admission import SHED_ADMISSION, SHED_DEADLINE, AdmissionController
 from .batcher import BatchPolicy, Request
-from .core import ServingCore
+from .core import ServeReport, ServingCore
 from .latency import LatencyProfile
 
-__all__ = ["ServeConfig", "BatchRecord", "RequestOutcome", "ServeReport", "ServeSimulator"]
-
-COMPLETED = "completed"
+__all__ = ["ServeConfig", "ServeSimulator"]
 
 
 @dataclass(frozen=True)
@@ -60,184 +52,6 @@ class ServeConfig:
             raise ValueError("replicas must be >= 1")
 
 
-@dataclass(frozen=True)
-class BatchRecord:
-    """One dispatched batch on the modeled clock."""
-
-    index: int
-    replica: int
-    dispatch_s: float
-    size: int
-    service_s: float
-    completion_s: float
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "replica": self.replica,
-            "dispatch_s": round(self.dispatch_s, 9),
-            "size": self.size,
-            "service_s": round(self.service_s, 9),
-            "completion_s": round(self.completion_s, 9),
-        }
-
-
-@dataclass
-class RequestOutcome:
-    """Final status of one request: served (latency, SLO hit/miss) or shed."""
-
-    rid: int
-    arrival_s: float
-    status: str  # completed | shed_admission | shed_deadline
-    completion_s: float | None = None
-    latency_s: float | None = None
-    slo_ok: bool | None = None
-    batch: int | None = None
-
-    def as_dict(self) -> dict:
-        out = {"rid": self.rid, "arrival_s": round(self.arrival_s, 9), "status": self.status}
-        if self.status == COMPLETED:
-            out.update(
-                completion_s=round(self.completion_s, 9),
-                latency_s=round(self.latency_s, 9),
-                slo_ok=bool(self.slo_ok),
-                batch=self.batch,
-            )
-        return out
-
-
-@dataclass
-class ServeReport:
-    """Everything one simulation produced, with derived SLO accounting."""
-
-    duration_s: float
-    slo_s: float
-    outcomes: list[RequestOutcome]
-    batches: list[BatchRecord]
-    queue_depths: list[int]  # sampled at every arrival, post-decision
-    replicas: int = 1
-
-    # -- derived --------------------------------------------------------
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def n_completed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == COMPLETED)
-
-    @property
-    def n_shed(self) -> int:
-        return self.n_requests - self.n_completed
-
-    def shed_by_reason(self) -> dict[str, int]:
-        # The two simulator reasons are always present (baselines key on
-        # them); extra reasons — e.g. the gateway's shutdown drain — get
-        # counted under their own key rather than raising.
-        out = {SHED_ADMISSION: 0, SHED_DEADLINE: 0}
-        for o in self.outcomes:
-            if o.status != COMPLETED:
-                reason = o.status.removeprefix("shed_")
-                out[reason] = out.get(reason, 0) + 1
-        return out
-
-    @property
-    def shed_rate(self) -> float:
-        return self.n_shed / self.n_requests if self.n_requests else 0.0
-
-    @property
-    def slo_miss_rate(self) -> float:
-        """Completed-but-late fraction (shed requests counted separately)."""
-        done = self.n_completed
-        if not done:
-            return 0.0
-        return sum(1 for o in self.outcomes if o.status == COMPLETED and not o.slo_ok) / done
-
-    @property
-    def goodput_rps(self) -> float:
-        """Completed-within-SLO requests per offered second."""
-        ok = sum(1 for o in self.outcomes if o.status == COMPLETED and o.slo_ok)
-        return ok / self.duration_s if self.duration_s > 0 else 0.0
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.n_completed / self.duration_s if self.duration_s > 0 else 0.0
-
-    @property
-    def busy_s(self) -> float:
-        """Total replica-seconds spent inside measured forward passes."""
-        return sum(b.service_s for b in self.batches)
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the replica pool over the run — the
-        autoscaler's scale-down signal (shed rate is its scale-up one)."""
-        wall = self.duration_s * self.replicas
-        return min(self.busy_s / wall, 1.0) if wall > 0 else 0.0
-
-    def latency_quantile(self, q: float) -> float:
-        xs = [o.latency_s for o in self.outcomes if o.status == COMPLETED]
-        if not xs:
-            return 0.0
-        return float(np.quantile(xs, q))
-
-    @property
-    def mean_batch_size(self) -> float:
-        if not self.batches:
-            return 0.0
-        return sum(b.size for b in self.batches) / len(self.batches)
-
-    def summary(self) -> dict:
-        shed = self.shed_by_reason()
-        out = {
-            "duration_s": self.duration_s,
-            "slo_ms": round(self.slo_s * 1e3, 6),
-            "n_requests": self.n_requests,
-            "n_completed": self.n_completed,
-            "n_shed_admission": shed[SHED_ADMISSION],
-            "n_shed_deadline": shed[SHED_DEADLINE],
-        }
-        # Extra reasons (gateway shutdown drains) appear only when present,
-        # so simulator summaries keep their exact baseline key set.
-        for reason in sorted(shed):
-            if reason not in (SHED_ADMISSION, SHED_DEADLINE):
-                out[f"n_shed_{reason}"] = shed[reason]
-        out |= {
-            "shed_rate": round(self.shed_rate, 6),
-            "slo_miss_rate": round(self.slo_miss_rate, 6),
-            "utilization": round(self.utilization, 6),
-            "throughput_rps": round(self.throughput_rps, 6),
-            "goodput_rps": round(self.goodput_rps, 6),
-            "p50_ms": round(self.latency_quantile(0.50) * 1e3, 6),
-            "p95_ms": round(self.latency_quantile(0.95) * 1e3, 6),
-            "p99_ms": round(self.latency_quantile(0.99) * 1e3, 6),
-            "n_batches": len(self.batches),
-            "mean_batch_size": round(self.mean_batch_size, 6),
-            "queue_depth_max": max(self.queue_depths, default=0),
-            "timeline_digest": self.digest(),
-        }
-        return out
-
-    def timeline(self) -> list[dict]:
-        return [o.as_dict() for o in self.outcomes]
-
-    def digest(self) -> str:
-        """Stable hash of the full request/batch timeline.
-
-        Two runs are behaviorally identical iff their digests match —
-        the CLI prints it and the determinism tests compare it.
-        """
-        payload = json.dumps(
-            {
-                "timeline": self.timeline(),
-                "batches": [b.as_dict() for b in self.batches],
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 class ServeSimulator:
     """One replica pool serving one model variant under offered load.
 
@@ -253,7 +67,6 @@ class ServeSimulator:
         self.profile = profile
         self.config = config
         self.pool = pool
-        self.admission = AdmissionController(profile, config.policy)
 
     def run(self, arrival_times, duration_s: float | None = None) -> ServeReport:
         """Simulate serving every arrival; returns the full report.
@@ -266,23 +79,9 @@ class ServeSimulator:
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError("arrival times must be sorted")
         requests = [Request(i, t, t + cfg.slo_s) for i, t in enumerate(arrivals)]
-        outcomes: list[RequestOutcome | None] = [None] * len(requests)
-        # All policy decisions (admit/shed, batch cut points) and their
-        # request/shed metrics live in the shared core; the simulator owns
-        # the modeled clock, the replica heap, and the outcome records —
-        # exactly the split the live gateway mirrors on the event loop.
         core = ServingCore(self.profile, cfg, pool=self.pool, namespace="serve")
-        # Replica pool as a min-heap of (free_at, replica_id).
-        pool = [(0.0, r) for r in range(cfg.replicas)]
-        heapq.heapify(pool)
-        batches: list[BatchRecord] = []
-        queue_depths: list[int] = []
         collect = _metrics.COLLECT
-        last_completion = 0.0
-        # Live busy-fraction signal, updated as the modeled clock advances
-        # (the core keeps the shed-rate twin up to date itself).
         util_gauge = None
-        busy_s = 0.0
         if collect:
             util_gauge = _metrics.REGISTRY.gauge("serve.pool.utilization").labels(
                 pool=self.pool
@@ -294,80 +93,36 @@ class ServeSimulator:
         i, n = 0, len(requests)
         with _trace.span("serve.run", requests=n, replicas=cfg.replicas):
             while i < n or len(core):
-                dispatch_s = core.dispatch_due(pool[0][0])
+                dispatch_s = core.dispatch_due()
                 # Arrivals strictly before the next dispatch are processed
                 # first — the admission estimate must see the queue state
                 # as it stands at their arrival instant.
                 if i < n and (dispatch_s is None or requests[i].arrival_s < dispatch_s):
-                    req = requests[i]
+                    core.offer(requests[i])
                     i += 1
-                    decision = core.offer(req, pool[0][0])
-                    if not decision.admitted:
-                        outcomes[req.rid] = RequestOutcome(
-                            req.rid, req.arrival_s, f"shed_{SHED_ADMISSION}"
-                        )
-                    queue_depths.append(len(core))
                     continue
 
-                # Dispatch the head batch at ``dispatch_s``.
-                live, expired = core.cut_batch(dispatch_s)
-                for req in expired:
-                    outcomes[req.rid] = RequestOutcome(
-                        req.rid, req.arrival_s, f"shed_{SHED_DEADLINE}"
-                    )
+                live, _ = core.cut_batch(dispatch_s)
                 if not live:
                     continue
+                # Modeled clock: the estimate *is* the actual service time.
                 service = self.profile.latency(len(live))
-                completion = dispatch_s + service
-                free_at, replica = heapq.heapreplace(pool, (completion, pool[0][1]))
-                record = BatchRecord(
-                    len(batches), replica, dispatch_s, len(live), service, completion
-                )
-                batches.append(record)
-                last_completion = max(last_completion, completion)
+                replica = core.start_batch(dispatch_s, service)
                 with _trace.span(
                     "serve.batch",
-                    batch=record.index,
-                    size=record.size,
-                    dispatch_s=record.dispatch_s,
-                    service_s=record.service_s,
+                    batch=len(core.batches),
+                    size=len(live),
+                    dispatch_s=dispatch_s,
+                    service_s=service,
                 ):
-                    for req in live:
-                        outcomes[req.rid] = RequestOutcome(
-                            req.rid,
-                            req.arrival_s,
-                            COMPLETED,
-                            completion_s=completion,
-                            latency_s=completion - req.arrival_s,
-                            slo_ok=completion <= req.deadline_s,
-                            batch=record.index,
-                        )
-                busy_s += service
+                    core.finish_batch(replica, live, dispatch_s, service)
                 if collect:
-                    util_gauge.set(
-                        min(busy_s / (last_completion * cfg.replicas), 1.0)
-                        if last_completion > 0
-                        else 0.0
-                    )
-                    _metrics.REGISTRY.counter("serve.batches").inc()
-                    _metrics.REGISTRY.counter("serve.completed").inc(len(live))
-                    _metrics.REGISTRY.histogram("serve.batch_size").observe(len(live))
-                    for req in live:
-                        _metrics.REGISTRY.histogram("serve.latency_ms").observe(
-                            (completion - req.arrival_s) * 1e3
-                        )
+                    # Live busy-fraction signal (the core keeps the
+                    # shed-rate twin up to date itself).
+                    wall = core.last_completion_s * cfg.replicas
+                    util_gauge.set(min(core.busy_s / wall, 1.0) if wall > 0 else 0.0)
 
-        horizon = duration_s
-        if horizon is None:
-            horizon = max([last_completion, *arrivals[-1:]], default=0.0)
-        report = ServeReport(
-            duration_s=float(horizon),
-            slo_s=cfg.slo_s,
-            outcomes=[o for o in outcomes if o is not None],
-            batches=batches,
-            queue_depths=queue_depths,
-            replicas=cfg.replicas,
-        )
+        report = core.report(duration_s)
         if collect:
             # Final gauge state equals the run summary exactly (the live
             # updates above converge to these values).

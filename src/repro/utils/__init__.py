@@ -3,6 +3,7 @@
 from .seed import set_seed, get_rng, spawn_rng
 from .logging import Logger
 from .serialization import (
+    canonical_digest,
     save_checkpoint,
     load_checkpoint,
     save_model,
@@ -16,6 +17,7 @@ __all__ = [
     "get_rng",
     "spawn_rng",
     "Logger",
+    "canonical_digest",
     "save_checkpoint",
     "load_checkpoint",
     "save_model",

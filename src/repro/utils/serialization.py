@@ -2,11 +2,13 @@
 
 Keeps the whole training state restartable — model parameters and buffers,
 optimizer hyper-parameters and per-parameter state (momentum buffers, Adam
-moments), and arbitrary user metadata (epoch, best metric, ...).
+moments), and arbitrary user metadata (epoch, best metric, ...).  Also home
+of :func:`canonical_digest`, the canonical-JSON hash reports are compared by.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -18,6 +20,7 @@ if TYPE_CHECKING:  # imported lazily to keep repro.utils free of cycles
     from ..optim.optimizer import Optimizer
 
 __all__ = [
+    "canonical_digest",
     "save_checkpoint",
     "load_checkpoint",
     "save_model",
@@ -27,6 +30,13 @@ __all__ = [
 ]
 
 _META_KEY = "__meta_json__"
+
+
+def canonical_digest(obj) -> str:
+    """16-hex sha256 of ``obj``'s key-sorted JSON — the one digest every
+    report, timeline and trace in the repo is compared by."""
+    payload = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def save_model(model: Module, path: str | Path) -> None:

@@ -16,7 +16,16 @@ from repro.distributed import (
 from repro.models import MLP, resnet18, vgg11
 from repro.optim import SGD
 from repro.tensor import Tensor
-from repro.utils import set_seed, spawn_rng
+from repro.utils import canonical_digest, set_seed, spawn_rng
+
+
+class TestCanonicalDigest:
+    def test_pinned_on_a_literal(self):
+        """Every baseline digest in the repo goes through this one
+        function: 16 hex of sha256 over key-sorted JSON."""
+        obj = {"b": [1, 2.5, None], "a": "x"}
+        assert canonical_digest(obj) == "b649bb117135db06"
+        assert canonical_digest(dict(reversed(obj.items()))) == "b649bb117135db06"
 
 
 class TestSeededConstruction:

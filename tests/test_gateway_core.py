@@ -1,10 +1,10 @@
-"""The sim/live seam: clock-agnostic core, batcher edges, decision parity.
+"""The one serving driver: clock-agnostic core, batcher edges, ledger invariants.
 
-The load-bearing guarantee of the gateway PR is that the simulator and
-the live server make **bit-identical policy decisions on the same
-injected timestamps** — a Hypothesis property drives random traces
-through both the simulator's event loop and a gateway-style driver over
-the shared :class:`ServingCore` and compares every request's fate.
+The simulator and the live gateway are both clock adapters over
+:class:`ServingCore`, so there is no second driver to compare against;
+what used to be a sim-vs-replay parity property is stated directly as
+invariants of the one driver — a Hypothesis property drives random
+traces through it and checks the ledger it leaves behind.
 """
 
 import math
@@ -17,16 +17,18 @@ from repro import observability as obs
 from repro.serve import (
     SHED_ADMISSION,
     SHED_DEADLINE,
+    SHED_ERROR,
     SHED_SHUTDOWN,
     BatchPolicy,
     DynamicBatcher,
     LatencyProfile,
     Request,
+    RequestOutcome,
     ServeConfig,
+    ServeReport,
     ServeSimulator,
     ServingCore,
 )
-from repro.gateway.validate import replay_decisions
 
 
 @pytest.fixture(autouse=True)
@@ -91,52 +93,101 @@ class TestServingCore:
 
     def test_dispatch_due_none_on_empty(self):
         core = ServingCore(profile(), self.cfg())
-        assert core.dispatch_due(0.0) is None
+        assert core.dispatch_due() is None
 
     def test_dispatch_due_full_vs_flush(self):
         core = ServingCore(profile(), self.cfg())
         for rid in range(3):
-            core.offer(Request(rid, 0.0, 1.0), earliest_free_s=0.0)
+            core.offer(Request(rid, 0.0, 1.0))
         # Partial batch: due at the head's flush deadline.
-        assert core.dispatch_due(0.0) == pytest.approx(0.01)
-        core.offer(Request(3, 0.005, 1.005), earliest_free_s=0.0)
+        assert core.dispatch_due() == pytest.approx(0.01)
+        core.offer(Request(3, 0.005, 1.005))
         # Full batch: due the instant the last member arrived.
-        assert core.dispatch_due(0.0) == pytest.approx(0.005)
+        assert core.dispatch_due() == pytest.approx(0.005)
         # ...but never before a replica frees up.
-        assert core.dispatch_due(0.02) == pytest.approx(0.02)
+        core.start_batch(0.0, 0.02)
+        assert core.dispatch_due() == pytest.approx(0.02)
 
     def test_cut_batch_splits_expired(self):
         core = ServingCore(profile(), self.cfg(slo_s=0.05))
-        core.offer(Request(0, 0.0, 0.05), earliest_free_s=0.0)
-        core.offer(Request(1, 0.04, 0.09), earliest_free_s=0.0)
+        core.offer(Request(0, 0.0, 0.05))
+        core.offer(Request(1, 0.04, 0.09))
         live, expired = core.cut_batch(dispatch_s=0.06)
         assert [r.rid for r in live] == [1]
-        assert [r.rid for r in expired] == [0]
+        assert [o.rid for o in expired] == [0]
+        assert expired[0].status == "shed_deadline"
         assert core.shed_counts == {SHED_DEADLINE: 1}
 
     def test_admission_shed_accounted(self):
         core = ServingCore(profile(), self.cfg(slo_s=0.015))
         # Replica busy far beyond the deadline: cannot possibly make it.
-        decision = core.offer(Request(0, 0.0, 0.015), earliest_free_s=10.0)
+        core.start_batch(0.0, 10.0)
+        decision = core.offer(Request(0, 0.0, 0.015))
         assert not decision.admitted
         assert core.n_seen == 1 and core.n_shed == 1
         assert core.shed_counts == {SHED_ADMISSION: 1}
         assert core.queue_depth == 0
+        assert core.outcomes[0].status == "shed_admission"
 
     def test_shed_queue_drains_with_reason(self):
         core = ServingCore(profile(), self.cfg())
         for rid in range(6):
-            core.offer(Request(rid, 0.0, 1.0), earliest_free_s=0.0)
+            core.offer(Request(rid, 0.0, 1.0))
         shed = core.shed_queue(SHED_SHUTDOWN)
-        assert [r.rid for r in shed] == list(range(6))
+        assert [o.rid for o in shed] == list(range(6))
         assert core.queue_depth == 0
         assert core.shed_counts == {SHED_SHUTDOWN: 6}
+
+    def test_estimate_while_in_flight_actual_afterwards(self):
+        """start-with-estimate → finish-with-actual: admission sees the
+        estimate while the batch runs and the actual completion after."""
+        core = ServingCore(profile((0.01, 0.01, 0.01)), self.cfg(slo_s=0.05))
+        core.offer(Request(0, 0.0, 0.05))
+        live, _ = core.cut_batch(0.01)
+        replica = core.start_batch(0.01, est_service_s=0.10)
+        assert core.free_at == [pytest.approx(0.11)]
+        # In flight: the (pessimistic) estimate sheds a request the actual
+        # service time would have let through.
+        during = core.offer(Request(1, 0.02, 0.07))
+        assert not during.admitted and during.est_start_s == pytest.approx(0.11)
+        (done,) = core.finish_batch(replica, live, 0.01, service_s=0.005)
+        assert core.free_at == [pytest.approx(0.015)]
+        assert done.status == "completed" and done.batch == 0
+        assert done.latency_s == pytest.approx(0.015) and done.slo_ok
+        after = core.offer(Request(2, 0.02, 0.07))
+        assert after.admitted and after.est_start_s == pytest.approx(0.02)
+        report = core.report()
+        assert [o.rid for o in report.outcomes] == [0, 1]  # rid 2 still queued
+        assert report.batches[0].service_s == pytest.approx(0.005)
+        assert report.duration_s == pytest.approx(0.02)  # last arrival > completion
+
+    def test_fail_batch_sheds_it_and_frees_the_replica(self):
+        core = ServingCore(profile(), self.cfg(replicas=2))
+        for rid in range(2):
+            core.offer(Request(rid, 0.0, 1.0))
+        live, _ = core.cut_batch(0.01)
+        replica = core.start_batch(0.01, 5.0)
+        assert replica == 0
+        # Replica 0 is in flight: the next batch must not land on it even
+        # though replica 1's free time ties with nothing else idle.
+        assert core.start_batch(0.01, 5.0) == 1
+        shed = core.fail_batch(replica, live, now_s=0.02)
+        assert [o.status for o in shed] == ["shed_error", "shed_error"]
+        assert core.free_at[0] == pytest.approx(0.02)
+        assert core.shed_counts == {SHED_ERROR: 2}
+        assert core.batches == []
+        assert core.report().summary()["n_shed_error"] == 2
+
+    def test_refuse_is_seen_and_shed(self):
+        core = ServingCore(profile(), self.cfg())
+        outcome = core.refuse(Request(5, 0.3, 0.4), SHED_SHUTDOWN)
+        assert outcome.status == "shed_shutdown"
+        assert core.n_seen == core.n_shed == 1 and core.queue_depth == 0
+        assert core.report().duration_s == pytest.approx(0.3)
 
 
 class TestReportShedReasons:
     def test_shed_by_reason_tolerates_shutdown(self):
-        from repro.serve.simulator import RequestOutcome, ServeReport
-
         report = ServeReport(
             duration_s=1.0,
             slo_s=0.1,
@@ -164,7 +215,7 @@ class TestReportShedReasons:
         }
 
 
-# -- the seam property ---------------------------------------------------
+# -- the driver's invariants ----------------------------------------------
 
 gaps = st.lists(st.floats(min_value=0.0, max_value=0.05), min_size=0, max_size=60)
 latency_steps = st.tuples(
@@ -174,7 +225,7 @@ latency_steps = st.tuples(
 )
 
 
-class TestDecisionParity:
+class TestDriverInvariants:
     @given(
         gaps=gaps,
         lat=latency_steps,
@@ -184,12 +235,9 @@ class TestDecisionParity:
         replicas=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_gateway_path_bit_identical_to_simulator(
+    def test_every_request_accounted_once_and_replicas_never_overlap(
         self, gaps, lat, slo, max_batch, max_wait, replicas
     ):
-        """The gateway-style driver (offer / dispatch_due / cut_batch over a
-        busy-until list) and the simulator's event loop must agree on every
-        request's fate given the same injected timestamps."""
         arrivals = []
         t = 0.0
         for g in gaps:
@@ -202,30 +250,20 @@ class TestDecisionParity:
         config = ServeConfig(
             slo_s=slo, policy=BatchPolicy(max_batch, max_wait), replicas=replicas
         )
-        sim_report = ServeSimulator(prof, config).run(arrivals)
-        sim_statuses = [o.status for o in sim_report.outcomes]
-        assert replay_decisions(prof, config, arrivals) == sim_statuses
+        report = ServeSimulator(prof, config).run(arrivals)
 
-    def test_parity_on_seeded_trace(self):
-        """The committed twin scenario's trace, end to end."""
-        from repro.gateway.client import build_trace
-        from repro.serve import ArrivalSpec
+        # Exactly one terminal outcome per request, in arrival order.
+        assert [o.rid for o in report.outcomes] == list(range(len(arrivals)))
+        assert report.n_completed + sum(report.shed_by_reason().values()) == len(arrivals)
+        # Completed requests and batch records describe the same work.
+        assert report.n_completed == sum(b.size for b in report.batches)
+        assert all(1 <= b.size <= max_batch for b in report.batches)
 
-        spec = ArrivalSpec(
-            rate_rps=90,
-            duration_s=4.0,
-            process="bursty",
-            seed=11,
-            burst_factor=5.0,
-            burst_prob=0.2,
-            window_s=0.5,
-        )
-        prof = LatencyProfile((1, 4, 8, 16), (0.04, 0.06, 0.08, 0.12))
-        config = ServeConfig(slo_s=0.4, policy=BatchPolicy(16, 0.03), replicas=1)
-        trace = build_trace(spec)
-        arrivals = [tr.at_s for tr in trace]
-        sim_report = ServeSimulator(prof, config).run(arrivals)
-        assert replay_decisions(prof, config, arrivals) == [
-            o.status for o in sim_report.outcomes
-        ]
-        assert sim_report.shed_rate > 0.1  # the scenario genuinely sheds
+        # Replaying the batch ledger: a batch starts only once its replica
+        # is free, rides the replica that freed first, lowest index on ties.
+        free_at = [0.0] * replicas
+        for b in report.batches:
+            assert b.completion_s == b.dispatch_s + b.service_s
+            assert b.dispatch_s >= free_at[b.replica]
+            assert b.replica == free_at.index(min(free_at))
+            free_at[b.replica] = b.completion_s

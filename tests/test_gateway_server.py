@@ -247,6 +247,65 @@ class TestGracefulShutdown:
         assert report.n_requests == 0
 
 
+class _FailsFirstBatch(ProfileExecutor):
+    """Raises on its first ``run_step``, serves every later one."""
+
+    def __init__(self, prof):
+        super().__init__(prof)
+        self.calls = 0
+
+    async def run_step(self, requests, payloads, step):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("injected executor failure")
+        return await super().run_step(requests, payloads, step)
+
+
+class TestExecutorFailure:
+    def test_failed_batch_is_shed_and_the_replica_keeps_serving(self):
+        """An executor exception costs exactly its batch: 500 / terminal
+        ``shed_error`` frame for those clients, an accounted outcome each,
+        and the same replica serves the next batch."""
+
+        async def scenario():
+            server = GatewayServer(
+                _FailsFirstBatch(profile()),
+                config(max_batch=2, max_wait_ms=200.0),
+                port=0,
+            )
+            await server.start()
+            client = LoadClient("127.0.0.1", server.port, timeout_s=5.0)
+            doomed = await client.run_open(
+                [
+                    TraceRequest(rid=0, at_s=0.0, payload=1),
+                    TraceRequest(rid=1, at_s=0.0, payload=2, steps=2),
+                ]
+            )
+            (served,) = await client.run_open([TraceRequest(rid=2, at_s=0.0, payload=3)])
+            await asyncio.wait_for(server.stop(), timeout=5.0)
+            return server, doomed, served
+
+        server, doomed, served = asyncio.run(scenario())
+        unary, stream = doomed
+        assert unary.error is None and unary.http_status == 500
+        assert unary.status == "shed_error"
+        # The stream's 200 head was already on the wire; its terminal
+        # frame carries the failure and no partial preceded it.
+        assert stream.error is None and stream.status == "shed_error"
+        assert stream.chunk_times == [] and stream.final_s is not None
+        assert served.ok and served.http_status == 200
+
+        report = server.report()
+        assert {o.rid: o.status for o in report.outcomes} == {
+            0: "shed_error",
+            1: "shed_error",
+            2: "completed",
+        }
+        assert [(b.replica, b.size) for b in report.batches] == [(0, 1)]
+        assert report.summary()["n_shed_error"] == 2
+        assert server._pending == {}  # nothing left unaccounted
+
+
 class TestTraceDeterminism:
     def test_trace_pure_function_of_seed(self):
         spec = ArrivalSpec(rate_rps=150, duration_s=2.0, process="bursty", seed=13)
