@@ -6,17 +6,19 @@ Compares a fresh ``BENCH_kernels.json`` against the committed baseline
 are machine-dependent, so times are never diffed against the baseline;
 what is gated:
 
-* **structure** — the op set and the fused-step set, each entry's parity
-  tag (or match kind), benchmark shape and enforced floor must match the
+* **structure** — the op set, the fused-step set and the
+  ``linear_fwd_bwd`` pair, each entry's parity tag (or match kind),
+  benchmark shape, graph-node counts and enforced floor must match the
   baseline exactly: a silently dropped op or a loosened floor is a gate
   change, not noise;
-* **parity** — every op's ``parity_ok`` (and every fused step's
-  ``match_ok``) must be true in the current run (bit-exact or within the
-  published tolerance, per its tag);
-* **speedup floors** — ops with a ``min_speedup`` must meet it, and both
+* **parity** — every op's ``parity_ok`` (and every fused step's and fused
+  linear's ``match_ok``) must be true in the current run (bit-exact or
+  within the published tolerance, per its tag);
+* **speedup floors** — ops with a ``min_speedup`` must meet it, both
   fused optimizer steps (FusedAdam / FusedLAMB vs the in-place
   per-tensor loop) must hold their ≥2× floor at CPU-scaled wide-model
-  widths.
+  widths, and ``functional.linear`` must hold its floor over the
+  three-node composite.
 
 Usage::
 
@@ -37,6 +39,10 @@ FUSED_RULE = ExactFields(
     ("n_tensors", "n_params", "match", "min_speedup"),
     note="fused-step benchmark structure changed",
 )
+LINEAR_RULE = ExactFields(
+    ("shape", "nodes_composite", "nodes_fused", "match", "min_speedup"),
+    note="linear_fwd_bwd benchmark structure changed",
+)
 
 
 def op_invariants(op: str, cur: dict) -> list[str]:
@@ -56,21 +62,27 @@ def op_invariants(op: str, cur: dict) -> list[str]:
     return failures
 
 
-def fused_invariants(name: str, cur: dict) -> list[str]:
-    failures: list[str] = []
-    if not cur.get("match_ok"):
-        failures.append(
-            f"fused_step.{name}: fused result diverged from the per-tensor "
-            f"loop (match kind {cur.get('match')!r})"
-        )
-    floor = cur.get("min_speedup")
-    speedup = cur.get("speedup")
-    if floor is not None and (speedup is None or speedup < floor):
-        failures.append(
-            f"fused_step.{name}: fused-vs-loop speedup {speedup} below "
-            f"enforced floor {floor}x (arena win regressed)"
-        )
-    return failures
+def fused_invariants(section: str, unfused: str):
+    """Invariants of a fused-vs-unfused section: the match kind holds and
+    the speedup over the ``unfused`` form meets its floor."""
+
+    def invariants(name: str, cur: dict) -> list[str]:
+        failures: list[str] = []
+        if not cur.get("match_ok"):
+            failures.append(
+                f"{section}.{name}: fused result diverged from the {unfused} "
+                f"(match kind {cur.get('match')!r})"
+            )
+        floor = cur.get("min_speedup")
+        speedup = cur.get("speedup")
+        if floor is not None and (speedup is None or speedup < floor):
+            failures.append(
+                f"{section}.{name}: speedup {speedup} over the {unfused} "
+                f"below enforced floor {floor}x (fusion win regressed)"
+            )
+        return failures
+
+    return invariants
 
 
 def _walk(current, baseline, section, rule, invariants, failures):
@@ -88,7 +100,10 @@ def _walk(current, baseline, section, rule, invariants, failures):
 def check(current: dict, baseline: dict, threshold: float) -> list[str]:
     failures: list[str] = []
     _walk(current, baseline, "ops", OPS_RULE, op_invariants, failures)
-    _walk(current, baseline, "fused_step", FUSED_RULE, fused_invariants, failures)
+    _walk(current, baseline, "fused_step", FUSED_RULE,
+          fused_invariants("fused_step", "per-tensor loop"), failures)
+    _walk(current, baseline, "linear_fwd_bwd", LINEAR_RULE,
+          fused_invariants("linear_fwd_bwd", "x @ W.T + b composite"), failures)
     return failures
 
 
@@ -100,7 +115,7 @@ GATE = Gate(
     item_word="ops",
     custom=check,
     ok_line=lambda n, t: (
-        f"kernel regression gate: {n} ops + fused steps OK "
+        f"kernel regression gate: {n} ops + fused steps + fused linear OK "
         "(structure exact, parity + speedup floors hold)"
     ),
     description=__doc__.splitlines()[0],

@@ -1,8 +1,11 @@
 """Per-op backend kernel benchmark: ``numpy`` reference vs ``fast``.
 
-Times every dispatched op under both backends at CPU-scaled widths,
-re-checks the parity contract from :data:`repro.tensor.backend.PARITY`,
-and writes ``BENCH_kernels.json`` (speedup table + parity summary).
+Times every op the ``fast`` backend overrides under both backends at
+CPU-scaled widths (ops it merely inherits — ``matmul``, ``sgd_update`` —
+would time one method against itself), re-checks the parity contract from
+:data:`repro.tensor.backend.PARITY`, times the fused ``functional.linear``
+node against the three-node composite it replaced, and writes
+``BENCH_kernels.json`` (speedup tables + parity summary).
 ``check_kernels_regression.py`` gates the artifact against the committed
 baseline: structure exactly, parity booleans, and per-op speedup floors
 (the headline: ≥1.5× on the batched im2col-matmul conv forward).
@@ -20,7 +23,7 @@ import numpy as np
 
 from harness import print_table, scaled_vgg19
 from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
-from repro.tensor import backend
+from repro.tensor import Tensor, backend, functional, graph_nodes_created
 from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL
 from repro.utils import set_seed
 
@@ -33,10 +36,8 @@ MIN_SPEEDUP = {
     "conv2d_forward": 1.5,
     "conv2d_backward": 1.0,
     "im2col": 1.0,
-    "matmul": None,
     "relu": None,
     "bias_relu": None,
-    "sgd_update": None,
     # The fused-optimizer arena chains: adam_update's fast win is
     # allocation elimination on one big slab; lamb_update's is dispatch
     # amortization across many segments (reduceat norms instead of a
@@ -50,8 +51,16 @@ MIN_SPEEDUP = {
 # wide-model widths (VGG-19: ~54 tensors, dispatch-bound loop).
 FUSED_STEP_FLOOR = 2.0
 
+# functional.linear (one node, weight gradient written in (out, in) layout)
+# vs the ``x @ W.T + b`` composite at the DDP MLP's first layer, batch 32,
+# input as data: the composite's cost is the strided transposed copy of the
+# weight gradient, so the full-rank layer gains most and its rank-factorized
+# pair (small factors, dispatch-bound) only sheds graph nodes.
+LINEAR_FLOOR = {"vanilla": 1.5, "lowrank": 1.0}
+
 _RESULTS: dict[str, dict] = {}
 _FUSED: dict[str, dict] = {}
+_LINEAR: dict[str, dict] = {}
 
 
 def best_ms(call, setup=None, repeats=REPEATS) -> float:
@@ -138,17 +147,6 @@ def test_im2col_speedup(rng):
     assert ok
 
 
-def test_matmul_parity_speed(rng):
-    a = rng.standard_normal((512, 256)).astype(np.float32)
-    b = rng.standard_normal((256, 512)).astype(np.float32)
-    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
-    ok, err = check_parity("matmul", ref_be.matmul(a, b), fast_be.matmul(a, b))
-    n_ms = best_ms(lambda: ref_be.matmul(a, b))
-    f_ms = best_ms(lambda: fast_be.matmul(a, b))
-    record("matmul", "512x256 @ 256x512", n_ms, f_ms, ok, err)
-    assert ok
-
-
 def test_relu_parity_speed(rng):
     x = rng.standard_normal((1 << 21,)).astype(np.float32)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
@@ -169,35 +167,6 @@ def test_bias_relu_parity_speed(rng):
     f_ms = best_ms(lambda: fast_be.bias_relu(x, b))
     record("bias_relu", "8192x256 + (256,)", n_ms, f_ms, ok, err)
     assert ok
-
-
-def test_sgd_update_parity_speed(rng):
-    size = 2_000_000
-    flat0 = rng.standard_normal(size).astype(np.float32)
-    g0 = rng.standard_normal(size).astype(np.float32)
-    buf0 = rng.standard_normal(size).astype(np.float32)
-    mask = (rng.random(size) > 0.3).astype(np.float32) * 5e-4
-    tmp = np.empty(size, dtype=np.float32)
-    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
-
-    states = {}
-    for name, be in (("numpy", ref_be), ("fast", fast_be)):
-        flat, g, buf = flat0.copy(), g0.copy(), buf0.copy()
-        buf = be.sgd_update(flat, g, tmp, mask, buf, 0.05, 0.9, True)
-        states[name] = (flat, buf)
-    ok_f, err_f = check_parity("sgd_update", states["numpy"][0], states["fast"][0])
-    ok_b, err_b = check_parity("sgd_update", states["numpy"][1], states["fast"][1])
-
-    def setup():
-        return flat0.copy(), g0.copy(), buf0.copy()
-
-    n_ms = best_ms(lambda f, g_, b_: ref_be.sgd_update(f, g_, tmp, mask, b_, 0.05, 0.9, True),
-                   setup=setup)
-    f_ms = best_ms(lambda f, g_, b_: fast_be.sgd_update(f, g_, tmp, mask, b_, 0.05, 0.9, True),
-                   setup=setup)
-    record("sgd_update", "2M-param arena, momentum+nesterov+decay", n_ms, f_ms,
-           ok_f and ok_b, max(err_f, err_b))
-    assert ok_f and ok_b
 
 
 def test_adam_update_parity_speed(rng):
@@ -357,6 +326,62 @@ def test_fused_lamb_step_speedup():
     _fused_step_case("lamb", LAMB, FusedLAMB, "tolerance")
 
 
+def _linear_case(name, rng, shape, params, composite, fused):
+    batch, out_features = 32, 512
+    x = Tensor(rng.standard_normal((batch, 3072)).astype(np.float32))
+    g = rng.standard_normal((batch, out_features)).astype(np.float32)
+
+    def fwd_bwd(fn):
+        for p in params:
+            p.grad = None
+        before = graph_nodes_created()
+        out = fn(x)
+        nodes = graph_nodes_created() - before
+        out.backward(g)
+        return nodes, [out.data] + [p.grad for p in params]
+
+    nodes_c, ref = fwd_bwd(composite)
+    nodes_f, got = fwd_bwd(fused)
+    oks, errs = zip(*(check_parity("linear", r, o) for r, o in zip(ref, got)))
+    c_ms = best_ms(lambda: fwd_bwd(composite), repeats=3 * REPEATS)
+    f_ms = best_ms(lambda: fwd_bwd(fused), repeats=3 * REPEATS)
+    _LINEAR[name] = {
+        "shape": shape,
+        "nodes_composite": nodes_c,
+        "nodes_fused": nodes_f,
+        "composite_ms": round(c_ms, 4),
+        "fused_ms": round(f_ms, 4),
+        "speedup": round(c_ms / f_ms, 3),
+        "match": PARITY["linear"],
+        "match_ok": all(oks),
+        "max_abs_err": max(errs),
+        "min_speedup": LINEAR_FLOOR[name],
+    }
+    assert all(oks)
+
+
+def _param(rng, *shape):
+    return Tensor((rng.standard_normal(shape) * 0.02).astype(np.float32), requires_grad=True)
+
+
+def test_linear_fwd_bwd_vanilla(rng):
+    w, b = _param(rng, 512, 3072), _param(rng, 512)
+    _linear_case(
+        "vanilla", rng, "B32 3072 -> 512", [w, b],
+        lambda x: x @ w.T + b,
+        lambda x: functional.linear(x, w, b),
+    )
+
+
+def test_linear_fwd_bwd_lowrank(rng):
+    vt, u, b = _param(rng, 128, 3072), _param(rng, 512, 128), _param(rng, 512)
+    _linear_case(
+        "lowrank", rng, "B32 3072 -> r128 -> 512", [vt, u, b],
+        lambda x: (x @ vt.T) @ u.T + b,
+        lambda x: functional.linear(functional.linear(x, vt), u, b),
+    )
+
+
 def test_emit_kernels_artifact():
     """Runs last (file order): all ops recorded, floors hold, artifact out."""
     assert set(_RESULTS) == set(MIN_SPEEDUP), (
@@ -364,6 +389,9 @@ def test_emit_kernels_artifact():
     )
     assert set(_FUSED) == {"adam", "lamb"}, (
         f"fused-step set mismatch: {sorted(_FUSED)}"
+    )
+    assert set(_LINEAR) == set(LINEAR_FLOOR), (
+        f"linear_fwd_bwd set mismatch: {sorted(_LINEAR)}"
     )
     rows = []
     for op in sorted(_RESULTS):
@@ -389,10 +417,22 @@ def test_emit_kernels_artifact():
             for name, s in sorted(_FUSED.items())
         ],
     )
+    print_table(
+        "functional.linear vs the x @ W.T + b composite (forward + backward, best of 15)",
+        ["Layer", "Shape", "Nodes", "composite (ms)", "fused (ms)", "Speedup",
+         "Match", "Floor"],
+        [
+            [name, s["shape"], f"{s['nodes_composite']} -> {s['nodes_fused']}",
+             s["composite_ms"], s["fused_ms"], s["speedup"], s["match"],
+             s["min_speedup"]]
+            for name, s in sorted(_LINEAR.items())
+        ],
+    )
     artifact = {
-        "schema": 2,
+        "schema": 3,
         "ops": _RESULTS,
         "fused_step": _FUSED,
+        "linear_fwd_bwd": _LINEAR,
         "parity_all_ok": all(r["parity_ok"] for r in _RESULTS.values()),
     }
     with open(KERNELS_FILE, "w") as f:

@@ -261,6 +261,33 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
              "Speedup", "Enforced floor"],
             rows,
         )
+    linear = artifact.get("linear_fwd_bwd")
+    if linear:
+        lines += [
+            "",
+            "`functional.linear` (one graph node, weight gradient written "
+            "in `(out, in)` layout) vs the `x @ W.T + b` composite it "
+            "replaced, forward + backward with the input as data:",
+            "",
+        ]
+        rows = [
+            [
+                name,
+                s["match"],
+                s["shape"],
+                f"{s['nodes_composite']} → {s['nodes_fused']}",
+                f"{s['composite_ms']:.2f}",
+                f"{s['fused_ms']:.2f}",
+                f"{s['speedup']:.2f}×",
+                f"≥{s['min_speedup']:.1f}×",
+            ]
+            for name, s in sorted(linear.items())
+        ]
+        lines += _md_table(
+            ["Layer", "Match", "Shape", "Graph nodes", "composite (ms)",
+             "fused (ms)", "Speedup", "Enforced floor"],
+            rows,
+        )
     return lines
 
 

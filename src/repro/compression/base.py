@@ -106,6 +106,9 @@ class Compressor:
         ``layer_offset`` is the global index of ``grads[0]`` — stateful
         compressors must key warm starts / residuals on
         ``layer_offset + i`` so bucket tiling commutes with encoding.
+        ``grads`` are lent, not given: the payload may alias them, but an
+        encoder never writes to them (the simulator hands over each
+        worker's gradient buffers without a copy).
         """
         raise NotImplementedError
 

@@ -92,6 +92,10 @@ class PowerSGD(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
+        """The payload borrows ``grads`` — rank-1 tensors and, while there
+        is no error-feedback residual to add, the matrices are views of
+        them — so ``encode`` never writes to its input and the caller must
+        not either until the round is decoded."""
         ps: dict[int, np.ndarray] = {}
         matrices: dict[int, np.ndarray] = {}
         raw: dict[int, np.ndarray] = {}
@@ -100,10 +104,10 @@ class PowerSGD(Compressor):
         for i, g in enumerate(grads):
             layer = layer_offset + i
             if g.ndim < 2:
-                raw[i] = g.copy()
+                raw[i] = g
                 nbytes += g.size * FLOAT32_BYTES
                 continue
-            m = _as_matrix(g).astype(np.float32)
+            m = _as_matrix(g).astype(np.float32, copy=False)
             if self.error_feedback:
                 err = self._errors.get((worker, layer))
                 if err is not None:

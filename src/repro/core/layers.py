@@ -27,7 +27,7 @@ from ..nn import init
 from ..nn.conv import Conv2d
 from ..nn.module import Module, Parameter
 from ..nn.rnn import lstm_step
-from ..tensor import Tensor
+from ..tensor import Tensor, functional
 
 __all__ = ["LowRankLinear", "LowRankConv2d", "LowRankLSTMLayer", "LowRankLSTM"]
 
@@ -52,10 +52,7 @@ class LowRankLinear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = (x @ self.vt.T) @ self.u.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return functional.linear(functional.linear(x, self.vt), self.u, self.bias)
 
     def effective_weight(self) -> np.ndarray:
         """Materialize ``U V^T`` (for tests and analysis)."""

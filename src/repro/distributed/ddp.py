@@ -50,6 +50,20 @@ __all__ = ["TimelineBreakdown", "DistributedTrainer", "DDPTimelineModel"]
 FLOAT32_BYTES = 4
 
 
+def _take_grads(params) -> list[np.ndarray]:
+    """Move one worker's gradients out of the shared replica.
+
+    Each ``p.grad`` is exclusively its parameter's (the engine's ownership
+    contract), so unbinding it hands the array to the worker's list with no
+    copy, and the next worker's backward allocates its own.
+    """
+    grads = []
+    for p in params:
+        grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
+        p.grad = None
+    return grads
+
+
 @dataclass
 class TimelineBreakdown:
     """Accumulated per-phase seconds for one epoch (Fig. 4 bars)."""
@@ -411,12 +425,7 @@ class DistributedTrainer:
                         for b in buckets
                     ]
                 )
-                worker_grads.append(
-                    [
-                        (p.grad if p.grad is not None else np.zeros_like(p.data)).copy()
-                        for p in params
-                    ]
-                )
+                worker_grads.append(_take_grads(params))
         backward_end = max(worker_compute)
         timeline.compute += backward_end
 
@@ -573,12 +582,7 @@ class DistributedTrainer:
                         # modeled clock; the numerics are unchanged.
                         elapsed *= injector.compute_multiplier(iteration, w)
                     worker_compute.append(elapsed)
-                    worker_grads.append(
-                        [
-                            (p.grad if p.grad is not None else np.zeros_like(p.data)).copy()
-                            for p in params
-                        ]
-                    )
+                    worker_grads.append(_take_grads(params))
             # Workers run concurrently: the slowest sets the pace.
             timeline.compute += max(worker_compute)
 

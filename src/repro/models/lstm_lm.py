@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.hybrid import FactorizationConfig
 from ..nn import LSTM, Dropout, Embedding, Module, Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, functional
 
 __all__ = ["LSTMLanguageModel", "lstm_lm_hybrid_config"]
 
@@ -49,13 +49,11 @@ class LSTMLanguageModel(Module):
         self.decoder_bias = Parameter(np.zeros(vocab_size, dtype=np.float32))
 
     def forward(self, tokens: np.ndarray, states=None) -> tuple[Tensor, list]:
-        t, b = tokens.shape
         emb = self.drop_in(self.encoder(tokens))  # (T, B, D)
         out, states = self.lstm(emb, states)
         out = self.drop_out(out)
-        flat = out.reshape(t * b, self.embed_dim)
-        logits = flat @ self.encoder.weight.T + self.decoder_bias  # tied decoder
-        return logits.reshape(t, b, self.vocab_size), states
+        # Tied decoder: one fused node over the flattened (T·B, D) rows.
+        return functional.linear(out, self.encoder.weight, self.decoder_bias), states
 
     def detach_states(self, states):
         """Truncated BPTT: cut the graph between minibatches."""

@@ -24,7 +24,7 @@ from ..nn import (
     TransformerEncoderLayer,
 )
 from ..nn.container import ModuleList
-from ..tensor import Tensor
+from ..tensor import Tensor, functional
 
 __all__ = ["Seq2SeqTransformer", "transformer_hybrid_config", "causal_mask", "padding_mask"]
 
@@ -98,9 +98,8 @@ class Seq2SeqTransformer(Module):
         """Teacher-forced logits ``(B, T_tgt, vocab)``."""
         memory, src_mask = self.encode(src)
         out = self.decode(tgt, memory, src_mask)
-        b, t, d = out.shape
-        logits = out.reshape(b * t, d) @ self.embedding.weight.T + self.generator_bias
-        return logits.reshape(b, t, self.vocab_size)
+        # Generator tied to the embedding: one fused node over (B·T, D) rows.
+        return functional.linear(out, self.embedding.weight, self.generator_bias)
 
     def greedy_decode(self, src: np.ndarray, bos: int, eos: int, max_len: int = 32) -> np.ndarray:
         """Greedy autoregressive decoding (used for BLEU evaluation)."""

@@ -41,13 +41,11 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
         if self.activation == "relu" and self.bias is not None:
-            # One fused graph node; the fast backend runs it in a single
-            # in-place pass.
-            return functional.bias_relu(out, self.bias)
-        if self.bias is not None:
-            out = out + self.bias
+            # Two fused graph nodes; the fast backend runs bias+relu in a
+            # single in-place pass.
+            return functional.bias_relu(functional.linear(x, self.weight), self.bias)
+        out = functional.linear(x, self.weight, self.bias)
         if self.activation == "relu":
             out = out.relu()
         return out

@@ -59,9 +59,9 @@ class _BatchNormBase(Module):
 
         def backward(g: np.ndarray) -> None:
             if gamma.requires_grad:
-                gamma._accumulate((g * x_hat).sum(axis=axes))
+                gamma._accumulate((g * x_hat).sum(axis=axes), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes))
+                beta._accumulate(g.sum(axis=axes), owned=True)
             if x.requires_grad:
                 gw = g * gamma.data.reshape(shape)
                 if training:
@@ -74,10 +74,11 @@ class _BatchNormBase(Module):
                             n * dxhat
                             - dxhat.sum(axis=axes, keepdims=True)
                             - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
-                        )
+                        ),
+                        owned=True,
                     )
                 else:
-                    x._accumulate(gw * inv_std)
+                    x._accumulate(gw * inv_std, owned=True)
 
         return Tensor._from_op(
             out.astype(x.dtype, copy=False), (x, gamma, beta), backward, "batch_norm"
@@ -127,9 +128,9 @@ class LayerNorm(Module):
 
         def backward(g: np.ndarray) -> None:
             if gamma.requires_grad:
-                gamma._accumulate((g * x_hat).reshape(-1, d).sum(axis=0))
+                gamma._accumulate((g * x_hat).reshape(-1, d).sum(axis=0), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.reshape(-1, d).sum(axis=0))
+                beta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
             if x.requires_grad:
                 dxhat = g * gamma.data
                 x._accumulate(
@@ -139,7 +140,8 @@ class LayerNorm(Module):
                         d * dxhat
                         - dxhat.sum(axis=-1, keepdims=True)
                         - x_hat * (dxhat * x_hat).sum(axis=-1, keepdims=True)
-                    )
+                    ),
+                    owned=True,
                 )
 
         return Tensor._from_op(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, functional
 from . import init
 from .dropout import Dropout
 from .module import Module, Parameter
@@ -58,13 +58,10 @@ class LSTMLayer(Module):
 
     def _input_gates(self, x: Tensor) -> Tensor:
         """Gate pre-activations from the input path for the whole sequence."""
-        t, b, d = x.shape
-        return (x.reshape(t * b, d) @ self.weight_ih.T + self.bias_ih).reshape(
-            t, b, 4 * self.hidden_size
-        )
+        return functional.linear(x, self.weight_ih, self.bias_ih)
 
     def _hidden_gates(self, h: Tensor) -> Tensor:
-        return h @ self.weight_hh.T + self.bias_hh
+        return functional.linear(h, self.weight_hh, self.bias_hh)
 
     def forward(
         self, x: Tensor, state: tuple[Tensor, Tensor] | None = None

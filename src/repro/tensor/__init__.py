@@ -17,6 +17,7 @@ from .functional import (
     dropout,
     one_hot,
     bias_relu,
+    linear,
 )
 from .grad_check import numerical_grad, check_gradients
 from .profiler import count_macs
@@ -41,6 +42,7 @@ __all__ = [
     "dropout",
     "one_hot",
     "bias_relu",
+    "linear",
     "numerical_grad",
     "check_gradients",
     "count_macs",

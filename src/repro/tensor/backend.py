@@ -57,6 +57,10 @@ __all__ = [
 # ``np.array_equal``.
 PARITY: dict[str, str] = {
     "matmul": "bit-exact",
+    # functional.linear reaches the backend through ``matmul`` only.  The
+    # tag is also the fused node's contract against the ``x @ W.T + b``
+    # composite it replaced, on 2-D inputs (the kernel bench re-checks it).
+    "linear": "bit-exact",
     "relu": "bit-exact",
     "bias_relu": "bit-exact",
     "im2col": "bit-exact",
@@ -196,8 +200,10 @@ class Backend:
     ) -> np.ndarray:
         """Adjoint of :meth:`im2col`: scatter-add columns back to NCHW.
 
-        The returned array is always freshly owned by the caller; the
-        padded accumulator itself is a reused scratch buffer.
+        The returned array is always freshly owned by the caller (autograd
+        adopts it as a ``.grad``), hence ``.copy()``: ``ascontiguousarray``
+        returns a *view* of ``cols`` or of the scratch accumulator when the
+        slice is already contiguous (one channel, a single image).
         """
         n, c, h, w = x_shape
         out_h = _out_size(h, kh, stride, ph)
@@ -205,7 +211,7 @@ class Backend:
         if kh == 1 and kw == 1 and stride == 1 and ph == 0 and pw == 0:
             # 1×1 adjoint: windows never overlap, so the scatter-add is a
             # plain transpose back to NCHW.
-            return np.ascontiguousarray(cols.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+            return cols.reshape(n, h, w, c).transpose(0, 3, 1, 2).copy()
 
         cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         if ph > 0 or pw > 0:
@@ -220,7 +226,7 @@ class Backend:
                 j_max = j + stride * out_w
                 padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, :, :, i, j]
         if ph > 0 or pw > 0:
-            return np.ascontiguousarray(padded[:, :, ph : ph + h, pw : pw + w])
+            return padded[:, :, ph : ph + h, pw : pw + w].copy()
         return padded
 
     # -- conv2d --------------------------------------------------------
@@ -639,7 +645,8 @@ class FastBackend(Backend):
                         1, 0, 2, 3
                     )
             if ph > 0 or pw > 0:
-                gx = np.ascontiguousarray(padded[:, :, ph : ph + h, pw : pw + w])
+                # A copy, never a view of the scratch accumulator.
+                gx = padded[:, :, ph : ph + h, pw : pw + w].copy()
             else:
                 gx = padded
         return gw, gb, gx

@@ -51,9 +51,9 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back to image layout.
 
-    The returned array is always freshly owned by the caller (gradients
-    returned here are stored directly by ``Tensor._accumulate``); any
-    padded accumulator is backend-managed scratch.
+    The returned array is always freshly owned by the caller — never a
+    view of ``cols`` or of the padded accumulator, which is backend-managed
+    scratch — so backward closures donate it to ``Tensor._accumulate``.
     """
     ph, pw = _pad_pair(pad)
     return _backend.active().col2im(cols, x_shape, kh, kw, stride, ph, pw)
@@ -111,12 +111,13 @@ def conv2d(
             need_gb=bias is not None and bias.requires_grad,
             need_gx=x.requires_grad,
         )
+        # The backend builds all three for this call; none is kept in ctx.
         if gw is not None:
-            weight._accumulate(gw)
+            weight._accumulate(gw, owned=True)
         if gb is not None:
-            bias._accumulate(gb)
+            bias._accumulate(gb, owned=True)
         if gx is not None:
-            x._accumulate(gx)
+            x._accumulate(gx, owned=True)
 
     return Tensor._from_op(out, parents, backward, "conv2d")
 
@@ -146,7 +147,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         grad_cols = grad_flat.transpose(0, 2, 3, 1, 4).reshape(
             n * out_h * out_w, c * kernel * kernel
         )
-        x._accumulate(col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0))
+        x._accumulate(
+            col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0), owned=True
+        )
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d")
 
@@ -175,7 +178,9 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         grad_cols = g_spread.transpose(0, 2, 3, 1, 4, 5).reshape(
             n * out_h * out_w, c * kernel * kernel
         )
-        x._accumulate(col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0))
+        x._accumulate(
+            col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0), owned=True
+        )
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "avg_pool2d")
 

@@ -1,9 +1,11 @@
 """Functional neural-network primitives on top of :class:`repro.tensor.Tensor`.
 
-Fused implementations of softmax / log-softmax / cross-entropy, embedding
-lookup and dropout.  These are fused (single graph node with a hand-written
-backward) both for numerical stability and to keep graphs shallow on long
-sequences.
+Fused implementations of the affine map, softmax / log-softmax /
+cross-entropy, embedding lookup and dropout.  These are fused (single graph
+node with a hand-written backward) both for numerical stability and to keep
+graphs shallow on long sequences.  Every backward here builds the array it
+hands to a parent, so it donates it (``owned=True`` — see the ownership
+rules in :mod:`repro.tensor.tensor`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import backend as _backend
+from . import profiler as _profiler
 from .tensor import Tensor
 
 __all__ = [
@@ -22,7 +25,42 @@ __all__ = [
     "dropout",
     "one_hot",
     "bias_relu",
+    "linear",
 ]
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Fused affine map ``x @ weight.T + bias`` — one graph node, not three.
+
+    ``weight`` is ``(out, in)`` and ``x`` is ``(..., in)``; leading axes are
+    flattened so forward and backward are one GEMM each.  The backward
+    writes the weight gradient directly in ``(out, in)`` layout
+    (``g2d.T @ x2d``, no transposed copy), skips the input-gradient GEMM
+    when ``x`` is data, and emits this layer's leaf gradients before the
+    input gradient so they arrive as early as the pass allows.  For 2-D
+    inputs the arithmetic is the composite's, GEMM for GEMM; the recorded
+    MACs are the composite's for any input.
+    """
+    w = weight.data
+    x2d = x.data.reshape(-1, w.shape[1])
+    out = _backend.active().matmul(x2d, w.T)
+    if _profiler.profiling_active():
+        _profiler.record_gemm(out.size * w.shape[1])
+    if bias is not None:
+        out += bias.data
+    out = out.reshape(*x.data.shape[:-1], w.shape[0])
+
+    def backward(g: np.ndarray) -> None:
+        g2d = g.reshape(-1, w.shape[0])
+        if weight.requires_grad:
+            weight._accumulate(g2d.T @ x2d, owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2d.sum(axis=0), owned=True)
+        if x.requires_grad:
+            x._accumulate((g2d @ w).reshape(x.data.shape), owned=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out, parents, backward, "linear")
 
 
 def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
@@ -40,7 +78,8 @@ def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         m = mask if mask is not None else out > 0
         gm = g * m
-        x._accumulate(gm)
+        # ``x`` adopts the masked gradient; the bias sums (or copies) it.
+        x._accumulate(gm, owned=True)
         bias._accumulate(gm)
 
     return Tensor._from_op(out, (x, bias), backward, "bias_relu")
@@ -55,7 +94,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # dL/dx = s * (g - sum(g * s))
         dot = (g * out).sum(axis=axis, keepdims=True)
-        x._accumulate(out * (g - dot))
+        x._accumulate(out * (g - dot), owned=True)
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "softmax")
 
@@ -68,7 +107,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     s = np.exp(out)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g - s * g.sum(axis=axis, keepdims=True))
+        x._accumulate(g - s * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "log_softmax")
 
@@ -94,7 +133,7 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, ignore_index: int | None = 
     def backward(g: np.ndarray) -> None:
         grad = np.zeros_like(log_probs.data)
         grad[rows[keep], targets[keep]] = -1.0 / count
-        log_probs._accumulate(grad * g)
+        log_probs._accumulate(grad * g, owned=True)
 
     return Tensor._from_op(
         np.asarray(loss_val, dtype=log_probs.dtype), (log_probs,), backward, "nll"
@@ -148,7 +187,7 @@ def cross_entropy(
         else:
             grad[rows, safe_t] -= 1.0
         grad *= (keep / count)[:, None]
-        logits._accumulate(grad.reshape(x.shape) * g)
+        logits._accumulate(grad.reshape(x.shape) * g, owned=True)
 
     return Tensor._from_op(
         np.asarray(loss_val, dtype=x.dtype), (logits,), backward, "cross_entropy"
@@ -167,7 +206,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     def backward(g: np.ndarray) -> None:
         grad = np.zeros_like(weight.data)
         np.add.at(grad, indices.reshape(-1), g.reshape(-1, weight.data.shape[1]))
-        weight._accumulate(grad)
+        weight._accumulate(grad, owned=True)
 
     return Tensor._from_op(out, (weight,), backward, "embedding")
 
@@ -179,7 +218,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     mask = (rng.random(x.data.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g * mask)
+        x._accumulate(g * mask, owned=True)
 
     return Tensor._from_op(x.data * mask, (x,), backward, "dropout")
 

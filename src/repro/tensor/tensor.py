@@ -13,6 +13,29 @@ accumulates gradients into every leaf with ``requires_grad=True``.
 
 All math is vectorized NumPy; there are no Python loops over elements.
 Gradients are stored in the same dtype as the data (float32 by default).
+
+Who owns a gradient buffer
+--------------------------
+Every ``.grad`` array belongs to exactly one tensor; no two live ``.grad``
+arrays share memory, and none aliases an op's saved context or a backend
+scratch buffer.  Three rules keep that true without copying every gradient:
+
+* **A producer donates.**  A backward closure that *builds* the array it
+  hands to a parent (a GEMM result, ``g * mask``, a reduction, a zeroed
+  scatter target) calls ``parent._accumulate(buf, owned=True)`` and the
+  engine stores ``buf`` itself on first arrival.  The closure must not
+  keep, reuse or donate that buffer again, and must never donate a view of
+  something it keeps — the incoming ``g``, a saved activation, ``_scratch``.
+* **A pass-through copies.**  Ops whose gradient *is* ``g`` or a view of it
+  (``add``, ``sub``'s left operand, ``reshape``, ``transpose``, ``pad``,
+  ``concat``, ``sum``'s broadcast view) call ``_accumulate(g)`` and the
+  engine copies: ``g`` is the consumer node's own ``.grad``, which the root
+  retains and a sibling parent may receive too.  The root's seed gradient is
+  copied for the same reason.
+* **Consumers may mutate or take.**  Because a ``.grad`` is exclusively its
+  tensor's, an optimizer, a clipper or the AMP unscale may update ``p.grad``
+  in place, and :class:`repro.distributed.DistributedTrainer` moves each
+  worker's ``p.grad`` arrays out of the model instead of copying them.
 """
 
 from __future__ import annotations
@@ -112,9 +135,9 @@ class Tensor:
     # Monotonic creation counter.  Backward executes nodes in reverse
     # creation order — a valid topological order (an op's parents always
     # exist before its output) that also keeps execution *layer-local*:
-    # side branches such as the ``weight.T`` node inside Linear run right
-    # after the op that consumed them, so leaf gradients materialize in
-    # reverse layer order instead of piling up at the end of the pass.
+    # side branches such as the ``x.T`` node inside LowRankLSTMLayer run
+    # right after the op that consumed them, so leaf gradients materialize
+    # in reverse layer order instead of piling up at the end of the pass.
     # The DDP overlap simulator's measured bucket-ready times depend on
     # this promptness.
     _seq_counter = itertools.count()
@@ -155,15 +178,22 @@ class Tensor:
             out._op = op
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (allocating on first use)."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned=True`` donates ``grad``: the caller built it for this call
+        and holds no other reference, so the first arrival adopts the buffer
+        instead of copying it (see the module docstring's ownership rules).
+        """
         if not self.requires_grad:
             return
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
+            # The adjoint of broadcasting is a sum, which builds a new array.
             grad = _unbroadcast(grad, self.data.shape)
+            owned = True
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
             if GRAD_ARRIVAL_HOOK is not None:
                 GRAD_ARRIVAL_HOOK(self)
         else:
@@ -183,10 +213,10 @@ class Tensor:
         # deep nets such as ResNet-50), then execute in reverse *creation*
         # order.  Creation order is a topological order of the recorded
         # graph (parents exist before their outputs), and unlike DFS
-        # postorder it keeps execution layer-local: side branches like
-        # Linear's ``weight.T`` run immediately after their consumer, so
-        # leaf gradients arrive in reverse layer order — the property the
-        # DDP bucket-overlap measurement relies on.
+        # postorder it keeps execution layer-local: side branches run
+        # immediately after their consumer, so leaf gradients arrive in
+        # reverse layer order — the property the DDP bucket-overlap
+        # measurement relies on.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[Tensor] = [self]
@@ -290,7 +320,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g)
-            other._accumulate(-g)
+            other._accumulate(-g, owned=True)
 
         return Tensor._from_op(self.data - other.data, (self, other), backward, "sub")
 
@@ -301,8 +331,10 @@ class Tensor:
         other = Tensor._coerce(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            if self.requires_grad:
+                self._accumulate(g * other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(g * self.data, owned=True)
 
         return Tensor._from_op(self.data * other.data, (self, other), backward, "mul")
 
@@ -312,8 +344,10 @@ class Tensor:
         other = Tensor._coerce(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
+            if self.requires_grad:
+                self._accumulate(g / other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(-g * self.data / (other.data * other.data), owned=True)
 
         return Tensor._from_op(self.data / other.data, (self, other), backward, "div")
 
@@ -322,7 +356,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
-            self._accumulate(-g)
+            self._accumulate(-g, owned=True)
 
         return Tensor._from_op(-self.data, (self,), backward, "neg")
 
@@ -332,7 +366,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
+            self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "pow")
 
@@ -351,13 +385,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data)
+            self._accumulate(g * out_data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data)
+            self._accumulate(g / self.data, owned=True)
 
         return Tensor._from_op(np.log(self.data), (self,), backward, "log")
 
@@ -365,7 +399,7 @@ class Tensor:
         out_data = np.sqrt(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * 0.5 / out_data)
+            self._accumulate(g * 0.5 / out_data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "sqrt")
 
@@ -373,7 +407,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - out_data * out_data))
+            self._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "tanh")
 
@@ -388,7 +422,7 @@ class Tensor:
         out_data[~pos] = ex / (1.0 + ex)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data))
+            self._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "sigmoid")
 
@@ -399,7 +433,7 @@ class Tensor:
             # Backends may skip materializing the mask on the forward pass
             # (``out > 0`` is identical to ``x > 0``, including at ±0).
             m = mask if mask is not None else out_data > 0
-            self._accumulate(g * m)
+            self._accumulate(g * m, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "relu")
 
@@ -407,7 +441,7 @@ class Tensor:
         sign = np.sign(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * sign)
+            self._accumulate(g * sign, owned=True)
 
         return Tensor._from_op(np.abs(self.data), (self,), backward, "abs")
 
@@ -415,7 +449,7 @@ class Tensor:
         mask = (self.data >= lo) & (self.data <= hi)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
+            self._accumulate(g * mask, owned=True)
 
         return Tensor._from_op(np.clip(self.data, lo, hi), (self,), backward, "clip")
 
@@ -424,8 +458,10 @@ class Tensor:
         mask = self.data >= other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
-            other._accumulate(g * ~mask)
+            if self.requires_grad:
+                self._accumulate(g * mask, owned=True)
+            if other.requires_grad:
+                other._accumulate(g * ~mask, owned=True)
 
         return Tensor._from_op(
             np.maximum(self.data, other.data), (self, other), backward, "maximum"
@@ -445,17 +481,21 @@ class Tensor:
             _profiler.record_gemm(int(np.prod(out_data.shape)) * k)
 
         def backward(g: np.ndarray) -> None:
+            # Each operand's GEMM runs only if that operand wants a
+            # gradient; ``_accumulate`` sums away broadcast batch axes.
             a, b = self.data, other.data
-            if a.ndim == 1:
-                ga = g @ np.swapaxes(b, -1, -2)
-            else:
-                ga = g @ np.swapaxes(b, -1, -2) if b.ndim > 1 else np.outer(g, b)
-            if b.ndim == 1:
-                gb = np.swapaxes(a, -1, -2) @ g if a.ndim > 1 else a * g
-            else:
-                gb = np.swapaxes(a, -1, -2) @ g
-            self._accumulate(_unbroadcast(np.asarray(ga), a.shape))
-            other._accumulate(_unbroadcast(np.asarray(gb), b.shape))
+            if self.requires_grad:
+                if a.ndim == 1 or b.ndim > 1:
+                    ga = g @ np.swapaxes(b, -1, -2)
+                else:
+                    ga = np.outer(g, b)
+                self._accumulate(ga, owned=True)
+            if other.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    gb = a * g
+                else:
+                    gb = np.swapaxes(a, -1, -2) @ g
+                other._accumulate(gb, owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward, "matmul")
 
@@ -495,7 +535,7 @@ class Tensor:
                 g = g if keepdims else np.expand_dims(g, axis)
             # Spread the gradient evenly over ties.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts)
+            self._accumulate(mask * g / counts, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "max")
 
@@ -542,7 +582,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, idx, g)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "getitem")
 

@@ -10,7 +10,7 @@ The same tags drive the parity column of ``benchmarks/test_kernels.py``.
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col
+from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col, linear
 from repro.tensor.backend import (
     PARITY,
     TOLERANCE_ATOL,
@@ -101,6 +101,24 @@ class TestOpParity:
         assert np.array_equal(results["numpy"][0], unfused.data)
         assert np.array_equal(results["numpy"][1], x.grad)
         assert np.array_equal(results["numpy"][2], bias.grad)
+
+    @pytest.mark.parametrize("x_shape", [(16, 9), (2, 5, 9)])
+    def test_linear(self, name, rng, x_shape):
+        x_np = rng.standard_normal(x_shape).astype(np.float32)
+        w_np = rng.standard_normal((6, 9)).astype(np.float32)
+        b_np = rng.standard_normal((6,)).astype(np.float32)
+        g_np = rng.standard_normal(x_shape[:-1] + (6,)).astype(np.float32)
+        results = {}
+        for b in ("numpy", name):
+            with backend.use(b):
+                x = Tensor(x_np.copy(), requires_grad=True)
+                w = Tensor(w_np.copy(), requires_grad=True)
+                bias = Tensor(b_np.copy(), requires_grad=True)
+                out = linear(x, w, bias)
+                out.backward(g_np)
+                results[b] = (out.data, x.grad, w.grad, bias.grad)
+        for ref, got in zip(results["numpy"], results[name]):
+            assert_parity("linear", ref, got)
 
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, (2, 1)), (1, 1, 0), (2, 2, 0)])
     def test_im2col(self, name, rng, k, stride, pad):
@@ -212,6 +230,7 @@ class TestParityContract:
     def test_every_dispatched_op_is_tagged(self):
         assert set(PARITY) == {
             "matmul",
+            "linear",
             "relu",
             "bias_relu",
             "im2col",

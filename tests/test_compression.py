@@ -276,6 +276,36 @@ class TestPowerSGDSeedDeterminism:
         )
 
 
+class TestPowerSGDBorrowsItsInput:
+    """``encode`` keeps no private copy of the gradient: the payload borrows
+    the caller's arrays, so it must never write to them."""
+
+    def test_encode_leaves_inputs_untouched_across_rounds(self, rng):
+        comp = PowerSGD(2, rank=2, seed=1)
+        grads = grads_for(rng)
+        before = [g.copy() for g in grads]
+        for _ in range(3):  # later rounds add the error-feedback residual
+            comp.decode_aggregate([comp.encode(w, grads) for w in range(2)])
+            comp.advance_step()
+        for g, b in zip(grads, before):
+            np.testing.assert_array_equal(g, b)
+
+    def test_borrowed_and_copied_inputs_encode_identically(self, rng):
+        grads = grads_for(rng)
+        lent, copied = PowerSGD(1, rank=2, seed=1), PowerSGD(1, rank=2, seed=1)
+        for _ in range(3):
+            a = lent.encode(0, grads)
+            b = copied.encode(0, [g.copy() for g in grads])
+            assert a.nbytes == b.nbytes
+            for part_a, part_b in zip(a.payload[:3], b.payload[:3]):
+                assert part_a.keys() == part_b.keys()
+                for i in part_a:
+                    assert part_a[i].tobytes() == part_b[i].tobytes()
+            out_a, out_b = lent.decode_aggregate([a]), copied.decode_aggregate([b])
+            for x, y in zip(out_a, out_b):
+                assert x.tobytes() == y.tobytes()
+
+
 class TestABTraining:
     def test_resync_step_is_exact_mean(self, rng):
         comp = ABTraining(3, rank=2, resync_every=4)

@@ -213,6 +213,76 @@ class TestDistributedEquivalence:
         )
 
 
+class TestGradientHandOff:
+    """The trainer moves each worker's ``p.grad`` arrays into its gradient
+    list instead of copying them; nothing live may still point at them."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_no_payload_array_aliases_a_live_grad(self, rng, overlap):
+        from repro.compression import PowerSGD
+
+        model = MLP(6, [8, 8], 3)
+        params = list(model.parameters())
+        comp = PowerSGD(2, rank=2)
+        seen = []
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v)
+
+        def assert_no_alias(results):
+            payload = [a for r in results for a in arrays(r.payload)]
+            seen.append(len(payload))
+            for p in params:
+                if p.grad is not None:
+                    assert not any(np.shares_memory(p.grad, a) for a in payload)
+
+        decode = comp.decode_aggregate
+
+        def checked_decode(results):
+            # Decode runs while the last worker's backward is the most
+            # recent one: its gradients must have left the model too.
+            assert_no_alias(results)
+            return decode(results)
+
+        comp.decode_aggregate = checked_decode
+        trainer = DistributedTrainer(
+            model, SGD(params, lr=0.1), ClusterSpec(2), compressor=comp,
+            overlap=overlap, bucket_mb=1e-4,
+        )
+        x = rng.standard_normal((32, 6)).astype(np.float32)
+        y = rng.integers(0, 3, 32)
+        loaders = [DataLoader(sx, sy, 8) for sx, sy in shard_dataset(x, y, 2)]
+        trainer.train_epoch(loaders)
+        assert seen and all(n > 0 for n in seen)
+        # After the step every p.grad is the decoded mean, a fresh array.
+        grads = [p.grad for p in params]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
+
+    def test_workers_get_distinct_gradient_buffers(self, rng):
+        from repro.distributed.ddp import _take_grads
+
+        model = MLP(6, [8], 3)
+        params = list(model.parameters())
+        x = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
+        taken = []
+        for _ in range(2):
+            nn.CrossEntropyLoss()(model(x), np.zeros(4, dtype=np.int64)).backward()
+            taken.append(_take_grads(params))
+            assert all(p.grad is None for p in params)
+        for a, b in zip(*taken):
+            assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, b)
+
+
 class TestDDPTimelineModel:
     def test_full_overlap_hides_comm(self):
         ddp = DDPTimelineModel(ClusterSpec(4))
