@@ -103,10 +103,17 @@ def _make_compressor(name: str, num_workers: int):
     return make_compressor(wire, num_workers, **_COMPRESSOR_DEFAULTS.get(wire, {}))
 
 
-def _overlap_compatible(cli_name: str) -> bool:
-    from .compression import registered_compressors
+def _ddp_trainer(*args, **kwargs):
+    """A ``DistributedTrainer``, or ``None`` (caller exits 2) after printing
+    why its constructor refused the combination — the trainer owns the
+    legality rules (``--overlap`` needs an allreduce-compatible compressor)."""
+    from .distributed import DistributedTrainer
 
-    return registered_compressors()[_compressor_name(cli_name)].allreduce_compatible
+    try:
+        return DistributedTrainer(*args, **kwargs)
+    except ValueError as e:
+        print(f"bad simulate configuration: {e}", file=sys.stderr)
+        return None
 
 
 OPTIMIZERS = ("sgd", "adam", "lamb")
@@ -126,14 +133,6 @@ def _optimizer_factory(name: str, lr: float, fused: bool):
     loop_cls, fused_cls = {"adam": (Adam, FusedAdam), "lamb": (LAMB, FusedLAMB)}[name]
     cls = fused_cls if fused else loop_cls
     return lambda ps: cls(ps, lr=lr)
-
-
-_OVERLAP_REJECTION = (
-    "--overlap requires an allreduce-compatible compressor (none, powersgd, "
-    "abtrain, vargate): sum-incompatible encodings allgather the whole "
-    "gradient at once, so their communication cannot overlap the backward "
-    "pass"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,6 @@ def cmd_simulate(args) -> int:
     from .distributed import (
         ClusterSpec,
         CollectiveTimeoutError,
-        DistributedTrainer,
         FaultSpecError,
         HierarchicalSpec,
         parse_fault_spec,
@@ -308,9 +306,6 @@ def cmd_simulate(args) -> int:
     from .optim import SGD, FusedSGD
     from .utils import set_seed
 
-    if args.overlap and not _overlap_compatible(args.compressor):
-        print(_OVERLAP_REJECTION, file=sys.stderr)
-        return 2
     if args.gpus_per_node < 1:
         print("--gpus-per-node must be >= 1", file=sys.stderr)
         return 2
@@ -347,8 +342,7 @@ def cmd_simulate(args) -> int:
     # The fused optimizers are the default fast path: every parameter
     # receives an averaged gradient here, so FusedSGD/FusedAdam are
     # bit-exact vs their per-tensor loops (FusedLAMB within its
-    # tolerance tag), with or without --compressor on the
-    # allreduce-compatible overlap path.
+    # tolerance tag), whatever --compressor / --overlap say.
     opt_name = args.optimizer
     lr = args.lr if args.lr is not None else _OPT_DEFAULT_LR[opt_name]
     if opt_name == "sgd":
@@ -356,13 +350,15 @@ def cmd_simulate(args) -> int:
         opt = opt_cls(model.parameters(), lr=lr, momentum=0.9)
     else:
         opt = _optimizer_factory(opt_name, lr, args.fused)(model.parameters())
-    trainer = DistributedTrainer(
+    trainer = _ddp_trainer(
         model, opt, cluster,
         compressor=_make_compressor(args.compressor, world),
         faults=faults,
         overlap=args.overlap,
         bucket_mb=args.bucket_mb,
     )
+    if trainer is None:
+        return 2
     try:
         tl = trainer.train_epoch(loaders)
     except CollectiveTimeoutError as e:
@@ -1176,7 +1172,7 @@ def _profile_quickstart(args):
 def _profile_simulate(args):
     """A few simulator iterations (vanilla model, chosen compressor)."""
     from .data import DataLoader, make_cifar_like, shard_dataset
-    from .distributed import ClusterSpec, DistributedTrainer
+    from .distributed import ClusterSpec
     from .optim import SGD
     from .utils import set_seed
 
@@ -1188,7 +1184,7 @@ def _profile_simulate(args):
     shards = shard_dataset(ds.images, ds.labels, args.nodes)
     loaders = [DataLoader(x, y, args.batch_size) for x, y in shards]
     cluster = ClusterSpec(args.nodes, bandwidth_gbps=0.3)
-    trainer = DistributedTrainer(
+    trainer = _ddp_trainer(
         model,
         SGD(model.parameters(), lr=0.05, momentum=0.9),
         cluster,
@@ -1196,6 +1192,8 @@ def _profile_simulate(args):
         overlap=args.overlap,
         bucket_mb=args.bucket_mb,
     )
+    if trainer is None:
+        return None
     tl = trainer.train_epoch(loaders)
     print(f"timeline: compute {tl.compute:.3f}s | encode {tl.encode:.3f}s | "
           f"comm {tl.comm:.3f}s | decode {tl.decode:.3f}s")
@@ -1209,13 +1207,6 @@ def _profile_simulate(args):
 def cmd_profile(args) -> int:
     from . import observability as obs
 
-    if (
-        args.target == "simulate"
-        and args.overlap
-        and not _overlap_compatible(args.compressor)
-    ):
-        print(_OVERLAP_REJECTION, file=sys.stderr)
-        return 2
     tracer = obs.get_tracer()
     registry = obs.get_registry()
     tracer.clear()
@@ -1228,6 +1219,8 @@ def cmd_profile(args) -> int:
             history = _profile_simulate(args)
     finally:
         obs.disable()
+    if history is None:  # the trainer refused the configuration
+        return 2
 
     path = tracer.write_chrome_trace(args.out)
     spans = tracer.spans()

@@ -15,8 +15,8 @@ every registered compressor, and documented in docs/COMPRESSION.md):
 * ``encode(worker, grads, layer_offset=k)`` must treat layer ``i`` of the
   sub-list as global layer ``k + i``, so per-bucket encoding of a tiled
   gradient is indistinguishable from whole-gradient encoding.  For
-  allreduce-compatible compressors this is a hard requirement — the
-  overlap path encodes bucket by bucket as gradients arrive.
+  allreduce-compatible compressors this is a hard requirement — under
+  ``overlap`` the trainer encodes bucket by bucket as gradients arrive.
 * ``EncodeResult.nbytes`` is the *claimed* wire size; it must be at least
   :meth:`Compressor.min_payload_nbytes`, the byte count of the
   wire-essential data actually present in the payload.
@@ -190,8 +190,10 @@ class NoCompression(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
+        # The payload *is* the lent gradient list: nothing here or in
+        # decode_aggregate writes to it.
         nbytes = sum(g.size for g in grads) * FLOAT32_BYTES
-        return EncodeResult(payload=[g.copy() for g in grads], nbytes=nbytes)
+        return EncodeResult(payload=list(grads), nbytes=nbytes)
 
     def decode_aggregate(self, results: list[EncodeResult]) -> list[np.ndarray]:
         n = len(results)

@@ -86,8 +86,9 @@ def bucketed_allreduce_mean(
     element slices (e.g. :class:`repro.distributed.overlap.Bucket`) that
     must tile each vector exactly.  Because :func:`allreduce_mean`
     accumulates in float64 *elementwise* in worker order, slicing the
-    reduction into buckets is bit-exact vs one monolithic call — the
-    property the overlap simulator's correctness rests on.
+    reduction into buckets is bit-exact vs one monolithic call.  (The
+    trainer relies on the same fact through
+    ``NoCompression.decode_aggregate``; it does not call this function.)
     """
     if not worker_vectors:
         raise ValueError("no worker vectors")

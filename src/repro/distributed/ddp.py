@@ -8,20 +8,36 @@ are measured wall-clock (they really run); only the wire time is modeled.
 This mirrors how the paper's own analysis separates "computation" from
 "communication" in Fig. 4's stacked bars.
 
-Two execution styles:
+:class:`DistributedTrainer` runs every iteration through the same five
+phases, whatever the compressor, optimizer, topology or fault spec:
 
-* :class:`DistributedTrainer` — the paper's prototype implementation:
-  gradients flattened into one buffer, a single blocking allreduce per
-  iteration (Section 4.1's latency optimization), optional compressor.
-* :class:`DDPTimelineModel` — PyTorch-DDP-style bucketed overlap: gradient
-  buckets communicate while the backward pass still runs, so the exposed
-  communication is ``max(0, comm − backward)`` plus per-bucket latency.
+1. **compute** — each active worker's forward/backward, timed; its
+   gradients are moved out of the shared replica without a copy;
+2. **encode** — ``compressor.encode`` per worker per gradient *group*: the
+   overlap buckets, or one group holding every parameter when blocking
+   (:class:`~repro.compression.NoCompression` is a compressor like any
+   other — its payload is the gradient list itself);
+3. **charge** — the encoded bytes go on the modeled clock, the one place
+   ``overlap`` is read: blocking sends the whole payload after backward
+   (Section 4.1's single flat allreduce); overlap schedules one allreduce
+   per bucket on a serial channel as its gradients arrive and its encoder
+   finishes, and only the exposed remainder reaches the clock;
+4. **decode** — ``compressor.decode_aggregate`` per group, giving one
+   averaged gradient per parameter;
+5. **apply** — ``p.grad = …`` and one optimizer step.
+
+The numerics never look at ``overlap``, so parameters are bit-identical
+with and without it for every compressor whose encoding commutes with
+bucket tiling — which the compression property suite requires of every
+allreduce-compatible one.  :class:`DDPTimelineModel` is the closed-form
+estimator of the same overlap, for where no model is trained.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +47,9 @@ from ..nn.module import Module
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..optim import Optimizer
-from .collectives import allreduce_mean, gradient_vector
 from .cost_model import (
     ClusterSpec,
     allgather_cost,
-    allreduce_cost,
     broadcast_cost,
     bucket_comm_times,
     pipelined_broadcast_cost,
@@ -111,39 +125,37 @@ class TimelineBreakdown:
 class DistributedTrainer:
     """Synchronous data-parallel SGD over a simulated cluster.
 
+    One iteration is :meth:`_iteration` (the module docstring's five
+    phases); the arguments parameterize those phases, none selects another
+    code path.
+
     Parameters
     ----------
     model, optimizer: single authoritative replica (workers share weights —
         exact for synchronous SGD).
     cluster: node count and link parameters — a flat
         :class:`~repro.distributed.cost_model.ClusterSpec` ring or a
-        two-level :class:`~repro.distributed.cost_model.HierarchicalSpec`
-        (intra-node fast ring + inter-node slow ring); every collective
-        charge dispatches on the topology.
+        two-level :class:`~repro.distributed.cost_model.HierarchicalSpec`;
+        every collective charge dispatches on the topology.
     compressor: gradient compressor; default = raw fp32 (vanilla SGD).
     batch_fn: ``(model, batch) -> (loss, metric_sum, count)`` as in
         :class:`repro.core.Trainer`.
-    flat_allreduce: pack all tensors into one buffer (Section 4.1).  Only
-        meaningful for allreduce-compatible compressors; per-layer calls
-        add ``2(p-1)α`` latency per layer.
+    flat_allreduce: when blocking, pack all tensors into one message
+        (Section 4.1); per-layer messages add ``2(p-1)α`` latency each.
+        Only meaningful for allreduce-compatible compressors.
     faults: optional :class:`~repro.distributed.faults.FaultSpec` (or
-        prebuilt injector).  Adds per-worker stragglers, link degradation,
-        message drop/retry and whole-worker failure with the spec's
-        recovery policy; ``None`` (the default) leaves every code path and
-        timing untouched.
-    overlap: PyTorch-DDP-style wait-free backprop — size-capped gradient
-        buckets allreduce while the backward pass still runs, using each
-        parameter's *measured* gradient-arrival time.  Allreduce-compatible
-        compressors participate per bucket: each bucket is encoded as soon
-        as its gradients arrive, its encode seconds delay that bucket on
-        the wire schedule, and the compressed (not raw) bytes are charged
-        — the paper's Section 2/6 trade-off made measurable.  Compressors
-        whose payloads cannot be summed on a ring (Signum, Top-k, …) must
-        wait for the whole gradient and are still rejected.  With the
-        default uncompressed path, numerics are bit-identical to the
-        monolithic path; only the modeled comm charge changes.
-    bucket_mb: bucket size cap in MB (torch DDP's ``bucket_cap_mb``,
-        default 25).
+        prebuilt injector): per-worker stragglers, link degradation, message
+        drop/retry, worker failure with the spec's recovery policy.  Draws
+        are keyed on iteration and worker / ring step only, so a seed's
+        event timeline does not depend on ``overlap`` or the compressor.
+    overlap: PyTorch-DDP-style wait-free backprop — size-capped buckets,
+        each encoded once its last gradient arrived (*measured* arrival
+        times) and allreduced while backward still runs; its encode seconds
+        delay it on the wire schedule and its compressed bytes are charged
+        (the paper's Section 2/6 trade-off, measurable).  Compressors whose
+        payloads cannot be summed on a ring (Signum, Top-k, …) need the
+        whole gradient and are rejected.
+    bucket_mb: bucket size cap in MB (torch DDP's ``bucket_cap_mb``).
     """
 
     def __init__(
@@ -165,7 +177,7 @@ class DistributedTrainer:
         self.model = model
         self.optimizer = optimizer
         self.cluster = cluster
-        self.compressor = compressor or NoCompression(cluster.num_nodes)
+        self.compressor = compressor or NoCompression(cluster.world_size)
         self.loss_fn = loss_fn or CrossEntropyLoss()
         self.batch_fn = batch_fn or (
             lambda m, b: classification_batch(m, b, self.loss_fn)
@@ -181,7 +193,7 @@ class DistributedTrainer:
                 "so their communication cannot overlap the backward pass"
             )
         # Buckets are built lazily from the optimizer's parameter list
-        # (reverse layer order, contiguous slices of the flat vector).
+        # (reverse layer order).
         self._buckets = None
         # Per-iteration modeled bucket timelines (appended across epochs).
         self.overlap_events: list[dict] = []
@@ -195,24 +207,14 @@ class DistributedTrainer:
     # ------------------------------------------------------------------
 
     def _comm_time(
-        self,
-        nbytes: float,
-        n_messages: int,
-        degradation: float = 1.0,
-        world: int | None = None,
+        self, nbytes: float, n_messages: int, cluster, degradation: float = 1.0
     ) -> float:
-        """Wire time for one worker's payload of ``nbytes``."""
-        cluster = self.cluster
-        if world is not None and world != cluster.world_size:
-            cluster = cluster.with_world(world)
+        """Wire time for one worker's payload of ``nbytes`` on ``cluster``."""
         if self.compressor.allreduce_compatible:
             if _metrics.COLLECT:
                 _metrics.REGISTRY.counter("allreduce_calls").inc(n_messages)
-            per_message = nbytes / max(n_messages, 1)
-            return sum(
-                allreduce_cost(per_message, cluster, degradation)
-                for _ in range(n_messages)
-            )
+            messages = [nbytes / n_messages] * n_messages
+            return sum(bucket_comm_times(messages, cluster, degradation))
         if _metrics.COLLECT:
             _metrics.REGISTRY.counter("allgather_calls").inc()
         return allgather_cost(nbytes, cluster, degradation)
@@ -258,251 +260,65 @@ class DistributedTrainer:
             )
         return self._buckets
 
-    def _overlap_iteration(
-        self, batches, active, iteration: int, timeline: TimelineBreakdown
-    ) -> None:
-        """One iteration with bucketed allreduce overlapping backward.
+    def _charge(
+        self,
+        iteration: int,
+        timeline: TimelineBreakdown,
+        world: int,
+        group_nbytes: list[int],
+        encode_times: list[float],
+        ready: list[float],
+        backward_end: float,
+    ) -> list[dict]:
+        """Put one iteration's encode and wire seconds on the modeled clock.
 
-        Fault-RNG parity with the monolithic path is deliberate: the same
-        ``compute_multiplier`` / ``link_factor`` / ``collective_penalty``
-        draws happen with the same keys, so a fixed seed produces an
-        identical fault event timeline with and without overlap.  Drop
-        penalties stall the whole synchronous ring, so they land once per
-        iteration as a tail penalty rather than per bucket.
+        The only method that reads ``overlap`` for timing.  The fault draws
+        come first and do not: one ``link_factor`` and one
+        ``collective_penalty`` over the collective's ring steps, so a seed
+        yields one fault timeline whatever the bucketing or compressor.
+        Drops stall the whole synchronous ring (exhausted retries raise
+        ``CollectiveTimeoutError``), so under overlap they land after the
+        last bucket.  Returns each group's ``ddp.bucket`` span attributes.
         """
-        params = self.optimizer.params
         injector = self.faults
-        buckets = self._ensure_buckets()
-        world = len(active)
-
-        # --- compute phase: measured backward + per-bucket readiness ---
-        worker_flat: list[np.ndarray] = []
-        worker_compute: list[float] = []
-        worker_ready: list[list[float]] = []
-        gather_elapsed = 0.0
-        with _trace.span("ddp.compute", iteration=timeline.iterations):
-            for w in active:
-                self.optimizer.zero_grad()
-                with GradientArrivalRecorder(params) as rec:
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
-                    loss.backward()
-                mult = 1.0
-                if injector is not None:
-                    mult = injector.compute_multiplier(iteration, w)
-                worker_compute.append(rec.total * mult)
-                arrivals = rec.arrival_times()
-                # A bucket is ready when its *last* gradient arrived; a
-                # straggler's clock stretches uniformly.
-                worker_ready.append(
-                    [
-                        max(arrivals[i] for i in b.param_indices) * mult
-                        for b in buckets
-                    ]
-                )
-                t0 = time.perf_counter()
-                worker_flat.append(gradient_vector(params))
-                gather_elapsed += time.perf_counter() - t0
-        backward_end = max(worker_compute)
-        timeline.compute += backward_end
-        # Flattening into the wire buffer plays the encode role and runs
-        # in parallel across workers, as in the monolithic path.
-        timeline.encode += gather_elapsed / len(worker_flat)
-
-        # --- modeled bucket schedule --------------------------------------
-        degradation = injector.link_factor(iteration) if injector is not None else 1.0
         cluster = self.cluster
         if world != cluster.world_size:
             cluster = cluster.with_world(world)
-        comm_times = bucket_comm_times(
-            [b.nbytes for b in buckets], cluster, degradation
-        )
-        tail = 0.0
+        degradation, drops, banked = 1.0, 0.0, 0.0
         if injector is not None:
-            # Same RNG keys as the monolithic allreduce: one draw per ring
-            # step per iteration, regardless of bucketing.
-            tail = injector.collective_penalty(
-                "allreduce", iteration, 2 * max(world - 1, 0)
+            allreduce = self.compressor.allreduce_compatible
+            degradation = injector.link_factor(iteration)
+            drops = injector.collective_penalty(
+                "allreduce" if allreduce else "allgather",
+                iteration,
+                (2 if allreduce else 1) * max(world - 1, 0),
             )
-            tail += injector.drain_penalty()
-        ready = [max(wr[j] for wr in worker_ready) for j in range(len(buckets))]
-        sched = schedule_overlap(ready, comm_times, backward_end, tail_penalty=tail)
-        # Only the exposed (non-hidden) communication reaches the clock.
-        timeline.comm += sched.exposed
-        nbytes = worker_flat[0].nbytes
-        timeline.bytes_per_iteration = nbytes
-        if _metrics.COLLECT:
-            _metrics.REGISTRY.counter("ddp.wire_bytes").inc(int(nbytes) * world)
+            banked = injector.drain_penalty()
 
-        # --- exact numerics: per-bucket mean (bit-exact vs monolithic) ----
-        agg = np.empty_like(worker_flat[0])
-        t0 = time.perf_counter()
-        for b, ev, comm in zip(buckets, sched.events, comm_times):
-            with _trace.span(
-                "ddp.bucket",
-                iteration=timeline.iterations,
-                bucket=b.index,
-                nbytes=b.nbytes,
-                ready_s=ev.ready,
-                start_s=ev.start,
-                end_s=ev.end,
-            ):
-                sl = slice(b.offset, b.offset + b.size)
-                agg[sl] = allreduce_mean([v[sl] for v in worker_flat])
-        timeline.decode += time.perf_counter() - t0
+        if not self.overlap:
+            # Blocking: the whole payload leaves after the slowest encoder.
+            n_messages = 1 if self.flat_allreduce else len(self.optimizer.params)
+            comm = self._comm_time(sum(group_nbytes), n_messages, cluster, degradation)
+            timeline.comm += comm + drops + banked
+            timeline.encode += sum(encode_times)
+            return [{} for _ in group_nbytes]
 
-        self.overlap_events.append(
-            {
-                "iteration": iteration,
-                "backward_end_s": backward_end,
-                "comm_total_s": sched.comm_total,
-                "comm_exposed_s": sched.exposed,
-                "tail_penalty_s": tail,
-                "buckets": [
-                    {**ev.as_dict(), "nbytes": b.nbytes, "comm_s": comm}
-                    for b, ev, comm in zip(buckets, sched.events, comm_times)
-                ],
-            }
-        )
-
-        # --- apply ---------------------------------------------------------
-        with _trace.span("ddp.step", iteration=timeline.iterations):
-            offset = 0
-            for p in params:
-                size = p.data.size
-                p.grad = agg[offset : offset + size].reshape(p.data.shape)
-                offset += size
-            step_flat = getattr(self.optimizer, "step_flat", None)
-            if step_flat is not None:
-                step_flat(agg)
-            else:
-                self.optimizer.step()
-
-    def _compressed_overlap_iteration(
-        self, batches, active, iteration: int, timeline: TimelineBreakdown
-    ) -> None:
-        """One iteration with per-bucket compression inside the overlap.
-
-        Each bucket is encoded as soon as its gradients arrive (the encode
-        seconds delay that bucket's wire readiness in the schedule), the
-        *compressed* bytes are charged to the α–β model, and each bucket
-        is decoded independently — sound because allreduce-compatible
-        compressors commute with bucket tiling (the property suite pins
-        this).  Fault-RNG parity with the monolithic and uncompressed
-        overlap paths is preserved: identical draws with identical keys,
-        so a fixed seed yields one fault timeline regardless of
-        compression.
-
-        Clock accounting: the schedule's exposure past ``backward_end``
-        splits into wire-busy seconds (charged to ``comm``) and
-        encode-stall seconds where the channel sat idle waiting for a
-        bucket to finish encoding (charged to ``encode``) — so
-        ``compute + encode + comm`` still reads as the modeled iteration
-        critical path.
-        """
-        params = self.optimizer.params
-        injector = self.faults
-        buckets = self._ensure_buckets()
-        world = len(active)
-
-        # --- compute phase: measured backward + per-bucket readiness ---
-        worker_grads: list[list[np.ndarray]] = []
-        worker_compute: list[float] = []
-        worker_ready: list[list[float]] = []
-        with _trace.span("ddp.compute", iteration=timeline.iterations):
-            for w in active:
-                self.optimizer.zero_grad()
-                with GradientArrivalRecorder(params) as rec:
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
-                    loss.backward()
-                mult = 1.0
-                if injector is not None:
-                    mult = injector.compute_multiplier(iteration, w)
-                worker_compute.append(rec.total * mult)
-                arrivals = rec.arrival_times()
-                worker_ready.append(
-                    [
-                        max(arrivals[i] for i in b.param_indices) * mult
-                        for b in buckets
-                    ]
-                )
-                worker_grads.append(_take_grads(params))
-        backward_end = max(worker_compute)
-        timeline.compute += backward_end
-
-        # --- per-bucket encode (workers run in parallel: each bucket's
-        # wire readiness waits for its slowest worker's encoder) ---------
-        encoded: list[list] = []
-        encode_times: list[float] = []
-        with _trace.span("ddp.encode", iteration=timeline.iterations):
-            for b in buckets:
-                per_worker = []
-                per_worker_s = []
-                for pos, w in enumerate(active):
-                    sub = [worker_grads[pos][i] for i in b.param_indices]
-                    t0 = time.perf_counter()
-                    per_worker.append(
-                        self.compressor.encode(
-                            w, sub, layer_offset=b.param_indices[0]
-                        )
-                    )
-                    per_worker_s.append(time.perf_counter() - t0)
-                encoded.append(per_worker)
-                encode_times.append(max(per_worker_s))
-
-        # --- modeled bucket schedule over the compressed bytes -----------
-        degradation = injector.link_factor(iteration) if injector is not None else 1.0
-        cluster = self.cluster
-        if world != cluster.world_size:
-            cluster = cluster.with_world(world)
-        bucket_nbytes = [max(r.nbytes for r in per_worker) for per_worker in encoded]
-        comm_times = bucket_comm_times(bucket_nbytes, cluster, degradation)
-        tail = 0.0
-        if injector is not None:
-            # Same RNG keys as the monolithic allreduce: one draw per ring
-            # step per iteration, regardless of bucketing or compression.
-            tail = injector.collective_penalty(
-                "allreduce", iteration, 2 * max(world - 1, 0)
-            )
-            tail += injector.drain_penalty()
-        ready = [max(wr[j] for wr in worker_ready) for j in range(len(buckets))]
+        # Overlap: a bucket is wire-ready ``encode`` seconds after its last
+        # gradient arrived, and the buckets share one serial channel.
+        comm_times = bucket_comm_times(group_nbytes, cluster, degradation)
+        tail = drops + banked
         sched = schedule_overlap(
-            ready, comm_times, backward_end, tail_penalty=tail,
-            encode_times=encode_times,
+            ready, comm_times, backward_end, tail_penalty=tail, encode_times=encode_times
         )
-        # Split the exposure: seconds the channel was busy past
-        # backward_end are wire time; idle seconds (waiting for encode)
-        # are the compressor's per-step cost on the critical path.
-        wire_busy = sum(
-            max(0.0, ev.end - max(ev.start, backward_end)) for ev in sched.events
-        )
-        last_end = sched.events[-1].end if sched.events else 0.0
-        wire_busy += max(0.0, sched.finish - max(last_end, backward_end))
+        # Split the exposure past backward_end: seconds the channel was busy
+        # are wire time; idle seconds (waiting for an encoder) are the
+        # compressor's per-step cost on the critical path — so
+        # ``compute + encode + comm`` still reads as the modeled iteration.
+        wire_busy = sum(max(0.0, ev.end - max(ev.start, backward_end)) for ev in sched.events)
+        wire_busy += max(0.0, sched.finish - max(sched.events[-1].end, backward_end))
         encode_stall = max(0.0, sched.exposed - wire_busy)
         timeline.comm += wire_busy
         timeline.encode += encode_stall
-        nbytes = float(sum(bucket_nbytes))
-        timeline.bytes_per_iteration = nbytes
-        if _metrics.COLLECT:
-            _metrics.REGISTRY.counter("ddp.wire_bytes").inc(int(nbytes) * world)
-
-        # --- exact numerics: per-bucket decode ----------------------------
-        agg_layers: list[np.ndarray | None] = [None] * len(params)
-        t0 = time.perf_counter()
-        for b, per_worker, ev, comm in zip(buckets, encoded, sched.events, comm_times):
-            with _trace.span(
-                "ddp.bucket",
-                iteration=timeline.iterations,
-                bucket=b.index,
-                nbytes=bucket_nbytes[b.index],
-                ready_s=ev.ready,
-                start_s=ev.start,
-                end_s=ev.end,
-            ):
-                decoded = self.compressor.decode_aggregate(per_worker)
-                for local, param_idx in enumerate(b.param_indices):
-                    agg_layers[param_idx] = decoded[local]
-        timeline.decode += time.perf_counter() - t0
-
         self.overlap_events.append(
             {
                 "iteration": iteration,
@@ -513,22 +329,103 @@ class DistributedTrainer:
                 "tail_penalty_s": tail,
                 "compressor": self.compressor.name,
                 "buckets": [
-                    {
-                        **ev.as_dict(),
-                        "nbytes": nb,
-                        "comm_s": comm,
-                        "encode_s": enc,
-                    }
+                    {**ev.as_dict(), "nbytes": nb, "comm_s": comm, "encode_s": enc}
                     for nb, ev, comm, enc in zip(
-                        bucket_nbytes, sched.events, comm_times, encode_times
+                        group_nbytes, sched.events, comm_times, encode_times
                     )
                 ],
             }
         )
+        return [{"ready_s": ev.ready, "start_s": ev.start, "end_s": ev.end} for ev in sched.events]
 
-        # --- apply ---------------------------------------------------------
-        with _trace.span("ddp.step", iteration=timeline.iterations):
-            for p, g in zip(params, agg_layers):
+    def _iteration(self, batches, active, iteration: int, timeline: TimelineBreakdown) -> None:
+        """One synchronous step: compute → encode → charge → decode → apply.
+
+        ``groups`` are the tuples of parameter indices that travel together.
+        Each is encoded per worker and decoded on its own, so nothing here
+        but :meth:`_charge` knows whether ``overlap`` is on.
+        """
+        params = self.optimizer.params
+        injector = self.faults
+        step = timeline.iterations
+        if self.overlap:
+            groups = [b.param_indices for b in self._ensure_buckets()]
+        else:
+            groups = [tuple(range(len(params)))]
+
+        # --- compute: each worker's measured forward/backward --------------
+        worker_grads: list[list[np.ndarray]] = []
+        worker_compute: list[float] = []
+        worker_ready: list[list[float]] = []
+        with _trace.span("ddp.compute", iteration=step):
+            for w in active:
+                self.optimizer.zero_grad()
+                recorder = GradientArrivalRecorder(params) if self.overlap else None
+                t0 = time.perf_counter()
+                with recorder or nullcontext():
+                    loss, _, _ = self.batch_fn(self.model, batches[w])
+                    loss.backward()
+                elapsed = time.perf_counter() - t0
+                # A straggler's clock stretches uniformly; the numerics are
+                # unchanged.
+                mult = 1.0
+                if injector is not None:
+                    mult = injector.compute_multiplier(iteration, w)
+                worker_compute.append(elapsed * mult)
+                # A group is ready when its *last* gradient arrived; unrecorded,
+                # the whole gradient arrives when backward ends.
+                arrivals = recorder.arrival_times() if recorder else [elapsed] * len(params)
+                worker_ready.append([max(arrivals[i] for i in g) * mult for g in groups])
+                worker_grads.append(_take_grads(params))
+        # Workers run concurrently: the slowest sets the pace.
+        backward_end = max(worker_compute)
+        timeline.compute += backward_end
+
+        # --- encode: per group, per worker (workers encode in parallel, so a
+        # group's payload waits for its slowest worker's encoder) ------------
+        encoded: list[list] = []
+        encode_times: list[float] = []
+        with _trace.span("ddp.encode", iteration=step):
+            for g in groups:
+                per_worker, per_worker_s = [], []
+                for w, grads in zip(active, worker_grads):
+                    sub = [grads[i] for i in g]
+                    t0 = time.perf_counter()
+                    per_worker.append(self.compressor.encode(w, sub, layer_offset=g[0]))
+                    per_worker_s.append(time.perf_counter() - t0)
+                encoded.append(per_worker)
+                encode_times.append(max(per_worker_s))
+
+        # --- charge: the encoded bytes go on the modeled clock -------------
+        world = len(active)
+        group_nbytes = [max(r.nbytes for r in per_worker) for per_worker in encoded]
+        ready = [max(col) for col in zip(*worker_ready)]
+        schedule = self._charge(
+            iteration, timeline, world, group_nbytes, encode_times, ready, backward_end
+        )
+        nbytes = sum(group_nbytes)
+        timeline.bytes_per_iteration = float(nbytes)
+        if _metrics.COLLECT:
+            # Wire bytes every active rank injects this iteration (the modeled
+            # payload, not the in-process bytes the collectives count).
+            _metrics.REGISTRY.counter("ddp.wire_bytes").inc(int(nbytes) * world)
+
+        # --- decode: exact numerics, one group at a time -------------------
+        agg: list[np.ndarray | None] = [None] * len(params)
+        t0 = time.perf_counter()
+        with _trace.span("ddp.decode", iteration=step):
+            for j, (g, per_worker) in enumerate(zip(groups, encoded)):
+                with _trace.span(
+                    "ddp.bucket", iteration=step, bucket=j, nbytes=group_nbytes[j], **schedule[j]
+                ):
+                    decoded = self.compressor.decode_aggregate(per_worker)
+                for i, d in zip(g, decoded):
+                    agg[i] = d
+        timeline.decode += time.perf_counter() - t0
+
+        # --- apply -----------------------------------------------------------
+        with _trace.span("ddp.step", iteration=step):
+            for p, g in zip(params, agg):
                 p.grad = np.ascontiguousarray(g, dtype=np.float32)
             self.optimizer.step()
 
@@ -542,7 +439,6 @@ class DistributedTrainer:
             raise ValueError("need one loader per rank")
         timeline = TimelineBreakdown()
         self.model.train()
-        params = self.optimizer.params
         injector = self.faults
         counters_before = _metrics.REGISTRY.counters() if _metrics.COLLECT else None
         epoch_events_start = len(self.overlap_events)
@@ -555,85 +451,7 @@ class DistributedTrainer:
             else:
                 active = range(len(batches))
 
-            if self.overlap:
-                if isinstance(self.compressor, NoCompression):
-                    self._overlap_iteration(batches, active, iteration, timeline)
-                else:
-                    self._compressed_overlap_iteration(
-                        batches, active, iteration, timeline
-                    )
-                self.compressor.advance_step()
-                timeline.iterations += 1
-                self._global_iteration += 1
-                continue
-
-            # --- compute phase: each worker's forward/backward ---------
-            worker_grads: list[list[np.ndarray]] = []
-            worker_compute: list[float] = []
-            with _trace.span("ddp.compute", iteration=timeline.iterations):
-                for w in active:
-                    self.optimizer.zero_grad()
-                    t0 = time.perf_counter()
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
-                    loss.backward()
-                    elapsed = time.perf_counter() - t0
-                    if injector is not None:
-                        # A straggler's iteration takes longer on the
-                        # modeled clock; the numerics are unchanged.
-                        elapsed *= injector.compute_multiplier(iteration, w)
-                    worker_compute.append(elapsed)
-                    worker_grads.append(_take_grads(params))
-            # Workers run concurrently: the slowest sets the pace.
-            timeline.compute += max(worker_compute)
-
-            # --- encode phase ------------------------------------------
-            t0 = time.perf_counter()
-            with _trace.span("ddp.encode", iteration=timeline.iterations):
-                encoded = [
-                    self.compressor.encode(w, grads)
-                    for w, grads in zip(active, worker_grads)
-                ]
-            encode_elapsed = time.perf_counter() - t0
-            # Encoding also happens in parallel across workers.
-            timeline.encode += encode_elapsed / len(worker_grads)
-
-            # --- communication (modeled) -------------------------------
-            nbytes = encoded[0].nbytes
-            n_messages = 1 if self.flat_allreduce else len(params)
-            if injector is None:
-                timeline.comm += self._comm_time(nbytes, n_messages)
-                world = self.cluster.num_nodes
-            else:
-                world = len(worker_grads)
-                degradation = injector.link_factor(iteration)
-                comm = self._comm_time(nbytes, n_messages, degradation, world)
-                # Message drops stall the synchronous ring; exhausted
-                # retries raise CollectiveTimeoutError out of the epoch.
-                op = "allreduce" if self.compressor.allreduce_compatible else "allgather"
-                steps = (2 if op == "allreduce" else 1) * max(world - 1, 0)
-                comm += injector.collective_penalty(op, iteration, steps)
-                comm += injector.drain_penalty()
-                timeline.comm += comm
-            timeline.bytes_per_iteration = nbytes
-            if _metrics.COLLECT:
-                # Wire bytes each worker injects per iteration (the modeled
-                # payload, as opposed to the in-process bytes counted by the
-                # collectives themselves).
-                _metrics.REGISTRY.counter("ddp.wire_bytes").inc(
-                    int(nbytes) * world
-                )
-
-            # --- decode phase -------------------------------------------
-            t0 = time.perf_counter()
-            with _trace.span("ddp.decode", iteration=timeline.iterations):
-                agg = self.compressor.decode_aggregate(encoded)
-            timeline.decode += time.perf_counter() - t0
-
-            # --- apply ---------------------------------------------------
-            with _trace.span("ddp.step", iteration=timeline.iterations):
-                for p, g in zip(params, agg):
-                    p.grad = np.ascontiguousarray(g, dtype=np.float32)
-                self.optimizer.step()
+            self._iteration(batches, active, iteration, timeline)
             self.compressor.advance_step()
             timeline.iterations += 1
             self._global_iteration += 1

@@ -113,7 +113,8 @@ class FusedOptimizer(Optimizer):
 
     def step_flat(self, grad_vec: np.ndarray) -> None:
         """Apply one update from an externally aggregated flat gradient
-        (the DDP simulator's allreduce output), skipping the gather."""
+        (e.g. :func:`repro.distributed.allreduce_mean` over flattened
+        worker gradients), skipping the gather."""
         arena = self._ensure_arena()
         if grad_vec.shape != (arena.size,):
             raise ValueError(

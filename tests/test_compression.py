@@ -13,6 +13,8 @@ from repro.compression import (
     StochasticBinary,
     TopK,
     VarianceGated,
+    make_compressor,
+    registered_compressors,
 )
 
 
@@ -304,6 +306,52 @@ class TestPowerSGDBorrowsItsInput:
             out_a, out_b = lent.decode_aggregate([a]), copied.decode_aggregate([b])
             for x, y in zip(out_a, out_b):
                 assert x.tobytes() == y.tobytes()
+
+
+def _payload_arrays(obj):
+    """Every ndarray reachable in an encode payload."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _payload_arrays(v)]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(registered_compressors()))
+class TestEveryCompressorBorrowsItsInput:
+    """The base-class contract, for the whole registry (``"sgd"`` included,
+    whose payload *is* the caller's list): gradients are lent to ``encode``
+    and payloads to ``decode_aggregate``; neither is ever written to."""
+
+    def test_encode_leaves_inputs_untouched_across_rounds(self, name, rng):
+        comp = make_compressor(name, 2)
+        gsets = [grads_for(rng) for _ in range(2)]
+        before = [[g.copy() for g in grads] for grads in gsets]
+        for _ in range(3):  # later rounds add error-feedback residuals
+            comp.decode_aggregate([comp.encode(w, g) for w, g in enumerate(gsets)])
+            comp.advance_step()
+        for grads, kept in zip(gsets, before):
+            for g, b in zip(grads, kept):
+                np.testing.assert_array_equal(g, b)
+
+    def test_decode_aggregate_does_not_write_to_a_payload(self, name, rng):
+        comp = make_compressor(name, 2)
+        gsets = [grads_for(rng) for _ in range(2)]
+        for _ in range(3):
+            results = [comp.encode(w, g) for w, g in enumerate(gsets)]
+            arrays = [a for r in results for a in _payload_arrays(r.payload)]
+            before = [a.copy() for a in arrays]
+            # Decoding twice is legal (once per bucket in the trainer): the
+            # second pass must see the payload the first one saw.
+            first = comp.decode_aggregate(results)
+            second = comp.decode_aggregate(results)
+            for a, b in zip(arrays, before):
+                np.testing.assert_array_equal(a, b)
+            for x, y in zip(first, second):
+                assert not np.shares_memory(x, y)
+            comp.advance_step()
 
 
 class TestABTraining:

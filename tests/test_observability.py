@@ -538,6 +538,81 @@ class TestTrainerIntegration:
         assert "metrics" in timeline.as_dict()
 
 
+    @staticmethod
+    def _ddp_trace(overlap, compressor, cluster=None):
+        """Spans, timeline, trainer and wire-byte counter of one traced epoch."""
+        from repro.compression import make_compressor
+        from repro.data import DataLoader
+        from repro.distributed import ClusterSpec, DistributedTrainer
+        from repro.models import MLP
+        from repro.optim import SGD
+        from repro.utils import set_seed
+
+        set_seed(0)
+        cluster = cluster or ClusterSpec(2)
+        world = cluster.world_size
+        data = np.random.default_rng(0)
+        x = data.standard_normal((16 * world, 6)).astype(np.float32)
+        y = data.integers(0, 3, 16 * world)
+        loaders = [DataLoader(x[i::world], y[i::world], 8) for i in range(world)]
+        model = MLP(6, [8], 3)
+        kwargs = {"rank": 2} if compressor == "powersgd" else {}
+        trainer = DistributedTrainer(
+            model, SGD(model.parameters(), lr=0.1), cluster,
+            compressor=make_compressor(compressor, world, **kwargs),
+            overlap=overlap, bucket_mb=0.0001,
+        )
+        obs.get_tracer().clear()
+        obs.get_registry().reset()
+        with obs.observe():
+            timeline = trainer.train_epoch(loaders)
+        wire_bytes = obs.get_registry().counters()["ddp.wire_bytes"]
+        return obs.get_tracer().spans(), timeline, trainer, wire_bytes
+
+    def test_ddp_span_names_identical_on_every_path(self):
+        """docs/OBSERVABILITY.md's promise: compute / encode / decode / step
+        every iteration, bucket spans inside decode — with or without
+        overlap, with or without a real compressor."""
+        name_sets = {}
+        for overlap in (False, True):
+            for compressor in ("sgd", "powersgd"):
+                spans, timeline, trainer, _ = self._ddp_trace(overlap, compressor)
+                by_name = {}
+                for s in spans:
+                    by_name.setdefault(s.name, []).append(s)
+                for phase in ("ddp.compute", "ddp.encode", "ddp.decode", "ddp.step"):
+                    assert len(by_name[phase]) == timeline.iterations, (overlap, phase)
+                n_buckets = len(trainer._buckets) if overlap else 1
+                assert (n_buckets > 1) == overlap
+                buckets = by_name["ddp.bucket"]
+                assert len(buckets) == n_buckets * timeline.iterations
+                # Every bucket span sits inside its iteration's decode span.
+                decodes = {s.attrs["iteration"]: s for s in by_name["ddp.decode"]}
+                for b in buckets:
+                    d = decodes[b.attrs["iteration"]]
+                    assert d.start <= b.start
+                    assert b.start + b.duration <= d.start + d.duration
+                    assert ("start_s" in b.attrs) == overlap
+                name_sets[overlap, compressor] = {
+                    n for n in by_name if n.startswith("ddp.")
+                }
+        assert len({frozenset(v) for v in name_sets.values()}) == 1
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_ddp_wire_bytes_counter_ignores_overlap(self, hierarchical):
+        """The counter is payload x *ranks*; the blocking path used to
+        multiply by the node count, halving it on a 2 x 2 cluster."""
+        from repro.distributed import ClusterSpec, HierarchicalSpec
+
+        cluster = HierarchicalSpec(2, 2) if hierarchical else ClusterSpec(4)
+        _, tl_block, _, blocking = self._ddp_trace(False, "sgd", cluster)
+        _, tl_over, _, overlapped = self._ddp_trace(True, "sgd", cluster)
+        assert tl_block.bytes_per_iteration == tl_over.bytes_per_iteration
+        assert type(tl_block.bytes_per_iteration) is type(tl_over.bytes_per_iteration) is float
+        assert blocking == overlapped
+        assert blocking == int(tl_block.bytes_per_iteration) * 4 * tl_block.iterations
+
+
 class TestProfileCli:
     def test_profile_quickstart_emits_valid_chrome_trace(self, tmp_path, capsys):
         from repro.cli import main
@@ -574,3 +649,14 @@ class TestProfileCli:
             doc = json.load(f)
         names = {ev["name"] for ev in doc["traceEvents"]}
         assert "ddp.compute" in names
+
+    def test_profile_simulate_rejects_what_the_trainer_rejects(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rc = main([
+            "profile", "simulate", "--out", str(tmp_path / "trace.json"),
+            "--nodes", "2", "--iterations", "1", "--compressor", "topk", "--overlap",
+        ])
+        assert rc == 2
+        assert "allreduce-compatible" in capsys.readouterr().err
+        assert not trace_mod.ENABLED and not metrics_mod.COLLECT

@@ -240,9 +240,9 @@ class TestDistributedOverlap:
             assert np.array_equal(a.data, b.data)
 
     def test_fused_adam_matches_loop_adam_under_overlap(self):
-        """FusedAdam rides the same step_flat path as FusedSGD: the DDP
-        allreduce gives every parameter a gradient, so fused and loop
-        Adam are bit-identical across the overlap boundary."""
+        """FusedAdam is stepped like FusedSGD: the DDP aggregate gives
+        every parameter a gradient, so fused and loop Adam are
+        bit-identical across the overlap boundary."""
         m0, t0, l0 = make_trainer(False, opt_cls=Adam)
         m1, t1, l1 = make_trainer(True, opt_cls=FusedAdam)
         t0.train_epoch(l0)
