@@ -13,6 +13,9 @@ compute the SVD, then sample each rank-1 atom ``σᵢ uᵢ vᵢᵀ`` with the
 probabilities produced by ATOMO's water-filling scheme (∝ σᵢ, clipped at
 1, renormalized to sum to ``s``); kept atoms are rescaled by ``1/pᵢ`` so
 the estimate stays unbiased.
+
+Kept for: ``benchmarks/test_ablation_extensions.py`` (the per-step-SVD cost
+the introduction argues against) and ``--compressor atomo`` in the bake-off.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ Each tensor is quantized to one bit per coordinate: coordinate ``x`` in
 side information.  Cheap to *encode*; the expensive part the paper measures
 is *decoding*: with allgather every worker unpacks and sums ``p`` bit
 streams, so decode time scales linearly in the node count (Fig. 7).
+
+Kept for: ``benchmarks/test_fig7_binary_quant.py`` (Fig. 7 / Appendix F).
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ which executes as three convolutions:
 Factors come from HOSVD: ``A``/``B`` are the leading left singular vectors
 of the mode-1/mode-2 unfoldings, and the core is the projection of ``W``.
 Parameter count: ``c_in·r_in + r_in·r_out·k² + r_out·c_out``.
+
+Kept for: ``benchmarks/test_ablation_extensions.py`` (the Section 2.2
+"tensor decomposition" ablation); no zoo model or trainer path uses it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ servers as well as allreduce.  This module adds:
   reports that p3.2xlarge "up to 10 Gbps" links *decay sharply* mid-run;
   the trace lets the simulator reproduce that and measure its effect on
   each method's epoch time.
+
+Kept for: ``benchmarks/test_appendix_k_bandwidth.py`` (Appendix K's
+bandwidth-decay table); no trainer path uses it.
 """
 
 from __future__ import annotations
