@@ -6,8 +6,9 @@ Compares a fresh ``BENCH_kernels.json`` against the committed baseline
 are machine-dependent, so times are never diffed against the baseline;
 what is gated:
 
-* **structure** — the op set, the fused-step set and the
-  ``linear_fwd_bwd`` pair, each entry's parity tag (or match kind),
+* **structure** — the op set, the fused-step set, the
+  ``linear_fwd_bwd`` pair and the ``max_pool_fwd_bwd`` pair, each entry's
+  parity tag (or match kind),
   benchmark shape, graph-node counts and enforced floor must match the
   baseline exactly: a silently dropped op or a loosened floor is a gate
   change, not noise;
@@ -17,8 +18,9 @@ what is gated:
 * **speedup floors** — ops with a ``min_speedup`` must meet it, both
   fused optimizer steps (FusedAdam / FusedLAMB vs the in-place
   per-tensor loop) must hold their ≥2× floor at CPU-scaled wide-model
-  widths, and ``functional.linear`` must hold its floor over the
-  three-node composite.
+  widths, ``functional.linear`` must hold its floor over the
+  three-node composite, and ``max_pool2d`` its floor over the argmax /
+  col2im route it replaced.
 
 Usage::
 
@@ -42,6 +44,10 @@ FUSED_RULE = ExactFields(
 LINEAR_RULE = ExactFields(
     ("shape", "nodes_composite", "nodes_fused", "match", "min_speedup"),
     note="linear_fwd_bwd benchmark structure changed",
+)
+POOL_RULE = ExactFields(
+    ("shape", "match", "min_speedup"),
+    note="max_pool_fwd_bwd benchmark structure changed",
 )
 
 
@@ -104,6 +110,8 @@ def check(current: dict, baseline: dict, threshold: float) -> list[str]:
           fused_invariants("fused_step", "per-tensor loop"), failures)
     _walk(current, baseline, "linear_fwd_bwd", LINEAR_RULE,
           fused_invariants("linear_fwd_bwd", "x @ W.T + b composite"), failures)
+    _walk(current, baseline, "max_pool_fwd_bwd", POOL_RULE,
+          fused_invariants("max_pool_fwd_bwd", "argmax / col2im route"), failures)
     return failures
 
 
@@ -115,7 +123,7 @@ GATE = Gate(
     item_word="ops",
     custom=check,
     ok_line=lambda n, t: (
-        f"kernel regression gate: {n} ops + fused steps + fused linear OK "
+        f"kernel regression gate: {n} ops + fused steps + fused linear + max pool OK "
         "(structure exact, parity + speedup floors hold)"
     ),
     description=__doc__.splitlines()[0],

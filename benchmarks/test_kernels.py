@@ -20,21 +20,33 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from harness import print_table, scaled_vgg19
 from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
-from repro.tensor import Tensor, backend, functional, graph_nodes_created
+from repro.tensor import Tensor, backend, functional, graph_nodes_created, max_pool2d
 from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL
 from repro.utils import set_seed
 
 KERNELS_FILE = "BENCH_kernels.json"
 REPEATS = 5
+WARMUP_S = 1.5
 
 # Per-op enforced speedup floor (None = parity-coverage op, no perf claim:
 # either sub-millisecond, memory-bound, or running the identical kernel).
 MIN_SPEEDUP = {
     "conv2d_forward": 1.5,
-    "conv2d_backward": 1.0,
+    # The input gradient is a gather over c_out channels + one GEMM, where
+    # the reference GEMMs into c_in·k² rows and scatter-adds them: the fast
+    # path wins in proportion to c_in / c_out.  Gated at the two shapes that
+    # carry a hybrid VGG-19 (equal widths: 12 of its 16 convs; the low-rank
+    # U factor, c_in = 4·rank); the channel-doubling shape this row used to
+    # time is kept as parity coverage — there the two routes move the same
+    # bytes (docs/PERFORMANCE.md has the pairs).
+    "conv2d_backward": 1.5,
+    "conv2d_backward_lowrank": 2.0,
+    "conv2d_backward_expand": None,
+    "batch_norm_backward": 1.3,
     "im2col": 1.0,
     "relu": None,
     "bias_relu": None,
@@ -58,9 +70,16 @@ FUSED_STEP_FLOOR = 2.0
 # pair (small factors, dispatch-bound) only sheds graph nodes.
 LINEAR_FLOOR = {"vanilla": 1.5, "lowrank": 1.0}
 
+# max_pool2d (k² shifted strided slabs, forward + backward) vs the route it
+# replaced, kept below as the oracle: as_strided windows, argmax,
+# put_along_axis, col2im scatter-add.  One implementation serves both
+# backends, so this is rewrite-vs-oracle, not numpy-vs-fast.
+POOL_FLOOR = {"vgg_2x2": 3.0, "resnet_3x3s2": 1.5}
+
 _RESULTS: dict[str, dict] = {}
 _FUSED: dict[str, dict] = {}
 _LINEAR: dict[str, dict] = {}
+_POOL: dict[str, dict] = {}
 
 
 def best_ms(call, setup=None, repeats=REPEATS) -> float:
@@ -72,6 +91,24 @@ def best_ms(call, setup=None, repeats=REPEATS) -> float:
         call(*args)
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def paired_best_ms(ref_call, fast_call, rounds=REPEATS) -> tuple[float, float]:
+    """Best-of-N milliseconds of two calls with the legs interleaved.
+
+    The reference box has two speed levels minutes apart; timing one leg
+    after the other lets a switch land on one of them and pass for a
+    speedup or a regression (the 1.39× conv2d_forward reading of ROADMAP
+    3(d)).  Interleaved, both legs meet the same machine."""
+    ref = fast = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        ref_call()
+        t1 = time.perf_counter()
+        fast_call()
+        t2 = time.perf_counter()
+        ref, fast = min(ref, t1 - t0), min(fast, t2 - t1)
+    return ref * 1e3, fast * 1e3
 
 
 def check_parity(op: str, ref, got) -> tuple[bool, float]:
@@ -87,9 +124,9 @@ def check_parity(op: str, ref, got) -> tuple[bool, float]:
 
 
 def record(op: str, shape: str, numpy_ms: float, fast_ms: float, parity_ok: bool,
-           max_abs_err: float) -> None:
+           max_abs_err: float, tag_op: str | None = None) -> None:
     _RESULTS[op] = {
-        "tag": PARITY[op],
+        "tag": PARITY[tag_op or op],
         "shape": shape,
         "numpy_ms": round(numpy_ms, 4),
         "fast_ms": round(fast_ms, 4),
@@ -107,6 +144,22 @@ def conv_inputs(rng, n=32, c=16, hw=32, co=32, k=3):
     return x, w, b
 
 
+@pytest.fixture(scope="module", autouse=True)
+def warm_box():
+    """Run both backends' conv forward for WARMUP_S before the first timing.
+
+    A process started on an idle box spends its first second or so in a slow
+    phase that hits memory-bound code hardest: the fast conv forward reads
+    21 ms there and 8 ms after it, the reference 33 and 23, so the file's
+    first row — ``conv2d_forward``, floor 1.5 — read 1.4–1.7× cold and
+    2.4–3.0× warm (ROADMAP 3(d)'s red gate on an untouched kernel)."""
+    x, w, b = conv_inputs(np.random.default_rng(0))
+    deadline = time.perf_counter() + WARMUP_S
+    while time.perf_counter() < deadline:
+        for name in ("numpy", "fast"):
+            backend.get(name).conv2d_forward(x, w, b, 1, 1, 1, False)
+
+
 def test_conv2d_forward_speedup(rng):
     """Headline: batched im2col matmul at CPU-scaled conv widths."""
     x, w, b = conv_inputs(rng)
@@ -114,25 +167,60 @@ def test_conv2d_forward_speedup(rng):
     ref_out, _ = ref_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     got_out, _ = fast_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     ok, err = check_parity("conv2d_forward", ref_out, got_out)
-    n_ms = best_ms(lambda: ref_be.conv2d_forward(x, w, b, 1, 1, 1, False))
-    f_ms = best_ms(lambda: fast_be.conv2d_forward(x, w, b, 1, 1, 1, False))
+    n_ms, f_ms = paired_best_ms(lambda: ref_be.conv2d_forward(x, w, b, 1, 1, 1, False),
+                                lambda: fast_be.conv2d_forward(x, w, b, 1, 1, 1, False))
     record("conv2d_forward", "N32 C16 32x32 k3 s1 p1 -> C32", n_ms, f_ms, ok, err)
     assert ok
 
 
-def test_conv2d_backward_speedup(rng):
-    x, w, b = conv_inputs(rng)
-    g = rng.standard_normal((32, 32, 32, 32)).astype(np.float32)
+def _conv_backward_case(op, rng, c, hw, co):
+    x, w, b = conv_inputs(rng, c=c, hw=hw, co=co)
+    g = rng.standard_normal((32, co, hw, hw)).astype(np.float32)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
     _, ref_ctx = ref_be.conv2d_forward(x, w, b, 1, 1, 1, True)
     _, fast_ctx = fast_be.conv2d_forward(x, w, b, 1, 1, 1, True)
     ref_g = ref_be.conv2d_backward(g, ref_ctx, True, True, True)
     got_g = fast_be.conv2d_backward(g, fast_ctx, True, True, True)
     oks, errs = zip(*(check_parity("conv2d_backward", r, o) for r, o in zip(ref_g, got_g)))
-    n_ms = best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True))
-    f_ms = best_ms(lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
-    record("conv2d_backward", "N32 C16 32x32 k3 s1 p1 -> C32", n_ms, f_ms,
-           all(oks), max(errs))
+    n_ms, f_ms = paired_best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True),
+                                lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
+    record(op, f"N32 C{c} {hw}x{hw} k3 s1 p1 -> C{co}", n_ms, f_ms, all(oks), max(errs),
+           tag_op="conv2d_backward")
+    assert all(oks)
+
+
+def test_conv2d_backward_speedup(rng):
+    """Equal widths, as in 12 of VGG-19's 16 convs."""
+    _conv_backward_case("conv2d_backward", rng, c=32, hw=16, co=32)
+
+
+def test_conv2d_backward_lowrank_speedup(rng):
+    """The U factor of a rank-0.25 LowRankConv2d: c_in = 4·rank, where the
+    paper's factorization should pay in the backward pass too."""
+    _conv_backward_case("conv2d_backward_lowrank", rng, c=128, hw=4, co=32)
+
+
+def test_conv2d_backward_expand_parity(rng):
+    """Channel-doubling at full resolution: parity coverage, no perf claim."""
+    _conv_backward_case("conv2d_backward_expand", rng, c=16, hw=32, co=32)
+
+
+def test_batch_norm_backward_speedup(rng):
+    shape, axes = (32, 32, 16, 16), (0, 2, 3)
+    g = rng.standard_normal(shape).astype(np.float32)
+    x_hat = rng.standard_normal(shape).astype(np.float32)
+    inv_std = (rng.random((1, 32, 1, 1)) + 0.5).astype(np.float32)
+    gamma = rng.standard_normal(32).astype(np.float32)
+    args = (g, x_hat, inv_std, gamma, axes, True, True, True, True)
+    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
+    oks, errs = zip(*(
+        check_parity("batch_norm_backward", r, o)
+        for r, o in zip(ref_be.batch_norm_backward(*args), fast_be.batch_norm_backward(*args))
+    ))
+    n_ms, f_ms = paired_best_ms(lambda: ref_be.batch_norm_backward(*args),
+                                lambda: fast_be.batch_norm_backward(*args), rounds=3 * REPEATS)
+    record("batch_norm_backward", "N32 C32 16x16 training, all three gradients",
+           n_ms, f_ms, all(oks), max(errs))
     assert all(oks)
 
 
@@ -382,6 +470,62 @@ def test_linear_fwd_bwd_lowrank(rng):
     )
 
 
+def _argmax_pool_fwd_bwd(x: np.ndarray, kernel: int, stride: int, g: np.ndarray):
+    """max_pool2d as it was: strided windows, argmax, put_along_axis, col2im."""
+    n, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, oh, ow, kernel, kernel),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False,
+    )
+    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
+    argmax = flat.argmax(axis=-1)
+    out = np.ascontiguousarray(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
+    grad_flat = np.zeros(flat.shape, dtype=g.dtype)
+    np.put_along_axis(grad_flat, argmax[..., None], g[..., None], axis=-1)
+    grad_cols = grad_flat.transpose(0, 2, 3, 1, 4).reshape(n * oh * ow, c * kernel * kernel)
+    return out, backend.get("numpy").col2im(grad_cols, x.shape, kernel, kernel, stride, 0, 0)
+
+
+def _pool_case(name, rng, shape, kernel, stride):
+    # Post-ReLU activations: half the entries tie at zero, as in the models.
+    x = np.maximum(rng.standard_normal(shape), 0).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    out = max_pool2d(t, kernel, stride)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+
+    def slab_route():
+        t.grad = None
+        y = max_pool2d(t, kernel, stride)
+        y.backward(g)
+        return y.data, t.grad
+
+    ref, got = _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route()
+    match_ok = all(np.array_equal(r, o) for r, o in zip(ref, got))
+    o_ms, s_ms = paired_best_ms(lambda: _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route,
+                                rounds=2 * REPEATS)
+    _POOL[name] = {
+        "shape": f"N{shape[0]} C{shape[1]} {shape[2]}x{shape[3]} k{kernel} s{stride}",
+        "oracle_ms": round(o_ms, 4),
+        "slab_ms": round(s_ms, 4),
+        "speedup": round(o_ms / s_ms, 3),
+        "match": "bit-exact",
+        "match_ok": match_ok,
+        "min_speedup": POOL_FLOOR[name],
+    }
+    assert match_ok
+
+
+def test_max_pool_fwd_bwd_vgg(rng):
+    _pool_case("vgg_2x2", rng, (32, 16, 32, 32), 2, 2)
+
+
+def test_max_pool_fwd_bwd_resnet_stem(rng):
+    """Overlapping windows: the backward accumulates instead of writing."""
+    _pool_case("resnet_3x3s2", rng, (32, 16, 32, 32), 3, 2)
+
+
 def test_emit_kernels_artifact():
     """Runs last (file order): all ops recorded, floors hold, artifact out."""
     assert set(_RESULTS) == set(MIN_SPEEDUP), (
@@ -393,6 +537,7 @@ def test_emit_kernels_artifact():
     assert set(_LINEAR) == set(LINEAR_FLOOR), (
         f"linear_fwd_bwd set mismatch: {sorted(_LINEAR)}"
     )
+    assert set(_POOL) == set(POOL_FLOOR), f"max_pool_fwd_bwd set mismatch: {sorted(_POOL)}"
     rows = []
     for op in sorted(_RESULTS):
         r = _RESULTS[op]
@@ -428,11 +573,21 @@ def test_emit_kernels_artifact():
             for name, s in sorted(_LINEAR.items())
         ],
     )
+    print_table(
+        "max_pool2d: shifted slabs vs the argmax / col2im route (forward + backward, best of 10)",
+        ["Case", "Shape", "oracle (ms)", "slabs (ms)", "Speedup", "Match", "Floor"],
+        [
+            [name, s["shape"], s["oracle_ms"], s["slab_ms"], s["speedup"], s["match"],
+             s["min_speedup"]]
+            for name, s in sorted(_POOL.items())
+        ],
+    )
     artifact = {
-        "schema": 3,
+        "schema": 4,
         "ops": _RESULTS,
         "fused_step": _FUSED,
         "linear_fwd_bwd": _LINEAR,
+        "max_pool_fwd_bwd": _POOL,
         "parity_all_ok": all(r["parity_ok"] for r in _RESULTS.values()),
     }
     with open(KERNELS_FILE, "w") as f:

@@ -288,6 +288,34 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
              "fused (ms)", "Speedup", "Enforced floor"],
             rows,
         )
+    pool = artifact.get("max_pool_fwd_bwd")
+    if pool:
+        lines += [
+            "",
+            "`max_pool2d` as k² shifted strided slabs vs the route it "
+            "replaced (strided windows, `argmax`, `put_along_axis`, `col2im` "
+            "scatter-add; kept in the benchmark as the oracle), forward + "
+            "backward on post-ReLU activations, one implementation for both "
+            "backends:",
+            "",
+        ]
+        rows = [
+            [
+                name,
+                s["match"],
+                s["shape"],
+                f"{s['oracle_ms']:.2f}",
+                f"{s['slab_ms']:.2f}",
+                f"{s['speedup']:.2f}×",
+                f"≥{s['min_speedup']:.1f}×",
+            ]
+            for name, s in sorted(pool.items())
+        ]
+        lines += _md_table(
+            ["Case", "Match", "Shape", "argmax route (ms)", "slabs (ms)",
+             "Speedup", "Enforced floor"],
+            rows,
+        )
     return lines
 
 

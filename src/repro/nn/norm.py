@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, backend
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm2d", "BatchNorm1d", "LayerNorm"]
@@ -36,7 +36,10 @@ class _BatchNormBase(Module):
         eps = self.eps
         if self.training:
             mu = x.data.mean(axis=axes, keepdims=True)
-            var = x.data.var(axis=axes, keepdims=True)
+            # x.var() step for step — mean, deviations, their mean square —
+            # minus its second mean pass, and the deviations are kept for x_hat.
+            x_hat = x.data - mu
+            var = (x_hat * x_hat).mean(axis=axes, keepdims=True)
             m = self.momentum
             # Unbiased variance for the running estimate, as in PyTorch.
             n = x.data.size / self.num_features
@@ -51,34 +54,35 @@ class _BatchNormBase(Module):
         else:
             mu = self.running_mean.reshape(shape)
             var = self.running_var.reshape(shape)
+            x_hat = x.data - mu
 
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x.data - mu) * inv_std
-        out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+        # (x - mu) * inv_std and x_hat * gamma + beta, each into its first
+        # temporary: the same roundings, two allocations fewer.
+        x_hat *= inv_std
+        out = x_hat * gamma.data.reshape(shape)
+        out += beta.data.reshape(shape)
         training = self.training
+        be = backend.active()
 
         def backward(g: np.ndarray) -> None:
-            if gamma.requires_grad:
-                gamma._accumulate((g * x_hat).sum(axis=axes), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes), owned=True)
-            if x.requires_grad:
-                gw = g * gamma.data.reshape(shape)
-                if training:
-                    n = x.data.size / gamma.data.size
-                    dxhat = gw
-                    x._accumulate(
-                        inv_std
-                        / n
-                        * (
-                            n * dxhat
-                            - dxhat.sum(axis=axes, keepdims=True)
-                            - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
-                        ),
-                        owned=True,
-                    )
-                else:
-                    x._accumulate(gw * inv_std, owned=True)
+            ggamma, gbeta, gx = be.batch_norm_backward(
+                g,
+                x_hat,
+                inv_std,
+                gamma.data,
+                axes,
+                training,
+                need_ggamma=gamma.requires_grad,
+                need_gbeta=beta.requires_grad,
+                need_gx=x.requires_grad,
+            )
+            if ggamma is not None:
+                gamma._accumulate(ggamma, owned=True)
+            if gbeta is not None:
+                beta._accumulate(gbeta, owned=True)
+            if gx is not None:
+                x._accumulate(gx, owned=True)
 
         return Tensor._from_op(
             out.astype(x.dtype, copy=False), (x, gamma, beta), backward, "batch_norm"

@@ -13,9 +13,11 @@ dispatches through the *active* backend:
     into a transposed ``(C·kh·kw, N·oh·ow)`` layout so the forward pass
     is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
     V-factor hot path — become a single batched ``np.matmul`` with no
-    transpose copies at all), fused elementwise chains (``bias_relu`` in
-    one pass via ``np.maximum(x + b, 0, out=...)``), and optional
-    threaded per-sample patch gathering (``REPRO_BACKEND_THREADS``).
+    transpose copies at all) and the input gradient is the same gather +
+    GEMM over the output gradient, fused elementwise chains (``bias_relu``
+    in one pass via ``np.maximum(x + b, 0, out=...)``, BatchNorm's
+    training backward from two per-channel sums), and optional threaded
+    per-sample patch gathering (``REPRO_BACKEND_THREADS``).
 
 Selection, in precedence order: ``repro.tensor.backend.use()`` context
 manager > ``set_backend()`` / the ``--backend`` CLI flag > the
@@ -67,6 +69,9 @@ PARITY: dict[str, str] = {
     "col2im": "bit-exact",
     "conv2d_forward": "tolerance",
     "conv2d_backward": "tolerance",
+    # Forward is not dispatched (its rounding is frozen, see
+    # docs/PERFORMANCE.md); only the backward's reductions are reordered.
+    "batch_norm_backward": "tolerance",
     "sgd_update": "bit-exact",
     # Fused-optimizer arena updates.  adam_update runs the identical
     # elementwise chain under both backends; lamb_update's per-layer
@@ -100,30 +105,98 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # Scratch buffers
 # ----------------------------------------------------------------------
-# Keyed by (tag, shape, dtype).  Backward passes and inference loops hit
-# the same few shapes every iteration; reusing buffers avoids a large
-# zeroed allocation (and its mmap/page-fault churn) per call.  The engine
-# is single-threaded per op, and no scratch buffer ever escapes: callers
-# either copy the result out or only use it transiently within one call.
-
-_SCRATCH: dict[tuple, np.ndarray] = {}
-_SCRATCH_MAX = 32
+# Backward passes and inference loops need the same transient buffers every
+# iteration; reusing them avoids a large allocation (and its mmap/page-fault
+# churn) per call.  The engine is single-threaded per op, and no scratch
+# buffer ever escapes: callers either copy the result out or only use it
+# transiently within one call.
 
 
-def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    key = (tag, shape, np.dtype(dtype).str)
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        if len(_SCRATCH) >= _SCRATCH_MAX:
-            _SCRATCH.clear()
-        buf = _SCRATCH[key] = np.empty(shape, dtype=dtype)
-    return buf
+class _ScratchPool:
+    """One flat arena per tag, grown to the largest request, LRU-evicted
+    under a byte budget.
+
+    A request is a *view* of its tag's arena, so conv layers of every shape
+    and batch size share one ``conv_gx_cols`` arena sized for the largest of
+    them: a server that sees batch sizes 1…8 holds the batch-8 buffers, not
+    eight sets.  Only zero frames need a tag per layout (see :meth:`get`),
+    and they are what the budget is for: a process that keeps meeting new
+    layouts would otherwise keep every frame it ever made.  The budget is
+    ``BUDGET_FACTOR`` times the largest arena held, so it scales with the
+    model and not with the history.  Measured working sets: a hybrid VGG-19
+    train step at batch 32 holds 3.9× its largest arena (the frames of a conv
+    pyramid shrink geometrically, but come two per stage), a ResNet-18 server
+    1.4×; 8 leaves a step twice the room it needs, and what falls off the
+    end are arenas the process has stopped using.
+    """
+
+    BUDGET_FACTOR = 8
+
+    def __init__(self) -> None:
+        self._arenas: dict[tuple, np.ndarray] = {}  # insertion order = LRU order
+        self.nbytes = 0
+        self.misses = 0  # arena (re)allocations
+
+    def __len__(self) -> int:
+        return len(self._arenas)
+
+    def values(self):
+        return self._arenas.values()
+
+    def clear(self) -> None:
+        self._arenas.clear()
+        self.nbytes = 0
+
+    def get(self, tag, shape: tuple[int, ...], dtype, zeroed: bool = False) -> np.ndarray:
+        """A ``shape`` view of ``tag``'s arena, contents undefined.
+
+        With ``zeroed`` the arena comes from ``np.zeros`` and the caller
+        promises that every call under this tag writes the same positions of
+        each leading-axis item, so the rest — a zero border — survives from
+        creation to eviction whatever the batch size.  ``tag`` must then name
+        everything that decides those positions.
+        """
+        key = (tag, np.dtype(dtype).str)
+        size = int(np.prod(shape))
+        arena = self._arenas.pop(key, None)
+        grow = arena is None or arena.size < size
+        if grow:
+            self.misses += 1
+            self.nbytes -= arena.nbytes if arena is not None else 0
+            arena = (np.zeros if zeroed else np.empty)(size, dtype=dtype)
+            self.nbytes += arena.nbytes
+        self._arenas[key] = arena  # most recently used goes last
+        if grow:
+            self._evict()
+        return arena[:size].reshape(shape)
+
+    def _evict(self) -> None:
+        budget = self.BUDGET_FACTOR * max(a.nbytes for a in self._arenas.values())
+        while self.nbytes > budget:
+            oldest = next(iter(self._arenas))
+            self.nbytes -= self._arenas.pop(oldest).nbytes
 
 
-def _zeroed_scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    buf = _scratch(tag, shape, dtype)
-    buf.fill(0)
-    return buf
+_SCRATCH = _ScratchPool()
+_scratch = _SCRATCH.get
+
+
+def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int) -> np.ndarray:
+    """``src`` (N, C, h, w) laid at ``(top, left)`` of a pooled all-zero
+    ``(N, C, fh, fw)`` frame — ``np.pad`` without the allocation, and with
+    negative offsets: what falls outside the frame is cropped."""
+    n, c, h, w = src.shape
+    a0, a1 = max(0, -top), min(h, fh - top)
+    b0, b1 = max(0, -left), min(w, fw - left)
+    frame = _scratch(("frame", c, fh, fw, top, left, h, w), (n, c, fh, fw), src.dtype, zeroed=True)
+    frame[:, :, top + a0 : top + a1, left + b0 : left + b1] = src[:, :, a0:a1, b0:b1]
+    return frame
+
+
+# Gathered columns that no backward pass keeps are built in blocks of about
+# this many bytes — a per-core L2's worth, so the GEMM that consumes a block
+# reads it from cache instead of streaming it back from memory.
+_GX_BLOCK_BYTES = 4 << 20
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +288,8 @@ class Backend:
 
         cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         if ph > 0 or pw > 0:
-            padded = _zeroed_scratch("col2im", (n, c, h + 2 * ph, w + 2 * pw), cols.dtype)
+            padded = _scratch("col2im", (n, c, h + 2 * ph, w + 2 * pw), cols.dtype)
+            padded.fill(0)
         else:
             # No pad: the accumulator is the result, so it must be fresh.
             padded = np.zeros((n, c, h, w), dtype=cols.dtype)
@@ -274,6 +348,45 @@ class Backend:
             gcols = g2d @ w2d  # (N*oh*ow, C*kh*kw)
             gx = self.col2im(gcols, x_shape, kh, kw, stride, ph, pw)
         return gw, gb, gx
+
+    # -- batch norm ----------------------------------------------------
+
+    def batch_norm_backward(
+        self,
+        g: np.ndarray,
+        x_hat: np.ndarray,
+        inv_std: np.ndarray,
+        gamma: np.ndarray,
+        axes: tuple[int, ...],
+        training: bool,
+        need_ggamma: bool,
+        need_gbeta: bool,
+        need_gx: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """``(ggamma, gbeta, gx)`` of ``x_hat * gamma + beta`` reduced over
+        ``axes``; ``inv_std`` is broadcast-shaped (channels on axis 1).  In
+        training mode ``x_hat`` was normalized with the batch's own
+        statistics, so ``gx`` carries their gradient too."""
+        ggamma = (g * x_hat).sum(axis=axes) if need_ggamma else None
+        gbeta = g.sum(axis=axes) if need_gbeta else None
+        gx = None
+        if need_gx:
+            gw = g * gamma.reshape(inv_std.shape)
+            if training:
+                n = x_hat.size / gamma.size
+                dxhat = gw
+                gx = (
+                    inv_std
+                    / n
+                    * (
+                        n * dxhat
+                        - dxhat.sum(axis=axes, keepdims=True)
+                        - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
+                    )
+                )
+            else:
+                gx = gw * inv_std
+        return ggamma, gbeta, gx
 
     # -- optimizer -----------------------------------------------------
 
@@ -432,10 +545,12 @@ class FastBackend(Backend):
     offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
     then run the forward as a single ``w2d @ colsT`` GEMM with an
     in-place bias add.  The backward reuses ``colsT`` for the weight
-    gradient and scatter-adds the input gradient with the same slab
-    loop.  Outputs change GEMM orientation vs the reference, so conv
-    forward/backward are ``tolerance``-tagged; everything else is
-    bit-exact.
+    gradient and computes the input gradient the same way — gather the
+    zero-framed output gradient over ``c_out`` channels, one GEMM with
+    the flipped kernel — so nothing is scatter-added.  Outputs change
+    GEMM orientation vs the reference, so conv forward/backward are
+    ``tolerance``-tagged, as is the fused BatchNorm backward (reordered
+    reductions); everything else is bit-exact.
     """
 
     name = "fast"
@@ -567,10 +682,7 @@ class FastBackend(Backend):
             ctx = ("1x1", x3, w2d, x.shape) if want_ctx else None
             return out3.reshape(n, c_out, h, w), ctx
 
-        if ph > 0 or pw > 0:
-            xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        else:
-            xp = x
+        xp = _zero_framed(x, h + 2 * ph, w + 2 * pw, ph, pw) if ph > 0 or pw > 0 else x
         cshape = (c_in * kh * kw, n * out_h * out_w)
         if want_ctx:
             # The backward closure captures colsT, so it must be freshly
@@ -587,9 +699,10 @@ class FastBackend(Backend):
         np.matmul(w2d, colsT, out=oT)
         if bias is not None:
             oT += bias[:, None]
-        out = np.ascontiguousarray(
-            oT.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-        )
+        # .copy(), not ascontiguousarray: with one image or one channel the
+        # transpose is already contiguous and would come back as a view of
+        # pool scratch.
+        out = oT.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3).copy()
         ctx = ("gen", colsT, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
         return out, ctx
 
@@ -618,38 +731,120 @@ class FastBackend(Backend):
             return gw, gb, gx
 
         _, colsT, w2d, x_shape, kh, kw, stride, ph, pw = ctx
-        n, c_in, h, w = x_shape
-        c_out = g.shape[1]
-        out_h = _out_size(h, kh, stride, ph)
-        out_w = _out_size(w, kw, stride, pw)
+        c_out, c_in = g.shape[1], x_shape[1]
         # (N, c_out, oh, ow) -> (c_out, N*oh*ow), matching colsT's columns.
         gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
         gw = (gT @ colsT.T).reshape(c_out, c_in, kh, kw) if need_gw else None
         gb = gT.sum(axis=1) if need_gb else None
         gx = None
         if need_gx:
-            gcolsT = _scratch("gcolsT", colsT.shape, colsT.dtype)
-            np.matmul(w2d.T, gT, out=gcolsT)
-            gc6 = gcolsT.reshape(c_in, kh, kw, n, out_h, out_w)
-            if ph > 0 or pw > 0:
-                padded = _zeroed_scratch(
-                    "conv_gx", (n, c_in, h + 2 * ph, w + 2 * pw), gcolsT.dtype
-                )
-            else:
-                padded = np.zeros((n, c_in, h, w), dtype=gcolsT.dtype)
-            for i in range(kh):
-                i_max = i + stride * out_h
-                for j in range(kw):
-                    j_max = j + stride * out_w
-                    padded[:, :, i:i_max:stride, j:j_max:stride] += gc6[:, i, j].transpose(
-                        1, 0, 2, 3
-                    )
-            if ph > 0 or pw > 0:
-                # A copy, never a view of the scratch accumulator.
-                gx = padded[:, :, ph : ph + h, pw : pw + w].copy()
-            else:
-                gx = padded
+            w4 = w2d.reshape(c_out, c_in, kh, kw)
+            gx = self._conv2d_input_grad(g, w4, x_shape, stride, ph, pw)
         return gw, gb, gx
+
+    def _conv2d_input_grad(
+        self,
+        g: np.ndarray,
+        w4: np.ndarray,
+        x_shape: tuple[int, int, int, int],
+        stride: int,
+        ph: int,
+        pw: int,
+    ) -> np.ndarray:
+        """``gx`` without a scatter: every element is written once, by a GEMM.
+
+        ``gx[n, ci, y, x] = Σ g[n, co, (y+ph-i)/s, (x+pw-j)/s] · w[co, ci, i, j]``
+        over the taps ``(i, j)`` that divide evenly.  The rows ``y ≡ ry`` and
+        columns ``x ≡ rx (mod s)`` see only the taps ``i ≡ ry+ph``,
+        ``j ≡ rx+pw``, so each of the s² phases of ``gx`` is a stride-1
+        correlation of ``g`` with a sub-kernel (stride 1: one phase, the
+        whole kernel) — no dilated zeros are gathered or multiplied.
+        """
+        kh, kw = w4.shape[2:]
+        gx = np.empty(x_shape, dtype=np.result_type(g, w4))
+        for ry in range(stride):
+            i0 = (ry + ph) % stride
+            for rx in range(stride):
+                j0 = (rx + pw) % stride
+                phase = gx[:, :, ry::stride, rx::stride]
+                if i0 >= kh or j0 >= kw:
+                    phase[...] = 0  # no tap reaches these pixels (k < stride)
+                    continue
+                self._correlate_flipped(
+                    phase, g, w4[:, :, i0::stride, j0::stride],
+                    (ry + ph - i0) // stride, (rx + pw - j0) // stride,
+                )
+        return gx
+
+    def _correlate_flipped(
+        self, out: np.ndarray, g: np.ndarray, w4: np.ndarray, dy: int, dx: int
+    ) -> None:
+        """``out[n, ci, y, x] = Σ g[n, co, y+dy-i, x+dx-j] · w4[co, ci, i, j]``.
+
+        The forward's gather + GEMM with the roles of the channels swapped:
+        ``g`` is laid into a zero frame of ``(h+kh-1, w+kw-1)`` at offset
+        ``(kh-1-dy, kw-1-dx)`` — negative when the padding exceeded k-1, then
+        it crops — the frame's patches are gathered over ``c_out`` channels,
+        and the flipped, channel-transposed kernel multiplies them.
+        """
+        n, c_in, h, w = out.shape
+        c_out, _, kh, kw = w4.shape
+        frame = _zero_framed(g, h + kh - 1, w + kw - 1, kh - 1 - dy, kw - 1 - dx)
+        w_flip = w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+        # Nothing keeps the gathered columns, so they are built a block of
+        # images at a time: the GEMM then reads them back from cache.
+        rows = c_out * kh * kw
+        block = max(1, _GX_BLOCK_BYTES // max(1, rows * h * w * g.dtype.itemsize))
+        for lo in range(0, n, block):
+            nb = min(block, n - lo)
+            cols = _scratch("conv_gx_cols", (rows, nb * h * w), g.dtype)
+            self._maybe_threaded_gather(
+                frame[lo : lo + nb], cols.reshape(c_out, kh, kw, nb, h, w), kh, kw, 1, h, w, nb
+            )
+            gxT = _scratch("conv_gxT", (c_in, nb * h * w), out.dtype)
+            np.matmul(w_flip, cols, out=gxT)
+            out[lo : lo + nb] = gxT.reshape(c_in, nb, h, w).transpose(1, 0, 2, 3)
+
+    # -- batch norm ----------------------------------------------------
+
+    def batch_norm_backward(
+        self,
+        g: np.ndarray,
+        x_hat: np.ndarray,
+        inv_std: np.ndarray,
+        gamma: np.ndarray,
+        axes: tuple[int, ...],
+        training: bool,
+        need_ggamma: bool,
+        need_gbeta: bool,
+        need_gx: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """Training mode fused: the two per-channel sums ``Σg`` and ``Σg·x̂``
+        are the β and γ gradients *and* all that ``gx`` needs of the batch,
+        so they are reduced once and ``gx = a·g + c2·x̂ + c3`` follows with
+        per-channel constants ``a = γ·inv_std``, ``c2 = -a·Σg·x̂/n``,
+        ``c3 = -a·Σg/n`` — six passes over the activation and one pooled
+        temporary where the reference makes twelve passes and eight
+        temporaries.  The reductions run in another order, hence the
+        ``tolerance`` tag."""
+        if not training:
+            return super().batch_norm_backward(
+                g, x_hat, inv_std, gamma, axes, training, need_ggamma, need_gbeta, need_gx
+            )
+        dims = list(range(g.ndim))
+        sum_gxhat = np.einsum(g, dims, x_hat, dims, [1])
+        sum_g = g.sum(axis=axes)
+        gx = None
+        if need_gx:
+            shape = inv_std.shape
+            a = gamma * inv_std.reshape(-1)
+            a_over_n = a * (-gamma.size / x_hat.size)
+            gx = g * a.reshape(shape)
+            tmp = _scratch("bn_gx", g.shape, gx.dtype)
+            np.multiply(x_hat, (a_over_n * sum_gxhat).reshape(shape), out=tmp)
+            gx += tmp
+            gx += (a_over_n * sum_g).reshape(shape)
+        return (sum_gxhat if need_ggamma else None, sum_g if need_gbeta else None, gx)
 
     # -- fused optimizers ----------------------------------------------
 

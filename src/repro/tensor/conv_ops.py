@@ -70,9 +70,10 @@ def conv2d(
 
     ``weight`` has shape ``(c_out, c_in, kh, kw)``.  The forward pass is a
     single GEMM over the im2col matrix; the backward pass reuses the cached
-    columns for the weight gradient and col2im for the input gradient.  The
-    backend that runs the forward owns the cached context, so the backward
-    stays consistent even if the active backend changes in between.
+    columns for the weight gradient, and gets the input gradient from col2im
+    (reference) or a second gather + GEMM (``fast``).  The backend that runs
+    the forward owns the cached context, so the backward stays consistent
+    even if the active backend changes in between.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_w, kh, kw = weight.data.shape
@@ -122,36 +123,53 @@ def conv2d(
     return Tensor._from_op(out, parents, backward, "conv2d")
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling with square window; ``stride`` defaults to ``kernel``."""
-    stride = stride or kernel
-    n, c, h, w = x.data.shape
-    out_h = _out_size(h, kernel, stride, 0)
-    out_w = _out_size(w, kernel, stride, 0)
+def _window_slabs(kernel: int, stride: int, out_h: int, out_w: int) -> list[tuple]:
+    """One index per window offset, row-major: ``a[idx]`` is the
+    ``(N, C, out_h, out_w)`` slab holding element ``(i, j)`` of every window."""
+    return [
+        (..., slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride))
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
 
-    sn, sc, sh, sw = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+
+def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
+    """Max pooling with square window; ``stride`` defaults to ``kernel``.
+
+    Both directions walk the k² window offsets as shifted strided slabs of
+    ``x``.  Forward folds them with ``np.maximum``.  Backward hands each
+    output gradient to the *first* offset whose input equals the max —
+    ``argmax``'s tie rule.  Disjoint windows (stride ≥ kernel) own their
+    ``gx`` elements, so each masked slab is written once; overlapping ones
+    (``MaxPool2d(3, 2)``) accumulate in offset order, the order the im2col
+    scatter-add used, so the sums round identically.
+    """
+    stride = stride or kernel
+    xd = x.data
+    out_h = _out_size(xd.shape[2], kernel, stride, 0)
+    out_w = _out_size(xd.shape[3], kernel, stride, 0)
+    slabs = _window_slabs(kernel, stride, out_h, out_w)
+    out = xd[slabs[0]].copy()
+    for idx in slabs[1:]:
+        np.maximum(out, xd[idx], out=out)
 
     def backward(g: np.ndarray) -> None:
-        grad_flat = np.zeros(flat.shape, dtype=g.dtype)
-        np.put_along_axis(grad_flat, argmax[..., None], g[..., None], axis=-1)
-        # Reorder to im2col's row convention: rows are (n, oh, ow), cols (c, kh, kw)
-        grad_cols = grad_flat.transpose(0, 2, 3, 1, 4).reshape(
-            n * out_h * out_w, c * kernel * kernel
-        )
-        x._accumulate(
-            col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0), owned=True
-        )
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        taken = None  # windows whose winner is already found
+        for idx in slabs:
+            first = xd[idx] == out
+            if taken is None:
+                taken = first
+            else:
+                np.greater(first, taken, out=first)  # first & ~taken
+                taken |= first
+            if stride >= kernel:
+                np.multiply(g, first, out=gx[idx])
+            else:
+                gx[idx] += g * first
+        x._accumulate(gx, owned=True)
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "max_pool2d")
+    return Tensor._from_op(out, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:

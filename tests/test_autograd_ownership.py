@@ -264,9 +264,10 @@ conv_programs = st.fixed_dictionaries(
         "n": st.integers(1, 2),
         "c": st.integers(1, 2),
         "hw": st.integers(4, 6),
-        "k": st.sampled_from((1, 3)),
-        "pad": st.sampled_from((0, 1, (1, 0), (0, 1))),
-        "pool": st.sampled_from((None, "max2", "avg2", "avg1")),
+        "k": st.sampled_from((1, 3, (1, 3), (2, 3))),
+        "stride": st.sampled_from((1, 2)),
+        "pad": st.sampled_from((0, 1, (1, 0), (0, 1), 2)),
+        "pool": st.sampled_from((None, "max2", "max3s1", "avg2", "avg1")),
         "norm": st.booleans(),
         "seed": st.integers(0, 2**16),
         "backend": st.sampled_from(("numpy", "fast")),
@@ -280,19 +281,23 @@ def run_conv(p):
     def leaf(*shape):
         return Tensor(data.standard_normal(shape).astype(np.float32), requires_grad=True)
 
-    c, k = p["c"], p["k"]
-    same = (k // 2, k // 2)
+    c = p["c"]
+    kh, kw = p["k"] if isinstance(p["k"], tuple) else (p["k"], p["k"])
     x = leaf(p["n"], c, p["hw"], p["hw"])
-    w1, b1, w2, b2 = leaf(c, c, k, k), leaf(c), leaf(c, c, k, k), leaf(c)
+    w1, b1, w2, b2 = leaf(c, c, kh, kw), leaf(c), leaf(c, c, 3, 3), leaf(c)
     norm = BatchNorm2d(c)
-    # The leaf's gradient comes out of the drawn padding's col2im path; the
-    # second convolution reuses whatever scratch buffers match its shapes.
-    h = conv2d(x, w1, b1, padding=p["pad"]).relu()
+    # The leaf's gradient comes out of the drawn kernel / stride / padding's
+    # input-gradient path (one image, one channel, a padding wider than the
+    # kernel's reach included); the second convolution reuses whatever
+    # scratch arenas its shapes share with the first.
+    h = conv2d(x, w1, b1, stride=p["stride"], padding=p["pad"]).relu()
     if p["norm"]:
         h = norm(h)
-    h = conv2d(h, w2, b2, padding=same)
+    h = conv2d(h, w2, b2, padding=1)
     if p["pool"] == "max2":
         h = max_pool2d(h, 2)
+    elif p["pool"] == "max3s1":
+        h = max_pool2d(h, min(3, h.shape[2], h.shape[3]), 1)
     elif p["pool"] == "avg2":
         h = avg_pool2d(h, 2)
     elif p["pool"] == "avg1":

@@ -10,6 +10,7 @@ The same tags drive the parity column of ``benchmarks/test_kernels.py``.
 import numpy as np
 import pytest
 
+from repro.nn import BatchNorm2d
 from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col, linear
 from repro.tensor.backend import (
     PARITY,
@@ -217,6 +218,61 @@ class TestOpParity:
         for ref, got in zip(states["numpy"], states[name]):
             assert_parity("lamb_update", ref, got)
 
+    @pytest.mark.parametrize("shape,axes", [((8, 5, 6, 7), (0, 2, 3)), ((1, 3, 4, 4), (0, 2, 3)),
+                                            ((16, 6), (0,)), ((2, 4, 1, 1), (0, 2, 3))])
+    @pytest.mark.parametrize("needs", [(True, True, True), (False, False, True),
+                                       (True, False, False), (False, True, True)])
+    def test_batch_norm_backward_training(self, name, rng, shape, axes, needs):
+        """Every ``requires_grad`` subset: the fused path still reduces both
+        sums when only ``gx`` is wanted, and returns ``None`` for the rest."""
+        stat_shape = tuple(s if i == 1 else 1 for i, s in enumerate(shape))
+        g = rng.standard_normal(shape).astype(np.float32)
+        x_hat = rng.standard_normal(shape).astype(np.float32)
+        inv_std = (rng.random(stat_shape) + 0.5).astype(np.float32)
+        gamma = rng.standard_normal(shape[1]).astype(np.float32)
+        ref = backend.get("numpy").batch_norm_backward(g, x_hat, inv_std, gamma, axes, True, *needs)
+        got = backend.get(name).batch_norm_backward(g, x_hat, inv_std, gamma, axes, True, *needs)
+        for need, r, o in zip(needs, ref, got):
+            assert (r is None) == (o is None) == (not need)
+            if need:
+                assert o.shape == r.shape and o.dtype == r.dtype
+                assert_parity("batch_norm_backward", r, o)
+
+    def test_batch_norm_backward_eval_is_the_reference(self, name, rng):
+        """Running statistics are constants: nothing to fuse, nothing reordered."""
+        g = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        x_hat = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        inv_std = (rng.random((1, 3, 1, 1)) + 0.5).astype(np.float32)
+        gamma = rng.standard_normal(3).astype(np.float32)
+        args = (g, x_hat, inv_std, gamma, (0, 2, 3), False, True, True, True)
+        for r, o in zip(backend.get("numpy").batch_norm_backward(*args),
+                        backend.get(name).batch_norm_backward(*args)):
+            assert r.tobytes() == o.tobytes()
+
+    @pytest.mark.parametrize("frozen", [(), ("weight",), ("weight", "bias"), ("x",)])
+    def test_batch_norm_module_grads(self, name, rng, frozen):
+        x_np = rng.standard_normal((6, 4, 5, 5)).astype(np.float32)
+        g_np = rng.standard_normal((6, 4, 5, 5)).astype(np.float32)
+        runs = {}
+        for b in ("numpy", name):
+            with backend.use(b):
+                bn = BatchNorm2d(4)
+                bn.weight.data[:] = [0.5, -1.0, 2.0, 1.5]
+                for attr in ("weight", "bias"):
+                    getattr(bn, attr).requires_grad = attr not in frozen
+                x = Tensor(x_np.copy(), requires_grad="x" not in frozen)
+                out = bn(x)
+                out.backward(g_np)
+                runs[b] = (out.data, bn.running_mean, bn.running_var,
+                           x.grad, bn.weight.grad, bn.bias.grad)
+        # Forward (output and running statistics) is not dispatched: same bytes.
+        for r, o in zip(runs["numpy"][:3], runs[name][:3]):
+            assert r.tobytes() == o.tobytes()
+        for r, o in zip(runs["numpy"][3:], runs[name][3:]):
+            assert (r is None) == (o is None)
+            if r is not None:
+                assert_parity("batch_norm_backward", r, o)
+
     def test_segment_norms(self, name, rng):
         x = rng.standard_normal(1000).astype(np.float32)
         starts = np.array([0, 3, 4, 500], dtype=np.intp)
@@ -237,6 +293,7 @@ class TestParityContract:
             "col2im",
             "conv2d_forward",
             "conv2d_backward",
+            "batch_norm_backward",
             "sgd_update",
             "adam_update",
             "lamb_update",

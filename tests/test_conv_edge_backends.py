@@ -5,14 +5,14 @@ standard for correctness) where practical, and parity-asserted between
 the numpy reference backend and each alternative backend (the contract
 `tests/test_backend_parity.py` establishes op-by-op, here at the edges:
 stride>1 with asymmetric padding, the 1×1 fast path, non-contiguous
-inputs, and empty batches).
+inputs, empty batches, and the corners of the gather + GEMM input gradient).
 """
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor, backend, conv2d
-from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL
+from repro.tensor.backend import _SCRATCH, TOLERANCE_ATOL, TOLERANCE_RTOL
 
 BACKENDS = backend.available()
 NON_REF = [n for n in BACKENDS if n != "numpy"]
@@ -129,3 +129,65 @@ class TestEdgeParity:
             assert gx.shape == x.shape
             assert np.array_equal(gw, np.zeros_like(w))
             assert np.array_equal(gb, np.zeros_like(b))
+
+
+# (n, c_in, c_out, h, w, kh, kw, stride, padding) — the corners of the fast
+# backend's gather + GEMM input gradient.
+INPUT_GRAD_CASES = {
+    "one-image-one-channel": (1, 1, 1, 6, 6, 3, 3, 1, 1),
+    "one-image": (1, 3, 2, 6, 5, 3, 3, 1, 1),
+    "one-channel-in": (3, 1, 2, 6, 5, 3, 3, 1, 1),
+    "k1-pad1-border-must-crop": (2, 2, 3, 5, 5, 1, 1, 1, 1),
+    "pad-exceeds-k-1": (2, 2, 3, 5, 4, 3, 3, 1, 3),
+    "stride2-leftover-rows": (2, 3, 4, 10, 8, 3, 3, 2, 1),  # (h + 2p - k) % s = 1
+    "stride2-1x1-shortcut": (2, 4, 8, 8, 8, 1, 1, 2, 0),  # three of four phases see no tap
+    "stride3-k2-gap": (1, 2, 2, 11, 9, 2, 2, 3, 0),
+    "kh-not-kw": (2, 3, 4, 9, 8, 2, 3, 1, (1, 0)),
+    "ph-not-pw": (2, 3, 4, 9, 8, 3, 3, 1, (2, 1)),
+    "stride2-kh-not-kw-ph-not-pw": (2, 2, 3, 11, 9, 3, 5, 2, (0, 2)),
+    "stem-7x7-stride2": (1, 3, 4, 16, 16, 7, 7, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", NON_REF)
+@pytest.mark.parametrize("case", sorted(INPUT_GRAD_CASES))
+class TestInputGradientPath:
+    def _run(self, name, case, rng):
+        n, c_in, c_out, h, w, kh, kw, stride, padding = INPUT_GRAD_CASES[case]
+        ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+        x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+        wt = (rng.standard_normal((c_out, c_in, kh, kw)) * 0.3).astype(np.float32)
+        b = rng.standard_normal((c_out,)).astype(np.float32)
+        ref_be, be = backend.get("numpy"), backend.get(name)
+        ref_out, ref_ctx = ref_be.conv2d_forward(x, wt, b, stride, ph, pw, True)
+        out, ctx = be.conv2d_forward(x, wt, b, stride, ph, pw, True)
+        g = rng.standard_normal(ref_out.shape).astype(np.float32)
+        ref = ref_be.conv2d_backward(g, ref_ctx, True, True, True)
+        got = be.conv2d_backward(g, ctx, True, True, True)
+        return g, out, ctx, ref, got
+
+    def test_gx_matches_reference(self, name, case, rng):
+        *_, (_, _, ref_gx), (_, _, gx) = self._run(name, case, rng)
+        assert gx.shape == ref_gx.shape and gx.dtype == ref_gx.dtype
+        assert_close(ref_gx, gx)
+
+    def test_gw_gb_are_the_cached_column_products_bit_for_bit(self, name, case, rng):
+        """The input gradient changed route; the other two must not have:
+        ``gw`` is still ``gT @ colsT.T`` over the forward's cached columns and
+        ``gb`` the row sums of ``gT``, in that orientation, to the bit."""
+        g, _, ctx, _, (gw, gb, _) = self._run(name, case, rng)
+        if ctx[0] != "gen":
+            pytest.skip("the 1x1 stride-1 branch has its own batched products")
+        c_out = g.shape[1]
+        gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        assert gw.tobytes() == (gT @ ctx[1].T).reshape(gw.shape).tobytes()
+        assert gb.tobytes() == gT.sum(axis=1).tobytes()
+
+    def test_results_never_alias_pool_scratch(self, name, case, rng):
+        """ISSUE 13's col2im bug, for the new route: with one image or one
+        channel a transposed copy-out is already contiguous, and
+        ``ascontiguousarray`` would hand back a view of pool scratch."""
+        _, out, _, _, (gw, gb, gx) = self._run(name, case, rng)
+        for arr in (out, gw, gb, gx):
+            assert arr.flags.writeable
+            assert all(not np.shares_memory(arr, s) for s in _SCRATCH.values())

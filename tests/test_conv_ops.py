@@ -3,6 +3,7 @@ reference convolution, and gradient checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tensor import (
     Tensor,
@@ -155,3 +156,82 @@ class TestPooling:
         out = global_avg_pool2d(x)
         assert out.shape == (2, 3)
         assert np.allclose(out.data, x.data.mean(axis=(2, 3)), atol=1e-6)
+
+
+def argmax_pool_oracle(x, kernel, stride, g):
+    """The route max_pool2d took before it walked shifted slabs: strided
+    windows, ``argmax`` (first maximum wins a tie), ``put_along_axis``, and
+    the im2col scatter-add in kernel-offset order."""
+    n, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, oh, ow, kernel, kernel),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        writeable=False,
+    )
+    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
+    argmax = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    grad_flat = np.zeros(flat.shape, dtype=g.dtype)
+    np.put_along_axis(grad_flat, argmax[..., None], g[..., None], axis=-1)
+    grad6 = grad_flat.reshape(n, c, oh, ow, kernel, kernel)
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += grad6[..., i, j]
+    return out, gx
+
+
+pool_cases = st.fixed_dictionaries(
+    {
+        "kernel": st.integers(1, 4),
+        "stride": st.integers(1, 4),  # < kernel overlaps, > kernel leaves gaps
+        "extra_h": st.integers(0, 6),  # h = kernel + extra: mostly not divisible
+        "extra_w": st.integers(0, 6),
+        "n": st.integers(1, 2),
+        "c": st.integers(1, 3),
+        # Inputs rounded to a grid of `levels` values, so windows tie often.
+        "levels": st.sampled_from((2, 3, 8, None)),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+class TestMaxPoolMatchesArgmaxOracle:
+    @given(pool_cases)
+    @settings(max_examples=200, deadline=None)
+    def test_output_and_input_gradient(self, p):
+        data = np.random.default_rng(p["seed"])
+        k, s = p["kernel"], p["stride"]
+        x = data.standard_normal((p["n"], p["c"], k + p["extra_h"], k + p["extra_w"]))
+        if p["levels"]:
+            x = np.floor(x * p["levels"] / 2) + 0.0  # "+ 0.0": no negative zeros
+        x = x.astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, k, s)
+        g = data.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        ref_out, ref_gx = argmax_pool_oracle(x, k, s, g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        # Equal under ``==``, the repo's bit-exact rule: a window that is
+        # written rather than accumulated leaves ``g·False`` at the losers,
+        # which is -0.0 where g < 0.  Every non-zero byte is the oracle's.
+        assert np.array_equal(t.grad, ref_gx)
+        if s < k:  # accumulated: even the zeros' signs agree
+            assert t.grad.tobytes() == ref_gx.tobytes()
+        assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+
+    def test_tie_goes_to_the_first_offset_row_major(self):
+        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
+        max_pool2d(x, 2).backward(np.full((1, 1, 1, 1), 3.0, dtype=np.float32))
+        assert np.array_equal(x.grad[0, 0], [[3.0, 0.0], [0.0, 0.0]])
+
+    def test_overlapping_windows_accumulate(self):
+        # MaxPool2d(3, 2), ResNet's stem pool: the centre pixel wins both windows.
+        x = np.zeros((1, 1, 3, 5), dtype=np.float32)
+        x[0, 0, 1, 2] = 1.0
+        t = Tensor(x, requires_grad=True)
+        max_pool2d(t, 3, 2).backward(np.array([[[[2.0, 5.0]]]], dtype=np.float32))
+        assert t.grad[0, 0, 1, 2] == 7.0 and t.grad.sum() == 7.0

@@ -24,7 +24,11 @@ def small_model(seed=0):
 def conv_model(seed=0):
     set_seed(seed)
     return nn.Sequential(
-        nn.Conv2d(3, 8, 3, padding=1),
+        # No conv bias: a bias under BatchNorm has an exactly-zero gradient,
+        # so backward returns rounding noise (~1e-8) for it, Adam/LAMB scale
+        # that noise to O(lr) updates, and after one step the loop-vs-fused
+        # comparison would be between two realizations of the noise.
+        nn.Conv2d(3, 8, 3, padding=1, bias=False),
         nn.BatchNorm2d(8),
         nn.ReLU(),
         nn.GlobalAvgPool2d(),
