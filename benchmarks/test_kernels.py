@@ -38,14 +38,14 @@ MIN_SPEEDUP = {
     "conv2d_forward": 1.5,
     # The input gradient is a gather over c_out channels + one GEMM, where
     # the reference GEMMs into c_in·k² rows and scatter-adds them: the fast
-    # path wins in proportion to c_in / c_out.  Gated at the two shapes that
-    # carry a hybrid VGG-19 (equal widths: 12 of its 16 convs; the low-rank
-    # U factor, c_in = 4·rank); the channel-doubling shape this row used to
-    # time is kept as parity coverage — there the two routes move the same
-    # bytes (docs/PERFORMANCE.md has the pairs).
+    # path wins in proportion to c_in / c_out.  Hence a floor per ratio: the
+    # two shapes that carry a hybrid VGG-19 (equal widths: 12 of its 16
+    # convs; the low-rank U factor, c_in = 4·rank) and the channel-doubling
+    # shape, where the two routes move the same bytes and fast must merely
+    # not lose (docs/PERFORMANCE.md has the pairs).
     "conv2d_backward": 1.5,
     "conv2d_backward_lowrank": 2.0,
-    "conv2d_backward_expand": None,
+    "conv2d_backward_expand": 1.0,
     "batch_norm_backward": 1.3,
     "im2col": 1.0,
     "relu": None,
@@ -200,8 +200,8 @@ def test_conv2d_backward_lowrank_speedup(rng):
     _conv_backward_case("conv2d_backward_lowrank", rng, c=128, hw=4, co=32)
 
 
-def test_conv2d_backward_expand_parity(rng):
-    """Channel-doubling at full resolution: parity coverage, no perf claim."""
+def test_conv2d_backward_expand_speedup(rng):
+    """Channel-doubling at full resolution: the gather route's worst ratio."""
     _conv_backward_case("conv2d_backward_expand", rng, c=16, hw=32, co=32)
 
 
@@ -502,7 +502,7 @@ def _pool_case(name, rng, shape, kernel, stride):
         return y.data, t.grad
 
     ref, got = _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route()
-    match_ok = all(np.array_equal(r, o) for r, o in zip(ref, got))
+    match_ok = all(r.tobytes() == o.tobytes() for r, o in zip(ref, got))
     o_ms, s_ms = paired_best_ms(lambda: _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route,
                                 rounds=2 * REPEATS)
     _POOL[name] = {

@@ -123,11 +123,13 @@ class _ScratchPool:
     and they are what the budget is for: a process that keeps meeting new
     layouts would otherwise keep every frame it ever made.  The budget is
     ``BUDGET_FACTOR`` times the largest arena held, so it scales with the
-    model and not with the history.  Measured working sets: a hybrid VGG-19
-    train step at batch 32 holds 3.9× its largest arena (the frames of a conv
-    pyramid shrink geometrically, but come two per stage), a ResNet-18 server
-    1.4×; 8 leaves a step twice the room it needs, and what falls off the
-    end are arenas the process has stopped using.
+    model and not with the history.  Measured working sets: the forward half
+    of a hybrid VGG-19 train step at batch 32 holds 3.9× its largest arena
+    (the frames of a conv pyramid shrink geometrically, but come two per
+    stage), the whole step 1.7× once backward has brought the column matrix,
+    a ResNet-18 train step 1.9×, its server 1.4×; 8 leaves the worst of them
+    twice the room it needs, and what falls off the end are arenas the
+    process has stopped using.
     """
 
     BUDGET_FACTOR = 8
@@ -191,12 +193,6 @@ def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int) -> np.n
     frame = _scratch(("frame", c, fh, fw, top, left, h, w), (n, c, fh, fw), src.dtype, zeroed=True)
     frame[:, :, top + a0 : top + a1, left + b0 : left + b1] = src[:, :, a0:a1, b0:b1]
     return frame
-
-
-# Gathered columns that no backward pass keeps are built in blocks of about
-# this many bytes — a per-core L2's worth, so the GEMM that consumes a block
-# reads it from cache instead of streaming it back from memory.
-_GX_BLOCK_BYTES = 4 << 20
 
 
 # ----------------------------------------------------------------------
@@ -791,19 +787,11 @@ class FastBackend(Backend):
         c_out, _, kh, kw = w4.shape
         frame = _zero_framed(g, h + kh - 1, w + kw - 1, kh - 1 - dy, kw - 1 - dx)
         w_flip = w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        # Nothing keeps the gathered columns, so they are built a block of
-        # images at a time: the GEMM then reads them back from cache.
-        rows = c_out * kh * kw
-        block = max(1, _GX_BLOCK_BYTES // max(1, rows * h * w * g.dtype.itemsize))
-        for lo in range(0, n, block):
-            nb = min(block, n - lo)
-            cols = _scratch("conv_gx_cols", (rows, nb * h * w), g.dtype)
-            self._maybe_threaded_gather(
-                frame[lo : lo + nb], cols.reshape(c_out, kh, kw, nb, h, w), kh, kw, 1, h, w, nb
-            )
-            gxT = _scratch("conv_gxT", (c_in, nb * h * w), out.dtype)
-            np.matmul(w_flip, cols, out=gxT)
-            out[lo : lo + nb] = gxT.reshape(c_in, nb, h, w).transpose(1, 0, 2, 3)
+        cols = _scratch("conv_gx_cols", (c_out * kh * kw, n * h * w), g.dtype)
+        self._maybe_threaded_gather(frame, cols.reshape(c_out, kh, kw, n, h, w), kh, kw, 1, h, w, n)
+        gxT = _scratch("conv_gxT", (c_in, n * h * w), out.dtype)
+        np.matmul(w_flip, cols, out=gxT)
+        out[...] = gxT.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
 
     # -- batch norm ----------------------------------------------------
 

@@ -142,7 +142,8 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     ``argmax``'s tie rule.  Disjoint windows (stride ≥ kernel) own their
     ``gx`` elements, so each masked slab is written once; overlapping ones
     (``MaxPool2d(3, 2)``) accumulate in offset order, the order the im2col
-    scatter-add used, so the sums round identically.
+    scatter-add used, so the sums round identically.  Either way ``gx`` is
+    byte-equal to the argmax / ``put_along_axis`` / ``col2im`` route's.
     """
     stride = stride or kernel
     xd = x.data
@@ -167,6 +168,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
                 np.multiply(g, first, out=gx[idx])
             else:
                 gx[idx] += g * first
+        if stride >= kernel:
+            # g·False is -0.0 where g < 0; a scatter-add leaves +0.0 there.
+            gx += 0.0
         x._accumulate(gx, owned=True)
 
     return Tensor._from_op(out, (x,), backward, "max_pool2d")

@@ -24,11 +24,7 @@ def small_model(seed=0):
 def conv_model(seed=0):
     set_seed(seed)
     return nn.Sequential(
-        # No conv bias: a bias under BatchNorm has an exactly-zero gradient,
-        # so backward returns rounding noise (~1e-8) for it, Adam/LAMB scale
-        # that noise to O(lr) updates, and after one step the loop-vs-fused
-        # comparison would be between two realizations of the noise.
-        nn.Conv2d(3, 8, 3, padding=1, bias=False),
+        nn.Conv2d(3, 8, 3, padding=1),
         nn.BatchNorm2d(8),
         nn.ReLU(),
         nn.GlobalAvgPool2d(),
@@ -82,7 +78,7 @@ class TestFusedVsLoop:
         o2 = fused_cls(m2.parameters(), lr=1e-3, weight_decay=1e-2)
         rng = np.random.default_rng(5)
         loss_fn = nn.CrossEntropyLoss()
-        for _ in range(3):
+        for step in range(3):
             x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
             y = rng.integers(0, 4, size=4)
             for model, opt in ((m1, o1), (m2, o2)):
@@ -91,7 +87,16 @@ class TestFusedVsLoop:
                 loss.backward()
                 opt.step()
             for a, b in zip(m1.parameters(), m2.parameters()):
-                assert_match(kind, a.data, b.data)
+                if kind == "tolerance" and a is m1[0].bias:
+                    # A conv bias under BatchNorm has a true gradient of zero;
+                    # backward returns rounding noise for it, LAMB normalises
+                    # noise to full-size updates, and once the two models are
+                    # 1e-7 apart their noise differs.  Each step moves an
+                    # element by at most lr * ||w||, so that bounds the gap.
+                    gap = 2 * (step + 1) * o1.lr * np.linalg.norm(a.data)
+                    np.testing.assert_allclose(b.data, a.data, rtol=0, atol=gap)
+                else:
+                    assert_match(kind, a.data, b.data)
 
     @pytest.mark.parametrize("fused_cls", [FusedAdam, FusedLAMB])
     def test_step_flat_matches_step(self, fused_cls):
