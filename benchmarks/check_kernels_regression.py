@@ -7,8 +7,8 @@ are machine-dependent, so times are never diffed against the baseline;
 what is gated:
 
 * **structure** — the op set, the fused-step set, the
-  ``linear_fwd_bwd`` pair and the ``max_pool_fwd_bwd`` pair, each entry's
-  parity tag (or match kind),
+  ``linear_fwd_bwd`` pair, the ``max_pool_fwd_bwd`` pair and the
+  ``powersgd_round`` row, each entry's parity tag (or match kind),
   benchmark shape, graph-node counts and enforced floor must match the
   baseline exactly: a silently dropped op or a loosened floor is a gate
   change, not noise;
@@ -19,8 +19,10 @@ what is gated:
   fused optimizer steps (FusedAdam / FusedLAMB vs the in-place
   per-tensor loop) must hold their ≥2× floor at CPU-scaled wide-model
   widths, ``functional.linear`` must hold its floor over the
-  three-node composite, and ``max_pool2d`` its floor over the argmax /
-  col2im route it replaced.
+  three-node composite, ``max_pool2d`` its floor over the argmax /
+  col2im route it replaced, and a PowerSGD round with in-place error
+  feedback its floor over the allocate-per-round codec it replaced — with
+  a smaller peak working set, or the point of the rewrite is gone.
 
 Usage::
 
@@ -48,6 +50,10 @@ LINEAR_RULE = ExactFields(
 POOL_RULE = ExactFields(
     ("shape", "match", "min_speedup"),
     note="max_pool_fwd_bwd benchmark structure changed",
+)
+POWERSGD_RULE = ExactFields(
+    ("shape", "match", "min_speedup"),
+    note="powersgd_round benchmark structure changed",
 )
 
 
@@ -91,6 +97,18 @@ def fused_invariants(section: str, unfused: str):
     return invariants
 
 
+def powersgd_invariants(name: str, cur: dict) -> list[str]:
+    """Match + floor as every rewrite-vs-oracle section, and the rewrite's
+    point: a round's peak working set below the allocating codec's."""
+    failures = fused_invariants("powersgd_round", "allocate-per-round codec")(name, cur)
+    if not cur["inplace_peak_mb"] < cur["oracle_peak_mb"]:
+        failures.append(
+            f"powersgd_round.{name}: peak working set {cur['inplace_peak_mb']} MB "
+            f"not below the allocate-per-round codec's {cur['oracle_peak_mb']} MB"
+        )
+    return failures
+
+
 def _walk(current, baseline, section, rule, invariants, failures):
     cur_items = current.get(section, {})
     for name, base in sorted(baseline.get(section, {}).items()):
@@ -112,6 +130,7 @@ def check(current: dict, baseline: dict, threshold: float) -> list[str]:
           fused_invariants("linear_fwd_bwd", "x @ W.T + b composite"), failures)
     _walk(current, baseline, "max_pool_fwd_bwd", POOL_RULE,
           fused_invariants("max_pool_fwd_bwd", "argmax / col2im route"), failures)
+    _walk(current, baseline, "powersgd_round", POWERSGD_RULE, powersgd_invariants, failures)
     return failures
 
 
@@ -123,7 +142,8 @@ GATE = Gate(
     item_word="ops",
     custom=check,
     ok_line=lambda n, t: (
-        f"kernel regression gate: {n} ops + fused steps + fused linear + max pool OK "
+        f"kernel regression gate: {n} ops + fused steps + fused linear + max pool "
+        "+ PowerSGD round OK "
         "(structure exact, parity + speedup floors hold)"
     ),
     description=__doc__.splitlines()[0],

@@ -4,8 +4,9 @@ Times every op the ``fast`` backend overrides under both backends at
 CPU-scaled widths (ops it merely inherits — ``matmul``, ``sgd_update`` —
 would time one method against itself), re-checks the parity contract from
 :data:`repro.tensor.backend.PARITY`, times the fused ``functional.linear``
-node against the three-node composite it replaced, and writes
-``BENCH_kernels.json`` (speedup tables + parity summary).
+node against the three-node composite it replaced and a PowerSGD round
+with in-place error feedback against the allocate-per-round codec it
+replaced, and writes ``BENCH_kernels.json`` (speedup tables + parity summary).
 ``check_kernels_regression.py`` gates the artifact against the committed
 baseline: structure exactly, parity booleans, and per-op speedup floors
 (the headline: ≥1.5× on the batched im2col-matmul conv forward).
@@ -18,11 +19,14 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from harness import print_table, scaled_vgg19
+from repro.compression import EncodeResult, PowerSGD
+from repro.compression.powersgd import _as_matrix, _orthogonalize
 from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
 from repro.tensor import Tensor, backend, functional, graph_nodes_created, max_pool2d
 from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL
@@ -76,10 +80,18 @@ LINEAR_FLOOR = {"vanilla": 1.5, "lowrank": 1.0}
 # backends, so this is rewrite-vs-oracle, not numpy-vs-fast.
 POOL_FLOOR = {"vgg_2x2": 3.0, "resnet_3x3s2": 1.5}
 
+# One PowerSGD protocol round (every worker's encode + the decode) with the
+# error-feedback residual folded into one resident matrix per (worker,
+# layer), vs the codec it replaced, kept below as the oracle: ``m = g + err``
+# and ``err = m - m_hat`` as fresh arrays every round.  Same GEMMs, same QR;
+# the win is the two 7.9 MB-per-worker allocations and the working set.
+POWERSGD_FLOOR = {"mlp_rank4": 1.2}
+
 _RESULTS: dict[str, dict] = {}
 _FUSED: dict[str, dict] = {}
 _LINEAR: dict[str, dict] = {}
 _POOL: dict[str, dict] = {}
+_POWERSGD: dict[str, dict] = {}
 
 
 def best_ms(call, setup=None, repeats=REPEATS) -> float:
@@ -526,6 +538,114 @@ def test_max_pool_fwd_bwd_resnet_stem(rng):
     _pool_case("resnet_3x3s2", rng, (32, 16, 32, 32), 3, 2)
 
 
+class _AllocPerRoundPowerSGD(PowerSGD):
+    """PowerSGD's error feedback as it was: the residual lives in an array of
+    its own, ``encode`` adds it into a fresh matrix and ``decode_aggregate``
+    subtracts ``m_hat`` into another, per worker, every round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._errors: dict[tuple[int, int], np.ndarray] = {}
+
+    def encode(self, worker, grads, layer_offset=0):
+        ps, matrices, raw = {}, {}, {}
+        for i, g in enumerate(grads):
+            if g.ndim < 2:
+                raw[i] = g
+                continue
+            m = _as_matrix(g).astype(np.float32, copy=False)
+            err = self._errors.get((worker, layer_offset + i))
+            if err is not None:
+                m = m + err
+            q = self._q_for(layer_offset + i, m.shape[1])
+            ps[i] = m @ q[:, : min(self.rank, *m.shape)]
+            matrices[i] = m
+        shapes = [g.shape for g in grads]
+        return EncodeResult(payload=(ps, matrices, raw, worker, shapes, layer_offset), nbytes=0)
+
+    def decode_aggregate(self, results):
+        first_ps, first_ms, _, _, shapes, layer_offset = results[0].payload
+        out = [None] * len(shapes)
+        for i in first_ps:
+            layer = layer_offset + i
+            p_hat = _orthogonalize(np.mean([res.payload[0][i] for res in results], axis=0))
+            q_acc = np.zeros((first_ms[i].shape[1], p_hat.shape[1]), dtype=np.float64)
+            for res in results:
+                q_acc += res.payload[1][i].T @ p_hat
+            q_new = (q_acc / len(results)).astype(np.float32)
+            if self._qs[layer].shape == q_new.shape:
+                self._qs[layer] = q_new
+            m_hat = p_hat @ q_new.T
+            for res in results:
+                self._errors[(res.payload[3], layer)] = res.payload[1][i] - m_hat
+            out[i] = m_hat.reshape(shapes[i])
+        return out
+
+
+def _powersgd_round(comp, grads):
+    return comp.decode_aggregate([comp.encode(w, g) for w, g in enumerate(grads)])
+
+
+def _powersgd_memory(make, grads_for_round, rounds):
+    """(resident, peak) MB of everything ``rounds`` protocol rounds allocate:
+    what the codec still holds once the round's gradients and payloads are
+    dropped, and the most that was alive at once (gradients included)."""
+    tracemalloc.start()
+    comp = make()
+    for r in range(rounds):
+        _powersgd_round(comp, grads_for_round(r))
+    resident, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return round(resident / 2**20, 1), round(peak / 2**20, 1)
+
+
+def test_powersgd_round_in_place(rng):
+    """The ``ddp_powersgd`` MLP's three matrix layers, 4 workers, rank 4:
+    rounds 3…8 (steady state: every worker holds a residual), the oracle's
+    round and the in-place round interleaved."""
+    world, shapes = 4, ((512, 3072), (512, 512), (256, 512))
+    pool = [
+        [[rng.standard_normal(s).astype(np.float32) for s in shapes] for _ in range(world)]
+        for _ in range(2)
+    ]
+
+    def fresh(r):  # the trainer hands over new arrays every iteration
+        return [[g.copy() for g in grads] for grads in pool[r % 2]]
+
+    oracle, inplace = _AllocPerRoundPowerSGD(world, rank=4), PowerSGD(world, rank=4)
+    match_ok, o_ms, i_ms = True, float("inf"), float("inf")
+    for r in range(8):
+        grads, out = fresh(r), {}
+        a, b = paired_best_ms(
+            lambda: out.update(oracle=_powersgd_round(oracle, grads)),
+            lambda: out.update(inplace=_powersgd_round(inplace, grads)),
+            rounds=1,
+        )
+        if r >= 2:
+            o_ms, i_ms = min(o_ms, a), min(i_ms, b)
+        match_ok &= all(
+            x.tobytes() == y.tobytes() for x, y in zip(out["oracle"], out["inplace"])
+        )
+    del oracle, inplace, grads, out
+    o_mem = _powersgd_memory(lambda: _AllocPerRoundPowerSGD(world, rank=4), fresh, 4)
+    i_mem = _powersgd_memory(lambda: PowerSGD(world, rank=4), fresh, 4)
+    _POWERSGD["mlp_rank4"] = {
+        "shape": f"W{world} r4 " + " + ".join(f"{n}x{m}" for n, m in shapes),
+        "oracle_ms": round(o_ms, 4),
+        "inplace_ms": round(i_ms, 4),
+        "speedup": round(o_ms / i_ms, 3),
+        "oracle_resident_mb": o_mem[0],
+        "oracle_peak_mb": o_mem[1],
+        "inplace_resident_mb": i_mem[0],
+        "inplace_peak_mb": i_mem[1],
+        "match": "bit-exact",
+        "match_ok": match_ok,
+        "min_speedup": POWERSGD_FLOOR["mlp_rank4"],
+    }
+    assert match_ok
+    assert i_mem[1] < o_mem[1]
+
+
 def test_emit_kernels_artifact():
     """Runs last (file order): all ops recorded, floors hold, artifact out."""
     assert set(_RESULTS) == set(MIN_SPEEDUP), (
@@ -538,6 +658,9 @@ def test_emit_kernels_artifact():
         f"linear_fwd_bwd set mismatch: {sorted(_LINEAR)}"
     )
     assert set(_POOL) == set(POOL_FLOOR), f"max_pool_fwd_bwd set mismatch: {sorted(_POOL)}"
+    assert set(_POWERSGD) == set(POWERSGD_FLOOR), (
+        f"powersgd_round set mismatch: {sorted(_POWERSGD)}"
+    )
     rows = []
     for op in sorted(_RESULTS):
         r = _RESULTS[op]
@@ -582,12 +705,25 @@ def test_emit_kernels_artifact():
             for name, s in sorted(_POOL.items())
         ],
     )
+    print_table(
+        "PowerSGD round: error feedback in place vs allocate-per-round "
+        "(4 encodes + decode, best of rounds 3-8)",
+        ["Case", "Shape", "oracle (ms)", "in place (ms)", "Speedup",
+         "resident MB", "peak MB", "Match", "Floor"],
+        [
+            [name, s["shape"], s["oracle_ms"], s["inplace_ms"], s["speedup"],
+             f"{s['oracle_resident_mb']} -> {s['inplace_resident_mb']}",
+             f"{s['oracle_peak_mb']} -> {s['inplace_peak_mb']}", s["match"], s["min_speedup"]]
+            for name, s in sorted(_POWERSGD.items())
+        ],
+    )
     artifact = {
-        "schema": 4,
+        "schema": 5,
         "ops": _RESULTS,
         "fused_step": _FUSED,
         "linear_fwd_bwd": _LINEAR,
         "max_pool_fwd_bwd": _POOL,
+        "powersgd_round": _POWERSGD,
         "parity_all_ok": all(r["parity_ok"] for r in _RESULTS.values()),
     }
     with open(KERNELS_FILE, "w") as f:

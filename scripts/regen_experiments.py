@@ -316,6 +316,40 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
              "Speedup", "Enforced floor"],
             rows,
         )
+    powersgd = artifact.get("powersgd_round")
+    if powersgd:
+        lines += [
+            "",
+            "One PowerSGD protocol round (every worker's `encode` + the "
+            "`decode_aggregate`, best of rounds 3–8) with error feedback "
+            "folded into one resident matrix per (worker, layer), vs the "
+            "codec it replaced (`m = g + err` and `err = m − m̂` as fresh "
+            "arrays every round; kept in the benchmark as the oracle).  "
+            "MB are `tracemalloc` totals of four rounds: *resident* is what "
+            "the codec holds between rounds (the in-place codec also keeps "
+            "the round's shared `m̂`), *peak* the most alive at once, the "
+            "workers' gradients included:",
+            "",
+        ]
+        rows = [
+            [
+                name,
+                s["match"],
+                s["shape"],
+                f"{s['oracle_ms']:.2f}",
+                f"{s['inplace_ms']:.2f}",
+                f"{s['speedup']:.2f}×",
+                f"{s['oracle_resident_mb']} → {s['inplace_resident_mb']}",
+                f"{s['oracle_peak_mb']} → {s['inplace_peak_mb']}",
+                f"≥{s['min_speedup']:.1f}×",
+            ]
+            for name, s in sorted(powersgd.items())
+        ]
+        lines += _md_table(
+            ["Case", "Match", "Shape", "allocating (ms)", "in place (ms)",
+             "Speedup", "Resident MB", "Peak MB", "Enforced floor"],
+            rows,
+        )
     return lines
 
 

@@ -9,6 +9,7 @@ from .base import (
     Compressor,
     EncodeResult,
     NoCompression,
+    UndecodedRoundError,
     make_compressor,
     register_compressor,
     registered_compressors,
@@ -34,6 +35,7 @@ __all__ = [
     "Atomo",
     "ABTraining",
     "VarianceGated",
+    "UndecodedRoundError",
     "atomo_probabilities",
     "make_compressor",
     "register_compressor",

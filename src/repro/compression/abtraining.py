@@ -31,6 +31,7 @@ from .base import (
     FLOAT32_BYTES,
     Compressor,
     EncodeResult,
+    ResidualStore,
     register_compressor,
 )
 
@@ -80,7 +81,7 @@ class ABTraining(Compressor):
         self._us: dict[int, np.ndarray] = {}
         self._vs: dict[int, np.ndarray] = {}
         # Per-(worker, global layer) error feedback.
-        self._errors: dict[tuple[int, int], np.ndarray] = {}
+        self._residuals = ResidualStore()
 
     # ------------------------------------------------------------------
 
@@ -108,11 +109,9 @@ class ABTraining(Compressor):
                 entries.append(("raw", g.copy()))
                 nbytes += g.size * FLOAT32_BYTES
                 continue
-            m = _as_matrix(g).astype(np.float32)
+            m = _as_matrix(g).astype(np.float32, copy=False)
             if self.error_feedback:
-                err = self._errors.get((worker, layer))
-                if err is not None:
-                    m = m + err
+                m = self._residuals.fold((worker, layer), m)
             u, v = self._us.get(layer), self._vs.get(layer)
             if mode == "resync" or u is None or v is None:
                 # Full-rank exchange: flushes error feedback, and decode
@@ -120,7 +119,7 @@ class ABTraining(Compressor):
                 entries.append(("full", m, g.shape, worker))
                 nbytes += m.size * FLOAT32_BYTES
                 if self.error_feedback:
-                    self._errors[(worker, layer)] = np.zeros_like(m)
+                    self._residuals.settle((worker, layer), m)
             elif mode == "a":
                 p = m @ v  # (n, r)
                 entries.append(("a", p, m, g.shape, worker))
@@ -171,7 +170,7 @@ class ABTraining(Compressor):
             if self.error_feedback:
                 for res in results:
                     e = res.payload[0][i]
-                    self._errors[(e[4], layer)] = e[2] - lift(e[1])
+                    self._residuals.settle((e[4], layer), e[2], lift(e[1]))
             out.append(m_hat.reshape(shape))
         return out
 
@@ -184,15 +183,7 @@ class ABTraining(Compressor):
     # ------------------------------------------------------------------
 
     def error_norm(self, worker: int) -> float:
-        return float(
-            np.sqrt(
-                sum(
-                    float(np.sum(e.astype(np.float64) ** 2))
-                    for (w, _), e in self._errors.items()
-                    if w == worker
-                )
-            )
-        )
+        return self._residuals.norm(worker)
 
     def min_payload_nbytes(self, result: EncodeResult) -> int:
         # Wire data per entry: the raw tensor, the full matrix, or the

@@ -26,6 +26,10 @@ every registered compressor, and documented in docs/COMPRESSION.md):
   and advance protocol state (step counters, gates) only in
   :meth:`advance_step`, never inside ``decode_aggregate`` — decode may be
   called many times per step (once per bucket).
+* A payload may alias compressor-owned state (:class:`ResidualStore`'s
+  resident matrices, from a worker's second round on): one ``encode`` per
+  ``(worker, layer)`` per round, and a payload is dead once that pair is
+  encoded again.  ``decode_aggregate`` stays pure in its arguments.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
     "Compressor",
     "EncodeResult",
     "NoCompression",
+    "ResidualStore",
+    "UndecodedRoundError",
     "register_compressor",
     "registered_compressors",
     "make_compressor",
@@ -64,6 +70,76 @@ def _payload_nbytes(obj) -> int:
     if isinstance(obj, (list, tuple)):
         return sum(_payload_nbytes(v) for v in obj)
     return 0
+
+
+class UndecodedRoundError(RuntimeError):
+    """A ``(worker, layer)`` was encoded again, or asked for its residual,
+    while its previous round was never decoded: the residual of that round
+    does not exist yet, and the matrix it would be taken from is already
+    folded into the resident buffer."""
+
+
+class ResidualStore:
+    """Error feedback in place, for codecs whose residual is ``M − m̂``
+    (PowerSGD, AB-Training).
+
+    Each key — ``(worker, global layer)`` — owns **one** float32 buffer
+    holding that worker's last matrix ``M`` plus a reference to the ``m̂`` of
+    the round the key last decoded in.  The residual is never materialised:
+    :meth:`fold` subtracts ``m̂`` and adds the new gradient into the buffer
+    (the two float32 roundings of ``g + (M − m̂)``, so bit-identical to
+    it), and :meth:`settle` only records ``m̂``, which keeps
+    ``decode_aggregate`` pure — it may run twice per round and never writes
+    to a payload.  A key that skips rounds keeps the ``m̂`` of *its* last
+    round, whatever the layer saw since.
+    """
+
+    def __init__(self) -> None:
+        # key -> [M, m̂]; m̂ is None between a fold and the next settle.
+        self._state: dict[tuple[int, int], list] = {}
+
+    def fold(self, key: tuple[int, int], m: np.ndarray) -> np.ndarray:
+        """``m`` plus ``key``'s residual.  The first round has none and
+        returns ``m`` itself (borrowed); later rounds return the resident
+        buffer, which the caller's payload then aliases."""
+        state = self._state.get(key)
+        if state is None:
+            return m
+        buf, m_hat = state
+        if m_hat is None:
+            raise UndecodedRoundError(
+                f"worker {key[0]} encoded layer {key[1]} twice without a decode in between"
+            )
+        state[1] = None
+        if m_hat is buf:  # the last round went out exactly: residual +0.0
+            buf.fill(0.0)
+        else:
+            buf -= m_hat
+        buf += m
+        return buf
+
+    def settle(
+        self, key: tuple[int, int], m: np.ndarray, m_hat: np.ndarray | None = None
+    ) -> None:
+        """Record that this round approximated ``key``'s matrix ``m`` by
+        ``m_hat`` (``None``: transmitted exactly).  ``m`` is adopted by copy
+        unless it already is the resident buffer; ``m_hat`` is kept by
+        reference and must stay private to the codec."""
+        state = self._state.get(key)
+        if state is None or state[0] is not m:
+            state = self._state[key] = [m.copy(), None]
+        state[1] = state[0] if m_hat is None else m_hat
+
+    def norm(self, worker: int) -> float:
+        """L2 norm of ``worker``'s residual ``M − m̂`` over all its layers."""
+        mine = [state for (w, _), state in self._state.items() if w == worker]
+        if any(m_hat is None for _, m_hat in mine):
+            raise UndecodedRoundError(
+                f"worker {worker}'s residual is undefined until its last round is decoded"
+            )
+        return float(
+            np.sqrt(sum(float(np.sum((m - m_hat).astype(np.float64) ** 2)) for m, m_hat in mine))
+        )
 
 
 class Compressor:

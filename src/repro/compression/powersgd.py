@@ -25,6 +25,7 @@ from .base import (
     FLOAT32_BYTES,
     Compressor,
     EncodeResult,
+    ResidualStore,
     register_compressor,
 )
 
@@ -82,7 +83,7 @@ class PowerSGD(Compressor):
         # synchronized-random-init scheme) and per-worker error memory,
         # both keyed by *global* layer index.
         self._qs: dict[int, np.ndarray] = {}
-        self._errors: dict[tuple[int, int], np.ndarray] = {}
+        self._residuals = ResidualStore()
 
     def _q_for(self, layer: int, m_cols: int) -> np.ndarray:
         q = self._qs.get(layer)
@@ -95,10 +96,13 @@ class PowerSGD(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
-        """The payload borrows ``grads`` — rank-1 tensors and, while there
-        is no error-feedback residual to add, the matrices are views of
-        them — so ``encode`` never writes to its input and the caller must
-        not either until the round is decoded."""
+        """The payload borrows ``grads`` — rank-1 tensors and, in a worker's
+        first round, the matrices are views of them — so ``encode`` never
+        writes to its input and the caller must not either until the round
+        is decoded.  From the second round on a matrix is the worker's
+        resident error-feedback buffer, folded in place: one ``encode`` per
+        ``(worker, layer)`` per round, and the payload is dead once the
+        worker encodes that layer again."""
         ps: dict[int, np.ndarray] = {}
         matrices: dict[int, np.ndarray] = {}
         raw: dict[int, np.ndarray] = {}
@@ -112,9 +116,7 @@ class PowerSGD(Compressor):
                 continue
             m = _as_matrix(g).astype(np.float32, copy=False)
             if self.error_feedback:
-                err = self._errors.get((worker, layer))
-                if err is not None:
-                    m = m + err
+                m = self._residuals.fold((worker, layer), m)
             q = self._q_for(layer, m.shape[1])
             rank = min(self.rank, *m.shape)
             p = m @ q[:, :rank]  # (n, r)
@@ -139,7 +141,8 @@ class PowerSGD(Compressor):
             out[i] = (acc / n_workers).astype(np.float32)
 
         # Matrices: allreduce P -> orthogonalize -> Q = M^T P (allreduced)
-        # -> M_hat = P Q^T; error feedback updated per worker.
+        # -> M_hat = P Q^T, which every worker of the round keeps (by
+        # reference) as its pending residual; the caller gets its own copy.
         for i in first_ps:
             layer = layer_offset + i
             p_mean = np.mean([res.payload[0][i] for res in results], axis=0)
@@ -155,21 +158,13 @@ class PowerSGD(Compressor):
             m_hat = p_hat @ q_new.T
             if self.error_feedback:
                 for res in results:
-                    worker = res.payload[3]
-                    self._errors[(worker, layer)] = res.payload[1][i] - m_hat
+                    self._residuals.settle((res.payload[3], layer), res.payload[1][i], m_hat)
+                m_hat = m_hat.copy()
             out[i] = m_hat.reshape(shapes[i])
         return out
 
     def error_norm(self, worker: int) -> float:
-        return float(
-            np.sqrt(
-                sum(
-                    float(np.sum(e.astype(np.float64) ** 2))
-                    for (w, _), e in self._errors.items()
-                    if w == worker
-                )
-            )
-        )
+        return self._residuals.norm(worker)
 
     def min_payload_nbytes(self, result: EncodeResult) -> int:
         # Wire-essential data is P per matrix plus the Q round (m·r fp32)

@@ -12,6 +12,7 @@ from repro.compression import (
     Signum,
     StochasticBinary,
     TopK,
+    UndecodedRoundError,
     VarianceGated,
     make_compressor,
     registered_compressors,
@@ -352,6 +353,71 @@ class TestEveryCompressorBorrowsItsInput:
             for x, y in zip(first, second):
                 assert not np.shares_memory(x, y)
             comp.advance_step()
+
+
+@pytest.mark.parametrize("name", ["powersgd", "abtrain"])
+class TestErrorFeedbackInPlace:
+    """One resident matrix per ``(worker, layer)``: the residual of the last
+    round is folded into it at the next ``encode``, so a round that was
+    never decoded has no residual to fold — and must not pass for one."""
+
+    def test_second_encode_without_a_decode_raises(self, name, rng):
+        comp = make_compressor(name, 2)
+        grads = grads_for(rng)
+        # Round 1 holds no residual yet and stays re-encodable (benchmarks
+        # time ``encode`` that way).
+        first = [a.copy() for a in _payload_arrays(comp.encode(0, grads).payload)]
+        again = _payload_arrays(comp.encode(0, grads).payload)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        comp.decode_aggregate([comp.encode(w, grads) for w in range(2)])
+        comp.advance_step()
+        comp.encode(0, grads)
+        with pytest.raises(UndecodedRoundError, match="worker 0 encoded layer 0 twice"):
+            comp.encode(0, grads)
+        with pytest.raises(UndecodedRoundError, match="worker 0's residual"):
+            comp.error_norm(0)
+        assert comp.error_norm(1) >= 0.0  # the other worker's round is whole
+
+    def test_from_round_two_the_payload_matrix_is_the_resident_buffer(self, name, rng):
+        comp = make_compressor(name, 1)
+        seen = []
+        for _ in range(4):
+            res = comp.encode(0, grads_for(rng))
+            seen.append([a for a in _payload_arrays(res.payload) if a.shape == (8, 6)][0])
+            comp.decode_aggregate([res])
+            comp.advance_step()
+        assert seen[0] is not seen[1]  # round 1 borrowed the caller's gradient
+        assert seen[1] is seen[2] is seen[3]
+
+    def test_the_decoded_aggregate_is_the_callers_to_overwrite(self, name, rng):
+        """The trainer binds decoded arrays to ``p.grad``; whatever happens
+        to them there must not reach the residual the codec still owes."""
+        kept, scribbled = make_compressor(name, 2), make_compressor(name, 2)
+        for _ in range(4):
+            gsets = [grads_for(rng) for _ in range(2)]
+            a = kept.decode_aggregate([kept.encode(w, g) for w, g in enumerate(gsets)])
+            b = scribbled.decode_aggregate([scribbled.encode(w, g) for w, g in enumerate(gsets)])
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes()
+                y.fill(np.nan)
+            assert kept.error_norm(0) == scribbled.error_norm(0)
+            kept.advance_step()
+            scribbled.advance_step()
+
+
+def test_rejoining_worker_subtracts_the_m_hat_of_its_own_last_round(rng):
+    """Worker 2 decodes round 1, sits out rounds 2–3 and comes back: its
+    residual is still ``M₁ − m̂₁``, whatever the layer's ``m̂`` has become."""
+    comp = PowerSGD(3, rank=1, seed=2)
+    g = [[rng.standard_normal((8, 6)).astype(np.float32) for _ in range(3)] for _ in range(4)]
+    m_hat_1 = comp.decode_aggregate([comp.encode(w, [g[0][w]]) for w in range(3)])[0]
+    norm_1 = comp.error_norm(2)
+    for r in (1, 2):
+        m_hat_latest = comp.decode_aggregate([comp.encode(w, [g[r][w]]) for w in (0, 1)])[0]
+        assert comp.error_norm(2) == norm_1
+    matrix = comp.encode(2, [g[3][2]]).payload[1][0]
+    assert matrix.tobytes() == (g[3][2] + (g[0][2] - m_hat_1)).tobytes()
+    assert matrix.tobytes() != (g[3][2] + (g[0][2] - m_hat_latest)).tobytes()
 
 
 class TestABTraining:

@@ -66,7 +66,7 @@ def _sha(arrays) -> str:
 def gradients(round_: int, worker: int, kind: str = "f32") -> list[np.ndarray]:
     """One worker's seeded gradient for one round.  Layer 0 carries a dead
     unit (a row of negative zeros), as a ReLU network's weight gradient
-    does: ``-0.0 + 0.0`` is where a reordered residual add shows first."""
+    does, so every round orthogonalizes and lifts an exactly-zero row."""
     rng = np.random.default_rng([11, round_, worker])
     grads = []
     for shape in SHAPES:
