@@ -6,13 +6,22 @@ the numpy reference backend and each alternative backend (the contract
 `tests/test_backend_parity.py` establishes op-by-op, here at the edges:
 stride>1 with asymmetric padding, the 1×1 fast path, non-contiguous
 inputs, empty batches, and the corners of the gather + GEMM input gradient).
+
+The last section pins the ``fast`` conv kernels around ``n = 2 * out_w``, the
+batch size past which a feature map is narrow enough that the batch axis is the
+longer run: the forward to the byte against the column order it has always
+used (kept below as ``parent_forward``), the backward against the ``numpy``
+reference.  It was recorded before the kernels learnt a second column order.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tensor import Tensor, backend, conv2d
 from repro.tensor.backend import _SCRATCH, TOLERANCE_ATOL, TOLERANCE_RTOL
+
+from .test_forward_frozen import PLATFORM_CANARY, platform_canary
 
 BACKENDS = backend.available()
 NON_REF = [n for n in BACKENDS if n != "numpy"]
@@ -191,3 +200,220 @@ class TestInputGradientPath:
         for arr in (out, gw, gb, gx):
             assert arr.flags.writeable
             assert all(not np.shares_memory(arr, s) for s in _SCRATCH.values())
+
+
+# ----------------------------------------------------------------------
+# Shapes on both sides of n = 2 * out_w
+# ----------------------------------------------------------------------
+
+
+def parent_forward(x, w, b, stride, ph, pw):
+    """``FastBackend.conv2d_forward`` as it was with one column order:
+    ``np.pad``, a ``(C·kh·kw, N·oh·ow)`` column matrix with the batch axis
+    outermost, one ``w2d @ colsT`` GEMM, bias added in place, transposed out."""
+    n, c_in, h, wid = x.shape
+    c_out, _, kh, kw = w.shape
+    oh, ow = (h + 2 * ph - kh) // stride + 1, (wid + 2 * pw - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((c_in, kh, kw, n, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[
+                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
+            ].transpose(1, 0, 2, 3)
+    out_t = w.reshape(c_out, -1) @ cols.reshape(c_in * kh * kw, -1)
+    if b is not None:
+        out_t += b[:, None]
+    return out_t.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3).copy()
+
+
+def same_blas_kernels():
+    """Byte equality of two GEMMs is a property of the BLAS kernels NumPy
+    dispatches to; it binds where ``test_forward_frozen``'s table does."""
+    return platform_canary() == PLATFORM_CANARY
+
+
+def check_conv(name, x, w, b, stride, ph, pw):
+    """One forward (with and without ctx) and one full backward on ``name``:
+    forward bytes equal to ``parent_forward``'s, gradients within tolerance of
+    the reference backend's, nothing returned aliases pool scratch."""
+    ref_be, be = backend.get("numpy"), backend.get(name)
+    ref_out, ref_ctx = ref_be.conv2d_forward(x, w, b, stride, ph, pw, True)
+    out, ctx = be.conv2d_forward(x, w, b, stride, ph, pw, True)
+    out_no_ctx, no_ctx = be.conv2d_forward(x, w, b, stride, ph, pw, False)
+    assert no_ctx is None and out_no_ctx.tobytes() == out.tobytes()
+    assert out.shape == ref_out.shape and out.dtype == ref_out.dtype
+    assert_close(ref_out, out)
+    if name == "fast" and ctx[0] == "gen" and same_blas_kernels():
+        assert out.tobytes() == parent_forward(x, w, b, stride, ph, pw).tobytes()
+    g = np.random.default_rng(x.size).standard_normal(out.shape).astype(x.dtype)
+    ref = ref_be.conv2d_backward(g, ref_ctx, True, True, True)
+    got = be.conv2d_backward(g, ctx, True, True, True)
+    for r, o in zip(ref, got):
+        assert o.shape == r.shape and o.dtype == r.dtype
+        assert_close(r, o)
+    only_gx = be.conv2d_backward(g, ctx, False, False, True)
+    assert only_gx[:2] == (None, None) and only_gx[2].tobytes() == got[2].tobytes()
+    for arr in (out, out_no_ctx, *got):
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert all(not np.shares_memory(arr, s) for s in _SCRATCH.values())
+
+
+def conv_case(rng, n, c_in, c_out, h, w, kh, kw, bias=True):
+    x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((c_out, c_in, kh, kw)) * 0.3).astype(np.float32)
+    return x, wt, rng.standard_normal((c_out,)).astype(np.float32) if bias else None
+
+
+# (n, c_in, c_out, h, w, kh, kw, stride, padding); every n is past 2 * out_w
+# unless the name says otherwise.
+RULE_CASES = {
+    "n-equals-2-out_w": (8, 3, 4, 4, 4, 3, 3, 1, 1),
+    "n-equals-2-out_w-plus-1": (9, 3, 4, 4, 4, 3, 3, 1, 1),
+    "2x2-map-n4": (4, 6, 3, 2, 2, 3, 3, 1, 1),
+    "2x2-map-n5": (5, 6, 3, 2, 2, 3, 3, 1, 1),
+    "wide-short-map-rule-is-on-width": (5, 2, 3, 2, 9, 3, 3, 1, 1),  # n < 2 * 9
+    "tall-narrow-map": (5, 2, 3, 9, 2, 3, 3, 1, 1),  # n > 2 * 2
+    "vgg-2x2-lowrank-u": (32, 128, 32, 2, 2, 3, 3, 1, 1),
+    "vgg-4x4-lowrank-u": (32, 128, 32, 4, 4, 3, 3, 1, 1),
+    "stride2-all-four-phases": (20, 3, 4, 8, 8, 3, 3, 2, 1),
+    "stride2-leftover-rows": (20, 3, 4, 10, 8, 3, 3, 2, 1),
+    "stride2-1x1-shortcut": (20, 4, 8, 8, 8, 1, 1, 2, 0),
+    "stride3-k2-gap": (11, 2, 2, 11, 9, 2, 2, 3, 0),  # k < stride: untouched pixels
+    "asymmetric-padding": (12, 3, 4, 5, 4, 3, 3, 1, (2, 0)),
+    "stride2-kh-not-kw-ph-not-pw": (13, 2, 3, 11, 9, 3, 5, 2, (0, 2)),
+    "pad-exceeds-k-1": (14, 2, 3, 5, 4, 3, 3, 1, 3),
+    "k1-pad1-border-must-crop": (15, 2, 3, 5, 5, 1, 1, 1, 1),
+    "no-padding": (16, 3, 4, 6, 6, 3, 3, 1, 0),
+    "one-channel-in": (9, 1, 2, 4, 4, 3, 3, 1, 1),
+    "one-channel-out": (9, 3, 1, 4, 4, 3, 3, 1, 1),
+    "one-pixel-out": (7, 3, 4, 3, 3, 3, 3, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", NON_REF)
+class TestEitherSideOfTheColumnOrderRule:
+    @pytest.mark.parametrize("case", sorted(RULE_CASES))
+    def test_forward_bytes_and_gradients(self, name, case, rng):
+        n, c_in, c_out, h, w, kh, kw, stride, padding = RULE_CASES[case]
+        ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+        check_conv(name, *conv_case(rng, n, c_in, c_out, h, w, kh, kw), stride, ph, pw)
+
+    def test_no_bias(self, name, rng):
+        check_conv(name, *conv_case(rng, 9, 3, 4, 4, 4, 3, 3, bias=False), 1, 1, 1)
+
+    def test_float64(self, name, rng):
+        x, w, b = conv_case(rng, 9, 3, 4, 4, 4, 3, 3)
+        check_conv(name, x.astype(np.float64), w.astype(np.float64), b.astype(np.float64), 1, 1, 1)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_layer_at_batch_32_20_32_9(self, name, rng, stride):
+        """A smaller batch after a larger one through the same layer: whatever
+        the kernels keep between calls (zero frames above all) must not leak
+        the larger batch's interior into the smaller one's border."""
+        _, w, b = conv_case(rng, 1, 8, 6, 4, 4, 3, 3)
+        for n in (32, 20, 32, 9, 3, 32):
+            x = rng.standard_normal((n, 8, 4, 4)).astype(np.float32)
+            check_conv(name, x, w, b, stride, 1, 1)
+
+    def test_interleaved_layers_share_the_pool(self, name, rng):
+        """Two layers whose frames have the same byte size but different
+        geometry, alternating, at changing batch sizes."""
+        a = conv_case(rng, 1, 4, 4, 2, 8, 3, 3)[1:]
+        c = conv_case(rng, 1, 4, 4, 8, 2, 3, 3)[1:]
+        for n in (24, 17, 24, 5):
+            check_conv(name, rng.standard_normal((n, 4, 2, 8)).astype(np.float32), *a, 1, 1, 1)
+            check_conv(name, rng.standard_normal((n, 4, 8, 2)).astype(np.float32), *c, 1, 1, 1)
+
+    @pytest.mark.parametrize("n", [8, 9, 20])
+    def test_non_contiguous_input(self, name, rng, n):
+        base = rng.standard_normal((n, 3, 8, 8)).astype(np.float32)
+        _, w, b = conv_case(rng, 1, 3, 4, 4, 4, 3, 3)
+        views = (
+            base[:, :, ::2, ::2],
+            base.transpose(0, 1, 3, 2)[:, :, :4, :4],
+            base[::-1, :, 2:6, 2:6],
+        )
+        for view in views:
+            assert not view.flags.c_contiguous
+            check_conv(name, view, w, b, 1, 1, 1)
+
+    def test_non_contiguous_output_gradient(self, name, rng):
+        x, w, b = conv_case(rng, 9, 3, 4, 4, 4, 3, 3)
+        be, ref_be = backend.get(name), backend.get("numpy")
+        g = rng.standard_normal((9, 4, 4, 4)).astype(np.float32).transpose(0, 1, 3, 2)
+        _, ctx = be.conv2d_forward(x, w, b, 1, 1, 1, True)
+        _, ref_ctx = ref_be.conv2d_forward(x, w, b, 1, 1, 1, True)
+        for r, o in zip(
+            ref_be.conv2d_backward(np.ascontiguousarray(g), ref_ctx, True, True, True),
+            be.conv2d_backward(g, ctx, True, True, True),
+        ):
+            assert_close(r, o)
+
+    @pytest.mark.parametrize("hw", [2, 8])
+    def test_empty_batch(self, name, rng, hw):
+        _, w, b = conv_case(rng, 1, 3, 4, hw, hw, 3, 3)
+        check_conv(name, np.empty((0, 3, hw, hw), dtype=np.float32), w, b, 1, 1, 1)
+
+    def test_ctx_survives_later_calls(self, name, rng):
+        """The columns a backward needs are the forward's own, not a pooled
+        buffer the next conv of the same shape overwrites."""
+        be, ref_be = backend.get(name), backend.get("numpy")
+        x, w, b = conv_case(rng, 9, 3, 4, 4, 4, 3, 3)
+        _, ctx = be.conv2d_forward(x, w, b, 1, 1, 1, True)
+        _, ref_ctx = ref_be.conv2d_forward(x, w, b, 1, 1, 1, True)
+        for _ in range(2):
+            be.conv2d_forward(rng.standard_normal(x.shape).astype(np.float32), w, b, 1, 1, 1, False)
+            be.conv2d_forward(rng.standard_normal(x.shape).astype(np.float32), w, b, 1, 1, 1, True)
+        g = rng.standard_normal((9, 4, 4, 4)).astype(np.float32)
+        for r, o in zip(
+            ref_be.conv2d_backward(g, ref_ctx, True, True, True),
+            be.conv2d_backward(g, ctx, True, True, True),
+        ):
+            assert_close(r, o)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        kh=st.integers(1, 3),
+        kw=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        ph=st.integers(0, 3),
+        pw=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_small_conv(self, name, n, c_in, c_out, h, w, kh, kw, stride, ph, pw, seed):
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return  # no output pixel
+        data = np.random.default_rng(seed)
+        check_conv(name, *conv_case(data, n, c_in, c_out, h, w, kh, kw), stride, ph, pw)
+
+
+# c_out x (c_in·k²) over K = n·oh·ow: the weight-gradient GEMMs of a hybrid
+# VGG-19 train step at batch 32, plus shapes with awkward remainders.
+GW_SHAPES = [
+    (16, 144, 32768), (32, 288, 8192), (64, 576, 2048), (32, 1152, 512), (32, 1152, 128),
+    (16, 27, 32768), (3, 7, 45), (1, 9, 100), (5, 1, 33), (4, 18, 0),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("c_out,rows,k", GW_SHAPES)
+def test_transposed_weight_gradient_gemm_is_the_same_bytes(rng, c_out, rows, k):
+    """``(colsT @ gT.T).T`` — the long ``colsT`` streamed once as the left
+    operand — rounds exactly as ``gT @ colsT.T`` does on the BLAS kernels the
+    frozen-forward table was recorded on: each entry is the same K-ordered dot
+    product, only the tiling differs.  ``gw`` is a backward quantity, so where
+    the kernels differ only ``TOLERANCE_RTOL`` is contractual (``PARITY``)."""
+    colsT = rng.standard_normal((rows, k)).astype(np.float32)
+    gT = rng.standard_normal((c_out, k)).astype(np.float32)
+    direct, transposed = gT @ colsT.T, (colsT @ gT.T).T
+    np.testing.assert_allclose(
+        transposed, direct, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL * k**0.5
+    )
+    if not same_blas_kernels():
+        pytest.skip(f"recorded on other BLAS kernels (canary {platform_canary()})")
+    assert np.ascontiguousarray(transposed).tobytes() == direct.tobytes()
