@@ -34,21 +34,27 @@ from repro.utils import set_seed
 
 KERNELS_FILE = "BENCH_kernels.json"
 REPEATS = 5
+SMALL_ROW_ROUNDS = 4 * REPEATS  # sub-millisecond conv rows: a best-of-5 still moves by 10 %
 WARMUP_S = 1.5
 
 # Per-op enforced speedup floor (None = parity-coverage op, no perf claim:
 # either sub-millisecond, memory-bound, or running the identical kernel).
 MIN_SPEEDUP = {
     "conv2d_forward": 1.5,
+    # A low-rank U conv on a 4×4 map at batch 32: the batch is the longer run,
+    # so the columns are gathered batch-innermost (n > 2·out_w).
+    "conv2d_forward_small_map": 1.5,
     # The input gradient is a gather over c_out channels + one GEMM, where
     # the reference GEMMs into c_in·k² rows and scatter-adds them: the fast
     # path wins in proportion to c_in / c_out.  Hence a floor per ratio: the
     # two shapes that carry a hybrid VGG-19 (equal widths: 12 of its 16
-    # convs; the low-rank U factor, c_in = 4·rank) and the channel-doubling
-    # shape, where the two routes move the same bytes and fast must merely
-    # not lose (docs/PERFORMANCE.md has the pairs).
+    # convs; the low-rank U factor, c_in = 4·rank, on the 4×4 and the 2×2 maps
+    # where the hybrid VGG-19 has it — both batch-innermost) and the
+    # channel-doubling shape, where the two routes move the same bytes and
+    # fast must merely not lose (docs/PERFORMANCE.md has the pairs).
     "conv2d_backward": 1.5,
-    "conv2d_backward_lowrank": 2.0,
+    "conv2d_backward_lowrank": 2.5,
+    "conv2d_backward_small_map": 2.5,
     "conv2d_backward_expand": 1.0,
     "batch_norm_backward": 1.3,
     "im2col": 1.0,
@@ -123,14 +129,14 @@ def paired_best_ms(ref_call, fast_call, rounds=REPEATS) -> tuple[float, float]:
     return ref * 1e3, fast * 1e3
 
 
-def check_parity(op: str, ref, got) -> tuple[bool, float]:
+def check_parity(op: str, ref, got, atol_scale: float = 1.0) -> tuple[bool, float]:
     """(parity_ok, max_abs_err) under the op's published tag."""
     ref, got = np.asarray(ref), np.asarray(got)
     err = float(np.max(np.abs(ref - got))) if ref.size else 0.0
     if PARITY[op] == "bit-exact":
         return bool(np.array_equal(ref, got)), err
     ok = bool(
-        np.allclose(got, ref, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)
+        np.allclose(got, ref, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL * atol_scale)
     )
     return ok, err
 
@@ -172,20 +178,31 @@ def warm_box():
             backend.get(name).conv2d_forward(x, w, b, 1, 1, 1, False)
 
 
-def test_conv2d_forward_speedup(rng):
-    """Headline: batched im2col matmul at CPU-scaled conv widths."""
-    x, w, b = conv_inputs(rng)
+def _conv_forward_case(op, rng, c, hw, co, rounds=REPEATS):
+    x, w, b = conv_inputs(rng, c=c, hw=hw, co=co)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
     ref_out, _ = ref_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     got_out, _ = fast_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     ok, err = check_parity("conv2d_forward", ref_out, got_out)
     n_ms, f_ms = paired_best_ms(lambda: ref_be.conv2d_forward(x, w, b, 1, 1, 1, False),
-                                lambda: fast_be.conv2d_forward(x, w, b, 1, 1, 1, False))
-    record("conv2d_forward", "N32 C16 32x32 k3 s1 p1 -> C32", n_ms, f_ms, ok, err)
+                                lambda: fast_be.conv2d_forward(x, w, b, 1, 1, 1, False),
+                                rounds=rounds)
+    record(op, f"N32 C{c} {hw}x{hw} k3 s1 p1 -> C{co}", n_ms, f_ms, ok, err,
+           tag_op="conv2d_forward")
     assert ok
 
 
-def _conv_backward_case(op, rng, c, hw, co):
+def test_conv2d_forward_speedup(rng):
+    """Headline: batched im2col matmul at CPU-scaled conv widths."""
+    _conv_forward_case("conv2d_forward", rng, c=16, hw=32, co=32)
+
+
+def test_conv2d_forward_small_map_speedup(rng):
+    """The low-rank U conv of VGG-19's 4×4 stage, batch-innermost columns."""
+    _conv_forward_case("conv2d_forward_small_map", rng, c=128, hw=4, co=32, rounds=SMALL_ROW_ROUNDS)
+
+
+def _conv_backward_case(op, rng, c, hw, co, rounds=REPEATS):
     x, w, b = conv_inputs(rng, c=c, hw=hw, co=co)
     g = rng.standard_normal((32, co, hw, hw)).astype(np.float32)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
@@ -193,9 +210,17 @@ def _conv_backward_case(op, rng, c, hw, co):
     _, fast_ctx = fast_be.conv2d_forward(x, w, b, 1, 1, 1, True)
     ref_g = ref_be.conv2d_backward(g, ref_ctx, True, True, True)
     got_g = fast_be.conv2d_backward(g, fast_ctx, True, True, True)
-    oks, errs = zip(*(check_parity("conv2d_backward", r, o) for r, o in zip(ref_g, got_g)))
+    # gw and gb sum N·oh·ow products of unit-variance factors: a reordered fp32
+    # sum errs in proportion to those terms, so entries that cancel to ~0 carry
+    # the absolute error of the largest (both backends sit equally far from a
+    # float64 result); the absolute tolerance is per unit of the reference's scale.
+    oks, errs = zip(*(
+        check_parity("conv2d_backward", r, o, atol_scale=max(1.0, float(np.abs(r).max())))
+        for r, o in zip(ref_g, got_g)
+    ))
     n_ms, f_ms = paired_best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True),
-                                lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
+                                lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True),
+                                rounds=rounds)
     record(op, f"N32 C{c} {hw}x{hw} k3 s1 p1 -> C{co}", n_ms, f_ms, all(oks), max(errs),
            tag_op="conv2d_backward")
     assert all(oks)
@@ -209,7 +234,14 @@ def test_conv2d_backward_speedup(rng):
 def test_conv2d_backward_lowrank_speedup(rng):
     """The U factor of a rank-0.25 LowRankConv2d: c_in = 4·rank, where the
     paper's factorization should pay in the backward pass too."""
-    _conv_backward_case("conv2d_backward_lowrank", rng, c=128, hw=4, co=32)
+    _conv_backward_case("conv2d_backward_lowrank", rng, c=128, hw=4, co=32, rounds=SMALL_ROW_ROUNDS)
+
+
+def test_conv2d_backward_small_map_speedup(rng):
+    """The same U factor on VGG-19's last, 2×2 stage: 128 columns of 1 152
+    rows, where the reference's scatter-add is at its relative worst."""
+    _conv_backward_case("conv2d_backward_small_map", rng, c=128, hw=2, co=32,
+                        rounds=SMALL_ROW_ROUNDS)
 
 
 def test_conv2d_backward_expand_speedup(rng):

@@ -14,10 +14,11 @@ dispatches through the *active* backend:
     is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
     V-factor hot path — become a single batched ``np.matmul`` with no
     transpose copies at all) and the input gradient is the same gather +
-    GEMM over the output gradient, fused elementwise chains (``bias_relu``
-    in one pass via ``np.maximum(x + b, 0, out=...)``, BatchNorm's
-    training backward from two per-channel sums), and optional threaded
-    per-sample patch gathering (``REPRO_BACKEND_THREADS``).
+    GEMM over the output gradient, with the batch axis innermost in the
+    columns when the feature map is narrow (the low-rank ``U`` convs at
+    4×4 / 2×2), and fused elementwise chains (``bias_relu`` in one pass
+    via ``np.maximum(x + b, 0, out=...)``, BatchNorm's training backward
+    from two per-channel sums).
 
 Selection, in precedence order: ``repro.tensor.backend.use()`` context
 manager > ``set_backend()`` / the ``--backend`` CLI flag > the
@@ -35,6 +36,7 @@ measuring per-op speedups.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -68,6 +70,10 @@ PARITY: dict[str, str] = {
     "im2col": "bit-exact",
     "col2im": "bit-exact",
     "conv2d_forward": "tolerance",
+    # gw, gb and gx are backward quantities: the column order and the GEMM
+    # orientation they are reduced in are free to change within tolerance.
+    # (``(colsT @ gT.T).T`` happens to round as ``gT @ colsT.T`` did on the
+    # OpenBLAS the tests were recorded on; that is not part of the contract.)
     "conv2d_backward": "tolerance",
     # Forward is not dispatched (its rounding is frozen, see
     # docs/PERFORMANCE.md); only the backward's reductions are reordered.
@@ -117,11 +123,11 @@ class _ScratchPool:
     under a byte budget.
 
     A request is a *view* of its tag's arena, so conv layers of every shape
-    and batch size share one ``conv_gx_cols`` arena sized for the largest of
+    and batch size share one ``conv_cols`` arena sized for the largest of
     them: a server that sees batch sizes 1…8 holds the batch-8 buffers, not
-    eight sets.  Only zero frames need a tag per layout (see :meth:`get`),
+    eight sets.  Only zero frames need a tag per geometry (see :meth:`get`),
     and they are what the budget is for: a process that keeps meeting new
-    layouts would otherwise keep every frame it ever made.  The budget is
+    geometries would otherwise keep every frame it ever made.  The budget is
     ``BUDGET_FACTOR`` times the largest arena held, so it scales with the
     model and not with the history.  Measured working sets: the forward half
     of a hybrid VGG-19 train step at batch 32 holds 3.9× its largest arena
@@ -156,10 +162,12 @@ class _ScratchPool:
         promises that every call under this tag writes the same positions of
         each leading-axis item, so the rest — a zero border — survives from
         creation to eviction whatever the batch size.  ``tag`` must then name
-        everything that decides those positions.
+        everything that decides those positions, and the batch must be the
+        leading axis: a frame that stores it anywhere else has to be cleared
+        by its caller.
         """
         key = (tag, np.dtype(dtype).str)
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         arena = self._arenas.pop(key, None)
         grow = arena is None or arena.size < size
         if grow:
@@ -183,14 +191,45 @@ _SCRATCH = _ScratchPool()
 _scratch = _SCRATCH.get
 
 
-def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int) -> np.ndarray:
+# A conv's column matrix is ``(C·kh·kw, n·oh·ow)``; which of n, oh, ow runs
+# fastest decides how long the contiguous runs of every slab copy are.  A
+# layout names the storage order of the zero frame and of the columns, both as
+# permutations of the logical (N, C, H, W) axes; the kernels only ever see
+# logical views (:func:`_as_nchw`), so the axis order is data, not code.
+_BATCH_OUTER = ((0, 1, 2, 3), (1, 0, 2, 3))  # NCHW frame, (C, N, oh, ow) columns: out_w-float runs
+_BATCH_INNER = ((1, 2, 3, 0), (1, 2, 3, 0))  # CHWN frame, (C, oh, ow, N) columns: n-float runs
+
+
+def _conv_layout(n: int, out_w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Batch innermost once that at least doubles the runs.  Moving NCHW data
+    into and out of a CHWN frame costs more than ``n > out_w`` alone wins back
+    (measured at batch 32 on 16×16 maps, docs/PERFORMANCE.md)."""
+    return _BATCH_INNER if n > 2 * out_w else _BATCH_OUTER
+
+
+def _as_nchw(buf: np.ndarray, shape: tuple[int, int, int, int], order) -> np.ndarray:
+    """Logical ``(N, C, H, W)`` view of contiguous ``buf``, which stores those
+    axes (sized ``shape``) in ``order``."""
+    return buf.reshape([shape[a] for a in order]).transpose([order.index(a) for a in range(4)])
+
+
+def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int, order) -> np.ndarray:
     """``src`` (N, C, h, w) laid at ``(top, left)`` of a pooled all-zero
-    ``(N, C, fh, fw)`` frame — ``np.pad`` without the allocation, and with
-    negative offsets: what falls outside the frame is cropped."""
+    ``(N, C, fh, fw)`` frame stored in axis ``order`` — ``np.pad`` without the
+    allocation, and with negative offsets: what falls outside the frame is
+    cropped."""
     n, c, h, w = src.shape
     a0, a1 = max(0, -top), min(h, fh - top)
     b0, b1 = max(0, -left), min(w, fw - left)
-    frame = _scratch(("frame", c, fh, fw, top, left, h, w), (n, c, fh, fw), src.dtype, zeroed=True)
+    # The pool keeps a border zero per leading-axis item (see _ScratchPool.get);
+    # a frame that leads with anything but the batch is cleared here instead
+    # (narrow maps only, by _conv_layout: under 1 MB on a batch-32 VGG-19 step).
+    pooled_border = order[0] == 0
+    tag = ("frame", c, fh, fw, top, left, h, w) if pooled_border else "frame_batch_inner"
+    buf = _scratch(tag, (n * c * fh * fw,), src.dtype, zeroed=pooled_border)
+    if not pooled_border:
+        buf.fill(0)
+    frame = _as_nchw(buf, (n, c, fh, fw), order)
     frame[:, :, top + a0 : top + a1, left + b0 : left + b1] = src[:, :, a0:a1, b0:b1]
     return frame
 
@@ -537,25 +576,26 @@ class FastBackend(Backend):
     """BLAS-batched / fused kernels, parity-gated against the reference.
 
     Conv strategy: gather patches straight into the transposed layout
-    ``colsT = (C·kh·kw, N·oh·ow)`` with one slab assignment per kernel
+    ``colsT = (C·kh·kw, n·oh·ow)`` with one slab assignment per kernel
     offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
     then run the forward as a single ``w2d @ colsT`` GEMM with an
     in-place bias add.  The backward reuses ``colsT`` for the weight
     gradient and computes the input gradient the same way — gather the
     zero-framed output gradient over ``c_out`` channels, one GEMM with
-    the flipped kernel — so nothing is scatter-added.  Outputs change
-    GEMM orientation vs the reference, so conv forward/backward are
-    ``tolerance``-tagged, as is the fused BatchNorm backward (reordered
-    reductions); everything else is bit-exact.
+    the flipped kernel — so nothing is scatter-added.  The order of
+    ``colsT``'s columns follows the input's shape (:func:`_conv_layout`):
+    ``(n, oh, ow)``, or ``(oh, ow, n)`` when the map is narrow enough that
+    the batch is the longer run.  The K order ``(c, i, j)`` never changes,
+    so every output is the same dot product either way (identical bytes
+    wherever the BLAS runs all columns through one micro-kernel, see
+    docs/PERFORMANCE.md); the ``"gen"`` ctx carries the columns' axis order
+    as its last entry and the backward lays ``gT`` out to match.
+    Outputs change GEMM orientation vs the reference, so conv
+    forward/backward are ``tolerance``-tagged, as is the fused BatchNorm
+    backward (reordered reductions); everything else is bit-exact.
     """
 
     name = "fast"
-
-    def __init__(self, threads: int | None = None):
-        if threads is None:
-            threads = int(os.environ.get("REPRO_BACKEND_THREADS", "0") or "0")
-        self.threads = max(threads, 0)
-        self._pool = None
 
     # -- elementwise ---------------------------------------------------
 
@@ -597,60 +637,58 @@ class FastBackend(Backend):
 
     # -- conv2d --------------------------------------------------------
 
-    def _gather_colsT(
+    def _gather_gemm(
         self,
-        xp: np.ndarray,
-        cols4: np.ndarray,
+        out: np.ndarray,
+        src: np.ndarray,
+        w2d: np.ndarray,
         kh: int,
         kw: int,
         stride: int,
-        out_h: int,
-        out_w: int,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Fill ``cols4[:, i, j, lo:hi]`` slabs for samples ``lo:hi``."""
+        framing: tuple[int, int, int, int],
+        bias: np.ndarray | None = None,
+        keep_cols: bool = False,
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``out[n, co, y, x] = Σ frame[n, c, s·y+i, s·x+j] · w2d[co, (c, i, j)]``
+        ``+ bias[co]``, where ``frame`` is ``src`` laid at ``(top, left)`` of an
+        ``(fh, fw)`` zero frame, ``framing = (fh, fw, top, left)``.
+
+        One slab copy per kernel offset fills ``colsT``, one GEMM multiplies
+        it, one transposing copy writes ``out`` (any NCHW-shaped view); the
+        axis orders of frame and columns come from :func:`_conv_layout`.
+        Returns ``colsT`` — pool scratch unless ``keep_cols`` — and the axis
+        order of its columns.
+        """
+        n, c_out, out_h, out_w = out.shape
+        c, h, w = src.shape[1:]
+        frame_order, cols_order = _conv_layout(n, out_w)
+        if frame_order[0] == 0 and framing == (h, w, 0, 0):
+            frame = src  # nothing to pad, no axis to move
+        else:
+            frame = _zero_framed(src, *framing, frame_order)
+
+        cshape = (c * kh * kw, n * out_h * out_w)
+        if keep_cols:
+            # A backward closure captures colsT, so it must be freshly owned —
+            # pool scratch would be clobbered by the next conv before
+            # backward() runs.
+            colsT = np.empty(cshape, dtype=src.dtype)
+        else:
+            colsT = _scratch("conv_cols", cshape, src.dtype)
+        cols = _as_nchw(colsT, (n, c * kh * kw, out_h, out_w), cols_order)
         for i in range(kh):
             i_max = i + stride * out_h
             for j in range(kw):
                 j_max = j + stride * out_w
-                cols4[:, i, j, lo:hi] = xp[lo:hi, :, i:i_max:stride, j:j_max:stride].transpose(
-                    1, 0, 2, 3
-                )
+                # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
+                cols[:, i * kw + j :: kh * kw] = frame[:, :, i:i_max:stride, j:j_max:stride]
 
-    def _maybe_threaded_gather(
-        self,
-        xp: np.ndarray,
-        cols4: np.ndarray,
-        kh: int,
-        kw: int,
-        stride: int,
-        out_h: int,
-        out_w: int,
-        n: int,
-    ) -> None:
-        if self.threads > 1 and n >= self.threads:
-            # Per-sample partitioning: every worker writes a disjoint
-            # batch slice of cols4, so the result is deterministic and
-            # identical to the serial gather.
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads, thread_name_prefix="repro-fast"
-                )
-            chunk = -(-n // self.threads)
-            futures = [
-                self._pool.submit(
-                    self._gather_colsT,
-                    xp, cols4, kh, kw, stride, out_h, out_w, lo, min(lo + chunk, n),
-                )
-                for lo in range(0, n, chunk)
-            ]
-            for f in futures:
-                f.result()
-        else:
-            self._gather_colsT(xp, cols4, kh, kw, stride, out_h, out_w, 0, n)
+        oT = _scratch("conv_outT", (c_out, cshape[1]), out.dtype)
+        np.matmul(w2d, colsT, out=oT)
+        if bias is not None:
+            oT += bias[:, None]
+        out[...] = _as_nchw(oT, out.shape, cols_order)
+        return colsT, cols_order
 
     def conv2d_forward(
         self,
@@ -678,28 +716,11 @@ class FastBackend(Backend):
             ctx = ("1x1", x3, w2d, x.shape) if want_ctx else None
             return out3.reshape(n, c_out, h, w), ctx
 
-        xp = _zero_framed(x, h + 2 * ph, w + 2 * pw, ph, pw) if ph > 0 or pw > 0 else x
-        cshape = (c_in * kh * kw, n * out_h * out_w)
-        if want_ctx:
-            # The backward closure captures colsT, so it must be freshly
-            # owned — a reused scratch buffer would be clobbered by the
-            # next same-shape conv before backward() runs.
-            colsT = np.empty(cshape, dtype=x.dtype)
-        else:
-            colsT = _scratch("colsT", cshape, x.dtype)
-        cols4 = colsT.reshape(c_in, kh, kw, n, out_h, out_w)
-        self._maybe_threaded_gather(xp, cols4, kh, kw, stride, out_h, out_w, n)
-
-        # One big GEMM into a transient scratch, bias fused in place.
-        oT = _scratch("convT_out", (c_out, n * out_h * out_w), np.result_type(x, weight))
-        np.matmul(w2d, colsT, out=oT)
-        if bias is not None:
-            oT += bias[:, None]
-        # .copy(), not ascontiguousarray: with one image or one channel the
-        # transpose is already contiguous and would come back as a view of
-        # pool scratch.
-        out = oT.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3).copy()
-        ctx = ("gen", colsT, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
+        # A fresh array, never a view of the GEMM's pool scratch.
+        out = np.empty((n, c_out, out_h, out_w), dtype=np.result_type(x, weight))
+        framing = (h + 2 * ph, w + 2 * pw, ph, pw)
+        colsT, order = self._gather_gemm(out, x, w2d, kh, kw, stride, framing, bias, want_ctx)
+        ctx = ("gen", colsT, w2d, x.shape, kh, kw, stride, ph, pw, order) if want_ctx else None
         return out, ctx
 
     def conv2d_backward(
@@ -726,13 +747,19 @@ class FastBackend(Backend):
                 gx = np.matmul(w2d.T, g3).reshape(x_shape)
             return gw, gb, gx
 
-        _, colsT, w2d, x_shape, kh, kw, stride, ph, pw = ctx
+        _, colsT, w2d, x_shape, kh, kw, stride, ph, pw, cols_order = ctx
         c_out, c_in = g.shape[1], x_shape[1]
-        # (N, c_out, oh, ow) -> (c_out, N*oh*ow), matching colsT's columns.
-        gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
-        gw = (gT @ colsT.T).reshape(c_out, c_in, kh, kw) if need_gw else None
-        gb = gT.sum(axis=1) if need_gb else None
-        gx = None
+        gw = gb = gx = None
+        if need_gw or need_gb:
+            # (N, c_out, oh, ow) -> (c_out, n·oh·ow) in colsT's column order.
+            gT = np.empty((c_out, colsT.shape[1]), dtype=g.dtype)
+            _as_nchw(gT, g.shape, cols_order)[...] = g
+            if need_gw:
+                # colsT, the long operand, streams through the GEMM once as its
+                # left side; only the small product is transposed.
+                gw = np.ascontiguousarray((colsT @ gT.T).T).reshape(c_out, c_in, kh, kw)
+            if need_gb:
+                gb = gT.sum(axis=1)
         if need_gx:
             w4 = w2d.reshape(c_out, c_in, kh, kw)
             gx = self._conv2d_input_grad(g, w4, x_shape, stride, ph, pw)
@@ -755,43 +782,32 @@ class FastBackend(Backend):
         ``j ≡ rx+pw``, so each of the s² phases of ``gx`` is a stride-1
         correlation of ``g`` with a sub-kernel (stride 1: one phase, the
         whole kernel) — no dilated zeros are gathered or multiplied.
+
+        Each phase is the forward's gather + GEMM with the roles of the
+        channels swapped: ``phase[n, ci, y, x] = Σ g[n, co, y+dy-i, x+dx-j] ·
+        sub[co, ci, i, j]``, so ``g`` goes into a zero frame of
+        ``(h+kh-1, w+kw-1)`` at offset ``(kh-1-dy, kw-1-dx)`` — negative when
+        the padding exceeded k-1, then it crops — and the flipped,
+        channel-transposed sub-kernel multiplies the frame's patches.
         """
-        kh, kw = w4.shape[2:]
+        c_in = x_shape[1]
         gx = np.empty(x_shape, dtype=np.result_type(g, w4))
         for ry in range(stride):
             i0 = (ry + ph) % stride
             for rx in range(stride):
                 j0 = (rx + pw) % stride
                 phase = gx[:, :, ry::stride, rx::stride]
-                if i0 >= kh or j0 >= kw:
+                sub = w4[:, :, i0::stride, j0::stride]
+                kh, kw = sub.shape[2:]
+                if kh == 0 or kw == 0:
                     phase[...] = 0  # no tap reaches these pixels (k < stride)
                     continue
-                self._correlate_flipped(
-                    phase, g, w4[:, :, i0::stride, j0::stride],
-                    (ry + ph - i0) // stride, (rx + pw - j0) // stride,
-                )
+                dy, dx = (ry + ph - i0) // stride, (rx + pw - j0) // stride
+                w_flip = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+                h, w = phase.shape[2:]
+                framing = (h + kh - 1, w + kw - 1, kh - 1 - dy, kw - 1 - dx)
+                self._gather_gemm(phase, g, w_flip, kh, kw, 1, framing)
         return gx
-
-    def _correlate_flipped(
-        self, out: np.ndarray, g: np.ndarray, w4: np.ndarray, dy: int, dx: int
-    ) -> None:
-        """``out[n, ci, y, x] = Σ g[n, co, y+dy-i, x+dx-j] · w4[co, ci, i, j]``.
-
-        The forward's gather + GEMM with the roles of the channels swapped:
-        ``g`` is laid into a zero frame of ``(h+kh-1, w+kw-1)`` at offset
-        ``(kh-1-dy, kw-1-dx)`` — negative when the padding exceeded k-1, then
-        it crops — the frame's patches are gathered over ``c_out`` channels,
-        and the flipped, channel-transposed kernel multiplies them.
-        """
-        n, c_in, h, w = out.shape
-        c_out, _, kh, kw = w4.shape
-        frame = _zero_framed(g, h + kh - 1, w + kw - 1, kh - 1 - dy, kw - 1 - dx)
-        w_flip = w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        cols = _scratch("conv_gx_cols", (c_out * kh * kw, n * h * w), g.dtype)
-        self._maybe_threaded_gather(frame, cols.reshape(c_out, kh, kw, n, h, w), kh, kw, 1, h, w, n)
-        gxT = _scratch("conv_gxT", (c_in, n * h * w), out.dtype)
-        np.matmul(w_flip, cols, out=gxT)
-        out[...] = gxT.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
 
     # -- batch norm ----------------------------------------------------
 

@@ -12,12 +12,7 @@ import pytest
 
 from repro.nn import BatchNorm2d
 from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col, linear
-from repro.tensor.backend import (
-    PARITY,
-    TOLERANCE_ATOL,
-    TOLERANCE_RTOL,
-    FastBackend,
-)
+from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL
 
 NON_REF = [n for n in backend.available() if n != "numpy"]
 
@@ -330,23 +325,3 @@ class TestParityContract:
             assert backend.active().name == "fast"
         finally:
             backend.set_backend(prev.name)
-
-
-class TestThreadedGather:
-    def test_threaded_conv_matches_serial(self, rng):
-        """REPRO_BACKEND_THREADS gathering is per-sample-partitioned and
-        must be bit-identical to the serial fast path."""
-        serial = FastBackend(threads=0)
-        threaded = FastBackend(threads=4)
-        x = rng.standard_normal((8, 3, 10, 10)).astype(np.float32)
-        w = rng.standard_normal((6, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal((6,)).astype(np.float32)
-        out_s, ctx_s = serial.conv2d_forward(x, w, b, 1, 1, 1, True)
-        out_t, ctx_t = threaded.conv2d_forward(x, w, b, 1, 1, 1, True)
-        assert np.array_equal(out_s, out_t)
-        g = rng.standard_normal(out_s.shape).astype(np.float32)
-        for gs, gt in zip(
-            serial.conv2d_backward(g, ctx_s, True, True, True),
-            threaded.conv2d_backward(g, ctx_t, True, True, True),
-        ):
-            assert np.array_equal(gs, gt)

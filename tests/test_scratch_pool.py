@@ -15,7 +15,7 @@ from repro.models import resnet18, resnet18_hybrid_config, vgg19, vgg19_hybrid_c
 from repro.nn import CrossEntropyLoss
 from repro.optim import FusedSGD
 from repro.tensor import Tensor, backend, no_grad
-from repro.tensor.backend import _SCRATCH, _ScratchPool
+from repro.tensor.backend import _BATCH_INNER, _SCRATCH, _ScratchPool, _zero_framed
 
 
 @pytest.fixture
@@ -125,10 +125,10 @@ def test_steady_state_vgg19_step_never_misses(vgg_step, clean_global_pool):
     assert pool.nbytes <= pool.BUDGET_FACTOR * max(a.nbytes for a in pool.values())
 
 
-def test_serving_batch_sizes_1_to_8_hold_only_the_batch_8_pool(clean_global_pool):
-    pool = clean_global_pool
-    model = resnet18(num_classes=10, width_mult=0.25)
-    model, _ = build_hybrid(model, resnet18_hybrid_config(model))
+def _serve_batches_1_to_8(pool, model, flipped=(0, 0, 0)):
+    """Serve batch 8, then every batch size 1…8 in mixed order: the pool must
+    end at the batch-8 pool plus ``flipped`` (bytes, misses, arenas) and stay
+    there."""
     model.eval()
     data = np.random.default_rng(0)
 
@@ -137,13 +137,48 @@ def test_serving_batch_sizes_1_to_8_hold_only_the_batch_8_pool(clean_global_pool
             model(Tensor(data.standard_normal((batch, 3, 32, 32)).astype(np.float32)))
 
     serve(8)
-    batch8_bytes, batch8_misses, batch8_arenas = pool.nbytes, pool.misses, len(pool)
+    batch8 = (pool.nbytes, pool.misses, len(pool))
     for batch in (1, 2, 3, 4, 5, 6, 7, 8, 3, 1, 8, 5):
         serve(batch)
-    assert (pool.nbytes, pool.misses, len(pool)) == (batch8_bytes, batch8_misses, batch8_arenas)
+    mixed = (pool.nbytes, pool.misses, len(pool))
+    assert mixed == tuple(np.add(batch8, flipped))
+    for batch in (8, 4, 5, 1, 7, 2):
+        serve(batch)
+    assert (pool.nbytes, pool.misses, len(pool)) == mixed
 
     # Arriving smallest-first grows the arenas, but ends at the same bytes.
     pool.clear()
     for batch in range(1, 9):
         serve(batch)
-    assert pool.nbytes == batch8_bytes and len(pool) == batch8_arenas
+    assert (pool.nbytes, len(pool)) == (mixed[0], mixed[2])
+
+
+def test_serving_batch_sizes_1_to_8_hold_only_the_batch_8_pool(clean_global_pool):
+    model = resnet18(num_classes=10, width_mult=0.25)
+    _serve_batches_1_to_8(clean_global_pool, build_hybrid(model, resnet18_hybrid_config(model))[0])
+
+
+def test_serving_hybrid_vgg19_adds_one_frame_below_the_column_order_rule(clean_global_pool):
+    """VGG-19's last stage runs on 2×2 maps: batches 5…8 put the batch axis
+    innermost there (one shared, per-call-cleared frame arena), batches 1…4 do
+    not and bring that stage's geometry-keyed frame — (4, 128, 4, 4) float32 at
+    the largest of them, grown once per batch size on the way up.  That one
+    frame is all a smaller batch may add to the batch-8 pool."""
+    model, _ = build_hybrid(vgg19(num_classes=10, width_mult=0.25), vgg19_hybrid_config())
+    _serve_batches_1_to_8(clean_global_pool, model, flipped=(4 * 128 * 4 * 4 * 4, 4, 1))
+
+
+def test_a_batch_innermost_frame_is_cleared_on_every_call(clean_global_pool):
+    """The pool's zero-border promise is per leading-axis item; a frame that
+    stores the batch last gets no such promise, so a smaller batch after a
+    larger one must not find the larger one's interior where its border is."""
+    order = _BATCH_INNER[0]
+    for n in (6, 4, 6, 1):
+        src = np.full((n, 2, 2, 2), 7.0, dtype=np.float32)
+        frame = _zero_framed(src, 4, 4, 1, 1, order)
+        assert frame.shape == (n, 2, 4, 4)
+        assert np.array_equal(frame[:, :, 1:3, 1:3], src)
+        border = frame.copy()
+        border[:, :, 1:3, 1:3] = 0
+        assert not border.any()
+    assert len(clean_global_pool) == 1
