@@ -72,8 +72,8 @@ PARITY: dict[str, str] = {
     "conv2d_forward": "tolerance",
     # gw, gb and gx are backward quantities: the column order and the GEMM
     # orientation they are reduced in are free to change within tolerance.
-    # (``(colsT @ gT.T).T`` happens to round as ``gT @ colsT.T`` did on the
-    # OpenBLAS the tests were recorded on; that is not part of the contract.)
+    # (``(colsT @ gT.T).T`` happens to round as the untransposed product did
+    # on the OpenBLAS the tests were recorded on; that is not contractual.)
     "conv2d_backward": "tolerance",
     # Forward is not dispatched (its rounding is frozen, see
     # docs/PERFORMANCE.md); only the backward's reductions are reordered.
@@ -94,6 +94,17 @@ PARITY: dict[str, str] = {
 # under 1e-5, so these bounds leave an order of magnitude of margin.
 TOLERANCE_RTOL = 1e-4
 TOLERANCE_ATOL = 1e-5
+
+
+def conv_grad_atol(n: int, out_h: int, out_w: int) -> float:
+    """Absolute tolerance on ``conv2d_backward``'s ``gw`` and ``gb``, sums over
+    the ``n·oh·ow`` output positions.  Taken in the reference's position order
+    they meet ``TOLERANCE_ATOL``.  Batch-innermost columns permute that order,
+    and the error of a reordered fp32 sum random-walks with the number of terms
+    whether or not the result cancels to ~0, so there the term is per √term."""
+    if _conv_layout(n, out_h, out_w) is _BATCH_OUTER:
+        return TOLERANCE_ATOL
+    return TOLERANCE_ATOL * math.sqrt(n * out_h * out_w)
 
 
 def _out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -200,11 +211,21 @@ _BATCH_OUTER = ((0, 1, 2, 3), (1, 0, 2, 3))  # NCHW frame, (C, N, oh, ow) column
 _BATCH_INNER = ((1, 2, 3, 0), (1, 2, 3, 0))  # CHWN frame, (C, oh, ow, N) columns: n-float runs
 
 
-def _conv_layout(n: int, out_w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+_SGEMM_TILE = 16
+
+
+def _conv_layout(n: int, out_h: int, out_w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Batch innermost once that at least doubles the runs.  Moving NCHW data
     into and out of a CHWN frame costs more than ``n > out_w`` alone wins back
-    (measured at batch 32 on 16×16 maps, docs/PERFORMANCE.md)."""
-    return _BATCH_INNER if n > 2 * out_w else _BATCH_OUTER
+    (measured at batch 32 on 16×16 maps, docs/PERFORMANCE.md).
+
+    Only whole tiles of columns, though: OpenBLAS runs the last ``columns mod
+    16`` of an sgemm through a narrower micro-kernel that rounds differently,
+    and which pixels those are depends on the column order.  With no such tail
+    every output is the same K-ordered dot product in either order, so the
+    forward's bytes do not depend on this choice."""
+    whole_tiles = (n * out_h * out_w) % _SGEMM_TILE == 0
+    return _BATCH_INNER if n > 2 * out_w and whole_tiles else _BATCH_OUTER
 
 
 def _as_nchw(buf: np.ndarray, shape: tuple[int, int, int, int], order) -> np.ndarray:
@@ -586,10 +607,12 @@ class FastBackend(Backend):
     ``colsT``'s columns follows the input's shape (:func:`_conv_layout`):
     ``(n, oh, ow)``, or ``(oh, ow, n)`` when the map is narrow enough that
     the batch is the longer run.  The K order ``(c, i, j)`` never changes,
-    so every output is the same dot product either way (identical bytes
-    wherever the BLAS runs all columns through one micro-kernel, see
-    docs/PERFORMANCE.md); the ``"gen"`` ctx carries the columns' axis order
-    as its last entry and the backward lays ``gT`` out to match.
+    so every output is the same dot product either way, and the rule only
+    reorders column counts the BLAS runs through one micro-kernel, where
+    that makes the bytes identical too (docs/PERFORMANCE.md); the ``"gen"``
+    ctx carries the columns' axis order as its last entry and the backward
+    lays ``gT`` out to match, which permutes the sums behind ``gw`` and
+    ``gb`` (:func:`conv_grad_atol`).
     Outputs change GEMM orientation vs the reference, so conv
     forward/backward are ``tolerance``-tagged, as is the fused BatchNorm
     backward (reordered reductions); everything else is bit-exact.
@@ -661,7 +684,7 @@ class FastBackend(Backend):
         """
         n, c_out, out_h, out_w = out.shape
         c, h, w = src.shape[1:]
-        frame_order, cols_order = _conv_layout(n, out_w)
+        frame_order, cols_order = _conv_layout(n, out_h, out_w)
         if frame_order[0] == 0 and framing == (h, w, 0, 0):
             frame = src  # nothing to pad, no axis to move
         else:

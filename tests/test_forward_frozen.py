@@ -63,6 +63,13 @@ CONFIGS = {
     for batch in BATCHES
     if batch <= 2 or model != "resnet18-imagenet-stem"
 }
+# Batch sizes that are not a multiple of 16 (an sgemm tile): at 20 the hybrid
+# VGG-19's 8×8, 4×4 and 2×2 stages gather batch-innermost columns, at 5 its 2×2
+# stage would have but for the ragged last tile (``backend._conv_layout``).
+# Recorded on the commit before the fast backend learnt a second column order.
+CONFIGS.update(
+    {f"vgg19-fast-{mode}-b{batch}": ("vgg19", "fast", mode, batch) for mode in MODES for batch in (5, 20)}
+)
 
 
 def _sha(a: np.ndarray) -> str:
@@ -126,10 +133,14 @@ PINNED = {
     "resnet18-numpy-train-b32": "e336163f4f212823",
     "vgg19-fast-eval-b1": "6d633b8e6c649a4f",
     "vgg19-fast-eval-b2": "b60412f88417ba81",
+    "vgg19-fast-eval-b20": "53faaf7276ba6d71",
     "vgg19-fast-eval-b32": "545557a634e52fc5",
+    "vgg19-fast-eval-b5": "15f0b76e7dd1439f",
     "vgg19-fast-train-b1": "8c6eaf9565d04c34",
     "vgg19-fast-train-b2": "80cff6a06d60b7c2",
+    "vgg19-fast-train-b20": "28ea21791d3f689e",
     "vgg19-fast-train-b32": "8285cf361fb8ca6b",
+    "vgg19-fast-train-b5": "92409d74744d54bf",
     "vgg19-numpy-eval-b1": "9c076362e3770a87",
     "vgg19-numpy-eval-b2": "d58e0a1f8e9ec1c0",
     "vgg19-numpy-eval-b32": "65f616cbb23d7104",

@@ -159,13 +159,14 @@ def test_serving_batch_sizes_1_to_8_hold_only_the_batch_8_pool(clean_global_pool
 
 
 def test_serving_hybrid_vgg19_adds_one_frame_below_the_column_order_rule(clean_global_pool):
-    """VGG-19's last stage runs on 2×2 maps: batches 5…8 put the batch axis
-    innermost there (one shared, per-call-cleared frame arena), batches 1…4 do
-    not and bring that stage's geometry-keyed frame — (4, 128, 4, 4) float32 at
-    the largest of them, grown once per batch size on the way up.  That one
-    frame is all a smaller batch may add to the batch-8 pool."""
+    """VGG-19's last stage runs on 2×2 maps: batch 8 puts the batch axis
+    innermost there (32 columns, whole GEMM tiles: one shared, per-call-cleared
+    frame arena), batches 1…7 do not — too short a run up to 4, a ragged last
+    tile at 5…7 — and bring that stage's geometry-keyed frame, (7, 128, 4, 4)
+    float32 at the largest of them, grown once per batch size on the way up.
+    That one frame is all a smaller batch may add to the batch-8 pool."""
     model, _ = build_hybrid(vgg19(num_classes=10, width_mult=0.25), vgg19_hybrid_config())
-    _serve_batches_1_to_8(clean_global_pool, model, flipped=(4 * 128 * 4 * 4 * 4, 4, 1))
+    _serve_batches_1_to_8(clean_global_pool, model, flipped=(7 * 128 * 4 * 4 * 4, 7, 1))
 
 
 def test_a_batch_innermost_frame_is_cleared_on_every_call(clean_global_pool):
