@@ -101,7 +101,7 @@ def conv_grad_atol(n: int, out_h: int, out_w: int) -> float:
     the ``n·oh·ow`` output positions.  Taken in the reference's position order
     they meet ``TOLERANCE_ATOL``.  Batch-innermost columns permute that order,
     and the error of a reordered fp32 sum random-walks with the number of terms
-    whether or not the result cancels to ~0, so there the term is per √term."""
+    whether or not the result cancels to ~0: there it is ``TOLERANCE_ATOL·√terms``."""
     if _conv_layout(n, out_h, out_w) is _BATCH_OUTER:
         return TOLERANCE_ATOL
     return TOLERANCE_ATOL * math.sqrt(n * out_h * out_w)

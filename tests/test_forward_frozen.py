@@ -68,7 +68,11 @@ CONFIGS = {
 # stage would have but for the ragged last tile (``backend._conv_layout``).
 # Recorded on the commit before the fast backend learnt a second column order.
 CONFIGS.update(
-    {f"vgg19-fast-{mode}-b{batch}": ("vgg19", "fast", mode, batch) for mode in MODES for batch in (5, 20)}
+    {
+        f"vgg19-fast-{mode}-b{batch}": ("vgg19", "fast", mode, batch)
+        for mode in MODES
+        for batch in (5, 20)
+    }
 )
 
 
