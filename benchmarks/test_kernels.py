@@ -31,6 +31,7 @@ from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
 from repro.tensor import Tensor, backend, functional, graph_nodes_created, max_pool2d
 from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL, conv_grad_atol
 from repro.utils import set_seed
+from tests.oracles import argmax_pool_oracle
 
 KERNELS_FILE = "BENCH_kernels.json"
 REPEATS = 5
@@ -81,8 +82,8 @@ FUSED_STEP_FLOOR = 2.0
 LINEAR_FLOOR = {"vanilla": 1.5, "lowrank": 1.0}
 
 # max_pool2d (k² shifted strided slabs, forward + backward) vs the route it
-# replaced, kept below as the oracle: as_strided windows, argmax,
-# put_along_axis, col2im scatter-add.  One implementation serves both
+# replaced, kept in tests/oracles.py: as_strided windows, argmax,
+# put_along_axis, a scatter-add per offset.  One implementation serves both
 # backends, so this is rewrite-vs-oracle, not numpy-vs-fast.
 POOL_FLOOR = {"vgg_2x2": 3.0, "resnet_3x3s2": 1.5}
 
@@ -513,24 +514,6 @@ def test_linear_fwd_bwd_lowrank(rng):
     )
 
 
-def _argmax_pool_fwd_bwd(x: np.ndarray, kernel: int, stride: int, g: np.ndarray):
-    """max_pool2d as it was: strided windows, argmax, put_along_axis, col2im."""
-    n, c, h, w = x.shape
-    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False,
-    )
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    argmax = flat.argmax(axis=-1)
-    out = np.ascontiguousarray(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
-    grad_flat = np.zeros(flat.shape, dtype=g.dtype)
-    np.put_along_axis(grad_flat, argmax[..., None], g[..., None], axis=-1)
-    grad_cols = grad_flat.transpose(0, 2, 3, 1, 4).reshape(n * oh * ow, c * kernel * kernel)
-    return out, backend.get("numpy").col2im(grad_cols, x.shape, kernel, kernel, stride, 0, 0)
-
-
 def _pool_case(name, rng, shape, kernel, stride):
     # Post-ReLU activations: half the entries tie at zero, as in the models.
     x = np.maximum(rng.standard_normal(shape), 0).astype(np.float32)
@@ -544,9 +527,9 @@ def _pool_case(name, rng, shape, kernel, stride):
         y.backward(g)
         return y.data, t.grad
 
-    ref, got = _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route()
+    ref, got = argmax_pool_oracle(x, kernel, stride, g), slab_route()
     match_ok = all(r.tobytes() == o.tobytes() for r, o in zip(ref, got))
-    o_ms, s_ms = paired_best_ms(lambda: _argmax_pool_fwd_bwd(x, kernel, stride, g), slab_route,
+    o_ms, s_ms = paired_best_ms(lambda: argmax_pool_oracle(x, kernel, stride, g), slab_route,
                                 rounds=2 * REPEATS)
     _POOL[name] = {
         "shape": f"N{shape[0]} C{shape[1]} {shape[2]}x{shape[3]} k{kernel} s{stride}",

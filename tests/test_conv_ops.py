@@ -15,6 +15,7 @@ from repro.tensor import (
     im2col,
     max_pool2d,
 )
+from tests.oracles import argmax_pool_oracle, mean_pool_oracle
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -158,35 +159,9 @@ class TestPooling:
         assert np.allclose(out.data, x.data.mean(axis=(2, 3)), atol=1e-6)
 
 
-def argmax_pool_oracle(x, kernel, stride, g):
-    """The route max_pool2d took before it walked shifted slabs: strided
-    windows, ``argmax`` (first maximum wins a tie), ``put_along_axis``, and
-    the im2col scatter-add in kernel-offset order."""
-    n, c, h, w = x.shape
-    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    grad_flat = np.zeros(flat.shape, dtype=g.dtype)
-    np.put_along_axis(grad_flat, argmax[..., None], g[..., None], axis=-1)
-    grad6 = grad_flat.reshape(n, c, oh, ow, kernel, kernel)
-    gx = np.zeros(x.shape, dtype=g.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += grad6[..., i, j]
-    return out, gx
-
-
 pool_cases = st.fixed_dictionaries(
     {
-        "kernel": st.integers(1, 4),
+        "kernel": st.integers(1, 5),
         "stride": st.integers(1, 4),  # < kernel overlaps, > kernel leaves gaps
         "extra_h": st.integers(0, 6),  # h = kernel + extra: mostly not divisible
         "extra_w": st.integers(0, 6),
@@ -234,3 +209,32 @@ class TestMaxPoolMatchesArgmaxOracle:
         t = Tensor(x, requires_grad=True)
         max_pool2d(t, 3, 2).backward(np.array([[[[2.0, 5.0]]]], dtype=np.float32))
         assert t.grad[0, 0, 1, 2] == 7.0 and t.grad.sum() == 7.0
+
+
+class TestAvgPoolMatchesMeanOracle:
+    @given(pool_cases)
+    @settings(max_examples=200, deadline=None)
+    def test_output_and_input_gradient(self, p):
+        """``mean`` over strided windows rounds in nditer's order: each window
+        row left to right, then the rows — unless ``out_w == 1``, where the
+        iterator drops that axis and the order follows the input's strides.
+        The kernel keeps the first order everywhere.  ``g`` has no exact zeros:
+        at k = s = 1 ``col2im``'s transpose shortcut keeps a -0.0 that a sum
+        turns into +0.0."""
+        data = np.random.default_rng(p["seed"])
+        k, s = p["kernel"], p["stride"]
+        x = data.standard_normal((p["n"], p["c"], k + p["extra_h"], k + p["extra_w"]))
+        if p["levels"]:
+            x = np.floor(x * p["levels"] / 2) + 0.0
+        x = x.astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        out = avg_pool2d(t, k, s)
+        g = data.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        ref_out, ref_gx = mean_pool_oracle(x, k, s, g)
+        if out.shape[3] > 1:
+            assert out.data.tobytes() == ref_out.tobytes()
+        else:
+            np.testing.assert_allclose(out.data, ref_out, rtol=1e-6, atol=1e-6)
+        assert t.grad.tobytes() == ref_gx.tobytes()
+        assert t.grad.flags.writeable and t.grad.flags.c_contiguous
