@@ -58,7 +58,6 @@ MIN_SPEEDUP = {
     "conv2d_backward_small_map": 2.5,
     "conv2d_backward_expand": 1.0,
     "batch_norm_backward": 1.3,
-    "im2col": 1.0,
     "relu": None,
     "bias_relu": None,
     # The fused-optimizer arena chains: adam_update's fast win is
@@ -266,17 +265,6 @@ def test_batch_norm_backward_speedup(rng):
     record("batch_norm_backward", "N32 C32 16x16 training, all three gradients",
            n_ms, f_ms, all(oks), max(errs))
     assert all(oks)
-
-
-def test_im2col_speedup(rng):
-    x = rng.standard_normal((32, 16, 32, 32)).astype(np.float32)
-    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
-    ok, err = check_parity("im2col", ref_be.im2col(x, 3, 3, 1, 1, 1),
-                           fast_be.im2col(x, 3, 3, 1, 1, 1))
-    n_ms = best_ms(lambda: ref_be.im2col(x, 3, 3, 1, 1, 1))
-    f_ms = best_ms(lambda: fast_be.im2col(x, 3, 3, 1, 1, 1))
-    record("im2col", "N32 C16 32x32 k3 s1 p1", n_ms, f_ms, ok, err)
-    assert ok
 
 
 def test_relu_parity_speed(rng):

@@ -293,8 +293,8 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
         lines += [
             "",
             "`max_pool2d` as k² shifted strided slabs vs the route it "
-            "replaced (strided windows, `argmax`, `put_along_axis`, `col2im` "
-            "scatter-add; kept in the benchmark as the oracle), forward + "
+            "replaced (strided windows, `argmax`, `put_along_axis`, a "
+            "scatter-add per offset; kept in `tests/oracles.py` as the oracle), forward + "
             "backward on post-ReLU activations, one implementation for both "
             "backends:",
             "",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.module import Parameter
 from ..observability import metrics as _metrics
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "ring_allgather",
     "flatten_arrays",
     "unflatten_vector",
-    "gradient_vector",
-    "assign_gradient_vector",
 ]
 
 
@@ -256,23 +253,3 @@ def unflatten_vector(vec: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.
     if offset != vec.size:
         raise ValueError(f"vector size {vec.size} != total shape size {offset}")
     return out
-
-
-def gradient_vector(params: list[Parameter]) -> np.ndarray:
-    """Flat buffer of all parameter gradients (zeros where grad is None)."""
-    parts = [
-        (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        for p in params
-    ]
-    return np.concatenate(parts).astype(np.float32, copy=False)
-
-
-def assign_gradient_vector(params: list[Parameter], vec: np.ndarray) -> None:
-    """Scatter a flat gradient buffer back onto the parameters."""
-    offset = 0
-    for p in params:
-        size = p.data.size
-        p.grad = vec[offset : offset + size].reshape(p.data.shape).copy()
-        offset += size
-    if offset != vec.size:
-        raise ValueError("gradient vector does not match parameter sizes")

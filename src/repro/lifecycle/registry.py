@@ -19,6 +19,7 @@ of the promoted runs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,9 +84,11 @@ class PromotionRegistry:
         return json.loads(self._index_path.read_text())["records"]
 
     def _save_index(self, records: list[dict]) -> None:
-        self._index_path.write_text(
-            json.dumps({"records": records}, indent=2, sort_keys=True) + "\n"
-        )
+        """Write a sibling temp file, then rename it over the index: a crash
+        mid-write leaves the previous index, never a truncated one."""
+        tmp = self._index_path.with_name(_INDEX + ".tmp")
+        tmp.write_text(json.dumps({"records": records}, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, self._index_path)
 
     # -- queries -------------------------------------------------------
 

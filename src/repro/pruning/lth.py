@@ -82,7 +82,7 @@ def apply_masks(model: Module, masks: dict[str, np.ndarray]) -> None:
 
 
 def sparsity(masks: dict[str, np.ndarray]) -> float:
-    """Fraction of pruned (zeroed) weights across all masked tensors."""
+    """Fraction of pruned (zero) weights across all masked tensors."""
     total = sum(m.size for m in masks.values())
     alive = sum(int(m.sum()) for m in masks.values())
     return 1.0 - alive / max(total, 1)

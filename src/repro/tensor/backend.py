@@ -1,15 +1,16 @@
 """Pluggable op backends for the tensor engine.
 
-Every hot kernel in :mod:`repro.tensor` (im2col convolution, GEMM, relu,
-the fused bias+relu chain, and the :class:`repro.optim.FusedSGD` update)
-dispatches through the *active* backend:
+Every hot kernel in :mod:`repro.tensor` and :mod:`repro.optim` (convolution
+forward and backward, GEMM, relu, the fused bias+relu chain, BatchNorm's
+backward, and the fused SGD / Adam / LAMB arena updates) dispatches through
+the *active* backend:
 
 ``numpy``
     The reference implementation — the exact code the engine has always
     run, bit-for-bit.  Every other backend is validated against it.
 
 ``fast``
-    BLAS-oriented kernels: the im2col conv path gathers patches directly
+    BLAS-oriented kernels: the conv path gathers patches directly
     into a transposed ``(C·kh·kw, N·oh·ow)`` layout so the forward pass
     is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
     V-factor hot path — become a single batched ``np.matmul`` with no
@@ -67,8 +68,6 @@ PARITY: dict[str, str] = {
     "linear": "bit-exact",
     "relu": "bit-exact",
     "bias_relu": "bit-exact",
-    "im2col": "bit-exact",
-    "col2im": "bit-exact",
     "conv2d_forward": "tolerance",
     # gw, gb and gx are backward quantities: the column order and the GEMM
     # orientation they are reduced in are free to change within tolerance.
@@ -130,30 +129,18 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 
 
 class _ScratchPool:
-    """One flat arena per tag, grown to the largest request, LRU-evicted
-    under a byte budget.
+    """One flat arena per tag, grown to the largest request and never shrunk.
 
     A request is a *view* of its tag's arena, so conv layers of every shape
     and batch size share one ``conv_cols`` arena sized for the largest of
     them: a server that sees batch sizes 1…8 holds the batch-8 buffers, not
-    eight sets.  Only zero frames need a tag per geometry (see :meth:`get`),
-    and they are what the budget is for: a process that keeps meeting new
-    geometries would otherwise keep every frame it ever made.  The budget is
-    ``BUDGET_FACTOR`` times the largest arena held, so it scales with the
-    model and not with the history.  Measured working sets: the forward half
-    of a hybrid VGG-19 train step at batch 32 holds 3.9× its largest arena
-    (the frames of a conv pyramid shrink geometrically, but come two per
-    stage), the whole step 1.7× once backward has brought the column matrix,
-    a ResNet-18 train step 1.9×, its server 1.4×; 8 leaves the worst of them
-    twice the room it needs, and what falls off the end are arenas the
-    process has stopped using.
+    eight sets.  Tags are string literals at the call sites, never built from
+    shapes, so the pool holds at most one arena per call site and dtype
+    however many geometries, batch sizes or models the process meets.
     """
 
-    BUDGET_FACTOR = 8
-
     def __init__(self) -> None:
-        self._arenas: dict[tuple, np.ndarray] = {}  # insertion order = LRU order
-        self.nbytes = 0
+        self._arenas: dict[tuple[str, str], np.ndarray] = {}
         self.misses = 0  # arena (re)allocations
 
     def __len__(self) -> int:
@@ -164,38 +151,16 @@ class _ScratchPool:
 
     def clear(self) -> None:
         self._arenas.clear()
-        self.nbytes = 0
 
-    def get(self, tag, shape: tuple[int, ...], dtype, zeroed: bool = False) -> np.ndarray:
-        """A ``shape`` view of ``tag``'s arena, contents undefined.
-
-        With ``zeroed`` the arena comes from ``np.zeros`` and the caller
-        promises that every call under this tag writes the same positions of
-        each leading-axis item, so the rest — a zero border — survives from
-        creation to eviction whatever the batch size.  ``tag`` must then name
-        everything that decides those positions, and the batch must be the
-        leading axis: a frame that stores it anywhere else has to be cleared
-        by its caller.
-        """
+    def get(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A ``shape`` view of ``tag``'s arena, contents undefined."""
         key = (tag, np.dtype(dtype).str)
         size = math.prod(shape)
-        arena = self._arenas.pop(key, None)
-        grow = arena is None or arena.size < size
-        if grow:
+        arena = self._arenas.get(key)
+        if arena is None or arena.size < size:
             self.misses += 1
-            self.nbytes -= arena.nbytes if arena is not None else 0
-            arena = (np.zeros if zeroed else np.empty)(size, dtype=dtype)
-            self.nbytes += arena.nbytes
-        self._arenas[key] = arena  # most recently used goes last
-        if grow:
-            self._evict()
+            arena = self._arenas[key] = np.empty(size, dtype=dtype)
         return arena[:size].reshape(shape)
-
-    def _evict(self) -> None:
-        budget = self.BUDGET_FACTOR * max(a.nbytes for a in self._arenas.values())
-        while self.nbytes > budget:
-            oldest = next(iter(self._arenas))
-            self.nbytes -= self._arenas.pop(oldest).nbytes
 
 
 _SCRATCH = _ScratchPool()
@@ -238,18 +203,14 @@ def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int, order) 
     """``src`` (N, C, h, w) laid at ``(top, left)`` of a pooled all-zero
     ``(N, C, fh, fw)`` frame stored in axis ``order`` — ``np.pad`` without the
     allocation, and with negative offsets: what falls outside the frame is
-    cropped."""
+    cropped.  The whole frame is cleared, not its four border strips: the two
+    column strips pull every cache line of the frame through anyway
+    (docs/PERFORMANCE.md)."""
     n, c, h, w = src.shape
     a0, a1 = max(0, -top), min(h, fh - top)
     b0, b1 = max(0, -left), min(w, fw - left)
-    # The pool keeps a border zero per leading-axis item (see _ScratchPool.get);
-    # a frame that leads with anything but the batch is cleared here instead
-    # (narrow maps only, by _conv_layout: under 1 MB on a batch-32 VGG-19 step).
-    pooled_border = order[0] == 0
-    tag = ("frame", c, fh, fw, top, left, h, w) if pooled_border else "frame_batch_inner"
-    buf = _scratch(tag, (n * c * fh * fw,), src.dtype, zeroed=pooled_border)
-    if not pooled_border:
-        buf.fill(0)
+    buf = _scratch("frame", (n * c * fh * fw,), src.dtype)
+    buf.fill(0)
     frame = _as_nchw(buf, (n, c, fh, fw), order)
     frame[:, :, top + a0 : top + a1, left + b0 : left + b1] = src[:, :, a0:a1, b0:b1]
     return frame
@@ -291,7 +252,7 @@ class Backend:
         mask = y > 0
         return y * mask, mask
 
-    # -- im2col / col2im ----------------------------------------------
+    # -- im2col / col2im: the reference conv's helpers, in no PARITY row --
 
     def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
         """Patch rows: ``(N*oh*ow, C*kh*kw)``, one receptive field per row."""
@@ -631,32 +592,6 @@ class FastBackend(Backend):
         y = x + b
         np.maximum(y, 0, out=y)
         return y, None
-
-    # -- im2col --------------------------------------------------------
-
-    def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
-        """Row-layout im2col via per-offset slab assignment (bit-exact).
-
-        The 6-D strided gather in the reference touches memory in
-        N·oh·ow-row order; assigning one ``(N, oh, ow, C)`` slab per
-        kernel offset keeps each copy dense and measurably faster.
-        """
-        n, c, h, w = x.shape
-        out_h = _out_size(h, kh, stride, ph)
-        out_w = _out_size(w, kw, stride, pw)
-        if kh == 1 and kw == 1 and stride == 1 and ph == 0 and pw == 0:
-            return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c))
-        if ph > 0 or pw > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        rows6 = np.empty((n, out_h, out_w, c, kh, kw), dtype=x.dtype)
-        for i in range(kh):
-            i_max = i + stride * out_h
-            for j in range(kw):
-                j_max = j + stride * out_w
-                rows6[:, :, :, :, i, j] = x[:, :, i:i_max:stride, j:j_max:stride].transpose(
-                    0, 2, 3, 1
-                )
-        return rows6.reshape(n * out_h * out_w, c * kh * kw)
 
     # -- conv2d --------------------------------------------------------
 

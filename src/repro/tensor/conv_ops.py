@@ -1,13 +1,14 @@
-"""Convolution and pooling primitives built on im2col.
+"""Convolution and pooling primitives, NCHW throughout.
 
-All routines operate on NCHW layout.  The im2col transform turns a
-convolution into one big matrix multiplication, which keeps both the
-forward and backward passes inside BLAS instead of Python loops — the
-standard trick for NumPy-only deep-learning stacks.
-
-The actual kernels live in :mod:`repro.tensor.backend`; everything here
-dispatches through the active backend, so the same autograd graph runs
-on the bit-exact ``numpy`` reference or the BLAS-batched ``fast`` path.
+A convolution is one big matrix multiplication over gathered patches, which
+keeps both passes inside BLAS instead of Python loops — the standard trick
+for NumPy-only deep-learning stacks.  The kernels live in
+:mod:`repro.tensor.backend` and ``conv2d`` dispatches through the active
+backend, so the same autograd graph runs on the bit-exact ``numpy`` reference
+(im2col rows, GEMM, col2im scatter-add) or the ``fast`` path (transposed
+columns, GEMM, input gradient by a second gather + GEMM).  Pooling is one
+implementation for both: k² shifted strided slabs of the input.
+:func:`im2col` / :func:`col2im` expose the reference conv's two helpers.
 ``padding`` may be an int or an ``(pad_h, pad_w)`` pair.
 """
 
@@ -69,8 +70,8 @@ def conv2d(
     """2-D convolution (cross-correlation) in NCHW with OIHW weights.
 
     ``weight`` has shape ``(c_out, c_in, kh, kw)``.  The forward pass is a
-    single GEMM over the im2col matrix; the backward pass reuses the cached
-    columns for the weight gradient, and gets the input gradient from col2im
+    single GEMM over the patch matrix; the backward pass reuses the cached
+    patches for the weight gradient, and gets the input gradient from col2im
     (reference) or a second gather + GEMM (``fast``).  The backend that runs
     the forward owns the cached context, so the backward stays consistent
     even if the active backend changes in between.
@@ -177,34 +178,38 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with square window."""
-    stride = stride or kernel
-    n, c, h, w = x.data.shape
-    out_h = _out_size(h, kernel, stride, 0)
-    out_w = _out_size(w, kernel, stride, 0)
+    """Average pooling with square window; ``stride`` defaults to ``kernel``.
 
-    sn, sc, sh, sw = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    out = windows.mean(axis=(-1, -2))
-    scale = 1.0 / (kernel * kernel)
+    Walks the same shifted slabs as :func:`max_pool2d`.  Forward sums each
+    window row left to right, then the rows top to bottom, then divides by k²:
+    the order ``mean`` over strided windows rounds in (k < 8, ``out_w`` > 1),
+    kept for every shape.  Backward accumulates ``g / k²`` per offset,
+    row-major — the order a ``col2im`` scatter-add rounds in.
+    """
+    stride = stride or kernel
+    xd = x.data
+    out_h = _out_size(xd.shape[2], kernel, stride, 0)
+    out_w = _out_size(xd.shape[3], kernel, stride, 0)
+    slabs = _window_slabs(kernel, stride, out_h, out_w)
+    out = None
+    for i in range(0, len(slabs), kernel):
+        row = xd[slabs[i]].copy()
+        for idx in slabs[i + 1 : i + kernel]:
+            row += xd[idx]
+        if out is None:
+            out = row
+        else:
+            out += row
+    out /= kernel * kernel
 
     def backward(g: np.ndarray) -> None:
-        g_spread = np.broadcast_to(
-            (g * scale)[..., None, None], (n, c, out_h, out_w, kernel, kernel)
-        )
-        grad_cols = g_spread.transpose(0, 2, 3, 1, 4, 5).reshape(
-            n * out_h * out_w, c * kernel * kernel
-        )
-        x._accumulate(
-            col2im(grad_cols, x.data.shape, kernel, kernel, stride, 0), owned=True
-        )
+        share = g * (1.0 / (kernel * kernel))
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        for idx in slabs:
+            gx[idx] += share
+        x._accumulate(gx, owned=True)
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), backward, "avg_pool2d")
+    return Tensor._from_op(out, (x,), backward, "avg_pool2d")
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ arrays share memory, and none aliases an op's saved context or a backend
 scratch buffer.  Three rules keep that true without copying every gradient:
 
 * **A producer donates.**  A backward closure that *builds* the array it
-  hands to a parent (a GEMM result, ``g * mask``, a reduction, a zeroed
+  hands to a parent (a GEMM result, ``g * mask``, a reduction, a zero-filled
   scatter target) calls ``parent._accumulate(buf, owned=True)`` and the
   engine stores ``buf`` itself on first arrival.  The closure must not
   keep, reuse or donate that buffer again, and must never donate a view of

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm2d
-from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col, linear
+from repro.tensor import Tensor, backend, bias_relu, conv2d, linear
 from repro.tensor.backend import PARITY, TOLERANCE_ATOL, TOLERANCE_RTOL
 
 NON_REF = [n for n in backend.available() if n != "numpy"]
@@ -115,25 +115,6 @@ class TestOpParity:
                 results[b] = (out.data, x.grad, w.grad, bias.grad)
         for ref, got in zip(results["numpy"], results[name]):
             assert_parity("linear", ref, got)
-
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, (2, 1)), (1, 1, 0), (2, 2, 0)])
-    def test_im2col(self, name, rng, k, stride, pad):
-        x = rng.standard_normal((2, 3, 9, 8)).astype(np.float32)
-        with backend.use("numpy"):
-            ref = im2col(x, k, k, stride, pad)
-        with backend.use(name):
-            got = im2col(x, k, k, stride, pad)
-        assert_parity("im2col", ref, got)
-
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, (2, 1)), (1, 1, 0)])
-    def test_col2im(self, name, rng, k, stride, pad):
-        x_shape = (2, 3, 9, 8)
-        with backend.use("numpy"):
-            cols = im2col(rng.standard_normal(x_shape).astype(np.float32), k, k, stride, pad)
-            ref = col2im(cols, x_shape, k, k, stride, pad)
-        with backend.use(name):
-            got = col2im(cols, x_shape, k, k, stride, pad)
-        assert_parity("col2im", ref, got)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_conv2d_forward_backward(self, name, rng, shape):
@@ -284,8 +265,6 @@ class TestParityContract:
             "linear",
             "relu",
             "bias_relu",
-            "im2col",
-            "col2im",
             "conv2d_forward",
             "conv2d_backward",
             "batch_norm_backward",

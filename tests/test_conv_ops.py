@@ -174,28 +174,35 @@ pool_cases = st.fixed_dictionaries(
 )
 
 
+def check_pool_against_oracle(pool, oracle, p, forward_bytes=True):
+    data = np.random.default_rng(p["seed"])
+    k, s = p["kernel"], p["stride"]
+    x = data.standard_normal((p["n"], p["c"], k + p["extra_h"], k + p["extra_w"]))
+    if p["levels"]:
+        x = np.floor(x * p["levels"] / 2) + 0.0  # "+ 0.0": no negative zeros
+    x = x.astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    out = pool(t, k, s)
+    g = data.standard_normal(out.shape)
+    if p["levels"]:
+        g = np.round(g * p["levels"]) / p["levels"]  # exact zeros of both signs
+    g = g.astype(np.float32)
+    out.backward(g)
+    ref_out, ref_gx = oracle(x, k, s, g)
+    if forward_bytes:
+        assert out.data.tobytes() == ref_out.tobytes()
+    else:
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-6, atol=1e-6)
+    # Bytes, not ``==``: the losers' zeros carry the oracle's sign too.
+    assert t.grad.tobytes() == ref_gx.tobytes()
+    assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+
+
 class TestMaxPoolMatchesArgmaxOracle:
     @given(pool_cases)
     @settings(max_examples=200, deadline=None)
     def test_output_and_input_gradient(self, p):
-        data = np.random.default_rng(p["seed"])
-        k, s = p["kernel"], p["stride"]
-        x = data.standard_normal((p["n"], p["c"], k + p["extra_h"], k + p["extra_w"]))
-        if p["levels"]:
-            x = np.floor(x * p["levels"] / 2) + 0.0  # "+ 0.0": no negative zeros
-        x = x.astype(np.float32)
-        t = Tensor(x, requires_grad=True)
-        out = max_pool2d(t, k, s)
-        g = data.standard_normal(out.shape)
-        if p["levels"]:
-            g = np.round(g * p["levels"]) / p["levels"]  # exact zeros of both signs
-        g = g.astype(np.float32)
-        out.backward(g)
-        ref_out, ref_gx = argmax_pool_oracle(x, k, s, g)
-        assert out.data.tobytes() == ref_out.tobytes()
-        # Bytes, not ``==``: the losers' zeros carry the oracle's sign too.
-        assert t.grad.tobytes() == ref_gx.tobytes()
-        assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+        check_pool_against_oracle(max_pool2d, argmax_pool_oracle, p)
 
     def test_tie_goes_to_the_first_offset_row_major(self):
         x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
@@ -218,23 +225,6 @@ class TestAvgPoolMatchesMeanOracle:
         """``mean`` over strided windows rounds in nditer's order: each window
         row left to right, then the rows — unless ``out_w == 1``, where the
         iterator drops that axis and the order follows the input's strides.
-        The kernel keeps the first order everywhere.  ``g`` has no exact zeros:
-        at k = s = 1 ``col2im``'s transpose shortcut keeps a -0.0 that a sum
-        turns into +0.0."""
-        data = np.random.default_rng(p["seed"])
-        k, s = p["kernel"], p["stride"]
-        x = data.standard_normal((p["n"], p["c"], k + p["extra_h"], k + p["extra_w"]))
-        if p["levels"]:
-            x = np.floor(x * p["levels"] / 2) + 0.0
-        x = x.astype(np.float32)
-        t = Tensor(x, requires_grad=True)
-        out = avg_pool2d(t, k, s)
-        g = data.standard_normal(out.shape).astype(np.float32)
-        out.backward(g)
-        ref_out, ref_gx = mean_pool_oracle(x, k, s, g)
-        if out.shape[3] > 1:
-            assert out.data.tobytes() == ref_out.tobytes()
-        else:
-            np.testing.assert_allclose(out.data, ref_out, rtol=1e-6, atol=1e-6)
-        assert t.grad.tobytes() == ref_gx.tobytes()
-        assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+        The kernel keeps the first order everywhere."""
+        out_w = p["extra_w"] // p["stride"] + 1
+        check_pool_against_oracle(avg_pool2d, mean_pool_oracle, p, forward_bytes=out_w > 1)

@@ -13,10 +13,8 @@ from repro.distributed import (
     DistributedTrainer,
     allgather_time,
     allreduce_mean,
-    assign_gradient_vector,
     broadcast_time,
     flatten_arrays,
-    gradient_vector,
     ring_allreduce_time,
     unflatten_vector,
 )
@@ -88,21 +86,6 @@ class TestCollectives:
     def test_unflatten_size_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             unflatten_vector(np.zeros(10, dtype=np.float32), [(3, 4)])
-
-    def test_gradient_vector_roundtrip(self, rng):
-        model = MLP(6, [8], 3)
-        x = Tensor(rng.standard_normal((4, 6)))
-        model(x).sum().backward()
-        vec = gradient_vector(list(model.parameters()))
-        model.zero_grad()
-        assign_gradient_vector(list(model.parameters()), vec)
-        vec2 = gradient_vector(list(model.parameters()))
-        assert np.allclose(vec, vec2)
-
-    def test_gradient_vector_handles_none_grads(self):
-        model = MLP(4, [4], 2)
-        vec = gradient_vector(list(model.parameters()))
-        assert np.allclose(vec, 0)
 
 
 class TestDistributedEquivalence:

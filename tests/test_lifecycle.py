@@ -230,6 +230,24 @@ def test_registry_versions_densely_with_lineage(tmp_path, tiny_run):
     assert len(PromotionRegistry(tmp_path / "reg").records()) == 3
 
 
+def test_index_write_that_dies_half_way_leaves_the_previous_index(tmp_path, tiny_run, monkeypatch):
+    from pathlib import Path
+
+    reg = PromotionRegistry(tmp_path / "reg")
+    reg.promote(tiny_run)
+    before, write_text = reg.records(), Path.write_text
+
+    def dies_half_way(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", dies_half_way)
+    with pytest.raises(OSError):
+        reg.promote(tiny_run)
+    monkeypatch.undo()
+    assert PromotionRegistry(tmp_path / "reg").records() == before
+
+
 def test_promote_artifact_requires_rank_map(tmp_path, tiny_run):
     reg = PromotionRegistry(tmp_path / "reg")
     with pytest.raises(PromotionError):
