@@ -8,7 +8,10 @@ very different halves and the gate treats them accordingly:
 * ``sim_twin`` is a pure function of ``(seed, pinned profile, config)``
   — simulator summary and trace digest are compared with an exact
   deep-diff.  Any drift is a behavior change in the ``ServingCore``
-  driver, never noise.
+  driver, never noise.  ``mixed_steps`` ran live but records only counts
+  (member-steps the executor computed, frames, who was answered first),
+  so it is deep-diffed too: 7 member-steps, not 16, is the step-level
+  batch membership contract.
 * ``live_twin`` and ``streaming`` ran against a real localhost server,
   so their measured fields are machine-dependent.  They are *not*
   diffed; instead the gate re-asserts the committed validation bands on
@@ -75,7 +78,7 @@ def invariants(name: str, scenario: dict) -> list[str]:
 def headline(current: dict) -> list[str]:
     failures: list[str] = []
     scenarios = current.get("scenarios", {})
-    for name in ("sim_twin", "live_twin", "streaming"):
+    for name in ("sim_twin", "live_twin", "streaming", "mixed_steps"):
         if name not in scenarios:
             failures.append(f"{name}: scenario missing from current run")
     sim = scenarios.get("sim_twin")
@@ -98,7 +101,7 @@ GATE = Gate(
     invariants=invariants,
     headline=headline,
     ok_line=lambda n, t: (
-        "gateway regression gate: sim twin exact, live twin within bands "
+        "gateway regression gate: sim twin and mixed steps exact, live twin within bands "
         f"({n} baseline scenarios)"
     ),
     description=__doc__.splitlines()[0],

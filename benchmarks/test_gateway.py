@@ -3,7 +3,7 @@
 Every serving number this repo reports came from the discrete-event
 simulator; the gateway is the first component that runs the same
 ``ServingCore`` policy on a real event loop with real sockets.  This
-benchmark closes the loop with three scenario families feeding
+benchmark closes the loop with four scenario families feeding
 ``BENCH_gateway.json``:
 
 * ``sim_twin``   — the committed twin scenario (pinned profile, seeded
@@ -14,7 +14,11 @@ benchmark closes the loop with three scenario families feeding
   the recorded deltas (shed rate, throughput ratio, per-request
   admission/status agreement) are gated to committed bands, not exactly;
 * ``streaming``  — a multi-step trace: every response must stream
-  partial frames strictly before its final frame.
+  partial frames strictly before its final frame;
+* ``mixed_steps`` — one 4-step stream and three unary requests cut as one
+  batch: a member is aboard for its own steps only, so the executor runs 7
+  member-steps (16 with everyone aboard to the end) and every unary reply
+  beats the stream's second frame.  Counts, not clocks — gated exactly.
 
 Gate: ``benchmarks/check_gateway_regression.py`` against
 ``benchmarks/baselines/gateway_baseline.json``.
@@ -214,3 +218,60 @@ def test_streaming():
     }
     assert progressive
     assert summary["streamed"] == len(trace)
+
+
+class _CountsMemberSteps(ProfileExecutor):
+    """Counts the steps run and the members each one computed for."""
+
+    steps_run = 0
+    member_steps = 0
+
+    async def run_step(self, requests, payloads, step):
+        self.steps_run += 1
+        self.member_steps += len(requests)
+        return await super().run_step(requests, payloads, step)
+
+
+def test_mixed_steps():
+    """Step-level batch membership, without a wall clock: what the executor
+    was asked to compute for a batch of one stream and three unary requests."""
+    n_unary, stream_steps = 3, 4
+    # max_batch = the whole trace, a long max_wait: the fill cuts the batch.
+    config = ServeConfig(slo_s=5.0, policy=BatchPolicy(n_unary + 1, 2.0), replicas=1)
+    trace = [TraceRequest(rid=0, at_s=0.0, payload=100, steps=stream_steps)] + [
+        TraceRequest(rid=i, at_s=0.0, payload=100 + i) for i in range(1, n_unary + 1)
+    ]
+    executor = _CountsMemberSteps(_profile())
+
+    async def scenario():
+        server = GatewayServer(executor, config, port=0)
+        await server.start()
+        try:
+            client = LoadClient("127.0.0.1", server.port, timeout_s=30.0)
+            return await client.run_open(trace), server.report()
+        finally:
+            await server.stop()
+
+    (stream, *unary), report = asyncio.run(scenario())
+    assert stream.ok and all(r.ok for r in unary)
+    _SCENARIOS["mixed_steps"] = {
+        "n_unary": n_unary,
+        "stream_steps": stream_steps,
+        "batch_sizes": [b.size for b in report.batches],
+        "steps_run": executor.steps_run,
+        "member_steps": executor.member_steps,
+        "member_steps_all_aboard": (n_unary + 1) * stream_steps,
+        "stream_partial_frames": len(stream.chunk_times),
+        "unary_before_second_frame": all(r.final_s < stream.chunk_times[1] for r in unary),
+    }
+    print_table(
+        "Mixed steps (1 stream x 4 steps + 3 unary, one batch, pinned profile)",
+        ["Batch sizes", "Steps run", "Member-steps", "All aboard", "Unary before frame 2"],
+        [[_SCENARIOS["mixed_steps"][k] for k in (
+            "batch_sizes", "steps_run", "member_steps", "member_steps_all_aboard",
+            "unary_before_second_frame")]],
+    )
+    assert report.n_completed == n_unary + 1 and len(report.batches) == 1
+    assert (executor.steps_run, executor.member_steps) == (4, 7)
+    assert len(stream.chunk_times) == stream_steps
+    assert _SCENARIOS["mixed_steps"]["unary_before_second_frame"]

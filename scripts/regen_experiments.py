@@ -493,6 +493,20 @@ def gen_gateway_vs_sim(artifact: dict) -> list[str]:
         f"frame (max lead {stream['stream_lead_ms_max']:.1f} ms on the "
         f"baseline machine).",
     ]
+    mixed = s["mixed_steps"]
+    lines += [
+        "",
+        f"Step-level batch membership (`mixed_steps`, exact-gated counts): one "
+        f"{mixed['stream_steps']}-step stream and {mixed['n_unary']} unary "
+        f"requests cut as one batch (sizes {mixed['batch_sizes']}) cost the "
+        f"executor **{mixed['member_steps']}** member-steps over "
+        f"{mixed['steps_run']} steps — {mixed['member_steps_all_aboard']} with "
+        f"every member aboard to the end; the stream got "
+        f"{mixed['stream_partial_frames']} partial frames "
+        f"(`unary_before_second_frame`: "
+        f"{str(mixed['unary_before_second_frame']).lower()} — every unary "
+        f"reply was on the wire before the stream's second frame).",
+    ]
     return lines
 
 

@@ -21,7 +21,9 @@ Two implementations behind one tiny interface (``estimate`` + awaitable
 Batch *steps* model progressive inference (snippet-1-style streaming
 sessions): a request asking for ``steps=k`` receives ``k`` partial
 results, one per executor step of its batch, each flushed to the client
-as soon as that step completes.
+as soon as that step completes.  A member is aboard for its own ``k``
+steps only: ``run_step`` is called with the members still computing, and
+``estimate`` prices a batch the same way.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ from ..serve.latency import LatencyProfile
 __all__ = ["ProfileExecutor", "ModelExecutor"]
 
 
+def _estimate(profile: LatencyProfile, steps: list[int]) -> float:
+    """Expected service seconds of a batch whose members ask for ``steps``
+    steps each: every step costs the latency of the members still aboard."""
+    return sum(
+        profile.latency(sum(1 for s in steps if s > step)) for step in range(max(steps))
+    )
+
+
 class ProfileExecutor:
     """Replays a pinned :class:`LatencyProfile` as real elapsed time."""
 
@@ -46,9 +56,9 @@ class ProfileExecutor:
     def __init__(self, profile: LatencyProfile):
         self.profile = profile
 
-    def estimate(self, batch_size: int, steps: int = 1) -> float:
+    def estimate(self, steps: list[int]) -> float:
         """Expected service seconds for one batch (the admission estimate)."""
-        return self.profile.latency(batch_size) * steps
+        return _estimate(self.profile, steps)
 
     async def run_step(self, requests: list[Request], payloads: list[int], step: int) -> list:
         """One batch step: sleep the measured latency, echo the payloads.
@@ -89,8 +99,8 @@ class ModelExecutor:
             max_workers=1, thread_name_prefix="gateway-infer"
         )
 
-    def estimate(self, batch_size: int, steps: int = 1) -> float:
-        return self.profile.latency(batch_size) * steps
+    def estimate(self, steps: list[int]) -> float:
+        return _estimate(self.profile, steps)
 
     def _forward(self, payloads: list[int], step: int) -> list:
         from ..tensor import no_grad

@@ -30,11 +30,16 @@ __all__ = [
     "iter_chunks",
     "MAX_LINE",
     "MAX_BODY",
+    "READ_TIMEOUT_S",
 ]
 
-# Hard limits so a malformed or hostile peer cannot balloon memory.
+# Hard limits so a malformed or hostile peer cannot balloon memory...
 MAX_LINE = 16 * 1024
 MAX_BODY = 8 * 1024 * 1024
+# ...or hold a connection half-read: a request whose first byte has arrived
+# must be complete within this many seconds (408 otherwise).  Idle
+# keep-alive *between* requests is not bounded.
+READ_TIMEOUT_S = 10.0
 
 CRLF = b"\r\n"
 LAST_CHUNK = b"0\r\n\r\n"
@@ -44,6 +49,7 @@ STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -90,11 +96,12 @@ class HttpResponse:
         return self.headers.get("transfer-encoding", "").lower() == "chunked"
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
+async def _read_line(reader: asyncio.StreamReader, head: bytes = b"") -> bytes:
+    """One CRLF-terminated line, ``head`` being bytes of it already read."""
     try:
-        line = await reader.readuntil(CRLF)
+        line = head + await reader.readuntil(CRLF)
     except asyncio.IncompleteReadError as e:
-        if not e.partial:
+        if not e.partial and not head:
             return b""  # clean EOF between requests
         raise HttpError(400, "truncated line") from e
     except asyncio.LimitOverrunError as e:
@@ -118,23 +125,55 @@ async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
         headers[name.decode("latin-1").strip().lower()] = value.decode("latin-1").strip()
 
 
-async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one request; ``None`` on clean EOF (client closed keep-alive)."""
-    line = await _read_line(reader)
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise HttpError(400, f"malformed request line {line!r}")
-    method, path, _version = parts
-    headers = await _read_headers(reader)
-    body = b""
-    length = int(headers.get("content-length", "0") or "0")
+async def _read_exactly(reader: asyncio.StreamReader, n: int, what: str) -> bytes:
+    try:
+        return await reader.readexactly(n)
+    except asyncio.IncompleteReadError as e:
+        raise HttpError(400, f"truncated {what}") from e
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    value = headers.get("content-length", "0") or "0"
+    try:
+        length = int(value)
+    except ValueError as e:
+        raise HttpError(400, f"malformed Content-Length {value!r}") from e
     if length < 0 or length > MAX_BODY:
         raise HttpError(413, "body too large")
-    if length:
-        body = await reader.readexactly(length)
+    return length
+
+
+async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
+    """Parse one request; ``None`` on clean EOF (client closed keep-alive).
+
+    Waiting for a request's first byte is unbounded (idle keep-alive);
+    from then on the peer has :data:`READ_TIMEOUT_S` to finish it, or the
+    read fails closed with a 408.
+    """
+    first = await reader.read(1)
+    if not first:
+        return None
+    # A timer, not ``wait_for``: no task per request on the serving path.
+    stall = asyncio.get_running_loop().call_later(READ_TIMEOUT_S, _fail_stalled, reader)
+    try:
+        line = await _read_line(reader, first)
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise HttpError(400, f"malformed request line {line!r}")
+        method, path, _version = parts
+        headers = await _read_headers(reader)
+        length = _content_length(headers)
+        body = await _read_exactly(reader, length, "body") if length else b""
+    finally:
+        stall.cancel()
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+
+
+def _fail_stalled(reader: asyncio.StreamReader) -> None:
+    """Wake the pending read (and fail every later one) with a 408."""
+    reader.set_exception(
+        HttpError(408, f"request not complete after {READ_TIMEOUT_S:g} s")
+    )
 
 
 def render_response(
@@ -218,10 +257,10 @@ async def iter_chunks(reader: asyncio.StreamReader):
             size = int(size_line.split(b";")[0], 16)
         except ValueError as e:
             raise HttpError(400, f"malformed chunk size {size_line!r}") from e
-        if size > MAX_BODY:
+        if size < 0 or size > MAX_BODY:
             raise HttpError(413, "chunk too large")
-        data = await reader.readexactly(size)
-        await reader.readexactly(2)  # trailing CRLF
+        data = await _read_exactly(reader, size, "chunk")
+        await _read_exactly(reader, 2, "chunk")  # trailing CRLF
         if size == 0:
             return
         yield data
@@ -233,8 +272,6 @@ async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
     if headers.get("transfer-encoding", "").lower() == "chunked":
         body = b"".join([c async for c in iter_chunks(reader)])
     else:
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY:
-            raise HttpError(413, "body too large")
-        body = await reader.readexactly(length) if length else b""
+        length = _content_length(headers)
+        body = await _read_exactly(reader, length, "body") if length else b""
     return HttpResponse(status=status, headers=headers, body=body)

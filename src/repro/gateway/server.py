@@ -15,9 +15,14 @@ timestamps are small floats like the sim's).  What each adapter supplies:
                                                 body is parsed
 ``dispatch_due``    the next modeled event      what an idle worker task
                                                 sleeps until
-``start_batch``     ``profile.latency(B)``      ``executor.estimate`` —
-                    as the estimate             what admission sees while
-                                                the batch is in flight
+``start_batch``     ``profile.latency(B)``      ``executor.estimate`` — Σ
+                    as the estimate             over steps of the latency
+                                                of the members still
+                                                aboard; what admission
+                                                sees meanwhile
+``leave_batch``     never (one-step             ``now()`` after the step
+                    requests)                   that was a member's last,
+                                                others still computing
 ``finish_batch``    the same                    elapsed ``run_step`` time
                     ``profile.latency(B)``      (real forwards or a
                     as the actual               profile-timed sleep)
@@ -28,12 +33,16 @@ timestamps are small floats like the sim's).  What each adapter supplies:
 
 Streaming: a request with ``steps=k`` gets a chunked response whose
 frames are flushed one per completed batch step — partial results arrive
-while later steps are still computing.  Graceful shutdown stops
-accepting, sheds the queue with reason ``shutdown`` (clients get 503s,
-the report accounts every request), then drains in-flight batches.  An
-executor exception sheds exactly that batch with reason ``error``
-(clients get 500s, or the terminal frame of a stream already begun),
-frees the replica, and the worker keeps serving.
+while later steps are still computing.  Batch membership is per step: a
+member leaves after its own last step — completed in the ledger and
+answered at that instant — and the next step is computed for the members
+still aboard only, so a unary request never waits for a streaming
+batch-mate.  Graceful shutdown stops accepting, sheds the queue with
+reason ``shutdown`` (clients get 503s, the report accounts every
+request), then drains in-flight batches.  An executor exception sheds the
+members still aboard with reason ``error`` (clients get 500s, or the
+terminal frame of a stream already begun; a member that had left keeps
+its answer), frees the replica, and the worker keeps serving.
 
 Metrics mirror the simulator's under the ``serve.gateway.*`` namespace.
 """
@@ -210,30 +219,52 @@ class GatewayServer:
 
     async def _run_batch(self, live: list[Request], dispatch_s: float) -> None:
         core = self.core
-        pendings = [self._pending[r.rid] for r in live]
-        payloads = [p.payload for p in pendings]
-        steps = max(p.steps for p in pendings)
+        aboard = [self._pending[r.rid] for r in live]
+        steps = [p.steps for p in aboard]
         # Claim the replica with the busy estimate *before* the first
         # await, so admission decisions made while this batch is in
         # flight see it.
-        replica = core.start_batch(dispatch_s, self.executor.estimate(len(live), steps))
+        replica = core.start_batch(dispatch_s, self.executor.estimate(steps))
         try:
             with _trace.span(
-                f"{NAMESPACE}.batch", replica=replica, size=len(live), steps=steps
+                f"{NAMESPACE}.batch",
+                replica=replica,
+                size=len(live),
+                steps=max(steps),
+                member_steps=sum(steps),
             ):
-                for step in range(steps):
-                    results = await self.executor.run_step(live, payloads, step)
+                for step in range(max(steps)):
+                    results = await self.executor.run_step(
+                        [p.request for p in aboard], [p.payload for p in aboard], step
+                    )
                     t = self.now()
-                    for pend, result in zip(pendings, results):
-                        if step < pend.steps:
-                            pend.events.put_nowait(("step", step, result, t))
+                    if _metrics.COLLECT:
+                        _metrics.REGISTRY.counter(f"{NAMESPACE}.steps").inc()
+                        _metrics.REGISTRY.counter(f"{NAMESPACE}.member_steps").inc(len(aboard))
+                    for pend, result in zip(aboard, results):
+                        pend.events.put_nowait(("step", step, result, t))
+                    # Whoever just had their last step leaves now; the
+                    # longest member stays to the end, where finish_batch
+                    # completes everyone still aboard.
+                    staying = [p for p in aboard if p.steps > step + 1]
+                    if staying and len(staying) < len(aboard):
+                        leavers = [p.request for p in aboard if p.steps == step + 1]
+                        for outcome in core.leave_batch(replica, leavers, t):
+                            self._resolve(outcome)
+                        aboard = staying
         except Exception:
-            # A failing executor must cost exactly this batch: account it,
-            # answer its clients, free the replica, keep the worker alive.
-            _log.exception("executor failed on a batch of %d; shedding it", len(live))
-            outcomes = core.fail_batch(replica, live, self.now())
+            # A failing executor must cost exactly the members still
+            # aboard: account them, answer their clients, free the replica,
+            # keep the worker alive.
+            _log.exception(
+                "executor failed with %d of %d batch members aboard; shedding them",
+                len(aboard), len(live),
+            )
+            outcomes = core.fail_batch(replica, [p.request for p in aboard], self.now())
         else:
-            outcomes = core.finish_batch(replica, live, dispatch_s, self.now() - dispatch_s)
+            outcomes = core.finish_batch(
+                replica, [p.request for p in aboard], dispatch_s, self.now() - dispatch_s
+            )
         for outcome in outcomes:
             self._resolve(outcome)
 

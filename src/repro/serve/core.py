@@ -41,7 +41,13 @@ COMPLETED = "completed"
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One dispatched batch on the caller's clock."""
+    """One dispatched batch on the caller's clock.
+
+    ``index`` is the dispatch order, reserved by ``start_batch``; ``size``
+    counts the members the batch served to completion — the dispatch size
+    unless the executor failed after some had left — so a report's
+    ``n_completed`` is always ``Σ size``.
+    """
 
     index: int
     replica: int
@@ -59,6 +65,15 @@ class BatchRecord:
             "service_s": round(self.service_s, 9),
             "completion_s": round(self.completion_s, 9),
         }
+
+
+@dataclass
+class _Flight:
+    """A batch between ``start_batch`` and ``finish_batch`` / ``fail_batch``."""
+
+    index: int
+    dispatch_s: float
+    left: int = 0  # members already completed by ``leave_batch``
 
 
 @dataclass
@@ -228,11 +243,17 @@ class ServingCore:
       splits off requests whose deadline already passed
       (``shed_deadline`` outcomes);
     * :meth:`start_batch` with its service *estimate* — claims the idle
-      replica that freed first (lowest index on ties) and marks it busy
-      until the estimate, which is what admission sees meanwhile;
+      replica that freed first (lowest index on ties), reserves the
+      batch's index and marks the replica busy until the estimate, which
+      is what admission sees meanwhile;
+    * :meth:`leave_batch`, any number of times, for members whose own last
+      step is done while others compute on — their completed outcomes at
+      that instant, under the reserved index (the simulator's one-step
+      batches never call it);
     * :meth:`finish_batch` with the *actual* service time — records the
-      :class:`BatchRecord` and the completed outcomes — or
-      :meth:`fail_batch` when the executor raised (``shed_error``);
+      :class:`BatchRecord` and the completed outcomes of the members
+      still aboard — or :meth:`fail_batch` when the executor raised
+      (``shed_error`` for those still aboard);
     * :meth:`shed_queue` / :meth:`refuse` on shutdown, so nothing
       disappears silently;
     * :meth:`report` for the run so far.
@@ -252,7 +273,8 @@ class ServingCore:
         # Per-replica free time: the estimate while a batch is in flight,
         # the actual completion afterwards.
         self.free_at = [0.0] * config.replicas
-        self._in_flight: set[int] = set()
+        self._in_flight: dict[int, _Flight] = {}
+        self._n_started = 0
         # rid -> outcome in arrival order; None while the request is
         # still queued or in flight.
         self.outcomes: dict[int, RequestOutcome | None] = {}
@@ -302,9 +324,43 @@ class ServingCore:
         self._update_shed_gauge()
         return outcome
 
-    def _release(self, replica: int, free_s: float) -> None:
-        self._in_flight.discard(replica)
+    def _release(self, replica: int, free_s: float) -> _Flight:
         self.free_at[replica] = free_s
+        return self._in_flight.pop(replica)
+
+    def _complete(self, members: list[Request], now_s: float, batch: int) -> list[RequestOutcome]:
+        done = [
+            RequestOutcome(
+                req.rid,
+                req.arrival_s,
+                COMPLETED,
+                completion_s=now_s,
+                latency_s=now_s - req.arrival_s,
+                slo_ok=now_s <= req.deadline_s,
+                batch=batch,
+            )
+            for req in members
+        ]
+        for outcome in done:
+            self.outcomes[outcome.rid] = outcome
+        self.last_completion_s = max(self.last_completion_s, now_s)
+        if _metrics.COLLECT:
+            self._counter("completed").inc(len(done))
+            latency_ms = self._histogram("latency_ms")
+            for outcome in done:
+                latency_ms.observe(outcome.latency_s * 1e3)
+        return done
+
+    def _record(
+        self, index: int, replica: int, dispatch_s: float, size: int, service_s: float
+    ) -> None:
+        self.batches.append(
+            BatchRecord(index, replica, dispatch_s, size, service_s, dispatch_s + service_s)
+        )
+        self.busy_s += service_s
+        if _metrics.COLLECT:
+            self._counter("batches").inc()
+            self._histogram("batch_size").observe(size)
 
     # -- policy surface -------------------------------------------------
 
@@ -375,57 +431,51 @@ class ServingCore:
 
         Picks the idle replica that freed first, lowest index on ties,
         and marks it busy until ``dispatch_s + est_service_s`` — the free
-        time admission sees while the batch is in flight.
+        time admission sees while the batch is in flight.  The batch's
+        index is reserved here, in dispatch order, so a member that leaves
+        before the batch ends can already name it.
         """
         idle = [r for r in range(len(self.free_at)) if r not in self._in_flight]
         replica = min(idle, key=self.free_at.__getitem__)
-        self._in_flight.add(replica)
+        self._in_flight[replica] = _Flight(self._n_started, dispatch_s)
+        self._n_started += 1
         self.free_at[replica] = dispatch_s + est_service_s
         return replica
+
+    def leave_batch(
+        self, replica: int, leavers: list[Request], now_s: float
+    ) -> list[RequestOutcome]:
+        """``leavers`` had their last step at ``now_s`` while the batch on
+        ``replica`` computes on for the others: their completed outcomes,
+        at their own instant.  The replica stays busy."""
+        flight = self._in_flight[replica]
+        flight.left += len(leavers)
+        return self._complete(leavers, now_s, flight.index)
 
     def finish_batch(
         self, replica: int, live: list[Request], dispatch_s: float, service_s: float
     ) -> list[RequestOutcome]:
         """The batch on ``replica`` took ``service_s``: free the replica
-        at the actual completion, record the batch and its outcomes."""
+        at the actual completion, record the batch (at its dispatch size)
+        and the outcomes of the members still aboard."""
         completion = dispatch_s + service_s
-        self._release(replica, completion)
-        record = BatchRecord(
-            len(self.batches), replica, dispatch_s, len(live), service_s, completion
-        )
-        self.batches.append(record)
-        self.busy_s += service_s
-        self.last_completion_s = max(self.last_completion_s, completion)
-        done = [
-            RequestOutcome(
-                req.rid,
-                req.arrival_s,
-                COMPLETED,
-                completion_s=completion,
-                latency_s=completion - req.arrival_s,
-                slo_ok=completion <= req.deadline_s,
-                batch=record.index,
-            )
-            for req in live
-        ]
-        for outcome in done:
-            self.outcomes[outcome.rid] = outcome
-        if _metrics.COLLECT:
-            self._counter("batches").inc()
-            self._counter("completed").inc(len(live))
-            self._histogram("batch_size").observe(len(live))
-            latency_ms = self._histogram("latency_ms")
-            for outcome in done:
-                latency_ms.observe(outcome.latency_s * 1e3)
-        return done
+        flight = self._release(replica, completion)
+        self._record(flight.index, replica, dispatch_s, flight.left + len(live), service_s)
+        return self._complete(live, completion, flight.index)
 
     def fail_batch(
         self, replica: int, live: list[Request], now_s: float
     ) -> list[RequestOutcome]:
         """The executor raised: free ``replica`` at ``now_s`` and shed the
-        whole batch as ``shed_error`` (no :class:`BatchRecord` — nothing
-        was served)."""
-        self._release(replica, now_s)
+        members still aboard as ``shed_error``.  Members that had left keep
+        their outcome, and the :class:`BatchRecord` they name counts only
+        them; a batch that served nobody leaves no record."""
+        flight = self._release(replica, now_s)
+        if flight.left:
+            self._record(
+                flight.index, replica, flight.dispatch_s, flight.left,
+                now_s - flight.dispatch_s,
+            )
         return [self._shed(req, SHED_ERROR) for req in live]
 
     def shed_queue(self, reason: str) -> list[RequestOutcome]:
@@ -445,7 +495,8 @@ class ServingCore:
             duration_s=float(duration_s),
             slo_s=self.config.slo_s,
             outcomes=[o for o in self.outcomes.values() if o is not None],
-            batches=list(self.batches),
+            # Recorded in finish order, reported in dispatch order.
+            batches=sorted(self.batches, key=lambda b: b.index),
             queue_depths=list(self.queue_depths),
             replicas=self.config.replicas,
         )

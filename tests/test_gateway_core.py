@@ -7,13 +7,16 @@ invariants of the one driver — a Hypothesis property drives random
 traces through it and checks the ledger it leaves behind.
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import observability as obs
+from repro.gateway import ProfileExecutor
 from repro.serve import (
     SHED_ADMISSION,
     SHED_DEADLINE,
@@ -225,6 +228,18 @@ latency_steps = st.tuples(
 )
 
 
+def drawn_setup(lat, slo, max_batch, max_wait, replicas):
+    """A non-decreasing latency profile and a config from drawn values."""
+    prof = LatencyProfile(
+        batch_sizes=(1, 4, 8),
+        latency_s=(lat[0], lat[0] + lat[1], lat[0] + lat[1] + lat[2] + 1e-6),
+    )
+    config = ServeConfig(
+        slo_s=slo, policy=BatchPolicy(max_batch, max_wait), replicas=replicas
+    )
+    return prof, config
+
+
 class TestDriverInvariants:
     @given(
         gaps=gaps,
@@ -243,13 +258,7 @@ class TestDriverInvariants:
         for g in gaps:
             t += g
             arrivals.append(t)
-        prof = LatencyProfile(
-            batch_sizes=(1, 4, 8),
-            latency_s=(lat[0], lat[0] + lat[1], lat[0] + lat[1] + lat[2] + 1e-6),
-        )
-        config = ServeConfig(
-            slo_s=slo, policy=BatchPolicy(max_batch, max_wait), replicas=replicas
-        )
+        prof, config = drawn_setup(lat, slo, max_batch, max_wait, replicas)
         report = ServeSimulator(prof, config).run(arrivals)
 
         # Exactly one terminal outcome per request, in arrival order.
@@ -267,3 +276,179 @@ class TestDriverInvariants:
             assert b.dispatch_s >= free_at[b.replica]
             assert b.replica == free_at.index(min(free_at))
             free_at[b.replica] = b.completion_s
+
+
+# -- step-level batch membership --------------------------------------------
+
+# ServeSimulator digests of the three pinned scenarios below, recorded at the
+# commit before members could leave a batch early.
+PARENT_DIGESTS = ["3f32dab1a180e314", "0ad56f043ef428f5", "cc1c44d20bf327d7"]
+
+
+def drive_stepwise(prof, config, arrivals, steps, fail_at):
+    """A modeled-clock twin of ``GatewayServer._run_batch``: request ``i``
+    asks for ``steps[i]`` steps and leaves its batch after its own last one;
+    batch ``k`` (in dispatch order) raises at step ``fail_at[k]`` if that is
+    not ``None``.  Returns ``(core, returned, cuts)``: every outcome a core
+    call handed back, and per dispatched batch ``(dispatch_s, replica, rids)``.
+    """
+    core = ServingCore(prof, config)
+    requests = [Request(i, t, t + config.slo_s) for i, t in enumerate(arrivals)]
+    returned, cuts, flights = [], [], {}
+    now, i = 0.0, 0
+    while i < len(requests) or len(core) or flights:
+        t_step, replica = min(
+            ((f["dispatch_s"] + f["service_s"], r) for r, f in flights.items()),
+            default=(math.inf, None),
+        )
+        t_arrival = requests[i].arrival_s if i < len(requests) else math.inf
+        t_dispatch = math.inf
+        if len(core) and len(flights) < config.replicas:  # an idle worker
+            t_dispatch = max(core.dispatch_due(), now)
+        if t_step <= min(t_arrival, t_dispatch):
+            now, f = t_step, flights[replica]
+            aboard = f["aboard"]
+            if f["fail_at"] == f["step"]:
+                returned += core.fail_batch(replica, aboard, now)
+                del flights[replica]
+                continue
+            f["step"] += 1
+            staying = [r for r in aboard if steps[r.rid] > f["step"]]
+            if not staying:
+                returned += core.finish_batch(replica, aboard, f["dispatch_s"], f["service_s"])
+                del flights[replica]
+                continue
+            if len(staying) < len(aboard):
+                leavers = [r for r in aboard if steps[r.rid] == f["step"]]
+                returned += core.leave_batch(replica, leavers, now)
+                f["aboard"] = staying
+            f["service_s"] += prof.latency(len(staying))
+        elif t_arrival < t_dispatch:
+            now = t_arrival
+            if not core.offer(requests[i]).admitted:
+                returned.append(core.outcomes[i])
+            i += 1
+        else:
+            now = t_dispatch
+            live, expired = core.cut_batch(now)
+            returned += expired
+            if not live:
+                continue
+            estimate = ProfileExecutor(prof).estimate([steps[r.rid] for r in live])
+            replica = core.start_batch(now, estimate)
+            flights[replica] = {
+                "aboard": live,
+                "dispatch_s": now,
+                "service_s": prof.latency(len(live)),
+                "step": 0,
+                "fail_at": fail_at[len(cuts) % len(fail_at)],
+            }
+            cuts.append((now, replica, [r.rid for r in live]))
+    return core, returned, cuts
+
+
+class TestStepLevelLedger:
+    @given(
+        gaps=gaps,
+        lat=latency_steps,
+        slo=st.floats(min_value=0.02, max_value=0.5),
+        max_batch=st.integers(min_value=1, max_value=6),
+        max_wait=st.floats(min_value=0.0, max_value=0.03),
+        replicas=st.integers(min_value=1, max_value=3),
+        steps=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12),
+        fail_at=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_leave_finish_fail_keep_the_ledger_whole(
+        self, gaps, lat, slo, max_batch, max_wait, replicas, steps, fail_at
+    ):
+        arrivals = list(itertools.accumulate(gaps))
+        steps = [steps[i % len(steps)] for i in range(len(arrivals))]
+        prof, config = drawn_setup(lat, slo, max_batch, max_wait, replicas)
+        core, returned, cuts = drive_stepwise(prof, config, arrivals, steps, fail_at)
+        report = core.report()
+
+        # Exactly one terminal outcome per request: in the ledger, and
+        # handed back by exactly one core call.
+        assert [o.rid for o in report.outcomes] == list(range(len(arrivals)))
+        assert sorted(o.rid for o in returned) == list(range(len(arrivals)))
+        assert all(core.outcomes[o.rid] is o for o in returned)
+        assert not core._in_flight
+
+        # Indices are the dispatch order, and every completed outcome names
+        # the record of the dispatch that cut it.
+        by_index = {b.index: b for b in report.batches}
+        assert len(by_index) == len(report.batches)
+        assert [b.index for b in report.batches] == sorted(by_index)
+        cut_of = {rid: k for k, (_, _, rids) in enumerate(cuts) for rid in rids}
+        for o in report.outcomes:
+            if o.status != "completed":
+                assert o.status in ("shed_admission", "shed_deadline", "shed_error")
+                continue
+            batch = by_index[o.batch]
+            dispatch_s, replica, _ = cuts[cut_of[o.rid]]
+            assert o.batch == cut_of[o.rid]
+            assert (batch.dispatch_s, batch.replica) == (dispatch_s, replica)
+            assert dispatch_s <= o.completion_s <= batch.completion_s
+            assert o.latency_s == o.completion_s - o.arrival_s
+
+        # Records count exactly the requests they served; an unfailed batch
+        # keeps its dispatch size however early its members left.
+        assert report.n_completed == sum(b.size for b in report.batches)
+        failed = {o.rid for o in report.outcomes if o.status == "shed_error"}
+        for k, (_, _, rids) in enumerate(cuts):
+            if k in by_index:
+                assert by_index[k].size == len(set(rids) - failed) >= 1
+            else:
+                assert set(rids) <= failed  # served nobody: no record
+
+        # Replicas never overlap, failed batches included: a batch starts
+        # only once the one before it on that replica is over.
+        last_end = [0.0] * replicas
+        for k, (dispatch_s, replica, rids) in enumerate(cuts):
+            assert dispatch_s >= last_end[replica] - 1e-12
+            ends = [core.outcomes[rid].completion_s or 0.0 for rid in rids]
+            last_end[replica] = max([dispatch_s, *ends])
+            if k in by_index:
+                assert by_index[k].completion_s == by_index[k].dispatch_s + by_index[k].service_s
+                last_end[replica] = max(last_end[replica], by_index[k].completion_s)
+
+    @given(
+        gaps=gaps,
+        lat=latency_steps,
+        slo=st.floats(min_value=0.005, max_value=0.3),
+        max_batch=st.integers(min_value=1, max_value=8),
+        max_wait=st.floats(min_value=0.0, max_value=0.03),
+        replicas=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_requests_reduce_to_the_simulator(
+        self, gaps, lat, slo, max_batch, max_wait, replicas
+    ):
+        """With nobody to leave early the step-level calls are the
+        simulator's start/finish pair: same ledger, digest for digest."""
+        arrivals = list(itertools.accumulate(gaps))
+        prof, config = drawn_setup(lat, slo, max_batch, max_wait, replicas)
+        core, _, _ = drive_stepwise(prof, config, arrivals, [1] * len(arrivals), [None])
+        sim = ServeSimulator(prof, config).run(arrivals)
+        assert core.report().digest() == sim.digest()
+        assert core.report().summary() == sim.summary()
+
+    def test_simulator_digests_are_the_ones_before_step_level_membership(self):
+        """Pinned at the parent commit: reserving the index in
+        ``start_batch`` and completing through ``leave_batch``'s helper
+        moved no byte of a one-step timeline."""
+        rng = np.random.default_rng(5)
+        arrivals = np.cumsum(rng.exponential(1 / 900.0, size=600)).tolist()
+        prof = profile((0.004, 0.007, 0.011))
+        digests = [
+            ServeSimulator(
+                prof, ServeConfig(slo_s=slo, policy=BatchPolicy(b, w), replicas=r)
+            ).run(arrivals).digest()
+            for slo, b, w, r in ((0.05, 4, 0.005, 1), (0.03, 8, 0.002, 2), (0.02, 3, 0.0, 3))
+        ]
+        assert digests == PARENT_DIGESTS

@@ -200,6 +200,67 @@ class TestStreaming:
         asyncio.run(_with_server(config(slo_ms=2000.0), profile(20.0), scenario))
 
 
+class _CountsMembers(ProfileExecutor):
+    """Records how many members each ``run_step`` computed for."""
+
+    def __init__(self, prof):
+        super().__init__(prof)
+        self.sizes = []
+
+    async def run_step(self, requests, payloads, step):
+        assert len(requests) == len(payloads)
+        self.sizes.append(len(requests))
+        return await super().run_step(requests, payloads, step)
+
+
+class TestStepLevelMembership:
+    """A member is aboard for its own steps only: the unary half of a
+    mixed pair is answered after step 0 and steps 1, 2 run for the stream
+    alone."""
+
+    @staticmethod
+    async def _mixed_pair():
+        executor = _CountsMembers(profile(20.0))
+        server = GatewayServer(executor, config(max_batch=2, max_wait_ms=200.0), port=0)
+        await server.start()
+        try:
+            client = LoadClient("127.0.0.1", server.port, timeout_s=5.0)
+            unary, stream = await client.run_open(
+                [
+                    TraceRequest(rid=0, at_s=0.0, payload=1),
+                    TraceRequest(rid=1, at_s=0.0, payload=2, steps=3),
+                ]
+            )
+            metrics = await _raw_request(server, "GET", "/metrics")
+        finally:
+            await server.stop()
+        return executor, server.report(), unary, stream, metrics.json()
+
+    def test_unary_member_leaves_after_its_own_step(self):
+        executor, report, unary, stream, metrics = asyncio.run(self._mixed_pair())
+        assert unary.ok and stream.ok and len(stream.chunk_times) == 3
+        assert executor.sizes == [2, 1, 1]
+        assert unary.final_s < stream.chunk_times[1]  # answered before step 1 ended
+        # One batch at its dispatch size; the leaver's completion is its own.
+        (batch,) = report.batches
+        assert (batch.index, batch.size) == (0, 2)
+        early, late = report.outcomes
+        assert early.batch == late.batch == 0
+        assert early.completion_s < late.completion_s == batch.completion_s
+        # Observability is off: the step counters add nothing to the registry.
+        assert metrics["counters"] == {} and obs.get_registry().counters() == {}
+
+    def test_metrics_show_steps_run_and_member_steps_served(self):
+        with obs.observe() as (tracer, registry):
+            tracer.clear()
+            _, _, unary, stream, metrics = asyncio.run(self._mixed_pair())
+        assert unary.ok and stream.ok
+        assert metrics["counters"]["serve.gateway.steps"] == 3
+        assert metrics["counters"]["serve.gateway.member_steps"] == 4  # was 6
+        (span,) = tracer.spans("serve.gateway.batch")
+        assert span.attrs == {"replica": 0, "size": 2, "steps": 3, "member_steps": 4}
+
+
 class TestGracefulShutdown:
     def test_queued_requests_shed_with_shutdown_reason(self):
         """stop() during a deep queue: in-flight work completes, queued
@@ -261,6 +322,18 @@ class _FailsFirstBatch(ProfileExecutor):
         return await super().run_step(requests, payloads, step)
 
 
+class _FailsAtStepOne(ProfileExecutor):
+    """Serves step 0, raises the first time it is asked for a step 1."""
+
+    failed = False
+
+    async def run_step(self, requests, payloads, step):
+        if step == 1 and not self.failed:
+            self.failed = True
+            raise RuntimeError("injected executor failure at step 1")
+        return await super().run_step(requests, payloads, step)
+
+
 class TestExecutorFailure:
     def test_failed_batch_is_shed_and_the_replica_keeps_serving(self):
         """An executor exception costs exactly its batch: 500 / terminal
@@ -304,6 +377,51 @@ class TestExecutorFailure:
         assert [(b.replica, b.size) for b in report.batches] == [(0, 1)]
         assert report.summary()["n_shed_error"] == 2
         assert server._pending == {}  # nothing left unaccounted
+
+    def test_failure_after_an_early_leave_sheds_only_who_is_still_aboard(self):
+        """The executor raises at step 1, after the unary member of the
+        batch was answered: its 200 and ``completed`` outcome stand, the
+        stream gets its one partial and a terminal ``shed_error`` frame,
+        and the same replica serves the next batch."""
+
+        async def scenario():
+            server = GatewayServer(
+                _FailsAtStepOne(profile()),
+                config(max_batch=2, max_wait_ms=200.0),
+                port=0,
+            )
+            await server.start()
+            client = LoadClient("127.0.0.1", server.port, timeout_s=5.0)
+            first = await client.run_open(
+                [
+                    TraceRequest(rid=0, at_s=0.0, payload=1),
+                    TraceRequest(rid=1, at_s=0.0, payload=2, steps=3),
+                ]
+            )
+            (served,) = await client.run_open([TraceRequest(rid=2, at_s=0.0, payload=3)])
+            await asyncio.wait_for(server.stop(), timeout=5.0)
+            return server, first, served
+
+        server, (unary, stream), served = asyncio.run(scenario())
+        assert unary.ok and unary.http_status == 200
+        assert unary.result == {"echo": 1, "step": 0}
+        assert stream.error is None and stream.status == "shed_error"
+        assert len(stream.chunk_times) == 1 and stream.chunk_times[0] < stream.final_s
+        assert served.ok and served.http_status == 200
+
+        report = server.report()
+        assert {o.rid: o.status for o in report.outcomes} == {
+            0: "completed",
+            1: "shed_error",
+            2: "completed",
+        }
+        # The failed batch keeps the record its leaver names, counting only
+        # the member it served; completed requests and batch sizes agree.
+        assert [(b.index, b.replica, b.size) for b in report.batches] == [(0, 0, 1), (1, 0, 1)]
+        assert unary.batch == 0 and served.batch == 1
+        assert report.n_completed == sum(b.size for b in report.batches) == 2
+        assert report.summary()["n_shed_error"] == 1
+        assert server._pending == {}
 
 
 class TestTraceDeterminism:
