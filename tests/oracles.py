@@ -1,6 +1,12 @@
-"""Pooling as it was before it walked shifted slabs, kept as the byte-equal
-oracle for ``tests/test_conv_ops.py`` and ``benchmarks/test_kernels.py``:
-``as_strided`` windows forward, a scatter-add per kernel offset backward."""
+"""Kernels as they were before a rewrite, kept as byte-equal oracles for the
+tests and ``benchmarks/test_kernels.py``.
+
+* Pooling before it walked shifted slabs: ``as_strided`` windows forward, a
+  scatter-add per kernel offset backward (``tests/test_conv_ops.py``).
+* The exact gradient mean as ``NoCompression.decode_aggregate`` and
+  ``allreduce_mean`` each wrote it out: whole-array float64 casts, adds in
+  worker order, one division, one cast back.
+"""
 
 import numpy as np
 
@@ -49,3 +55,12 @@ def mean_pool_oracle(x: np.ndarray, kernel: int, stride: int, g: np.ndarray):
     out = np.ascontiguousarray(windows.mean(axis=(-1, -2)))
     spread = np.broadcast_to((g * (1.0 / (kernel * kernel)))[..., None, None], windows.shape)
     return out, _scatter(spread, x.shape, kernel, stride)
+
+
+def exact_mean_oracle(arrays, dtype=None):
+    """Element-wise mean of ``arrays`` accumulated in float64 in list order,
+    cast to ``dtype`` (default: the first input's)."""
+    out = arrays[0].astype(np.float64)
+    for a in arrays[1:]:
+        out += a
+    return (out / len(arrays)).astype(arrays[0].dtype if dtype is None else dtype)

@@ -116,6 +116,25 @@ class TestOpParity:
         for ref, got in zip(results["numpy"], results[name]):
             assert_parity("linear", ref, got)
 
+    def test_linear_forward_sweep(self, name):
+        """Forward bytes of ``linear`` for every row count 1-130 against
+        ragged and round widths, straddling any shape rule a backend uses to
+        orient the GEMM; the output stays C-contiguous, so whatever reduces
+        over it downstream keeps its order."""
+        rng = np.random.default_rng(0)
+        widths = [(128, 128), (127, 129), (129, 127), (3072, 130), (64, 512), (512, 64),
+                  (200, 333), (5, 7)]
+        for rows in range(1, 131):
+            for in_f, out_f in widths:
+                x = rng.standard_normal((rows, in_f)).astype(np.float32)
+                w = rng.standard_normal((out_f, in_f)).astype(np.float32)
+                outs = {}
+                for b in ("numpy", name):
+                    with backend.use(b):
+                        outs[b] = linear(Tensor(x), Tensor(w)).data
+                assert outs[name].flags.c_contiguous, (rows, in_f, out_f)
+                assert outs[name].tobytes() == outs["numpy"].tobytes(), (rows, in_f, out_f)
+
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_conv2d_forward_backward(self, name, rng, shape):
         n, c_in, h, w, c_out, k, stride, padding = shape

@@ -3,6 +3,10 @@
 For random world sizes, dtypes and (non-divisible) payload shapes, the
 simulated ring allreduce/allgather must equal the numpy reference —
 with and without injected faults (seeded, so any failure reproduces).
+The reference mean is ``tests.oracles.exact_mean_oracle``: a rank-order
+sequential sum in float64, the canonical reduction order every worker must
+reproduce bit-for-bit (``np.sum`` would use pairwise accumulation, which
+reassociates for p >= 8).
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ from repro.distributed import (
     ring_allgather,
     ring_allreduce_mean,
 )
+from tests.oracles import exact_mean_oracle
 
 WORLD = st.integers(1, 8)
 # Sizes straddling the chunking boundary: empty chunks (size < p),
@@ -32,16 +37,6 @@ def vectors(p, size, dtype, seed):
     return [rng.standard_normal(size).astype(dtype) * 100 for _ in range(p)]
 
 
-def reference_mean(vs):
-    # Rank-order sequential sum in float64 — the canonical reduction
-    # order every worker must reproduce bit-for-bit.  (np.sum would use
-    # pairwise accumulation, which reassociates for p >= 8.)
-    acc = vs[0].astype(np.float64)
-    for v in vs[1:]:
-        acc = acc + v.astype(np.float64)
-    return (acc / len(vs)).astype(vs[0].dtype)
-
-
 class TestRingAllreduceExactness:
     @given(p=WORLD, size=SIZE, dtype=DTYPE, seed=SEED)
     @settings(max_examples=80, deadline=None)
@@ -49,7 +44,7 @@ class TestRingAllreduceExactness:
         vs = vectors(p, size, dtype, seed)
         for out in ring_allreduce_mean(vs):
             assert out.dtype == dtype
-            assert np.array_equal(out, reference_mean(vs))
+            assert np.array_equal(out, exact_mean_oracle(vs))
 
     @given(p=WORLD, size=SIZE, dtype=DTYPE, seed=SEED)
     @settings(max_examples=40, deadline=None)
@@ -67,7 +62,7 @@ class TestRingAllreduceExactness:
         vs = [rng.standard_normal((rows, cols)).astype(dtype) for _ in range(p)]
         for out in ring_allreduce_mean(vs):
             assert out.shape == (rows, cols)
-            assert np.array_equal(out, reference_mean(vs))
+            assert np.array_equal(out, exact_mean_oracle(vs))
 
     @given(p=WORLD, size=SIZE, seed=SEED, fault_seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

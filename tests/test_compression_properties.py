@@ -12,7 +12,10 @@ Every compressor in the registry is held to the published contract in
 * allreduce-compatible compressors commute with bucket tiling: encoding
   bucket-by-bucket with ``layer_offset`` is bit-identical to encoding the
   whole gradient at once — the invariant the compressed-overlap DDP path
-  relies on.
+  relies on;
+* what ``decode_aggregate`` returns when one worker's gradient holds NaN or
+  ±inf is pinned per compressor: which entries come back poisoned, or which
+  typed error is raised.
 """
 
 import math
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import make_compressor, registered_compressors
+from tests.oracles import exact_mean_oracle
 
 ALL_NAMES = sorted(registered_compressors())
 ARC_NAMES = sorted(
@@ -64,14 +68,7 @@ def make_low_rank_grads(rng, world, rank=2, n=8, m=9, vec=5):
 
 
 def exact_mean(per_worker):
-    n_layers = len(per_worker[0])
-    out = []
-    for i in range(n_layers):
-        acc = np.zeros_like(per_worker[0][i], dtype=np.float64)
-        for grads in per_worker:
-            acc += grads[i]
-        out.append((acc / len(per_worker)).astype(np.float32))
-    return out
+    return [exact_mean_oracle(layer, np.float32) for layer in zip(*per_worker)]
 
 
 def rel_err(got, want):
@@ -236,3 +233,89 @@ class TestBucketTilingCommutes:
                 assert whole.error_norm(w) == tiled.error_norm(w)
             whole.advance_step()
             tiled.advance_step()
+
+
+def poisoned(decoded) -> str:
+    """Per layer, the flat indices of every NaN / +inf / -inf entry
+    (``all`` when the whole layer is), or ``finite``."""
+    parts = []
+    for layer in decoded:
+        flat = layer.reshape(-1)
+        kinds = []
+        for kind, mask in (("nan", np.isnan(flat)), ("+inf", np.isposinf(flat)),
+                           ("-inf", np.isneginf(flat))):
+            idx = np.flatnonzero(mask)
+            if idx.size == flat.size:
+                kinds.append(f"{kind}:all")
+            elif idx.size:
+                kinds.append(f"{kind}:" + ",".join(map(str, idx)))
+        parts.append(" ".join(kinds) or "finite")
+    return " | ".join(parts)
+
+
+# Worker 1 of 4 carries the bad value at flat entry 17 of its (6, 7) matrix
+# and entry 4 of its vector.  Reading the table: the exact-mean codecs (sgd,
+# vargate with open gates, abtrain's first, full-rank round) poison exactly
+# those entries with the input's kind; a low-rank or quantized matrix
+# (powersgd, qsgd, binary) spreads NaN over the whole layer; signum's vote
+# and topk's selection can hide the value entirely; and atomo's sampling
+# silently drops a worker's matrix whose spectrum is not finite.  The SVD of a
+# NaN matrix (abtrain's basis refresh, atomo's encode) raises.
+NON_FINITE = {
+    ("abtrain", "nan"): "LinAlgError",
+    ("abtrain", "+inf"): "+inf:17 | +inf:4",
+    ("abtrain", "-inf"): "-inf:17 | -inf:4",
+    ("atomo", "nan"): "LinAlgError",
+    ("atomo", "+inf"): "finite | +inf:4",
+    ("atomo", "-inf"): "finite | -inf:4",
+    ("binary", "nan"): "nan:all | nan:all",
+    ("binary", "+inf"): "nan:all | nan:all",
+    ("binary", "-inf"): "nan:all | nan:all",
+    ("powersgd", "nan"): "nan:all | nan:4",
+    ("powersgd", "+inf"): "nan:all | +inf:4",
+    ("powersgd", "-inf"): "nan:all | -inf:4",
+    ("qsgd", "nan"): "nan:all | nan:all",
+    ("qsgd", "+inf"): "nan:all | nan:all",
+    ("qsgd", "-inf"): "nan:all | nan:all",
+    ("sgd", "nan"): "nan:17 | nan:4",
+    ("sgd", "+inf"): "+inf:17 | +inf:4",
+    ("sgd", "-inf"): "-inf:17 | -inf:4",
+    ("signum", "nan"): "finite | finite",
+    ("signum", "+inf"): "finite | finite",
+    ("signum", "-inf"): "finite | finite",
+    ("topk", "nan"): "nan:17 | finite",
+    ("topk", "+inf"): "finite | +inf:4",
+    ("topk", "-inf"): "finite | -inf:4",
+    ("vargate", "nan"): "nan:17 | nan:4",
+    ("vargate", "+inf"): "+inf:17 | +inf:4",
+    ("vargate", "-inf"): "-inf:17 | -inf:4",
+}
+BAD_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+class TestNonFiniteGradients:
+    """One poisoned worker: what comes back, per compressor, is pinned."""
+
+    def test_table_covers_the_registry(self):
+        assert {name for name, _ in NON_FINITE} == set(ALL_NAMES)
+        assert len(NON_FINITE) == len(ALL_NAMES) * len(BAD_VALUES)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_VALUES))
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_decode_is_pinned(self, name, bad):
+        world = 4
+        rng = np.random.default_rng(0)
+        comp = make_compressor(name, world)
+        per_worker = [make_grads(rng) for _ in range(world)]
+        per_worker[1][0][2, 3] = BAD_VALUES[bad]
+        per_worker[1][1][4] = BAD_VALUES[bad]
+        with np.errstate(all="ignore"):
+            try:
+                decoded = comp.decode_aggregate(
+                    [comp.encode(w, per_worker[w]) for w in range(world)]
+                )
+            except np.linalg.LinAlgError as e:
+                got = type(e).__name__
+            else:
+                got = poisoned(decoded)
+        assert got == NON_FINITE[(name, bad)]

@@ -9,6 +9,13 @@ bodies in ``ddp.py`` became one, and must not change when the engine under
 it is refactored — a change that moves a digest changed numerics, fault
 draws or byte accounting, not just structure.
 
+Every row runs under each registered backend against the same digest: the
+MLP's ops (``linear``, ``bias_relu``, the fused optimizers' ``sgd_update``)
+are all ``bit-exact`` in :data:`repro.tensor.backend.PARITY`, so the table
+binds on the ``fast`` CI leg exactly as on the ``numpy`` ones.  Most rows
+train at batch 8; the ``-b32`` rows train at batch 32 with a 128-wide first
+layer, the ``32 × 3072 → 128`` forward GEMM of ``ddp_factorized``.
+
 Parameter bytes depend on the BLAS kernels NumPy dispatches to, so the
 table only binds on the platform it was recorded on: ``PLATFORM_CANARY``
 hashes a forward/backward of the test model that never touches ``ddp.py``,
@@ -37,7 +44,7 @@ from repro.distributed import (
 from repro.models import MLP
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD, FusedSGD
-from repro.tensor import Tensor
+from repro.tensor import Tensor, backend
 from repro.utils import canonical_digest, set_seed
 
 WORLD = 4
@@ -60,52 +67,54 @@ CLUSTERS = {
     "hier": lambda: HierarchicalSpec(2, 2, inter_bandwidth_gbps=0.3),
 }
 FAULTS = {"clean": None, "rejoin": FAULTS_REJOIN, "shrink": FAULTS_SHRINK}
+# Hidden widths per batch size (see the module docstring).
+HIDDEN = {8: [64, 32], 32: [128, 32]}
 
 
 def _configs() -> list[tuple]:
-    """(compressor, overlap, faults, fused, flat_allreduce, cluster) rows."""
+    """(compressor, overlap, faults, fused, flat_allreduce, cluster, batch) rows."""
     rows = []
     for comp in (*OVERLAPPABLE, "topk", "signum"):
         for overlap in (False, True) if comp in OVERLAPPABLE else (False,):
             for faults in ("clean", "rejoin"):
-                rows.append((comp, overlap, faults, False, True, "flat"))
+                rows.append((comp, overlap, faults, False, True, "flat", 8))
     for comp in ("sgd", "powersgd"):
         for overlap in (False, True):
             for faults in ("clean", "rejoin"):
-                rows.append((comp, overlap, faults, True, True, "flat"))
+                rows.append((comp, overlap, faults, True, True, "flat", 8))
             # Two-level topology and a shrinking ring: neither is covered by
             # the overlap suite.
-            rows.append((comp, overlap, "rejoin", False, True, "hier"))
-            rows.append((comp, overlap, "shrink", False, True, "flat"))
+            rows.append((comp, overlap, "rejoin", False, True, "hier", 8))
+            rows.append((comp, overlap, "shrink", False, True, "flat", 8))
         for faults in ("clean", "rejoin"):
-            rows.append((comp, False, faults, False, False, "flat"))
-    rows.append(("sgd", True, "clean", False, True, "hier"))
-    rows.append(("sgd", False, "clean", False, True, "hier"))
+            rows.append((comp, False, faults, False, False, "flat", 8))
+        rows.append((comp, True, "clean", False, True, "flat", 32))
+    rows.append(("sgd", True, "clean", False, True, "hier", 8))
+    rows.append(("sgd", False, "clean", False, True, "hier", 8))
     return rows
 
 
 def _config_id(cfg: tuple) -> str:
-    comp, overlap, faults, fused, flat, cluster = cfg
-    return "-".join(
-        [
-            comp,
-            "overlap" if overlap else "blocking",
-            faults,
-            "fused" if fused else "loop",
-            "flat" if flat else "perlayer",
-            cluster,
-        ]
-    )
+    comp, overlap, faults, fused, flat, cluster, batch = cfg
+    parts = [
+        comp,
+        "overlap" if overlap else "blocking",
+        faults,
+        "fused" if fused else "loop",
+        "flat" if flat else "perlayer",
+        cluster,
+    ]
+    return "-".join(parts if batch == 8 else [*parts, f"b{batch}"])
 
 
 CONFIGS = {_config_id(c): c for c in _configs()}
 
 
-def _model_and_data():
+def _model_and_data(batch: int = 8):
     set_seed(3)
-    model = MLP(3 * 32 * 32, [64, 32], 4)
+    model = MLP(3 * 32 * 32, HIDDEN[batch], 4)
     ds = make_cifar_like(
-        n=WORLD * 8 * 3, num_classes=4, noise=0.2, rng=np.random.default_rng(3)
+        n=WORLD * batch * 3, num_classes=4, noise=0.2, rng=np.random.default_rng(3)
     )
     return model, ds
 
@@ -118,9 +127,9 @@ def _sha(arrays) -> str:
 
 
 def run_config(cfg: tuple) -> dict:
-    comp, overlap, faults, fused, flat, cluster = cfg
-    model, ds = _model_and_data()
-    loaders = [DataLoader(x, y, 8) for x, y in shard_dataset(ds.images, ds.labels, WORLD)]
+    comp, overlap, faults, fused, flat, cluster, batch = cfg
+    model, ds = _model_and_data(batch)
+    loaders = [DataLoader(x, y, batch) for x, y in shard_dataset(ds.images, ds.labels, WORLD)]
     opt = (FusedSGD if fused else SGD)(model.parameters(), lr=0.05, momentum=0.9)
     spec = FAULTS[faults]
     trainer = DistributedTrainer(
@@ -148,8 +157,9 @@ def run_config(cfg: tuple) -> dict:
 def platform_canary() -> str:
     """Gradients of the test model on fixed data, straight through autograd."""
     model, ds = _model_and_data()
-    loss = CrossEntropyLoss()(model(Tensor(ds.images[:8])), ds.labels[:8])
-    loss.backward()
+    with backend.use("numpy"):
+        loss = CrossEntropyLoss()(model(Tensor(ds.images[:8])), ds.labels[:8])
+        loss.backward()
     return _sha(p.grad for p in model.parameters())[:16]
 
 
@@ -171,6 +181,7 @@ PINNED = {
     "powersgd-blocking-shrink-loop-flat-flat": "b3404baaa73cb832",
     "powersgd-overlap-clean-fused-flat-flat": "1873a0fe6c2e3ada",
     "powersgd-overlap-clean-loop-flat-flat": "1873a0fe6c2e3ada",
+    "powersgd-overlap-clean-loop-flat-flat-b32": "c682f231e8af6c1f",
     "powersgd-overlap-rejoin-fused-flat-flat": "cfc4f6e141c8b1d3",
     "powersgd-overlap-rejoin-loop-flat-flat": "cfc4f6e141c8b1d3",
     "powersgd-overlap-rejoin-loop-flat-hier": "cfc4f6e141c8b1d3",
@@ -186,6 +197,7 @@ PINNED = {
     "sgd-blocking-shrink-loop-flat-flat": "bc1fb3eb5c21fd96",
     "sgd-overlap-clean-fused-flat-flat": "ef17317c345587fc",
     "sgd-overlap-clean-loop-flat-flat": "ef17317c345587fc",
+    "sgd-overlap-clean-loop-flat-flat-b32": "80e06727234889d7",
     "sgd-overlap-clean-loop-flat-hier": "ef17317c345587fc",
     "sgd-overlap-rejoin-fused-flat-flat": "76564a488d28aa5b",
     "sgd-overlap-rejoin-loop-flat-flat": "76564a488d28aa5b",
@@ -215,6 +227,11 @@ def test_shrink_spec_really_shrinks_the_ring():
     assert any(kind == "failure" for kind, _, _ in out["fault_events"])
 
 
+def digest(name: str, backend_name: str) -> str:
+    with backend.use(backend_name):
+        return canonical_digest(run_config(CONFIGS[name]))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_digest_is_pinned(name):
     if platform_canary() != PLATFORM_CANARY:
@@ -222,12 +239,13 @@ def test_digest_is_pinned(name):
             "digest table was recorded on different BLAS kernels "
             f"(canary {platform_canary()} != {PLATFORM_CANARY})"
         )
-    assert canonical_digest(run_config(CONFIGS[name])) == PINNED[name]
+    for backend_name in backend.available():
+        assert digest(name, backend_name) == PINNED[name], f"{name} on {backend_name}"
 
 
 if __name__ == "__main__":
     print(f'PLATFORM_CANARY = "{platform_canary()}"')
     print("PINNED = {")
     for name in sorted(CONFIGS):
-        print(f'    "{name}": "{canonical_digest(run_config(CONFIGS[name]))}",')
+        print(f'    "{name}": "{digest(name, "numpy")}",')
     print("}")
