@@ -7,8 +7,9 @@ are machine-dependent, so times are never diffed against the baseline;
 what is gated:
 
 * **structure** — the op set, the fused-step set, the
-  ``linear_fwd_bwd`` pair, the ``max_pool_fwd_bwd`` pair and the
-  ``powersgd_round`` row, each entry's parity tag (or match kind),
+  ``linear_fwd_bwd`` pair, the ``max_pool_fwd_bwd`` pair, the
+  ``powersgd_round`` row and the ``exact_mean`` row, each entry's parity
+  tag (or match kind),
   benchmark shape, graph-node counts and enforced floor must match the
   baseline exactly: a silently dropped op or a loosened floor is a gate
   change, not noise;
@@ -22,7 +23,8 @@ what is gated:
   three-node composite, ``max_pool2d`` its floor over the argmax /
   col2im route it replaced, and a PowerSGD round with in-place error
   feedback its floor over the allocate-per-round codec it replaced — with
-  a smaller peak working set, or the point of the rewrite is gone.
+  a smaller peak working set, or the point of the rewrite is gone — and
+  the chunked exact gradient mean its floor over the whole-array formula.
 
 Usage::
 
@@ -54,6 +56,10 @@ POOL_RULE = ExactFields(
 POWERSGD_RULE = ExactFields(
     ("shape", "match", "min_speedup"),
     note="powersgd_round benchmark structure changed",
+)
+EXACT_MEAN_RULE = ExactFields(
+    ("shape", "match", "min_speedup"),
+    note="exact_mean benchmark structure changed",
 )
 
 
@@ -131,6 +137,8 @@ def check(current: dict, baseline: dict, threshold: float) -> list[str]:
     _walk(current, baseline, "max_pool_fwd_bwd", POOL_RULE,
           fused_invariants("max_pool_fwd_bwd", "argmax / col2im route"), failures)
     _walk(current, baseline, "powersgd_round", POWERSGD_RULE, powersgd_invariants, failures)
+    _walk(current, baseline, "exact_mean", EXACT_MEAN_RULE,
+          fused_invariants("exact_mean", "whole-array formula"), failures)
     return failures
 
 
@@ -143,7 +151,7 @@ GATE = Gate(
     custom=check,
     ok_line=lambda n, t: (
         f"kernel regression gate: {n} ops + fused steps + fused linear + max pool "
-        "+ PowerSGD round OK "
+        "+ PowerSGD round + exact mean OK "
         "(structure exact, parity + speedup floors hold)"
     ),
     description=__doc__.splitlines()[0],

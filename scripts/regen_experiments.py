@@ -350,6 +350,34 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
              "Speedup", "Resident MB", "Peak MB", "Enforced floor"],
             rows,
         )
+    mean = artifact.get("exact_mean")
+    if mean:
+        lines += [
+            "",
+            "The exact gradient mean of `ddp_factorized`'s decode "
+            "(`compression.base.exact_mean`: float64 chunks of "
+            "`MEAN_CHUNK` elements that stay in cache) vs the whole-array "
+            "`astype / += / (/ n) / astype` formula it replaced (kept in "
+            "`tests/oracles.py` as the oracle), best of 20 interleaved:",
+            "",
+        ]
+        rows = [
+            [
+                name,
+                s["match"],
+                s["shape"],
+                f"{s['oracle_ms']:.2f}",
+                f"{s['chunked_ms']:.2f}",
+                f"{s['speedup']:.2f}×",
+                f"≥{s['min_speedup']:.1f}×",
+            ]
+            for name, s in sorted(mean.items())
+        ]
+        lines += _md_table(
+            ["Case", "Match", "Shape", "whole-array (ms)", "chunked (ms)", "Speedup",
+             "Enforced floor"],
+            rows,
+        )
     return lines
 
 

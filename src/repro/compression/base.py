@@ -44,12 +44,52 @@ __all__ = [
     "NoCompression",
     "ResidualStore",
     "UndecodedRoundError",
+    "exact_mean",
     "register_compressor",
     "registered_compressors",
     "make_compressor",
 ]
 
 FLOAT32_BYTES = 4
+
+#: Elements per pass of :func:`exact_mean`: its two float64 scratch chunks
+#: (512 KiB together) stay in L2 while every worker's slice is folded in.
+MEAN_CHUNK = 32768
+
+
+def exact_mean(arrays, dtype=None) -> np.ndarray:
+    """Element-wise mean of equally shaped ``arrays``, accumulated in float64
+    in list order and cast once to ``dtype`` (default: the first input's).
+
+    The float64 operations are exactly those of ``a0.astype(float64)``,
+    ``+= a1 … += a(n-1)``, ``/ n``, ``.astype(dtype)``, in that order, so the
+    result is byte-equal to that formula on every input — signed zeros,
+    infinities and NaN payloads included (``tests/oracles.py`` keeps the
+    formula as the oracle).  Only the traversal differs: ``MEAN_CHUNK``
+    elements at a time, worker 0 copied and every later worker cast into two
+    float64 scratch chunks that stay in cache, where the formula streams
+    whole-array float64 temporaries through memory once per worker.
+    """
+    if not arrays:
+        raise ValueError("exact_mean of no arrays")
+    first = arrays[0]
+    if any(a.shape != first.shape for a in arrays):
+        raise ValueError(f"exact_mean needs one shape, got {[a.shape for a in arrays]}")
+    n = len(arrays)
+    out = np.empty(first.shape, dtype=first.dtype if dtype is None else dtype)
+    dst = out.reshape(-1)
+    flats = [a.reshape(-1) for a in arrays]  # views of contiguous inputs
+    acc_buf, cast_buf = np.empty((2, min(dst.size, MEAN_CHUNK)), dtype=np.float64)
+    for start in range(0, dst.size, MEAN_CHUNK):
+        stop = min(start + MEAN_CHUNK, dst.size)
+        acc, cast = acc_buf[: stop - start], cast_buf[: stop - start]
+        acc[...] = flats[0][start:stop]
+        for flat in flats[1:]:
+            cast[...] = flat[start:stop]
+            acc += cast
+        np.divide(acc, n, out=acc)
+        dst[start:stop] = acc
+    return out
 
 
 @dataclass
@@ -272,9 +312,6 @@ class NoCompression(Compressor):
         return EncodeResult(payload=list(grads), nbytes=nbytes)
 
     def decode_aggregate(self, results: list[EncodeResult]) -> list[np.ndarray]:
-        n = len(results)
-        out = [g.astype(np.float64) for g in results[0].payload]
-        for res in results[1:]:
-            for acc, g in zip(out, res.payload):
-                acc += g
-        return [(acc / n).astype(np.float32) for acc in out]
+        return [
+            exact_mean(layer, np.float32) for layer in zip(*(res.payload for res in results))
+        ]

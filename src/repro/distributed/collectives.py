@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..compression.base import exact_mean
 from ..observability import metrics as _metrics
 
 __all__ = [
@@ -63,10 +64,7 @@ def allreduce_mean(
     # One allreduce = 2(p-1) synchronous ring steps; any dropped step
     # stalls the whole ring.
     _charge_faults(faults, "allreduce", iteration, 2 * (len(worker_vectors) - 1))
-    out = worker_vectors[0].astype(np.float64)
-    for v in worker_vectors[1:]:
-        out += v
-    return (out / len(worker_vectors)).astype(worker_vectors[0].dtype)
+    return exact_mean(worker_vectors)
 
 
 def bucketed_allreduce_mean(
@@ -81,11 +79,15 @@ def bucketed_allreduce_mean(
 
     ``buckets`` is any sequence of objects with ``offset``/``size``
     element slices (e.g. :class:`repro.distributed.overlap.Bucket`) that
-    must tile each vector exactly.  Because :func:`allreduce_mean`
-    accumulates in float64 *elementwise* in worker order, slicing the
-    reduction into buckets is bit-exact vs one monolithic call.  (The
-    trainer relies on the same fact through
-    ``NoCompression.decode_aggregate``; it does not call this function.)
+    must tile each vector exactly.  Every bucket is one
+    :func:`allreduce_mean`, i.e. one
+    :func:`~repro.compression.base.exact_mean`, which accumulates in
+    float64 *elementwise* in worker order, so slicing the reduction into
+    buckets is bit-exact vs one monolithic call.  The trainer does not call
+    this function: ``NoCompression.decode_aggregate`` runs the same
+    ``exact_mean`` per layer of each bucket.  It stays as the bucket-tiling
+    oracle of ``tests/test_overlap_sim.py`` and the
+    ``distributed.allreduce_ms`` row of the repo benchmark.
     """
     if not worker_vectors:
         raise ValueError("no worker vectors")

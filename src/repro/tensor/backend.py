@@ -1,9 +1,9 @@
 """Pluggable op backends for the tensor engine.
 
 Every hot kernel in :mod:`repro.tensor` and :mod:`repro.optim` (convolution
-forward and backward, GEMM, relu, the fused bias+relu chain, BatchNorm's
-backward, and the fused SGD / Adam / LAMB arena updates) dispatches through
-the *active* backend:
+forward and backward, GEMM, the fused ``linear`` node's forward GEMM, relu,
+the fused bias+relu chain, BatchNorm's backward, and the fused SGD / Adam /
+LAMB arena updates) dispatches through the *active* backend:
 
 ``numpy``
     The reference implementation — the exact code the engine has always
@@ -17,9 +17,11 @@ the *active* backend:
     transpose copies at all) and the input gradient is the same gather +
     GEMM over the output gradient, with the batch axis innermost in the
     columns when the feature map is narrow (the low-rank ``U`` convs at
-    4×4 / 2×2), and fused elementwise chains (``bias_relu`` in one pass
-    via ``np.maximum(x + b, 0, out=...)``, BatchNorm's training backward
-    from two per-channel sums).
+    4×4 / 2×2); a short batch through a wide ``linear`` runs its forward
+    GEMM as ``(W @ xᵀ)ᵀ``, the faster orientation there and the same bytes
+    (:func:`_linear_transposed`); and fused elementwise chains
+    (``bias_relu`` in one pass via ``np.maximum(x + b, 0, out=...)``,
+    BatchNorm's training backward from two per-channel sums).
 
 Selection, in precedence order: ``repro.tensor.backend.use()`` context
 manager > ``set_backend()`` / the ``--backend`` CLI flag > the
@@ -62,7 +64,9 @@ __all__ = [
 # ``np.array_equal``.
 PARITY: dict[str, str] = {
     "matmul": "bit-exact",
-    # functional.linear reaches the backend through ``matmul`` only.  The
+    # functional.linear's forward GEMM; its backward GEMMs are not
+    # dispatched.  The fast backend's orientation swap is byte-equal, not
+    # merely ``==`` (tests/test_backend_parity.py sweeps rows 1-130).  The
     # tag is also the fused node's contract against the ``x @ W.T + b``
     # composite it replaced, on 2-D inputs (the kernel bench re-checks it).
     "linear": "bit-exact",
@@ -179,6 +183,17 @@ _BATCH_INNER = ((1, 2, 3, 0), (1, 2, 3, 0))  # CHWN frame, (C, oh, ow, N) column
 _SGEMM_TILE = 16
 
 
+def _linear_transposed(rows: int, in_features: int, out_features: int) -> bool:
+    """Whether ``linear``'s forward runs as ``(W @ xᵀ)ᵀ``: a batch of 12-32
+    rows through a layer at least 128 wide on both sides.  There it is up to
+    1.8× faster than ``x @ Wᵀ`` and never slower (single-thread OpenBLAS,
+    the ratio table in docs/PERFORMANCE.md); it loses on narrow layers, at
+    batch 1-8 and on ``train_seq``'s 416-448 rows.  On the OpenBLAS the
+    tests were recorded on, both orientations give the same bytes on every
+    shape swept (rows 1-130, ragged widths, ``tests/test_backend_parity.py``)."""
+    return 12 <= rows <= 32 and min(in_features, out_features) >= 128
+
+
 def _conv_layout(n: int, out_h: int, out_w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Batch innermost once that at least doubles the runs.  Moving NCHW data
     into and out of a CHWN frame costs more than ``n > out_w`` alone wins back
@@ -238,6 +253,11 @@ class Backend:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
+
+    def linear(self, x2d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``x2d @ w.T`` for a ``(rows, in)`` input and an ``(out, in)``
+        weight, as a fresh C-contiguous ``(rows, out)`` array."""
+        return x2d @ w.T
 
     # -- elementwise ---------------------------------------------------
 
@@ -580,6 +600,13 @@ class FastBackend(Backend):
     """
 
     name = "fast"
+
+    # -- GEMM ----------------------------------------------------------
+
+    def linear(self, x2d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        if _linear_transposed(x2d.shape[0], w.shape[1], w.shape[0]):
+            return np.ascontiguousarray((w @ x2d.T).T)
+        return x2d @ w.T
 
     # -- elementwise ---------------------------------------------------
 

@@ -33,7 +33,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Fused affine map ``x @ weight.T + bias`` — one graph node, not three.
 
     ``weight`` is ``(out, in)`` and ``x`` is ``(..., in)``; leading axes are
-    flattened so forward and backward are one GEMM each.  The backward
+    flattened so forward and backward are one GEMM each.  The forward GEMM
+    is the active backend's ``linear`` op, whose orientation may depend on
+    the shape but whose bytes may not.  The backward
     writes the weight gradient directly in ``(out, in)`` layout
     (``g2d.T @ x2d``, no transposed copy), skips the input-gradient GEMM
     when ``x`` is data, and emits this layer's leaf gradients before the
@@ -43,7 +45,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """
     w = weight.data
     x2d = x.data.reshape(-1, w.shape[1])
-    out = _backend.active().matmul(x2d, w.T)
+    out = _backend.active().linear(x2d, w)
     if _profiler.profiling_active():
         _profiler.record_gemm(out.size * w.shape[1])
     if bias is not None:
