@@ -94,7 +94,7 @@ FUSED_STEP_FLOOR = 2.0
 # input as data: the composite's cost is the strided transposed copy of the
 # weight gradient, so the full-rank layer gains most and its rank-factorized
 # pair (small factors, dispatch-bound) mostly sheds graph nodes.  Measured
-# 5.6-7.7× and 1.9-2.6× under either backend (docs/PERFORMANCE.md).
+# 5.2-7.7× and 1.7-2.6× under either backend (docs/PERFORMANCE.md).
 LINEAR_FLOOR = {"vanilla": 2.5, "lowrank": 1.3}
 
 # max_pool2d (k² shifted strided slabs, forward + backward) vs the route it

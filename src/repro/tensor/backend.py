@@ -185,9 +185,9 @@ _SGEMM_TILE = 16
 
 def _linear_transposed(rows: int, in_features: int, out_features: int) -> bool:
     """Whether ``linear``'s forward runs as ``(W @ xᵀ)ᵀ``: a batch of 12-32
-    rows through a layer at least 128 wide on both sides.  There it is up to
-    1.8× faster than ``x @ Wᵀ`` and never slower (single-thread OpenBLAS,
-    the ratio table in docs/PERFORMANCE.md); it loses on narrow layers, at
+    rows through a layer at least 128 wide on both sides.  There it is
+    1.1-1.9× faster than ``x @ Wᵀ`` (single-thread OpenBLAS, the ratio table
+    in docs/PERFORMANCE.md); it loses on narrow layers, at
     batch 1-8 and on ``train_seq``'s 416-448 rows.  On the OpenBLAS the
     tests were recorded on, both orientations give the same bytes on every
     shape swept (rows 1-130, ragged widths, ``tests/test_backend_parity.py``)."""
