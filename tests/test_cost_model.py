@@ -9,6 +9,12 @@ ring's when both fabrics share one bandwidth —
 
 so with zero latency hierarchy is free, and any difference between the
 topologies is attributable to latency rounds and the slow fabric's share.
+
+``TestPinnedCosts`` hashes every public ``*_time`` / ``*_cost`` function
+over one fixed grid.  The formulas are plain IEEE float arithmetic, so the
+digest binds on every platform; a refactor of the cost model that moves it
+changed a charged second somewhere.  Regenerate on purpose with
+``PYTHONPATH=src python tests/test_cost_model.py``.
 """
 
 import math
@@ -27,11 +33,13 @@ from repro.distributed import (
     hierarchical_allgather_time,
     hierarchical_allreduce_time,
     hierarchical_broadcast_time,
+    parameter_server_time,
     pipelined_broadcast_cost,
     pipelined_broadcast_time,
     allgather_time,
     ring_allreduce_time,
 )
+from repro.utils import canonical_digest
 
 NBYTES = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 WORLD = st.integers(1, 64)
@@ -230,3 +238,79 @@ class TestTopologyDispatch:
         assert broadcast_cost(1e9, lone) == 0.0
         hier = HierarchicalSpec(1, 1)
         assert math.isclose(hierarchical_allreduce_time(1e9, hier), 0.0)
+
+
+# Every public cost function over one grid: flat rings and two-level
+# hierarchies of 1-16 ranks, payloads from empty to 500 MB, nominal and
+# degraded links, and bucket / pipelined tilings.
+SIZES = (0.0, 1.0, 4096.0, 1e6, 500e6)
+DEGRADATIONS = (1.0, 0.5, 0.25)
+FLAT = [ClusterSpec(p) for p in range(1, 17)]
+HIER = [
+    HierarchicalSpec(n, g) for n in range(1, 17) for g in range(1, 17) if n * g <= 16
+]
+TILINGS = (
+    (0.0,),
+    (1.0,),
+    (4096.0, 4096.0, 1.0),
+    (5e5, 5e5, 5e5, 2.5e5),
+    (1e6, 1e6, 1e6, 500e6),
+)
+FLAT_FNS = (
+    ring_allreduce_time, allgather_time, broadcast_time,
+    allreduce_cost, allgather_cost, broadcast_cost,
+)
+HIER_FNS = (
+    hierarchical_allreduce_time, hierarchical_allgather_time,
+    hierarchical_broadcast_time, allreduce_cost, allgather_cost, broadcast_cost,
+)
+
+
+def cost_table() -> list:
+    """``[function, cluster, argument, degradation, seconds]`` per grid point."""
+    rows = []
+
+    def add(fn, cluster, arg, deg, value):
+        rows.append([fn.__name__, repr(cluster), repr(arg), deg, float(value).hex()])
+
+    for deg in DEGRADATIONS:
+        for cluster in FLAT:
+            for nb in SIZES:
+                for fn in FLAT_FNS:
+                    add(fn, cluster, nb, deg, fn(nb, cluster, deg))
+                for servers in (1, cluster.num_nodes):
+                    ps = parameter_server_time(nb, cluster, servers, degradation=deg)
+                    add(parameter_server_time, cluster, (nb, servers), deg, ps)
+            for tiling in TILINGS:
+                add(pipelined_broadcast_time, cluster, tiling, deg,
+                    pipelined_broadcast_time(tiling, cluster, deg))
+        for cluster in HIER:
+            for nb in SIZES:
+                for fn in HIER_FNS:
+                    add(fn, cluster, nb, deg, fn(nb, cluster, deg))
+        for cluster in FLAT + HIER:
+            for tiling in TILINGS:
+                add(pipelined_broadcast_cost, cluster, tiling, deg,
+                    pipelined_broadcast_cost(tiling, cluster, deg))
+                for i, t in enumerate(bucket_comm_times(tiling, cluster, deg)):
+                    add(bucket_comm_times, cluster, (tiling, i), deg, t)
+    return rows
+
+
+PINNED_COSTS = "ba4989e9645bb29e"
+
+
+class TestPinnedCosts:
+    def test_grid_digest(self):
+        assert canonical_digest(cost_table()) == PINNED_COSTS
+
+    def test_second_evaluation_identical(self):
+        # The same grid twice in one process: no state carried between calls
+        # changes a charged second.
+        assert cost_table() == cost_table()
+
+
+if __name__ == "__main__":
+    table = cost_table()
+    print(f"{len(table)} rows")
+    print(f'PINNED_COSTS = "{canonical_digest(table)}"')
