@@ -32,9 +32,13 @@ def atomo_probabilities(sigma: np.ndarray, budget: float) -> np.ndarray:
     """ATOMO's closed-form sampling probabilities.
 
     Water-filling: scale ``σ / Σσ · s`` and clip at 1; mass clipped off is
-    redistributed over the unclipped entries until convergence.
+    redistributed over the unclipped entries until convergence.  A spectrum
+    that is not finite keeps every atom (probability 1), so a poisoned
+    gradient reaches the decoded layer instead of silently vanishing.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
+    if not np.isfinite(sigma).all():
+        return np.ones_like(sigma)
     if sigma.sum() == 0:
         return np.zeros_like(sigma)
     budget = min(budget, float(len(sigma)))

@@ -1,5 +1,5 @@
-"""Distributed data-parallel training simulator: α–β cost models, exact
-collectives, per-epoch timeline breakdowns, and seeded fault injection
+"""Distributed data-parallel training simulator: α–β cost models, the exact
+allreduce mean, per-epoch timeline breakdowns, and seeded fault injection
 (stragglers, link degradation, message drops, worker failures)."""
 
 from .cost_model import (
@@ -18,16 +18,8 @@ from .cost_model import (
     pipelined_broadcast_cost,
     bucket_comm_times,
 )
-from .collectives import (
-    allreduce_mean,
-    bucketed_allreduce_mean,
-    allgather,
-    ring_allreduce_mean,
-    ring_allgather,
-    flatten_arrays,
-    unflatten_vector,
-)
-from .ddp import TimelineBreakdown, DistributedTrainer, DDPTimelineModel
+from .collectives import allreduce_mean, bucketed_allreduce_mean
+from .ddp import TimelineBreakdown, DistributedTrainer
 from .overlap import (
     Bucket,
     BucketEvent,
@@ -69,14 +61,8 @@ __all__ = [
     "broadcast_cost",
     "pipelined_broadcast_cost",
     "allreduce_mean",
-    "allgather",
-    "ring_allreduce_mean",
-    "ring_allgather",
-    "flatten_arrays",
-    "unflatten_vector",
     "TimelineBreakdown",
     "DistributedTrainer",
-    "DDPTimelineModel",
     "Bucket",
     "BucketEvent",
     "OverlapTimeline",

@@ -8,14 +8,14 @@ to every node — its cost grows with the node count, which is exactly why
 high-ratio compressors can lose end-to-end (Section 4.2 / Appendix F).
 
 Bandwidth defaults to the paper's testbed: p3.2xlarge, "up to 10 Gbps".
+Every function is a pure formula of its arguments, evaluated on each call;
+``degradation`` scales the link bandwidth (fault injection's congestion).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from ..observability import metrics as _metrics
 
 __all__ = [
     "ClusterSpec",
@@ -144,32 +144,9 @@ class HierarchicalSpec:
             raise ValueError("invalid latency")
 
 
-# The simulators evaluate these formulas with identical arguments for
-# every bucket of every iteration, so a small memo pays off; the hit/miss
-# counters also make collective-call reuse visible in metrics snapshots.
-# Keys include the link-degradation factor: a degraded and a nominal
-# evaluation of the same collective must never alias.
-_COST_CACHE: dict[tuple, float] = {}
-_COST_CACHE_MAX = 65536
-
-
 def _check_degradation(degradation: float) -> None:
     if not 0.0 < degradation <= 1.0:
         raise ValueError("degradation must be in (0, 1]")
-
-
-def _cached_cost(key: tuple, compute) -> float:
-    value = _COST_CACHE.get(key)
-    if value is not None:
-        if _metrics.COLLECT:
-            _metrics.REGISTRY.counter("cost_model.cache_hits").inc()
-        return value
-    value = compute()
-    if len(_COST_CACHE) < _COST_CACHE_MAX:
-        _COST_CACHE[key] = value
-    if _metrics.COLLECT:
-        _metrics.REGISTRY.counter("cost_model.cache_misses").inc()
-    return value
 
 
 def ring_allreduce_time(
@@ -185,21 +162,13 @@ def ring_allreduce_time(
     if p == 1:
         return 0.0
     bps = cluster.bytes_per_second * degradation
-    return _cached_cost(
-        ("ring", float(nbytes), cluster, degradation),
-        lambda: 2 * (p - 1) * cluster.latency_s + 2 * (p - 1) / p * nbytes / bps,
-    )
+    return 2 * (p - 1) * cluster.latency_s + 2 * (p - 1) / p * nbytes / bps
 
 
 def bucket_comm_times(
     bucket_nbytes, cluster, degradation: float = 1.0
 ) -> list[float]:
-    """Allreduce seconds for each bucket payload (flat or hierarchical).
-
-    Bucket caps make most buckets identically sized across iterations, so
-    these evaluations are exactly what the memo cache is for — after the
-    first iteration every lookup is a hit.
-    """
+    """Allreduce seconds for each bucket payload (flat or hierarchical)."""
     return [allreduce_cost(nb, cluster, degradation) for nb in bucket_nbytes]
 
 
@@ -213,10 +182,7 @@ def allgather_time(
     if p == 1:
         return 0.0
     bps = cluster.bytes_per_second * degradation
-    return _cached_cost(
-        ("allgather", float(nbytes), cluster, degradation),
-        lambda: (p - 1) * cluster.latency_s + (p - 1) * nbytes / bps,
-    )
+    return (p - 1) * cluster.latency_s + (p - 1) * nbytes / bps
 
 
 def broadcast_time(
@@ -229,10 +195,7 @@ def broadcast_time(
         return 0.0
     rounds = math.ceil(math.log2(p))
     bps = cluster.bytes_per_second * degradation
-    return _cached_cost(
-        ("broadcast", float(nbytes), cluster, degradation),
-        lambda: rounds * (cluster.latency_s + nbytes / bps),
-    )
+    return rounds * (cluster.latency_s + nbytes / bps)
 
 
 def pipelined_broadcast_time(
@@ -264,15 +227,9 @@ def pipelined_broadcast_time(
         return 0.0
     rounds = math.ceil(math.log2(p))
     bps = cluster.bytes_per_second * degradation
-
-    def compute() -> float:
-        inject = sum(cluster.latency_s + c / bps for c in chunks)
-        tail = (rounds - 1) * (cluster.latency_s + max(chunks) / bps)
-        return inject + tail
-
-    return _cached_cost(
-        ("pipelined_broadcast", tuple(chunks), cluster, degradation), compute
-    )
+    inject = sum(cluster.latency_s + c / bps for c in chunks)
+    tail = (rounds - 1) * (cluster.latency_s + max(chunks) / bps)
+    return inject + tail
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +252,14 @@ def hierarchical_allreduce_time(
     _check_degradation(degradation)
     g = cluster.gpus_per_node
     intra = cluster.intra_spec
-
-    def compute() -> float:
-        # Reduce-scatter and allgather are each half a ring allreduce:
-        # (g-1) latency rounds moving (g-1)/g · M bytes.
-        half_ring = 0.0
-        if g > 1:
-            bps = intra.bytes_per_second * degradation
-            half_ring = (g - 1) * intra.latency_s + (g - 1) / g * nbytes / bps
-        mid = ring_allreduce_time(nbytes / g, cluster.inter_spec, degradation)
-        return 2 * half_ring + mid
-
-    return _cached_cost(("hier_ring", float(nbytes), cluster, degradation), compute)
+    # Reduce-scatter and allgather are each half a ring allreduce:
+    # (g-1) latency rounds moving (g-1)/g · M bytes.
+    half_ring = 0.0
+    if g > 1:
+        bps = intra.bytes_per_second * degradation
+        half_ring = (g - 1) * intra.latency_s + (g - 1) / g * nbytes / bps
+    mid = ring_allreduce_time(nbytes / g, cluster.inter_spec, degradation)
+    return 2 * half_ring + mid
 
 
 def hierarchical_allgather_time(
@@ -315,15 +268,11 @@ def hierarchical_allgather_time(
     """In-node allgather of per-rank payloads, then inter-node allgather
     of the fused ``g · M`` node payload."""
     _check_degradation(degradation)
-
-    def compute() -> float:
-        intra = allgather_time(nbytes, cluster.intra_spec, degradation)
-        inter = allgather_time(
-            nbytes * cluster.gpus_per_node, cluster.inter_spec, degradation
-        )
-        return intra + inter
-
-    return _cached_cost(("hier_gather", float(nbytes), cluster, degradation), compute)
+    intra = allgather_time(nbytes, cluster.intra_spec, degradation)
+    inter = allgather_time(
+        nbytes * cluster.gpus_per_node, cluster.inter_spec, degradation
+    )
+    return intra + inter
 
 
 def hierarchical_broadcast_time(
@@ -331,13 +280,9 @@ def hierarchical_broadcast_time(
 ) -> float:
     """Binomial broadcast across nodes, then across each node's ranks."""
     _check_degradation(degradation)
-
-    def compute() -> float:
-        inter = broadcast_time(nbytes, cluster.inter_spec, degradation)
-        intra = broadcast_time(nbytes, cluster.intra_spec, degradation)
-        return inter + intra
-
-    return _cached_cost(("hier_bcast", float(nbytes), cluster, degradation), compute)
+    inter = broadcast_time(nbytes, cluster.inter_spec, degradation)
+    intra = broadcast_time(nbytes, cluster.intra_spec, degradation)
+    return inter + intra
 
 
 # ---------------------------------------------------------------------------

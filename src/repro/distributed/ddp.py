@@ -21,7 +21,8 @@ phases, whatever the compressor, optimizer, topology or fault spec:
    ``overlap`` is read: blocking sends the whole payload after backward
    (Section 4.1's single flat allreduce); overlap schedules one allreduce
    per bucket on a serial channel as its gradients arrive and its encoder
-   finishes, and only the exposed remainder reaches the clock;
+   finishes, and only the exposed remainder reaches the clock; fault drops
+   and link degradation are drawn and charged here too;
 4. **decode** — ``compressor.decode_aggregate`` per group, giving one
    averaged gradient per parameter;
 5. **apply** — ``p.grad = …`` and one optimizer step.
@@ -29,13 +30,12 @@ phases, whatever the compressor, optimizer, topology or fault spec:
 The numerics never look at ``overlap``, so parameters are bit-identical
 with and without it for every compressor whose encoding commutes with
 bucket tiling — which the compression property suite requires of every
-allreduce-compatible one.  :class:`DDPTimelineModel` is the closed-form
-estimator of the same overlap, for where no model is trained.
+allreduce-compatible one.  This schedule is the repo's one model of DDP
+timing: Fig. 4c reads its speedups from ``train_epoch`` too.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -53,13 +53,12 @@ from .cost_model import (
     broadcast_cost,
     bucket_comm_times,
     pipelined_broadcast_cost,
-    ring_allreduce_time,
 )
 from .errors import AllWorkersLostError
 from .faults import as_injector
 from .overlap import GradientArrivalRecorder, build_buckets, schedule_overlap
 
-__all__ = ["TimelineBreakdown", "DistributedTrainer", "DDPTimelineModel"]
+__all__ = ["TimelineBreakdown", "DistributedTrainer"]
 
 FLOAT32_BYTES = 4
 
@@ -90,7 +89,7 @@ class TimelineBreakdown:
     iterations: int = 0
     bytes_per_iteration: float = 0.0
     # Counter deltas accumulated over the epoch (allreduce_calls,
-    # bytes_moved, macs, ...) when metric collection is enabled.
+    # ddp.wire_bytes, macs, ...) when metric collection is enabled.
     metrics: dict = field(default_factory=dict)
     # Fault-injection summary (empty when no injector was attached, so the
     # no-faults breakdown is unchanged).
@@ -284,7 +283,7 @@ class DistributedTrainer:
         cluster = self.cluster
         if world != cluster.world_size:
             cluster = cluster.with_world(world)
-        degradation, drops, banked = 1.0, 0.0, 0.0
+        degradation, drops = 1.0, 0.0
         if injector is not None:
             allreduce = self.compressor.allreduce_compatible
             degradation = injector.link_factor(iteration)
@@ -293,22 +292,20 @@ class DistributedTrainer:
                 iteration,
                 (2 if allreduce else 1) * max(world - 1, 0),
             )
-            banked = injector.drain_penalty()
 
         if not self.overlap:
             # Blocking: the whole payload leaves after the slowest encoder.
             n_messages = 1 if self.flat_allreduce else len(self.optimizer.params)
             comm = self._comm_time(sum(group_nbytes), n_messages, cluster, degradation)
-            timeline.comm += comm + drops + banked
+            timeline.comm += comm + drops
             timeline.encode += sum(encode_times)
             return [{} for _ in group_nbytes]
 
         # Overlap: a bucket is wire-ready ``encode`` seconds after its last
         # gradient arrived, and the buckets share one serial channel.
         comm_times = bucket_comm_times(group_nbytes, cluster, degradation)
-        tail = drops + banked
         sched = schedule_overlap(
-            ready, comm_times, backward_end, tail_penalty=tail, encode_times=encode_times
+            ready, comm_times, backward_end, tail_penalty=drops, encode_times=encode_times
         )
         # Split the exposure past backward_end: seconds the channel was busy
         # are wire time; idle seconds (waiting for an encoder) are the
@@ -326,7 +323,7 @@ class DistributedTrainer:
                 "comm_total_s": sched.comm_total,
                 "comm_exposed_s": wire_busy,
                 "encode_stall_s": encode_stall,
-                "tail_penalty_s": tail,
+                "tail_penalty_s": drops,
                 "compressor": self.compressor.name,
                 "buckets": [
                     {**ev.as_dict(), "nbytes": nb, "comm_s": comm, "encode_s": enc}
@@ -494,63 +491,3 @@ class DistributedTrainer:
 
         t = Trainer(self.model, self.optimizer, batch_fn=self.batch_fn, loss_fn=self.loss_fn)
         return t.evaluate(loader)
-
-
-class DDPTimelineModel:
-    """PyTorch-DDP-style timing: bucketed allreduce overlapped with backward.
-
-    DDP fires an asynchronous allreduce whenever a gradient bucket
-    (default 25 MB) fills during the backward pass, so communication hides
-    behind compute.  The exposed (non-overlapped) communication is
-    approximately ``max(0, T_comm − T_backward)`` plus one latency term per
-    bucket; per-epoch time is then
-
-        ``T_epoch = n_iter · (T_fwd_bwd + exposed_comm + T_step)``.
-    """
-
-    def __init__(
-        self, cluster: ClusterSpec, bucket_mb: float = 25.0, backward_fraction: float = 2 / 3
-    ):
-        self.cluster = cluster
-        self.bucket_bytes = bucket_mb * 1e6
-        # Fraction of fwd+bwd time that is backward (≈ 2/3 for conv nets).
-        self.backward_fraction = backward_fraction
-
-    def iteration_time(
-        self, model_bytes: float, compute_seconds: float, degradation: float = 1.0
-    ) -> dict:
-        """Timing for one iteration of a model with ``model_bytes`` of
-        gradients and measured per-iteration ``compute_seconds``.
-
-        ``degradation`` scales effective link bandwidth — the knob fault
-        scenarios use to model congested links."""
-        n_buckets = max(1, math.ceil(model_bytes / self.bucket_bytes))
-        comm = sum(
-            ring_allreduce_time(
-                min(self.bucket_bytes, model_bytes - i * self.bucket_bytes),
-                self.cluster,
-                degradation,
-            )
-            for i in range(n_buckets)
-        )
-        backward = compute_seconds * self.backward_fraction
-        exposed = max(0.0, comm - backward)
-        return {
-            "compute": compute_seconds,
-            "comm_raw": comm,
-            "comm_exposed": exposed,
-            "iteration": compute_seconds + exposed,
-            "n_buckets": n_buckets,
-        }
-
-    def epoch_time(
-        self,
-        model_bytes: float,
-        compute_seconds: float,
-        n_iterations: int,
-        degradation: float = 1.0,
-    ) -> float:
-        return (
-            self.iteration_time(model_bytes, compute_seconds, degradation)["iteration"]
-            * n_iterations
-        )

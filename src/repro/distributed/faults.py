@@ -336,7 +336,6 @@ class FaultInjector:
     def __init__(self, spec: FaultSpec):
         self.spec = spec
         self.events: list[FaultEvent] = []
-        self._pending_penalty_s = 0.0
         self._link_cache: dict[int, float] = {}
 
     # -- plumbing -------------------------------------------------------
@@ -443,17 +442,6 @@ class FaultInjector:
         return sum(
             self.message_penalty(op, iteration, i) for i in range(n_messages)
         )
-
-    def add_penalty(self, seconds: float) -> None:
-        """Bank modeled penalty seconds for the caller that owns the clock
-        (collectives do the numerics; the trainer charges the time)."""
-        self._pending_penalty_s += seconds
-
-    def drain_penalty(self) -> float:
-        """Collect and reset the banked penalty seconds."""
-        out = self._pending_penalty_s
-        self._pending_penalty_s = 0.0
-        return out
 
     # -- worker failure / recovery --------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost_model import ClusterSpec
+from .cost_model import ClusterSpec, _check_degradation
 
 __all__ = ["parameter_server_time", "BandwidthTrace", "effective_epoch_times"]
 
@@ -31,8 +31,6 @@ def parameter_server_time(
     num_servers: int = 1,
     *,
     degradation: float = 1.0,
-    faults=None,
-    iteration: int = 0,
 ) -> float:
     """Push+pull time for one worker's gradient of ``nbytes``.
 
@@ -44,27 +42,17 @@ def parameter_server_time(
     At ``s = p`` this matches allreduce bandwidth-wise; at ``s = 1`` the
     single server is a ``p×`` bottleneck — the classic PS scaling problem.
 
-    ``degradation`` scales the effective bandwidth (transient congestion);
-    with a ``faults`` injector attached, the push and pull messages may
-    drop and be retried with exponential backoff — the penalty is added to
-    the returned time, and an exhausted retry budget raises
-    :class:`~repro.distributed.errors.CollectiveTimeoutError`.
+    ``degradation`` scales the effective bandwidth (transient congestion).
     """
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
-    if not 0.0 < degradation <= 1.0:
-        raise ValueError("degradation must be in (0, 1]")
+    _check_degradation(degradation)
     p = cluster.num_nodes
     if p == 1:
         return 0.0
-    penalty = 0.0
-    if faults is not None:
-        # Two logical message phases per iteration: push, then pull.
-        penalty += faults.message_penalty("push", iteration, 0)
-        penalty += faults.message_penalty("pull", iteration, 1)
     per_server = p / num_servers
     bps = cluster.bytes_per_second * degradation
-    return 2 * cluster.latency_s + 2 * per_server * nbytes / bps + penalty
+    return 2 * cluster.latency_s + 2 * per_server * nbytes / bps
 
 
 @dataclass

@@ -257,17 +257,17 @@ def poisoned(decoded) -> str:
 # and entry 4 of its vector.  Reading the table: the exact-mean codecs (sgd,
 # vargate with open gates, abtrain's first, full-rank round) poison exactly
 # those entries with the input's kind; a low-rank or quantized matrix
-# (powersgd, qsgd, binary) spreads NaN over the whole layer; signum's vote
-# and topk's selection can hide the value entirely; and atomo's sampling
-# silently drops a worker's matrix whose spectrum is not finite.  The SVD of a
-# NaN matrix (abtrain's basis refresh, atomo's encode) raises.
+# (powersgd, qsgd, binary, and atomo, which keeps every atom of a spectrum
+# that is not finite) spreads NaN over the whole layer; signum's vote and
+# topk's selection can hide the value entirely.  The SVD of a NaN matrix
+# (abtrain's basis refresh, atomo's encode) raises.
 NON_FINITE = {
     ("abtrain", "nan"): "LinAlgError",
     ("abtrain", "+inf"): "+inf:17 | +inf:4",
     ("abtrain", "-inf"): "-inf:17 | -inf:4",
     ("atomo", "nan"): "LinAlgError",
-    ("atomo", "+inf"): "finite | +inf:4",
-    ("atomo", "-inf"): "finite | -inf:4",
+    ("atomo", "+inf"): "nan:all | +inf:4",
+    ("atomo", "-inf"): "nan:all | -inf:4",
     ("binary", "nan"): "nan:all | nan:all",
     ("binary", "+inf"): "nan:all | nan:all",
     ("binary", "-inf"): "nan:all | nan:all",

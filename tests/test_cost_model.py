@@ -304,11 +304,6 @@ class TestPinnedCosts:
     def test_grid_digest(self):
         assert canonical_digest(cost_table()) == PINNED_COSTS
 
-    def test_second_evaluation_identical(self):
-        # The same grid twice in one process: no state carried between calls
-        # changes a charged second.
-        assert cost_table() == cost_table()
-
 
 if __name__ == "__main__":
     table = cost_table()

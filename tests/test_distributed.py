@@ -1,5 +1,5 @@
-"""Distributed simulator: cost models, collectives, flat buffers, and
-exact equivalence between simulated data-parallel SGD and centralized SGD."""
+"""Distributed simulator: cost models, the exact allreduce mean, and exact
+equivalence between simulated data-parallel SGD and centralized SGD."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from repro.compression import Signum
 from repro.data import DataLoader, shard_dataset
 from repro.distributed import (
     ClusterSpec,
-    DDPTimelineModel,
     DistributedTrainer,
     allgather_time,
     allreduce_mean,
     broadcast_time,
-    flatten_arrays,
     ring_allreduce_time,
-    unflatten_vector,
 )
 from repro.models import MLP
 from repro.optim import SGD
@@ -74,18 +71,6 @@ class TestCollectives:
     def test_allreduce_empty_raises(self):
         with pytest.raises(ValueError):
             allreduce_mean([])
-
-    def test_flatten_unflatten_roundtrip(self, rng):
-        arrays = [rng.standard_normal(s).astype(np.float32) for s in [(3, 4), (5,), (2, 2, 2)]]
-        flat = flatten_arrays(arrays)
-        assert flat.shape == (12 + 5 + 8,)
-        back = unflatten_vector(flat, [a.shape for a in arrays])
-        for a, b in zip(arrays, back):
-            assert np.allclose(a, b)
-
-    def test_unflatten_size_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            unflatten_vector(np.zeros(10, dtype=np.float32), [(3, 4)])
 
 
 class TestDistributedEquivalence:
@@ -264,32 +249,3 @@ class TestGradientHandOff:
         for a, b in zip(*taken):
             assert not np.shares_memory(a, b)
             np.testing.assert_array_equal(a, b)
-
-
-class TestDDPTimelineModel:
-    def test_full_overlap_hides_comm(self):
-        ddp = DDPTimelineModel(ClusterSpec(4))
-        out = ddp.iteration_time(model_bytes=1e6, compute_seconds=10.0)
-        assert out["comm_exposed"] == 0.0
-        assert out["iteration"] == 10.0
-
-    def test_comm_bound_regime_exposes_comm(self):
-        ddp = DDPTimelineModel(ClusterSpec(16, bandwidth_gbps=1.0))
-        out = ddp.iteration_time(model_bytes=500e6, compute_seconds=0.01)
-        assert out["comm_exposed"] > 0
-
-    def test_bucket_count(self):
-        ddp = DDPTimelineModel(ClusterSpec(4), bucket_mb=25)
-        assert ddp.iteration_time(100e6, 1.0)["n_buckets"] == 4
-
-    def test_epoch_time_scales_with_iterations(self):
-        ddp = DDPTimelineModel(ClusterSpec(4))
-        t1 = ddp.epoch_time(1e6, 0.5, 10)
-        t2 = ddp.epoch_time(1e6, 0.5, 20)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_larger_cluster_more_comm(self):
-        m = 200e6
-        t2 = DDPTimelineModel(ClusterSpec(2)).iteration_time(m, 0.01)["comm_raw"]
-        t16 = DDPTimelineModel(ClusterSpec(16)).iteration_time(m, 0.01)["comm_raw"]
-        assert t16 > t2

@@ -2,8 +2,8 @@
 
 Covers the fault-spec grammar, injector determinism, each fault dimension
 (stragglers, link degradation, message drop/retry/backoff, worker
-failure + recovery), the typed timeout error, cost-model cache behavior
-under degradation, and the zero-overhead off path.
+failure + recovery), the typed timeout error, cost-model degradation, and
+the zero-overhead off path.
 """
 
 import json
@@ -26,24 +26,14 @@ from repro.distributed import (
     LinkSpec,
     StragglerSpec,
     allgather_time,
-    allreduce_mean,
     parameter_server_time,
     parse_fault_spec,
     ring_allreduce_time,
 )
-from repro.distributed.cost_model import _COST_CACHE
 from repro.models import MLP
 from repro.observability import metrics as obs_metrics
 from repro.optim import SGD
 from repro.utils import set_seed
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cost_cache():
-    """Cache-behavior assertions need a cold cost-model cache."""
-    _COST_CACHE.clear()
-    yield
-    _COST_CACHE.clear()
 
 
 @pytest.fixture
@@ -388,42 +378,23 @@ class TestDropRetry:
 
 
 # ---------------------------------------------------------------------------
-# Collectives + parameter server under faults
+# Numerics and the parameter server under faults
 # ---------------------------------------------------------------------------
 
 
 class TestFaultyCollectives:
-    def test_allreduce_numerics_unchanged(self, rng):
-        vs = [rng.standard_normal(16).astype(np.float32) for _ in range(4)]
-        inj = FaultInjector(FaultSpec(seed=1, drop=DropSpec(prob=0.3, max_retries=100)))
-        assert np.array_equal(
-            allreduce_mean(vs, faults=inj, iteration=0), allreduce_mean(vs)
-        )
-
-    def test_allreduce_banks_penalty(self):
-        vs = [np.ones(4, dtype=np.float32)] * 4
-        inj = FaultInjector(FaultSpec(seed=2, drop=DropSpec(prob=0.5, max_retries=100)))
-        allreduce_mean(vs, faults=inj, iteration=0)
-        assert inj.drain_penalty() > 0.0
-        assert inj.drain_penalty() == 0.0  # drained
-
-    def test_parameter_server_penalty_added(self):
-        c = ClusterSpec(4)
-        base = parameter_server_time(1e6, c)
-        inj = FaultInjector(FaultSpec(seed=3, drop=DropSpec(prob=1.0, max_retries=100)))
-        # prob=1 with a big budget would loop 100 times then raise; use a
-        # seeded moderate prob instead and require a strictly larger time.
-        inj = FaultInjector(FaultSpec(seed=3, drop=DropSpec(prob=0.5, max_retries=100)))
-        times = [
-            parameter_server_time(1e6, c, faults=inj, iteration=it) for it in range(20)
-        ]
-        assert max(times) > base
-        assert min(times) >= base
-
-    def test_parameter_server_timeout_raises(self):
-        inj = FaultInjector(FaultSpec(seed=1, drop=DropSpec(prob=1.0, max_retries=1)))
-        with pytest.raises(CollectiveTimeoutError):
-            parameter_server_time(1e6, ClusterSpec(4), faults=inj)
+    def test_allreduce_numerics_unchanged(self):
+        """Dropped-and-retried ring messages delay the wire; the averaged
+        update is byte-identical to the fault-free run."""
+        plain = make_trainer(faults=None, seed=5)
+        tl_plain = plain.train_epoch(make_loaders(np.random.default_rng(10)))
+        drops = FaultSpec(seed=2, drop=DropSpec(prob=0.3, max_retries=100))
+        faulty = make_trainer(faults=drops, seed=5)
+        tl_faulty = faulty.train_epoch(make_loaders(np.random.default_rng(10)))
+        assert any(e.kind == "drop" for e in faulty.faults.events)
+        assert tl_faulty.comm > tl_plain.comm
+        for p1, p2 in zip(plain.model.parameters(), faulty.model.parameters()):
+            assert np.array_equal(p1.data, p2.data)
 
     def test_parameter_server_degradation_scales(self):
         c = ClusterSpec(8, latency_s=0)
@@ -435,7 +406,7 @@ class TestFaultyCollectives:
 
 
 # ---------------------------------------------------------------------------
-# Cost-model cache under degradation (satellite)
+# Cost model under degradation
 # ---------------------------------------------------------------------------
 
 
@@ -455,24 +426,9 @@ class TestCostModelDegradationCache:
             with pytest.raises(ValueError):
                 ring_allreduce_time(1e6, c, bad)
 
-    def test_cache_key_includes_degradation(self, metrics_registry):
-        c = ClusterSpec(8)
-        ring_allreduce_time(1e6, c)  # miss
-        hits0 = metrics_registry.counter("cost_model.cache_hits").value
-        # Same args with a *different* degradation must not hit the cache.
-        ring_allreduce_time(1e6, c, 0.5)
-        assert metrics_registry.counter("cost_model.cache_hits").value == hits0
-        misses = metrics_registry.counter("cost_model.cache_misses").value
-        assert misses == 2
-
-    def test_cache_hit_counter_on_repeat(self, metrics_registry):
-        c = ClusterSpec(8)
-        for _ in range(3):
-            ring_allreduce_time(2e6, c, 0.5)
-        assert metrics_registry.counter("cost_model.cache_hits").value == 2
-        assert metrics_registry.counter("cost_model.cache_misses").value == 1
-
     def test_degraded_value_cached_correctly(self):
+        # A degraded evaluation repeats exactly and never aliases the
+        # nominal one.
         c = ClusterSpec(8, latency_s=0)
         first = ring_allreduce_time(1e6, c, 0.25)
         again = ring_allreduce_time(1e6, c, 0.25)

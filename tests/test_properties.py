@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.compression import NoCompression, Signum, TopK
 from repro.core import approximation_error, default_rank, factorize_matrix
-from repro.distributed import flatten_arrays, unflatten_vector
 from repro.metrics import corpus_bleu, perplexity, topk_accuracy
 from repro.tensor import Tensor, softmax
 from repro.tensor.tensor import _unbroadcast
@@ -110,22 +109,6 @@ class TestFactorizationProperties:
     def test_default_rank_bounds(self, full, ratio):
         r = default_rank(full, ratio)
         assert 1 <= r <= max(1, full)
-
-
-class TestFlattenRoundtrip:
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, shapes):
-        rng = np.random.default_rng(0)
-        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
-        flat = flatten_arrays(arrays)
-        back = unflatten_vector(flat, [a.shape for a in arrays])
-        for a, b in zip(arrays, back):
-            assert np.array_equal(a, b)
 
 
 class TestCompressorProperties:
