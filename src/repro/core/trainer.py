@@ -4,6 +4,7 @@ fine-tuning)."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -80,9 +81,9 @@ class Trainer:
         self.optimizer = optimizer
         self.post_step = post_step
         self.loss_fn = loss_fn or CrossEntropyLoss()
-        self.batch_fn = batch_fn or (
-            lambda m, b: classification_batch(m, b, self.loss_fn)
-        )
+        # A partial, not a lambda over ``self``: the trainer stays out of a
+        # reference cycle, so its model and optimizer go when it does.
+        self.batch_fn = batch_fn or functools.partial(classification_batch, loss_fn=self.loss_fn)
         self.scheduler = scheduler
         self.grad_clip = grad_clip
         self.amp = amp

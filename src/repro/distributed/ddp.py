@@ -36,6 +36,7 @@ timing: Fig. 4c reads its speedups from ``train_epoch`` too.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -178,9 +179,9 @@ class DistributedTrainer:
         self.cluster = cluster
         self.compressor = compressor or NoCompression(cluster.world_size)
         self.loss_fn = loss_fn or CrossEntropyLoss()
-        self.batch_fn = batch_fn or (
-            lambda m, b: classification_batch(m, b, self.loss_fn)
-        )
+        # A partial, not a lambda over ``self``: the trainer stays out of a
+        # reference cycle, so its model and optimizer go when it does.
+        self.batch_fn = batch_fn or functools.partial(classification_batch, loss_fn=self.loss_fn)
         self.flat_allreduce = flat_allreduce
         self.overlap = bool(overlap)
         self.bucket_bytes = float(bucket_mb) * 1e6

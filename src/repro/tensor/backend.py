@@ -14,12 +14,13 @@ LAMB arena updates) dispatches through the *active* backend:
     into a transposed ``(C·kh·kw, N·oh·ow)`` layout so the forward pass
     is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
     V-factor hot path — become a single batched ``np.matmul`` with no
-    transpose copies at all) and the input gradient is the same gather +
-    GEMM over the output gradient, with the batch axis innermost in the
-    columns when the feature map is narrow (the low-rank ``U`` convs at
-    4×4 / 2×2); a short batch through a wide ``linear`` runs its forward
-    GEMM as ``(W @ xᵀ)ᵀ``, the faster orientation there and the same bytes
-    (:func:`_linear_transposed`); and fused elementwise chains
+    transpose copies at all), the weight gradient gathers the columns again
+    from the input instead of keeping them from the forward, and the input
+    gradient is the same gather + GEMM over the output gradient, with the
+    batch axis innermost in the columns when the feature map is narrow (the
+    low-rank ``U`` convs at 4×4 / 2×2); a short batch through a wide
+    ``linear`` runs its forward GEMM as ``(W @ xᵀ)ᵀ``, the faster orientation
+    there and the same bytes (:func:`_linear_transposed`); and fused elementwise chains
     (``bias_relu`` in one pass via ``np.maximum(x + b, 0, out=...)``,
     BatchNorm's training backward from two per-channel sums).
 
@@ -581,19 +582,20 @@ class FastBackend(Backend):
     ``colsT = (C·kh·kw, n·oh·ow)`` with one slab assignment per kernel
     offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
     then run the forward as a single ``w2d @ colsT`` GEMM with an
-    in-place bias add.  The backward reuses ``colsT`` for the weight
-    gradient and computes the input gradient the same way — gather the
-    zero-framed output gradient over ``c_out`` channels, one GEMM with
-    the flipped kernel — so nothing is scatter-added.  The order of
-    ``colsT``'s columns follows the input's shape (:func:`_conv_layout`):
+    in-place bias add.  ``colsT`` is pool scratch: the ``"gen"`` ctx holds
+    the input, which the graph keeps anyway, and the backward gathers
+    ``colsT`` again from it for the weight gradient.  It computes the input
+    gradient the same way — gather the zero-framed output gradient over
+    ``c_out`` channels, one GEMM with the flipped kernel — so nothing is
+    scatter-added.  The order of ``colsT``'s columns follows the input's
+    shape (:func:`_conv_layout`):
     ``(n, oh, ow)``, or ``(oh, ow, n)`` when the map is narrow enough that
     the batch is the longer run.  The K order ``(c, i, j)`` never changes,
     so every output is the same dot product either way, and the rule only
     reorders column counts the BLAS runs through one micro-kernel, where
-    that makes the bytes identical too (docs/PERFORMANCE.md); the ``"gen"``
-    ctx carries the columns' axis order as its last entry and the backward
-    lays ``gT`` out to match, which permutes the sums behind ``gw`` and
-    ``gb`` (:func:`conv_grad_atol`).
+    that makes the bytes identical too (docs/PERFORMANCE.md); the backward
+    lays ``gT`` out in the same order, which permutes the sums behind ``gw``
+    and ``gb`` (:func:`conv_grad_atol`).
     Outputs change GEMM orientation vs the reference, so conv
     forward/backward are ``tolerance``-tagged, as is the fused BatchNorm
     backward (reordered reductions); everything else is bit-exact.
@@ -622,6 +624,39 @@ class FastBackend(Backend):
 
     # -- conv2d --------------------------------------------------------
 
+    def _gather(
+        self,
+        src: np.ndarray,
+        out_h: int,
+        out_w: int,
+        kh: int,
+        kw: int,
+        stride: int,
+        framing: tuple[int, int, int, int],
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``colsT[(c, i, j), (n, y, x)] = frame[n, c, s·y+i, s·x+j]``, where
+        ``frame`` is ``src`` laid at ``(top, left)`` of an ``(fh, fw)`` zero
+        frame, ``framing = (fh, fw, top, left)``: one slab copy per kernel
+        offset into the pool's ``conv_cols`` arena.  The axis orders of frame
+        and columns come from :func:`_conv_layout`; returns ``colsT`` and the
+        axis order of its columns."""
+        n, c, h, w = src.shape
+        frame_order, cols_order = _conv_layout(n, out_h, out_w)
+        if frame_order[0] == 0 and framing == (h, w, 0, 0):
+            frame = src  # nothing to pad, no axis to move
+        else:
+            frame = _zero_framed(src, *framing, frame_order)
+
+        colsT = _scratch("conv_cols", (c * kh * kw, n * out_h * out_w), src.dtype)
+        cols = _as_nchw(colsT, (n, c * kh * kw, out_h, out_w), cols_order)
+        for i in range(kh):
+            i_max = i + stride * out_h
+            for j in range(kw):
+                j_max = j + stride * out_w
+                # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
+                cols[:, i * kw + j :: kh * kw] = frame[:, :, i:i_max:stride, j:j_max:stride]
+        return colsT, cols_order
+
     def _gather_gemm(
         self,
         out: np.ndarray,
@@ -632,48 +667,16 @@ class FastBackend(Backend):
         stride: int,
         framing: tuple[int, int, int, int],
         bias: np.ndarray | None = None,
-        keep_cols: bool = False,
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """``out[n, co, y, x] = Σ frame[n, c, s·y+i, s·x+j] · w2d[co, (c, i, j)]``
-        ``+ bias[co]``, where ``frame`` is ``src`` laid at ``(top, left)`` of an
-        ``(fh, fw)`` zero frame, ``framing = (fh, fw, top, left)``.
-
-        One slab copy per kernel offset fills ``colsT``, one GEMM multiplies
-        it, one transposing copy writes ``out`` (any NCHW-shaped view); the
-        axis orders of frame and columns come from :func:`_conv_layout`.
-        Returns ``colsT`` — pool scratch unless ``keep_cols`` — and the axis
-        order of its columns.
-        """
-        n, c_out, out_h, out_w = out.shape
-        c, h, w = src.shape[1:]
-        frame_order, cols_order = _conv_layout(n, out_h, out_w)
-        if frame_order[0] == 0 and framing == (h, w, 0, 0):
-            frame = src  # nothing to pad, no axis to move
-        else:
-            frame = _zero_framed(src, *framing, frame_order)
-
-        cshape = (c * kh * kw, n * out_h * out_w)
-        if keep_cols:
-            # A backward closure captures colsT, so it must be freshly owned —
-            # pool scratch would be clobbered by the next conv before
-            # backward() runs.
-            colsT = np.empty(cshape, dtype=src.dtype)
-        else:
-            colsT = _scratch("conv_cols", cshape, src.dtype)
-        cols = _as_nchw(colsT, (n, c * kh * kw, out_h, out_w), cols_order)
-        for i in range(kh):
-            i_max = i + stride * out_h
-            for j in range(kw):
-                j_max = j + stride * out_w
-                # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
-                cols[:, i * kw + j :: kh * kw] = frame[:, :, i:i_max:stride, j:j_max:stride]
-
-        oT = _scratch("conv_outT", (c_out, cshape[1]), out.dtype)
+    ) -> None:
+        """``out[n, co, y, x] = Σ colsT[(c, i, j), (n, y, x)] · w2d[co, (c, i, j)]``
+        ``+ bias[co]`` over :meth:`_gather`'s columns: one GEMM, one
+        transposing copy into ``out`` (any NCHW-shaped view)."""
+        colsT, cols_order = self._gather(src, *out.shape[2:], kh, kw, stride, framing)
+        oT = _scratch("conv_outT", (out.shape[1], colsT.shape[1]), out.dtype)
         np.matmul(w2d, colsT, out=oT)
         if bias is not None:
             oT += bias[:, None]
         out[...] = _as_nchw(oT, out.shape, cols_order)
-        return colsT, cols_order
 
     def conv2d_forward(
         self,
@@ -704,8 +707,8 @@ class FastBackend(Backend):
         # A fresh array, never a view of the GEMM's pool scratch.
         out = np.empty((n, c_out, out_h, out_w), dtype=np.result_type(x, weight))
         framing = (h + 2 * ph, w + 2 * pw, ph, pw)
-        colsT, order = self._gather_gemm(out, x, w2d, kh, kw, stride, framing, bias, want_ctx)
-        ctx = ("gen", colsT, w2d, x.shape, kh, kw, stride, ph, pw, order) if want_ctx else None
+        self._gather_gemm(out, x, w2d, kh, kw, stride, framing, bias)
+        ctx = ("gen", x, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
         return out, ctx
 
     def conv2d_backward(
@@ -732,16 +735,22 @@ class FastBackend(Backend):
                 gx = np.matmul(w2d.T, g3).reshape(x_shape)
             return gw, gb, gx
 
-        _, colsT, w2d, x_shape, kh, kw, stride, ph, pw, cols_order = ctx
-        c_out, c_in = g.shape[1], x_shape[1]
+        _, x, w2d, x_shape, kh, kw, stride, ph, pw = ctx
+        n, c_out, out_h, out_w = g.shape
+        c_in = x_shape[1]
         gw = gb = gx = None
         if need_gw or need_gb:
-            # (N, c_out, oh, ow) -> (c_out, n·oh·ow) in colsT's column order.
-            gT = np.empty((c_out, colsT.shape[1]), dtype=g.dtype)
+            # (N, c_out, oh, ow) -> (c_out, n·oh·ow) in the forward's column order.
+            cols_order = _conv_layout(n, out_h, out_w)[1]
+            gT = np.empty((c_out, n * out_h * out_w), dtype=g.dtype)
             _as_nchw(gT, g.shape, cols_order)[...] = g
             if need_gw:
-                # colsT, the long operand, streams through the GEMM once as its
-                # left side; only the small product is transposed.
+                # The forward's columns again, gathered from the input the graph
+                # keeps anyway, before the gx phases reuse the arena.  colsT, the
+                # long operand, streams through the GEMM once as its left side;
+                # only the small product is transposed.
+                framing = (x_shape[2] + 2 * ph, x_shape[3] + 2 * pw, ph, pw)
+                colsT, _ = self._gather(x, out_h, out_w, kh, kw, stride, framing)
                 gw = np.ascontiguousarray((colsT @ gT.T).T).reshape(c_out, c_in, kh, kw)
             if need_gb:
                 gb = gT.sum(axis=1)

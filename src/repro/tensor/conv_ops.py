@@ -70,8 +70,9 @@ def conv2d(
     """2-D convolution (cross-correlation) in NCHW with OIHW weights.
 
     ``weight`` has shape ``(c_out, c_in, kh, kw)``.  The forward pass is a
-    single GEMM over the patch matrix; the backward pass reuses the cached
-    patches for the weight gradient, and gets the input gradient from col2im
+    single GEMM over the patch matrix.  For the weight gradient the backward
+    reuses the patches the reference caches, or gathers them again from the
+    input (``fast``, which caches none); it gets the input gradient from col2im
     (reference) or a second gather + GEMM (``fast``).  The backend that runs
     the forward owns the cached context, so the backward stays consistent
     even if the active backend changes in between.

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import build_hybrid
+from repro.models import resnet18, resnet18_hybrid_config, vgg19, vgg19_hybrid_config
 from repro.tensor import Tensor, backend, conv2d
 from repro.tensor.backend import _SCRATCH, TOLERANCE_ATOL, TOLERANCE_RTOL, conv_grad_atol
 
@@ -175,7 +177,7 @@ class TestInputGradientPath:
         g = rng.standard_normal(ref_out.shape).astype(np.float32)
         ref = ref_be.conv2d_backward(g, ref_ctx, True, True, True)
         got = be.conv2d_backward(g, ctx, True, True, True)
-        return g, out, ctx, ref, got
+        return x, g, out, ctx, ref, got
 
     def test_gx_matches_reference(self, name, case, rng):
         *_, (_, _, ref_gx), (_, _, gx) = self._run(name, case, rng)
@@ -183,24 +185,29 @@ class TestInputGradientPath:
         assert_close(ref_gx, gx)
 
     def test_gw_gb_are_the_cached_column_products_bit_for_bit(self, name, case, rng):
-        """The input gradient has its own route; the other two come straight
-        from the forward's cached columns: ``gw`` is ``(colsT @ gT.T).T`` and
-        ``gb`` the row sums of ``gT``, to the bit.  (Every case here is on the
-        batch-outermost side of the column-order rule, where ``gT`` is plain
-        ``(c_out, N·oh·ow)``.)"""
-        g, _, ctx, _, (gw, gb, _) = self._run(name, case, rng)
+        """The input gradient has its own route; the other two are products of
+        the forward's columns, which the backward gathers again from the input:
+        ``gw`` is ``(colsT @ gT.T).T`` and ``gb`` the row sums of ``gT``, to
+        the bit.  ``colsT`` is built here from the zero-padded input, rows in
+        ``(c, i, j)`` order.  (Every case here is on the batch-outermost side
+        of the column-order rule, where the columns and ``gT`` are plain
+        ``(·, N·oh·ow)``.)"""
+        x, g, _, ctx, _, (gw, gb, _) = self._run(name, case, rng)
         if ctx[0] != "gen":
             pytest.skip("the 1x1 stride-1 branch has its own batched products")
+        *_, kh, kw, stride, padding = INPUT_GRAD_CASES[case]
+        ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+        colsT = padded_columns(x, kh, kw, stride, ph, pw)
         c_out = g.shape[1]
         gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
-        assert gw.tobytes() == np.ascontiguousarray((ctx[1] @ gT.T).T).tobytes()
+        assert gw.tobytes() == np.ascontiguousarray((colsT @ gT.T).T).tobytes()
         assert gb.tobytes() == gT.sum(axis=1).tobytes()
 
     def test_results_never_alias_pool_scratch(self, name, case, rng):
         """ISSUE 13's col2im bug, for the new route: with one image or one
         channel a transposed copy-out is already contiguous, and
         ``ascontiguousarray`` would hand back a view of pool scratch."""
-        _, out, _, _, (gw, gb, gx) = self._run(name, case, rng)
+        _, _, out, _, _, (gw, gb, gx) = self._run(name, case, rng)
         for arr in (out, gw, gb, gx):
             assert arr.flags.writeable
             assert all(not np.shares_memory(arr, s) for s in _SCRATCH.values())
@@ -211,12 +218,10 @@ class TestInputGradientPath:
 # ----------------------------------------------------------------------
 
 
-def parent_forward(x, w, b, stride, ph, pw):
-    """``FastBackend.conv2d_forward`` as it was with one column order:
-    ``np.pad``, a ``(C·kh·kw, N·oh·ow)`` column matrix with the batch axis
-    outermost, one ``w2d @ colsT`` GEMM, bias added in place, transposed out."""
+def padded_columns(x, kh, kw, stride, ph, pw):
+    """The ``(C·kh·kw, N·oh·ow)`` column matrix of ``np.pad``-ed ``x``: rows in
+    ``(c, i, j)`` order, columns with the batch axis outermost."""
     n, c_in, h, wid = x.shape
-    c_out, _, kh, kw = w.shape
     oh, ow = (h + 2 * ph - kh) // stride + 1, (wid + 2 * pw - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols = np.empty((c_in, kh, kw, n, oh, ow), dtype=x.dtype)
@@ -225,7 +230,17 @@ def parent_forward(x, w, b, stride, ph, pw):
             cols[:, i, j] = xp[
                 :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
             ].transpose(1, 0, 2, 3)
-    out_t = w.reshape(c_out, -1) @ cols.reshape(c_in * kh * kw, -1)
+    return cols.reshape(c_in * kh * kw, -1)
+
+
+def parent_forward(x, w, b, stride, ph, pw):
+    """``FastBackend.conv2d_forward`` as it was with one column order:
+    ``np.pad``, a ``(C·kh·kw, N·oh·ow)`` column matrix with the batch axis
+    outermost, one ``w2d @ colsT`` GEMM, bias added in place, transposed out."""
+    n, _, h, wid = x.shape
+    c_out, _, kh, kw = w.shape
+    oh, ow = (h + 2 * ph - kh) // stride + 1, (wid + 2 * pw - kw) // stride + 1
+    out_t = w.reshape(c_out, -1) @ padded_columns(x, kh, kw, stride, ph, pw)
     if b is not None:
         out_t += b[:, None]
     return out_t.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3).copy()
@@ -372,8 +387,8 @@ class TestEitherSideOfTheColumnOrderRule:
         check_conv(name, np.empty((0, 3, hw, hw), dtype=np.float32), w, b, 1, 1, 1)
 
     def test_ctx_survives_later_calls(self, name, rng):
-        """The columns a backward needs are the forward's own, not a pooled
-        buffer the next conv of the same shape overwrites."""
+        """The input a backward gathers its columns from is the forward's own,
+        not a pooled buffer the next conv of the same shape overwrites."""
         be, ref_be = backend.get(name), backend.get("numpy")
         x, w, b = conv_case(rng, 9, 3, 4, 4, 4, 3, 3)
         _, ctx = be.conv2d_forward(x, w, b, 1, 1, 1, True)
@@ -442,3 +457,40 @@ def test_transposed_weight_gradient_gemm_is_the_same_bytes(rng, c_out, rows, k):
     if not same_blas_kernels():
         pytest.skip(f"recorded on other BLAS kernels (canary {platform_canary()})")
     assert np.ascontiguousarray(transposed).tobytes() == direct.tobytes()
+
+
+def _hybrid_vgg19():
+    return build_hybrid(vgg19(num_classes=10, width_mult=0.25), vgg19_hybrid_config())[0]
+
+
+def _hybrid_resnet18():
+    model = resnet18(num_classes=10, width_mult=0.25, small_input=True)
+    return build_hybrid(model, resnet18_hybrid_config(model))[0]
+
+
+@pytest.mark.parametrize("build", [_hybrid_vgg19, _hybrid_resnet18])
+def test_train_forward_ctx_holds_only_the_input_and_weight(build, rng):
+    """A fast conv keeps nothing of its own for the backward: every array in
+    its ctx is a view of the input the graph already holds as the conv's
+    parent, or of its weight — no column matrix lives from forward to
+    backward."""
+    model = build()
+    be = backend.get("fast")
+    forward, calls = be.conv2d_forward, []
+
+    def record(x, w, b, stride, ph, pw, want_ctx):
+        out, ctx = forward(x, w, b, stride, ph, pw, want_ctx)
+        calls.append((x, w, ctx))
+        return out, ctx
+
+    be.conv2d_forward = record
+    try:
+        with backend.use("fast"):
+            model(Tensor(rng.standard_normal((32, 3, 32, 32)).astype(np.float32)))
+    finally:
+        del be.conv2d_forward
+    assert {ctx[0] for _, _, ctx in calls} == {"gen", "1x1"}
+    for x, w, ctx in calls:
+        for a in ctx:
+            if isinstance(a, np.ndarray):
+                assert np.shares_memory(a, x) or np.shares_memory(a, w)
