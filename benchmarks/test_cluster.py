@@ -18,7 +18,7 @@ gate compares them exactly:
 * ``canary_rollout``   — a promoted full→factorized rollout and a
   forced rollback (pathologically slow canary), both digested.
 
-Gate: ``benchmarks/check_cluster_regression.py`` against
+Gate: ``benchmarks/gate.py cluster`` against
 ``benchmarks/baselines/cluster_baseline.json``.
 """
 

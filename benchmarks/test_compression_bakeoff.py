@@ -24,7 +24,7 @@ the fault timeline.
 
 Deterministic quantities are gated against
 ``benchmarks/baselines/compression_baseline.json`` by
-``benchmarks/check_compression_regression.py``: structure and
+``benchmarks/gate.py compression``: structure and
 shape-determined bytes exactly, variance-gated bytes and modeled seconds
 to a band.  Results are written to ``BENCH_compression.json``.
 """

@@ -13,7 +13,7 @@ Wall-clock compute appears in the printed tables for context but is
 never gated.
 
 The session leaves ``BENCH_faults.json`` behind;
-``benchmarks/check_faults_regression.py`` fails CI if any recovery-time
+``benchmarks/gate.py faults`` fails CI if any recovery-time
 metric regresses more than 20% against the baseline.
 """
 

@@ -20,7 +20,7 @@ benchmark closes the loop with four scenario families feeding
   member-steps (16 with everyone aboard to the end) and every unary reply
   beats the stream's second frame.  Counts, not clocks — gated exactly.
 
-Gate: ``benchmarks/check_gateway_regression.py`` against
+Gate: ``benchmarks/gate.py gateway`` against
 ``benchmarks/baselines/gateway_baseline.json``.
 """
 

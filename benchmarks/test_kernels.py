@@ -8,7 +8,7 @@ node against the three-node composite it replaced and a PowerSGD round
 with in-place error feedback against the allocate-per-round codec it
 replaced, the chunked exact gradient mean against the whole-array formula it
 replaced, and writes ``BENCH_kernels.json`` (speedup tables + parity summary).
-``check_kernels_regression.py`` gates the artifact against the committed
+``benchmarks/gate.py kernels`` gates the artifact against the committed
 baseline: structure exactly, parity booleans, and per-op speedup floors
 (the headline: ≥1.5× on the batched im2col-matmul conv forward).
 

@@ -19,7 +19,7 @@ every number a pure function of ``(seed, config)``:
   canary on pinned profiles: the healthy rollout promotes, an injected
   40× latency regression rolls back at the first gate.
 
-Gate: ``benchmarks/check_lifecycle_regression.py`` against
+Gate: ``benchmarks/gate.py lifecycle`` against
 ``benchmarks/baselines/lifecycle_baseline.json``.
 """
 

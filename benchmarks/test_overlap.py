@@ -16,7 +16,7 @@ Deterministic (modeled) quantities — bucket structure, payload bytes,
 monolithic and bucketed comm seconds — are written to
 ``BENCH_overlap.json`` and gated against
 ``benchmarks/baselines/overlap_baseline.json`` by
-``benchmarks/check_overlap_regression.py``.  Wall-clock numbers (the
+``benchmarks/gate.py overlap``.  Wall-clock numbers (the
 fused speedup, measured compute) ride along for context but only
 invariants about them are gated.
 """

@@ -17,7 +17,7 @@ scenario families feed ``BENCH_serving.json``:
 * ``measured_*`` — the same sweep over profiles measured live on the CI
   host; numbers vary by machine, so the gate checks invariants only.
 
-Gate: ``benchmarks/check_serving_regression.py`` against
+Gate: ``benchmarks/gate.py serving`` against
 ``benchmarks/baselines/serving_baseline.json``.
 """
 

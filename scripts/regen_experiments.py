@@ -98,7 +98,7 @@ def gen_fault_injection(artifact: dict) -> list[str]:
     scenarios = artifact["scenarios"]
     lines = [
         "Seeded fault-injection scenarios (`benchmarks/test_fault_tolerance.py`, "
-        "gated by `check_faults_regression.py`; regenerated by "
+        "gated by `benchmarks/gate.py faults`; regenerated by "
         "`scripts/regen_experiments.py`).  Counts and modeled seconds are "
         "pure functions of the fault seed — any drift is a determinism "
         "break, not noise.",
@@ -136,7 +136,7 @@ def gen_overlap_buckets(artifact: dict) -> list[str]:
     lines = [
         f"Bucket layout for the overlap benchmark's MLP "
         f"(`benchmarks/test_overlap.py`, structure gated exactly by "
-        f"`check_overlap_regression.py`; regenerated by "
+        f"`benchmarks/gate.py overlap`; regenerated by "
         f"`scripts/regen_experiments.py`): {buckets['n_buckets']} buckets "
         f"over {overlap['payload_bytes']:,} payload bytes; the fused "
         f"optimizer covers {fused['n_tensors']} tensors / "
@@ -161,7 +161,7 @@ def gen_cluster_fleet(artifact: dict) -> list[str]:
     lines = [
         f"Fleet placement and autoscaling over pinned profiles "
         f"(`benchmarks/test_cluster.py`, gated exactly by "
-        f"`check_cluster_regression.py`; regenerated by "
+        f"`benchmarks/gate.py cluster`; regenerated by "
         f"`scripts/regen_experiments.py`).  Hosts: "
         f"{fleet['host_mem_mb']:.0f} MB / {fleet['host_rps']:.0f} rps; "
         f"{fleet['replicas_per_variant']} replicas per variant.",
@@ -206,7 +206,7 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
     lines = [
         "Per-op `numpy` vs `fast` backend timings "
         "(`benchmarks/test_kernels.py`, gated by "
-        "`check_kernels_regression.py`; regenerated by "
+        "`benchmarks/gate.py kernels`; regenerated by "
         "`scripts/regen_experiments.py` from the committed baseline "
         "`benchmarks/baselines/kernels_baseline.json`).  Milliseconds are "
         "from the baseline machine and purely documentary — the CI gate "
@@ -385,13 +385,13 @@ def gen_compression_bakeoff(artifact: dict) -> list[str]:
     """The factorized-vs-compressed head-to-head.  Sourced from the
     *committed* compression baseline (not a fresh
     ``BENCH_compression.json``) so ``--check`` never flaps: the gate
-    (`check_compression_regression.py`) enforces the numbers; this table
+    (`benchmarks/gate.py compression`) enforces the numbers; this table
     documents the reference run."""
     s = artifact["scenarios"]
     lines = [
         "Compression bake-off under compressed-bucket overlap "
         "(`benchmarks/test_compression_bakeoff.py`, gated by "
-        "`check_compression_regression.py`; regenerated by "
+        "`benchmarks/gate.py compression`; regenerated by "
         "`scripts/regen_experiments.py` from the committed baseline "
         "`benchmarks/baselines/compression_baseline.json`).  Wire bytes "
         "for SGD/PowerSGD/AB-Training are pure functions of parameter "
@@ -486,7 +486,7 @@ def gen_gateway_vs_sim(artifact: dict) -> list[str]:
         f"`{sim['trace_digest']}`) through the simulator and a live "
         f"localhost gateway sleeping the pinned profile "
         f"(`benchmarks/test_gateway.py`, gated by "
-        f"`check_gateway_regression.py`; regenerated by "
+        f"`benchmarks/gate.py gateway`; regenerated by "
         f"`scripts/regen_experiments.py` from the committed baseline "
         f"`benchmarks/baselines/gateway_baseline.json`).  Sim numbers are "
         f"exact-gated; live numbers are from the baseline machine and "
@@ -542,7 +542,7 @@ def gen_lifecycle(artifact: dict) -> list[str]:
     """The train → factorize → deploy loop.  Sourced from the *committed*
     lifecycle baseline (not a fresh ``BENCH_lifecycle.json``) so
     ``--check`` never flaps: the whole artifact is seed-deterministic and
-    the gate (`check_lifecycle_regression.py`) enforces it exactly; this
+    the gate (`benchmarks/gate.py lifecycle`) enforces it exactly; this
     table documents the reference run."""
     s = artifact["scenarios"]
     p = s["pipeline"]
@@ -556,7 +556,7 @@ def gen_lifecycle(artifact: dict) -> list[str]:
         f"+ {cfg['total_epochs'] - cfg['warmup_epochs']} low-rank epochs, "
         f"energy target {cfg['policy']['energy_threshold']}, hysteresis "
         f"{cfg['policy']['hysteresis']}) — `benchmarks/test_lifecycle.py`, "
-        f"gated exactly by `check_lifecycle_regression.py`; regenerated by "
+        f"gated exactly by `benchmarks/gate.py lifecycle`; regenerated by "
         f"`scripts/regen_experiments.py` from the committed baseline "
         f"`benchmarks/baselines/lifecycle_baseline.json`.  Spectra digest "
         f"`{p['spectra_digest']}`, timeline digest `{p['timeline_digest']}`.",

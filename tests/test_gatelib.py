@@ -1,206 +1,136 @@
-"""The shared regression-gate harness behind benchmarks/check_*_regression.py."""
+"""Unit tests of ``benchmarks/gate.py``: the field rules, the scenario walk
+and the command line (exit codes 0 / 1 / 2, the report lines).
+
+The end-to-end pins of every gate on its committed baseline live in
+``tests/test_gates.py``.
+"""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
-import pytest
-
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
-
-def _load(name: str):
-    if str(BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCH_DIR))
-    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[name] = mod  # dataclasses resolve annotations via sys.modules
-    spec.loader.exec_module(mod)
-    return mod
-
-
-gatelib = _load("gatelib")
+_spec = importlib.util.spec_from_file_location("gate", BENCH_DIR / "gate.py")
+gate = importlib.util.module_from_spec(_spec)
+sys.modules["gate"] = gate  # dataclasses resolve annotations via sys.modules
+_spec.loader.exec_module(gate)
 
 
 class TestDeepDiff:
     def test_equal(self):
         failures = []
-        gatelib.deep_diff({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}, "s", failures)
+        gate.deep_diff({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}, "s", failures)
         assert failures == []
 
     def test_leaf_drift_and_missing_keys(self):
         failures = []
-        gatelib.deep_diff({"a": 2, "new": 1}, {"a": 1, "gone": 3}, "s", failures)
+        gate.deep_diff({"a": 2, "new": 1}, {"a": 1, "gone": 3}, "s", failures)
         assert any("s.a: 2 != baseline 1" in f for f in failures)
         assert any("s.gone: missing from current run" in f for f in failures)
         assert any("s.new: not in baseline (new key)" in f for f in failures)
 
     def test_list_length(self):
         failures = []
-        gatelib.deep_diff([1, 2], [1, 2, 3], "s", failures)
+        gate.deep_diff([1, 2], [1, 2, 3], "s", failures)
         assert failures == ["s: length 2 != baseline 3"]
 
 
 class TestFieldRules:
     def test_exact_fields(self):
         failures = []
-        rule = gatelib.ExactFields(("n", "sizes"), note="structure changed")
-        rule.check("sc", {"n": 2, "sizes": [1]}, {"n": 1, "sizes": [1]}, 0.2, failures)
+        rule = gate.ExactFields(("n", "sizes"), note="structure changed")
+        rule({"n": 2, "sizes": [1]}, {"n": 1, "sizes": [1]}, "sc", failures)
         assert failures == ["sc.n: 2 != baseline 1 (structure changed)"]
 
     def test_exact_fields_skips_absent_everywhere(self):
         failures = []
-        gatelib.ExactFields(("missing",)).check("sc", {}, {}, 0.2, failures)
+        gate.ExactFields(("missing",))({}, {}, "sc", failures)
         assert failures == []
 
     def test_band_fields_two_sided(self):
-        rule = gatelib.BandFields(("t",), note="modeled time drifted")
+        rule = gate.BandFields(("t",), note="modeled time drifted")
         for cur, n_fail in ((1.0, 0), (1.19, 0), (1.21, 1), (0.79, 1)):
             failures = []
-            rule.check("sc", {"t": cur}, {"t": 1.0}, 0.2, failures)
+            rule({"t": cur}, {"t": 1.0}, "sc", failures)
             assert len(failures) == n_fail, (cur, failures)
 
     def test_band_fields_upper_only(self):
-        rule = gatelib.BandFields(("t",), mode="upper")
+        rule = gate.BandFields(("t",), mode="upper")
         for cur, n_fail in ((0.1, 0), (1.19, 0), (1.21, 1)):
             failures = []
-            rule.check("sc", {"t": cur}, {"t": 1.0}, 0.2, failures)
+            rule({"t": cur}, {"t": 1.0}, "sc", failures)
             assert len(failures) == n_fail, (cur, failures)
 
 
-def _write(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
+def _paths(tmp_path, current, baseline):
+    argv = []
+    for flag, art in (("--current", current), ("--baseline", baseline)):
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(art))
+        argv += [flag, str(path)]
+    return argv
 
 
 class TestRunGate:
-    def make_gate(self, **kw):
-        defaults = dict(
-            name="demo",
-            default_current="BENCH_demo.json",
-            default_baseline="demo_baseline.json",
-            rules=(gatelib.ExactFields(("n",)),),
-            default_threshold=0.20,
-        )
-        defaults.update(kw)
-        return gatelib.Gate(**defaults)
-
     def test_ok_run(self, tmp_path, capsys):
-        art = {"scenarios": {"a": {"n": 1}}}
-        rc = gatelib.run_gate(
-            self.make_gate(),
-            ["--current", _write(tmp_path, "c.json", art),
-             "--baseline", _write(tmp_path, "b.json", art)],
-        )
+        art = {"scenarios": {"a": {"events": 1}}}
+        rc = gate.main(["faults", *_paths(tmp_path, art, art)])
         assert rc == 0
-        assert "demo regression gate: 1 scenarios within 20% of baseline" in (
-            capsys.readouterr().out
-        )
+        assert capsys.readouterr().out.startswith("faults regression gate: OK against ")
 
     def test_failure_report(self, tmp_path, capsys):
-        rc = gatelib.run_gate(
-            self.make_gate(),
-            ["--current", _write(tmp_path, "c.json", {"scenarios": {"a": {"n": 2}}}),
-             "--baseline", _write(tmp_path, "b.json", {"scenarios": {"a": {"n": 1}}})],
+        rc = gate.main(
+            [
+                "faults",
+                *_paths(
+                    tmp_path,
+                    {"scenarios": {"a": {"events": 2}}},
+                    {"scenarios": {"a": {"events": 1}}},
+                ),
+            ]
         )
         out = capsys.readouterr().out
         assert rc == 1
-        assert "1 failure(s) across 1 scenarios" in out
-        assert "  FAIL a.n: 2 != baseline 1" in out
+        assert "faults regression gate: 1 failure(s)" in out
+        assert "  FAIL a.events: 2 != baseline 1 (seeded event stream changed" in out
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        rc = gatelib.run_gate(
-            self.make_gate(),
-            ["--current", str(tmp_path / "nope.json"),
-             "--baseline", str(tmp_path / "also-nope.json")],
+        rc = gate.main(
+            [
+                "faults",
+                "--current",
+                str(tmp_path / "nope.json"),
+                "--baseline",
+                str(tmp_path / "also-nope.json"),
+            ]
         )
         assert rc == 2
         assert "missing" in capsys.readouterr().err
 
     def test_missing_scenario(self, tmp_path):
-        rc = gatelib.run_gate(
-            self.make_gate(),
-            ["--current", _write(tmp_path, "c.json", {"scenarios": {}}),
-             "--baseline", _write(tmp_path, "b.json", {"scenarios": {"a": {"n": 1}}})],
-        )
-        assert rc == 1
+        baseline = {"scenarios": {"a": {"events": 1}}}
+        assert gate.main(["faults", *_paths(tmp_path, {"scenarios": {}}, baseline)]) == 1
 
     def test_skip_invariants_headline(self, tmp_path, capsys):
-        gate = self.make_gate(
-            skip=lambda name: name.startswith("measured_"),
-            invariants=lambda name, sc: (
-                [f"{name}: bad rate"] if sc.get("rate", 0) > 1 else []
-            ),
-            headline=lambda current: (
-                [] if "a" in current["scenarios"] else ["headline: a missing"]
-            ),
-        )
-        current = {"scenarios": {"a": {"n": 1}, "measured_x": {"n": 99, "rate": 2}}}
-        baseline = {"scenarios": {"a": {"n": 1}, "measured_x": {"n": 1}}}
-        rc = gatelib.run_gate(
-            gate,
-            ["--current", _write(tmp_path, "c.json", current),
-             "--baseline", _write(tmp_path, "b.json", baseline)],
-        )
+        current = {"scenarios": {"measured_x": {"n": 99, "capacity_rps": -1}}}
+        baseline = {"scenarios": {"measured_x": {"n": 1}, "measured_y": {"n": 1}}}
+        rc = gate.main(["serving", *_paths(tmp_path, current, baseline)])
         out = capsys.readouterr().out
-        # measured_x's exact-field drift was skipped, but its invariant fired.
+        # measured_x's drift was skipped, but its invariant fired; the
+        # skipped measured_y is still required; no headline without its
+        # scenario.
         assert rc == 1
         assert "measured_x.n" not in out
-        assert "measured_x: bad rate" in out
+        assert "measured_x: capacity_rps -1 not positive" in out
+        assert "measured_y: scenario missing from current run" in out
+        assert "pinned_crossover" not in out
 
     def test_custom_walk_and_ok_line(self, tmp_path, capsys):
-        gate = self.make_gate(
-            section="records",
-            item_word="records",
-            custom=lambda cur, base, t: (
-                [] if len(cur["records"]) == len(base["records"]) else ["count drift"]
-            ),
-            ok_line=lambda n, t: f"demo gate: {n} records fine",
-        )
-        art = {"records": [1, 2]}
-        rc = gatelib.run_gate(
-            gate,
-            ["--current", _write(tmp_path, "c.json", art),
-             "--baseline", _write(tmp_path, "b.json", art)],
-        )
-        assert rc == 0
-        assert "demo gate: 2 records fine" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("script", [
-    "check_overlap_regression",
-    "check_faults_regression",
-    "check_serving_regression",
-    "check_cluster_regression",
-    "check_observability_regression",
-    "check_kernels_regression",
-])
-def test_every_gate_script_is_a_thin_config(script):
-    """All six gate scripts share the harness: a Gate instance, no local
-    diff loop (the consolidation this layer exists for)."""
-    mod = _load(script)
-    assert isinstance(mod.GATE, gatelib.Gate)
-    source = (BENCH_DIR / f"{script}.py").read_text()
-    assert "deep_diff" not in source.replace("from gatelib import", ""), (
-        f"{script} re-implements diff logic instead of using gatelib"
-    )
-    assert "argparse" not in source, f"{script} re-implements CLI plumbing"
-
-
-def test_gate_self_check_against_committed_baselines():
-    """Every committed baseline must pass its own gate when replayed as
-    the current artifact (the identity run is the weakest guarantee)."""
-    baselines = {
-        "check_overlap_regression": "overlap_baseline.json",
-        "check_faults_regression": "faults_baseline.json",
-        "check_cluster_regression": "cluster_baseline.json",
-        "check_observability_regression": "observability_baseline.json",
-        "check_kernels_regression": "kernels_baseline.json",
-    }
-    for script, baseline in baselines.items():
-        mod = _load(script)
-        path = str(BENCH_DIR / "baselines" / baseline)
-        rc = gatelib.run_gate(mod.GATE, ["--current", path, "--baseline", path])
-        assert rc == 0, f"{script}: committed baseline fails its own gate"
+        art = {"records": [{"title": "T", "kind": "series", "series": {"loss": [1, 2]}}]}
+        assert gate.main(["observability", *_paths(tmp_path, art, art)]) == 0
+        assert "observability regression gate: OK against " in capsys.readouterr().out
+        shorter = {"records": [{"title": "T", "kind": "series", "series": {"loss": [1]}}]}
+        assert gate.main(["observability", *_paths(tmp_path, shorter, art)]) == 1
+        assert "  FAIL T: series 'loss' length 1 != baseline 2" in capsys.readouterr().out

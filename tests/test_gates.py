@@ -39,7 +39,7 @@ NAMES = (
 
 
 def gate_command(name: str) -> list[str]:
-    return [sys.executable, str(BENCH / f"check_{name}_regression.py")]
+    return [sys.executable, str(BENCH / "gate.py"), name]
 
 
 def run_gate(name: str, current: dict, baseline: dict, tmp_path: Path) -> tuple[int, list[str]]:
@@ -105,6 +105,10 @@ CASES = {
     ("overlap", "band"): [("cur", (S, "overlap_mlp", "comm_mono_s"), bump(1.25))],
     ("overlap", "invariant"): [("cur", (S, "overlap_mlp", "overlap_fraction"), const(1.5))],
     ("serving", "missing"): [("cur", (S, "pinned_crossover"), None)],
+    ("serving", "missing_measured"): [
+        ("cur", (S, "measured_full"), None),
+        ("cur", (S, "measured_factorized"), None),
+    ],
     ("serving", "exact"): [("cur", (S, "variant_accounting", "params_full"), plus(1))],
     ("serving", "invariant"): [("cur", (S, "measured_full", "capacity_rps"), const(-1.0))],
     ("serving", "headline"): [
@@ -168,7 +172,6 @@ EXPECTED = {
         1,
         [
             "fleet_cost: scenario missing from current run",
-            "fleet_cost: scenario missing from current run",
         ],
     ),
     ("compression", "band"): (
@@ -201,7 +204,6 @@ EXPECTED = {
         1,
         [
             "crossover: scenario missing from current run",
-            "headline: required scenario missing ('crossover')",
         ],
     ),
     ("faults", "band"): (
@@ -245,7 +247,6 @@ EXPECTED = {
     ("gateway", "missing"): (
         1,
         [
-            "sim_twin: scenario missing from current run",
             "sim_twin: scenario missing from current run",
         ],
     ),
@@ -303,7 +304,6 @@ EXPECTED = {
     ("lifecycle", "missing"): (
         1,
         [
-            "deployment: scenario missing from current run",
             "deployment: scenario missing from current run",
         ],
     ),
@@ -370,10 +370,16 @@ EXPECTED = {
             "measured_full: capacity_rps -1.0 not positive",
         ],
     ),
+    ("serving", "missing_measured"): (
+        1,
+        [
+            "measured_factorized: scenario missing from current run",
+            "measured_full: scenario missing from current run",
+        ],
+    ),
     ("serving", "missing"): (
         1,
         [
-            "pinned_crossover: scenario missing from current run",
             "pinned_crossover: scenario missing from current run",
         ],
     ),
@@ -394,3 +400,10 @@ def test_mutated_baseline_is_pinned(gate, case, tmp_path):
             apply(art, path, fn)
     rc, fails = run_gate(gate, current, baseline, tmp_path)
     assert (rc, fails) == EXPECTED[gate, case]
+
+
+def test_unknown_name_exits_2_and_lists_the_gates():
+    proc = subprocess.run(gate_command("bogus"), capture_output=True, text=True)
+    assert proc.returncode == 2
+    listed = proc.stderr.split("choose from ", 1)[1]
+    assert sorted(name.strip("'") for name in listed.strip(")\n").split(", ")) == sorted(NAMES)
