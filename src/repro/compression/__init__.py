@@ -9,6 +9,7 @@ from .base import (
     Compressor,
     EncodeResult,
     NoCompression,
+    NonFiniteGradientError,
     UndecodedRoundError,
     make_compressor,
     register_compressor,
@@ -35,6 +36,7 @@ __all__ = [
     "Atomo",
     "ABTraining",
     "VarianceGated",
+    "NonFiniteGradientError",
     "UndecodedRoundError",
     "atomo_probabilities",
     "make_compressor",

@@ -33,6 +33,7 @@ from .base import (
     EncodeResult,
     ResidualStore,
     register_compressor,
+    svd,
 )
 
 __all__ = ["ABTraining"]
@@ -119,7 +120,7 @@ class ABTraining(Compressor):
                 entries.append(("full", m, g.shape, worker))
                 nbytes += m.size * FLOAT32_BYTES
                 if self.error_feedback:
-                    self._residuals.settle((worker, layer), m)
+                    self._residuals.settle((worker, layer))
             elif mode == "a":
                 p = m @ v  # (n, r)
                 entries.append(("a", p, m, g.shape, worker))
@@ -170,12 +171,12 @@ class ABTraining(Compressor):
             if self.error_feedback:
                 for res in results:
                     e = res.payload[0][i]
-                    self._residuals.settle((e[4], layer), e[2], lift(e[1]))
+                    self._residuals.settle((e[4], layer), lift(e[1]))
             out.append(m_hat.reshape(shape))
         return out
 
     def _refresh_basis(self, layer: int, mean: np.ndarray) -> None:
-        u, _, vt = np.linalg.svd(mean.astype(np.float64), full_matrices=False)
+        u, _, vt = svd(mean.astype(np.float64), f"the mean gradient of layer {layer}")
         r = min(self.rank, u.shape[1])
         self._us[layer] = u[:, :r].astype(np.float32)
         self._vs[layer] = vt[:r].T.astype(np.float32)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils import spawn_rng
-from .base import FLOAT32_BYTES, Compressor, EncodeResult, register_compressor
+from .base import FLOAT32_BYTES, Compressor, EncodeResult, register_compressor, svd
 
 __all__ = ["Atomo", "atomo_probabilities"]
 
@@ -90,13 +90,13 @@ class Atomo(Compressor):
     ) -> EncodeResult:
         payloads = []
         nbytes = 0
-        for g in grads:
+        for i, g in enumerate(grads):
             if g.ndim < 2:
                 payloads.append(("raw", g.copy()))
                 nbytes += g.size * FLOAT32_BYTES
                 continue
             m = g.reshape(g.shape[0], -1).astype(np.float64)
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            u, s, vt = svd(m, f"worker {worker}'s gradient of layer {layer_offset + i}")
             p = atomo_probabilities(s, self.budget)
             keep = self._rng.random(len(s)) < p
             # Unbiased rescale of kept atoms.

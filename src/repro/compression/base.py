@@ -27,7 +27,7 @@ every registered compressor, and documented in docs/COMPRESSION.md):
   :meth:`advance_step`, never inside ``decode_aggregate`` — decode may be
   called many times per step (once per bucket).
 * A payload may alias compressor-owned state (:class:`ResidualStore`'s
-  resident matrices, from a worker's second round on): one ``encode`` per
+  resident matrices, from a worker's first round on): one ``encode`` per
   ``(worker, layer)`` per round, and a payload is dead once that pair is
   encoded again.  ``decode_aggregate`` stays pure in its arguments.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "Compressor",
     "EncodeResult",
     "NoCompression",
+    "NonFiniteGradientError",
     "ResidualStore",
     "UndecodedRoundError",
     "exact_mean",
@@ -119,33 +120,63 @@ class UndecodedRoundError(RuntimeError):
     folded into the resident buffer."""
 
 
+class NonFiniteGradientError(np.linalg.LinAlgError):
+    """A codec's SVD failed because the gradient matrix it factors holds
+    NaN.  A subclass of numpy's ``LinAlgError``, so handlers written for
+    that still catch it."""
+
+
+def svd(m: np.ndarray, what: str):
+    """``np.linalg.svd(m, full_matrices=False)``.  A failure on a matrix
+    that is not finite raises :class:`NonFiniteGradientError` naming
+    ``what``; the finite path pays no extra pass."""
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        if np.isfinite(m).all():
+            raise
+        raise NonFiniteGradientError(f"{what} is not finite, so its SVD failed ({e})") from e
+
+
 class ResidualStore:
     """Error feedback in place, for codecs whose residual is ``M − m̂``
     (PowerSGD, AB-Training).
 
     Each key — ``(worker, global layer)`` — owns **one** float32 buffer
     holding that worker's last matrix ``M`` plus a reference to the ``m̂`` of
-    the round the key last decoded in.  The residual is never materialised:
-    :meth:`fold` subtracts ``m̂`` and adds the new gradient into the buffer
-    (the two float32 roundings of ``g + (M − m̂)``, so bit-identical to
-    it), and :meth:`settle` only records ``m̂``, which keeps
-    ``decode_aggregate`` pure — it may run twice per round and never writes
-    to a payload.  A key that skips rounds keeps the ``m̂`` of *its* last
-    round, whatever the layer saw since.
+    the round the key last decoded in.  The buffer is allocated on the key's
+    first :meth:`fold`, which copies the gradient in, so no round borrows the
+    caller's array and a payload's matrix is always the resident buffer.
+    The residual is never materialised: a later :meth:`fold` subtracts
+    ``m̂`` and adds the new gradient into the buffer (the two float32
+    roundings of ``g + (M − m̂)``, so bit-identical to it), and
+    :meth:`settle` only records ``m̂``, which keeps ``decode_aggregate``
+    pure — it may run twice per round and never writes to a payload.  A key
+    that skips rounds keeps the ``m̂`` of *its* last round, whatever the
+    layer saw since.
     """
 
+    #: ``m̂`` of a key whose first round is not decoded yet: it has no
+    #: residual, so folding it again just copies the new gradient in.
+    _FIRST = object()
+
     def __init__(self) -> None:
-        # key -> [M, m̂]; m̂ is None between a fold and the next settle.
+        # key -> [M, m̂]; m̂ is None between a fold and the next settle, and
+        # _FIRST until the key's first settle.
         self._state: dict[tuple[int, int], list] = {}
 
     def fold(self, key: tuple[int, int], m: np.ndarray) -> np.ndarray:
-        """``m`` plus ``key``'s residual.  The first round has none and
-        returns ``m`` itself (borrowed); later rounds return the resident
-        buffer, which the caller's payload then aliases."""
+        """``m`` plus ``key``'s residual, in ``key``'s resident buffer (the
+        caller's payload then aliases it; ``m`` is never written)."""
         state = self._state.get(key)
         if state is None:
-            return m
+            buf = np.array(m, dtype=np.float32, order="C")
+            self._state[key] = [buf, self._FIRST]
+            return buf
         buf, m_hat = state
+        if m_hat is self._FIRST:
+            np.copyto(buf, m)
+            return buf
         if m_hat is None:
             raise UndecodedRoundError(
                 f"worker {key[0]} encoded layer {key[1]} twice without a decode in between"
@@ -158,21 +189,21 @@ class ResidualStore:
         buf += m
         return buf
 
-    def settle(
-        self, key: tuple[int, int], m: np.ndarray, m_hat: np.ndarray | None = None
-    ) -> None:
-        """Record that this round approximated ``key``'s matrix ``m`` by
-        ``m_hat`` (``None``: transmitted exactly).  ``m`` is adopted by copy
-        unless it already is the resident buffer; ``m_hat`` is kept by
+    def settle(self, key: tuple[int, int], m_hat: np.ndarray | None = None) -> None:
+        """Record that this round approximated ``key``'s folded matrix by
+        ``m_hat`` (``None``: transmitted exactly).  ``m_hat`` is kept by
         reference and must stay private to the codec."""
-        state = self._state.get(key)
-        if state is None or state[0] is not m:
-            state = self._state[key] = [m.copy(), None]
+        state = self._state[key]
         state[1] = state[0] if m_hat is None else m_hat
 
     def norm(self, worker: int) -> float:
-        """L2 norm of ``worker``'s residual ``M − m̂`` over all its layers."""
-        mine = [state for (w, _), state in self._state.items() if w == worker]
+        """L2 norm of ``worker``'s residual ``M − m̂`` over all its decoded
+        layers (a first round still pending has none yet)."""
+        mine = [
+            state
+            for (w, _), state in self._state.items()
+            if w == worker and state[1] is not self._FIRST
+        ]
         if any(m_hat is None for _, m_hat in mine):
             raise UndecodedRoundError(
                 f"worker {worker}'s residual is undefined until its last round is decoded"

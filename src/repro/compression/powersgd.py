@@ -96,11 +96,11 @@ class PowerSGD(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
-        """The payload borrows ``grads`` — rank-1 tensors and, in a worker's
-        first round, the matrices are views of them — so ``encode`` never
+        """The payload borrows ``grads``' rank-1 tensors, so ``encode`` never
         writes to its input and the caller must not either until the round
-        is decoded.  From the second round on a matrix is the worker's
-        resident error-feedback buffer, folded in place: one ``encode`` per
+        is decoded.  With error feedback a matrix is the worker's resident
+        error-feedback buffer from its first round on, folded in place (the
+        gradient is copied in, never kept): one ``encode`` per
         ``(worker, layer)`` per round, and the payload is dead once the
         worker encodes that layer again."""
         ps: dict[int, np.ndarray] = {}
@@ -158,7 +158,7 @@ class PowerSGD(Compressor):
             m_hat = p_hat @ q_new.T
             if self.error_feedback:
                 for res in results:
-                    self._residuals.settle((res.payload[3], layer), res.payload[1][i], m_hat)
+                    self._residuals.settle((res.payload[3], layer), m_hat)
                 m_hat = m_hat.copy()
             out[i] = m_hat.reshape(shapes[i])
         return out

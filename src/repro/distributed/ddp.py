@@ -13,10 +13,14 @@ phases, whatever the compressor, optimizer, topology or fault spec:
 
 1. **compute** — each active worker's forward/backward, timed; its
    gradients are moved out of the shared replica without a copy;
-2. **encode** — ``compressor.encode`` per worker per gradient *group*: the
-   overlap buckets, or one group holding every parameter when blocking
+2. **encode** — right after that worker's backward, ``compressor.encode``
+   per gradient *group*: the overlap buckets, or one group holding every
+   parameter when blocking
    (:class:`~repro.compression.NoCompression` is a compressor like any
-   other — its payload is the gradient list itself);
+   other — its payload is the gradient list itself).  The worker's
+   gradients are then dropped before the next worker's backward, so the
+   process holds what one simulated worker would: its own gradient, plus
+   whatever the payloads keep;
 3. **charge** — the encoded bytes go on the modeled clock, the one place
    ``overlap`` is read: blocking sends the whole payload after backward
    (Section 4.1's single flat allreduce); overlap schedules one allreduce
@@ -337,7 +341,8 @@ class DistributedTrainer:
         return [{"ready_s": ev.ready, "start_s": ev.start, "end_s": ev.end} for ev in sched.events]
 
     def _iteration(self, batches, active, iteration: int, timeline: TimelineBreakdown) -> None:
-        """One synchronous step: compute → encode → charge → decode → apply.
+        """One synchronous step: compute + encode per worker → charge →
+        decode → apply.
 
         ``groups`` are the tuples of parameter indices that travel together.
         Each is encoded per worker and decoded on its own, so nothing here
@@ -351,12 +356,15 @@ class DistributedTrainer:
         else:
             groups = [tuple(range(len(params)))]
 
-        # --- compute: each worker's measured forward/backward --------------
-        worker_grads: list[list[np.ndarray]] = []
+        # --- compute + encode, one worker at a time: a worker's gradients
+        # are encoded as its backward ends and dropped before the next
+        # worker's backward allocates its own --------------------------------
+        encoded: list[list] = [[] for _ in groups]
+        encode_times = [0.0] * len(groups)
         worker_compute: list[float] = []
         worker_ready: list[list[float]] = []
-        with _trace.span("ddp.compute", iteration=step):
-            for w in active:
+        for w in active:
+            with _trace.span("ddp.compute", iteration=step, worker=w):
                 self.optimizer.zero_grad()
                 recorder = GradientArrivalRecorder(params) if self.overlap else None
                 t0 = time.perf_counter()
@@ -374,25 +382,19 @@ class DistributedTrainer:
                 # the whole gradient arrives when backward ends.
                 arrivals = recorder.arrival_times() if recorder else [elapsed] * len(params)
                 worker_ready.append([max(arrivals[i] for i in g) * mult for g in groups])
-                worker_grads.append(_take_grads(params))
+                grads = _take_grads(params)
+            # Workers encode in parallel, so a group's payload waits for its
+            # slowest worker's encoder.
+            with _trace.span("ddp.encode", iteration=step, worker=w):
+                for j, g in enumerate(groups):
+                    sub = [grads[i] for i in g]
+                    t0 = time.perf_counter()
+                    encoded[j].append(self.compressor.encode(w, sub, layer_offset=g[0]))
+                    encode_times[j] = max(encode_times[j], time.perf_counter() - t0)
+                del grads, sub
         # Workers run concurrently: the slowest sets the pace.
         backward_end = max(worker_compute)
         timeline.compute += backward_end
-
-        # --- encode: per group, per worker (workers encode in parallel, so a
-        # group's payload waits for its slowest worker's encoder) ------------
-        encoded: list[list] = []
-        encode_times: list[float] = []
-        with _trace.span("ddp.encode", iteration=step):
-            for g in groups:
-                per_worker, per_worker_s = [], []
-                for w, grads in zip(active, worker_grads):
-                    sub = [grads[i] for i in g]
-                    t0 = time.perf_counter()
-                    per_worker.append(self.compressor.encode(w, sub, layer_offset=g[0]))
-                    per_worker_s.append(time.perf_counter() - t0)
-                encoded.append(per_worker)
-                encode_times.append(max(per_worker_s))
 
         # --- charge: the encoded bytes go on the modeled clock -------------
         world = len(active)

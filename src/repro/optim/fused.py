@@ -3,11 +3,15 @@
 :class:`FusedOptimizer` owns a :class:`repro.nn.ParameterArena`: all
 parameters alias one contiguous float32 buffer, optimizer state (momentum
 buffer, Adam moments) lives in flat slabs of the same length, and weight
-decay is applied through a precomputed per-element mask (zero on
-``no_decay`` parameters).  A step is then a handful of in-place vector
-ops instead of a Python loop over every tensor, dispatched through the
-backend registry (:mod:`repro.tensor.backend`) so the ``fast`` backend
-can run the allocation-free variants.
+decay is applied through a per-element mask (zero on ``no_decay``
+parameters), built by the first step that decays and rebuilt when
+``weight_decay`` changes.  The ``no_decay`` flags themselves are read when
+the arena is built: flip one afterwards and the fused step ignores it
+until the next rebuild, where the per-tensor loops read it every step.
+A step is then a handful of in-place vector ops instead of a Python loop
+over every tensor, dispatched through the backend registry
+(:mod:`repro.tensor.backend`) so the ``fast`` backend can run the
+allocation-free variants.
 
 Three concrete optimizers share the machinery:
 
@@ -69,7 +73,13 @@ class FusedOptimizer(Optimizer):
         self._arena: ParameterArena | None = None
         self._grad_buf: np.ndarray | None = None
         self._tmp: np.ndarray | None = None
+        # (offset, size) of every segment that decays, read from the
+        # ``no_decay`` flags when the arena is built.
+        self._decay_segments: list[tuple[int, int]] = []
+        # The per-element decay mask and the ``weight_decay`` it was built
+        # for; built by the first step that decays.
         self._decay_mask: np.ndarray | None = None
+        self._mask_decay = 0.0
 
     # ------------------------------------------------------------------
 
@@ -87,13 +97,11 @@ class FusedOptimizer(Optimizer):
             _metrics.REGISTRY.counter("arena.rebuilds").inc()
         arena = self._arena = ParameterArena(self.params)
         self._grad_buf = np.empty(arena.size, dtype=np.float32)
-        self._tmp = np.empty(arena.size, dtype=np.float32)
-        mask = np.zeros(arena.size, dtype=np.float32)
-        if self.weight_decay > 0:
-            for p, off, size in arena.segments():
-                if not getattr(p, "no_decay", False):
-                    mask[off : off + size] = self.weight_decay
-        self._decay_mask = mask
+        self._tmp = None
+        self._decay_segments = [
+            (off, size) for p, off, size in arena.segments() if not getattr(p, "no_decay", False)
+        ]
+        self._decay_mask = None
         # Optimizer state cannot survive a relayout: drop it, exactly as
         # re-instantiating the optimizer would (checkpoint via
         # state_dict/load_state_dict to carry it across).
@@ -103,6 +111,29 @@ class FusedOptimizer(Optimizer):
     def rebind(self, params: Iterable[Parameter]) -> None:
         super().rebind(params)
         self._arena = None
+
+    def _mask(self) -> np.ndarray | None:
+        """The decay mask for this step: ``weight_decay`` on every decaying
+        segment, zero elsewhere; ``None`` (and none held) when nothing
+        decays.  Rebuilt whenever ``weight_decay`` changed since the last
+        step that decayed, as the per-tensor loops read it every step."""
+        wd = self.weight_decay
+        if not wd > 0:
+            self._decay_mask = None
+            return None
+        if self._decay_mask is None or self._mask_decay != wd:
+            mask = np.zeros(self._arena.size, dtype=np.float32)
+            for off, size in self._decay_segments:
+                mask[off : off + size] = wd
+            self._decay_mask, self._mask_decay = mask, wd
+        return self._decay_mask
+
+    def _scratch_slab(self) -> np.ndarray:
+        """The arena-sized float32 temp the update chains write through,
+        allocated by the first step that needs one."""
+        if self._tmp is None:
+            self._tmp = np.empty(self._arena.size, dtype=np.float32)
+        return self._tmp
 
     # ------------------------------------------------------------------
 
@@ -196,11 +227,15 @@ class FusedSGD(FusedOptimizer):
         (:meth:`repro.tensor.backend.Backend.sgd_update`) so backends can
         fuse or reorder passes; the arena/mask bookkeeping stays here.
         """
+        mask = self._mask()
+        # ``g`` is the scratch of the final ``lr·d``; only the decay and
+        # Nesterov terms need a second slab.
+        tmp = self._scratch_slab() if mask is not None or self.nesterov else None
         self._momentum_buf = _backend.active().sgd_update(
             flat,
             g,
-            self._tmp,
-            self._decay_mask if self.weight_decay > 0 else None,
+            tmp,
+            mask,
             self._momentum_buf,
             self.lr,
             self.momentum,
@@ -258,8 +293,8 @@ class FusedAdam(FusedOptimizer):
             g,
             self._m,
             self._v,
-            self._tmp,
-            self._decay_mask if self.weight_decay > 0 else None,
+            self._scratch_slab(),
+            self._mask(),
             self.lr,
             self.betas[0],
             self.betas[1],
@@ -325,8 +360,8 @@ class FusedLAMB(FusedOptimizer):
             g,
             self._m,
             self._v,
-            self._tmp,
-            self._decay_mask if self.weight_decay > 0 else None,
+            self._scratch_slab(),
+            self._mask(),
             self._seg_starts,
             self._seg_sizes,
             self.lr,

@@ -432,7 +432,7 @@ class Backend:
         self,
         flat: np.ndarray,
         g: np.ndarray,
-        tmp: np.ndarray,
+        tmp: np.ndarray | None,
         decay_mask: np.ndarray | None,
         momentum_buf: np.ndarray | None,
         lr: float,
@@ -440,8 +440,10 @@ class Backend:
         nesterov: bool,
     ) -> np.ndarray | None:
         """In-place ``flat -= lr * d`` where ``d`` is the decayed,
-        momentum-filtered gradient.  ``g`` is clobbered; returns the
-        (possibly newly allocated) momentum buffer.
+        momentum-filtered gradient.  ``g`` is clobbered — it holds the final
+        ``lr * d`` — and ``tmp`` is only written with a ``decay_mask`` or
+        ``nesterov`` (pass ``None`` otherwise); returns the (possibly newly
+        allocated) momentum buffer.
 
         This is already a fused vector chain — four in-place passes over
         the arena.  The update is memory-bandwidth-bound, so the fast
@@ -466,8 +468,9 @@ class Backend:
                 d = momentum_buf
         else:
             d = g
-        np.multiply(d, np.float32(lr), out=tmp)
-        flat -= tmp
+        # g is dead once the momentum buffer took it in (or it is d itself).
+        np.multiply(d, np.float32(lr), out=g)
+        flat -= g
         return momentum_buf
 
     def adam_update(

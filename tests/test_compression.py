@@ -378,7 +378,7 @@ class TestErrorFeedbackInPlace:
             comp.error_norm(0)
         assert comp.error_norm(1) >= 0.0  # the other worker's round is whole
 
-    def test_from_round_two_the_payload_matrix_is_the_resident_buffer(self, name, rng):
+    def test_from_round_one_the_payload_matrix_is_the_resident_buffer(self, name, rng):
         comp = make_compressor(name, 1)
         seen = []
         for _ in range(4):
@@ -386,8 +386,7 @@ class TestErrorFeedbackInPlace:
             seen.append([a for a in _payload_arrays(res.payload) if a.shape == (8, 6)][0])
             comp.decode_aggregate([res])
             comp.advance_step()
-        assert seen[0] is not seen[1]  # round 1 borrowed the caller's gradient
-        assert seen[1] is seen[2] is seen[3]
+        assert seen[0] is seen[1] is seen[2] is seen[3]
 
     def test_the_decoded_aggregate_is_the_callers_to_overwrite(self, name, rng):
         """The trainer binds decoded arrays to ``p.grad``; whatever happens

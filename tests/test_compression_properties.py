@@ -262,10 +262,10 @@ def poisoned(decoded) -> str:
 # topk's selection can hide the value entirely.  The SVD of a NaN matrix
 # (abtrain's basis refresh, atomo's encode) raises.
 NON_FINITE = {
-    ("abtrain", "nan"): "LinAlgError",
+    ("abtrain", "nan"): "NonFiniteGradientError",
     ("abtrain", "+inf"): "+inf:17 | +inf:4",
     ("abtrain", "-inf"): "-inf:17 | -inf:4",
-    ("atomo", "nan"): "LinAlgError",
+    ("atomo", "nan"): "NonFiniteGradientError",
     ("atomo", "+inf"): "nan:all | +inf:4",
     ("atomo", "-inf"): "nan:all | -inf:4",
     ("binary", "nan"): "nan:all | nan:all",

@@ -1,0 +1,159 @@
+"""What one simulated DDP iteration holds, counted by ``tracemalloc``.
+
+A real data-parallel worker holds its own gradient and its own error
+memory, nothing more.  ``DistributedTrainer`` simulates its workers in one
+process, one after another, so it must hold what one of them would:
+
+* one worker's gradient, encoded as its backward ends and dropped before
+  the next worker's backward starts;
+* PowerSGD's error memory resident from the first round (the codec copies
+  each gradient matrix in; no round keeps a worker's gradient alive);
+* the decoded output the optimizer applies.
+
+``tracemalloc`` counts every NumPy buffer exactly, so the bounds below are
+derived from the parameter shapes alone: a whole iteration, first round
+included, may rise above the level it starts or ends at by at most one
+worker's gradient plus the decoded output (two model sizes; holding all
+four workers' gradients at once needs four).
+
+The fused optimizers allocate only the arena-sized slabs an update reads: a
+``weight_decay=0`` update reads no decay mask, and ``FusedSGD`` without
+decay or Nesterov writes its final ``lr·d`` into the gradient it already
+overwrites.  The decay mask follows ``weight_decay`` when it changes, as
+the per-tensor loops do.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.compression import make_compressor
+from repro.data import DataLoader
+from repro.distributed import ClusterSpec, DistributedTrainer
+from repro.models import MLP
+from repro.optim import LAMB, SGD, Adam, FusedAdam, FusedLAMB, FusedSGD
+from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL
+from repro.utils import set_seed
+
+WORLD = 4
+BATCH = 4
+
+
+def powersgd_trainer(optimizer_cls, overlap: bool):
+    """A 4-worker PowerSGD trainer whose parameters dwarf its activations
+    (batch 4), and loaders that yield one batch per epoch."""
+    set_seed(0)
+    model = MLP(256, [128, 128], 10)
+    opt = optimizer_cls(list(model.parameters()), lr=0.01, momentum=0.9)
+    trainer = DistributedTrainer(
+        model,
+        opt,
+        ClusterSpec(WORLD),
+        compressor=make_compressor("powersgd", WORLD, rank=2),
+        overlap=overlap,
+        bucket_mb=0.05,
+    )
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((BATCH * WORLD, 256)).astype(np.float32)
+    y = rng.integers(0, 10, BATCH * WORLD)
+    loaders = [DataLoader(x[w::WORLD], y[w::WORLD], BATCH) for w in range(WORLD)]
+    return model, trainer, loaders
+
+
+def iteration_rises(trainer, loaders, iterations: int) -> list[int]:
+    """Per iteration, the traced peak above the higher of the levels the
+    iteration starts and ends at."""
+    rises = []
+    tracemalloc.start()
+    try:
+        for _ in range(iterations):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trainer.train_epoch(loaders)
+            end, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - max(start, end))
+    finally:
+        tracemalloc.stop()
+    return rises
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+@pytest.mark.parametrize("optimizer_cls", [SGD, FusedSGD])
+def test_an_iteration_holds_one_workers_gradient(optimizer_cls, overlap):
+    model, trainer, loaders = powersgd_trainer(optimizer_cls, overlap)
+    model_bytes = sum(p.data.nbytes for p in model.parameters())
+    gradient, decoded = model_bytes, model_bytes
+    bound = gradient + decoded
+    rises = iteration_rises(trainer, loaders, 4)
+    assert trainer._buckets is None or len(trainer._buckets) > 1
+    # Round one allocates the residual store; rounds 2-4 are steady state.
+    for r, rise in enumerate(rises):
+        assert rise <= bound, f"round {r + 1}: {rise} B above its level, bound {bound} B"
+
+
+def arena_slabs(opt) -> set[str]:
+    """Names of the arena-sized arrays the optimizer holds."""
+    size = opt._arena.size
+    return {k for k, v in vars(opt).items() if isinstance(v, np.ndarray) and v.size == size}
+
+
+def stepped(opt_cls, **kwargs):
+    set_seed(0)
+    model = MLP(12, [10, 8], 4)
+    opt = opt_cls(list(model.parameters()), lr=1e-3, **kwargs)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        for p in model.parameters():
+            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+        opt.step()
+    return opt
+
+
+@pytest.mark.parametrize(
+    "opt_cls,kwargs,slabs",
+    [
+        (FusedSGD, {}, {"_grad_buf"}),
+        (FusedSGD, {"momentum": 0.9}, {"_grad_buf", "_momentum_buf"}),
+        (FusedSGD, {"momentum": 0.9, "nesterov": True}, {"_grad_buf", "_momentum_buf", "_tmp"}),
+        (FusedSGD, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_decay_mask"}),
+        (FusedAdam, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
+        (FusedAdam, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_m", "_v", "_decay_mask"}),
+        (FusedLAMB, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
+    ],
+    ids=["sgd", "sgd-momentum", "sgd-nesterov", "sgd-decay", "adam", "adam-decay", "lamb"],
+)
+def test_fused_optimizers_hold_only_the_slabs_an_update_reads(opt_cls, kwargs, slabs):
+    assert arena_slabs(stepped(opt_cls, **kwargs)) == slabs
+
+
+PAIRS = [(SGD, FusedSGD, {"momentum": 0.9}), (Adam, FusedAdam, {}), (LAMB, FusedLAMB, {})]
+
+
+@pytest.mark.parametrize("loop_cls,fused_cls,kwargs", PAIRS, ids=["sgd", "adam", "lamb"])
+def test_a_changed_weight_decay_reaches_the_fused_step(loop_cls, fused_cls, kwargs):
+    """``weight_decay`` set between steps — raised, changed, dropped to 0 —
+    lands on the next fused step exactly as on the per-tensor loop."""
+    models = []
+    for _ in range(2):
+        set_seed(7)
+        models.append(MLP(12, [10, 8], 4))
+    for m in models:
+        list(m.parameters())[1].no_decay = True
+    loop = loop_cls(list(models[0].parameters()), lr=1e-2, **kwargs)
+    fused = fused_cls(list(models[1].parameters()), lr=1e-2, **kwargs)
+    rng = np.random.default_rng(3)
+    for step, wd in enumerate([0.0, 0.0, 1e-2, 1e-2, 5e-2, 0.0, 1e-2]):
+        loop.weight_decay = fused.weight_decay = wd
+        grads = [rng.standard_normal(p.data.shape).astype(np.float32) for p in loop.params]
+        for opt in (loop, fused):
+            for p, g in zip(opt.params, grads):
+                p.grad = g.copy()
+            opt.step()
+        for a, b in zip(loop.params, fused.params):
+            if fused_cls is FusedLAMB:
+                np.testing.assert_allclose(b.data, a.data, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)
+            else:
+                assert a.data.tobytes() == b.data.tobytes(), f"step {step} (wd={wd})"

@@ -570,9 +570,10 @@ class TestTrainerIntegration:
         return obs.get_tracer().spans(), timeline, trainer, wire_bytes
 
     def test_ddp_span_names_identical_on_every_path(self):
-        """docs/OBSERVABILITY.md's promise: compute / encode / decode / step
-        every iteration, bucket spans inside decode — with or without
-        overlap, with or without a real compressor."""
+        """docs/OBSERVABILITY.md's promise: compute / encode once per active
+        worker and decode / step once per iteration, bucket spans inside
+        decode — with or without overlap, with or without a real
+        compressor."""
         name_sets = {}
         for overlap in (False, True):
             for compressor in ("sgd", "powersgd"):
@@ -580,7 +581,13 @@ class TestTrainerIntegration:
                 by_name = {}
                 for s in spans:
                     by_name.setdefault(s.name, []).append(s)
-                for phase in ("ddp.compute", "ddp.encode", "ddp.decode", "ddp.step"):
+                world = trainer.cluster.world_size
+                for phase in ("ddp.compute", "ddp.encode"):
+                    assert len(by_name[phase]) == timeline.iterations * world, (overlap, phase)
+                    assert sorted(s.attrs["worker"] for s in by_name[phase]) == sorted(
+                        list(range(world)) * timeline.iterations
+                    )
+                for phase in ("ddp.decode", "ddp.step"):
                     assert len(by_name[phase]) == timeline.iterations, (overlap, phase)
                 n_buckets = len(trainer._buckets) if overlap else 1
                 assert (n_buckets > 1) == overlap
