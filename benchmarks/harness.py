@@ -255,42 +255,31 @@ def translation_task(rng, n=512, vocab=24, min_len=3, max_len=7):
     return ds.split(int(0.85 * n))
 
 
-def run_translation(model, train_ds, val_ds, epochs, batch=64, lr=1e-3):
-    """Train a seq2seq transformer; returns train/val NLL and val BLEU."""
-    from repro.metrics import corpus_bleu
+def run_translation(model, train_ds, val_ds, epochs, warmup_epochs=None, batch=64, lr=1e-3):
+    """Train a seq2seq transformer with Adam for ``epochs``: vanilla, or
+    Algorithm 1 (rank ratio 0.25) after ``warmup_epochs`` of warm-up.
+
+    Returns the final model's parameter count, last-epoch train NLL
+    (token-weighted, label-smoothed), val NLL and val BLEU.
+    """
+    import functools
+
+    from repro.core import PufferfishTrainer, Trainer, seq2seq_batch
+    from repro.metrics import evaluate_translation
+    from repro.models import transformer_hybrid_config
     from repro.optim import Adam
-    from repro.tensor import no_grad
 
-    vocab = train_ds.vocab_size
-    opt = Adam(model.parameters(), lr=lr)
     loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
-    train_nll = float("inf")
-    for ep in range(epochs):
-        model.train()
-        total, count = 0.0, 0
-        for i in range(0, len(train_ds), batch):
-            src = train_ds.src[i : i + batch]
-            tgt = train_ds.tgt[i : i + batch]
-            opt.zero_grad()
-            logits = model(src, tgt[:, :-1])
-            loss = loss_fn(logits.reshape(-1, vocab), tgt[:, 1:].reshape(-1))
-            loss.backward()
-            opt.step()
-            n_tok = int((tgt[:, 1:] != 0).sum())
-            total += float(loss.data) * n_tok
-            count += n_tok
-        train_nll = total / max(count, 1)
-
-    # Validation NLL.
-    model.eval()
-    with no_grad():
-        logits = model(val_ds.src, val_ds.tgt[:, :-1])
-        val_loss = nn.CrossEntropyLoss(ignore_index=0)(
-            logits.reshape(-1, vocab), val_ds.tgt[:, 1:].reshape(-1)
-        )
-    # Greedy-decode BLEU.
-    hyp = model.greedy_decode(val_ds.src, bos=1, eos=2, max_len=val_ds.tgt.shape[1])
-    bleu = corpus_bleu(
-        [list(h) for h in hyp], [list(t) for t in val_ds.tgt], strip_ids={0, 1, 2}
-    )
-    return {"train_nll": train_nll, "val_nll": float(val_loss.data), "val_bleu": bleu}
+    batch_fn = functools.partial(seq2seq_batch, loss_fn=loss_fn)
+    loaders = (train_ds.batches(batch), val_ds.batches(len(val_ds)))
+    make_opt = lambda params: Adam(params, lr=lr)
+    if warmup_epochs is None:
+        trainer = Trainer(model, make_opt(model.parameters()), batch_fn=batch_fn)
+        trainer.fit(*loaders, epochs=epochs)
+    else:
+        trainer = PufferfishTrainer(model, transformer_hybrid_config(0.25), make_opt,
+                                    warmup_epochs, epochs, batch_fn=batch_fn)
+        model = trainer.fit(*loaders)
+    val_nll, val_bleu = evaluate_translation(model, val_ds)
+    return {"params": model.num_parameters(), "train_nll": trainer.history[-1].train_metric,
+            "val_nll": val_nll, "val_bleu": val_bleu}

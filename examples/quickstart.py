@@ -10,14 +10,18 @@ CIFAR-like task:
 Run:  python examples/quickstart.py
 """
 
+import logging
+
 import numpy as np
 
 from repro import nn
 from repro.core import FactorizationConfig, PufferfishTrainer
 from repro.data import DataLoader, make_cifar_like
 from repro.optim import SGD, MultiStepLR
-from repro.utils import Logger, set_seed
+from repro.utils import set_seed
 
+# The trainers log one line per finished epoch on the "repro.core.trainer" logger.
+logging.basicConfig(level=logging.INFO, format="%(message)s")
 set_seed(0)
 rng = np.random.default_rng(0)
 
@@ -45,7 +49,6 @@ trainer = PufferfishTrainer(
     scheduler_factory=lambda opt: MultiStepLR(opt, milestones=[8], gamma=0.1),
     warmup_epochs=3,
     total_epochs=12,
-    logger=Logger("quickstart"),
 )
 hybrid = trainer.fit(train_loader, val_loader)
 

@@ -9,15 +9,16 @@ greedy decoding.
 Run:  python examples/transformer_translation.py
 """
 
+import functools
+
 import numpy as np
 
 from repro import nn
-from repro.core import build_hybrid
+from repro.core import PufferfishTrainer, Trainer, seq2seq_batch
 from repro.data import make_translation_dataset
-from repro.metrics import corpus_bleu, perplexity
+from repro.metrics import evaluate_translation, perplexity
 from repro.models import Seq2SeqTransformer, transformer_hybrid_config
 from repro.optim import Adam
-from repro.tensor import no_grad
 from repro.utils import set_seed
 
 VOCAB = 20
@@ -30,7 +31,11 @@ set_seed(0)
 full = make_translation_dataset(n=768, vocab_size=VOCAB, min_len=4, max_len=8,
                                 rng=np.random.default_rng(0))
 train_ds, val_ds = full.split(650)
-loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
+loaders = (train_ds.batches(BATCH), val_ds.batches(len(val_ds)))
+# Teacher-forced, label-smoothed token loss; padding ignored.
+batch_fn = functools.partial(
+    seq2seq_batch, loss_fn=nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
+)
 
 
 def make_model():
@@ -38,45 +43,28 @@ def make_model():
                               d_ff=64, dropout=0.0, max_len=16)
 
 
-def train(model, epochs):
-    opt = Adam(model.parameters(), lr=LR)
-    for epoch in range(epochs):
-        model.train()
-        for i in range(0, len(train_ds), BATCH):
-            src = train_ds.src[i : i + BATCH]
-            tgt = train_ds.tgt[i : i + BATCH]
-            opt.zero_grad()
-            logits = model(src, tgt[:, :-1])
-            loss_fn(logits.reshape(-1, VOCAB), tgt[:, 1:].reshape(-1)).backward()
-            opt.step()
+def make_opt(params):
+    return Adam(params, lr=LR)
 
 
 def evaluate(model, label):
-    model.eval()
-    with no_grad():
-        logits = model(val_ds.src, val_ds.tgt[:, :-1])
-        nll = nn.CrossEntropyLoss(ignore_index=0)(
-            logits.reshape(-1, VOCAB), val_ds.tgt[:, 1:].reshape(-1)
-        )
-    hyp = model.greedy_decode(val_ds.src, bos=1, eos=2, max_len=val_ds.tgt.shape[1])
-    bleu = corpus_bleu([list(h) for h in hyp], [list(t) for t in val_ds.tgt],
-                       strip_ids={0, 1, 2})
+    nll, bleu = evaluate_translation(model, val_ds)
     print(f"{label:<28} params={model.num_parameters():>8,}  "
-          f"val ppl={perplexity(float(nll.data)):6.2f}  BLEU={bleu:6.2f}")
+          f"val ppl={perplexity(nll):6.2f}  BLEU={bleu:6.2f}")
 
 
 print("=== vanilla Transformer ===")
 vanilla = make_model()
-train(vanilla, EPOCHS)
+Trainer(vanilla, make_opt(vanilla.parameters()), batch_fn=batch_fn).fit(*loaders, epochs=EPOCHS)
 evaluate(vanilla, "vanilla")
 
 print("\n=== Pufferfish Transformer (warm-up -> SVD -> fine-tune) ===")
 set_seed(0)
-model = make_model()
-train(model, WARMUP)
-hybrid, report = build_hybrid(model, transformer_hybrid_config(rank_ratio=0.25))
+trainer = PufferfishTrainer(make_model(), transformer_hybrid_config(rank_ratio=0.25), make_opt,
+                            warmup_epochs=WARMUP, total_epochs=EPOCHS, batch_fn=batch_fn)
+hybrid = trainer.fit(*loaders)
+report = trainer.report
 print(f"factorized {len(report.replaced)} projections "
       f"({report.params_before:,} -> {report.params_after:,} params, "
       f"{report.compression:.2f}x)")
-train(hybrid, EPOCHS - WARMUP)
 evaluate(hybrid, "Pufferfish")

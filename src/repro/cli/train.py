@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import logging
+import sys
+
 import numpy as np
 
 from .. import nn
-from ..core import Trainer, build_hybrid
+from ..core import Trainer, build_hybrid, seq2seq_batch
 from ..data import make_translation_dataset
-from ..metrics import corpus_bleu, measure_macs, perplexity
+from ..metrics import evaluate_translation, measure_macs, perplexity
 from ..models import Seq2SeqTransformer, transformer_hybrid_config
 from ..optim import MultiStepLR
-from ..tensor import Tensor, no_grad
-from ..utils import Logger, save_checkpoint, set_seed
+from ..tensor import Tensor
+from ..utils import save_checkpoint, set_seed
 from . import groups
 
 
@@ -55,51 +60,18 @@ def _save_final(args, model, best: float) -> None:
         print(f"checkpoint written to {args.checkpoint}")
 
 
-def _train_transformer(args, opt_factory) -> int:
-    """The paper's WMT16 transformer experiment at laptop scale: synthetic
-    reverse-and-relabel translation, Adam/LAMB-driven, greedy-decode BLEU."""
-    groups.require_at_least_one(args, "samples", "batch_size")
-    vocab = 20
-    full = make_translation_dataset(
-        n=args.samples, vocab_size=vocab, min_len=4, max_len=8,
-        rng=np.random.default_rng(args.seed),
-    )
-    train_ds, val_ds = full.split(int(0.85 * args.samples))
-    loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
-    model = Seq2SeqTransformer(vocab_size=vocab, d_model=32, n_heads=4,
-                               num_layers=2, d_ff=64, dropout=0.0, max_len=16)
-
-    def run_epochs(m, opt, epochs):
-        for _ in range(epochs):
-            m.train()
-            for i in range(0, len(train_ds), args.batch_size):
-                src = train_ds.src[i : i + args.batch_size]
-                tgt = train_ds.tgt[i : i + args.batch_size]
-                opt.zero_grad()
-                logits = m(src, tgt[:, :-1])
-                loss_fn(logits.reshape(-1, vocab), tgt[:, 1:].reshape(-1)).backward()
-                opt.step()
-
-    if args.method == "pufferfish":
-        run_epochs(model, opt_factory(model.parameters()), args.warmup_epochs)
-        model, report = build_hybrid(model, transformer_hybrid_config(rank_ratio=args.rank_ratio))
-        _print_factorized(report)
-        run_epochs(model, opt_factory(model.parameters()), max(args.epochs - args.warmup_epochs, 0))
-    else:
-        run_epochs(model, opt_factory(model.parameters()), args.epochs)
-
-    model.eval()
-    with no_grad():
-        logits = model(val_ds.src, val_ds.tgt[:, :-1])
-        nll = nn.CrossEntropyLoss(ignore_index=0)(
-            logits.reshape(-1, vocab), val_ds.tgt[:, 1:].reshape(-1)
-        )
-    hyp = model.greedy_decode(val_ds.src, bos=1, eos=2, max_len=val_ds.tgt.shape[1])
-    bleu = corpus_bleu([list(h) for h in hyp], [list(t) for t in val_ds.tgt], strip_ids={0, 1, 2})
-    print(f"val perplexity: {perplexity(float(nll.data)):.2f}")
-    print(f"val BLEU: {bleu:.2f}")
-    _save_final(args, model, bleu)
-    return 0
+@contextlib.contextmanager
+def _epoch_lines():
+    """Print the trainers' log records (one per finished epoch) on stdout."""
+    log = logging.getLogger("repro")
+    handler, level = logging.StreamHandler(sys.stdout), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def run_train(args) -> int:
@@ -114,31 +86,48 @@ def run_train(args) -> int:
     )
     set_seed(args.seed)
     if args.task == "transformer":
-        return _train_transformer(args, opt_factory)
-
-    train_loader, val_loader = groups.cifar_loaders_from_args(args, noise=args.noise)
-    model, hybrid_config = groups.model_from_args(args)
-    logger = Logger(args.model)
-    sched_factory = lambda opt: MultiStepLR(opt, [int(0.75 * args.epochs)], gamma=0.1)
-
-    if args.method == "pufferfish":
-        trainer = groups.pufferfish_from_args(
-            args, model, hybrid_config, optimizer_factory=opt_factory,
-            scheduler_factory=sched_factory, amp=args.amp, logger=logger,
-        )
-        trainer.fit(train_loader, val_loader)
-        print()
-        _print_factorized(trainer.report)
-        final_model = trainer.hybrid_model
+        # The paper's WMT16 transformer experiment at laptop scale: synthetic
+        # reverse-and-relabel translation, Adam/LAMB-driven, greedy-decode BLEU.
+        groups.require_at_least_one(args, "samples", "batch_size")
+        full = make_translation_dataset(n=args.samples, vocab_size=20, min_len=4, max_len=8,
+                                        rng=np.random.default_rng(args.seed))
+        train_ds, val_ds = full.split(int(0.85 * args.samples))
+        train_loader, val_loader = train_ds.batches(args.batch_size), val_ds.batches(len(val_ds))
+        model = Seq2SeqTransformer(vocab_size=20, d_model=32, n_heads=4,
+                                   num_layers=2, d_ff=64, dropout=0.0, max_len=16)
+        hybrid_config = transformer_hybrid_config(rank_ratio=args.rank_ratio)
+        loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
+        batch_fn = functools.partial(seq2seq_batch, loss_fn=loss_fn)
+        sched_factory = None
     else:
-        opt = opt_factory(model.parameters())
-        trainer = Trainer(model, opt, scheduler=sched_factory(opt), amp=args.amp, logger=logger)
-        trainer.fit(train_loader, val_loader, epochs=args.epochs)
-        final_model = model
+        train_loader, val_loader = groups.cifar_loaders_from_args(args, noise=args.noise)
+        model, hybrid_config = groups.model_from_args(args)
+        batch_fn = None
+        sched_factory = lambda opt: MultiStepLR(opt, [int(0.75 * args.epochs)], gamma=0.1)
 
-    best = max(s.val_metric for s in trainer.history)
-    print(f"best val accuracy: {best:.4f}")
-    _save_final(args, final_model, best)
+    with _epoch_lines():
+        if args.method == "pufferfish":
+            trainer = groups.pufferfish_from_args(
+                args, model, hybrid_config, optimizer_factory=opt_factory,
+                scheduler_factory=sched_factory, amp=args.amp, batch_fn=batch_fn,
+            )
+            model = trainer.fit(train_loader, val_loader)
+            print()
+            _print_factorized(trainer.report)
+        else:
+            opt = opt_factory(model.parameters())
+            scheduler = sched_factory(opt) if sched_factory else None
+            trainer = Trainer(model, opt, batch_fn=batch_fn, scheduler=scheduler, amp=args.amp)
+            trainer.fit(train_loader, val_loader, epochs=args.epochs)
+
+    if args.task == "transformer":
+        nll, best = evaluate_translation(model, val_ds)
+        print(f"val perplexity: {perplexity(nll):.2f}")
+        print(f"val BLEU: {best:.2f}")
+    else:
+        best = max(s.val_metric for s in trainer.history)
+        print(f"best val accuracy: {best:.4f}")
+    _save_final(args, model, best)
     return 0
 
 

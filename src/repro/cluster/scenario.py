@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..serve.loadgen import PROCESSES, ArrivalSpec, generate_arrivals
+from ..utils import derive_seed
 from .errors import ClusterConfigError
 
 __all__ = ["LoadPhase", "ClusterScenario", "parse_phases", "route_arrivals"]
 
-# Stable kind ids mixed into derived seeds (same discipline as the fault
-# injector's _KIND_IDS); renumbering would change every seeded scenario.
+# Kind ids for repro.utils.derive_seed (repro.lifecycle.pipeline owns 21-22);
+# renumbering one would change every seeded scenario.
 _KIND_WINDOW = 11
 _KIND_ROUTE = 12
 
@@ -101,16 +102,11 @@ class ClusterScenario:
             rate_rps=self.rate_at(start),
             duration_s=end - start,
             process=self.process,
-            seed=_derive_seed(self.seed, _KIND_WINDOW, w),
+            seed=derive_seed(self.seed, _KIND_WINDOW, w),
             burst_factor=self.burst_factor,
             burst_prob=self.burst_prob,
         )
         return start + generate_arrivals(spec)
-
-
-def _derive_seed(seed: int, kind: int, index: int) -> int:
-    """Deterministic sub-seed; spaced so windows never share a stream."""
-    return (seed * 1_000_003 + kind * 65_537 + index) % (2**63)
 
 
 def route_arrivals(
@@ -135,7 +131,7 @@ def route_arrivals(
         raise ClusterConfigError(f"traffic fractions must be >= 0 and sum to 1, got {total}")
     names = sorted(fractions)
     edges = np.cumsum([fractions[n] for n in names])
-    rng = np.random.default_rng((_derive_seed(seed, _KIND_ROUTE, window),))
+    rng = np.random.default_rng((derive_seed(seed, _KIND_ROUTE, window),))
     draws = rng.random(len(arrivals))
     buckets = np.searchsorted(edges, draws, side="right")
     buckets = np.minimum(buckets, len(names) - 1)  # guard the u == 1.0 edge

@@ -81,8 +81,10 @@ class VarianceGated(Compressor):
         # step t−1) and pending statistics gathered during step t.
         self._variance: dict[int, float] = {}
         self._pending: dict[int, float] = {}
-        # Consecutive deferrals per layer; per-(worker, layer) residuals.
+        # Consecutive deferrals per layer, the layers deferred during step
+        # t, and per-(worker, layer) residuals.
         self._deferred: dict[int, int] = {}
+        self._deferred_now: set[int] = set()
         self._errors: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -99,6 +101,9 @@ class VarianceGated(Compressor):
 
     def advance_step(self) -> None:
         # Commit this step's statistics and move the deferral counters.
+        for layer in self._deferred_now:
+            self._deferred[layer] = self._deferred.get(layer, 0) + 1
+        self._deferred_now.clear()
         for layer, ratio in self._pending.items():
             self._variance[layer] = ratio
             self._deferred[layer] = 0
@@ -143,8 +148,9 @@ class VarianceGated(Compressor):
             layer = layer_offset + i
             if entry[0] == "deferred":
                 # Deferral counters move in advance_step; decode only
-                # reports the (zero) aggregate for this layer.
-                self._deferred[layer] = self._deferred.get(layer, 0) + 1
+                # records the deferral (idempotently) and reports the
+                # (zero) aggregate for this layer.
+                self._deferred_now.add(layer)
                 self._pending.pop(layer, None)
                 out.append(np.zeros(entry[1], dtype=np.float32))
                 continue

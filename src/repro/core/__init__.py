@@ -19,7 +19,7 @@ from .hybrid import (
     eligible_paths,
     build_hybrid,
 )
-from .trainer import EpochStats, Trainer, PufferfishTrainer, classification_batch
+from .trainer import EpochStats, Trainer, PufferfishTrainer, classification_batch, seq2seq_batch
 from .spectrum import (
     singular_values,
     energy_curve,
@@ -64,6 +64,7 @@ __all__ = [
     "Trainer",
     "PufferfishTrainer",
     "classification_batch",
+    "seq2seq_batch",
     "singular_values",
     "energy_curve",
     "energy_rank",

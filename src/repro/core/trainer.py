@@ -5,6 +5,7 @@ fine-tuning)."""
 from __future__ import annotations
 
 import functools
+import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -15,10 +16,11 @@ from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..optim import Optimizer, clip_grad_norm
 from ..tensor import Tensor, no_grad
-from ..utils import Logger
 from .hybrid import FactorizationConfig, FactorizationReport, build_hybrid
 
-__all__ = ["EpochStats", "Trainer", "PufferfishTrainer", "classification_batch"]
+__all__ = ["EpochStats", "Trainer", "PufferfishTrainer", "classification_batch", "seq2seq_batch"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -51,6 +53,21 @@ def classification_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, 
     return loss, correct, len(y)
 
 
+def seq2seq_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, int]:
+    """Translation batch adapter: ``batch = (src, tgt)`` padded token ids.
+
+    Teacher forcing: the decoder reads ``tgt[:, :-1]`` and predicts
+    ``tgt[:, 1:]``.  Returns (loss tensor, loss × #target tokens, #target
+    tokens), so the trainer's metric is the token-weighted loss.
+    """
+    src, tgt = batch
+    logits = model(src, tgt[:, :-1])
+    target = tgt[:, 1:]
+    loss = loss_fn(logits.reshape(-1, logits.shape[-1]), target.reshape(-1))
+    n_tok = int((target != model.pad_idx).sum())
+    return loss, float(loss.data) * n_tok, n_tok
+
+
 class Trainer:
     """Single-node SGD training loop.
 
@@ -63,6 +80,9 @@ class Trainer:
     scheduler: optional LR schedule stepped once per epoch.
     grad_clip: optional global-norm clipping bound.
     amp: emulate mixed-precision training (fp16 grads + loss scaling).
+
+    Each finished epoch is one INFO record on the ``repro.core.trainer``
+    logger.
     """
 
     def __init__(
@@ -74,7 +94,6 @@ class Trainer:
         scheduler=None,
         grad_clip: float | None = None,
         amp: bool = False,
-        logger: Logger | None = None,
         post_step: Callable | None = None,
     ):
         self.model = model
@@ -88,7 +107,6 @@ class Trainer:
         self.grad_clip = grad_clip
         self.amp = amp
         self.scaler = GradScaler() if amp else None
-        self.logger = logger or Logger(enabled=False)
         self.history: list[EpochStats] = []
 
     # ------------------------------------------------------------------
@@ -159,14 +177,9 @@ class Trainer:
                 metrics=epoch_metrics,
             )
             self.history.append(stats)
-            self.logger.log(
-                "epoch",
-                epoch=epoch,
-                phase=phase,
-                train_loss=train_loss,
-                val_metric=val_metric,
-                lr=self.optimizer.lr,
-                sec=elapsed,
+            _log.info(
+                "epoch %d phase=%s train_loss=%.4g val_metric=%.4g lr=%.4g sec=%.2f",
+                epoch, phase, train_loss, val_metric, self.optimizer.lr, elapsed,
             )
         return self.history
 
@@ -229,6 +242,8 @@ class PufferfishTrainer:
         the *warm-up-trained* model just before conversion — the hook for
         spectrum-dependent policies such as
         :func:`repro.core.energy_rank_allocation` (overrides ``config``).
+
+    Logs like :class:`Trainer`, plus one INFO record at the conversion.
     """
 
     def __init__(
@@ -244,7 +259,6 @@ class PufferfishTrainer:
         grad_clip: float | None = None,
         amp: bool = False,
         lr_decay_at_switch: float = 1.0,
-        logger: Logger | None = None,
         config_builder: Callable | None = None,
     ):
         if warmup_epochs > total_epochs:
@@ -261,27 +275,18 @@ class PufferfishTrainer:
         self.amp = amp
         self.lr_decay_at_switch = lr_decay_at_switch
         self.config_builder = config_builder
-        self.logger = logger or Logger(enabled=False)
         self.report: FactorizationReport | None = None
         self.history: list[EpochStats] = []
+
+    def _phase_trainer(self, model: Module, optimizer: Optimizer) -> Trainer:
+        scheduler = self.scheduler_factory(optimizer) if self.scheduler_factory else None
+        return Trainer(model, optimizer, batch_fn=self.batch_fn, loss_fn=self.loss_fn,
+                       scheduler=scheduler, grad_clip=self.grad_clip, amp=self.amp)
 
     def fit(self, train_loader, val_loader) -> Module:
         """Run the full procedure; returns the trained hybrid model."""
         # Phase 1: vanilla warm-up.
-        optimizer = self.optimizer_factory(self.model.parameters())
-        scheduler = (
-            self.scheduler_factory(optimizer) if self.scheduler_factory else None
-        )
-        trainer = Trainer(
-            self.model,
-            optimizer,
-            batch_fn=self.batch_fn,
-            loss_fn=self.loss_fn,
-            scheduler=scheduler,
-            grad_clip=self.grad_clip,
-            amp=self.amp,
-            logger=self.logger,
-        )
+        trainer = self._phase_trainer(self.model, self.optimizer_factory(self.model.parameters()))
         if self.warmup_epochs > 0:
             with _trace.span("phase", name="warmup"):
                 trainer.fit(train_loader, val_loader, self.warmup_epochs, phase="warmup")
@@ -294,32 +299,17 @@ class PufferfishTrainer:
             self.config = self.config_builder(self.model)
         with _trace.span("phase", name="svd_conversion"):
             hybrid, self.report = build_hybrid(self.model, self.config)
-        self.logger.log(
-            "converted",
-            replaced=len(self.report.replaced),
-            kept=len(self.report.kept),
-            compression=self.report.compression,
-            svd_sec=self.report.svd_seconds,
+        _log.info(
+            "converted replaced=%d kept=%d compression=%.4g svd_sec=%.4g",
+            len(self.report.replaced), len(self.report.kept),
+            self.report.compression, self.report.svd_seconds,
         )
 
         # Phase 3: consecutive low-rank training with the schedule continuing
         # from the warm-up epoch count.
-        lr_now = optimizer.lr * self.lr_decay_at_switch
-        optimizer2 = self.optimizer_factory(hybrid.parameters())
-        optimizer2.lr = lr_now
-        scheduler2 = (
-            self.scheduler_factory(optimizer2) if self.scheduler_factory else None
-        )
-        trainer2 = Trainer(
-            hybrid,
-            optimizer2,
-            batch_fn=self.batch_fn,
-            loss_fn=self.loss_fn,
-            scheduler=scheduler2,
-            grad_clip=self.grad_clip,
-            amp=self.amp,
-            logger=self.logger,
-        )
+        optimizer = self.optimizer_factory(hybrid.parameters())
+        optimizer.lr = trainer.optimizer.lr * self.lr_decay_at_switch
+        trainer2 = self._phase_trainer(hybrid, optimizer)
         remaining = self.total_epochs - self.warmup_epochs
         if remaining > 0:
             with _trace.span("phase", name="lowrank"):

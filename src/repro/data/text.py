@@ -122,6 +122,14 @@ class TranslationDataset:
         b = TranslationDataset(self.src[n_train:], self.tgt[n_train:], self.vocab_size)
         return a, b
 
+    def batches(self, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """In-order ``(src, tgt)`` slices of ``batch_size`` pairs — a loader
+        for :func:`repro.core.seq2seq_batch`."""
+        return [
+            (self.src[i : i + batch_size], self.tgt[i : i + batch_size])
+            for i in range(0, len(self), batch_size)
+        ]
+
 
 def make_translation_dataset(
     n: int = 1024,

@@ -45,23 +45,17 @@ from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..optim import SGD
 from ..serve.registry import IMAGE_MODELS, build_model, hybrid_config_for, input_spec_for
-from ..utils import canonical_digest, set_seed
+from ..utils import canonical_digest, derive_seed, set_seed
 from .errors import LifecycleConfigError
 from .monitor import SpectrumMonitor
 from .scheduler import RankPolicy, RankScheduler
 
 __all__ = ["LifecycleConfig", "LifecycleRun", "run_lifecycle"]
 
-# Counter-keyed seed derivation (same discipline as repro.cluster.scenario:
-# every stream gets an independent deterministic seed; renumbering kinds
-# changes every seeded lifecycle run).
-_SEED_MOD = 2**63
+# Kind ids for repro.utils.derive_seed (repro.cluster.scenario owns 11-12);
+# renumbering one changes every seeded lifecycle run.
 _KIND_DATA = 21
 _KIND_LOADER = 22
-
-
-def _derive_seed(seed: int, kind: int, index: int) -> int:
-    return (seed * 1_000_003 + kind * 65_537 + index) % _SEED_MOD
 
 
 def _r6(x: float) -> float:
@@ -250,7 +244,7 @@ class _SingleNode:
     """Epoch driver over :class:`repro.core.Trainer` (rebuilt on swap)."""
 
     def __init__(self, cfg: LifecycleConfig, train, val):
-        rng = np.random.default_rng(_derive_seed(cfg.seed, _KIND_LOADER, 0))
+        rng = np.random.default_rng(derive_seed(cfg.seed, _KIND_LOADER, 0))
         self.cfg = cfg
         self.train_loader = DataLoader(
             train.images, train.labels, cfg.batch_size, shuffle=True, rng=rng
@@ -300,7 +294,7 @@ class _SimulatedDDP:
                 cfg.batch_size,
                 shuffle=True,
                 drop_last=True,
-                rng=np.random.default_rng(_derive_seed(cfg.seed, _KIND_LOADER, w)),
+                rng=np.random.default_rng(derive_seed(cfg.seed, _KIND_LOADER, w)),
             )
             for w, (x, y) in enumerate(shards)
         ]
@@ -345,7 +339,7 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
     """Run the full seeded pipeline; pure function of ``(seed, config)``."""
     cfg = config
     set_seed(cfg.seed)
-    data_rng = np.random.default_rng(_derive_seed(cfg.seed, _KIND_DATA, 0))
+    data_rng = np.random.default_rng(derive_seed(cfg.seed, _KIND_DATA, 0))
     dataset = make_cifar_like(
         cfg.train_samples + cfg.val_samples, cfg.num_classes, rng=data_rng
     )

@@ -1,4 +1,5 @@
-"""Evaluation metrics: MACs, accuracy, perplexity, BLEU."""
+"""Evaluation metrics: MACs, accuracy, perplexity, BLEU (and the seq2seq
+validation built on it)."""
 
 from .macs import (
     measure_macs,
@@ -25,7 +26,7 @@ from .macs import (
 )
 from .classification import topk_accuracy, accuracy
 from .perplexity import perplexity
-from .bleu import corpus_bleu, sentence_ngrams
+from .bleu import corpus_bleu, evaluate_translation, sentence_ngrams
 
 __all__ = [
     "measure_macs",
@@ -54,4 +55,5 @@ __all__ = [
     "perplexity",
     "corpus_bleu",
     "sentence_ngrams",
+    "evaluate_translation",
 ]

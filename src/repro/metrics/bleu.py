@@ -2,7 +2,8 @@
 
 Standard BLEU-4 with uniform n-gram weights and the brevity penalty,
 operating on integer token sequences (pad/eos stripped by the caller or
-via ``strip_ids``).
+via ``strip_ids``), and the one validation of a seq2seq model: teacher-forced
+NLL plus greedy-decode BLEU.
 """
 
 from __future__ import annotations
@@ -11,7 +12,11 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-__all__ = ["corpus_bleu", "sentence_ngrams"]
+from ..core.trainer import seq2seq_batch
+from ..nn import CrossEntropyLoss
+from ..tensor import no_grad
+
+__all__ = ["corpus_bleu", "sentence_ngrams", "evaluate_translation"]
 
 
 def sentence_ngrams(tokens: Sequence[int], n: int) -> Counter:
@@ -65,3 +70,24 @@ def corpus_bleu(
     geo_mean = math.exp(sum(log_precisions) / len(log_precisions))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * geo_mean
+
+
+def evaluate_translation(model, dataset) -> tuple[float, float]:
+    """``(nll, bleu)`` of a seq2seq model on a ``TranslationDataset``.
+
+    ``nll`` is the teacher-forced cross-entropy per target token (no label
+    smoothing, padding ignored); ``bleu`` is :func:`corpus_bleu` of greedy
+    decodes against the targets, special tokens stripped.  Runs in eval mode
+    without a graph, draws no randomness and writes no parameter.
+    """
+    model.eval()
+    with no_grad():
+        loss, _, _ = seq2seq_batch(
+            model, (dataset.src, dataset.tgt), CrossEntropyLoss(ignore_index=dataset.pad_idx)
+        )
+    special = (dataset.pad_idx, dataset.bos_idx, dataset.eos_idx)
+    hyp = model.greedy_decode(
+        dataset.src, bos=dataset.bos_idx, eos=dataset.eos_idx, max_len=dataset.tgt.shape[1]
+    )
+    bleu = corpus_bleu([list(h) for h in hyp], [list(t) for t in dataset.tgt], strip_ids=special)
+    return float(loss.data), bleu

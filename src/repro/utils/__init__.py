@@ -1,7 +1,6 @@
-"""Shared utilities: seeding, logging, checkpointing."""
+"""Shared utilities: seeding, checkpointing."""
 
-from .seed import set_seed, get_rng, spawn_rng
-from .logging import Logger
+from .seed import set_seed, get_rng, spawn_rng, derive_seed
 from .serialization import (
     canonical_digest,
     save_checkpoint,
@@ -16,7 +15,7 @@ __all__ = [
     "set_seed",
     "get_rng",
     "spawn_rng",
-    "Logger",
+    "derive_seed",
     "canonical_digest",
     "save_checkpoint",
     "load_checkpoint",

@@ -217,6 +217,18 @@ class TestTrainFused:
         out = capsys.readouterr().out
         assert "factorized:" in out and "val BLEU" in out
 
+    def test_transformer_logs_one_line_per_epoch(self, capsys):
+        rc = main([
+            "train", "--task", "transformer", "--method", "pufferfish",
+            "--epochs", "3", "--warmup-epochs", "1", "--samples", "96",
+            "--batch-size", "32",
+        ])
+        assert rc == 0
+        lines = [l.split()[:3] for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("epoch ")]
+        assert lines == [["epoch", "0", "phase=warmup"], ["epoch", "1", "phase=lowrank"],
+                         ["epoch", "2", "phase=lowrank"]]
+
     def test_cifar_with_adam(self, capsys):
         rc = main([
             "train", "--model", "mlp", "--method", "vanilla",

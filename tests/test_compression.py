@@ -540,6 +540,32 @@ class TestVarianceGated:
         expected = np.linalg.norm(2 * g[0].astype(np.float64))
         assert comp.error_norm(0) == pytest.approx(expected, rel=1e-5)
 
+    @staticmethod
+    def _gate_run(decodes_per_step: int):
+        """Gate schedule and aggregates over 8 steps of a noisy 4x4 layer,
+        decoding each step's payloads ``decodes_per_step`` times."""
+        comp = VarianceGated(2, threshold=1e-9, max_defer=3)
+        data = np.random.default_rng(0)
+        schedule, aggregates = [], []
+        for _ in range(8):
+            results = [comp.encode(w, grads_for(data, ((4, 4),))) for w in range(2)]
+            for _ in range(decodes_per_step):
+                agg = comp.decode_aggregate(results)
+            comp.advance_step()
+            schedule.append(comp.gate_open(0))
+            aggregates.append(agg[0])
+        return schedule, aggregates
+
+    def test_decode_moves_no_gate_state(self):
+        """decode may run once per bucket, so decoding a step twice must
+        leave the deferral counters where decoding it once does."""
+        once, agg_once = self._gate_run(1)
+        twice, agg_twice = self._gate_run(2)
+        assert once == [False, False, False, True] * 2
+        assert twice == once
+        for a, b in zip(agg_once, agg_twice):
+            assert np.array_equal(a, b)
+
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             VarianceGated(1, threshold=0.0)

@@ -1,11 +1,16 @@
 """Trainer and PufferfishTrainer (Algorithm 1) behavior."""
 
+import functools
+import logging
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import FactorizationConfig, PufferfishTrainer, Trainer
-from repro.data import DataLoader
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer, seq2seq_batch
+from repro.data import DataLoader, make_translation_dataset
+from repro.metrics import evaluate_translation
+from repro.models import Seq2SeqTransformer, transformer_hybrid_config
 from repro.optim import SGD
 
 
@@ -215,3 +220,48 @@ class TestConfigBuilder:
         )
         pt.fit(loader, loader)
         assert pt.report.replaced  # the allocation produced real overrides
+
+
+def make_translation(rng, n=40):
+    ds = make_translation_dataset(n=n, vocab_size=12, min_len=2, max_len=6, rng=rng)
+    model = Seq2SeqTransformer(vocab_size=12, d_model=16, n_heads=2, num_layers=2,
+                               d_ff=32, dropout=0.0, max_len=10)
+    loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
+    return ds, model, functools.partial(seq2seq_batch, loss_fn=loss_fn)
+
+
+class TestSeq2Seq:
+    def test_train_metric_is_token_weighted_loss(self, rng):
+        ds, model, batch_fn = make_translation(rng)
+        loader = ds.batches(16)
+        # lr 0 keeps the weights, so the batch losses can be recomputed.
+        t = Trainer(model, SGD(model.parameters(), lr=0.0), batch_fn=batch_fn)
+        t.fit(loader, loader, epochs=1)
+        losses, tokens = zip(*[batch_fn(model, b)[::2] for b in loader])
+        losses = [float(loss.data) for loss in losses]
+        weighted = sum(l * n for l, n in zip(losses, tokens)) / sum(tokens)
+        assert t.history[0].train_metric == pytest.approx(weighted, rel=1e-12)
+        assert t.history[0].train_loss == pytest.approx(np.mean(losses), rel=1e-12)
+        assert sum(tokens) == int((ds.tgt[:, 1:] != 0).sum())
+
+    def test_algorithm1_on_translation_logs_every_epoch(self, rng, caplog):
+        ds, model, batch_fn = make_translation(rng)
+        train, val = ds.split(32)
+        pt = PufferfishTrainer(model, transformer_hybrid_config(0.5),
+                               lambda ps: SGD(ps, lr=0.05), warmup_epochs=1,
+                               total_epochs=3, batch_fn=batch_fn)
+        with caplog.at_level(logging.INFO, logger="repro.core.trainer"):
+            hybrid = pt.fit(train.batches(8), val.batches(len(val)))
+        assert [s.phase for s in pt.history] == ["warmup", "lowrank", "lowrank"]
+        lines = [r.getMessage().split()[0] for r in caplog.records]
+        assert lines == ["epoch", "converted", "epoch", "epoch"]
+        assert hybrid.num_parameters() < model.num_parameters()
+
+    def test_evaluate_translation_is_pure(self, rng):
+        ds, model, _ = make_translation(rng)
+        before = model.state_dict()
+        first = evaluate_translation(model, ds)
+        assert evaluate_translation(model, ds) == first
+        assert 0.0 <= first[1] <= 100.0 and first[0] > 0.0
+        for k, v in model.state_dict().items():
+            assert np.array_equal(v, before[k])
