@@ -32,7 +32,6 @@ full = make_translation_dataset(n=768, vocab_size=VOCAB, min_len=4, max_len=8,
                                 rng=np.random.default_rng(0))
 train_ds, val_ds = full.split(650)
 loaders = (train_ds.batches(BATCH), val_ds.batches(len(val_ds)))
-# Teacher-forced, label-smoothed token loss; padding ignored.
 batch_fn = functools.partial(
     seq2seq_batch, loss_fn=nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
 )
