@@ -2,9 +2,11 @@
 
 Every row hashes the bytes of ``FastBackend.conv2d_backward``'s ``(gw, gb,
 gx)`` for one conv on seeded data.  The shapes are the corners of the input
-gradient (``INPUT_GRAD_CASES``) and every distinct conv of a batch-32 training
+gradient (``INPUT_GRAD_CASES``), every distinct conv of a batch-32 training
 forward of hybrid VGG-19 and ResNet-18 at width 0.25 — on both sides of the
-column-order rule (``backend._conv_layout``).  A kernel change that keeps
+column-order rule (``backend._conv_layout``) — and a few convs whose column
+matrices pass 4 MiB of float32 at geometries those rows never reach
+(``BUDGET_SHAPES``).  A kernel change that keeps
 these digests computes the same gradients to the bit; the tolerance contract
 against the ``numpy`` reference is tested elsewhere
 (``tests/test_conv_edge_backends.py``).
@@ -65,6 +67,20 @@ def train_shapes(build) -> list[tuple]:
     return seen
 
 
+# Columns over 4 MiB (2**20 float32) where no model row goes: an odd batch on a
+# 32² map, one image whose own columns pass 4 MiB, a batch-innermost stride-2
+# conv, padding past k−1, and leftover input rows at stride 2.  Every row's
+# output map is whole sgemm tiles: where it is not, the bytes move with the
+# number of BLAS threads.
+BUDGET_SHAPES = (
+    (33, 16, 16, 32, 32, 3, 3, 1, (1, 1)),
+    (1, 64, 32, 64, 64, 3, 3, 1, (1, 1)),
+    (64, 64, 128, 16, 16, 3, 3, 2, (1, 1)),
+    (8, 16, 16, 32, 32, 3, 3, 1, (3, 3)),
+    (16, 32, 32, 33, 33, 3, 3, 2, (0, 0)),
+)
+
+
 def _name(model: str, shape: tuple) -> str:
     n, c_in, c_out, h, w, kh, kw, stride, (ph, pw) = shape
     return f"{model}-n{n}-{c_in}x{h}x{w}-to-{c_out}-k{kh}x{kw}-s{stride}-p{ph}{pw}"
@@ -79,6 +95,8 @@ def configs() -> dict[str, tuple]:
         for shape in train_shapes(build):
             if shape not in rows.values():  # ResNet-18 repeats some VGG-19 convs
                 rows[_name(model, shape)] = shape
+    for shape in BUDGET_SHAPES:
+        rows[_name("budget", shape)] = shape
     return rows
 
 
@@ -98,6 +116,11 @@ def run_config(shape: tuple) -> str:
 
 # fmt: off
 PINNED = {
+    "budget-n1-64x64x64-to-32-k3x3-s1-p11": "7fc7e0d2ec87b0ab",
+    "budget-n16-32x33x33-to-32-k3x3-s2-p00": "04d6270380b6b505",
+    "budget-n33-16x32x32-to-16-k3x3-s1-p11": "c23f2414a251e87e",
+    "budget-n64-64x16x16-to-128-k3x3-s2-p11": "5615b01c3d98383c",
+    "budget-n8-16x32x32-to-16-k3x3-s1-p33": "40a74d3f2a878b3f",
     "edge-k1-pad1-border-must-crop": "51e2589ebe9ec59a",
     "edge-kh-not-kw": "c188fb65b03ab6dd",
     "edge-one-channel-in": "d6cade65950524df",
