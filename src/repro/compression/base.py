@@ -121,9 +121,19 @@ class UndecodedRoundError(RuntimeError):
 
 
 class NonFiniteGradientError(np.linalg.LinAlgError):
-    """A codec's SVD failed because the gradient matrix it factors holds
-    NaN.  A subclass of numpy's ``LinAlgError``, so handlers written for
-    that still catch it."""
+    """A codec met a gradient holding NaN or ±inf that it cannot carry:
+    an SVD codec's factorization failed on it, or a codec whose encoding
+    would hide it (a sign, a top-k selection) refused it before any
+    momentum or residual moved.  A subclass of numpy's ``LinAlgError``, so
+    handlers written for that still catch it."""
+
+
+def require_finite(arrays, what: str) -> None:
+    """Raise :class:`NonFiniteGradientError` naming ``what`` unless every
+    one of ``arrays`` is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteGradientError(f"{what} is not finite")
 
 
 def svd(m: np.ndarray, what: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Compressor, EncodeResult, register_compressor
+from .base import Compressor, EncodeResult, register_compressor, require_finite
 
 __all__ = ["Signum"]
 
@@ -34,6 +34,8 @@ class Signum(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
+        # A NaN folded into the momentum would pack as a sign bit forever.
+        require_finite(grads, f"worker {worker}'s gradient")
         signs = []
         shapes = []
         nbytes = 0

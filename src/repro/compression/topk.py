@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FLOAT32_BYTES, Compressor, EncodeResult, register_compressor
+from .base import FLOAT32_BYTES, Compressor, EncodeResult, register_compressor, require_finite
 
 __all__ = ["TopK"]
 
@@ -44,6 +44,9 @@ class TopK(Compressor):
         # Operates on the flat buffer (appendix E's preferred composition).
         flat = np.concatenate([g.reshape(-1) for g in grads]).astype(np.float32)
         shapes = [g.shape for g in grads]
+        # The selection would send some non-finite entries and park the rest
+        # in the residual.
+        require_finite((flat,), f"worker {worker}'s gradient")
         if self.error_feedback:
             err = self._errors.get(worker)
             if err is not None:

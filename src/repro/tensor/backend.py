@@ -12,10 +12,11 @@ LAMB arena updates) dispatches through the *active* backend:
 ``fast``
     BLAS-oriented kernels: the conv path gathers patches directly
     into a transposed ``(C·kh·kw, N·oh·ow)`` layout so the forward pass
-    is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
-    V-factor hot path — become a single batched ``np.matmul`` with no
-    transpose copies at all), the weight gradient gathers the columns again
-    from the input instead of keeping them from the forward, and the input
+    is a ``w2d @ cols`` GEMM per slice of at most 4 MiB of columns (1×1
+    convs — the Pufferfish factorized V-factor hot path — become a single
+    batched ``np.matmul`` with no transpose copies at all), the weight
+    gradient gathers the columns again from the input instead of keeping
+    them from the forward, and the input
     gradient is the same gather + GEMM over the output gradient, with the
     batch axis innermost in the columns when the feature map is narrow (the
     low-rank ``U`` convs at 4×4 / 2×2); a short batch through a wide
@@ -137,9 +138,10 @@ class _ScratchPool:
     """One flat arena per tag, grown to the largest request and never shrunk.
 
     A request is a *view* of its tag's arena, so conv layers of every shape
-    and batch size share one ``conv_cols`` arena sized for the largest of
-    them: a server that sees batch sizes 1…8 holds the batch-8 buffers, not
-    eight sets.  Tags are string literals at the call sites, never built from
+    and batch size share one ``conv_cols`` arena sized for the largest
+    request, and the conv arenas are bounded by the budget: no conv gathers
+    more than ``_CONV_COLS_FLOATS`` elements of columns at once, whatever its
+    batch.  Tags are string literals at the call sites, never built from
     shapes, so the pool holds at most one arena per call site and dtype
     however many geometries, batch sizes or models the process meets.
     """
@@ -183,6 +185,16 @@ _BATCH_INNER = ((1, 2, 3, 0), (1, 2, 3, 0))  # CHWN frame, (C, oh, ow, N) column
 
 _SGEMM_TILE = 16
 
+# Elements (4 MiB of float32) of the largest column matrix a fast conv gathers
+# at once.  Bigger ones are gathered and multiplied in slices of their
+# outermost column axis (:func:`_column_slices`) or, for ``gw``, of whole input
+# channels, so the ``conv_cols`` arena is bounded by this, not by the largest
+# conv a process meets.  A slice is never less than one input channel, one
+# output row, or the fewest images or rows that make whole sgemm tiles of
+# columns (16 of them on an odd map), so a conv far wider than this repo's
+# models can still exceed the budget.
+_CONV_COLS_FLOATS = 1 << 20
+
 
 def _linear_transposed(rows: int, in_features: int, out_features: int) -> bool:
     """Whether ``linear``'s forward runs as ``(W @ xᵀ)ᵀ``: a batch of 12-32
@@ -207,6 +219,32 @@ def _conv_layout(n: int, out_h: int, out_w: int) -> tuple[tuple[int, ...], tuple
     forward's bytes do not depend on this choice."""
     whole_tiles = (n * out_h * out_w) % _SGEMM_TILE == 0
     return _BATCH_INNER if n > 2 * out_w and whole_tiles else _BATCH_OUTER
+
+
+def _per_slice(k: int, unit_cols: int, units: int) -> int:
+    """How many of ``units`` (each ``unit_cols`` columns of ``k`` rows) one
+    slice takes: as many as fit the budget, rounded down to whole sgemm tiles
+    of columns so that only the last slice ends in the tail the whole GEMM
+    has, and at least one tile's worth."""
+    tile_units = _SGEMM_TILE // math.gcd(unit_cols, _SGEMM_TILE)
+    fit = _CONV_COLS_FLOATS // max(1, k * unit_cols)
+    return max(1, min(units, max(tile_units, fit - fit % tile_units)))
+
+
+def _column_slices(k: int, n: int, out_h: int, out_w: int, cols_order) -> list[tuple[int, ...]]:
+    """``(n0, n1, y0, y1)``: the images and output rows of each slice of a
+    ``(k, n·oh·ow)`` column matrix stored in ``cols_order``.  Slices run along
+    the outermost column axis — images when the batch is outermost, output
+    rows when it is innermost — and, where one image alone is over the budget,
+    along its output rows."""
+    if cols_order == _BATCH_INNER[1]:
+        rows = _per_slice(k, out_w * n, out_h)
+        return [(0, n, y, min(y + rows, out_h)) for y in range(0, out_h, rows)]
+    if k * out_h * out_w <= _CONV_COLS_FLOATS:
+        images = _per_slice(k, out_h * out_w, n)
+        return [(i, min(i + images, n), 0, out_h) for i in range(0, n, images)]
+    rows = _per_slice(k, out_w, out_h)
+    return [(i, i + 1, y, min(y + rows, out_h)) for i in range(n) for y in range(0, out_h, rows)]
 
 
 def _as_nchw(buf: np.ndarray, shape: tuple[int, int, int, int], order) -> np.ndarray:
@@ -584,14 +622,19 @@ class FastBackend(Backend):
     Conv strategy: gather patches straight into the transposed layout
     ``colsT = (C·kh·kw, n·oh·ow)`` with one slab assignment per kernel
     offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
-    then run the forward as a single ``w2d @ colsT`` GEMM with an
-    in-place bias add.  ``colsT`` is pool scratch: the ``"gen"`` ctx holds
-    the input, which the graph keeps anyway, and the backward gathers
-    ``colsT`` again from it for the weight gradient.  It computes the input
-    gradient the same way — gather the zero-framed output gradient over
-    ``c_out`` channels, one GEMM with the flipped kernel — so nothing is
-    scatter-added.  The order of ``colsT``'s columns follows the input's
-    shape (:func:`_conv_layout`):
+    then run the forward as a ``w2d @ colsT`` GEMM with an in-place bias
+    add.  ``colsT`` is pool scratch of at most ``_CONV_COLS_FLOATS``
+    elements: a larger one is gathered and multiplied in slices of images
+    or output rows (:func:`_column_slices`), each output still one
+    K-ordered dot product.  The ``"gen"`` ctx holds the input, which the
+    graph keeps anyway, and the backward gathers ``colsT`` again from it for
+    the weight gradient, a few whole input channels (rows of ``colsT``) at a
+    time, so every ``gw`` entry keeps its one reduction over all columns.
+    It computes the input gradient like the forward — gather the
+    zero-framed output gradient over ``c_out`` channels, GEMM with the
+    flipped kernel — so nothing is scatter-added.  The order of ``colsT``'s
+    columns follows the whole conv's shape, never a slice's
+    (:func:`_conv_layout`):
     ``(n, oh, ow)``, or ``(oh, ow, n)`` when the map is narrow enough that
     the batch is the longer run.  The K order ``(c, i, j)`` never changes,
     so every output is the same dot product either way, and the rule only
@@ -635,20 +678,22 @@ class FastBackend(Backend):
         kh: int,
         kw: int,
         stride: int,
-        framing: tuple[int, int, int, int],
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        top: int,
+        left: int,
+        layout,
+    ) -> np.ndarray:
         """``colsT[(c, i, j), (n, y, x)] = frame[n, c, s·y+i, s·x+j]``, where
-        ``frame`` is ``src`` laid at ``(top, left)`` of an ``(fh, fw)`` zero
-        frame, ``framing = (fh, fw, top, left)``: one slab copy per kernel
-        offset into the pool's ``conv_cols`` arena.  The axis orders of frame
-        and columns come from :func:`_conv_layout`; returns ``colsT`` and the
-        axis order of its columns."""
+        ``frame`` is ``src`` laid at ``(top, left)`` of a zero frame just large
+        enough for ``(out_h, out_w)`` outputs: one slab copy per kernel offset
+        into the pool's ``conv_cols`` arena.  ``layout`` is the
+        :func:`_conv_layout` of the whole conv, whichever slice ``src`` is."""
         n, c, h, w = src.shape
-        frame_order, cols_order = _conv_layout(n, out_h, out_w)
-        if frame_order[0] == 0 and framing == (h, w, 0, 0):
-            frame = src  # nothing to pad, no axis to move
+        frame_order, cols_order = layout
+        fh, fw = stride * (out_h - 1) + kh, stride * (out_w - 1) + kw
+        if frame_order[0] == 0 and top <= 0 and left <= 0 and top + h >= fh and left + w >= fw:
+            frame = src[:, :, -top : fh - top, -left : fw - left]  # no zeros, no axis to move
         else:
-            frame = _zero_framed(src, *framing, frame_order)
+            frame = _zero_framed(src, fh, fw, top, left, frame_order)
 
         colsT = _scratch("conv_cols", (c * kh * kw, n * out_h * out_w), src.dtype)
         cols = _as_nchw(colsT, (n, c * kh * kw, out_h, out_w), cols_order)
@@ -658,7 +703,7 @@ class FastBackend(Backend):
                 j_max = j + stride * out_w
                 # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
                 cols[:, i * kw + j :: kh * kw] = frame[:, :, i:i_max:stride, j:j_max:stride]
-        return colsT, cols_order
+        return colsT
 
     def _gather_gemm(
         self,
@@ -668,18 +713,28 @@ class FastBackend(Backend):
         kh: int,
         kw: int,
         stride: int,
-        framing: tuple[int, int, int, int],
+        top: int,
+        left: int,
         bias: np.ndarray | None = None,
     ) -> None:
         """``out[n, co, y, x] = Σ colsT[(c, i, j), (n, y, x)] · w2d[co, (c, i, j)]``
-        ``+ bias[co]`` over :meth:`_gather`'s columns: one GEMM, one
-        transposing copy into ``out`` (any NCHW-shaped view)."""
-        colsT, cols_order = self._gather(src, *out.shape[2:], kh, kw, stride, framing)
-        oT = _scratch("conv_outT", (out.shape[1], colsT.shape[1]), out.dtype)
-        np.matmul(w2d, colsT, out=oT)
-        if bias is not None:
-            oT += bias[:, None]
-        out[...] = _as_nchw(oT, out.shape, cols_order)
+        ``+ bias[co]`` over :meth:`_gather`'s columns, one slice
+        (:func:`_column_slices`) at a time: a GEMM and a transposing copy into
+        ``out`` (any NCHW-shaped view) per slice.  Each output is the same
+        K-ordered dot product however the columns are sliced."""
+        n, c = src.shape[:2]
+        _, c_out, out_h, out_w = out.shape
+        layout = _conv_layout(n, out_h, out_w)
+        for n0, n1, y0, y1 in _column_slices(c * kh * kw, n, out_h, out_w, layout[1]):
+            rows = y1 - y0
+            colsT = self._gather(
+                src[n0:n1], rows, out_w, kh, kw, stride, top - stride * y0, left, layout
+            )
+            oT = _scratch("conv_outT", (c_out, colsT.shape[1]), out.dtype)
+            np.matmul(w2d, colsT, out=oT)
+            if bias is not None:
+                oT += bias[:, None]
+            out[n0:n1, :, y0:y1] = _as_nchw(oT, (n1 - n0, c_out, rows, out_w), layout[1])
 
     def conv2d_forward(
         self,
@@ -709,8 +764,7 @@ class FastBackend(Backend):
 
         # A fresh array, never a view of the GEMM's pool scratch.
         out = np.empty((n, c_out, out_h, out_w), dtype=np.result_type(x, weight))
-        framing = (h + 2 * ph, w + 2 * pw, ph, pw)
-        self._gather_gemm(out, x, w2d, kh, kw, stride, framing, bias)
+        self._gather_gemm(out, x, w2d, kh, kw, stride, ph, pw, bias)
         ctx = ("gen", x, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
         return out, ctx
 
@@ -744,17 +798,25 @@ class FastBackend(Backend):
         gw = gb = gx = None
         if need_gw or need_gb:
             # (N, c_out, oh, ow) -> (c_out, n·oh·ow) in the forward's column order.
-            cols_order = _conv_layout(n, out_h, out_w)[1]
+            layout = _conv_layout(n, out_h, out_w)
             gT = np.empty((c_out, n * out_h * out_w), dtype=g.dtype)
-            _as_nchw(gT, g.shape, cols_order)[...] = g
+            _as_nchw(gT, g.shape, layout[1])[...] = g
             if need_gw:
                 # The forward's columns again, gathered from the input the graph
-                # keeps anyway, before the gx phases reuse the arena.  colsT, the
-                # long operand, streams through the GEMM once as its left side;
-                # only the small product is transposed.
-                framing = (x_shape[2] + 2 * ph, x_shape[3] + 2 * pw, ph, pw)
-                colsT, _ = self._gather(x, out_h, out_w, kh, kw, stride, framing)
-                gw = np.ascontiguousarray((colsT @ gT.T).T).reshape(c_out, c_in, kh, kw)
+                # keeps anyway, a few whole input channels at a time: each is
+                # rows of colsT, so every gw entry keeps its one reduction over
+                # all n·oh·ow columns.  colsT, the long operand, streams through
+                # the GEMM once as its left side; only the small product is
+                # transposed.
+                k2 = kh * kw
+                gwT = np.empty((c_in * k2, c_out), dtype=np.result_type(x, g))
+                step = max(1, _CONV_COLS_FLOATS // max(1, k2 * gT.shape[1]))
+                for c0 in range(0, c_in, step):
+                    colsT = self._gather(
+                        x[:, c0 : c0 + step], out_h, out_w, kh, kw, stride, ph, pw, layout
+                    )
+                    np.matmul(colsT, gT.T, out=gwT[c0 * k2 : (c0 + step) * k2])
+                gw = np.ascontiguousarray(gwT.T).reshape(c_out, c_in, kh, kw)
             if need_gb:
                 gb = gT.sum(axis=1)
         if need_gx:
@@ -801,9 +863,7 @@ class FastBackend(Backend):
                     continue
                 dy, dx = (ry + ph - i0) // stride, (rx + pw - j0) // stride
                 w_flip = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                h, w = phase.shape[2:]
-                framing = (h + kh - 1, w + kw - 1, kh - 1 - dy, kw - 1 - dx)
-                self._gather_gemm(phase, g, w_flip, kh, kw, 1, framing)
+                self._gather_gemm(phase, g, w_flip, kh, kw, 1, kh - 1 - dy, kw - 1 - dx)
         return gx
 
     # -- batch norm ----------------------------------------------------

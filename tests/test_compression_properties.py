@@ -19,12 +19,13 @@ Every compressor in the registry is held to the published contract in
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import make_compressor, registered_compressors
+from repro.compression import NonFiniteGradientError, make_compressor, registered_compressors
 from tests.oracles import exact_mean_oracle
 
 ALL_NAMES = sorted(registered_compressors())
@@ -258,9 +259,9 @@ def poisoned(decoded) -> str:
 # vargate with open gates, abtrain's first, full-rank round) poison exactly
 # those entries with the input's kind; a low-rank or quantized matrix
 # (powersgd, qsgd, binary, and atomo, which keeps every atom of a spectrum
-# that is not finite) spreads NaN over the whole layer; signum's vote and
-# topk's selection can hide the value entirely.  The SVD of a NaN matrix
-# (abtrain's basis refresh, atomo's encode) raises.
+# that is not finite) spreads NaN over the whole layer.  The SVD of a NaN
+# matrix (abtrain's basis refresh, atomo's encode) raises, and so do signum
+# and topk, whose sign vote and selection would hide the value.
 NON_FINITE = {
     ("abtrain", "nan"): "NonFiniteGradientError",
     ("abtrain", "+inf"): "+inf:17 | +inf:4",
@@ -280,12 +281,12 @@ NON_FINITE = {
     ("sgd", "nan"): "nan:17 | nan:4",
     ("sgd", "+inf"): "+inf:17 | +inf:4",
     ("sgd", "-inf"): "-inf:17 | -inf:4",
-    ("signum", "nan"): "finite | finite",
-    ("signum", "+inf"): "finite | finite",
-    ("signum", "-inf"): "finite | finite",
-    ("topk", "nan"): "nan:17 | finite",
-    ("topk", "+inf"): "finite | +inf:4",
-    ("topk", "-inf"): "finite | -inf:4",
+    ("signum", "nan"): "NonFiniteGradientError",
+    ("signum", "+inf"): "NonFiniteGradientError",
+    ("signum", "-inf"): "NonFiniteGradientError",
+    ("topk", "nan"): "NonFiniteGradientError",
+    ("topk", "+inf"): "NonFiniteGradientError",
+    ("topk", "-inf"): "NonFiniteGradientError",
     ("vargate", "nan"): "nan:17 | nan:4",
     ("vargate", "+inf"): "+inf:17 | +inf:4",
     ("vargate", "-inf"): "-inf:17 | -inf:4",
@@ -319,3 +320,21 @@ class TestNonFiniteGradients:
             else:
                 got = poisoned(decoded)
         assert got == NON_FINITE[(name, bad)]
+
+    @pytest.mark.parametrize("name", ["signum", "topk"])
+    def test_a_refused_gradient_moves_no_state(self, name):
+        """The raise comes before any momentum or residual moves: encoding
+        clean gradients afterwards gives a fresh compressor's bytes."""
+        rng = np.random.default_rng(0)
+        rounds = [make_grads(rng) for _ in range(3)]
+        bad = [g.copy() for g in rounds[0]]
+        bad[-1][4] = np.nan  # in the last layer, after the first layer's state
+        comp, fresh = make_compressor(name, 2), make_compressor(name, 2)
+        comp.encode(0, rounds[0])
+        fresh.encode(0, rounds[0])
+        with pytest.raises(NonFiniteGradientError):
+            comp.encode(0, bad)
+        for grads in rounds[1:]:
+            got, want = comp.encode(0, grads), fresh.encode(0, grads)
+            assert got.nbytes == want.nbytes
+            assert pickle.dumps(got.payload) == pickle.dumps(want.payload)

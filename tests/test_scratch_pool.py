@@ -16,7 +16,15 @@ from repro.models import resnet18, resnet18_hybrid_config, vgg19, vgg19_hybrid_c
 from repro.nn import CrossEntropyLoss
 from repro.optim import FusedLAMB, FusedSGD
 from repro.tensor import Tensor, backend, no_grad
-from repro.tensor.backend import _BATCH_INNER, _BATCH_OUTER, _SCRATCH, _ScratchPool, _zero_framed
+from repro.tensor.backend import (
+    _BATCH_INNER,
+    _BATCH_OUTER,
+    _CONV_COLS_FLOATS,
+    _SCRATCH,
+    _ScratchPool,
+    _zero_framed,
+)
+
 
 @pytest.fixture
 def pool():
@@ -89,6 +97,21 @@ def test_steady_state_vgg19_step_never_misses(clean_global_pool):
             step()
     assert pool.misses == warm, "a warmed-up train step allocated scratch"
     assert [id(a) for a in pool.values()] == arenas
+
+
+@pytest.mark.parametrize(
+    "build,batch", [(_hybrid_vgg19, 32), (_hybrid_vgg19, 64), (_hybrid_resnet18, 32)]
+)
+def test_conv_columns_stay_within_one_budget(clean_global_pool, build, batch):
+    """Columns are gathered and multiplied in slices of at most
+    ``_CONV_COLS_FLOATS`` elements, whatever the batch.  Holding hybrid VGG-19's
+    largest whole column matrix (conv 2, 16 → 16 @ 32²) made its batch-32 pool
+    24.3 MiB."""
+    with backend.use("fast"):
+        _train_step(build(), FusedSGD, batch=batch, lr=0.01, momentum=0.9)()
+    assert clean_global_pool._arenas["conv_cols", "<f4"].size <= _CONV_COLS_FLOATS
+    if build is _hybrid_vgg19 and batch == 32:
+        assert held(clean_global_pool)[0] <= 10 << 20
 
 
 def test_every_tag_is_one_of_the_seven_literals(clean_global_pool):
