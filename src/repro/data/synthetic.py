@@ -36,6 +36,8 @@ CIFAR_STD = np.array([0.247, 0.244, 0.262], dtype=np.float32)
 IMAGENET_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float32)
 IMAGENET_STD = np.array([0.229, 0.224, 0.225], dtype=np.float32)
 
+_SYNTH_CHUNK = 64  # images generated per step of _make_images
+
 
 def _smooth_field(rng: np.random.Generator, channels: int, size: int, cutoff: int) -> np.ndarray:
     """Low-frequency random field via truncated 2-D Fourier synthesis."""
@@ -88,12 +90,19 @@ def _make_images(
         [_smooth_field(rng, channels, size, cutoff) for _ in range(num_classes)]
     )  # (K, C, H, W)
     labels = rng.integers(0, num_classes, n)
-    # Sample = 0.5 + 0.3*prototype + noise, clipped to [0, 1] "pixel" range.
-    raw = 0.5 + 0.3 * prototypes[labels] + noise * rng.standard_normal(
-        (n, channels, size, size)
-    ).astype(np.float32)
-    raw = np.clip(raw, 0.0, 1.0).astype(np.float32)
-    images = (raw - mean[:, None, None]) / std[:, None, None]
+    # Sample = 0.5 + 0.3*prototype + noise, clipped to [0, 1] "pixel" range,
+    # then normalized.  Built _SYNTH_CHUNK images at a time into the one
+    # output array, so the float64 noise draw and the temporaries stay
+    # chunk-sized; the draws are sequential, so chunked draws are the same
+    # numbers, and every element sees the same float32 arithmetic.
+    images = np.empty((n, channels, size, size), dtype=np.float32)
+    for start in range(0, n, _SYNTH_CHUNK):
+        rows = labels[start : start + _SYNTH_CHUNK]
+        raw = 0.5 + 0.3 * prototypes[rows] + noise * rng.standard_normal(
+            (len(rows), channels, size, size)
+        ).astype(np.float32)
+        raw = np.clip(raw, 0.0, 1.0).astype(np.float32)
+        images[start : start + len(rows)] = (raw - mean[:, None, None]) / std[:, None, None]
     return SyntheticImageDataset(images, labels, num_classes, mean, std)
 
 

@@ -22,7 +22,7 @@ CLI: ``repro lifecycle run / promote / deploy``.  Gated by
 ``benchmarks/test_lifecycle.py`` → ``BENCH_lifecycle.json``.
 """
 
-from .errors import LifecycleConfigError, LifecycleError, PromotionError
+from .errors import CorruptCheckpointError, LifecycleConfigError, LifecycleError, PromotionError
 from .monitor import SpectrumMonitor, SpectrumSnapshot
 from .scheduler import RankDecision, RankPolicy, RankScheduler
 from .pipeline import LifecycleConfig, LifecycleRun, run_lifecycle
@@ -37,6 +37,7 @@ from .deploy import (
 
 __all__ = [
     "LifecycleError",
+    "CorruptCheckpointError",
     "LifecycleConfigError",
     "PromotionError",
     "SpectrumMonitor",

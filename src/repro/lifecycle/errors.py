@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["LifecycleError", "LifecycleConfigError", "PromotionError"]
+__all__ = ["LifecycleError", "LifecycleConfigError", "PromotionError", "CorruptCheckpointError"]
 
 
 class LifecycleError(Exception):
@@ -15,3 +15,8 @@ class LifecycleConfigError(LifecycleError, ValueError):
 
 class PromotionError(LifecycleError):
     """Registry promotion or lookup failed (missing run, bad version, ...)."""
+
+
+class CorruptCheckpointError(LifecycleError):
+    """A promoted checkpoint file that NumPy cannot read back (truncated,
+    emptied, overwritten); the message names the file."""

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..utils import amend_checkpoint, save_checkpoint
-from .errors import PromotionError
+from .errors import CorruptCheckpointError, PromotionError
 from .pipeline import LifecycleRun
 
 __all__ = ["CheckpointRecord", "PromotionRegistry"]
@@ -175,12 +178,15 @@ class PromotionRegistry:
 
         The serve registry reads the rank map out of the checkpoint
         metadata and rebuilds the exact per-layer hybrid before loading
-        weights, so allocator-chosen ranks round-trip bit-exactly.
+        weights, so allocator-chosen ranks round-trip bit-exactly.  A
+        checkpoint file that cannot be read back raises
+        :class:`CorruptCheckpointError` before anything is built.
         """
         if registry is None:
             from ..serve import default_registry
 
             registry = default_registry()
+        _require_readable(record.path)
         lineage = record.lineage
         return registry.materialize(
             lineage.get("model", record.name),
@@ -190,3 +196,16 @@ class PromotionRegistry:
             seed=int(lineage.get("seed", 0)),
             checkpoint=record.path,
         )
+
+
+def _require_readable(path) -> None:
+    """Read every array of the checkpoint at ``path`` once, turning NumPy's
+    and zipfile's errors for a damaged file into one typed error."""
+    try:
+        with np.load(path) as data:
+            for key in data.files:
+                data[key]
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise CorruptCheckpointError(
+            f"checkpoint {path} cannot be read: {type(e).__name__}: {e}"
+        ) from e

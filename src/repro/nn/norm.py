@@ -60,29 +60,30 @@ class _BatchNormBase(Module):
         # (x - mu) * inv_std and x_hat * gamma + beta, each into its first
         # temporary: the same roundings, two allocations fewer.
         x_hat *= inv_std
-        out = x_hat * gamma.data.reshape(shape)
+        gamma_data = gamma.data
+        out = x_hat * gamma_data.reshape(shape)
         out += beta.data.reshape(shape)
         training = self.training
         be = backend.active()
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, nx, ngamma, nbeta) -> None:
             ggamma, gbeta, gx = be.batch_norm_backward(
                 g,
                 x_hat,
                 inv_std,
-                gamma.data,
+                gamma_data,
                 axes,
                 training,
-                need_ggamma=gamma.requires_grad,
-                need_gbeta=beta.requires_grad,
-                need_gx=x.requires_grad,
+                need_ggamma=ngamma.requires_grad,
+                need_gbeta=nbeta.requires_grad,
+                need_gx=nx.requires_grad,
             )
             if ggamma is not None:
-                gamma._accumulate(ggamma, owned=True)
+                ngamma._accumulate(ggamma, owned=True)
             if gbeta is not None:
-                beta._accumulate(gbeta, owned=True)
+                nbeta._accumulate(gbeta, owned=True)
             if gx is not None:
-                x._accumulate(gx, owned=True)
+                nx._accumulate(gx, owned=True)
 
         return Tensor._from_op(
             out.astype(x.dtype, copy=False), (x, gamma, beta), backward, "batch_norm"
@@ -127,17 +128,18 @@ class LayerNorm(Module):
         var = x.data.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
         x_hat = (x.data - mu) * inv_std
-        out = x_hat * gamma.data + beta.data
+        gamma_data = gamma.data
+        out = x_hat * gamma_data + beta.data
         d = x.data.shape[-1]
 
-        def backward(g: np.ndarray) -> None:
-            if gamma.requires_grad:
-                gamma._accumulate((g * x_hat).reshape(-1, d).sum(axis=0), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
-            if x.requires_grad:
-                dxhat = g * gamma.data
-                x._accumulate(
+        def backward(g: np.ndarray, nx, ngamma, nbeta) -> None:
+            if ngamma.requires_grad:
+                ngamma._accumulate((g * x_hat).reshape(-1, d).sum(axis=0), owned=True)
+            if nbeta.requires_grad:
+                nbeta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
+            if nx.requires_grad:
+                dxhat = g * gamma_data
+                nx._accumulate(
                     inv_std
                     / d
                     * (

@@ -106,21 +106,21 @@ def conv2d(
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx, nw, nb=None) -> None:
         gw, gb, gx = be.conv2d_backward(
             g,
             ctx,
-            need_gw=weight.requires_grad,
-            need_gb=bias is not None and bias.requires_grad,
-            need_gx=x.requires_grad,
+            need_gw=nw.requires_grad,
+            need_gb=nb is not None and nb.requires_grad,
+            need_gx=nx.requires_grad,
         )
         # The backend builds all three for this call; none is kept in ctx.
         if gw is not None:
-            weight._accumulate(gw, owned=True)
+            nw._accumulate(gw, owned=True)
         if gb is not None:
-            bias._accumulate(gb, owned=True)
+            nb._accumulate(gb, owned=True)
         if gx is not None:
-            x._accumulate(gx, owned=True)
+            nx._accumulate(gx, owned=True)
 
     return Tensor._from_op(out, parents, backward, "conv2d")
 
@@ -156,7 +156,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     for idx in slabs[1:]:
         np.maximum(out, xd[idx], out=out)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx) -> None:
         gx = np.zeros(xd.shape, dtype=g.dtype)
         taken = None  # windows whose winner is already found
         for idx in slabs:
@@ -173,7 +173,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         if stride >= kernel:
             # g·False is -0.0 where g < 0; a scatter-add leaves +0.0 there.
             gx += 0.0
-        x._accumulate(gx, owned=True)
+        nx._accumulate(gx, owned=True)
 
     return Tensor._from_op(out, (x,), backward, "max_pool2d")
 
@@ -202,13 +202,14 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         else:
             out += row
     out /= kernel * kernel
+    x_shape = xd.shape
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx) -> None:
         share = g * (1.0 / (kernel * kernel))
-        gx = np.zeros(xd.shape, dtype=g.dtype)
+        gx = np.zeros(x_shape, dtype=g.dtype)
         for idx in slabs:
             gx[idx] += share
-        x._accumulate(gx, owned=True)
+        nx._accumulate(gx, owned=True)
 
     return Tensor._from_op(out, (x,), backward, "avg_pool2d")
 

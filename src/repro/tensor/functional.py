@@ -14,7 +14,7 @@ import numpy as np
 
 from . import backend as _backend
 from . import profiler as _profiler
-from .tensor import Tensor
+from .tensor import Tensor, _zeros_like
 
 __all__ = [
     "softmax",
@@ -44,22 +44,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     MACs are the composite's for any input.
     """
     w = weight.data
+    x_shape = x.data.shape
     x2d = x.data.reshape(-1, w.shape[1])
     out = _backend.active().linear(x2d, w)
     if _profiler.profiling_active():
         _profiler.record_gemm(out.size * w.shape[1])
     if bias is not None:
         out += bias.data
-    out = out.reshape(*x.data.shape[:-1], w.shape[0])
+    out = out.reshape(*x_shape[:-1], w.shape[0])
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx, nw, nb=None) -> None:
         g2d = g.reshape(-1, w.shape[0])
-        if weight.requires_grad:
-            weight._accumulate(g2d.T @ x2d, owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g2d.sum(axis=0), owned=True)
-        if x.requires_grad:
-            x._accumulate((g2d @ w).reshape(x.data.shape), owned=True)
+        if nw.requires_grad:
+            nw._accumulate(g2d.T @ x2d, owned=True)
+        if nb is not None and nb.requires_grad:
+            nb._accumulate(g2d.sum(axis=0), owned=True)
+        if nx.requires_grad:
+            nx._accumulate((g2d @ w).reshape(x_shape), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._from_op(out, parents, backward, "linear")
@@ -77,12 +78,12 @@ def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
     """
     out, mask = _backend.active().bias_relu(x.data, bias.data)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx, nb) -> None:
         m = mask if mask is not None else out > 0
         gm = g * m
         # ``x`` adopts the masked gradient; the bias sums (or copies) it.
-        x._accumulate(gm, owned=True)
-        bias._accumulate(gm)
+        nx._accumulate(gm, owned=True)
+        nb._accumulate(gm)
 
     return Tensor._from_op(out, (x, bias), backward, "bias_relu")
 
@@ -93,10 +94,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nx) -> None:
         # dL/dx = s * (g - sum(g * s))
         dot = (g * out).sum(axis=axis, keepdims=True)
-        x._accumulate(out * (g - dot), owned=True)
+        nx._accumulate(out * (g - dot), owned=True)
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "softmax")
 
@@ -108,8 +109,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = shifted - log_z
     s = np.exp(out)
 
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g - s * g.sum(axis=axis, keepdims=True), owned=True)
+    def backward(g: np.ndarray, nx) -> None:
+        nx._accumulate(g - s * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "log_softmax")
 
@@ -131,11 +132,12 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, ignore_index: int | None = 
         count = n
     picked = log_probs.data[rows, np.where(keep, targets, 0)]
     loss_val = -(picked * keep).sum() / count
+    zeros = _zeros_like(log_probs.data)
 
-    def backward(g: np.ndarray) -> None:
-        grad = np.zeros_like(log_probs.data)
+    def backward(g: np.ndarray, nlp) -> None:
+        grad = zeros()
         grad[rows[keep], targets[keep]] = -1.0 / count
-        log_probs._accumulate(grad * g, owned=True)
+        nlp._accumulate(grad * g, owned=True)
 
     return Tensor._from_op(
         np.asarray(loss_val, dtype=log_probs.dtype), (log_probs,), backward, "nll"
@@ -180,8 +182,9 @@ def cross_entropy(
     loss_val = (loss_rows * keep).sum() / count
 
     probs = np.exp(logp)
+    x_shape = x.shape
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, nl) -> None:
         grad = probs.copy()
         if label_smoothing > 0.0:
             grad -= label_smoothing / c
@@ -189,7 +192,7 @@ def cross_entropy(
         else:
             grad[rows, safe_t] -= 1.0
         grad *= (keep / count)[:, None]
-        logits._accumulate(grad.reshape(x.shape) * g, owned=True)
+        nl._accumulate(grad.reshape(x_shape) * g, owned=True)
 
     return Tensor._from_op(
         np.asarray(loss_val, dtype=x.dtype), (logits,), backward, "cross_entropy"
@@ -203,12 +206,13 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     dimension.
     """
     indices = np.asarray(indices)
-    out = weight.data[indices]
+    table = weight.data
+    out = table[indices]
 
-    def backward(g: np.ndarray) -> None:
-        grad = np.zeros_like(weight.data)
-        np.add.at(grad, indices.reshape(-1), g.reshape(-1, weight.data.shape[1]))
-        weight._accumulate(grad, owned=True)
+    def backward(g: np.ndarray, nw) -> None:
+        grad = np.zeros_like(table)
+        np.add.at(grad, indices.reshape(-1), g.reshape(-1, table.shape[1]))
+        nw._accumulate(grad, owned=True)
 
     return Tensor._from_op(out, (weight,), backward, "embedding")
 
@@ -219,8 +223,8 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
         return x
     mask = (rng.random(x.data.shape) >= p).astype(x.dtype) / (1.0 - p)
 
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * mask, owned=True)
+    def backward(g: np.ndarray, nx) -> None:
+        nx._accumulate(g * mask, owned=True)
 
     return Tensor._from_op(x.data * mask, (x,), backward, "dropout")
 

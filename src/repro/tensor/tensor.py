@@ -36,6 +36,29 @@ scratch buffer.  Three rules keep that true without copying every gradient:
   tensor's, an optimizer, a clipper or the AMP unscale may update ``p.grad``
   in place, and :class:`repro.distributed.DistributedTrainer` moves each
   worker's ``p.grad`` arrays out of the model instead of copying them.
+
+What the graph keeps alive
+--------------------------
+The graph's vertices are not tensors.  An op output that needs a gradient
+gets a small :class:`_Node` (gradient, parent nodes, backward closure, op
+name, creation number, shape, dtype); the ``Tensor`` only points at it.  A
+leaf is its own node, since its ``.grad`` is where gradients land.  A parent
+that needs no gradient is the shared :data:`_CONSTANT` node.  So:
+
+* **A backward never reaches a parent ``Tensor``.**  The engine calls
+  ``backward(g, *parent_nodes)``; the closure accumulates into those nodes.
+* **A backward captures what it reads, at forward time.**  A closure that
+  needs a parent's values (``mul``, ``matmul``, ``max``, ``linear``'s
+  input, a conv's input, ...) holds that array; one that needs only its
+  shape and dtype holds those.  Nothing is captured lazily through a tensor.
+* **So an op output's array lives while the caller holds its ``Tensor`` or
+  some backward captured it** — and not because it is a vertex.  A conv
+  output that only a BatchNorm reads (which saves its own ``x_hat``), or a
+  BatchNorm output that only a ReLU reads (the ``fast`` ReLU saves its own
+  output), is freed as soon as the forward moves past it.
+* **Backward releases nothing it captured.**  Only intermediate ``grad``
+  buffers are dropped as the pass goes, so calling ``backward`` twice on one
+  root still works.
 """
 
 from __future__ import annotations
@@ -118,6 +141,90 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``self.grad`` (``self`` is a leaf ``Tensor`` or a ``_Node``).
+
+    ``owned=True`` donates ``grad``: the caller built it for this call
+    and holds no other reference, so the first arrival adopts the buffer
+    instead of copying it (see the module docstring's ownership rules).
+    """
+    if not self.requires_grad:
+        return
+    grad = np.asarray(grad, dtype=self.dtype)
+    if grad.shape != self.shape:
+        # The adjoint of broadcasting is a sum, which builds a new array.
+        grad = _unbroadcast(grad, self.shape)
+        owned = True
+    if self.grad is None:
+        self.grad = grad if owned else grad.copy()
+        if GRAD_ARRIVAL_HOOK is not None:
+            GRAD_ARRIVAL_HOOK(self)
+    else:
+        self.grad += grad
+
+
+def _zeros_like(a: np.ndarray) -> Callable[[], np.ndarray]:
+    """``np.zeros_like(a)`` for a backward to call later, keeping ``a`` alive
+    only when its memory order is not plain C (``zeros_like`` copies the
+    order, and reductions over the result round in it)."""
+    if a.flags.c_contiguous:
+        shape, dtype = a.shape, a.dtype
+        return lambda: np.zeros(shape, dtype)
+    return lambda: np.zeros_like(a)
+
+
+class _Node:
+    """The graph vertex of one recorded op: what backward needs, and no array
+    of the op's output (see "What the graph keeps alive" above)."""
+
+    __slots__ = ("grad", "parents", "backward", "op", "seq", "shape", "dtype")
+    requires_grad = True
+
+    # Monotonic creation counter.  Backward executes nodes in reverse
+    # creation order — a valid topological order (an op's parents always
+    # exist before its output) that also keeps execution *layer-local*:
+    # side branches such as the ``x.T`` node inside LowRankLSTMLayer run
+    # right after the op that consumed them, so leaf gradients materialize
+    # in reverse layer order instead of piling up at the end of the pass.
+    # The DDP overlap simulator's measured bucket-ready times depend on
+    # this promptness.
+    _seq_counter = itertools.count()
+
+    def __init__(self, parents: tuple, backward: Callable, op: str, data: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+        self.op = op
+        self.seq = next(_Node._seq_counter)
+        self.shape = data.shape
+        self.dtype = data.dtype
+
+    _accumulate = _accumulate
+
+
+class _Constant:
+    """The node of every parent that needs no gradient: accumulates nothing."""
+
+    __slots__ = ()
+    requires_grad = False
+
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        pass
+
+
+_CONSTANT = _Constant()
+
+
+def _seed(root, grad: np.ndarray) -> None:
+    """Start backward at ``root`` (a node or a leaf) with a copy of ``grad``."""
+    if root.grad is None:
+        root.grad = grad.copy()
+        if GRAD_ARRIVAL_HOOK is not None:
+            GRAD_ARRIVAL_HOOK(root)
+    else:
+        root.grad += grad
+
+
 class Tensor:
     """A NumPy-backed array with reverse-mode autodiff.
 
@@ -130,74 +237,66 @@ class Tensor:
         Whether gradients should be accumulated into this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq")
-
-    # Monotonic creation counter.  Backward executes nodes in reverse
-    # creation order — a valid topological order (an op's parents always
-    # exist before its output) that also keeps execution *layer-local*:
-    # side branches such as the ``x.T`` node inside LowRankLSTMLayer run
-    # right after the op that consumed them, so leaf gradients materialize
-    # in reverse layer order instead of piling up at the end of the pass.
-    # The DDP overlap simulator's measured bucket-ready times depend on
-    # this promptness.
-    _seq_counter = itertools.count()
+    __slots__ = ("data", "_grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind == "f" and dtype is None:
             arr = arr.astype(DEFAULT_DTYPE, copy=False)
         self.data: np.ndarray = arr
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._op: str = ""
-        self._seq: int = next(Tensor._seq_counter)
+        # The recorded op that produced this tensor; ``None`` for a leaf.
+        self._node: _Node | None = None
 
     # ------------------------------------------------------------------
     # Graph plumbing
     # ------------------------------------------------------------------
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """A leaf's gradient, or an op output's node's (kept only on a root)."""
+        node = self._node
+        return self._grad if node is None else node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        node = self._node
+        if node is None:
+            self._grad = value
+        else:
+            node.grad = value
+
+    def _grad_node(self):
+        """What a consumer's node links to: this tensor's op node, the tensor
+        itself when it is a leaf that wants a gradient, else ``_CONSTANT``."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _CONSTANT
 
     @classmethod
     def _from_op(
         cls,
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[..., None],
         op: str = "",
     ) -> "Tensor":
-        """Build an op output, recording the graph only when tracking is on."""
+        """Build an op output, recording the graph only when tracking is on.
+
+        ``backward(g, *parent_nodes)`` receives one node per entry of
+        ``parents``, in order, and must not close over a parent ``Tensor``."""
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = cls(data)
         out.requires_grad = requires
         if requires:
             global _GRAPH_NODES_CREATED
             _GRAPH_NODES_CREATED += 1
-            out._parents = tuple(parents)
-            out._backward = backward
-            out._op = op
+            nodes = tuple(p._grad_node() for p in parents)
+            out._node = _Node(nodes, backward, op, out.data)
         return out
 
-    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add ``grad`` into ``self.grad``.
-
-        ``owned=True`` donates ``grad``: the caller built it for this call
-        and holds no other reference, so the first arrival adopts the buffer
-        instead of copying it (see the module docstring's ownership rules).
-        """
-        if not self.requires_grad:
-            return
-        grad = np.asarray(grad, dtype=self.data.dtype)
-        if grad.shape != self.data.shape:
-            # The adjoint of broadcasting is a sum, which builds a new array.
-            grad = _unbroadcast(grad, self.data.shape)
-            owned = True
-        if self.grad is None:
-            self.grad = grad if owned else grad.copy()
-            if GRAD_ARRIVAL_HOOK is not None:
-                GRAD_ARRIVAL_HOOK(self)
-        else:
-            self.grad += grad
+    _accumulate = _accumulate
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -208,49 +307,40 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
+        root = self._node if self._node is not None else self
 
-        # Reachable set via iterative DFS (recursion would overflow on
+        # Reachable op nodes via iterative DFS (recursion would overflow on
         # deep nets such as ResNet-50), then execute in reverse *creation*
         # order.  Creation order is a topological order of the recorded
         # graph (parents exist before their outputs), and unlike DFS
         # postorder it keeps execution layer-local: side branches run
         # immediately after their consumer, so leaf gradients arrive in
         # reverse layer order — the property the DDP bucket-overlap
-        # measurement relies on.
-        topo: list[Tensor] = []
+        # measurement relies on.  Leaves have no backward to run; their
+        # gradients arrive through ``_accumulate``.
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[Tensor] = [self]
+        stack = [root] if type(root) is _Node else []
         while stack:
             node = stack.pop()
             if id(node) in visited:
                 continue
             visited.add(id(node))
             topo.append(node)
-            for p in node._parents:
-                if id(p) not in visited:
+            for p in node.parents:
+                if type(p) is _Node and id(p) not in visited:
                     stack.append(p)
-        topo.sort(key=lambda t: t._seq, reverse=True)
+        topo.sort(key=lambda n: n.seq, reverse=True)
 
         # Seed and propagate.  Gradients flow through ``grad`` buffers on
         # each node; intermediate buffers are released as soon as a node
         # has been processed.
-        self._accumulate_out(grad)
+        _seed(root, grad)
         for node in topo:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self and not node._is_leaf():
+            if node.grad is not None:
+                node.backward(node.grad, *node.parents)
+                if node is not root:
                     node.grad = None  # free intermediate gradient memory
-
-    def _accumulate_out(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = grad.copy()
-            if GRAD_ARRIVAL_HOOK is not None:
-                GRAD_ARRIVAL_HOOK(self)
-        else:
-            self.grad += grad
-
-    def _is_leaf(self) -> bool:
-        return self._backward is None
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -307,9 +397,9 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g)
-            other._accumulate(g)
+        def backward(g: np.ndarray, a, b) -> None:
+            a._accumulate(g)
+            b._accumulate(g)
 
         return Tensor._from_op(self.data + other.data, (self, other), backward, "add")
 
@@ -318,9 +408,9 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g)
-            other._accumulate(-g, owned=True)
+        def backward(g: np.ndarray, a, b) -> None:
+            a._accumulate(g)
+            b._accumulate(-g, owned=True)
 
         return Tensor._from_op(self.data - other.data, (self, other), backward, "sub")
 
@@ -330,43 +420,48 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * other.data, owned=True)
-            if other.requires_grad:
-                other._accumulate(g * self.data, owned=True)
+        x, y = self.data, other.data
 
-        return Tensor._from_op(self.data * other.data, (self, other), backward, "mul")
+        def backward(g: np.ndarray, a, b) -> None:
+            if a.requires_grad:
+                a._accumulate(g * y, owned=True)
+            if b.requires_grad:
+                b._accumulate(g * x, owned=True)
+
+        return Tensor._from_op(x * y, (self, other), backward, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g / other.data, owned=True)
-            if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data * other.data), owned=True)
+        x, y = self.data, other.data
 
-        return Tensor._from_op(self.data / other.data, (self, other), backward, "div")
+        def backward(g: np.ndarray, a, b) -> None:
+            if a.requires_grad:
+                a._accumulate(g / y, owned=True)
+            if b.requires_grad:
+                b._accumulate(-g * x / (y * y), owned=True)
+
+        return Tensor._from_op(x / y, (self, other), backward, "div")
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._coerce(other) / self
 
     def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(-g, owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(-g, owned=True)
 
         return Tensor._from_op(-self.data, (self,), backward, "neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        x = self.data
+        out_data = x**exponent
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * exponent * x ** (exponent - 1), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "pow")
 
@@ -384,30 +479,32 @@ class Tensor:
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data, owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * out_data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data, owned=True)
+        x = self.data
 
-        return Tensor._from_op(np.log(self.data), (self,), backward, "log")
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g / x, owned=True)
+
+        return Tensor._from_op(np.log(x), (self,), backward, "log")
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * 0.5 / out_data, owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * 0.5 / out_data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "sqrt")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - out_data * out_data), owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "tanh")
 
@@ -421,35 +518,35 @@ class Tensor:
         ex = np.exp(x[~pos])
         out_data[~pos] = ex / (1.0 + ex)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data), owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
         out_data, mask = _backend.active().relu(self.data)
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, a) -> None:
             # Backends may skip materializing the mask on the forward pass
             # (``out > 0`` is identical to ``x > 0``, including at ±0).
             m = mask if mask is not None else out_data > 0
-            self._accumulate(g * m, owned=True)
+            a._accumulate(g * m, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "relu")
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * sign, owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * sign, owned=True)
 
         return Tensor._from_op(np.abs(self.data), (self,), backward, "abs")
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         mask = (self.data >= lo) & (self.data <= hi)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask, owned=True)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * mask, owned=True)
 
         return Tensor._from_op(np.clip(self.data, lo, hi), (self,), backward, "clip")
 
@@ -457,11 +554,11 @@ class Tensor:
         other = Tensor._coerce(other)
         mask = self.data >= other.data
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * mask, owned=True)
-            if other.requires_grad:
-                other._accumulate(g * ~mask, owned=True)
+        def backward(g: np.ndarray, a, b) -> None:
+            if a.requires_grad:
+                a._accumulate(g * mask, owned=True)
+            if b.requires_grad:
+                b._accumulate(g * ~mask, owned=True)
 
         return Tensor._from_op(
             np.maximum(self.data, other.data), (self, other), backward, "maximum"
@@ -474,28 +571,28 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product supporting 2-D and batched (>2-D) operands."""
         other = Tensor._coerce(other)
-        out_data = _backend.active().matmul(self.data, other.data)
+        a, b = self.data, other.data
+        out_data = _backend.active().matmul(a, b)
         if _profiler.profiling_active():
             # MACs = (#output elements) × (contracted dimension).
-            k = self.data.shape[-1]
+            k = a.shape[-1]
             _profiler.record_gemm(int(np.prod(out_data.shape)) * k)
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, na, nb) -> None:
             # Each operand's GEMM runs only if that operand wants a
             # gradient; ``_accumulate`` sums away broadcast batch axes.
-            a, b = self.data, other.data
-            if self.requires_grad:
+            if na.requires_grad:
                 if a.ndim == 1 or b.ndim > 1:
                     ga = g @ np.swapaxes(b, -1, -2)
                 else:
                     ga = np.outer(g, b)
-                self._accumulate(ga, owned=True)
-            if other.requires_grad:
+                na._accumulate(ga, owned=True)
+            if nb.requires_grad:
                 if a.ndim == 1 and b.ndim == 1:
                     gb = a * g
                 else:
                     gb = np.swapaxes(a, -1, -2) @ g
-                other._accumulate(gb, owned=True)
+                nb._accumulate(gb, owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward, "matmul")
 
@@ -507,13 +604,14 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, a) -> None:
             if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape))
+                a._accumulate(np.broadcast_to(g, shape))
             else:
                 g_exp = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g_exp, self.data.shape))
+                a._accumulate(np.broadcast_to(g_exp, shape))
 
         return Tensor._from_op(out_data, (self,), backward, "sum")
 
@@ -524,18 +622,19 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        x = self.data
+        out_data = x.max(axis=axis, keepdims=keepdims)
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, a) -> None:
             if axis is None:
-                mask = self.data == out_data
+                mask = x == out_data
             else:
                 expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-                mask = self.data == expanded
+                mask = x == expanded
                 g = g if keepdims else np.expand_dims(g, axis)
             # Spread the gradient evenly over ties.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts, owned=True)
+            a._accumulate(mask * g / counts, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "max")
 
@@ -554,8 +653,8 @@ class Tensor:
         out_data = self.data.reshape(shape)
         in_shape = self.data.shape
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g.reshape(in_shape))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g.reshape(in_shape))
 
         return Tensor._from_op(out_data, (self,), backward, "reshape")
 
@@ -566,8 +665,8 @@ class Tensor:
             axes = tuple(axes[0])
         inv = np.argsort(axes)
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g.transpose(inv))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g.transpose(inv))
 
         return Tensor._from_op(self.data.transpose(axes), (self,), backward, "transpose")
 
@@ -578,11 +677,12 @@ class Tensor:
 
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]
+        zeros = _zeros_like(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
+        def backward(g: np.ndarray, a) -> None:
+            full = zeros()
             np.add.at(full, idx, g)
-            self._accumulate(full, owned=True)
+            a._accumulate(full, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "getitem")
 
@@ -594,8 +694,8 @@ class Tensor:
             for (before, _after), dim in zip(pad_width, self.data.shape)
         )
 
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g[slices])
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g[slices])
 
         return Tensor._from_op(out_data, (self,), backward, "pad")
 
@@ -606,11 +706,11 @@ class Tensor:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def backward(g: np.ndarray) -> None:
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        def backward(g: np.ndarray, *nodes) -> None:
+            for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(start, stop)
-                t._accumulate(g[tuple(sl)])
+                node._accumulate(g[tuple(sl)])
 
         return Tensor._from_op(out_data, tensors, backward, "concat")
 

@@ -38,23 +38,25 @@ from repro.tensor import (
     softmax,
 )
 from repro.tensor.backend import _SCRATCH
+from repro.tensor.tensor import _Node
 
 VOCAB = 5
 
 
 @contextmanager
 def copy_everything():
-    """The engine before ownership: every first accumulation copies."""
+    """The engine before ownership: every first accumulation copies, into a
+    leaf ``Tensor`` and into an op's ``_Node`` alike."""
     adopt = Tensor._accumulate
 
     def always_copy(self, grad, owned=False):
         adopt(self, np.array(grad), owned=False)
 
-    Tensor._accumulate = always_copy
+    Tensor._accumulate = _Node._accumulate = always_copy
     try:
         yield
     finally:
-        Tensor._accumulate = adopt
+        Tensor._accumulate = _Node._accumulate = adopt
 
 
 # -- the op vocabulary: every entry maps (n, n) tensors to an (n, n) tensor ------
@@ -194,17 +196,18 @@ def run(program):
 
 
 def graph_nodes(roots):
-    seen, stack = {}, list(roots)
+    """Every op node reachable from the tensors ``roots``."""
+    seen, stack = {}, [t._node for t in roots if t._node is not None]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(p for p in node.parents if isinstance(p, _Node))
     return list(seen.values())
 
 
 def kept_arrays(obj):
-    """Arrays an op keeps: tensors' data and whatever its closure saved."""
+    """Arrays an op keeps: whatever its closure saved."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, Tensor):
@@ -216,16 +219,21 @@ def kept_arrays(obj):
 
 def assert_ownership(tensors, extra_kept=()):
     """No two live grads alias; none is read-only; none is a view of an op's
-    saved context, a tensor's data, the caller's seed or backend scratch."""
+    saved context, a tensor's data, the caller's seed or backend scratch.
+
+    ``tensors`` are graph nodes and leaf tensors; pass the data of a root the
+    caller holds in ``extra_kept``."""
     tensors = list({id(t): t for t in tensors}.values())
     live = [t.grad for t in tensors if isinstance(t.grad, np.ndarray)]
     for a, b in combinations(live, 2):
         assert not np.shares_memory(a, b), "two live .grad arrays share memory"
     kept = list(extra_kept) + list(_SCRATCH.values())
     for t in tensors:
-        kept.append(t.data)
-        for cell in getattr(t._backward, "__closure__", None) or ():
-            kept.extend(kept_arrays(cell.cell_contents))
+        if isinstance(t, _Node):
+            for cell in t.backward.__closure__ or ():
+                kept.extend(kept_arrays(cell.cell_contents))
+        else:
+            kept.append(t.data)
     for g in live:
         assert g.flags.writeable, "a live .grad is read-only"
         for k in kept:
@@ -256,7 +264,7 @@ def test_random_graphs_match_copying_engine_and_never_alias(program):
         env, roots = run(program)
     assert_same_grads(leaf_grads(env), leaf_grads(ref_env))
     nodes = graph_nodes(roots) + list(env["leaves"].values())
-    assert_ownership(nodes, extra_kept=[env["seed_grad"]])
+    assert_ownership(nodes, extra_kept=[env["seed_grad"]] + [r.data for r in roots])
 
 
 conv_programs = st.fixed_dictionaries(
@@ -319,7 +327,7 @@ def test_conv_graphs_never_alias_backend_scratch(p):
     assert_same_grads(
         {k: t.grad for k, t in leaves.items()}, {k: t.grad for k, t in ref.items()}
     )
-    assert_ownership(graph_nodes([loss]) + list(leaves.values()))
+    assert_ownership(graph_nodes([loss]) + list(leaves.values()), extra_kept=[loss.data])
 
 
 class TestEngineRules:

@@ -10,6 +10,8 @@ together with the documented exit codes.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from repro.cli import main
 from repro.core import build_hybrid, eligible_paths
 from repro.core.layers import LowRankConv2d, LowRankLinear
 from repro.lifecycle import (
+    CorruptCheckpointError,
     DeploymentConfig,
     LifecycleConfig,
     LifecycleConfigError,
+    LifecycleError,
     PromotionError,
     PromotionRegistry,
     RankPolicy,
@@ -231,8 +235,6 @@ def test_registry_versions_densely_with_lineage(tmp_path, tiny_run):
 
 
 def test_index_write_that_dies_half_way_leaves_the_previous_index(tmp_path, tiny_run, monkeypatch):
-    from pathlib import Path
-
     reg = PromotionRegistry(tmp_path / "reg")
     reg.promote(tiny_run)
     before, write_text = reg.records(), Path.write_text
@@ -278,6 +280,26 @@ def test_materialize_roundtrips_ranks_and_weights(tmp_path, tiny_run):
     # Digests (not the bulky rank map) ride on the served lineage.
     assert served.lineage["parent_run"] == tiny_run.run_id
     assert "rank_map" not in served.lineage
+
+
+CORRUPTIONS = {
+    "truncated-half": lambda raw: raw[: len(raw) // 2],
+    "truncated-10": lambda raw: raw[:10],
+    "zeroed-tail": lambda raw: raw[: len(raw) // 2] + bytes(len(raw) - len(raw) // 2),
+    "empty": lambda raw: b"",
+    "garbage": lambda raw: np.random.default_rng(0).bytes(len(raw)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_materialize_corrupt_checkpoint_raises_typed_error(tmp_path, tiny_run, corruption):
+    reg = PromotionRegistry(tmp_path / "reg")
+    record = reg.promote(tiny_run)
+    path = Path(record.path)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(CorruptCheckpointError, match=re.escape(str(path))) as info:
+        reg.materialize(record)
+    assert isinstance(info.value, LifecycleError)
 
 
 def test_materialize_threads_rank_overrides():

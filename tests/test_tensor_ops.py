@@ -283,7 +283,7 @@ class TestAutogradMechanics:
         with no_grad():
             out = t * 2
         assert not out.requires_grad
-        assert out._backward is None
+        assert out._node is None
 
     def test_no_grad_restores_state(self):
         assert is_grad_enabled()
