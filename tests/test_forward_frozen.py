@@ -10,6 +10,9 @@ frozen: every row below hashes the logits and every BatchNorm running
 statistic after one forward call, per backend, per mode, per batch size, and
 was recorded *before* the conv / max-pool / BatchNorm kernels were rewritten.
 A change that moves a digest changed forward arithmetic, not just structure.
+One more row, :func:`run_sequence`, runs eval and a train step at several
+batch sizes through one model in one process, so whatever the fast backend
+keeps between calls must not reach the bytes.
 
 Bytes depend on the BLAS kernels NumPy dispatches to, so the table only binds
 on the platform it was recorded on: ``PLATFORM_CANARY`` hashes a GEMM that
@@ -30,7 +33,7 @@ import pytest
 
 from repro.core import build_hybrid
 from repro.models import resnet18, resnet18_hybrid_config, vgg19, vgg19_hybrid_config
-from repro.nn import BatchNorm2d
+from repro.nn import BatchNorm2d, CrossEntropyLoss
 from repro.tensor import Tensor, backend, no_grad
 from repro.utils import canonical_digest, set_seed
 
@@ -74,6 +77,15 @@ CONFIGS.update(
         for batch in (5, 20)
     }
 )
+# The serving profile's largest batch, no_grad eval only, for both ResNet-18s;
+# recorded on the commit before the fast conv cached its views per geometry.
+CONFIGS.update(
+    {
+        f"{model}-{be}-eval-b8": (model, be, "eval", 8)
+        for model in ("resnet18", "resnet18-imagenet-stem")
+        for be in BACKENDS
+    }
+)
 
 
 def _sha(a: np.ndarray) -> str:
@@ -112,26 +124,64 @@ def run_config(config) -> dict:
     return {"logits": _sha(logits), "running_stats": stats}
 
 
+# (mode, batch) in the order one process meets them: a small eval batch, a
+# train step whose batch grows every conv scratch arena, then eval again.
+SEQUENCE = (("eval", 1), ("train", 32), ("eval", 8), ("eval", 1))
+
+
+def run_sequence() -> list:
+    """One hybrid ResNet-18 on ``fast``, from an empty scratch pool, through
+    :data:`SEQUENCE`: each eval hashes its logits, the train step its logits,
+    loss and every parameter gradient.  The steps share the pool, so the
+    later ones run on arenas an earlier, larger conv grew."""
+    set_seed(0)
+    model = _resnet18()
+    data = np.random.default_rng(11)
+    loss_fn = CrossEntropyLoss()
+    backend._SCRATCH.clear()
+    out = []
+    with backend.use("fast"):
+        for mode, batch in SEQUENCE:
+            x = Tensor(data.standard_normal((batch, 3, 32, 32)).astype(np.float32))
+            if mode == "train":
+                model.train()
+                logits = model(x)
+                loss = loss_fn(logits, data.integers(0, 10, size=batch))
+                loss.backward()
+                grads = {name: _sha(p.grad) for name, p in model.named_parameters()}
+                out.append([_sha(logits.data), _sha(loss.data), grads])
+                model.zero_grad()
+            else:
+                model.eval()
+                with no_grad():
+                    out.append(_sha(model(x).data))
+    return out
+
+
 PLATFORM_CANARY = "4f339e1ba0c7bf62"
 # fmt: off
 PINNED = {
     "resnet18-fast-eval-b1": "af57ed234c6d3bc4",
     "resnet18-fast-eval-b2": "bbbd4f21fe431bdb",
     "resnet18-fast-eval-b32": "a82aff8b0730b960",
+    "resnet18-fast-eval-b8": "3114c6d8d68f9ec2",
     "resnet18-fast-train-b1": "3703075a01563b21",
     "resnet18-fast-train-b2": "157c4e53aeafd85a",
     "resnet18-fast-train-b32": "e336163f4f212823",
     "resnet18-imagenet-stem-fast-eval-b1": "21c2127f2c49a7a4",
     "resnet18-imagenet-stem-fast-eval-b2": "0d41341bc016625d",
+    "resnet18-imagenet-stem-fast-eval-b8": "711ade8502ee9a94",
     "resnet18-imagenet-stem-fast-train-b1": "345cad9be58afd8e",
     "resnet18-imagenet-stem-fast-train-b2": "a8fad4b43b12a80b",
     "resnet18-imagenet-stem-numpy-eval-b1": "45a2da59d89f1e28",
     "resnet18-imagenet-stem-numpy-eval-b2": "2b1bcfa7192957d4",
+    "resnet18-imagenet-stem-numpy-eval-b8": "769748e36aa45b37",
     "resnet18-imagenet-stem-numpy-train-b1": "f73f72468b14146b",
     "resnet18-imagenet-stem-numpy-train-b2": "687888c7fd5b2b02",
     "resnet18-numpy-eval-b1": "7c510f6673dcd882",
     "resnet18-numpy-eval-b2": "3f0ea60bfc62251f",
     "resnet18-numpy-eval-b32": "a82aff8b0730b960",
+    "resnet18-numpy-eval-b8": "3114c6d8d68f9ec2",
     "resnet18-numpy-train-b1": "3774d20da6dbfc7c",
     "resnet18-numpy-train-b2": "2e691e8d081263b3",
     "resnet18-numpy-train-b32": "e336163f4f212823",
@@ -152,7 +202,16 @@ PINNED = {
     "vgg19-numpy-train-b2": "80cff6a06d60b7c2",
     "vgg19-numpy-train-b32": "c13bbdaf3aae16a1",
 }
+PINNED_SEQUENCE = "5ad9d1a2166b4af1"
 # fmt: on
+
+
+def _require_canary():
+    if platform_canary() != PLATFORM_CANARY:
+        pytest.skip(
+            "digest table was recorded on different BLAS kernels "
+            f"(canary {platform_canary()} != {PLATFORM_CANARY})"
+        )
 
 
 def test_table_covers_the_matrix():
@@ -167,12 +226,13 @@ def test_backends_agree_but_not_bitwise():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_digest_is_pinned(name):
-    if platform_canary() != PLATFORM_CANARY:
-        pytest.skip(
-            "digest table was recorded on different BLAS kernels "
-            f"(canary {platform_canary()} != {PLATFORM_CANARY})"
-        )
+    _require_canary()
     assert canonical_digest(run_config(CONFIGS[name])) == PINNED[name]
+
+
+def test_sequence_is_pinned():
+    _require_canary()
+    assert canonical_digest(run_sequence()) == PINNED_SEQUENCE
 
 
 if __name__ == "__main__":
@@ -181,3 +241,4 @@ if __name__ == "__main__":
     for name in sorted(CONFIGS):
         print(f'    "{name}": "{canonical_digest(run_config(CONFIGS[name]))}",')
     print("}")
+    print(f'PINNED_SEQUENCE = "{canonical_digest(run_sequence())}"')
