@@ -5,6 +5,7 @@ artifact)."""
 from __future__ import annotations
 
 import json
+import sys
 
 from .. import observability as obs
 from ..utils import save_checkpoint
@@ -178,7 +179,12 @@ def add_deploy_parser(sub):
 
 def run_deploy(args) -> int:
     from ..cluster import parse_phases
-    from ..lifecycle import DeploymentConfig, PromotionRegistry, run_deployment
+    from ..lifecycle import (
+        CorruptCheckpointError,
+        DeploymentConfig,
+        PromotionRegistry,
+        run_deployment,
+    )
 
     registry = PromotionRegistry(args.registry_dir)
     record = (registry.latest(args.name) if args.version is None
@@ -215,7 +221,11 @@ def run_deploy(args) -> int:
         print(f"\nbooting gateway on the promoted checkpoint {record.path}")
         # The artifact knows its own architecture and rank map: the registry
         # rebuilds the exact per-layer hybrid before loading the weights.
-        served = registry.materialize(record)
+        try:
+            served = registry.materialize(record)
+        except CorruptCheckpointError as e:
+            print(f"cannot serve {record.name} v{record.version}: {e}", file=sys.stderr)
+            return 1
         executor = ModelExecutor(served, groups.load_or_measure_profile(None, served))
         serve_gateway(executor, serve_config, args.host, args.port, args.duration, args.ready_file)
         return 0

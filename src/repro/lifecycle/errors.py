@@ -19,4 +19,6 @@ class PromotionError(LifecycleError):
 
 class CorruptCheckpointError(LifecycleError):
     """A promoted checkpoint file that NumPy cannot read back (truncated,
-    emptied, overwritten); the message names the file."""
+    emptied, overwritten) or that does not load into the model it was
+    promoted as (an array of the wrong shape, a missing key); the message
+    names the file."""

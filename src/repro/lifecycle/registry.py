@@ -180,7 +180,10 @@ class PromotionRegistry:
         metadata and rebuilds the exact per-layer hybrid before loading
         weights, so allocator-chosen ranks round-trip bit-exactly.  A
         checkpoint file that cannot be read back raises
-        :class:`CorruptCheckpointError` before anything is built.
+        :class:`CorruptCheckpointError` before anything is built, and so does
+        one that reads back but does not load into the model it was
+        promoted as (an array of the wrong shape, a missing or unexpected
+        key, a rank map that does not fit).
         """
         if registry is None:
             from ..serve import default_registry
@@ -188,14 +191,19 @@ class PromotionRegistry:
             registry = default_registry()
         _require_readable(record.path)
         lineage = record.lineage
-        return registry.materialize(
-            lineage.get("model", record.name),
-            "factorized",
-            num_classes=int(lineage.get("num_classes", 4)),
-            width=float(lineage.get("width", 0.25)),
-            seed=int(lineage.get("seed", 0)),
-            checkpoint=record.path,
-        )
+        try:
+            return registry.materialize(
+                lineage.get("model", record.name),
+                "factorized",
+                num_classes=int(lineage.get("num_classes", 4)),
+                width=float(lineage.get("width", 0.25)),
+                seed=int(lineage.get("seed", 0)),
+                checkpoint=record.path,
+            )
+        except (KeyError, ValueError) as e:
+            raise CorruptCheckpointError(
+                f"checkpoint {record.path} does not load into its model: {type(e).__name__}: {e}"
+            ) from e
 
 
 def _require_readable(path) -> None:

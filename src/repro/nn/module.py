@@ -159,14 +159,15 @@ class Module:
 
     def load_state_dict(self, state: dict, strict: bool = True) -> None:
         params = dict(self.named_parameters())
-        buffers = {name: None for name, _ in self.named_buffers()}
+        buffers = dict(self.named_buffers())
         for key, value in state.items():
-            if key in params:
-                if params[key].data.shape != value.shape:
+            if key in params or key in buffers:
+                have = params[key].data if key in params else buffers[key]
+                if np.shape(have) != np.shape(value):
                     raise ValueError(
-                        f"shape mismatch for {key}: "
-                        f"{params[key].data.shape} vs {value.shape}"
+                        f"shape mismatch for {key}: {np.shape(have)} vs {np.shape(value)}"
                     )
+            if key in params:
                 # In-place copy (not a rebind) so views into a flat
                 # parameter arena stay aliased; assignment casts like the
                 # previous ``astype`` did.

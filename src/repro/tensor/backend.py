@@ -135,7 +135,8 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 
 
 class _ScratchPool:
-    """One flat arena per tag, grown to the largest request and never shrunk.
+    """One flat arena per tag, grown to the largest request and never shrunk,
+    and the conv plans built over those arenas.
 
     A request is a *view* of its tag's arena, so conv layers of every shape
     and batch size share one ``conv_cols`` arena sized for the largest
@@ -144,10 +145,20 @@ class _ScratchPool:
     batch.  Tags are string literals at the call sites, never built from
     shapes, so the pool holds at most one arena per call site and dtype
     however many geometries, batch sizes or models the process meets.
+
+    A *plan* (:meth:`plan`) is what a fast conv of one geometry builds before
+    it can run — its column slices and the views of the ``frame``,
+    ``conv_cols`` and ``conv_outT`` arenas it copies and multiplies through —
+    kept so that the next call of that geometry only replays it.  A plan owns
+    no array, only views, and a view keeps its arena alive: so whenever an
+    arena grows, every plan is dropped with the arena it replaced.  Plans
+    therefore only ever see the arenas the pool holds, and add no memory
+    beyond their view objects.
     """
 
     def __init__(self) -> None:
         self._arenas: dict[tuple[str, str], np.ndarray] = {}
+        self._plans: dict[tuple, object] = {}
         self.misses = 0  # arena (re)allocations
 
     def __len__(self) -> int:
@@ -158,6 +169,7 @@ class _ScratchPool:
 
     def clear(self) -> None:
         self._arenas.clear()
+        self._plans.clear()
 
     def get(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A ``shape`` view of ``tag``'s arena, contents undefined."""
@@ -166,8 +178,21 @@ class _ScratchPool:
         arena = self._arenas.get(key)
         if arena is None or arena.size < size:
             self.misses += 1
+            self._plans.clear()
             arena = self._arenas[key] = np.empty(size, dtype=dtype)
         return arena[:size].reshape(shape)
+
+    def plan(self, build, *geometry):
+        """``build(*geometry)``, built once per ``(build, *geometry)`` while
+        no arena grows.  A build asks each tag for its largest view first (a
+        conv's first slice is its largest), so an arena it grows is one it
+        holds no view of yet: every view in the plan it returns is of an arena
+        the pool holds."""
+        key = (build, *geometry)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build(*geometry)
+        return plan
 
 
 _SCRATCH = _ScratchPool()
@@ -253,21 +278,128 @@ def _as_nchw(buf: np.ndarray, shape: tuple[int, int, int, int], order) -> np.nda
     return buf.reshape([shape[a] for a in order]).transpose([order.index(a) for a in range(4)])
 
 
+def _frame_views(shape, dtype, fh: int, fw: int, top: int, left: int, order):
+    """Views of the pool's ``frame`` arena for an ``(N, C, h, w)`` input laid
+    at ``(top, left)`` of an ``(N, C, fh, fw)`` zero frame stored in axis
+    ``order``: ``(flat, frame, interior, crop)`` — the flat buffer to clear,
+    the frame's logical NCHW view, and the part ``interior`` of it that
+    ``input[crop]`` fills.  With negative offsets what falls outside the frame
+    is cropped."""
+    n, c, h, w = shape
+    a0, a1 = max(0, -top), min(h, fh - top)
+    b0, b1 = max(0, -left), min(w, fw - left)
+    flat = _scratch("frame", (n * c * fh * fw,), dtype)
+    frame = _as_nchw(flat, (n, c, fh, fw), order)
+    interior = frame[:, :, top + a0 : top + a1, left + b0 : left + b1]
+    return flat, frame, interior, (slice(None), slice(None), slice(a0, a1), slice(b0, b1))
+
+
 def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int, order) -> np.ndarray:
     """``src`` (N, C, h, w) laid at ``(top, left)`` of a pooled all-zero
     ``(N, C, fh, fw)`` frame stored in axis ``order`` — ``np.pad`` without the
     allocation, and with negative offsets: what falls outside the frame is
     cropped.  The whole frame is cleared, not its four border strips: the two
     column strips pull every cache line of the frame through anyway
-    (docs/PERFORMANCE.md)."""
-    n, c, h, w = src.shape
-    a0, a1 = max(0, -top), min(h, fh - top)
-    b0, b1 = max(0, -left), min(w, fw - left)
-    buf = _scratch("frame", (n * c * fh * fw,), src.dtype)
-    buf.fill(0)
-    frame = _as_nchw(buf, (n, c, fh, fw), order)
-    frame[:, :, top + a0 : top + a1, left + b0 : left + b1] = src[:, :, a0:a1, b0:b1]
+    (docs/PERFORMANCE.md).  A conv plan does the same through views it keeps
+    (:class:`_Gather`)."""
+    flat, frame, interior, crop = _frame_views(src.shape, src.dtype, fh, fw, top, left, order)
+    flat.fill(0)
+    interior[...] = src[crop]
     return frame
+
+
+def _windows(frame: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int):
+    """``(N, C, kh, kw, oh, ow)`` view of ``frame``'s patches:
+    ``[n, c, i, j, y, x] = frame[n, c, s·y+i, s·x+j]``."""
+    n, c = frame.shape[:2]
+    sn, sc, sh, sw = frame.strides
+    return np.lib.stride_tricks.as_strided(
+        frame,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
+
+
+class _Gather:
+    """The views one slice of a fast conv's columns is gathered through:
+    ``colsT[(c, i, j), (n, y, x)] = frame[n, c, s·y+i, s·x+j]``, where
+    ``frame`` is the input laid at ``(top, left)`` of a zero frame just large
+    enough for ``(out_h, out_w)`` outputs, all copied in one assignment from
+    the frame's :func:`_windows` into ``colsT`` (a view of the ``conv_cols``
+    arena) split as ``(N, C, kh, kw, oh, ow)``.  ``layout`` is the
+    :func:`_conv_layout` of the whole conv, whichever slice this is.  Where
+    the frame is a plain crop of an NCHW input, the input is the frame and
+    only its windows are built per call."""
+
+    __slots__ = ("crop", "flat", "interior", "windows", "window", "cols", "colsT")
+
+    def __init__(self, shape, dtype, out_h, out_w, kh, kw, stride, top, left, layout) -> None:
+        n, c, h, w = shape
+        frame_order, cols_order = layout
+        fh, fw = stride * (out_h - 1) + kh, stride * (out_w - 1) + kw
+        self.window = (kh, kw, stride, out_h, out_w)
+        if frame_order[0] == 0 and top <= 0 and left <= 0 and top + h >= fh and left + w >= fw:
+            # No zeros, no axis to move.
+            self.flat = self.interior = self.windows = None
+            self.crop = (slice(None), slice(None), slice(-top, fh - top), slice(-left, fw - left))
+        else:
+            self.flat, frame, self.interior, self.crop = _frame_views(
+                shape, dtype, fh, fw, top, left, frame_order
+            )
+            self.windows = _windows(frame, *self.window)
+        self.colsT = _scratch("conv_cols", (c * kh * kw, n * out_h * out_w), dtype)
+        cols = _as_nchw(self.colsT, (n, c * kh * kw, out_h, out_w), cols_order)
+        # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
+        sn, sk, sy, sx = cols.strides
+        self.cols = np.lib.stride_tricks.as_strided(
+            cols,
+            shape=(n, c, kh, kw, out_h, out_w),
+            strides=(sn, sk * kh * kw, sk * kw, sk, sy, sx),
+        )
+
+    def __call__(self, src: np.ndarray) -> np.ndarray:
+        """``src``'s columns, in the ``conv_cols`` arena."""
+        if self.flat is None:
+            self.cols[...] = _windows(src[self.crop], *self.window)
+        else:
+            self.flat.fill(0)
+            self.interior[...] = src[self.crop]
+            self.cols[...] = self.windows
+        return self.colsT
+
+
+def _gemm_plan(src_shape, dtype, out_shape, out_dtype, kh, kw, stride, top, left) -> list:
+    """:meth:`FastBackend._gather_gemm`'s plan: per column slice
+    (:func:`_column_slices`), its images of the input, its part of the output,
+    the :class:`_Gather` of its columns, and the GEMM's output in the
+    ``conv_outT`` arena with that output's NCHW view."""
+    n, c, h, w = src_shape
+    _, c_out, out_h, out_w = out_shape
+    layout = _conv_layout(n, out_h, out_w)
+    steps = []
+    for n0, n1, y0, y1 in _column_slices(c * kh * kw, n, out_h, out_w, layout[1]):
+        shape, y_top = (n1 - n0, c, h, w), top - stride * y0
+        gather = _Gather(shape, dtype, y1 - y0, out_w, kh, kw, stride, y_top, left, layout)
+        oT = _scratch("conv_outT", (c_out, gather.colsT.shape[1]), out_dtype)
+        o = _as_nchw(oT, (n1 - n0, c_out, y1 - y0, out_w), layout[1])
+        steps.append((slice(n0, n1), (slice(n0, n1), slice(None), slice(y0, y1)), gather, oT, o))
+    return steps
+
+
+def _gw_plan(x_shape, dtype, out_h, out_w, kh, kw, stride, ph, pw) -> list:
+    """The weight gradient's plan: ``(c0, c1, gather)`` per block of whole
+    input channels whose columns fit ``_CONV_COLS_FLOATS``, gathered in the
+    forward's column order."""
+    n, c_in, h, w = x_shape
+    layout = _conv_layout(n, out_h, out_w)
+    step = max(1, _CONV_COLS_FLOATS // max(1, kh * kw * n * out_h * out_w))
+    steps = []
+    for c0 in range(0, c_in, step):
+        c1 = min(c0 + step, c_in)
+        gather = _Gather((n, c1 - c0, h, w), dtype, out_h, out_w, kh, kw, stride, ph, pw, layout)
+        steps.append((c0, c1, gather))
+    return steps
 
 
 # ----------------------------------------------------------------------
@@ -620,16 +752,16 @@ class FastBackend(Backend):
     """BLAS-batched / fused kernels, parity-gated against the reference.
 
     Conv strategy: gather patches straight into the transposed layout
-    ``colsT = (C·kh·kw, n·oh·ow)`` with one slab assignment per kernel
-    offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
-    then run the forward as a ``w2d @ colsT`` GEMM with an in-place bias
-    add.  ``colsT`` is pool scratch of at most ``_CONV_COLS_FLOATS``
-    elements: a larger one is gathered and multiplied in slices of images
-    or output rows (:func:`_column_slices`), each output still one
-    K-ordered dot product.  The ``"gen"`` ctx holds the input, which the
-    graph keeps anyway, and the backward gathers ``colsT`` again from it for
-    the weight gradient, a few whole input channels (rows of ``colsT``) at a
-    time, so every ``gw`` entry keeps its one reduction over all columns.
+    ``colsT = (C·kh·kw, n·oh·ow)`` with one assignment from a strided
+    window view of the zero frame (:class:`_Gather`), then run the forward
+    as a ``w2d @ colsT`` GEMM with an in-place bias add.  ``colsT`` is pool
+    scratch of at most ``_CONV_COLS_FLOATS`` elements: a larger one is
+    gathered and multiplied in slices of images or output rows
+    (:func:`_column_slices`), each output still one K-ordered dot product.
+    The ``"gen"`` ctx holds the input, which the graph keeps anyway, and the
+    backward gathers ``colsT`` again from it for the weight gradient, a few
+    whole input channels (rows of ``colsT``) at a time, so every ``gw``
+    entry keeps its one reduction over all columns.
     It computes the input gradient like the forward — gather the
     zero-framed output gradient over ``c_out`` channels, GEMM with the
     flipped kernel — so nothing is scatter-added.  The order of ``colsT``'s
@@ -642,6 +774,21 @@ class FastBackend(Backend):
     that makes the bytes identical too (docs/PERFORMANCE.md); the backward
     lays ``gT`` out in the same order, which permutes the sums behind ``gw``
     and ``gb`` (:func:`conv_grad_atol`).
+
+    Every gather runs from a plan the scratch pool keeps per geometry
+    (:meth:`_ScratchPool.plan`; the key is the input's shape and dtype, the
+    kernel, stride and padding): the layout, the column slices, and the
+    views of the ``frame``, ``conv_cols`` and ``conv_outT`` arenas each slice
+    copies and multiplies through — the frame's interior, one window view,
+    the GEMM's output and its NCHW view.  A call replays it: clear the
+    frame, copy the input in, one window copy, ``np.matmul(out=…)``, the
+    bias, the copy into the fresh output.  The forward with or without a
+    ctx, the ``gw`` re-gather and the input gradient's phases all run this
+    way, so at batch 1-2, where the GEMMs are tiny, a conv no longer spends
+    most of its time rebuilding the same views.  The copies and GEMM
+    operands are the ones the views were built for, so the bytes are too.
+    A plan holds only views, and the pool drops every plan when an arena
+    grows, so no plan keeps a replaced arena alive.
     Outputs change GEMM orientation vs the reference, so conv
     forward/backward are ``tolerance``-tagged, as is the fused BatchNorm
     backward (reordered reductions); everything else is bit-exact.
@@ -670,41 +817,6 @@ class FastBackend(Backend):
 
     # -- conv2d --------------------------------------------------------
 
-    def _gather(
-        self,
-        src: np.ndarray,
-        out_h: int,
-        out_w: int,
-        kh: int,
-        kw: int,
-        stride: int,
-        top: int,
-        left: int,
-        layout,
-    ) -> np.ndarray:
-        """``colsT[(c, i, j), (n, y, x)] = frame[n, c, s·y+i, s·x+j]``, where
-        ``frame`` is ``src`` laid at ``(top, left)`` of a zero frame just large
-        enough for ``(out_h, out_w)`` outputs: one slab copy per kernel offset
-        into the pool's ``conv_cols`` arena.  ``layout`` is the
-        :func:`_conv_layout` of the whole conv, whichever slice ``src`` is."""
-        n, c, h, w = src.shape
-        frame_order, cols_order = layout
-        fh, fw = stride * (out_h - 1) + kh, stride * (out_w - 1) + kw
-        if frame_order[0] == 0 and top <= 0 and left <= 0 and top + h >= fh and left + w >= fw:
-            frame = src[:, :, -top : fh - top, -left : fw - left]  # no zeros, no axis to move
-        else:
-            frame = _zero_framed(src, fh, fw, top, left, frame_order)
-
-        colsT = _scratch("conv_cols", (c * kh * kw, n * out_h * out_w), src.dtype)
-        cols = _as_nchw(colsT, (n, c * kh * kw, out_h, out_w), cols_order)
-        for i in range(kh):
-            i_max = i + stride * out_h
-            for j in range(kw):
-                j_max = j + stride * out_w
-                # Row (c, i, j) of colsT is channel c·kh·kw + i·kw + j of the view.
-                cols[:, i * kw + j :: kh * kw] = frame[:, :, i:i_max:stride, j:j_max:stride]
-        return colsT
-
     def _gather_gemm(
         self,
         out: np.ndarray,
@@ -718,23 +830,21 @@ class FastBackend(Backend):
         bias: np.ndarray | None = None,
     ) -> None:
         """``out[n, co, y, x] = Σ colsT[(c, i, j), (n, y, x)] · w2d[co, (c, i, j)]``
-        ``+ bias[co]`` over :meth:`_gather`'s columns, one slice
-        (:func:`_column_slices`) at a time: a GEMM and a transposing copy into
-        ``out`` (any NCHW-shaped view) per slice.  Each output is the same
-        K-ordered dot product however the columns are sliced."""
-        n, c = src.shape[:2]
-        _, c_out, out_h, out_w = out.shape
-        layout = _conv_layout(n, out_h, out_w)
-        for n0, n1, y0, y1 in _column_slices(c * kh * kw, n, out_h, out_w, layout[1]):
-            rows = y1 - y0
-            colsT = self._gather(
-                src[n0:n1], rows, out_w, kh, kw, stride, top - stride * y0, left, layout
-            )
-            oT = _scratch("conv_outT", (c_out, colsT.shape[1]), out.dtype)
-            np.matmul(w2d, colsT, out=oT)
-            if bias is not None:
-                oT += bias[:, None]
-            out[n0:n1, :, y0:y1] = _as_nchw(oT, (n1 - n0, c_out, rows, out_w), layout[1])
+        ``+ bias[co]`` over the columns of ``src`` laid at ``(top, left)`` of a
+        zero frame, one slice (:func:`_column_slices`) at a time: a gather, a
+        GEMM and a transposing copy into ``out`` (any NCHW-shaped view) per
+        slice, replayed from the geometry's plan (:func:`_gemm_plan`).  Each
+        output is the same K-ordered dot product however the columns are
+        sliced."""
+        plan = _SCRATCH.plan(
+            _gemm_plan, src.shape, src.dtype, out.shape, out.dtype, kh, kw, stride, top, left
+        )
+        b = None if bias is None else bias[:, None]
+        for images, part, gather, oT, o in plan:
+            np.matmul(w2d, gather(src[images]), out=oT)
+            if b is not None:
+                oT += b
+            out[part] = o
 
     def conv2d_forward(
         self,
@@ -802,27 +912,30 @@ class FastBackend(Backend):
             gT = np.empty((c_out, n * out_h * out_w), dtype=g.dtype)
             _as_nchw(gT, g.shape, layout[1])[...] = g
             if need_gw:
-                # The forward's columns again, gathered from the input the graph
-                # keeps anyway, a few whole input channels at a time: each is
-                # rows of colsT, so every gw entry keeps its one reduction over
-                # all n·oh·ow columns.  colsT, the long operand, streams through
-                # the GEMM once as its left side; only the small product is
-                # transposed.
-                k2 = kh * kw
-                gwT = np.empty((c_in * k2, c_out), dtype=np.result_type(x, g))
-                step = max(1, _CONV_COLS_FLOATS // max(1, k2 * gT.shape[1]))
-                for c0 in range(0, c_in, step):
-                    colsT = self._gather(
-                        x[:, c0 : c0 + step], out_h, out_w, kh, kw, stride, ph, pw, layout
-                    )
-                    np.matmul(colsT, gT.T, out=gwT[c0 * k2 : (c0 + step) * k2])
-                gw = np.ascontiguousarray(gwT.T).reshape(c_out, c_in, kh, kw)
+                gw = self._weight_grad(x, gT, kh, kw, stride, ph, pw, out_h, out_w)
             if need_gb:
                 gb = gT.sum(axis=1)
         if need_gx:
             w4 = w2d.reshape(c_out, c_in, kh, kw)
             gx = self._conv2d_input_grad(g, w4, x_shape, stride, ph, pw)
         return gw, gb, gx
+
+    def _weight_grad(self, x, gT, kh, kw, stride, ph, pw, out_h, out_w) -> np.ndarray:
+        """``gw`` from the forward's columns again, gathered from the input the
+        graph keeps anyway, a few whole input channels at a time
+        (:func:`_gw_plan`): each is rows of colsT, so every gw entry keeps its
+        one reduction over all n·oh·ow columns.  colsT, the long operand,
+        streams through the GEMM once as its left side; only the small product
+        is transposed.  A method of its own so that the plan is released when
+        the replay ends: the input gradient's plans, built next, may grow
+        ``conv_cols``, and the arena they replace must not outlive that."""
+        c_out, c_in = gT.shape[0], x.shape[1]
+        k2 = kh * kw
+        gwT = np.empty((c_in * k2, c_out), dtype=np.result_type(x, gT))
+        plan = _SCRATCH.plan(_gw_plan, x.shape, x.dtype, out_h, out_w, kh, kw, stride, ph, pw)
+        for c0, c1, gather in plan:
+            np.matmul(gather(x[:, c0:c1]), gT.T, out=gwT[c0 * k2 : c1 * k2])
+        return np.ascontiguousarray(gwT.T).reshape(c_out, c_in, kh, kw)
 
     def _conv2d_input_grad(
         self,

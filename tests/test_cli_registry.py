@@ -13,6 +13,7 @@ import time
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import COMMANDS, main
@@ -151,6 +152,32 @@ class TestDeployGateway:
         lineage = seen["lineage"]
         assert lineage["name"] == "mlp" and lineage["version"] == 1
         assert lineage["parent_run"].startswith("lc-") and lineage["rank_map_digest"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    def test_deploy_gateway_on_a_corrupt_checkpoint_exits_1_with_one_line(
+        self, promoted_registry, tmp_path, capsys, damage
+    ):
+        from repro.lifecycle import PromotionRegistry
+
+        source = PromotionRegistry(promoted_registry).latest("mlp")
+        registry = PromotionRegistry(tmp_path / "registry")
+        path = Path(registry.promote_artifact(source.path, source.lineage).path)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            key = min(k for k, v in arrays.items() if k.startswith("model/") and v.ndim == 2)
+            arrays[key] = np.ascontiguousarray(arrays[key].T)
+            np.savez(path, **arrays)
+        rc = main([
+            "lifecycle", "deploy", "--registry-dir", str(registry.root), "--name", "mlp",
+            "--gateway", "--port", "0", "--duration", "0.3",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("\n") == 1 and str(path) in captured.err
+        assert "Traceback" not in captured.err and "gateway listening" not in captured.out
 
     def test_deploy_gateway_bad_serving_flags_exit_2_before_the_canary(
         self, promoted_registry, capsys

@@ -302,6 +302,51 @@ def test_materialize_corrupt_checkpoint_raises_typed_error(tmp_path, tiny_run, c
     assert isinstance(info.value, LifecycleError)
 
 
+def _first_matrix(arrays: dict) -> str:
+    return min(k for k, v in arrays.items() if k.startswith("model/") and v.ndim == 2)
+
+
+def _widen(arrays):
+    key = _first_matrix(arrays)
+    arrays[key] = np.zeros((arrays[key].shape[0] + 1, arrays[key].shape[1]), np.float32)
+
+
+def _transpose(arrays):
+    key = _first_matrix(arrays)
+    arrays[key] = np.ascontiguousarray(arrays[key].T)
+
+
+def _drop(arrays):
+    del arrays[_first_matrix(arrays)]
+
+
+def _add(arrays):
+    arrays["model/extra.weight"] = np.zeros((2, 2), np.float32)
+
+
+# Checkpoints NumPy reads back whole, but that are not the model they were
+# promoted as.
+TAMPERINGS = {
+    "wrong-shape": _widen,
+    "transposed": _transpose,
+    "missing-key": _drop,
+    "extra-key": _add,
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+def test_materialize_tampered_checkpoint_raises_typed_error(tmp_path, tiny_run, tampering):
+    reg = PromotionRegistry(tmp_path / "reg")
+    record = reg.promote(tiny_run)
+    path = Path(record.path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    TAMPERINGS[tampering](arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(CorruptCheckpointError, match=re.escape(str(path))):
+        reg.materialize(record)
+
+
 def test_materialize_threads_rank_overrides():
     registry = default_registry()
     overrides = {"fc1": 5, "fc2": 3}

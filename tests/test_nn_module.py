@@ -108,6 +108,14 @@ class TestStateDict:
         with pytest.raises(ValueError):
             m.load_state_dict(sd)
 
+    def test_buffer_shape_mismatch_raises(self):
+        m = Toy()
+        sd = m.state_dict()
+        name = next(name for name, _ in m.named_buffers())
+        sd[name] = np.zeros(sd[name].size + 1, dtype=np.float32)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.load_state_dict(sd)
+
     def test_unexpected_key_raises_when_strict(self):
         m = Toy()
         sd = m.state_dict()

@@ -4,8 +4,11 @@ What the pool promises its callers and its hosts: a steady-state train step
 allocates no scratch at all, a server's pool is sized by its largest batch
 rather than by how many batch sizes it has seen, and no model, geometry or
 batch size adds an arena — every zero frame is a cleared view of the one
-``frame`` arena.
+``frame`` arena.  The conv plans kept beside the arenas are built once per
+geometry and only ever hold views of the arenas the pool holds now.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.tensor.backend import (
     _BATCH_OUTER,
     _CONV_COLS_FLOATS,
     _SCRATCH,
+    _Gather,
     _ScratchPool,
     _zero_framed,
 )
@@ -122,6 +126,105 @@ def test_every_tag_is_one_of_the_seven_literals(clean_global_pool):
     assert {"frame", "conv_cols", "bn_gx", "lamb_den"} <= tags
     assert tags <= {"conv_cols", "conv_outT", "frame", "bn_gx", "col2im", "segnorm_sq", "lamb_den"}
     assert len(clean_global_pool) == len(tags)  # float32 throughout: one arena per tag
+
+
+def _plan_views(plan):
+    """Every array a plan holds."""
+    for step in plan:
+        held = [getattr(step[2], name) for name in _Gather.__slots__] + list(step[3:])
+        yield from (a for a in held if isinstance(a, np.ndarray))
+
+
+def _conv(x, weight, want_ctx=False):
+    return backend.get("fast").conv2d_forward(x, weight, None, 1, 1, 1, want_ctx)
+
+
+class TestPlans:
+    def test_one_geometry_repeated_builds_one_plan(self, clean_global_pool):
+        data = np.random.default_rng(0)
+        x = data.standard_normal((2, 16, 8, 8)).astype(np.float32)
+        w = data.standard_normal((8, 16, 3, 3)).astype(np.float32)
+        first, _ = _conv(x, w)
+        plans = dict(clean_global_pool._plans)
+        assert len(plans) == 1
+        for want_ctx in (False, True, False):  # with or without ctx: the one plan
+            again, _ = _conv(x, w, want_ctx)
+            assert np.array_equal(again, first)
+        assert clean_global_pool._plans == plans
+        assert all(clean_global_pool._plans[key] is plan for key, plan in plans.items())
+
+        # A backward adds one weight-gradient and one input-gradient plan.  Its
+        # first call grows conv_outT (16 output channels), which drops the
+        # plans built before: the second round rebuilds them once.
+        be = backend.get("fast")
+        g = data.standard_normal(first.shape).astype(np.float32)
+        grads = be.conv2d_backward(g, _conv(x, w, True)[1], True, True, True)
+        be.conv2d_backward(g, _conv(x, w, True)[1], True, True, True)
+        plans = dict(clean_global_pool._plans)
+        assert len(plans) == 3
+        for _ in range(3):
+            out, ctx = _conv(x, w, True)
+            again = be.conv2d_backward(g, ctx, True, True, True)
+            assert np.array_equal(out, first)
+            assert all(np.array_equal(a, b) for a, b in zip(again, grads))
+        assert all(clean_global_pool._plans[key] is plan for key, plan in plans.items())
+        assert len(clean_global_pool._plans) == 3
+
+    def test_a_grown_arena_dies_with_the_plans_that_viewed_it(self, clean_global_pool):
+        data = np.random.default_rng(1)
+        x = data.standard_normal((1, 8, 4, 4)).astype(np.float32)
+        w = data.standard_normal((4, 8, 3, 3)).astype(np.float32)
+        first, _ = _conv(x, w)
+        old = weakref.ref(clean_global_pool._arenas["conv_cols", "<f4"])
+        big = data.standard_normal((2, 16, 16, 16)).astype(np.float32)
+        _conv(big, data.standard_normal((4, 16, 3, 3)).astype(np.float32))
+        assert old() is None, "a plan kept the replaced conv_cols arena alive"
+        assert np.array_equal(_conv(x, w)[0], first)
+
+    def test_no_replaced_arena_outlives_its_replacement(self, clean_global_pool, monkeypatch):
+        """Whenever the pool hands out a view, every arena it replaced before is
+        already freed: no plan keeps one alive, not even one a caller is still
+        holding while the next conv's plan grows an arena."""
+        replaced, get = [], backend._scratch
+
+        def checked_get(tag, shape, dtype):
+            assert all(ref() is None for ref in replaced), "a replaced arena is alive"
+            key = (tag, np.dtype(dtype).str)
+            old = clean_global_pool._arenas.get(key)
+            view = get(tag, shape, dtype)
+            if old is not None and clean_global_pool._arenas[key] is not old:
+                replaced.append(weakref.ref(old))
+            return view
+
+        monkeypatch.setattr(backend, "_scratch", checked_get)
+        # The input gradient gathers 16 channels where the forward and the
+        # weight gradient gathered 4: it grows conv_cols right after gw.
+        data = np.random.default_rng(3)
+        x = data.standard_normal((2, 4, 8, 8)).astype(np.float32)
+        out, ctx = _conv(x, data.standard_normal((16, 4, 3, 3)).astype(np.float32), True)
+        backend.get("fast").conv2d_backward(np.ones_like(out), ctx, True, True, True)
+        with backend.use("fast"):
+            _train_step(_hybrid_vgg19(), FusedSGD, lr=0.01, momentum=0.9)()
+        assert len(replaced) > 1
+
+    def test_training_and_serving_keep_one_arena_per_tag(self, clean_global_pool):
+        """A VGG-19 batch-32 step, then ResNet-18 eval at batches 1, 2 and 8:
+        still one arena per tag, and every view a plan holds is of one of them."""
+        data = np.random.default_rng(2)
+        with backend.use("fast"):
+            _train_step(_hybrid_vgg19(), FusedSGD, batch=32, lr=0.01, momentum=0.9)()
+            model = _hybrid_resnet18()
+            model.eval()
+            for batch in (1, 2, 8):
+                with no_grad():
+                    model(Tensor(data.standard_normal((batch, 3, 32, 32)).astype(np.float32)))
+        tags = [tag for tag, _ in clean_global_pool._arenas]
+        assert len(tags) == len(set(tags))
+        arenas = list(clean_global_pool.values())
+        assert clean_global_pool._plans
+        for plan in clean_global_pool._plans.values():
+            for view in _plan_views(plan):
+                assert any(np.may_share_memory(view, a) for a in arenas)
 
 
 def _serve_batches_1_to_8(pool, model):
