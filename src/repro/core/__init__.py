@@ -41,6 +41,8 @@ from .tucker import (
     mode_fold,
 )
 from .materialize import materialize_layer, materialize_hybrid
+from .fold import fold_batchnorm, folded_pairs, sequential_conv_bn_pairs
+from ..nn.module import FoldedModelError
 
 __all__ = [
     "LowRankLinear",
@@ -81,4 +83,8 @@ __all__ = [
     "mode_fold",
     "materialize_layer",
     "materialize_hybrid",
+    "fold_batchnorm",
+    "folded_pairs",
+    "sequential_conv_bn_pairs",
+    "FoldedModelError",
 ]

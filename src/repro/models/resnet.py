@@ -16,6 +16,7 @@ only the ``conv5_x`` stage *including* its downsample projection.
 
 from __future__ import annotations
 
+from ..core.fold import sequential_conv_bn_pairs
 from ..core.hybrid import FactorizationConfig, factorizable_leaves
 from ..nn import (
     BatchNorm2d,
@@ -39,6 +40,16 @@ __all__ = [
     "resnet18_hybrid_config",
     "resnet50_hybrid_config",
 ]
+
+
+def _block_pairs(block, n_convs: int) -> list:
+    """``convK`` -> ``bnK`` for K = 1..n_convs, then the downsample's pair."""
+    pairs = [
+        (getattr(block, f"conv{k}"), getattr(block, f"bn{k}")) for k in range(1, n_convs + 1)
+    ]
+    if block.downsample is not None:
+        pairs += sequential_conv_bn_pairs(block.downsample)
+    return pairs
 
 
 class BasicBlock(Module):
@@ -66,6 +77,10 @@ class BasicBlock(Module):
         out = self.bn2(self.conv2(out))
         shortcut = x if self.downsample is None else self.downsample(x)
         return self.relu(out + shortcut)
+
+    def conv_bn_pairs(self):
+        """The (conv, BN) pairs :func:`repro.core.fold_batchnorm` folds."""
+        return _block_pairs(self, 2)
 
 
 class Bottleneck(Module):
@@ -101,6 +116,10 @@ class Bottleneck(Module):
         out = self.bn3(self.conv3(out))
         shortcut = x if self.downsample is None else self.downsample(x)
         return self.relu(out + shortcut)
+
+    def conv_bn_pairs(self):
+        """The (conv, BN) pairs :func:`repro.core.fold_batchnorm` folds."""
+        return _block_pairs(self, 3)
 
 
 class ResNet(Module):
@@ -172,6 +191,10 @@ class ResNet(Module):
         out = self.stem(x)
         out = self.layer4(self.layer3(self.layer2(self.layer1(out))))
         return self.fc(self.pool(out))
+
+    def conv_bn_pairs(self):
+        """The stem's (conv, BN) pair; each block declares its own."""
+        return sequential_conv_bn_pairs(self.stem)
 
 
 def resnet18(num_classes: int = 10, width_mult: float = 1.0, small_input: bool = True) -> ResNet:

@@ -9,6 +9,7 @@ everything earlier full-rank.
 
 from __future__ import annotations
 
+from ..core.fold import sequential_conv_bn_pairs
 from ..core.hybrid import FactorizationConfig
 from ..nn import (
     BatchNorm2d,
@@ -94,6 +95,10 @@ class VGG(Module):
     def forward(self, x):
         return self.classifier(self.features(x))
 
+    def conv_bn_pairs(self):
+        """The (conv, BN) pairs :func:`repro.core.fold_batchnorm` folds."""
+        return sequential_conv_bn_pairs(self.features)
+
 
 def vgg11(num_classes: int = 10, width_mult: float = 1.0, in_size: int = 32) -> VGG:
     """VGG-11-BN (used in Fig. 2a's from-scratch low-rank study)."""
@@ -150,6 +155,10 @@ class VGGLTH(Module):
 
     def forward(self, x):
         return self.classifier(self.features(x))
+
+    def conv_bn_pairs(self):
+        """The (conv, BN) pairs :func:`repro.core.fold_batchnorm` folds."""
+        return sequential_conv_bn_pairs(self.features)
 
 
 def vgg19_lth(num_classes: int = 10, width_mult: float = 1.0) -> VGGLTH:

@@ -18,6 +18,12 @@ class Conv2d(Module):
     asymmetric (per-axis) zero padding.
     """
 
+    # The kernel and bias with the next BatchNorm folded in
+    # (:func:`repro.core.fold_batchnorm`): plain tensors, not parameters, so
+    # the state dict still holds the trained weights.
+    folded_weight: Tensor | None = None
+    folded_bias: Tensor | None = None
+
     def __init__(
         self,
         in_channels: int,
@@ -43,6 +49,10 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
+        if self.folded_weight is not None:
+            return conv2d(
+                x, self.folded_weight, self.folded_bias, stride=self.stride, padding=self.padding
+            )
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def __repr__(self) -> str:

@@ -17,7 +17,14 @@ import numpy as np
 from ..observability import trace as _trace
 from ..tensor import Tensor
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "FoldedModelError"]
+
+
+class FoldedModelError(RuntimeError):
+    """Training or loading weights into a model whose BatchNorms were folded
+    into its convs for serving (:func:`repro.core.fold_batchnorm`).  The
+    folded kernels are derived from the parameters once, so either would
+    leave the model computing something its state dict does not say."""
 
 
 class Parameter(Tensor):
@@ -41,6 +48,9 @@ class Module:
     serialization, e.g. BatchNorm running statistics) and child modules as
     attributes; registration is automatic.
     """
+
+    # True on every module of a :func:`repro.core.fold_batchnorm` copy.
+    folded = False
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -130,7 +140,10 @@ class Module:
     # ------------------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        for mod in self.modules():
+        mods = list(self.modules())
+        if mode:
+            _refuse_folded(mods, "train(True)")
+        for mod in mods:
             object.__setattr__(mod, "training", mode)
         return self
 
@@ -158,6 +171,7 @@ class Module:
         return out
 
     def load_state_dict(self, state: dict, strict: bool = True) -> None:
+        _refuse_folded(self.modules(), "load_state_dict")
         params = dict(self.named_parameters())
         buffers = dict(self.named_buffers())
         for key, value in state.items():
@@ -210,3 +224,11 @@ class Module:
             lines.append(f"  ({name}): {child}")
         lines.append(")")
         return "\n".join(lines) if len(lines) > 2 else self.__class__.__name__ + "()"
+
+
+def _refuse_folded(mods, what: str) -> None:
+    if any(mod.folded for mod in mods):
+        raise FoldedModelError(
+            f"{what} on a model with BatchNorm folded into its convs for "
+            "serving; train or load the unfolded model and fold it again"
+        )

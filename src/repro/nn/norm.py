@@ -93,7 +93,13 @@ class _BatchNormBase(Module):
 class BatchNorm2d(_BatchNormBase):
     """BatchNorm over NCHW feature maps (per-channel statistics)."""
 
+    # Folded into the conv before it (:func:`repro.core.fold_batchnorm`):
+    # that conv already applies this layer's eval affine map.
+    absorbed = False
+
     def forward(self, x: Tensor) -> Tensor:
+        if self.absorbed:
+            return x
         return self._normalize(x, axes=(0, 2, 3), shape=(1, self.num_features, 1, 1))
 
     def __repr__(self) -> str:
