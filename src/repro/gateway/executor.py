@@ -130,6 +130,7 @@ class ModelExecutor:
             "variant": self.served.variant,
             "params": int(self.served.params),
             "macs": int(self.served.macs),
+            "bn_folded": int(self.served.bn_folded),
             "input_spec": self.spec.to_dict(),
         }
         if self.served.lineage:

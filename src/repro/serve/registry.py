@@ -9,6 +9,10 @@ variant reports its parameter count and measured per-example MACs, which
 is exactly the quantity Pufferfish permanently shrinks (unlike
 gradient-compression schemes, which leave the served model full-rank).
 
+The served model is an eval-only copy with every BatchNorm that follows a
+conv folded into that conv (:func:`repro.core.fold_batchnorm`): the same
+state dict, less work per forward.
+
 Checkpoints saved by :func:`repro.utils.save_model` /
 :func:`~repro.utils.save_checkpoint` load into either variant; for
 ``factorized`` the architecture is hybridized first so a checkpoint from
@@ -161,6 +165,8 @@ class ServedModel:
     # Promotion provenance (checkpoint version, parent run, rank-map
     # digest, ...) when materialized from a promoted lifecycle artifact.
     lineage: dict | None = None
+    # (conv, BatchNorm) pairs folded into the served copy of the model.
+    bn_folded: int = 0
 
     def __post_init__(self) -> None:
         if self.input_spec is None:
@@ -177,6 +183,7 @@ class ServedModel:
             "variant": self.variant,
             "params": self.params,
             "macs": self.macs,
+            "bn_folded": self.bn_folded,
             "input": self.input_spec.to_dict(),
         }
         if self.factorization:
@@ -237,7 +244,7 @@ class ModelRegistry:
         if cached is not None:
             return cached
 
-        from ..core import build_hybrid
+        from ..core import build_hybrid, fold_batchnorm, folded_pairs
         from ..metrics import measure_macs
         from ..utils import set_seed
 
@@ -274,15 +281,21 @@ class ModelRegistry:
         model.eval()
         spec = input_spec_for(name)
         example = spec.example_batch(1, np.random.default_rng(0))
+        # Costs are the trained architecture's; the fold only changes how
+        # the served copy computes the same function.
+        params = int(model.num_parameters())
+        macs = int(measure_macs(model, *example))
+        model = fold_batchnorm(model)
         served = ServedModel(
             name=name,
             variant=variant,
             model=model,
-            params=int(model.num_parameters()),
-            macs=int(measure_macs(model, *example)),
+            params=params,
+            macs=macs,
             input_shape=spec.shape,
             factorization=factorization,
             input_spec=spec,
+            bn_folded=folded_pairs(model),
             # Expose digests, not the full rank map — /v1/model stays small.
             lineage={k: v for k, v in lineage.items() if k != "rank_map"}
             if lineage

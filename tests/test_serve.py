@@ -410,3 +410,36 @@ class TestSequenceServing:
         report = ServeSimulator(profile, ServeConfig(slo_s=10.0)).run(arrivals, 1.0)
         assert report.n_requests == len(arrivals)
         assert report.n_completed + report.n_shed == report.n_requests
+
+
+class TestServedFold:
+    """``materialize`` serves the BatchNorm-folded copy of the model it
+    built; its costs are the trained architecture's."""
+
+    def test_factorized_resnet18_folds_every_pair(self):
+        from repro.core import FoldedModelError
+        from repro.serve import default_registry
+
+        served = default_registry().materialize("resnet18", "factorized", width=0.25)
+        assert served.bn_folded == 20
+        assert served.describe()["bn_folded"] == 20
+        with pytest.raises(FoldedModelError):
+            served.model.train()
+
+    def test_mlp_has_nothing_to_fold(self):
+        from repro.serve import default_registry
+
+        served = default_registry().materialize("mlp", "full", width=0.25)
+        assert served.describe()["bn_folded"] == 0
+
+    def test_params_and_macs_count_the_unfolded_model(self):
+        from repro.metrics import measure_macs
+        from repro.serve import build_model, default_registry, input_spec_for
+        from repro.utils import set_seed
+
+        served = default_registry().materialize("vgg11", "full", width=0.25)
+        set_seed(0)
+        model = build_model("vgg11", 4, 0.25)
+        example = input_spec_for("vgg11").example_batch(1, np.random.default_rng(0))
+        assert served.params == model.num_parameters()
+        assert served.macs == measure_macs(model, *example)
