@@ -107,10 +107,6 @@ class Host:
     def mem_free(self) -> int:
         return self.spec.mem_bytes - self.mem_used
 
-    @property
-    def rps_free(self) -> float:
-        return self.spec.compute_rps - self.rps_used
-
     def count_of(self, key: str) -> int:
         return sum(1 for r in self.replicas if r.key == key)
 

@@ -7,23 +7,29 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import LowRankConv2d, LowRankLinear
+from repro.core import LowRankConv2d, LowRankLinear, LowRankLSTMLayer
 from repro.metrics import (
     accuracy,
+    attention_macs,
     attention_params,
     conv_macs,
     conv_params,
     corpus_bleu,
     fc_macs,
     fc_params,
+    ffn_macs,
     ffn_params,
+    lowrank_attention_macs,
     lowrank_attention_params,
     lowrank_conv_macs,
     lowrank_conv_params,
     lowrank_fc_macs,
     lowrank_fc_params,
+    lowrank_ffn_macs,
     lowrank_ffn_params,
+    lowrank_lstm_macs,
     lowrank_lstm_params,
+    lstm_macs,
     lstm_params,
     measure_macs,
     perplexity,
@@ -87,6 +93,71 @@ class TestMeasuredMacs:
         assert measure_macs(v, x) / 1e9 == pytest.approx(0.4, abs=0.01)
         h, _ = build_hybrid(v, vgg19_hybrid_config())
         assert measure_macs(h, x) / 1e9 == pytest.approx(0.29, abs=0.01)
+
+
+# Table 1's sequence rows: p heads of dimension d over n tokens; one LSTM step
+# with d = h.
+P, D, N, H = 8, 64, 10, 96
+PD = P * D
+
+
+class _PerHeadLowRank(nn.Module):
+    """A pd -> pd projection factorized head by head, as Table 1 counts it:
+    p rank-r maps pd -> d side by side.  (The hybrid Transformer factorizes
+    the stacked projection as one LowRankLinear, the fc row's form.)"""
+
+    def __init__(self, r: int):
+        super().__init__()
+        self.heads = nn.ModuleList(LowRankLinear(PD, D, r, bias=False) for _ in range(P))
+
+    def forward(self, x):
+        return Tensor.concat([head(x) for head in self.heads], axis=-1)
+
+
+def _lowrank_attention(r: int):
+    mha = nn.MultiHeadAttention(PD, P)
+    mha.wq, mha.wk, mha.wv = (_PerHeadLowRank(r) for _ in range(3))
+    mha.wo = LowRankLinear(PD, PD, r)
+    return mha
+
+
+def _lowrank_ffn(r: int):
+    ffn = nn.PositionwiseFFN(PD, 4 * PD)
+    ffn.layer1 = LowRankLinear(PD, 4 * PD, r)
+    ffn.layer2 = LowRankLinear(4 * PD, PD, r)
+    return ffn
+
+
+def _tokens(shape):
+    return Tensor(np.zeros(shape, dtype=np.float32))
+
+
+_STEP, _SEQ = (1, 1, H), (1, N, PD)
+# name -> (module builder, inputs, closed form)
+SEQUENCE_ROWS = {
+    "lstm": (lambda: nn.LSTMLayer(H, H), [_STEP], lstm_macs(H, H)),
+    "lowrank_lstm": (lambda: LowRankLSTMLayer(H, H, 24), [_STEP], lowrank_lstm_macs(H, H, 24)),
+    "attention": (lambda: nn.MultiHeadAttention(PD, P), [_SEQ] * 3, attention_macs(P, D, N)),
+    "lowrank_attention": (
+        lambda: _lowrank_attention(16), [_SEQ] * 3, lowrank_attention_macs(P, D, N, 16)
+    ),
+    "ffn": (lambda: nn.PositionwiseFFN(PD, 4 * PD), [_SEQ], ffn_macs(P, D, N)),
+    "lowrank_ffn": (lambda: _lowrank_ffn(128), [_SEQ], lowrank_ffn_macs(P, D, N, 128)),
+}
+
+
+class TestTable1SequenceMacs:
+    """The LSTM / attention / FFN closed forms against one measured forward."""
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_ROWS))
+    def test_formula_matches_measured(self, name):
+        build, shapes, formula = SEQUENCE_ROWS[name]
+        assert measure_macs(build(), *map(_tokens, shapes)) == formula
+
+    def test_paper_scale_values(self):
+        assert lstm_macs(H, H) == 73_728
+        assert attention_macs(P, D, N) == 10_588_160
+        assert ffn_macs(P, D, N) == 20_971_520
 
 
 class TestTable1Formulas:
