@@ -41,7 +41,7 @@ from .tucker import (
     mode_fold,
 )
 from .materialize import materialize_layer, materialize_hybrid
-from .fold import fold_batchnorm, folded_pairs, sequential_conv_bn_pairs
+from .fold import fold_batchnorm, folded_pairs
 from ..nn.module import FoldedModelError
 
 __all__ = [
@@ -85,6 +85,5 @@ __all__ = [
     "materialize_hybrid",
     "fold_batchnorm",
     "folded_pairs",
-    "sequential_conv_bn_pairs",
     "FoldedModelError",
 ]

@@ -156,10 +156,6 @@ class VGGLTH(Module):
     def forward(self, x):
         return self.classifier(self.features(x))
 
-    def conv_bn_pairs(self):
-        """The (conv, BN) pairs :func:`repro.core.fold_batchnorm` folds."""
-        return sequential_conv_bn_pairs(self.features)
-
 
 def vgg19_lth(num_classes: int = 10, width_mult: float = 1.0) -> VGGLTH:
     """VGG-19 with a single FC head, matching open_lth (appendix Table 18)."""
