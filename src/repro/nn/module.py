@@ -140,10 +140,9 @@ class Module:
     # ------------------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        mods = list(self.modules())
         if mode:
-            _refuse_folded(mods, "train(True)")
-        for mod in mods:
+            _refuse_folded(self.modules(), "train(True)")
+        for mod in self.modules():
             object.__setattr__(mod, "training", mode)
         return self
 
