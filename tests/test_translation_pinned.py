@@ -1,11 +1,19 @@
-"""Characterization of ``repro train --task transformer``: one pinned digest per run.
+"""Characterization of ``repro train``: one pinned digest per run.
 
 Every row runs the CLI end to end (Algorithm 1 under ``--method pufferfish``:
 warm-up, truncated-SVD conversion, low-rank fine-tuning) and hashes every
 array of the checkpoint it writes — the trained weights and the metadata
-record that carries the greedy-decode BLEU.  A change to how the translation
-task is trained or evaluated that keeps these digests trains the same weights
-to the bit and reports the same score.
+record that carries the score.  Most rows are ``--task transformer`` (Adam or
+LAMB, greedy-decode BLEU); ``cifar-amp`` is the image task under the AMP
+emulation with momentum SGD.  A change to how a task is trained or evaluated
+that keeps these digests trains the same weights to the bit and reports the
+same score.
+
+The Adam rows run on whichever backend is active: every op they reach is
+``bit-exact`` in :data:`repro.tensor.backend.PARITY`, so one digest binds
+both.  The ``lamb`` and ``cifar-amp`` rows reach ``tolerance``-tagged ops
+(LAMB's segmented norms, the fast conv kernels) and are pinned once per
+backend.
 
 Bytes depend on the BLAS kernels NumPy dispatches to, so the table binds only
 where ``test_forward_frozen``'s ``PLATFORM_CANARY`` does.
@@ -23,30 +31,50 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.tensor import backend
 from repro.utils import canonical_digest
 
 from .test_forward_frozen import PLATFORM_CANARY, _sha, platform_canary
 
-ARGV = [
+TRANSLATION = [
     "train", "--task", "transformer", "--epochs", "3", "--warmup-epochs", "1",
     "--samples", "96", "--batch-size", "32", "--seed", "1",
 ]
+AMP = [
+    "train", "--model", "vgg11", "--amp", "--epochs", "2", "--warmup-epochs", "1",
+    "--samples", "64", "--batch-size", "16", "--seed", "1",
+]
+# name -> (argv, backend to run under; None = the active one)
 CONFIGS = {
-    f"{method}{'-fused' if fused else ''}": ["--method", method] + (["--fused"] if fused else [])
+    f"{method}{'-fused' if fused else ''}": (
+        TRANSLATION + ["--method", method] + (["--fused"] if fused else []), None
+    )
     for method in ("vanilla", "pufferfish")
     for fused in (False, True)
 }
+for _be in ("numpy", "fast"):
+    CONFIGS[f"lamb-{_be}"] = (TRANSLATION + ["--optimizer", "lamb"], _be)
+    CONFIGS[f"lamb-fused-{_be}"] = (TRANSLATION + ["--optimizer", "lamb", "--fused"], _be)
+    CONFIGS[f"cifar-amp-{_be}"] = (AMP, _be)
 
 
-def run_config(extra: list[str], directory: Path) -> dict:
-    ckpt = directory / "translation.npz"
-    assert main(ARGV + extra + ["--checkpoint", str(ckpt)]) == 0
+def run_config(config: tuple, directory: Path) -> dict:
+    argv, be = config
+    ckpt = directory / "train.npz"
+    with backend.use(be or backend.active().name):
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 0
     with np.load(ckpt) as data:
         return {key: _sha(data[key]) for key in data.files}
 
 
 # fmt: off
 PINNED = {
+    "cifar-amp-fast": "43518a0a05959ca1",
+    "cifar-amp-numpy": "5e1391803d754849",
+    "lamb-fast": "81310d9d05fb19b2",
+    "lamb-fused-fast": "5b619da1a2ea8efe",
+    "lamb-fused-numpy": "81310d9d05fb19b2",
+    "lamb-numpy": "81310d9d05fb19b2",
     "pufferfish": "f3ec3029e68f2a96",
     "pufferfish-fused": "f3ec3029e68f2a96",
     "vanilla": "a07f6e79abea13e1",
