@@ -85,10 +85,6 @@ class BandwidthTrace:
                 return bw
         return self.segments[-1][1]
 
-    def mean_inverse_bandwidth(self) -> float:
-        """Time-averaged ``1/B`` — what cumulative comm time scales with."""
-        return sum(frac / bw for frac, bw in self.segments)
-
 
 def effective_epoch_times(
     comm_seconds_at_nominal: float,

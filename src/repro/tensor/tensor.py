@@ -725,12 +725,3 @@ class Tensor:
     @staticmethod
     def ones(*shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(
-        *shape, rng: np.random.Generator | None = None, requires_grad: bool = False
-    ) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(
-            rng.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad=requires_grad
-        )

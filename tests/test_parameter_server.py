@@ -61,10 +61,6 @@ class TestBandwidthTrace:
         with pytest.raises(ValueError):
             BandwidthTrace([(1.0, 0.0)])
 
-    def test_mean_inverse_bandwidth(self):
-        tr = BandwidthTrace([(0.5, 10.0), (0.5, 5.0)])
-        assert tr.mean_inverse_bandwidth() == pytest.approx(0.05 + 0.1)
-
     def test_progress_clamped(self):
         tr = BandwidthTrace([(1.0, 8.0)])
         assert tr.bandwidth_at(-1.0) == 8.0

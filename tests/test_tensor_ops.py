@@ -38,7 +38,6 @@ class TestConstruction:
     def test_constructors(self):
         assert Tensor.zeros(2, 3).data.sum() == 0
         assert Tensor.ones(2, 3).data.sum() == 6
-        assert Tensor.randn(4, 4).shape == (4, 4)
 
 
 class TestElementwise:
