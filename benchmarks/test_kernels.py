@@ -29,7 +29,7 @@ from harness import print_table, scaled_vgg19
 from repro.compression import EncodeResult, PowerSGD
 from repro.compression.base import exact_mean
 from repro.compression.powersgd import _as_matrix, _orthogonalize
-from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
+from repro.optim import LAMB, Adam
 from repro.tensor import Tensor, backend, functional, graph_nodes_created, max_pool2d
 from repro.tensor.backend import (
     PARITY,
@@ -39,7 +39,7 @@ from repro.tensor.backend import (
     conv_grad_atol,
 )
 from repro.utils import set_seed
-from tests.oracles import argmax_pool_oracle, exact_mean_oracle
+from tests.oracles import AdamLoop, LAMBLoop, argmax_pool_oracle, exact_mean_oracle
 
 KERNELS_FILE = "BENCH_kernels.json"
 REPEATS = 5
@@ -417,7 +417,7 @@ def _time_steps(opt, reps=7, steps=50) -> float:
 
 
 def _fused_step_case(name, loop_cls, fused_cls, match):
-    """FusedAdam/FusedLAMB vs the in-place per-tensor loop on a VGG-19
+    """Arena Adam/LAMB vs the in-place per-tensor loop on a VGG-19
     parameter set at CPU-scaled width: the loop is dispatch-bound (~12
     numpy call sites per tensor per step, ~54 tensors), which is exactly
     what the arena collapses into one dispatched vector chain."""
@@ -463,11 +463,11 @@ def _fused_step_case(name, loop_cls, fused_cls, match):
 
 
 def test_fused_adam_step_speedup():
-    _fused_step_case("adam", Adam, FusedAdam, "bit-exact")
+    _fused_step_case("adam", AdamLoop, Adam, "bit-exact")
 
 
 def test_fused_lamb_step_speedup():
-    _fused_step_case("lamb", LAMB, FusedLAMB, "tolerance")
+    _fused_step_case("lamb", LAMBLoop, LAMB, "tolerance")
 
 
 def _linear_case(name, rng, shape, params, composite, fused):

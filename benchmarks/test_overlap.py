@@ -38,8 +38,9 @@ from repro.distributed import (
     ring_allreduce_time,
 )
 from repro.models import MLP
-from repro.optim import SGD, FusedSGD
+from repro.optim import SGD
 from repro.utils import set_seed
+from tests.oracles import SGDLoop
 
 OVERLAP_BENCH_FILE = "BENCH_overlap.json"
 
@@ -81,8 +82,8 @@ def test_fused_sgd_speedup(benchmark):
     set_seed(0)
     fused_model = scaled_vgg19(width=width)
     kwargs = dict(lr=0.05, momentum=0.9, weight_decay=1e-4)
-    loop_opt = SGD(loop_model.parameters(), **kwargs)
-    fused_opt = FusedSGD(fused_model.parameters(), **kwargs)
+    loop_opt = SGDLoop(loop_model.parameters(), **kwargs)
+    fused_opt = SGD(fused_model.parameters(), **kwargs)
     fused_opt._ensure_arena()  # exclude one-time arena build from timing
     # Identical grads on both sides, set once outside the timed region
     # (the trajectories stay in lockstep, so bit-exactness still holds).
@@ -145,7 +146,7 @@ def test_overlap_hides_communication(benchmark):
 
     trainer = DistributedTrainer(
         model,
-        FusedSGD(model.parameters(), lr=0.05, momentum=0.9),
+        SGD(model.parameters(), lr=0.05, momentum=0.9),
         cluster,
         overlap=True,
         bucket_mb=4.0,

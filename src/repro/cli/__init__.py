@@ -40,7 +40,7 @@ loadtest client errors) · **2** bad configuration — commands *raise*, and
 Examples::
 
     python -m repro train --model resnet18 --method pufferfish --epochs 10
-    python -m repro train --task transformer --optimizer adam --fused --epochs 6
+    python -m repro train --task transformer --optimizer adam --epochs 6
     python -m repro factorize --model vgg19 --rank-ratio 0.25
     python -m repro simulate --model resnet18 --nodes 8 --compressor powersgd
     python -m repro profile quickstart --out trace.json

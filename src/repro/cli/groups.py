@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core import PufferfishTrainer
 from ..data import DataLoader, make_cifar_like
-from ..optim import LAMB, SGD, Adam, FusedAdam, FusedLAMB, FusedSGD
+from ..optim import LAMB, SGD, Adam
 from ..tensor import backend as tensor_backend
 
 MODELS = ("mlp", "vgg11", "vgg19", "resnet18", "resnet50", "wideresnet50")
@@ -151,13 +151,11 @@ def add_optimizer_args(p, *, optimizer, optimizer_help: str) -> None:
 
 
 def optimizer_factory_from_args(args, default: str = "sgd", weight_decay: float = 1e-4):
-    """``params -> optimizer`` for ``--optimizer/--lr/--fused``.  All three
-    loop/fused pairs share semantics (SGD/Adam bit-exact, LAMB within its
-    tolerance tag); ``weight_decay`` is the SGD recipe's, Adam/LAMB keep theirs."""
+    """``params -> optimizer`` for ``--optimizer/--lr``; ``weight_decay`` is
+    the SGD recipe's, Adam/LAMB keep theirs."""
     name = args.optimizer or default
     lr = args.lr if args.lr is not None else _OPT_DEFAULT_LR[name]
-    pair = {"sgd": (SGD, FusedSGD), "adam": (Adam, FusedAdam), "lamb": (LAMB, FusedLAMB)}[name]
-    cls = pair[1] if args.fused else pair[0]
+    cls = {"sgd": SGD, "adam": Adam, "lamb": LAMB}[name]
     recipe = {"momentum": 0.9, "weight_decay": weight_decay} if name == "sgd" else {}
     return lambda ps: cls(ps, lr=lr, **recipe)
 

@@ -6,7 +6,6 @@ configured in exactly one place."""
 
 from __future__ import annotations
 
-import argparse
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def add_simulate_parser(sub):
     add_ddp_args(p, nodes=8, compressor="none", batch_size=16)
     p.add_argument("--bandwidth", type=float, default=0.3, help="Gbps per link")
     groups.add_optimizer_args(
-        p, optimizer="sgd", optimizer_help="composes with --fused and --compressor"
+        p, optimizer="sgd", optimizer_help="composes with --compressor"
     )
     p.add_argument("--noise", type=float, default=0.2)
     p.add_argument("--gpus-per-node", type=int, default=1,
@@ -130,9 +129,6 @@ def add_simulate_parser(sub):
                         "inter-node slow ring)")
     p.add_argument("--intra-bandwidth", type=float, default=100.0,
                    help="intra-node Gbps (hierarchical topology only)")
-    p.add_argument("--fused", action=argparse.BooleanOptionalAction, default=True,
-                   help="fused flat-arena optimizer updates (bit-exact for "
-                        "sgd/adam; --no-fused for the per-tensor loop)")
     p.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="fault-injection spec: JSON file/string or compact form, e.g. "
@@ -155,10 +151,6 @@ def run_simulate(args) -> int:
         model, report = build_hybrid(model, hybrid_config)
         print(f"pufferfish model: {report.compression:.2f}x smaller")
 
-    # The fused optimizers are the default fast path: every parameter
-    # receives an averaged gradient here, so FusedSGD/FusedAdam are
-    # bit-exact vs their per-tensor loops (FusedLAMB within its
-    # tolerance tag), whatever --compressor / --overlap say.
     opt = groups.optimizer_factory_from_args(args, weight_decay=0.0)(model.parameters())
     trainer, loaders = ddp_from_args(args, model, opt, cluster, noise=args.noise, faults=faults)
     try:

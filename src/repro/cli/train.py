@@ -35,10 +35,6 @@ def add_train_parser(sub):
     groups.add_loader_args(p, samples=512, batch_size=32)
     p.add_argument("--noise", type=float, default=0.2)
     p.add_argument("--amp", action="store_true", help="mixed-precision emulation")
-    p.add_argument("--fused", action="store_true",
-                   help="fused flat-arena optimizer updates (SGD/Adam bit-exact "
-                        "when every parameter gets a gradient, LAMB within its "
-                        "tolerance tag; incompatible with --amp)")
     p.add_argument("--checkpoint", default=None, help="write final .npz checkpoint")
     return p
 
@@ -75,10 +71,6 @@ def _epoch_lines():
 
 
 def run_train(args) -> int:
-    if args.fused and args.amp:
-        # The AMP cast round-trip rebinds every p.data each batch, which
-        # would rebuild the arena (and reset optimizer state) every step.
-        raise groups.ConfigError("--fused is incompatible with --amp")
     if args.task == "transformer" and args.amp:
         raise groups.ConfigError("--task transformer does not support --amp")
     opt_factory = groups.optimizer_factory_from_args(

@@ -75,10 +75,12 @@ def autocast_round_trip(model: Module) -> None:
 
     Emulates the numerics of running the forward pass in half precision:
     values are rounded to the nearest representable float16 and restored to
-    float32 master storage.
+    float32 master storage.  The values are written back into the same
+    arrays, so views into an optimizer's parameter arena stay aliased and
+    its state survives the round trip.
     """
     for p in model.parameters():
-        p.data = p.data.astype(np.float16).astype(np.float32)
+        p.data[...] = p.data.astype(np.float16)
 
 
 def cast_gradients_fp16(params: Iterable[Parameter]) -> None:

@@ -5,7 +5,7 @@ nets with many small tensors (a VGG-19 has ~80 parameter tensors, most of
 them tiny BatchNorm scales).  The arena copies every parameter into one
 contiguous buffer and rebinds each ``Parameter.data`` to a *view* of it,
 so a single vectorized update over the flat buffer moves every weight in
-the model — see :class:`repro.optim.FusedSGD`.
+the model — see :class:`repro.optim.Optimizer`.
 
 Gradients deliberately stay per-tensor: the autograd engine rebinds
 ``p.grad`` on first accumulation and ``zero_grad`` sets it back to
@@ -15,8 +15,8 @@ caller-owned flat buffer once per step (one sequential pass, no
 re-allocation).
 
 The arena stays valid as long as nobody rebinds ``p.data`` to a fresh
-array; code that must do so (e.g. the AMP cast round-trip) is detected by
-:meth:`intact` and consumers rebuild the arena lazily.
+array; code that does so (a second arena over the same parameters) is
+detected by :meth:`intact` and consumers rebuild the arena lazily.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class ParameterArena:
     def intact(self) -> bool:
         """True while every ``p.data`` is still a view of :attr:`flat`.
 
-        Anything that rebinds ``p.data`` (AMP's cast round-trip, a
-        non-in-place ``load_state_dict``) breaks the aliasing; consumers
+        Anything that rebinds ``p.data`` (a second arena over the same
+        parameters, a plain ``p.data = ...``) breaks the aliasing; consumers
         check this per step and rebuild lazily.
         """
         return all(
@@ -102,11 +102,3 @@ class ParameterArena:
             else:
                 seg[...] = p.grad.reshape(-1)
         return out
-
-    def scatter_grad(self, vec: np.ndarray) -> None:
-        """Point every ``p.grad`` at the matching slice of ``vec`` (views,
-        no copies — ``vec`` must stay alive until the step consumes it)."""
-        if vec.shape != (self.size,):
-            raise ValueError(f"gradient vector has shape {vec.shape}, need ({self.size},)")
-        for p, off, size in self.segments():
-            p.grad = vec[off : off + size].reshape(p.data.shape)

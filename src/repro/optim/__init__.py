@@ -1,10 +1,6 @@
 """Optimizers and LR schedules."""
 
-from .optimizer import Optimizer, clip_grad_norm
-from .sgd import SGD
-from .fused import FusedOptimizer, FusedSGD, FusedAdam, FusedLAMB
-from .adam import Adam
-from .lamb import LAMB
+from .optimizer import LAMB, SGD, Adam, Optimizer, clip_grad_norm
 from .lr_scheduler import (
     MultiStepLR,
     LinearWarmup,
@@ -13,16 +9,19 @@ from .lr_scheduler import (
     CosineAnnealingLR,
 )
 
+# The benchmark workloads import the arena optimizers under their former
+# names; SGD and Adam are those classes.
+FusedSGD = SGD
+FusedAdam = Adam
+
 __all__ = [
     "Optimizer",
     "clip_grad_norm",
     "SGD",
-    "FusedOptimizer",
-    "FusedSGD",
-    "FusedAdam",
-    "FusedLAMB",
     "Adam",
     "LAMB",
+    "FusedSGD",
+    "FusedAdam",
     "MultiStepLR",
     "LinearWarmup",
     "ReduceLROnPlateau",

@@ -661,8 +661,8 @@ class Backend:
 
         ``m``/``v`` are the flat first/second-moment slabs (updated in
         place), ``step`` is the 1-based shared step count, ``g`` may be
-        clobbered.  The elementwise chain is exactly the per-tensor
-        :class:`repro.optim.Adam` loop, only batched — bit-exact parity
+        clobbered.  The elementwise chain is exactly a per-tensor Adam
+        loop (``tests/oracles.py``), only batched — bit-exact parity
         is the contract (the fast backend reorders nothing, it only
         removes the temporaries).
         """

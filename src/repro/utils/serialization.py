@@ -1,8 +1,8 @@
 """Checkpointing: save/load model and optimizer state as ``.npz`` files.
 
 Keeps the whole training state restartable — model parameters and buffers,
-optimizer hyper-parameters and per-parameter state (momentum buffers, Adam
-moments), and arbitrary user metadata (epoch, best metric, ...).  Also home
+the optimizer's learning rate and flat state (momentum buffer, Adam moments,
+step count), and arbitrary user metadata (epoch, best metric, ...).  Also home
 of :func:`canonical_digest`, the canonical-JSON hash reports are compared by.
 """
 
@@ -58,22 +58,26 @@ def save_checkpoint(
     optimizer: Optimizer | None = None,
     **metadata,
 ) -> None:
-    """Write model + optimizer + JSON-serializable metadata to one .npz."""
+    """Write model + optimizer + JSON-serializable metadata to one .npz.
+
+    The optimizer section is its :meth:`~repro.optim.Optimizer.state_dict`:
+    flat state slabs as ``opt/<key>`` arrays, scalars (arena size, step
+    count, an unset momentum buffer) in the metadata record.
+    """
     arrays: dict[str, np.ndarray] = {
         f"model/{k}": v for k, v in model.state_dict().items()
     }
     meta: dict = {"metadata": metadata}
     if optimizer is not None:
-        meta["optimizer"] = {"lr": optimizer.lr, "type": type(optimizer).__name__}
-        # Optimizer state is keyed by parameter position (stable across a
-        # save/load as long as the parameter list order is unchanged).
-        for idx, p in enumerate(optimizer.params):
-            state = optimizer.state.get(id(p), {})
-            for key, value in state.items():
-                if isinstance(value, np.ndarray):
-                    arrays[f"opt/{idx}/{key}"] = value
-                else:
-                    meta.setdefault("opt_scalars", {})[f"{idx}/{key}"] = value
+        scalars = {}
+        for key, value in optimizer.state_dict().items():
+            if isinstance(value, np.ndarray):
+                arrays[f"opt/{key}"] = value
+            else:
+                scalars[key] = value
+        meta["optimizer"] = {
+            "lr": optimizer.lr, "type": type(optimizer).__name__, "state": scalars
+        }
     arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -122,18 +126,14 @@ def load_checkpoint(
     with np.load(path) as data:
         meta = json.loads(bytes(data[_META_KEY]).decode()) if _META_KEY in data.files else {}
         state = {k[len("model/"):]: data[k] for k in data.files if k.startswith("model/")}
+        if optimizer is not None and "optimizer" in meta:
+            # Loaded first: a section that does not fit raises before the
+            # model or the optimizer changes.
+            opt_state = dict(meta["optimizer"].get("state", {}))
+            opt_state.update(
+                {k[len("opt/"):]: data[k] for k in data.files if k.startswith("opt/")}
+            )
+            optimizer.load_state_dict(opt_state)
+            optimizer.lr = float(meta["optimizer"]["lr"])
         model.load_state_dict(state, strict=strict)
-        if optimizer is not None:
-            if "optimizer" in meta:
-                optimizer.lr = float(meta["optimizer"]["lr"])
-            for key in data.files:
-                if not key.startswith("opt/"):
-                    continue
-                _, idx, state_key = key.split("/", 2)
-                p = optimizer.params[int(idx)]
-                optimizer._state_for(p)[state_key] = data[key].copy()
-            for flat_key, value in meta.get("opt_scalars", {}).items():
-                idx, state_key = flat_key.split("/", 1)
-                p = optimizer.params[int(idx)]
-                optimizer._state_for(p)[state_key] = value
     return meta.get("metadata", {})

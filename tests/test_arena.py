@@ -1,5 +1,5 @@
-"""Flat parameter arena + fused SGD: aliasing and bit-exactness vs the
-per-tensor loop."""
+"""Flat parameter arena + arena SGD: aliasing and bit-exactness vs the
+per-tensor loop kept in ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ import pytest
 from repro import nn
 from repro.models import MLP
 from repro.nn import ParameterArena
-from repro.optim import SGD, FusedSGD
+from repro.optim import SGD
 from repro.tensor import Tensor
 from repro.utils import set_seed
+from tests.oracles import SGDLoop
 
 
 def small_model(seed=0):
@@ -58,7 +59,7 @@ class TestParameterArena:
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
 
-    def test_gather_and_scatter_grad(self):
+    def test_gather_grad(self):
         model = small_model()
         params = list(model.parameters())
         arena = ParameterArena(params)
@@ -68,16 +69,13 @@ class TestParameterArena:
         assert np.array_equal(vec[: arena.sizes[0]], np.zeros(arena.sizes[0], np.float32))
         off = arena.offsets[1]
         assert np.array_equal(vec[off : off + arena.sizes[1]], params[1].grad.reshape(-1))
-        arena.scatter_grad(vec)
-        assert params[0].grad.base is vec
-        assert np.array_equal(params[0].grad, np.zeros_like(params[0].data))
 
     def test_intact_detects_rebinding(self):
         model = small_model()
         params = list(model.parameters())
         arena = ParameterArena(params)
         assert arena.intact()
-        params[2].data = params[2].data.copy()  # what the AMP round-trip does
+        params[2].data = params[2].data.copy()
         assert not arena.intact()
 
     def test_load_state_dict_preserves_views(self):
@@ -101,10 +99,10 @@ class TestFusedSGD:
         # Exempt one parameter from decay, as BatchNorm scales are.
         list(m1.parameters())[1].no_decay = True
         list(m2.parameters())[1].no_decay = True
-        o1 = SGD(m1.parameters(), lr=0.05, momentum=momentum,
+        o1 = SGDLoop(m1.parameters(), lr=0.05, momentum=momentum,
+                     weight_decay=weight_decay, nesterov=nesterov)
+        o2 = SGD(m2.parameters(), lr=0.05, momentum=momentum,
                  weight_decay=weight_decay, nesterov=nesterov)
-        o2 = FusedSGD(m2.parameters(), lr=0.05, momentum=momentum,
-                      weight_decay=weight_decay, nesterov=nesterov)
         for step in range(5):
             fill_grads(m1, 100 + step)
             fill_grads(m2, 100 + step)
@@ -117,8 +115,8 @@ class TestFusedSGD:
         """Gradcheck-style: gradients from a real backward pass through the
         arena views drive the fused update to bit-identical weights."""
         m1, m2 = conv_model(3), conv_model(3)
-        o1 = SGD(m1.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
-        o2 = FusedSGD(m2.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+        o1 = SGDLoop(m1.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+        o2 = SGD(m2.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
         rng = np.random.default_rng(5)
         loss_fn = nn.CrossEntropyLoss()
         for _ in range(3):
@@ -134,8 +132,8 @@ class TestFusedSGD:
 
     def test_step_flat_matches_step(self):
         m1, m2 = small_model(11), small_model(11)
-        o1 = FusedSGD(m1.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
-        o2 = FusedSGD(m2.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+        o1 = SGD(m1.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+        o2 = SGD(m2.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
         arena2 = o2._ensure_arena()
         for step in range(3):
             fill_grads(m1, 50 + step)
@@ -147,11 +145,11 @@ class TestFusedSGD:
                 assert np.array_equal(a.data, b.data)
 
     def test_rebuild_after_external_rebind(self):
-        """Rebinding p.data (as AMP does) invalidates the arena; the next
+        """Rebinding p.data invalidates the arena; the next
         step rebuilds it and still matches the per-tensor loop (modulo the
         momentum reset both sides share via fresh optimizers)."""
         m1, m2 = small_model(13), small_model(13)
-        o2 = FusedSGD(m2.parameters(), lr=0.05)
+        o2 = SGD(m2.parameters(), lr=0.05)
         fill_grads(m2, 1)
         o2.step()
         first_arena = o2._arena
@@ -163,7 +161,7 @@ class TestFusedSGD:
         assert o2._arena is not first_arena
         assert o2._arena.intact()
         # Same two steps through the reference loop.
-        o1 = SGD(m1.parameters(), lr=0.05)
+        o1 = SGDLoop(m1.parameters(), lr=0.05)
         fill_grads(m1, 1)
         o1.step()
         fill_grads(m1, 2)
@@ -173,7 +171,7 @@ class TestFusedSGD:
 
     def test_rebind_drops_arena(self):
         m1, m2 = small_model(17), small_model(19)
-        opt = FusedSGD(m1.parameters(), lr=0.05, momentum=0.9)
+        opt = SGD(m1.parameters(), lr=0.05, momentum=0.9)
         fill_grads(m1, 1)
         opt.step()
         opt.rebind(m2.parameters())
@@ -184,7 +182,7 @@ class TestFusedSGD:
 
     def test_zero_grad_then_step_is_noop_without_decay(self):
         model = small_model(23)
-        opt = FusedSGD(model.parameters(), lr=0.05)
+        opt = SGD(model.parameters(), lr=0.05)
         opt.zero_grad()
         before = [p.data.copy() for p in model.parameters()]
         opt.step()  # all grads None -> gathered zeros -> no movement
@@ -193,7 +191,7 @@ class TestFusedSGD:
 
     def test_state_dict_round_trip_keeps_arena(self):
         model = small_model(29)
-        opt = FusedSGD(model.parameters(), lr=0.05)
+        opt = SGD(model.parameters(), lr=0.05)
         fill_grads(model, 1)
         opt.step()
         arena = opt._arena

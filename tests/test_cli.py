@@ -166,38 +166,24 @@ class TestSimulateOverlap:
         assert rc == 2
         assert "--gpus-per-node" in capsys.readouterr().err
 
-    def test_no_fused_flag_runs_per_tensor_path(self, capsys):
-        rc = main([
-            "simulate", "--model", "mlp", "--nodes", "2",
-            "--batch-size", "8", "--iterations", "1", "--no-fused",
-        ])
-        assert rc == 0
-
 
 class TestTrainFused:
+    """``repro train`` on the flat-arena (fused) optimizers."""
+
     def test_fused_training(self, capsys):
+        """AMP composes with the arena optimizer."""
         rc = main([
             "train", "--model", "mlp", "--method", "vanilla",
-            "--epochs", "1", "--samples", "64", "--batch-size", "32",
-            "--fused",
+            "--epochs", "1", "--samples", "64", "--batch-size", "32", "--amp",
         ])
         assert rc == 0
         assert "best val accuracy" in capsys.readouterr().out
-
-    def test_fused_rejects_amp(self, capsys):
-        rc = main([
-            "train", "--model", "mlp", "--method", "vanilla",
-            "--epochs", "1", "--samples", "64", "--batch-size", "32",
-            "--fused", "--amp",
-        ])
-        assert rc == 2
-        assert "amp" in capsys.readouterr().err
 
     def test_optimizer_defaults_per_task(self):
         args = build_parser().parse_args(["train"])
         assert args.task == "cifar" and args.optimizer is None and args.lr is None
 
-    @pytest.mark.parametrize("extra", [[], ["--fused"], ["--optimizer", "lamb"]])
+    @pytest.mark.parametrize("extra", [[], ["--optimizer", "sgd"], ["--optimizer", "lamb"]])
     def test_transformer_task(self, extra, capsys):
         rc = main([
             "train", "--task", "transformer", "--method", "vanilla",
@@ -211,7 +197,7 @@ class TestTrainFused:
         rc = main([
             "train", "--task", "transformer", "--method", "pufferfish",
             "--epochs", "2", "--warmup-epochs", "1", "--samples", "96",
-            "--batch-size", "32", "--fused",
+            "--batch-size", "32",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -233,7 +219,7 @@ class TestTrainFused:
         rc = main([
             "train", "--model", "mlp", "--method", "vanilla",
             "--epochs", "1", "--samples", "64", "--batch-size", "32",
-            "--optimizer", "adam", "--fused",
+            "--optimizer", "adam",
         ])
         assert rc == 0
         assert "best val accuracy" in capsys.readouterr().out
@@ -251,7 +237,7 @@ class TestSimulateOptimizers:
         assert "compute" in capsys.readouterr().out
 
     def test_fused_adam_with_compressor_overlap(self, capsys):
-        """--fused composes with --compressor on the allreduce-compatible
+        """Arena Adam composes with --compressor on the allreduce-compatible
         overlap path."""
         rc = main([
             "simulate", "--model", "mlp", "--nodes", "2",
@@ -262,14 +248,6 @@ class TestSimulateOptimizers:
         assert rc == 0
         out = capsys.readouterr().out
         assert "overlap:" in out and "buckets" in out
-
-    def test_loop_adam_simulation(self, capsys):
-        rc = main([
-            "simulate", "--model", "mlp", "--nodes", "2",
-            "--batch-size", "8", "--iterations", "1",
-            "--optimizer", "adam", "--no-fused",
-        ])
-        assert rc == 0
 
 
 class TestSimulateFaults:

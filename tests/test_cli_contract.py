@@ -73,8 +73,8 @@ PINNED = {
     "lifecycle run": "a71fac9151383658",
     "profile": "fc968b2b854f7658",
     "serve": "45c5e309a0fe3834",
-    "simulate": "b5bee91910b74211",
-    "train": "369fd560a4040605",
+    "simulate": "03519edd8a218a4d",
+    "train": "029ce4445ee35025",
 }
 
 

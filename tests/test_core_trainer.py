@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro import observability as obs
 from repro.core import FactorizationConfig, PufferfishTrainer, Trainer, seq2seq_batch
 from repro.data import DataLoader, make_translation_dataset
 from repro.metrics import evaluate_translation
@@ -35,6 +36,21 @@ class TestTrainer:
         t = Trainer(model, SGD(model.parameters(), lr=0.1, momentum=0.9))
         t.fit(loader, loader, epochs=5)
         assert t.history[-1].train_loss < t.history[0].train_loss
+
+    def test_amp_epoch_builds_the_arena_once(self, rng):
+        """The AMP round trip writes the fp16-rounded values back into the
+        parameter arrays, so the optimizer's arena (and its momentum) lives
+        through every step of the epoch."""
+        x, y = make_task(rng)
+        loader = DataLoader(x, y, 16, shuffle=True)
+        model = make_model()
+        t = Trainer(model, SGD(model.parameters(), lr=0.1, momentum=0.9), amp=True)
+        with obs.observe(tracing=False) as (_, registry):
+            registry.reset()
+            t.train_epoch(loader)
+            counters = registry.counters()
+        assert counters.get("arena.builds") == 1
+        assert counters.get("arena.rebuilds", 0) == 0
 
     def test_history_fields(self, rng):
         x, y = make_task(rng)

@@ -16,11 +16,11 @@ included, may rise above the level it starts or ends at by at most one
 worker's gradient plus the decoded output (two model sizes; holding all
 four workers' gradients at once needs four).
 
-The fused optimizers allocate only the arena-sized slabs an update reads: a
-``weight_decay=0`` update reads no decay mask, and ``FusedSGD`` without
-decay or Nesterov writes its final ``lr·d`` into the gradient it already
-overwrites.  The decay mask follows ``weight_decay`` when it changes, as
-the per-tensor loops do.
+The arena optimizers allocate only the arena-sized slabs an update reads: a
+``weight_decay=0`` update reads no decay mask, and ``SGD`` without decay or
+Nesterov writes its final ``lr·d`` into the gradient it already overwrites.
+The decay mask follows ``weight_decay`` when it changes, as the per-tensor
+loops in ``tests/oracles.py`` do.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from repro.compression import make_compressor
 from repro.data import DataLoader
 from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import MLP
-from repro.optim import LAMB, SGD, Adam, FusedAdam, FusedLAMB, FusedSGD
+from repro.optim import LAMB, SGD, Adam
 from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL
 from repro.utils import set_seed
+from tests.oracles import AdamLoop, LAMBLoop, SGDLoop
 
 WORLD = 4
 BATCH = 4
@@ -81,7 +82,10 @@ def iteration_rises(trainer, loaders, iterations: int) -> list[int]:
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
-@pytest.mark.parametrize("optimizer_cls", [SGD, FusedSGD])
+# A per-tensor optimizer reads every gradient in place, the arena gathers
+# them into its own buffer; the ids are the names the two had when both
+# lived in repro.optim.
+@pytest.mark.parametrize("optimizer_cls", [SGDLoop, SGD], ids=["SGD", "FusedSGD"])
 def test_an_iteration_holds_one_workers_gradient(optimizer_cls, overlap):
     model, trainer, loaders = powersgd_trainer(optimizer_cls, overlap)
     model_bytes = sum(p.data.nbytes for p in model.parameters())
@@ -115,13 +119,13 @@ def stepped(opt_cls, **kwargs):
 @pytest.mark.parametrize(
     "opt_cls,kwargs,slabs",
     [
-        (FusedSGD, {}, {"_grad_buf"}),
-        (FusedSGD, {"momentum": 0.9}, {"_grad_buf", "_momentum_buf"}),
-        (FusedSGD, {"momentum": 0.9, "nesterov": True}, {"_grad_buf", "_momentum_buf", "_tmp"}),
-        (FusedSGD, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_decay_mask"}),
-        (FusedAdam, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
-        (FusedAdam, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_m", "_v", "_decay_mask"}),
-        (FusedLAMB, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
+        (SGD, {}, {"_grad_buf"}),
+        (SGD, {"momentum": 0.9}, {"_grad_buf", "_momentum_buf"}),
+        (SGD, {"momentum": 0.9, "nesterov": True}, {"_grad_buf", "_momentum_buf", "_tmp"}),
+        (SGD, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_decay_mask"}),
+        (Adam, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
+        (Adam, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_m", "_v", "_decay_mask"}),
+        (LAMB, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
     ],
     ids=["sgd", "sgd-momentum", "sgd-nesterov", "sgd-decay", "adam", "adam-decay", "lamb"],
 )
@@ -129,7 +133,7 @@ def test_fused_optimizers_hold_only_the_slabs_an_update_reads(opt_cls, kwargs, s
     assert arena_slabs(stepped(opt_cls, **kwargs)) == slabs
 
 
-PAIRS = [(SGD, FusedSGD, {"momentum": 0.9}), (Adam, FusedAdam, {}), (LAMB, FusedLAMB, {})]
+PAIRS = [(SGDLoop, SGD, {"momentum": 0.9}), (AdamLoop, Adam, {}), (LAMBLoop, LAMB, {})]
 
 
 @pytest.mark.parametrize("loop_cls,fused_cls,kwargs", PAIRS, ids=["sgd", "adam", "lamb"])
@@ -153,7 +157,7 @@ def test_a_changed_weight_decay_reaches_the_fused_step(loop_cls, fused_cls, kwar
                 p.grad = g.copy()
             opt.step()
         for a, b in zip(loop.params, fused.params):
-            if fused_cls is FusedLAMB:
+            if fused_cls is LAMB:
                 np.testing.assert_allclose(b.data, a.data, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)
             else:
                 assert a.data.tobytes() == b.data.tobytes(), f"step {step} (wd={wd})"

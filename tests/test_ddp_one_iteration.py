@@ -10,11 +10,16 @@ it is refactored — a change that moves a digest changed numerics, fault
 draws or byte accounting, not just structure.
 
 Every row runs under each registered backend against the same digest: the
-MLP's ops (``linear``, ``bias_relu``, the fused optimizers' ``sgd_update``)
+MLP's ops (``linear``, ``bias_relu``, the arena optimizer's ``sgd_update``)
 are all ``bit-exact`` in :data:`repro.tensor.backend.PARITY`, so the table
 binds on the ``fast`` CI leg exactly as on the ``numpy`` ones.  Most rows
 train at batch 8; the ``-b32`` rows train at batch 32 with a 128-wide first
 layer, the ``32 × 3072 → 128`` forward GEMM of ``ddp_factorized``.
+
+Every row steps :class:`repro.optim.SGD` with momentum.  The table once
+ran each of eight rows twice, under the per-tensor SGD loop and under the
+arena optimizer, against one digest; the loop is gone, and the ``loop``
+field every row id still carries is that recorded column.
 
 Parameter bytes depend on the BLAS kernels NumPy dispatches to, so the
 table only binds on the platform it was recorded on: ``PLATFORM_CANARY``
@@ -43,7 +48,7 @@ from repro.distributed import (
 )
 from repro.models import MLP
 from repro.nn import CrossEntropyLoss
-from repro.optim import SGD, FusedSGD
+from repro.optim import SGD
 from repro.tensor import Tensor, backend
 from repro.utils import canonical_digest, set_seed
 
@@ -72,35 +77,33 @@ HIDDEN = {8: [64, 32], 32: [128, 32]}
 
 
 def _configs() -> list[tuple]:
-    """(compressor, overlap, faults, fused, flat_allreduce, cluster, batch) rows."""
+    """(compressor, overlap, faults, flat_allreduce, cluster, batch) rows."""
     rows = []
     for comp in (*OVERLAPPABLE, "topk", "signum"):
         for overlap in (False, True) if comp in OVERLAPPABLE else (False,):
             for faults in ("clean", "rejoin"):
-                rows.append((comp, overlap, faults, False, True, "flat", 8))
+                rows.append((comp, overlap, faults, True, "flat", 8))
     for comp in ("sgd", "powersgd"):
         for overlap in (False, True):
-            for faults in ("clean", "rejoin"):
-                rows.append((comp, overlap, faults, True, True, "flat", 8))
             # Two-level topology and a shrinking ring: neither is covered by
             # the overlap suite.
-            rows.append((comp, overlap, "rejoin", False, True, "hier", 8))
-            rows.append((comp, overlap, "shrink", False, True, "flat", 8))
+            rows.append((comp, overlap, "rejoin", True, "hier", 8))
+            rows.append((comp, overlap, "shrink", True, "flat", 8))
         for faults in ("clean", "rejoin"):
-            rows.append((comp, False, faults, False, False, "flat", 8))
-        rows.append((comp, True, "clean", False, True, "flat", 32))
-    rows.append(("sgd", True, "clean", False, True, "hier", 8))
-    rows.append(("sgd", False, "clean", False, True, "hier", 8))
+            rows.append((comp, False, faults, False, "flat", 8))
+        rows.append((comp, True, "clean", True, "flat", 32))
+    rows.append(("sgd", True, "clean", True, "hier", 8))
+    rows.append(("sgd", False, "clean", True, "hier", 8))
     return rows
 
 
 def _config_id(cfg: tuple) -> str:
-    comp, overlap, faults, fused, flat, cluster, batch = cfg
+    comp, overlap, faults, flat, cluster, batch = cfg
     parts = [
         comp,
         "overlap" if overlap else "blocking",
         faults,
-        "fused" if fused else "loop",
+        "loop",
         "flat" if flat else "perlayer",
         cluster,
     ]
@@ -127,10 +130,10 @@ def _sha(arrays) -> str:
 
 
 def run_config(cfg: tuple) -> dict:
-    comp, overlap, faults, fused, flat, cluster, batch = cfg
+    comp, overlap, faults, flat, cluster, batch = cfg
     model, ds = _model_and_data(batch)
     loaders = [DataLoader(x, y, batch) for x, y in shard_dataset(ds.images, ds.labels, WORLD)]
-    opt = (FusedSGD if fused else SGD)(model.parameters(), lr=0.05, momentum=0.9)
+    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
     spec = FAULTS[faults]
     trainer = DistributedTrainer(
         model,
@@ -171,35 +174,27 @@ PINNED = {
     "abtrain-blocking-rejoin-loop-flat-flat": "e78b53ed81c6c712",
     "abtrain-overlap-clean-loop-flat-flat": "8c110dd4ca5cc2d5",
     "abtrain-overlap-rejoin-loop-flat-flat": "c6453384617465b5",
-    "powersgd-blocking-clean-fused-flat-flat": "8c05c95becee9e74",
     "powersgd-blocking-clean-loop-flat-flat": "8c05c95becee9e74",
     "powersgd-blocking-clean-loop-perlayer-flat": "8c05c95becee9e74",
-    "powersgd-blocking-rejoin-fused-flat-flat": "8c4012f46bfff3f9",
     "powersgd-blocking-rejoin-loop-flat-flat": "8c4012f46bfff3f9",
     "powersgd-blocking-rejoin-loop-flat-hier": "8c4012f46bfff3f9",
     "powersgd-blocking-rejoin-loop-perlayer-flat": "8c4012f46bfff3f9",
     "powersgd-blocking-shrink-loop-flat-flat": "b3404baaa73cb832",
-    "powersgd-overlap-clean-fused-flat-flat": "1873a0fe6c2e3ada",
     "powersgd-overlap-clean-loop-flat-flat": "1873a0fe6c2e3ada",
     "powersgd-overlap-clean-loop-flat-flat-b32": "c682f231e8af6c1f",
-    "powersgd-overlap-rejoin-fused-flat-flat": "cfc4f6e141c8b1d3",
     "powersgd-overlap-rejoin-loop-flat-flat": "cfc4f6e141c8b1d3",
     "powersgd-overlap-rejoin-loop-flat-hier": "cfc4f6e141c8b1d3",
     "powersgd-overlap-shrink-loop-flat-flat": "73c453362134fe22",
-    "sgd-blocking-clean-fused-flat-flat": "fc3e8cf49368244a",
     "sgd-blocking-clean-loop-flat-flat": "fc3e8cf49368244a",
     "sgd-blocking-clean-loop-flat-hier": "fc3e8cf49368244a",
     "sgd-blocking-clean-loop-perlayer-flat": "fc3e8cf49368244a",
-    "sgd-blocking-rejoin-fused-flat-flat": "0a2840363642a40b",
     "sgd-blocking-rejoin-loop-flat-flat": "0a2840363642a40b",
     "sgd-blocking-rejoin-loop-flat-hier": "0a2840363642a40b",
     "sgd-blocking-rejoin-loop-perlayer-flat": "0a2840363642a40b",
     "sgd-blocking-shrink-loop-flat-flat": "bc1fb3eb5c21fd96",
-    "sgd-overlap-clean-fused-flat-flat": "ef17317c345587fc",
     "sgd-overlap-clean-loop-flat-flat": "ef17317c345587fc",
     "sgd-overlap-clean-loop-flat-flat-b32": "80e06727234889d7",
     "sgd-overlap-clean-loop-flat-hier": "ef17317c345587fc",
-    "sgd-overlap-rejoin-fused-flat-flat": "76564a488d28aa5b",
     "sgd-overlap-rejoin-loop-flat-flat": "76564a488d28aa5b",
     "sgd-overlap-rejoin-loop-flat-hier": "76564a488d28aa5b",
     "sgd-overlap-shrink-loop-flat-flat": "e51bd399332ee53a",
@@ -218,7 +213,7 @@ PINNED = {
 def test_table_covers_the_matrix():
     assert set(PINNED) == set(CONFIGS)
     # The corners the overlap suite leaves out are really in the table.
-    assert any(c[5] == "hier" and c[1] for c in CONFIGS.values())
+    assert any(c[4] == "hier" and c[1] for c in CONFIGS.values())
     assert any(c[2] == "shrink" and c[1] for c in CONFIGS.values())
 
 

@@ -1,6 +1,9 @@
-"""Fused arena Adam/LAMB: bit-exactness/tolerance vs the per-tensor loops,
-grad-is-None semantics, state persistence across an AMP-driven arena
-rebuild, and the segmented-norm property behind LAMB's trust ratios."""
+"""Arena Adam/LAMB: bit-exactness/tolerance vs the per-tensor loops kept in
+``tests/oracles.py``, grad-is-None semantics, state persistence across an
+arena rebuild, and the segmented-norm property behind LAMB's trust ratios.
+
+Test ids keep the names the arena classes had when a per-tensor loop of
+the same name sat beside each (``FusedAdam``, ``FusedLAMB``)."""
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.models import MLP
-from repro.nn.amp import autocast_round_trip
-from repro.optim import LAMB, SGD, Adam, FusedAdam, FusedLAMB, FusedSGD
+from repro.optim import LAMB, SGD, Adam
 from repro.tensor import Tensor, backend
 from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL, FastBackend
 from repro.utils import set_seed
+from tests.oracles import AdamLoop, LAMBLoop, SGDLoop
 
 
 def small_model(seed=0):
@@ -38,9 +41,16 @@ def fill_grads(model, seed):
         p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
 
 
+def rebind_through_fp16(model):
+    """Round every parameter through float16 into a *fresh* array: the
+    rebind invalidates an arena, the values are AMP's."""
+    for p in model.parameters():
+        p.data = p.data.astype(np.float16).astype(np.float32)
+
+
 PAIRS = [
-    (Adam, FusedAdam, "exact"),
-    (LAMB, FusedLAMB, "tolerance"),
+    pytest.param(AdamLoop, Adam, "exact", id="Adam-FusedAdam-exact"),
+    pytest.param(LAMBLoop, LAMB, "tolerance", id="LAMB-FusedLAMB-tolerance"),
 ]
 
 
@@ -98,7 +108,7 @@ class TestFusedVsLoop:
                 else:
                     assert_match(kind, a.data, b.data)
 
-    @pytest.mark.parametrize("fused_cls", [FusedAdam, FusedLAMB])
+    @pytest.mark.parametrize("fused_cls", [Adam, LAMB], ids=["FusedAdam", "FusedLAMB"])
     def test_step_flat_matches_step(self, fused_cls):
         m1, m2 = small_model(11), small_model(11)
         o1 = fused_cls(m1.parameters(), lr=1e-3, weight_decay=1e-2)
@@ -132,9 +142,12 @@ class TestFusedVsLoop:
 
 class TestGradNoneSemantics:
     """Pin the documented divergence: the loop *skips* None-grad params,
-    the fused step treats them as zero-gradient segments."""
+    the arena step treats them as zero-gradient segments."""
 
-    @pytest.mark.parametrize("loop_cls,fused_cls", [(Adam, FusedAdam), (LAMB, FusedLAMB)])
+    @pytest.mark.parametrize(
+        "loop_cls,fused_cls", [(AdamLoop, Adam), (LAMBLoop, LAMB)],
+        ids=["Adam-FusedAdam", "LAMB-FusedLAMB"],
+    )
     def test_loop_skips_fused_advances(self, loop_cls, fused_cls):
         m1, m2, m3 = small_model(41), small_model(41), small_model(41)
         o1 = loop_cls(m1.parameters(), lr=1e-3)
@@ -168,13 +181,16 @@ class TestGradNoneSemantics:
 
 
 class TestStatePersistence:
-    """state_dict/load_state_dict carry fused state across the arena
-    rebuild forced by an AMP cast round-trip."""
+    """state_dict/load_state_dict carry optimizer state across the arena
+    rebuild forced by rebinding every ``p.data``."""
 
     CASES = [
-        (SGD, FusedSGD, dict(lr=0.05, momentum=0.9, weight_decay=1e-4), "exact"),
-        (Adam, FusedAdam, dict(lr=1e-3, weight_decay=1e-2), "exact"),
-        (LAMB, FusedLAMB, dict(lr=1e-3, weight_decay=1e-2), "tolerance"),
+        pytest.param(SGDLoop, SGD, dict(lr=0.05, momentum=0.9, weight_decay=1e-4), "exact",
+                     id="SGD-FusedSGD-kwargs0-exact"),
+        pytest.param(AdamLoop, Adam, dict(lr=1e-3, weight_decay=1e-2), "exact",
+                     id="Adam-FusedAdam-kwargs1-exact"),
+        pytest.param(LAMBLoop, LAMB, dict(lr=1e-3, weight_decay=1e-2), "tolerance",
+                     id="LAMB-FusedLAMB-kwargs2-tolerance"),
     ]
 
     @pytest.mark.parametrize("loop_cls,fused_cls,kwargs,kind", CASES)
@@ -189,11 +205,11 @@ class TestStatePersistence:
             o2.step()
         arena_before = o2._arena
         state = o2.state_dict()
-        # The AMP cast rebinds every p.data -> the arena is invalidated.
-        # The loop optimizer's state (keyed by parameter identity) is
-        # untouched by the cast, so it is the continuation reference.
-        autocast_round_trip(m1)
-        autocast_round_trip(m2)
+        # Rebinding every p.data invalidates the arena.  The loop
+        # optimizer's state (keyed by parameter identity) is untouched by
+        # the rebind, so it is the continuation reference.
+        rebind_through_fp16(m1)
+        rebind_through_fp16(m2)
         o2.load_state_dict(state)
         assert o2._arena is not arena_before
         assert o2._arena.intact()
@@ -206,10 +222,10 @@ class TestStatePersistence:
             assert_match(kind, a.data, b.data)
 
     @pytest.mark.parametrize("fused_cls,kwargs", [
-        (FusedSGD, dict(lr=0.05, momentum=0.9)),
-        (FusedAdam, dict(lr=1e-3)),
-        (FusedLAMB, dict(lr=1e-3)),
-    ])
+        (SGD, dict(lr=0.05, momentum=0.9)),
+        (Adam, dict(lr=1e-3)),
+        (LAMB, dict(lr=1e-3)),
+    ], ids=["FusedSGD-kwargs0", "FusedAdam-kwargs1", "FusedLAMB-kwargs2"])
     def test_size_mismatch_rejected(self, fused_cls, kwargs):
         o1 = fused_cls(small_model(61).parameters(), **kwargs)
         o2 = fused_cls(MLP(6, [5], 3).parameters(), **kwargs)
@@ -218,13 +234,13 @@ class TestStatePersistence:
 
     def test_rebuild_without_load_resets_state(self):
         """Without an explicit load, the rebuild drops moments — exactly
-        as re-instantiating the optimizer would (FusedSGD precedent)."""
+        as re-instantiating the optimizer would."""
         model = small_model(67)
-        opt = FusedAdam(model.parameters(), lr=1e-3)
+        opt = Adam(model.parameters(), lr=1e-3)
         fill_grads(model, 1)
         opt.step()
         assert opt._t == 1 and float(np.abs(opt._m).max()) > 0
-        autocast_round_trip(model)
+        rebind_through_fp16(model)
         fill_grads(model, 2)
         opt.step()  # transparently rebuilds; fresh state, step count 1
         assert opt._t == 1

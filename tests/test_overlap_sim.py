@@ -24,9 +24,10 @@ from repro.distributed import (
     schedule_overlap,
 )
 from repro.models import MLP
-from repro.optim import SGD, Adam, FusedAdam, FusedSGD
+from repro.optim import SGD, Adam
 from repro.tensor import Tensor
 from repro.utils import set_seed
+from tests.oracles import AdamLoop, SGDLoop
 
 FLOAT32_BYTES = 4
 
@@ -188,15 +189,14 @@ class TestGradientArrivalRecorder:
             _tensor.GRAD_ARRIVAL_HOOK = None
 
 
-def make_trainer(overlap, faults=None, fused=False, nodes=4, bucket_mb=0.05, opt_cls=None):
+def make_trainer(overlap, faults=None, nodes=4, bucket_mb=0.05, opt_cls=SGD):
     set_seed(3)
     rng = np.random.default_rng(3)
     model = MLP(3 * 32 * 32, [64, 32], 4)
     ds = make_cifar_like(n=nodes * 8 * 3, num_classes=4, noise=0.2, rng=rng)
     shards = shard_dataset(ds.images, ds.labels, nodes)
     loaders = [DataLoader(x, y, 8) for x, y in shards]
-    if opt_cls is None:
-        opt_cls = FusedSGD if fused else SGD
+    if opt_cls in (SGD, SGDLoop):
         opt = opt_cls(model.parameters(), lr=0.05, momentum=0.9)
     else:
         opt = opt_cls(model.parameters(), lr=1e-3)
@@ -232,19 +232,20 @@ class TestDistributedOverlap:
         assert len(t1.overlap_events) == tl.iterations
 
     def test_fused_optimizer_matches_too(self):
-        m0, t0, l0 = make_trainer(False)
-        m1, t1, l1 = make_trainer(True, fused=True)
+        """The arena SGD under overlap matches the per-tensor loop without."""
+        m0, t0, l0 = make_trainer(False, opt_cls=SGDLoop)
+        m1, t1, l1 = make_trainer(True)
         t0.train_epoch(l0)
         t1.train_epoch(l1)
         for a, b in zip(m0.parameters(), m1.parameters()):
             assert np.array_equal(a.data, b.data)
 
     def test_fused_adam_matches_loop_adam_under_overlap(self):
-        """FusedAdam is stepped like FusedSGD: the DDP aggregate gives
-        every parameter a gradient, so fused and loop Adam are
+        """Arena Adam is stepped like arena SGD: the DDP aggregate gives
+        every parameter a gradient, so arena and loop Adam are
         bit-identical across the overlap boundary."""
-        m0, t0, l0 = make_trainer(False, opt_cls=Adam)
-        m1, t1, l1 = make_trainer(True, opt_cls=FusedAdam)
+        m0, t0, l0 = make_trainer(False, opt_cls=AdamLoop)
+        m1, t1, l1 = make_trainer(True, opt_cls=Adam)
         t0.train_epoch(l0)
         tl = t1.train_epoch(l1)
         for a, b in zip(m0.parameters(), m1.parameters()):
@@ -255,8 +256,8 @@ class TestDistributedOverlap:
         """Swapping the optimizer must not perturb the seeded fault
         stream: fault draws are keyed to the comm schedule, not the
         optimizer's update math."""
-        m0, t0, l0 = make_trainer(True, faults=FAULT_SPEC, opt_cls=Adam)
-        m1, t1, l1 = make_trainer(True, faults=FAULT_SPEC, opt_cls=FusedAdam)
+        m0, t0, l0 = make_trainer(True, faults=FAULT_SPEC, opt_cls=AdamLoop)
+        m1, t1, l1 = make_trainer(True, faults=FAULT_SPEC, opt_cls=Adam)
         t0.train_epoch(l0)
         t1.train_epoch(l1)
         ev0 = [e.as_dict() for e in t0.faults.events]

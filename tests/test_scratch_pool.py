@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import build_hybrid
 from repro.models import resnet18, resnet18_hybrid_config, vgg19, vgg19_hybrid_config
 from repro.nn import CrossEntropyLoss
-from repro.optim import FusedLAMB, FusedSGD
+from repro.optim import LAMB, SGD
 from repro.tensor import Tensor, backend, no_grad
 from repro.tensor.backend import (
     _BATCH_INNER,
@@ -92,7 +92,7 @@ def _hybrid_resnet18():
 
 
 def test_steady_state_vgg19_step_never_misses(clean_global_pool):
-    pool, step = clean_global_pool, _train_step(_hybrid_vgg19(), FusedSGD, lr=0.01, momentum=0.9)
+    pool, step = clean_global_pool, _train_step(_hybrid_vgg19(), SGD, lr=0.01, momentum=0.9)
     with backend.use("fast"):
         step()  # forward and backward each meet their largest request once
         warm, arenas = pool.misses, [id(a) for a in pool.values()]
@@ -112,7 +112,7 @@ def test_conv_columns_stay_within_one_budget(clean_global_pool, build, batch):
     largest whole column matrix (conv 2, 16 → 16 @ 32²) made its batch-32 pool
     24.3 MiB."""
     with backend.use("fast"):
-        _train_step(build(), FusedSGD, batch=batch, lr=0.01, momentum=0.9)()
+        _train_step(build(), SGD, batch=batch, lr=0.01, momentum=0.9)()
     assert clean_global_pool._arenas["conv_cols", "<f4"].size <= _CONV_COLS_FLOATS
     if build is _hybrid_vgg19 and batch == 32:
         assert held(clean_global_pool)[0] <= 10 << 20
@@ -120,8 +120,8 @@ def test_conv_columns_stay_within_one_budget(clean_global_pool, build, batch):
 
 def test_every_tag_is_one_of_the_seven_literals(clean_global_pool):
     with backend.use("fast"):
-        _train_step(_hybrid_vgg19(), FusedSGD, lr=0.01, momentum=0.9)()
-        _train_step(_hybrid_resnet18(), FusedLAMB, batch=5, lr=0.01, weight_decay=0.01)()
+        _train_step(_hybrid_vgg19(), SGD, lr=0.01, momentum=0.9)()
+        _train_step(_hybrid_resnet18(), LAMB, batch=5, lr=0.01, weight_decay=0.01)()
     tags = {tag for tag, _ in clean_global_pool._arenas}
     assert {"frame", "conv_cols", "bn_gx", "lamb_den"} <= tags
     assert tags <= {"conv_cols", "conv_outT", "frame", "bn_gx", "col2im", "segnorm_sq", "lamb_den"}
@@ -204,7 +204,7 @@ class TestPlans:
         out, ctx = _conv(x, data.standard_normal((16, 4, 3, 3)).astype(np.float32), True)
         backend.get("fast").conv2d_backward(np.ones_like(out), ctx, True, True, True)
         with backend.use("fast"):
-            _train_step(_hybrid_vgg19(), FusedSGD, lr=0.01, momentum=0.9)()
+            _train_step(_hybrid_vgg19(), SGD, lr=0.01, momentum=0.9)()
         assert len(replaced) > 1
 
     def test_training_and_serving_keep_one_arena_per_tag(self, clean_global_pool):
@@ -212,7 +212,7 @@ class TestPlans:
         still one arena per tag, and every view a plan holds is of one of them."""
         data = np.random.default_rng(2)
         with backend.use("fast"):
-            _train_step(_hybrid_vgg19(), FusedSGD, batch=32, lr=0.01, momentum=0.9)()
+            _train_step(_hybrid_vgg19(), SGD, batch=32, lr=0.01, momentum=0.9)()
             model = _hybrid_resnet18()
             model.eval()
             for batch in (1, 2, 8):

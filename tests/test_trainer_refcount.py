@@ -23,7 +23,7 @@ from repro.core import Trainer
 from repro.data import DataLoader, make_cifar_like, shard_dataset
 from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import MLP
-from repro.optim import SGD, FusedSGD
+from repro.optim import SGD
 
 WORLD = 4
 
@@ -46,7 +46,7 @@ def _powersgd_epoch(overlap: bool) -> tuple[weakref.ref, weakref.ref]:
     model = MLP(3 * 8 * 8, [32], 4)
     trainer = DistributedTrainer(
         model,
-        FusedSGD(list(model.parameters()), lr=0.05, momentum=0.9),
+        SGD(list(model.parameters()), lr=0.05, momentum=0.9),
         ClusterSpec(WORLD, 10.0),
         compressor=make_compressor("powersgd", WORLD, rank=2),
         overlap=overlap,

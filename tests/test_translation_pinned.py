@@ -46,15 +46,10 @@ AMP = [
 ]
 # name -> (argv, backend to run under; None = the active one)
 CONFIGS = {
-    f"{method}{'-fused' if fused else ''}": (
-        TRANSLATION + ["--method", method] + (["--fused"] if fused else []), None
-    )
-    for method in ("vanilla", "pufferfish")
-    for fused in (False, True)
+    method: (TRANSLATION + ["--method", method], None) for method in ("vanilla", "pufferfish")
 }
 for _be in ("numpy", "fast"):
     CONFIGS[f"lamb-{_be}"] = (TRANSLATION + ["--optimizer", "lamb"], _be)
-    CONFIGS[f"lamb-fused-{_be}"] = (TRANSLATION + ["--optimizer", "lamb", "--fused"], _be)
     CONFIGS[f"cifar-amp-{_be}"] = (AMP, _be)
 
 
@@ -71,14 +66,10 @@ def run_config(config: tuple, directory: Path) -> dict:
 PINNED = {
     "cifar-amp-fast": "43518a0a05959ca1",
     "cifar-amp-numpy": "5e1391803d754849",
-    "lamb-fast": "81310d9d05fb19b2",
-    "lamb-fused-fast": "5b619da1a2ea8efe",
-    "lamb-fused-numpy": "81310d9d05fb19b2",
+    "lamb-fast": "5b619da1a2ea8efe",
     "lamb-numpy": "81310d9d05fb19b2",
     "pufferfish": "f3ec3029e68f2a96",
-    "pufferfish-fused": "f3ec3029e68f2a96",
     "vanilla": "a07f6e79abea13e1",
-    "vanilla-fused": "a07f6e79abea13e1",
 }
 # fmt: on
 
