@@ -6,7 +6,6 @@ configured in exactly one place."""
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .. import nn

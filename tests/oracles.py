@@ -75,7 +75,7 @@ def exact_mean_oracle(arrays, dtype=None):
 
 class _LoopOptimizer:
     """Per-tensor loop over ``params``: the attributes the trainers read
-    (``params``, ``lr``, ``zero_grad``, ``step``) plus per-parameter state."""
+    (``params``, ``lr``, ``zero_grad``, ``step``), state keyed by parameter."""
 
     def __init__(self, params, lr, weight_decay=0.0):
         self.params = list(params)
@@ -86,10 +86,6 @@ class _LoopOptimizer:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-    def rebind(self, params):
-        self.params = list(params)
-        self.state = {}
 
     def _decays(self, p) -> bool:
         return self.weight_decay > 0 and not getattr(p, "no_decay", False)

@@ -118,8 +118,7 @@ class TestSerialization:
         assert np.allclose(m1(x).data, m2(x).data)
 
     @staticmethod
-    def _assert_same_state(opt1, opt2):
-        s1, s2 = opt1.state_dict(), opt2.state_dict()
+    def _assert_same_state(s1: dict, s2: dict):
         assert set(s1) == set(s2)
         for key, value in s1.items():
             if isinstance(value, np.ndarray):
@@ -141,7 +140,7 @@ class TestSerialization:
         assert meta["epoch"] == 7
         assert opt2.lr == pytest.approx(0.1)
         assert float(np.abs(opt1.state_dict()["momentum_buf"]).max()) > 0
-        self._assert_same_state(opt1, opt2)
+        self._assert_same_state(opt1.state_dict(), opt2.state_dict())
 
     def test_checkpoint_restores_adam_state(self, tmp_path, rng):
         m1 = MLP(6, [8], 3)
@@ -156,7 +155,7 @@ class TestSerialization:
         load_checkpoint(tmp_path / "c.npz", m2, opt2)
         assert opt2.state_dict()["step"] == 1
         assert float(np.abs(opt1.state_dict()["v"]).max()) > 0
-        self._assert_same_state(opt1, opt2)
+        self._assert_same_state(opt1.state_dict(), opt2.state_dict())
 
     @pytest.mark.parametrize(
         "other",
@@ -180,11 +179,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "c.npz", m2, opt2)
         assert opt2.lr == lr_before
-        for key, value in opt2.state_dict().items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(value, before_state[key])
-            else:
-                assert value == before_state[key]
+        self._assert_same_state(before_state, opt2.state_dict())
         for key, value in m2.state_dict().items():
             assert np.array_equal(value, before_model[key])
 
