@@ -237,7 +237,7 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
     if fused:
         lines += [
             "",
-            "Fused optimizer step (arena dispatch, fast backend) vs the "
+            "Arena optimizer step (fast backend) vs the "
             "in-place per-tensor loop at CPU-scaled VGG-19 widths "
             "(50 steps, best of 7):",
             "",
@@ -247,7 +247,7 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
             s = fused[name]
             rows.append(
                 [
-                    f"`Fused{name.upper() if name == 'lamb' else name.capitalize()}`",
+                    f"`{name.upper() if name == 'lamb' else name.capitalize()}`",
                     s["match"],
                     f"{s['n_tensors']} tensors / {s['n_params']:,} params",
                     f"{s['loop_ms']:.2f}",
