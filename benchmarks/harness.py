@@ -32,6 +32,7 @@ __all__ = [
     "scaled_resnet50",
     "scaled_wrn50",
     "train_classifier",
+    "eb_search",
     "fmt",
 ]
 
@@ -163,6 +164,33 @@ def train_classifier(model, train, val, epochs, lr=0.05, momentum=0.9, decay_at=
     t = Trainer(model, opt, scheduler=sched, amp=amp)
     t.fit(train, val, epochs=epochs)
     return max(s.val_metric for s in t.history), t.history
+
+
+def eb_search(model, train, detector, epochs):
+    """EB Train's search phase (Table 7): SGD with the network-slimming L1
+    regularizer on BN γ until ``detector`` draws the early-bird ticket.
+
+    Returns the number of search epochs run.
+    """
+    from repro.core.trainer import classification_batch
+    from repro.pruning import bn_l1_penalty_grad
+
+    opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+    loss_fn = nn.CrossEntropyLoss()
+    search_epochs = 0
+    for epoch in range(epochs):
+        # Manual epoch with the slimming regularizer.
+        model.train()
+        for batch in train:
+            opt.zero_grad()
+            loss, _, _ = classification_batch(model, batch, loss_fn)
+            loss.backward()
+            bn_l1_penalty_grad(model, coeff=1e-3)
+            opt.step()
+        search_epochs += 1
+        if detector.update(model, epoch):
+            break
+    return search_epochs
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,17 @@ EB-Train protocol (no label smoothing, step decay).
 
 import numpy as np
 
-from harness import imagenet_loaders, print_table, scaled_resnet50, train_classifier
+from harness import (
+    eb_search,
+    imagenet_loaders,
+    print_table,
+    scaled_resnet50,
+    train_classifier,
+)
 from repro.core import PufferfishTrainer
 from repro.models import resnet50_hybrid_config
 from repro.optim import SGD, MultiStepLR
-from repro.pruning import (
-    EarlyBirdDetector,
-    bn_l1_penalty_grad,
-    prune_resnet,
-    resnet_internal_bns,
-)
+from repro.pruning import EarlyBirdDetector, prune_resnet, resnet_internal_bns
 from repro.utils import set_seed
 
 EPOCHS = 6
@@ -40,24 +41,7 @@ def run_eb_train(prune_ratio, seed=77):
     bns = resnet_internal_bns(model)
     detector = EarlyBirdDetector(prune_ratio, threshold=0.15, patience=2, prunable_bns=bns)
 
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
-    # Search phase with BN-L1 sparsity (applied inside the batch loop).
-    search_epochs = 0
-    for epoch in range(EPOCHS):
-        # Manual epoch with the slimming regularizer.
-        model.train()
-        for batch in train:
-            opt.zero_grad()
-            from repro.core.trainer import classification_batch
-            from repro import nn
-
-            loss, _, _ = classification_batch(model, batch, nn.CrossEntropyLoss())
-            loss.backward()
-            bn_l1_penalty_grad(model, coeff=1e-3)
-            opt.step()
-        search_epochs += 1
-        if detector.update(model, epoch):
-            break
+    search_epochs = eb_search(model, train, detector, EPOCHS)
 
     slim = prune_resnet(model, detector.mask)
     # Fine-tune the slim model for the remaining budget.
