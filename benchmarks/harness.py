@@ -168,29 +168,23 @@ def train_classifier(model, train, val, epochs, lr=0.05, momentum=0.9, decay_at=
 
 def eb_search(model, train, detector, epochs):
     """EB Train's search phase (Table 7): SGD with the network-slimming L1
-    regularizer on BN γ until ``detector`` draws the early-bird ticket.
+    term on BN γ in the loss, one epoch at a time, until ``detector`` draws
+    the early-bird ticket.
 
     Returns the number of search epochs run.
     """
-    from repro.core.trainer import classification_batch
-    from repro.pruning import bn_l1_penalty_grad
+    from repro.core import Trainer
+    from repro.pruning import bn_l1_penalty
 
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
-    loss_fn = nn.CrossEntropyLoss()
-    search_epochs = 0
+    ce = nn.CrossEntropyLoss()
+    trainer = Trainer(model, SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4),
+                      loss_fn=lambda logits, y: ce(logits, y) + bn_l1_penalty(model, 1e-3))
     for epoch in range(epochs):
-        # Manual epoch with the slimming regularizer.
-        model.train()
-        for batch in train:
-            opt.zero_grad()
-            loss, _, _ = classification_batch(model, batch, loss_fn)
-            loss.backward()
-            bn_l1_penalty_grad(model, coeff=1e-3)
-            opt.step()
-        search_epochs += 1
+        # The search reads only γ, never a validation score.
+        trainer.fit(train, (), epochs=1, start_epoch=epoch)
         if detector.update(model, epoch):
-            break
-    return search_epochs
+            return epoch + 1
+    return epochs
 
 
 # ---------------------------------------------------------------------------
@@ -206,68 +200,45 @@ def lm_task(rng, vocab=120, n_train=8000, n_valid=1600, n_test=1600, branching=6
     )
 
 
-def lm_eval(model, data, bptt, vocab):
-    """Mean NLL over a batchified token stream."""
-    from repro.data import get_lm_batch
-    from repro.tensor import no_grad
+def run_lm(model, corpus, epochs, bptt=16, batch=16, lr=2.0, warmup_epochs=None):
+    """Train an LSTM LM with SGD, gradient clipping at 0.25 and a plateau LR
+    decay for ``epochs``: vanilla, or Algorithm 1 (rank ratio 0.25) after
+    ``warmup_epochs`` of warm-up, halving the LR at the switch as the paper
+    does for the LSTM (``warmup_epochs=0`` trains the factorized model from
+    scratch at the full LR).
 
-    loss_fn = nn.CrossEntropyLoss()
-    model.eval()
-    total, count = 0.0, 0
-    states = None
-    with no_grad():
-        for i in range(0, len(data) - 1, bptt):
-            x, y = get_lm_batch(data, i, bptt)
-            logits, states = model(x, states)
-            states = model.detach_states(states)
-            loss = loss_fn(logits.reshape(-1, vocab), y.reshape(-1))
-            total += float(loss.data) * y.size
-            count += y.size
-    return total / max(count, 1)
+    Returns the final model, its parameter count, and its last-epoch train,
+    val and test NLL (token-weighted).
+    """
+    import functools
 
-
-def lm_train_epoch(model, data, bptt, vocab, opt, clip=0.25):
-    from repro.data import get_lm_batch
-    from repro.optim import clip_grad_norm
-
-    loss_fn = nn.CrossEntropyLoss()
-    model.train()
-    total, count = 0.0, 0
-    states = None
-    for i in range(0, len(data) - 1, bptt):
-        x, y = get_lm_batch(data, i, bptt)
-        opt.zero_grad()
-        logits, states = model(x, states)
-        states = model.detach_states(states)
-        loss = loss_fn(logits.reshape(-1, vocab), y.reshape(-1))
-        loss.backward()
-        clip_grad_norm(opt.params, clip)
-        opt.step()
-        total += float(loss.data) * y.size
-        count += y.size
-    return total / max(count, 1)
-
-
-def run_lm(model, corpus, epochs, bptt=16, batch=16, lr=2.0, warmup_state=None):
-    """Train an LSTM LM; returns dict of train/val/test NLL."""
-    from repro.data import batchify
+    from repro.core import PufferfishTrainer, Trainer, lm_batch
+    from repro.data import batchify, lm_chunks
+    from repro.models import lstm_lm_hybrid_config
     from repro.optim import ReduceLROnPlateau
 
-    vocab = corpus.vocab_size
-    tr = batchify(corpus.train, batch)
-    va = batchify(corpus.valid, batch)
-    te = batchify(corpus.test, batch)
-    opt = SGD(model.parameters(), lr=lr)
-    sched = ReduceLROnPlateau(opt, factor=0.25)
-    train_nll = val_nll = float("inf")
-    for ep in range(epochs):
-        train_nll = lm_train_epoch(model, tr, bptt, vocab, opt)
-        val_nll = lm_eval(model, va, bptt, vocab)
-        sched.step(ep, metric=val_nll)
+    train, val, test = (lm_chunks(batchify(split, batch), bptt)
+                        for split in (corpus.train, corpus.valid, corpus.test))
+    batch_fn = functools.partial(lm_batch, loss_fn=nn.CrossEntropyLoss())
+    make_opt = lambda params: SGD(params, lr=lr)
+    make_sched = lambda opt: ReduceLROnPlateau(opt, factor=0.25)
+    if warmup_epochs is None:
+        opt = make_opt(model.parameters())
+        trainer = Trainer(model, opt, batch_fn=batch_fn, scheduler=make_sched(opt), grad_clip=0.25)
+        trainer.fit(train, val, epochs)
+    else:
+        trainer = PufferfishTrainer(model, lstm_lm_hybrid_config(0.25), make_opt, warmup_epochs,
+                                    epochs, batch_fn=batch_fn, scheduler_factory=make_sched,
+                                    grad_clip=0.25,
+                                    lr_decay_at_switch=0.5 if warmup_epochs else 1.0)
+        model = trainer.fit(train, val)
+    last = trainer.history[-1]
     return {
-        "train_nll": train_nll,
-        "val_nll": val_nll,
-        "test_nll": lm_eval(model, te, bptt, vocab),
+        "model": model,
+        "params": model.num_parameters(),
+        "train_nll": last.train_metric,
+        "val_nll": last.val_metric,
+        "test_nll": Trainer(model, None, batch_fn=batch_fn).evaluate(test)[1],
     }
 
 

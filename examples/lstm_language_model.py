@@ -8,15 +8,16 @@ reports perplexity for both models side by side.
 Run:  python examples/lstm_language_model.py
 """
 
+import functools
+
 import numpy as np
 
 from repro import nn
-from repro.core import build_hybrid
-from repro.data import batchify, get_lm_batch, make_lm_corpus
+from repro.core import PufferfishTrainer, Trainer, lm_batch
+from repro.data import batchify, lm_chunks, make_lm_corpus
 from repro.metrics import perplexity
 from repro.models import LSTMLanguageModel, lstm_lm_hybrid_config
-from repro.optim import SGD, clip_grad_norm
-from repro.tensor import no_grad
+from repro.optim import SGD
 from repro.utils import set_seed
 
 VOCAB = 80
@@ -30,62 +31,39 @@ LR = 10.0
 set_seed(0)
 corpus = make_lm_corpus(vocab_size=VOCAB, n_train=8000, n_valid=1600, n_test=1600,
                         branching=4, rng=np.random.default_rng(0))
-train_data = batchify(corpus.train, BATCH)
-val_data = batchify(corpus.valid, BATCH)
-loss_fn = nn.CrossEntropyLoss()
+loaders = (lm_chunks(batchify(corpus.train, BATCH), BPTT),
+           lm_chunks(batchify(corpus.valid, BATCH), BPTT))
+batch_fn = functools.partial(lm_batch, loss_fn=nn.CrossEntropyLoss())
 
 
-def run_epoch(model, data, opt=None):
-    """One pass; returns mean NLL.  Pass opt=None for evaluation."""
-    training = opt is not None
-    model.train(training)
-    total, count = 0.0, 0
-    states = None
-
-    def step(x, y):
-        nonlocal total, count, states
-        logits, states = model(x, states)
-        states = model.detach_states(states)
-        loss = loss_fn(logits.reshape(-1, VOCAB), y.reshape(-1))
-        total += float(loss.data) * y.size
-        count += y.size
-        return loss
-
-    for i in range(0, len(data) - 1, BPTT):
-        x, y = get_lm_batch(data, i, BPTT)
-        if training:
-            opt.zero_grad()
-            loss = step(x, y)
-            loss.backward()
-            clip_grad_norm(opt.params, 0.25)
-            opt.step()
-        else:
-            with no_grad():
-                step(x, y)
-    return total / count
+def make_model():
+    return LSTMLanguageModel(VOCAB, embed_dim=EMBED, num_layers=2, dropout=0.2)
 
 
-def train(model, epochs, lr):
-    opt = SGD(model.parameters(), lr=lr)
-    for epoch in range(epochs):
-        train_nll = run_epoch(model, train_data, opt)
-        val_nll = run_epoch(model, val_data)
-        print(f"  epoch {epoch}: train ppl {perplexity(train_nll):7.2f}  "
-              f"val ppl {perplexity(val_nll):7.2f}")
-    return val_nll
+def make_opt(params):
+    return SGD(params, lr=LR)
+
+
+def show(history):
+    for s in history:
+        print(f"  epoch {s.epoch} ({s.phase}): train ppl {perplexity(s.train_metric):7.2f}  "
+              f"val ppl {perplexity(s.val_metric):7.2f}")
 
 
 print("=== vanilla LSTM ===")
-vanilla = LSTMLanguageModel(VOCAB, embed_dim=EMBED, num_layers=2, dropout=0.2)
+vanilla = make_model()
 print(f"params: {vanilla.num_parameters():,}")
-train(vanilla, EPOCHS, LR)
+trainer = Trainer(vanilla, make_opt(vanilla.parameters()), batch_fn=batch_fn, grad_clip=0.25)
+show(trainer.fit(*loaders, epochs=EPOCHS))
 
 print("\n=== Pufferfish LSTM (warm-up -> SVD -> fine-tune) ===")
 set_seed(0)
-model = LSTMLanguageModel(VOCAB, embed_dim=EMBED, num_layers=2, dropout=0.2)
-train(model, WARMUP, LR)
-hybrid, report = build_hybrid(model, lstm_lm_hybrid_config(rank_ratio=0.25))
+# Halve the LR at the switch, as the paper does for the LSTM task.
+trainer = PufferfishTrainer(make_model(), lstm_lm_hybrid_config(rank_ratio=0.25), make_opt,
+                            warmup_epochs=WARMUP, total_epochs=EPOCHS, batch_fn=batch_fn,
+                            grad_clip=0.25, lr_decay_at_switch=0.5)
+trainer.fit(*loaders)
+report = trainer.report
 print(f"factorized: {report.params_before:,} -> {report.params_after:,} params "
       f"({report.compression:.2f}x), SVD took {report.svd_seconds*1e3:.0f} ms")
-# Halve the LR at the switch, as the paper does for the LSTM task.
-train(hybrid, EPOCHS - WARMUP, LR / 2)
+show(trainer.history)

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from repro import nn
 from repro.core import PufferfishTrainer, Trainer
 from repro.data import DataLoader, make_cifar_like
 from repro.models import vgg19, vgg19_hybrid_config
@@ -18,7 +19,7 @@ from repro.optim import SGD, MultiStepLR
 from repro.pruning import (
     EarlyBirdDetector,
     LTHRunner,
-    bn_l1_penalty_grad,
+    bn_l1_penalty,
     prune_vgg,
 )
 from repro.utils import set_seed
@@ -81,12 +82,12 @@ def main():
     train, val = loaders()
     model = vgg19(num_classes=4, width_mult=WIDTH)
     detector = EarlyBirdDetector(prune_ratio=0.3, threshold=0.15, patience=2)
-    opt = new_optimizer(model.parameters())
-    trainer = Trainer(model, opt)
+    # Search phase with the network-slimming L1 regularizer on BN γ.
+    ce = nn.CrossEntropyLoss()
+    trainer = Trainer(model, new_optimizer(model.parameters()),
+                      loss_fn=lambda logits, y: ce(logits, y) + bn_l1_penalty(model, 1e-3))
     for epoch in range(EPOCHS):
-        # Search phase with the network-slimming L1 regularizer on BN γ.
         trainer.fit(train, val, epochs=1, start_epoch=epoch)
-        bn_l1_penalty_grad(model, coeff=1e-3)
         if detector.update(model, epoch):
             print(f"EB ticket drawn at epoch {epoch}")
             break

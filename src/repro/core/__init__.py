@@ -19,7 +19,14 @@ from .hybrid import (
     eligible_paths,
     build_hybrid,
 )
-from .trainer import EpochStats, Trainer, PufferfishTrainer, classification_batch, seq2seq_batch
+from .trainer import (
+    EpochStats,
+    Trainer,
+    PufferfishTrainer,
+    classification_batch,
+    seq2seq_batch,
+    lm_batch,
+)
 from .spectrum import (
     singular_values,
     energy_curve,
@@ -67,6 +74,7 @@ __all__ = [
     "PufferfishTrainer",
     "classification_batch",
     "seq2seq_batch",
+    "lm_batch",
     "singular_values",
     "energy_curve",
     "energy_rank",

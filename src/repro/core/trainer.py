@@ -18,7 +18,14 @@ from ..optim import Optimizer, clip_grad_norm
 from ..tensor import Tensor, no_grad
 from .hybrid import FactorizationConfig, FactorizationReport, build_hybrid
 
-__all__ = ["EpochStats", "Trainer", "PufferfishTrainer", "classification_batch", "seq2seq_batch"]
+__all__ = [
+    "EpochStats",
+    "Trainer",
+    "PufferfishTrainer",
+    "classification_batch",
+    "seq2seq_batch",
+    "lm_batch",
+]
 
 _log = logging.getLogger(__name__)
 
@@ -66,6 +73,23 @@ def seq2seq_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, int]:
     loss = loss_fn(logits.reshape(-1, logits.shape[-1]), target.reshape(-1))
     n_tok = int((target != model.pad_idx).sum())
     return loss, float(loss.data) * n_tok, n_tok
+
+
+def lm_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, int]:
+    """Language-model batch adapter: ``batch = (x, y, reset)``, one
+    truncated-BPTT chunk of :func:`repro.data.lm_chunks`.
+
+    The recurrent state carries from chunk to chunk on ``model.carry``: it is
+    dropped where ``reset`` marks a pass's first chunk and detached after
+    every chunk, so backward stops at the chunk boundary.  Returns (loss
+    tensor, loss × #tokens, #tokens), so the trainer's metric is the
+    token-weighted NLL.
+    """
+    x, y, reset = batch
+    logits, states = model(x, None if reset else model.carry)
+    model.carry = model.detach_states(states)
+    loss = loss_fn(logits.reshape(-1, logits.shape[-1]), y.reshape(-1))
+    return loss, float(loss.data) * y.size, y.size
 
 
 class Trainer:

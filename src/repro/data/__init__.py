@@ -16,6 +16,7 @@ from .text import (
     make_lm_corpus,
     batchify,
     get_lm_batch,
+    lm_chunks,
     TranslationDataset,
     make_translation_dataset,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "make_lm_corpus",
     "batchify",
     "get_lm_batch",
+    "lm_chunks",
     "TranslationDataset",
     "make_translation_dataset",
     "DataLoader",

@@ -26,6 +26,7 @@ __all__ = [
     "make_lm_corpus",
     "batchify",
     "get_lm_batch",
+    "lm_chunks",
     "TranslationDataset",
     "make_translation_dataset",
 ]
@@ -98,6 +99,13 @@ def get_lm_batch(data: np.ndarray, i: int, bptt: int) -> tuple[np.ndarray, np.nd
     x = data[i : i + seq_len]
     y = data[i + 1 : i + 1 + seq_len]
     return x, y
+
+
+def lm_chunks(data: np.ndarray, bptt: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """One pass over batchified data as ``(x, y, reset)`` chunks — a loader
+    for :func:`repro.core.lm_batch`; ``reset`` marks the first chunk, where
+    the carried recurrent state is dropped."""
+    return [(*get_lm_batch(data, i, bptt), i == 0) for i in range(0, len(data) - 1, bptt)]
 
 
 @dataclass

@@ -47,6 +47,9 @@ class LSTMLanguageModel(Module):
         self.drop_out = Dropout(dropout)
         # Decoder bias; decoder weight is tied to encoder.weight.
         self.decoder_bias = Parameter(np.zeros(vocab_size, dtype=np.float32))
+        # Detached (h, c) per layer carried between truncated-BPTT chunks
+        # by repro.core.lm_batch; not part of the state dict.
+        self.carry = None
 
     def forward(self, tokens: np.ndarray, states=None) -> tuple[Tensor, list]:
         emb = self.drop_in(self.encoder(tokens))  # (T, B, D)

@@ -17,7 +17,7 @@ from .early_bird import (
     prune_vgg,
     prune_resnet,
     resnet_internal_bns,
-    bn_l1_penalty_grad,
+    bn_l1_penalty,
 )
 
 __all__ = [
@@ -34,5 +34,5 @@ __all__ = [
     "prune_vgg",
     "prune_resnet",
     "resnet_internal_bns",
-    "bn_l1_penalty_grad",
+    "bn_l1_penalty",
 ]

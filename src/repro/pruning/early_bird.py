@@ -23,6 +23,7 @@ from ..models.resnet import BasicBlock, Bottleneck, ResNet
 from ..models.vgg import VGG
 from ..nn import BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU, Sequential, Flatten
 from ..nn.module import Module
+from ..tensor import Tensor
 
 __all__ = [
     "bn_channel_scores",
@@ -31,7 +32,7 @@ __all__ = [
     "EarlyBirdDetector",
     "prune_vgg",
     "prune_resnet",
-    "bn_l1_penalty_grad",
+    "bn_l1_penalty",
 ]
 
 
@@ -117,17 +118,13 @@ class EarlyBirdDetector:
         return self._last_mask
 
 
-def bn_l1_penalty_grad(model: Module, coeff: float = 1e-4) -> None:
-    """Add the sparsity-inducing L1 subgradient on BN scales (network
-    slimming's regularizer, used during the EB search phase).  Call after
-    ``backward()`` and before ``optimizer.step()``."""
-    for mod in model.modules():
-        if isinstance(mod, BatchNorm2d):
-            g = coeff * np.sign(mod.weight.data)
-            if mod.weight.grad is None:
-                mod.weight.grad = g.astype(np.float32)
-            else:
-                mod.weight.grad += g
+def bn_l1_penalty(model: Module, coeff: float = 1e-4) -> Tensor:
+    """Network slimming's sparsity term ``coeff · Σ|γ|`` over every BN scale,
+    added to the loss during the EB search phase.  Its γ gradient is
+    ``coeff · sign(γ)``."""
+    return coeff * sum(
+        mod.weight.abs().sum() for mod in model.modules() if isinstance(mod, BatchNorm2d)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,9 @@ def _frame_views(shape, dtype, fh: int, fw: int, top: int, left: int, order):
     ``order``: ``(flat, frame, interior, crop)`` — the flat buffer to clear,
     the frame's logical NCHW view, and the part ``interior`` of it that
     ``input[crop]`` fills.  With negative offsets what falls outside the frame
-    is cropped."""
+    is cropped.  :class:`_Gather` clears the whole frame on every call, not
+    its four border strips: the two column strips pull every cache line of
+    the frame through anyway (docs/PERFORMANCE.md)."""
     n, c, h, w = shape
     a0, a1 = max(0, -top), min(h, fh - top)
     b0, b1 = max(0, -left), min(w, fw - left)
@@ -292,20 +294,6 @@ def _frame_views(shape, dtype, fh: int, fw: int, top: int, left: int, order):
     frame = _as_nchw(flat, (n, c, fh, fw), order)
     interior = frame[:, :, top + a0 : top + a1, left + b0 : left + b1]
     return flat, frame, interior, (slice(None), slice(None), slice(a0, a1), slice(b0, b1))
-
-
-def _zero_framed(src: np.ndarray, fh: int, fw: int, top: int, left: int, order) -> np.ndarray:
-    """``src`` (N, C, h, w) laid at ``(top, left)`` of a pooled all-zero
-    ``(N, C, fh, fw)`` frame stored in axis ``order`` — ``np.pad`` without the
-    allocation, and with negative offsets: what falls outside the frame is
-    cropped.  The whole frame is cleared, not its four border strips: the two
-    column strips pull every cache line of the frame through anyway
-    (docs/PERFORMANCE.md).  A conv plan does the same through views it keeps
-    (:class:`_Gather`)."""
-    flat, frame, interior, crop = _frame_views(src.shape, src.dtype, fh, fw, top, left, order)
-    flat.fill(0)
-    interior[...] = src[crop]
-    return frame
 
 
 def _windows(frame: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int):

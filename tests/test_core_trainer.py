@@ -8,10 +8,10 @@ import pytest
 
 from repro import nn
 from repro import observability as obs
-from repro.core import FactorizationConfig, PufferfishTrainer, Trainer, seq2seq_batch
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer, lm_batch, seq2seq_batch
 from repro.data import DataLoader, make_translation_dataset
 from repro.metrics import evaluate_translation
-from repro.models import Seq2SeqTransformer, transformer_hybrid_config
+from repro.models import LSTMLanguageModel, Seq2SeqTransformer, transformer_hybrid_config
 from repro.optim import SGD
 
 
@@ -281,3 +281,17 @@ class TestSeq2Seq:
         assert 0.0 <= first[1] <= 100.0 and first[0] > 0.0
         for k, v in model.state_dict().items():
             assert np.array_equal(v, before[k])
+
+
+class TestLMBatch:
+    def test_state_carries_detached_until_reset(self, rng):
+        lm = LSTMLanguageModel(12, embed_dim=8, num_layers=2, dropout=0.0)
+        x, y = rng.integers(0, 12, (2, 5, 3))
+        loss_fn = nn.CrossEntropyLoss()
+        fresh, metric, count = lm_batch(lm, (x, y, True), loss_fn)
+        assert count == y.size and metric == float(fresh.data) * y.size
+        assert all(not (h.requires_grad or c.requires_grad) for h, c in lm.carry)
+        carried = lm_batch(lm, (x, y, False), loss_fn)[0]  # from the state after x
+        again = lm_batch(lm, (x, y, True), loss_fn)[0]
+        assert float(carried.data) != float(fresh.data)
+        assert float(again.data) == float(fresh.data)

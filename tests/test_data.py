@@ -7,6 +7,7 @@ from repro.data import (
     DataLoader,
     batchify,
     get_lm_batch,
+    lm_chunks,
     make_cifar_like,
     make_imagenet_like,
     make_lm_corpus,
@@ -157,6 +158,13 @@ class TestLMCorpus:
         data = np.arange(20).reshape(10, 2)
         x, y = get_lm_batch(data, 8, 5)
         assert len(x) == 1  # only one step remains
+
+    def test_lm_chunks_cover_the_stream_and_reset_once(self):
+        data = np.arange(22).reshape(11, 2)
+        chunks = lm_chunks(data, 4)
+        assert [reset for _, _, reset in chunks] == [True, False, False]
+        assert np.array_equal(np.concatenate([x for x, _, _ in chunks]), data[:-1])
+        assert np.array_equal(np.concatenate([y for _, y, _ in chunks]), data[1:])
 
 
 class TestTranslation:

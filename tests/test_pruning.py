@@ -12,7 +12,7 @@ from repro.pruning import (
     LTHRunner,
     apply_masks,
     bn_channel_scores,
-    bn_l1_penalty_grad,
+    bn_l1_penalty,
     channel_mask,
     global_magnitude_mask,
     mask_distance,
@@ -186,9 +186,38 @@ class TestEarlyBirdDetector:
         before = np.abs(bn.weight.data).sum()
         for _ in range(5):
             opt.zero_grad()
-            bn_l1_penalty_grad(m, coeff=0.1)
+            bn_l1_penalty(m, coeff=0.1).backward()
             opt.step()
         assert np.abs(bn.weight.data).sum() < before
+
+    @pytest.mark.parametrize("coeff", [1e-3, 0.1])
+    def test_bn_l1_penalty_grad_is_coeff_sign_gamma_to_the_byte(self, rng, coeff):
+        """On top of a loss gradient, the term's γ gradient equals adding
+        ``coeff * sign(γ)`` after backward (network slimming's subgradient
+        step) byte for byte; every other gradient is untouched."""
+        m = nn.Sequential(nn.Conv2d(3, 8, 3), nn.BatchNorm2d(8), nn.ReLU(),
+                          nn.Conv2d(8, 4, 3), nn.BatchNorm2d(4))
+        for mod in m.modules():
+            if isinstance(mod, BatchNorm2d):  # γ of both signs
+                mod.weight.data = rng.standard_normal(mod.num_features).astype(np.float32)
+        x = Tensor(rng.standard_normal((4, 3, 8, 8)).astype(np.float32))
+        w = rng.standard_normal((4, 4, 4, 4)).astype(np.float32)
+
+        def grads(penalty: bool) -> dict:
+            m.zero_grad()
+            loss = (m(x) * w).sum()
+            (loss + bn_l1_penalty(m, coeff) if penalty else loss).backward()
+            return {k: p.grad.copy() for k, p in m.named_parameters()}
+
+        expected = grads(penalty=False)
+        for path, mod in m.named_modules():
+            if isinstance(mod, BatchNorm2d):
+                expected[f"{path}.weight"] += coeff * np.sign(mod.weight.data)
+        got = grads(penalty=True)
+        assert got.keys() == expected.keys()
+        for k in expected:
+            assert got[k].dtype == expected[k].dtype, k
+            assert got[k].tobytes() == expected[k].tobytes(), k
 
 
 class TestStructuralPruning:

@@ -26,8 +26,17 @@ from repro.tensor.backend import (
     _SCRATCH,
     _Gather,
     _ScratchPool,
-    _zero_framed,
+    _frame_views,
 )
+
+
+def _framed(src, fh, fw, top, left, order):
+    """``src`` laid in a zero frame through :func:`_frame_views`, cleared and
+    filled the way a conv plan's ``_Gather`` does on every call."""
+    flat, frame, interior, crop = _frame_views(src.shape, src.dtype, fh, fw, top, left, order)
+    flat.fill(0)
+    interior[...] = src[crop]
+    return frame
 
 
 @pytest.fixture
@@ -268,7 +277,7 @@ def test_a_batch_innermost_frame_is_cleared_on_every_call(clean_global_pool):
     order = _BATCH_INNER[0]
     for n in (6, 4, 6, 1):
         src = np.full((n, 2, 2, 2), 7.0, dtype=np.float32)
-        frame = _zero_framed(src, 4, 4, 1, 1, order)
+        frame = _framed(src, 4, 4, 1, 1, order)
         assert frame.shape == (n, 2, 4, 4)
         assert np.array_equal(frame[:, :, 1:3, 1:3], src)
         border = frame.copy()
@@ -300,13 +309,13 @@ frame_calls = st.lists(
 
 @given(frame_calls, st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
-def test_zero_framed_is_pad_then_crop_whatever_the_arena_held(calls, seed):
+def test_frame_views_are_pad_then_crop_whatever_the_arena_held(calls, seed):
     data = np.random.default_rng(seed)
     _SCRATCH.clear()
     margin = 12  # > every |offset| + frame size drawn above
     for p in calls:
         src = data.standard_normal((p["n"], p["c"], p["h"], p["w"])).astype(np.float32)
-        frame = _zero_framed(src, p["fh"], p["fw"], p["top"], p["left"], p["layout"][0])
+        frame = _framed(src, p["fh"], p["fw"], p["top"], p["left"], p["layout"][0])
         padded = np.pad(src, ((0, 0), (0, 0), (margin, margin), (margin, margin)))
         y0, x0 = margin - p["top"], margin - p["left"]
         assert np.array_equal(frame, padded[:, :, y0 : y0 + p["fh"], x0 : x0 + p["fw"]])

@@ -11,6 +11,9 @@ the table reads from it:
 * ``eb-search``: Table 7's EB-Train search on a small ResNet-50 — the epoch
   the ticket is drawn, the channel mask, and the slimmed model's state.
 
+``run_lm(..., warmup_epochs=W)``, Algorithm 1 through ``PufferfishTrainer``,
+must train the LM to the ``lm-warmup`` bytes (``W = 0``: ``lm-scratch``).
+
 The LM learning rate is high enough that ``ReduceLROnPlateau`` decays it once
 in the vanilla run, so the plateau decisions are pinned too.  The LM rows
 train to the same bytes on both backends and run on the active one under one
@@ -80,6 +83,12 @@ def lm_scratch() -> dict:
     return _lm_record(hybrid, run_lm(hybrid, corpus, EPOCHS, lr=LR, **LM_SIZES))
 
 
+def lm_pufferfish(warmup_epochs: int) -> dict:
+    corpus, model = _lm_setup()
+    res = run_lm(model, corpus, EPOCHS, lr=LR, warmup_epochs=warmup_epochs, **LM_SIZES)
+    return _lm_record(res["model"], res)
+
+
 def eb() -> dict:
     set_seed(0)
     train, _, _ = imagenet_loaders(np.random.default_rng(0), n=40, classes=4, size=16, batch=8)
@@ -130,12 +139,22 @@ def test_table_covers_the_configs():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_digest_is_pinned(name):
+    _require_canary()
+    assert digest(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("warmup_epochs, hand", [(WARMUP, "lm-warmup"), (0, "lm-scratch")])
+def test_run_lm_warmup_epochs_is_the_hand_sequence(warmup_epochs, hand):
+    _require_canary()
+    assert canonical_digest(lm_pufferfish(warmup_epochs)) == PINNED[hand]
+
+
+def _require_canary():
     if platform_canary() != PLATFORM_CANARY:
         pytest.skip(
             "digest table was recorded on different BLAS kernels "
             f"(canary {platform_canary()} != {PLATFORM_CANARY})"
         )
-    assert digest(name) == PINNED[name]
 
 
 if __name__ == "__main__":
