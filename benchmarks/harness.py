@@ -13,9 +13,10 @@ import json
 import platform
 import time
 
+import numpy as np
 
 from repro import __version__, nn
-from repro.data import DataLoader, make_cifar_like, make_imagenet_like
+from repro.data import DataLoader, make_cifar_like, make_imagenet_like, shard_dataset
 from repro.observability import get_registry
 from repro.optim import SGD, MultiStepLR
 
@@ -33,6 +34,7 @@ __all__ = [
     "scaled_wrn50",
     "train_classifier",
     "eb_search",
+    "fig4_endtoend",
     "fmt",
 ]
 
@@ -185,6 +187,86 @@ def eb_search(model, train, detector, epochs):
         if detector.update(model, epoch):
             return epoch + 1
     return epochs
+
+
+# ---------------------------------------------------------------------------
+# Fig. 4 (bottom): Algorithm 1 end to end under data parallelism
+# ---------------------------------------------------------------------------
+
+def _fig4_loaders(seed, n_nodes, worker_batch, iters):
+    n = worker_batch * n_nodes * iters
+    train, val, _ = image_loaders(np.random.default_rng(seed), n=n + 64, classes=4, noise=0.2,
+                                  batch=worker_batch)
+    x = np.concatenate([xb for xb, _ in train])[:n]
+    y = np.concatenate([yb for _, yb in train])[:n]
+    loaders = [DataLoader(sx, sy, worker_batch) for sx, sy in shard_dataset(x, y, n_nodes)]
+    return loaders, val
+
+
+def _val(model, val):
+    from repro.core import Trainer
+
+    t = Trainer(model, SGD(model.parameters(), lr=0.0))
+    return t.evaluate(val)
+
+
+def _fig4_row(clock, val_scores, tl, model):
+    val_loss, val_acc = val_scores
+    return {"clock": clock, "val_loss": val_loss, "val_acc": val_acc, "comm": tl.comm,
+            "bytes_per_iteration": tl.bytes_per_iteration, "iterations": tl.iterations,
+            "params": model.num_parameters()}
+
+
+def fig4_endtoend(cluster, epochs, warmup, worker_batch, iters=4, width=0.25, seed=44):
+    """Vanilla SGD and Pufferfish (``warmup`` full-rank epochs, the SVD, then
+    low-rank epochs) trained for ``epochs`` each on the simulated ``cluster``,
+    ``iters`` iterations of ``worker_batch`` per rank per epoch, on a
+    ``width``-scaled ResNet-18.
+
+    Returns ``{"vanilla": rows, "pufferfish": rows}``, one row per epoch: the
+    simulated clock so far (Pufferfish's includes the SVD), val loss and accuracy,
+    modeled comm seconds, wire bytes per iteration, iterations and params.
+    """
+    from repro.core import build_hybrid
+    from repro.distributed import DistributedTrainer
+    from repro.models import resnet18_hybrid_config
+    from repro.utils import set_seed
+
+    n_nodes = cluster.world_size
+
+    # --- vanilla SGD arm ---------------------------------------
+    set_seed(seed)
+    loaders, val = _fig4_loaders(seed, n_nodes, worker_batch, iters)
+    vanilla = scaled_resnet18(classes=4, width=width)
+    opt = SGD(vanilla.parameters(), lr=0.05, momentum=0.9)
+    dt = DistributedTrainer(vanilla, opt, cluster)
+    clock_v, rows_v = 0.0, []
+    for _ in range(epochs):
+        tl = dt.train_epoch(loaders)
+        clock_v += tl.total
+        rows_v.append(_fig4_row(clock_v, _val(vanilla, val), tl, vanilla))
+
+    # --- Pufferfish arm (warm-up + SVD + low-rank) ---------------
+    set_seed(seed)
+    loaders, val = _fig4_loaders(seed, n_nodes, worker_batch, iters)
+    model = scaled_resnet18(classes=4, width=width)
+    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    dt = DistributedTrainer(model, opt, cluster)
+    clock_p, rows_p = 0.0, []
+    for _ in range(warmup):
+        tl = dt.train_epoch(loaders)
+        clock_p += tl.total
+        rows_p.append(_fig4_row(clock_p, _val(model, val), tl, model))
+    hybrid, report = build_hybrid(model, resnet18_hybrid_config(model))
+    clock_p += report.svd_seconds  # conversion charged to the clock
+    opt2 = SGD(hybrid.parameters(), lr=0.05, momentum=0.9)
+    dt2 = DistributedTrainer(hybrid, opt2, cluster)
+    for _ in range(epochs - warmup):
+        tl = dt2.train_epoch(loaders)
+        clock_p += tl.total
+        rows_p.append(_fig4_row(clock_p, _val(hybrid, val), tl, hybrid))
+
+    return {"vanilla": rows_v, "pufferfish": rows_p}
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,8 @@ accuracy in strictly less simulated time, with speedup in the paper's
 1.1-2.5x range.
 """
 
-import numpy as np
-
-from harness import image_loaders, print_series, scaled_resnet18
-from repro.core import Trainer, build_hybrid
-from repro.data import DataLoader, shard_dataset
-from repro.distributed import ClusterSpec, DistributedTrainer
-from repro.models import resnet18_hybrid_config
-from repro.optim import SGD
-from repro.utils import set_seed
+from harness import fig4_endtoend, print_series
+from repro.distributed import ClusterSpec
 
 N_NODES = 8
 WORKER_BATCH = 16
@@ -33,59 +26,12 @@ WARMUP = 2
 BANDWIDTH = 1.0  # idle-machine calibration; see test_fig4_distributed.py
 
 
-def _shard_loaders(seed, iters=4):
-    n = WORKER_BATCH * N_NODES * iters
-    ds_rng = np.random.default_rng(seed)
-    train, val, _ = image_loaders(ds_rng, n=n + 64, classes=4, noise=0.2, batch=WORKER_BATCH)
-    x = np.concatenate([xb for xb, _ in train])[:n]
-    y = np.concatenate([yb for _, yb in train])[:n]
-    loaders = [DataLoader(sx, sy, WORKER_BATCH) for sx, sy in shard_dataset(x, y, N_NODES)]
-    return loaders, val
-
-
-def _val_acc(model, val):
-    t = Trainer(model, SGD(model.parameters(), lr=0.0))
-    _, acc = t.evaluate(val)
-    return acc
-
-
 def test_fig4_end_to_end_convergence(benchmark, rng):
     def experiment():
         cluster = ClusterSpec(N_NODES, bandwidth_gbps=BANDWIDTH)
-
-        # --- vanilla SGD arm ---------------------------------------
-        set_seed(44)
-        loaders, val = _shard_loaders(44)
-        vanilla = scaled_resnet18(classes=4, width=0.25)
-        opt = SGD(vanilla.parameters(), lr=0.05, momentum=0.9)
-        dt = DistributedTrainer(vanilla, opt, cluster)
-        clock_v, curve_v = 0.0, []
-        for _ in range(EPOCHS):
-            tl = dt.train_epoch(loaders)
-            clock_v += tl.total
-            curve_v.append((clock_v, _val_acc(vanilla, val)))
-
-        # --- Pufferfish arm (warm-up + SVD + low-rank) ---------------
-        set_seed(44)
-        loaders, val = _shard_loaders(44)
-        model = scaled_resnet18(classes=4, width=0.25)
-        opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        dt = DistributedTrainer(model, opt, cluster)
-        clock_p, curve_p = 0.0, []
-        for _ in range(WARMUP):
-            tl = dt.train_epoch(loaders)
-            clock_p += tl.total
-            curve_p.append((clock_p, _val_acc(model, val)))
-        hybrid, report = build_hybrid(model, resnet18_hybrid_config(model))
-        clock_p += report.svd_seconds  # conversion charged to the clock
-        opt2 = SGD(hybrid.parameters(), lr=0.05, momentum=0.9)
-        dt2 = DistributedTrainer(hybrid, opt2, cluster)
-        for _ in range(EPOCHS - WARMUP):
-            tl = dt2.train_epoch(loaders)
-            clock_p += tl.total
-            curve_p.append((clock_p, _val_acc(hybrid, val)))
-
-        return curve_v, curve_p
+        arms = fig4_endtoend(cluster, EPOCHS, WARMUP, WORKER_BATCH)
+        return [[(r["clock"], r["val_acc"]) for r in arms[arm]]
+                for arm in ("vanilla", "pufferfish")]
 
     curve_v, curve_p = benchmark.pedantic(experiment, rounds=1, iterations=1)
     print_series(
