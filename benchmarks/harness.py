@@ -203,70 +203,47 @@ def _fig4_loaders(seed, n_nodes, worker_batch, iters):
     return loaders, val
 
 
-def _val(model, val):
-    from repro.core import Trainer
-
-    t = Trainer(model, SGD(model.parameters(), lr=0.0))
-    return t.evaluate(val)
-
-
-def _fig4_row(clock, val_scores, tl, model):
-    val_loss, val_acc = val_scores
-    return {"clock": clock, "val_loss": val_loss, "val_acc": val_acc, "comm": tl.comm,
-            "bytes_per_iteration": tl.bytes_per_iteration, "iterations": tl.iterations,
-            "params": model.num_parameters()}
+def _fig4_rows(history, svd_seconds=0.0):
+    clock, rows = 0.0, []
+    for s in history:
+        if s.phase == "lowrank":  # the SVD joins the clock at the switch
+            clock, svd_seconds = clock + svd_seconds, 0.0
+        clock += s.timeline.total
+        rows.append({"clock": clock, "val_loss": s.val_loss, "val_acc": s.val_metric,
+                     "comm": s.timeline.comm,
+                     "bytes_per_iteration": s.timeline.bytes_per_iteration,
+                     "iterations": s.timeline.iterations, "params": s.num_parameters})
+    return rows
 
 
 def fig4_endtoend(cluster, epochs, warmup, worker_batch, iters=4, width=0.25, seed=44):
-    """Vanilla SGD and Pufferfish (``warmup`` full-rank epochs, the SVD, then
-    low-rank epochs) trained for ``epochs`` each on the simulated ``cluster``,
-    ``iters`` iterations of ``worker_batch`` per rank per epoch, on a
-    ``width``-scaled ResNet-18.
-
-    Returns ``{"vanilla": rows, "pufferfish": rows}``, one row per epoch: the
-    simulated clock so far (Pufferfish's includes the SVD), val loss and accuracy,
-    modeled comm seconds, wire bytes per iteration, iterations and params.
-    """
-    from repro.core import build_hybrid
+    """Vanilla SGD and Pufferfish (warm-up, SVD, low-rank) for ``epochs`` each on
+    the simulated ``cluster`` (ResNet-18 at ``width``, ``iters`` iterations of
+    ``worker_batch`` per rank and epoch) -> ``{"vanilla": rows, "pufferfish": rows}``,
+    one row per epoch: simulated clock so far (Pufferfish's includes the SVD),
+    val loss and accuracy, modeled comm seconds, wire bytes, iterations, params."""
+    from repro.core import PufferfishTrainer
     from repro.distributed import DistributedTrainer
     from repro.models import resnet18_hybrid_config
     from repro.utils import set_seed
 
-    n_nodes = cluster.world_size
+    make_opt = lambda params: SGD(params, lr=0.05, momentum=0.9)
+    make_trainer = lambda model, opt: DistributedTrainer(model, opt, cluster)
 
-    # --- vanilla SGD arm ---------------------------------------
     set_seed(seed)
-    loaders, val = _fig4_loaders(seed, n_nodes, worker_batch, iters)
+    loaders, val = _fig4_loaders(seed, cluster.world_size, worker_batch, iters)
     vanilla = scaled_resnet18(classes=4, width=width)
-    opt = SGD(vanilla.parameters(), lr=0.05, momentum=0.9)
-    dt = DistributedTrainer(vanilla, opt, cluster)
-    clock_v, rows_v = 0.0, []
-    for _ in range(epochs):
-        tl = dt.train_epoch(loaders)
-        clock_v += tl.total
-        rows_v.append(_fig4_row(clock_v, _val(vanilla, val), tl, vanilla))
+    trainer = make_trainer(vanilla, make_opt(vanilla.parameters()))
+    trainer.fit(loaders, val, epochs)
 
-    # --- Pufferfish arm (warm-up + SVD + low-rank) ---------------
     set_seed(seed)
-    loaders, val = _fig4_loaders(seed, n_nodes, worker_batch, iters)
+    loaders, val = _fig4_loaders(seed, cluster.world_size, worker_batch, iters)
     model = scaled_resnet18(classes=4, width=width)
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    dt = DistributedTrainer(model, opt, cluster)
-    clock_p, rows_p = 0.0, []
-    for _ in range(warmup):
-        tl = dt.train_epoch(loaders)
-        clock_p += tl.total
-        rows_p.append(_fig4_row(clock_p, _val(model, val), tl, model))
-    hybrid, report = build_hybrid(model, resnet18_hybrid_config(model))
-    clock_p += report.svd_seconds  # conversion charged to the clock
-    opt2 = SGD(hybrid.parameters(), lr=0.05, momentum=0.9)
-    dt2 = DistributedTrainer(hybrid, opt2, cluster)
-    for _ in range(epochs - warmup):
-        tl = dt2.train_epoch(loaders)
-        clock_p += tl.total
-        rows_p.append(_fig4_row(clock_p, _val(hybrid, val), tl, hybrid))
-
-    return {"vanilla": rows_v, "pufferfish": rows_p}
+    pt = PufferfishTrainer(model, resnet18_hybrid_config(model), make_opt, warmup, epochs,
+                           make_trainer)
+    pt.fit(loaders, val)
+    return {"vanilla": _fig4_rows(trainer.history),
+            "pufferfish": _fig4_rows(pt.history, pt.report.svd_seconds)}
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +280,14 @@ def run_lm(model, corpus, epochs, bptt=16, batch=16, lr=2.0, warmup_epochs=None)
                         for split in (corpus.train, corpus.valid, corpus.test))
     batch_fn = functools.partial(lm_batch, loss_fn=nn.CrossEntropyLoss())
     make_opt = lambda params: SGD(params, lr=lr)
-    make_sched = lambda opt: ReduceLROnPlateau(opt, factor=0.25)
+    make_trainer = lambda m, opt: Trainer(m, opt, batch_fn=batch_fn, grad_clip=0.25,
+                                          scheduler=ReduceLROnPlateau(opt, factor=0.25))
     if warmup_epochs is None:
-        opt = make_opt(model.parameters())
-        trainer = Trainer(model, opt, batch_fn=batch_fn, scheduler=make_sched(opt), grad_clip=0.25)
+        trainer = make_trainer(model, make_opt(model.parameters()))
         trainer.fit(train, val, epochs)
     else:
         trainer = PufferfishTrainer(model, lstm_lm_hybrid_config(0.25), make_opt, warmup_epochs,
-                                    epochs, batch_fn=batch_fn, scheduler_factory=make_sched,
-                                    grad_clip=0.25,
+                                    epochs, make_trainer,
                                     lr_decay_at_switch=0.5 if warmup_epochs else 1.0)
         model = trainer.fit(train, val)
     last = trainer.history[-1]
@@ -354,12 +330,13 @@ def run_translation(model, train_ds, val_ds, epochs, warmup_epochs=None, batch=6
     batch_fn = functools.partial(seq2seq_batch, loss_fn=loss_fn)
     loaders = (train_ds.batches(batch), val_ds.batches(len(val_ds)))
     make_opt = lambda params: Adam(params, lr=lr)
+    make_trainer = lambda m, opt: Trainer(m, opt, batch_fn=batch_fn)
     if warmup_epochs is None:
-        trainer = Trainer(model, make_opt(model.parameters()), batch_fn=batch_fn)
+        trainer = make_trainer(model, make_opt(model.parameters()))
         trainer.fit(*loaders, epochs=epochs)
     else:
         trainer = PufferfishTrainer(model, transformer_hybrid_config(0.25), make_opt,
-                                    warmup_epochs, epochs, batch_fn=batch_fn)
+                                    warmup_epochs, epochs, make_trainer)
         model = trainer.fit(*loaders)
     val_nll, val_bleu = evaluate_translation(model, val_ds)
     return {"params": model.num_parameters(), "train_nll": trainer.history[-1].train_metric,

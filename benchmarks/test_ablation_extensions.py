@@ -20,6 +20,7 @@ from repro.compression import Atomo
 from repro.core import (
     FactorizationConfig,
     PufferfishTrainer,
+    Trainer,
     build_hybrid,
     energy_rank_allocation,
     factorize_conv2d,
@@ -40,7 +41,7 @@ def _run_pufferfish(config_fn, seed=88):
         model,
         config_fn(model),
         optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda opt: MultiStepLR(opt, [5], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [5], gamma=0.1)),
         warmup_epochs=WARMUP,
         total_epochs=EPOCHS,
     )

@@ -84,7 +84,8 @@ def _make_loaders(seed, n_nodes=4, per_worker=16, batch=4):
 def _run(faults=None, epochs=2, pufferfish=False, n_nodes=4):
     trainer = _make_trainer(n_nodes=n_nodes, faults=faults, pufferfish=pufferfish)
     loaders = _make_loaders(7, n_nodes=n_nodes)
-    timelines = [trainer.train_epoch(loaders) for _ in range(epochs)]
+    trainer.fit(loaders, (), epochs)  # no validation set: the timelines are the result
+    timelines = [s.timeline for s in trainer.history]
     summary = trainer.faults.summary() if trainer.faults is not None else {}
     return timelines, summary, trainer
 

@@ -12,7 +12,7 @@ assignment.
 import numpy as np
 
 from harness import image_loaders, print_series, print_table, scaled_resnet18
-from repro.core import FactorizationConfig, PufferfishTrainer
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer
 from repro.models import vgg19
 from repro.optim import SGD, MultiStepLR
 from repro.utils import set_seed
@@ -27,7 +27,7 @@ def _pufferfish_acc(model_fn, config, warmup, seed=3, noise=0.3):
         model_fn(),
         config,
         optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda opt: MultiStepLR(opt, [5], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [5], gamma=0.1)),
         warmup_epochs=warmup,
         total_epochs=EPOCHS,
     )

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from harness import image_loaders, print_series, print_table
-from repro.core import PufferfishTrainer
+from repro.core import PufferfishTrainer, Trainer
 from repro.models import vgg19, vgg19_hybrid_config
 from repro.optim import SGD, MultiStepLR
 from repro.pruning import LTHRunner
@@ -43,7 +43,7 @@ def test_fig5_lth_vs_pufferfish(benchmark, rng):
             model,
             vgg19_hybrid_config(0.25),
             optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-            scheduler_factory=lambda opt: MultiStepLR(opt, [4], gamma=0.1),
+            trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [4], gamma=0.1)),
             warmup_epochs=2,
             total_epochs=EPOCHS,
         )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from harness import image_loaders, print_table, scaled_resnet18, train_classifier
-from repro.core import PufferfishTrainer, build_hybrid
+from repro.core import PufferfishTrainer, Trainer, build_hybrid
 from repro.metrics import measure_macs
 from repro.models import (
     resnet18,
@@ -61,10 +61,10 @@ def _train_pair(model_fn, config_fn, rng_seed, amp):
         model,
         config_fn(model),
         optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda opt: MultiStepLR(opt, [6], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [6], gamma=0.1),
+                                             amp=amp),
         warmup_epochs=WARMUP,
         total_epochs=EPOCHS,
-        amp=amp,
     )
     pt.fit(train, val)
     acc_p = max(s.val_metric for s in pt.history)

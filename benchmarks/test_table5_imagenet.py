@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from harness import imagenet_loaders, print_table, scaled_resnet50, train_classifier
-from repro.core import PufferfishTrainer, build_hybrid
+from repro.core import PufferfishTrainer, Trainer, build_hybrid
 from repro.models import resnet50, resnet50_hybrid_config, wide_resnet50_2
 from repro.optim import SGD, MultiStepLR
 from repro.utils import set_seed
@@ -61,7 +61,7 @@ def test_table5_accuracy_scaled(benchmark, rng):
             model,
             resnet50_hybrid_config(model),
             optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-            scheduler_factory=lambda opt: MultiStepLR(opt, [4], gamma=0.1),
+            trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [4], gamma=0.1)),
             warmup_epochs=WARMUP,
             total_epochs=EPOCHS,
         )

@@ -22,7 +22,7 @@ from harness import (
     scaled_resnet50,
     train_classifier,
 )
-from repro.core import PufferfishTrainer
+from repro.core import PufferfishTrainer, Trainer
 from repro.models import resnet50_hybrid_config
 from repro.optim import SGD, MultiStepLR
 from repro.pruning import EarlyBirdDetector, prune_resnet, resnet_internal_bns
@@ -63,7 +63,9 @@ def run_pufferfish(seed=77):
         model,
         resnet50_hybrid_config(model),
         optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda opt: MultiStepLR(opt, [EPOCHS - 1], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(
+            m, o, scheduler=MultiStepLR(o, [EPOCHS - 1], gamma=0.1)
+        ),
         warmup_epochs=WARMUP,
         total_epochs=EPOCHS,
     )

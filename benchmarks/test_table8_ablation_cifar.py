@@ -13,7 +13,7 @@ three variants (warm-up helps most — the paper's Section 3 argument).
 import numpy as np
 
 from harness import image_loaders, print_table, scaled_resnet18
-from repro.core import FactorizationConfig, PufferfishTrainer
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer
 from repro.models import resnet18_hybrid_config
 from repro.optim import SGD, MultiStepLR
 from repro.utils import set_seed
@@ -44,7 +44,7 @@ def run_variant(variant, seed):
         model,
         config,
         optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda opt: MultiStepLR(opt, [6], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [6], gamma=0.1)),
         warmup_epochs=warmup,
         total_epochs=EPOCHS,
     )

@@ -41,9 +41,8 @@ def run(name, model, compressor):
     loaders = make_loaders(np.random.default_rng(1))
     opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
     trainer = DistributedTrainer(model, opt, CLUSTER, compressor=compressor)
-    total = None
-    for _ in range(EPOCHS):
-        total = trainer.train_epoch(loaders)
+    trainer.fit(loaders, (), EPOCHS)  # no validation set: the timeline is the result
+    total = trainer.history[-1].timeline
     print(f"{name:<22} compute={total.compute:6.3f}s  encode={total.encode:6.3f}s  "
           f"comm={total.comm:6.3f}s  decode={total.decode:6.3f}s  "
           f"total={total.total:6.3f}s  wire={total.bytes_per_iteration/1e6:6.2f} MB/iter")

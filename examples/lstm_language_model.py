@@ -44,6 +44,9 @@ def make_opt(params):
     return SGD(params, lr=LR)
 
 
+make_trainer = lambda model, opt: Trainer(model, opt, batch_fn=batch_fn, grad_clip=0.25)
+
+
 def show(history):
     for s in history:
         print(f"  epoch {s.epoch} ({s.phase}): train ppl {perplexity(s.train_metric):7.2f}  "
@@ -53,15 +56,15 @@ def show(history):
 print("=== vanilla LSTM ===")
 vanilla = make_model()
 print(f"params: {vanilla.num_parameters():,}")
-trainer = Trainer(vanilla, make_opt(vanilla.parameters()), batch_fn=batch_fn, grad_clip=0.25)
+trainer = make_trainer(vanilla, make_opt(vanilla.parameters()))
 show(trainer.fit(*loaders, epochs=EPOCHS))
 
 print("\n=== Pufferfish LSTM (warm-up -> SVD -> fine-tune) ===")
 set_seed(0)
 # Halve the LR at the switch, as the paper does for the LSTM task.
 trainer = PufferfishTrainer(make_model(), lstm_lm_hybrid_config(rank_ratio=0.25), make_opt,
-                            warmup_epochs=WARMUP, total_epochs=EPOCHS, batch_fn=batch_fn,
-                            grad_clip=0.25, lr_decay_at_switch=0.5)
+                            warmup_epochs=WARMUP, total_epochs=EPOCHS,
+                            trainer_factory=make_trainer, lr_decay_at_switch=0.5)
 trainer.fit(*loaders)
 report = trainer.report
 print(f"factorized: {report.params_before:,} -> {report.params_after:,} params "

@@ -11,7 +11,7 @@ Run:  python examples/mixed_precision.py
 
 import numpy as np
 
-from repro.core import PufferfishTrainer
+from repro.core import PufferfishTrainer, Trainer
 from repro.data import DataLoader, make_cifar_like
 from repro.models import resnet18, resnet18_hybrid_config
 from repro.optim import SGD, MultiStepLR
@@ -33,10 +33,10 @@ def run(amp: bool) -> float:
         model,
         resnet18_hybrid_config(model),
         optimizer_factory=lambda p: SGD(p, lr=0.05, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda o: MultiStepLR(o, [6], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [6], gamma=0.1),
+                                             amp=amp),
         warmup_epochs=WARMUP,
         total_epochs=EPOCHS,
-        amp=amp,
     )
     pt.fit(train, val)
     return max(s.val_metric for s in pt.history)

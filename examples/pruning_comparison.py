@@ -48,7 +48,7 @@ def main():
         vgg19(num_classes=4, width_mult=WIDTH),
         vgg19_hybrid_config(0.25),
         optimizer_factory=new_optimizer,
-        scheduler_factory=lambda o: MultiStepLR(o, [4], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [4], gamma=0.1)),
         warmup_epochs=2,
         total_epochs=EPOCHS,
     )

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from repro import nn
-from repro.core import FactorizationConfig, PufferfishTrainer
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer
 from repro.data import DataLoader, make_cifar_like
 from repro.optim import SGD, MultiStepLR
 from repro.utils import set_seed
@@ -46,7 +46,7 @@ trainer = PufferfishTrainer(
     # Rank ratio 0.25 everywhere; first conv and last FC stay full-rank.
     FactorizationConfig(rank_ratio=0.25),
     optimizer_factory=lambda params: SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-4),
-    scheduler_factory=lambda opt: MultiStepLR(opt, milestones=[8], gamma=0.1),
+    trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, milestones=[8], gamma=0.1)),
     warmup_epochs=3,
     total_epochs=12,
 )

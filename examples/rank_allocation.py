@@ -50,10 +50,10 @@ def run(config_builder, label):
         model,
         FactorizationConfig(rank_ratio=0.25),
         optimizer_factory=lambda p: SGD(p, lr=0.02, momentum=0.9, weight_decay=1e-4),
-        scheduler_factory=lambda o: MultiStepLR(o, [6], gamma=0.1),
+        trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [6], gamma=0.1),
+                                             grad_clip=5.0),
         warmup_epochs=WARMUP,
         total_epochs=EPOCHS,
-        grad_clip=5.0,
         # Evaluated on the warm-up-trained model, so spectrum-based
         # policies see trained (spectrally sparse) weights.
         config_builder=config_builder,

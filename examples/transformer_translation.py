@@ -46,6 +46,9 @@ def make_opt(params):
     return Adam(params, lr=LR)
 
 
+make_trainer = lambda model, opt: Trainer(model, opt, batch_fn=batch_fn)
+
+
 def evaluate(model, label):
     nll, bleu = evaluate_translation(model, val_ds)
     print(f"{label:<28} params={model.num_parameters():>8,}  "
@@ -54,13 +57,14 @@ def evaluate(model, label):
 
 print("=== vanilla Transformer ===")
 vanilla = make_model()
-Trainer(vanilla, make_opt(vanilla.parameters()), batch_fn=batch_fn).fit(*loaders, epochs=EPOCHS)
+make_trainer(vanilla, make_opt(vanilla.parameters())).fit(*loaders, epochs=EPOCHS)
 evaluate(vanilla, "vanilla")
 
 print("\n=== Pufferfish Transformer (warm-up -> SVD -> fine-tune) ===")
 set_seed(0)
 trainer = PufferfishTrainer(make_model(), transformer_hybrid_config(rank_ratio=0.25), make_opt,
-                            warmup_epochs=WARMUP, total_epochs=EPOCHS, batch_fn=batch_fn)
+                            warmup_epochs=WARMUP, total_epochs=EPOCHS,
+                            trainer_factory=make_trainer)
 hybrid = trainer.fit(*loaders)
 report = trainer.report
 print(f"factorized {len(report.replaced)} projections "

@@ -39,6 +39,11 @@ Quickstart::
         total_epochs=30,
     )
     hybrid = trainer.fit(train_loader, val_loader)
+
+On W simulated data-parallel ranks, add
+``trainer_factory=lambda m, o: DistributedTrainer(m, o, ClusterSpec(W))`` and
+pass the per-rank loader list as ``train_loader``; each epoch's
+``trainer.history`` entry then carries its compute/comm ``timeline``.
 """
 
 __version__ = "1.0.0"

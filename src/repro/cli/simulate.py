@@ -115,7 +115,10 @@ def _print_timeline(tl) -> None:
 def add_simulate_parser(sub):
     p = sub.add_parser("simulate", help="distributed-training simulation")
     groups.add_model_args(p)
-    p.add_argument("--method", choices=("vanilla", "pufferfish"), default="vanilla")
+    p.add_argument("--method", choices=("vanilla", "pufferfish"), default="vanilla",
+                   help="pufferfish: factorize the untrained model and simulate "
+                        "the hybrid (the no-warm-up arm of Tables 8/9, not "
+                        "Algorithm 1's full-rank warm-up)")
     add_ddp_args(p, nodes=8, compressor="none", batch_size=16)
     p.add_argument("--bandwidth", type=float, default=0.3, help="Gbps per link")
     groups.add_optimizer_args(

@@ -90,26 +90,26 @@ def run_train(args) -> int:
         hybrid_config = transformer_hybrid_config(rank_ratio=args.rank_ratio)
         loss_fn = nn.CrossEntropyLoss(ignore_index=0, label_smoothing=0.1)
         batch_fn = functools.partial(seq2seq_batch, loss_fn=loss_fn)
-        sched_factory = None
+        make_trainer = lambda m, opt: Trainer(m, opt, batch_fn=batch_fn)
     else:
         train_loader, val_loader = groups.cifar_loaders_from_args(args, noise=args.noise)
         model, hybrid_config = groups.model_from_args(args)
-        batch_fn = None
-        sched_factory = lambda opt: MultiStepLR(opt, [int(0.75 * args.epochs)], gamma=0.1)
+        milestone = int(0.75 * args.epochs)
+        make_trainer = lambda m, opt: Trainer(
+            m, opt, scheduler=MultiStepLR(opt, [milestone], gamma=0.1), amp=args.amp
+        )
 
     with _epoch_lines():
         if args.method == "pufferfish":
             trainer = groups.pufferfish_from_args(
                 args, model, hybrid_config, optimizer_factory=opt_factory,
-                scheduler_factory=sched_factory, amp=args.amp, batch_fn=batch_fn,
+                trainer_factory=make_trainer,
             )
             model = trainer.fit(train_loader, val_loader)
             print()
             _print_factorized(trainer.report)
         else:
-            opt = opt_factory(model.parameters())
-            scheduler = sched_factory(opt) if sched_factory else None
-            trainer = Trainer(model, opt, batch_fn=batch_fn, scheduler=scheduler, amp=args.amp)
+            trainer = make_trainer(model, opt_factory(model.parameters()))
             trainer.fit(train_loader, val_loader, epochs=args.epochs)
 
     if args.task == "transformer":

@@ -1,6 +1,9 @@
-"""Training loops: a generic single-node trainer and the Pufferfish
-procedure of Algorithm 1 (vanilla warm-up → SVD conversion → low-rank
-fine-tuning)."""
+"""Training loops: a generic trainer and the Pufferfish procedure of
+Algorithm 1 (vanilla warm-up → SVD conversion → low-rank fine-tuning).
+
+:meth:`Trainer.fit` is the one epoch loop, on one node and — through its
+subclass :class:`repro.distributed.DistributedTrainer` — on W simulated
+ranks."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import functools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..nn import CrossEntropyLoss, GradScaler, cast_gradients_fp16, autocast_round_trip
 from ..nn.module import Module
@@ -17,6 +20,9 @@ from ..observability import trace as _trace
 from ..optim import Optimizer, clip_grad_norm
 from ..tensor import Tensor, no_grad
 from .hybrid import FactorizationConfig, FactorizationReport, build_hybrid
+
+if TYPE_CHECKING:
+    from ..distributed import TimelineBreakdown
 
 __all__ = [
     "EpochStats",
@@ -46,6 +52,9 @@ class EpochStats:
     # Counter deltas for this epoch (macs, gemm_calls, ...) when metric
     # collection is enabled; None otherwise.
     metrics: dict | None = None
+    # The simulated cluster's per-phase seconds and wire bytes for this
+    # epoch under DistributedTrainer; None on one node.
+    timeline: TimelineBreakdown | None = None
 
 
 def classification_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, int]:
@@ -93,7 +102,8 @@ def lm_batch(model: Module, batch, loss_fn) -> tuple[Tensor, float, int]:
 
 
 class Trainer:
-    """Single-node SGD training loop.
+    """SGD training loop; one node here, W simulated ranks in its subclass
+    :class:`repro.distributed.DistributedTrainer`.
 
     Parameters
     ----------
@@ -168,7 +178,7 @@ class Trainer:
             # The "epoch" span brackets exactly the region that ``seconds``
             # times, so summed epoch spans reconcile with the history.
             with _trace.span("epoch", epoch=epoch, phase=phase):
-                train_loss, train_metric = self.train_epoch(train_loader)
+                train_loss, train_metric, timeline = self._epoch(train_loader)
             elapsed = time.perf_counter() - t0
             with _trace.span("evaluate", epoch=epoch):
                 val_loss, val_metric = self.evaluate(val_loader)
@@ -199,6 +209,7 @@ class Trainer:
                 num_parameters=self.model.num_parameters(),
                 phase=phase,
                 metrics=epoch_metrics,
+                timeline=timeline,
             )
             self.history.append(stats)
             _log.info(
@@ -206,6 +217,11 @@ class Trainer:
                 epoch, phase, train_loss, val_metric, self.optimizer.lr, elapsed,
             )
         return self.history
+
+    def _epoch(self, loader) -> tuple[float, float, TimelineBreakdown | None]:
+        """One training epoch for :meth:`fit`: (train loss, train metric,
+        timeline), the timeline ``None`` on one node."""
+        return (*self.train_epoch(loader), None)
 
     def train_epoch(self, loader) -> tuple[float, float]:
         self.model.train()
@@ -259,7 +275,10 @@ class PufferfishTrainer:
     optimizer_factory: ``params -> Optimizer`` — called once for the vanilla
         phase and once after conversion (fresh momentum state, as in the
         paper's implementation).
-    scheduler_factory: optional ``optimizer -> scheduler``.
+    trainer_factory: ``(model, optimizer) -> Trainer`` building each phase's
+        trainer, called after the switch LR is set, so a scheduler built in
+        it sees the decayed LR.  Defaults to :class:`Trainer`; a simulated
+        DDP run passes ``lambda m, o: DistributedTrainer(m, o, cluster)``.
     lr_decay_at_switch: multiply the LR by this factor when switching to
         the low-rank model (the paper halves the LSTM LR at the switch).
     config_builder: optional ``model -> FactorizationConfig`` evaluated on
@@ -277,11 +296,7 @@ class PufferfishTrainer:
         optimizer_factory: Callable,
         warmup_epochs: int,
         total_epochs: int,
-        batch_fn: Callable | None = None,
-        loss_fn=None,
-        scheduler_factory: Callable | None = None,
-        grad_clip: float | None = None,
-        amp: bool = False,
+        trainer_factory: Callable[[Module, Optimizer], Trainer] = Trainer,
         lr_decay_at_switch: float = 1.0,
         config_builder: Callable | None = None,
     ):
@@ -290,27 +305,18 @@ class PufferfishTrainer:
         self.model = model
         self.config = config
         self.optimizer_factory = optimizer_factory
-        self.scheduler_factory = scheduler_factory
+        self.trainer_factory = trainer_factory
         self.warmup_epochs = warmup_epochs
         self.total_epochs = total_epochs
-        self.batch_fn = batch_fn
-        self.loss_fn = loss_fn
-        self.grad_clip = grad_clip
-        self.amp = amp
         self.lr_decay_at_switch = lr_decay_at_switch
         self.config_builder = config_builder
         self.report: FactorizationReport | None = None
         self.history: list[EpochStats] = []
 
-    def _phase_trainer(self, model: Module, optimizer: Optimizer) -> Trainer:
-        scheduler = self.scheduler_factory(optimizer) if self.scheduler_factory else None
-        return Trainer(model, optimizer, batch_fn=self.batch_fn, loss_fn=self.loss_fn,
-                       scheduler=scheduler, grad_clip=self.grad_clip, amp=self.amp)
-
     def fit(self, train_loader, val_loader) -> Module:
         """Run the full procedure; returns the trained hybrid model."""
         # Phase 1: vanilla warm-up.
-        trainer = self._phase_trainer(self.model, self.optimizer_factory(self.model.parameters()))
+        trainer = self.trainer_factory(self.model, self.optimizer_factory(self.model.parameters()))
         if self.warmup_epochs > 0:
             with _trace.span("phase", name="warmup"):
                 trainer.fit(train_loader, val_loader, self.warmup_epochs, phase="warmup")
@@ -333,7 +339,7 @@ class PufferfishTrainer:
         # from the warm-up epoch count.
         optimizer = self.optimizer_factory(hybrid.parameters())
         optimizer.lr = trainer.optimizer.lr * self.lr_decay_at_switch
-        trainer2 = self._phase_trainer(hybrid, optimizer)
+        trainer2 = self.trainer_factory(hybrid, optimizer)
         remaining = self.total_epochs - self.warmup_epochs
         if remaining > 0:
             with _trace.span("phase", name="lowrank"):

@@ -40,7 +40,6 @@ timing: Fig. 4c reads its speedups from ``train_epoch`` too.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compression.base import Compressor, NoCompression
+from ..core.trainer import Trainer
 from ..nn.module import Module
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
@@ -126,12 +126,16 @@ class TimelineBreakdown:
         return out
 
 
-class DistributedTrainer:
+class DistributedTrainer(Trainer):
     """Synchronous data-parallel SGD over a simulated cluster.
 
     One iteration is :meth:`_iteration` (the module docstring's five
     phases); the arguments parameterize those phases, none selects another
-    code path.
+    code path.  It is a :class:`repro.core.Trainer`: ``fit(worker_loaders,
+    val_loader, epochs, ...)``, ``history`` and ``evaluate`` are the
+    single-node ones; an epoch's train loss is the mean over iterations of
+    the workers' mean loss, and its :class:`~repro.core.EpochStats` holds the
+    epoch's :class:`TimelineBreakdown`.
 
     Parameters
     ----------
@@ -142,8 +146,7 @@ class DistributedTrainer:
         two-level :class:`~repro.distributed.cost_model.HierarchicalSpec`;
         every collective charge dispatches on the topology.
     compressor: gradient compressor; default = raw fp32 (vanilla SGD).
-    batch_fn: ``(model, batch) -> (loss, metric_sum, count)`` as in
-        :class:`repro.core.Trainer`.
+    batch_fn, loss_fn: as in :class:`repro.core.Trainer`.
     flat_allreduce: when blocking, pack all tensors into one message
         (Section 4.1); per-layer messages add ``2(p-1)α`` latency each.
         Only meaningful for allreduce-compatible compressors.
@@ -175,17 +178,9 @@ class DistributedTrainer:
         overlap: bool = False,
         bucket_mb: float = 25.0,
     ):
-        from ..core.trainer import classification_batch
-        from ..nn import CrossEntropyLoss
-
-        self.model = model
-        self.optimizer = optimizer
+        super().__init__(model, optimizer, batch_fn=batch_fn, loss_fn=loss_fn)
         self.cluster = cluster
         self.compressor = compressor or NoCompression(cluster.world_size)
-        self.loss_fn = loss_fn or CrossEntropyLoss()
-        # A partial, not a lambda over ``self``: the trainer stays out of a
-        # reference cycle, so its model and optimizer go when it does.
-        self.batch_fn = batch_fn or functools.partial(classification_batch, loss_fn=self.loss_fn)
         self.flat_allreduce = flat_allreduce
         self.overlap = bool(overlap)
         self.bucket_bytes = float(bucket_mb) * 1e6
@@ -340,9 +335,12 @@ class DistributedTrainer:
         )
         return [{"ready_s": ev.ready, "start_s": ev.start, "end_s": ev.end} for ev in sched.events]
 
-    def _iteration(self, batches, active, iteration: int, timeline: TimelineBreakdown) -> None:
+    def _iteration(
+        self, batches, active, iteration: int, timeline: TimelineBreakdown
+    ) -> tuple[float, float, int]:
         """One synchronous step: compute + encode per worker → charge →
-        decode → apply.
+        decode → apply.  Returns the workers' mean loss and their summed
+        metric and count.
 
         ``groups`` are the tuples of parameter indices that travel together.
         Each is encoded per worker and decoded on its own, so nothing here
@@ -363,15 +361,20 @@ class DistributedTrainer:
         encode_times = [0.0] * len(groups)
         worker_compute: list[float] = []
         worker_ready: list[list[float]] = []
+        loss_sum = metric_sum = 0.0
+        count_sum = 0
         for w in active:
             with _trace.span("ddp.compute", iteration=step, worker=w):
                 self.optimizer.zero_grad()
                 recorder = GradientArrivalRecorder(params) if self.overlap else None
                 t0 = time.perf_counter()
                 with recorder or nullcontext():
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
+                    loss, metric, count = self.batch_fn(self.model, batches[w])
                     loss.backward()
                 elapsed = time.perf_counter() - t0
+                loss_sum += float(loss.data)
+                metric_sum += metric
+                count_sum += count
                 # A straggler's clock stretches uniformly; the numerics are
                 # unchanged.
                 mult = 1.0
@@ -428,6 +431,7 @@ class DistributedTrainer:
             for p, g in zip(params, agg):
                 p.grad = np.ascontiguousarray(g, dtype=np.float32)
             self.optimizer.step()
+        return loss_sum / len(active), metric_sum, count_sum
 
     def train_epoch(self, worker_loaders: list) -> TimelineBreakdown:
         """One synchronized epoch over per-worker shard loaders.
@@ -435,6 +439,9 @@ class DistributedTrainer:
         All loaders must yield the same number of batches; each yields that
         worker's micro-batch for the iteration.
         """
+        return self._epoch(worker_loaders)[2]
+
+    def _epoch(self, worker_loaders: list) -> tuple[float, float, TimelineBreakdown]:
         if len(worker_loaders) != self.cluster.world_size:
             raise ValueError("need one loader per rank")
         timeline = TimelineBreakdown()
@@ -442,6 +449,8 @@ class DistributedTrainer:
         injector = self.faults
         counters_before = _metrics.REGISTRY.counters() if _metrics.COLLECT else None
         epoch_events_start = len(self.overlap_events)
+        loss_total = metric_total = 0.0
+        count_total = 0
 
         for batches in zip(*[iter(dl) for dl in worker_loaders]):
             iteration = self._global_iteration
@@ -451,7 +460,10 @@ class DistributedTrainer:
             else:
                 active = range(len(batches))
 
-            self._iteration(batches, active, iteration, timeline)
+            loss, metric, count = self._iteration(batches, active, iteration, timeline)
+            loss_total += loss
+            metric_total += metric
+            count_total += count
             self.compressor.advance_step()
             timeline.iterations += 1
             self._global_iteration += 1
@@ -486,11 +498,5 @@ class DistributedTrainer:
                 )
         if injector is not None and injector.spec.active:
             timeline.faults = injector.summary()
-        return timeline
-
-    def evaluate(self, loader) -> tuple[float, float]:
-        """Convenience eval on a single loader (loss, accuracy-style metric)."""
-        from ..core.trainer import Trainer
-
-        t = Trainer(self.model, self.optimizer, batch_fn=self.batch_fn, loss_fn=self.loss_fn)
-        return t.evaluate(loader)
+        n = max(timeline.iterations, 1)
+        return loss_total / n, metric_total / max(count_total, 1), timeline

@@ -3,9 +3,10 @@
 One :func:`run_lifecycle` call is the ROADMAP's "train it, shrink it,
 ship it, scale it" loop up to the shipping boundary:
 
-1. **Warm-up** — full-rank training (single-node :class:`repro.core.Trainer`
-   or the simulated-DDP :class:`repro.distributed.DistributedTrainer`),
-   with a :class:`~.monitor.SpectrumMonitor` snapshotting per-layer spectra
+1. **Warm-up** — full-rank training through ``fit`` of a single-node
+   :class:`repro.core.Trainer` or, with ``workers > 1``, its simulated-DDP
+   subclass :class:`repro.distributed.DistributedTrainer`, with a
+   :class:`~.monitor.SpectrumMonitor` snapshotting per-layer spectra
    every epoch.  The :class:`~.scheduler.RankScheduler` re-targets its
    per-layer rank map from each snapshot's energy-rank curve; during
    warm-up a drift decision only *retargets* (the model is still
@@ -40,6 +41,8 @@ import numpy as np
 from ..core import Trainer, build_hybrid, eligible_paths
 from ..data.loader import DataLoader, shard_dataset
 from ..data.synthetic import make_cifar_like
+from ..distributed import ClusterSpec, DistributedTrainer
+from ..distributed.cost_model import broadcast_cost
 from ..metrics import measure_macs
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
@@ -240,99 +243,53 @@ def _example_batch(name: str):
     return spec.example_batch(1, np.random.default_rng(0))
 
 
-class _SingleNode:
-    """Epoch driver over :class:`repro.core.Trainer` (rebuilt on swap)."""
-
-    def __init__(self, cfg: LifecycleConfig, train, val):
-        rng = np.random.default_rng(derive_seed(cfg.seed, _KIND_LOADER, 0))
-        self.cfg = cfg
-        self.train_loader = DataLoader(
-            train.images, train.labels, cfg.batch_size, shuffle=True, rng=rng
+def _loaders(cfg: LifecycleConfig, train, val):
+    """The training loader — one per simulated rank when ``workers > 1`` —
+    and the validation loader."""
+    shards = shard_dataset(train.images, train.labels, cfg.workers)
+    loaders = [
+        DataLoader(
+            x,
+            y,
+            cfg.batch_size,
+            shuffle=True,
+            drop_last=cfg.workers > 1,
+            rng=np.random.default_rng(derive_seed(cfg.seed, _KIND_LOADER, w)),
         )
-        self.val_loader = DataLoader(val.images, val.labels, cfg.batch_size)
-        self.trainer: Trainer | None = None
-
-    def adopt(self, model) -> None:
-        opt = SGD(model.parameters(), lr=self.cfg.lr, momentum=self.cfg.momentum)
-        self.trainer = Trainer(model, opt)
-
-    def run_epoch(self, epoch: int, phase: str) -> dict:
-        self.trainer.fit(
-            self.train_loader, self.val_loader, 1, start_epoch=epoch, phase=phase
-        )
-        s = self.trainer.history[-1]
-        return {
-            "event": "epoch",
-            "epoch": epoch,
-            "phase": phase,
-            "train_loss": _r6(s.train_loss),
-            "val_loss": _r6(s.val_loss),
-            "val_metric": _r6(s.val_metric),
-            "params": int(s.num_parameters),
-        }
-
-    def evaluate(self) -> tuple[float, float]:
-        return self.trainer.evaluate(self.val_loader)
-
-    def resync_seconds(self, nbytes: float) -> float:
-        return 0.0  # one replica: nothing to broadcast
+        for w, (x, y) in enumerate(shards)
+    ]
+    val_loader = DataLoader(val.images, val.labels, cfg.batch_size)
+    return (loaders[0] if cfg.workers == 1 else loaders), val_loader
 
 
-class _SimulatedDDP:
-    """Epoch driver over the simulated DDP trainer with resync accounting."""
+def _trainer(cfg: LifecycleConfig, model) -> Trainer:
+    """A fresh trainer (and optimizer) for ``model``: one node, or the
+    simulated DDP ring of ``workers`` ranks."""
+    opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
+    if cfg.workers == 1:
+        return Trainer(model, opt)
+    return DistributedTrainer(model, opt, ClusterSpec(cfg.workers))
 
-    def __init__(self, cfg: LifecycleConfig, train, val):
-        from ..distributed import ClusterSpec
 
-        self.cfg = cfg
-        self.cluster = ClusterSpec(cfg.workers)
-        shards = shard_dataset(train.images, train.labels, cfg.workers)
-        self.worker_loaders = [
-            DataLoader(
-                x,
-                y,
-                cfg.batch_size,
-                shuffle=True,
-                drop_last=True,
-                rng=np.random.default_rng(derive_seed(cfg.seed, _KIND_LOADER, w)),
-            )
-            for w, (x, y) in enumerate(shards)
-        ]
-        self.val_loader = DataLoader(val.images, val.labels, cfg.batch_size)
-        self.ddp = None
-
-    def adopt(self, model) -> None:
-        from ..distributed import DistributedTrainer
-
-        opt = SGD(model.parameters(), lr=self.cfg.lr, momentum=self.cfg.momentum)
-        self.ddp = DistributedTrainer(model, opt, self.cluster)
-
-    def run_epoch(self, epoch: int, phase: str) -> dict:
-        timeline = self.ddp.train_epoch(self.worker_loaders)
-        val_loss, val_metric = self.ddp.evaluate(self.val_loader)
-        return {
-            "event": "epoch",
-            "epoch": epoch,
-            "phase": phase,
-            # Loss over the epoch is not part of the DDP timeline; the val
-            # sweep after the epoch is the deterministic signal recorded.
-            "val_loss": _r6(val_loss),
-            "val_metric": _r6(val_metric),
-            "params": int(self.ddp.model.num_parameters()),
-            # Modeled α–β wire time (deterministic); measured compute
-            # seconds are wall-clock and stay out of the digest.
-            "comm_seconds": round(timeline.comm, 9),
-            "bytes_per_iteration": int(timeline.bytes_per_iteration),
-            "iterations": int(timeline.iterations),
-        }
-
-    def evaluate(self) -> tuple[float, float]:
-        return self.ddp.evaluate(self.val_loader)
-
-    def resync_seconds(self, nbytes: float) -> float:
-        from ..distributed.cost_model import broadcast_cost
-
-        return broadcast_cost(nbytes, self.cluster)
+def _epoch_record(s) -> dict:
+    """One epoch's history row.  One node records its train loss; under DDP
+    the modeled α–β wire time and bytes (deterministic; the measured compute
+    seconds are wall-clock and stay out of the digest)."""
+    record = {
+        "event": "epoch",
+        "epoch": s.epoch,
+        "phase": s.phase,
+        "val_loss": _r6(s.val_loss),
+        "val_metric": _r6(s.val_metric),
+        "params": int(s.num_parameters),
+    }
+    if s.timeline is None:
+        record["train_loss"] = _r6(s.train_loss)
+    else:
+        record["comm_seconds"] = round(s.timeline.comm, 9)
+        record["bytes_per_iteration"] = int(s.timeline.bytes_per_iteration)
+        record["iterations"] = int(s.timeline.iterations)
+    return record
 
 
 def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
@@ -351,11 +308,7 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
     scheduler = RankScheduler(
         policy=cfg.policy, eligible=tuple(eligible_paths(model, base_hybrid_cfg))
     )
-    driver = (
-        _SingleNode(cfg, train, val)
-        if cfg.workers == 1
-        else _SimulatedDDP(cfg, train, val)
-    )
+    train_loader, val_loader = _loaders(cfg, train, val)
 
     events: list[dict] = []
     history: list[dict] = []
@@ -365,11 +318,11 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
 
     with _trace.span("lifecycle.run", model=cfg.model, seed=cfg.seed):
         # Phase 1: full-rank warm-up with per-epoch spectral retargeting.
-        driver.adopt(model)
+        trainer = _trainer(cfg, model)
         with _trace.span("lifecycle.warmup", epochs=cfg.warmup_epochs):
             for epoch in range(cfg.warmup_epochs):
-                record = driver.run_epoch(epoch, "warmup")
-                history.append(record)
+                trainer.fit(train_loader, val_loader, 1, epoch, "warmup")
+                history.append(_epoch_record(trainer.history[-1]))
                 snap = monitor.observe(model, epoch, "warmup")
                 events.append({"event": "snapshot", **snap.as_dict()})
                 decision = scheduler.decide(snap)
@@ -400,12 +353,12 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
                 "params_after": int(report.params_after),
             }
         )
-        driver.adopt(model)
+        trainer = _trainer(cfg, model)
 
         # Phase 3: low-rank fine-tuning with online re-factorization.
         for epoch in range(cfg.warmup_epochs, cfg.total_epochs):
-            record = driver.run_epoch(epoch, "lowrank")
-            history.append(record)
+            trainer.fit(train_loader, val_loader, 1, epoch, "lowrank")
+            history.append(_epoch_record(trainer.history[-1]))
             recheck_idx = epoch - cfg.warmup_epochs + 1
             if recheck_idx % cfg.recheck_every != 0 or epoch == cfg.total_epochs - 1:
                 continue
@@ -435,12 +388,14 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
                     "replaced": len(report.replaced),
                     "params_after": int(report.params_after),
                     "resync_bytes": resync_bytes * max(cfg.workers - 1, 0),
-                    "resync_seconds": round(driver.resync_seconds(resync_bytes), 9),
+                    "resync_seconds": round(
+                        broadcast_cost(resync_bytes, ClusterSpec(cfg.workers)), 9
+                    ),
                 }
             )
-            driver.adopt(model)
+            trainer = _trainer(cfg, model)
 
-        val_loss, val_metric = driver.evaluate()
+        val_loss, val_metric = trainer.evaluate(val_loader)
         events.append(
             {
                 "event": "final_eval",

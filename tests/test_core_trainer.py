@@ -1,7 +1,9 @@
 """Trainer and PufferfishTrainer (Algorithm 1) behavior."""
 
+import copy
 import functools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ import pytest
 from repro import nn
 from repro import observability as obs
 from repro.core import FactorizationConfig, PufferfishTrainer, Trainer, lm_batch, seq2seq_batch
-from repro.data import DataLoader, make_translation_dataset
+from repro.data import DataLoader, make_translation_dataset, shard_dataset
+from repro.distributed import ClusterSpec, DistributedTrainer, TimelineBreakdown
 from repro.metrics import evaluate_translation
-from repro.models import LSTMLanguageModel, Seq2SeqTransformer, transformer_hybrid_config
+from repro.models import MLP, LSTMLanguageModel, Seq2SeqTransformer, transformer_hybrid_config
 from repro.optim import SGD
 
 
@@ -188,6 +191,72 @@ class TestPufferfishTrainer:
         assert pt.history[-1].lr == pytest.approx(0.05)
 
 
+class TestDistributedTrainer:
+    """``fit`` on two simulated ranks of an MLP: the single-node loop."""
+
+    WORLD = 2
+
+    def _setup(self, rng):
+        x, y = make_task(rng)
+        loaders = [DataLoader(sx, sy, 16) for sx, sy in shard_dataset(x, y, self.WORLD)]
+        return loaders, DataLoader(x, y, 32), MLP(12, [32, 32], 3)
+
+    def _ddp(self, model, opt):
+        return DistributedTrainer(model, opt, ClusterSpec(self.WORLD, 1.0))
+
+    def test_fit_is_train_epoch_then_the_old_evaluate(self, rng):
+        loaders, val, model = self._setup(rng)
+        twin = copy.deepcopy(model)
+        trainer = self._ddp(model, SGD(model.parameters(), lr=0.1, momentum=0.9))
+        trainer.fit(loaders, val, epochs=3)
+
+        by_hand = self._ddp(twin, SGD(twin.parameters(), lr=0.1, momentum=0.9))
+        assert len(trainer.history) == 3
+        for epoch, s in enumerate(trainer.history):
+            timeline = by_hand.train_epoch(loaders)
+            # What DistributedTrainer.evaluate did: a throwaway Trainer.
+            old = Trainer(twin, by_hand.optimizer).evaluate(val)
+            assert isinstance(s.timeline, TimelineBreakdown)
+            assert s.epoch == epoch and s.phase == "train"
+            assert (s.timeline.iterations, s.timeline.bytes_per_iteration, s.timeline.comm) == (
+                timeline.iterations, timeline.bytes_per_iteration, timeline.comm
+            )
+            assert math.isfinite(s.train_loss)
+            assert (s.val_loss, s.val_metric) == old
+
+    def test_train_loss_is_the_workers_mean_loss(self, rng):
+        loaders, val, model = self._setup(rng)
+        trainer = self._ddp(model, SGD(model.parameters(), lr=0.0))
+        trainer.fit(loaders, val, epochs=1)
+        losses = [float(trainer.batch_fn(model, b)[0].data) for dl in loaders for b in dl]
+        assert trainer.history[0].train_loss == pytest.approx(np.mean(losses), rel=1e-6)
+        single = Trainer(model, SGD(model.parameters(), lr=0.0))
+        single.fit(val, val, epochs=1)
+        assert single.history[0].timeline is None
+
+    def test_pufferfish_over_ddp(self, rng):
+        loaders, val, model = self._setup(rng)
+        pt = PufferfishTrainer(
+            model,
+            FactorizationConfig(rank_ratio=0.25),
+            lambda ps: SGD(ps, lr=0.1, momentum=0.9),
+            warmup_epochs=1,
+            total_epochs=3,
+            trainer_factory=self._ddp,
+        )
+        hybrid = pt.fit(loaders, val)
+        assert [s.phase for s in pt.history] == ["warmup", "lowrank", "lowrank"]
+        assert pt.report is not None and pt.report.replaced
+        assert hybrid is pt.hybrid_model
+        assert hybrid.num_parameters() < model.num_parameters()
+        tl = [s.timeline for s in pt.history]
+        assert tl[1].bytes_per_iteration < tl[0].bytes_per_iteration
+        # The SVD is on pt.report, not on the simulated clock: the first
+        # low-rank epoch is charged what every low-rank epoch is.
+        assert [t.other for t in tl] == [0.0, 0.0, 0.0]
+        assert tl[1].comm == tl[2].comm
+
+
 class TestConfigBuilder:
     def test_builder_sees_warmup_weights(self, rng):
         """config_builder must receive the model *after* warm-up training."""
@@ -265,7 +334,8 @@ class TestSeq2Seq:
         train, val = ds.split(32)
         pt = PufferfishTrainer(model, transformer_hybrid_config(0.5),
                                lambda ps: SGD(ps, lr=0.05), warmup_epochs=1,
-                               total_epochs=3, batch_fn=batch_fn)
+                               total_epochs=3,
+                               trainer_factory=lambda m, o: Trainer(m, o, batch_fn=batch_fn))
         with caplog.at_level(logging.INFO, logger="repro.core.trainer"):
             hybrid = pt.fit(train.batches(8), val.batches(len(val)))
         assert [s.phase for s in pt.history] == ["warmup", "lowrank", "lowrank"]

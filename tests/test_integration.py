@@ -57,7 +57,7 @@ class TestImageClassificationLearns:
             model,
             FactorizationConfig(rank_ratio=0.25),
             optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9),
-            scheduler_factory=lambda opt: MultiStepLR(opt, [6], gamma=0.1),
+            trainer_factory=lambda m, o: Trainer(m, o, scheduler=MultiStepLR(o, [6], gamma=0.1)),
             warmup_epochs=2,
             total_epochs=10,
         )
@@ -101,7 +101,9 @@ class TestPaperOrderings:
                 model,
                 FactorizationConfig(rank_ratio=0.2),
                 optimizer_factory=lambda ps: SGD(ps, lr=0.05, momentum=0.9),
-                scheduler_factory=lambda opt: MultiStepLR(opt, [5], gamma=0.1),
+                trainer_factory=lambda m, o: Trainer(
+                    m, o, scheduler=MultiStepLR(o, [5], gamma=0.1)
+                ),
                 warmup_epochs=warmup_epochs,
                 total_epochs=8,
             )

@@ -19,7 +19,7 @@ import pytest
 
 from repro import nn
 from repro.compression import make_compressor
-from repro.core import Trainer
+from repro.core import FactorizationConfig, PufferfishTrainer, Trainer
 from repro.data import DataLoader, make_cifar_like, shard_dataset
 from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import MLP
@@ -62,6 +62,32 @@ def test_distributed_trainer_dies_with_its_last_reference(overlap):
         trainer, compressor = _powersgd_epoch(overlap)
         assert trainer() is None
         assert compressor() is None
+
+
+def _pufferfish_through_the_factory() -> list[weakref.ref]:
+    ds = make_cifar_like(n=WORLD * 16, num_classes=4, size=8, rng=np.random.default_rng(0))
+    loaders = [DataLoader(x, y, 8) for x, y in shard_dataset(ds.images, ds.labels, WORLD)]
+    built = []
+
+    def factory(model, optimizer):
+        trainer = DistributedTrainer(
+            model, optimizer, ClusterSpec(WORLD, 10.0),
+            compressor=make_compressor("powersgd", WORLD, rank=2),
+        )
+        built.append(weakref.ref(trainer))
+        return trainer
+
+    pt = PufferfishTrainer(MLP(3 * 8 * 8, [32, 32], 4), FactorizationConfig(rank_ratio=0.25),
+                           lambda ps: SGD(ps, lr=0.05, momentum=0.9), 1, 2, factory)
+    pt.fit(loaders, ())
+    assert len(built) == 2  # warm-up and low-rank phases
+    return built + [weakref.ref(pt)]
+
+
+def test_distributed_trainers_built_by_the_factory_die_with_pufferfish():
+    with collector_off():
+        refs = _pufferfish_through_the_factory()
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 def _trainer_epoch() -> tuple[weakref.ref, weakref.ref]:
