@@ -1,5 +1,5 @@
 """Benchmark fixtures: deterministic seeding per benchmark, plus the
-machine-readable metrics artifact written at session end."""
+machine-readable artifacts written at session end."""
 
 import numpy as np
 import pytest
@@ -20,12 +20,14 @@ def rng():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Dump every table/series printed this session (plus the metrics
-    registry) to BENCH_observability.json so CI can diff the perf
+    """Write one ``BENCH_<suite>.json`` per suite that recorded something
+    this session (``harness.flush_bench_metrics``): the bench modules'
+    scenario bodies, and ``BENCH_observability.json`` with every printed
+    table/series plus the metrics registry, so CI can gate and diff the perf
     trajectory across commits."""
     import harness
 
-    path = harness.flush_bench_metrics()
     rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    if rep is not None:
-        rep.write_line(f"benchmark metrics written to {path}")
+    for path in harness.flush_bench_metrics():
+        if rep is not None:
+            rep.write_line(f"benchmark metrics written to {path}")

@@ -408,6 +408,9 @@ def compression(current: dict, baseline: dict) -> list[str]:
 
 # --------------------------------------------------------------- gateway
 
+# Bands for the live twin (characterized over repeated runs on a loaded
+# single-core machine; see docs/GATEWAY.md).  benchmarks/test_gateway.py
+# asserts the same bands when it records the scenario.
 MAX_SHED_RATE_DELTA = 0.05
 THROUGHPUT_RATIO_BAND = (0.9, 1.1)
 MIN_AGREEMENT = 0.80

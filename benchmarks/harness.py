@@ -5,6 +5,13 @@ captured output (``pytest benchmarks/ --benchmark-only -s``) doubles as the
 EXPERIMENTS.md source material.  Workloads are scaled down for CPU (see
 DESIGN.md "Scaling policy") — the assertions check *shape* (direction and
 rough factors), not absolute numbers.
+
+Every machine-readable record goes through this module too.  A bench module
+fills the body that :func:`artifact` hands it (``harness.artifact("cluster")
+["scenarios"]``), each printed table/series lands in the ``observability``
+suite, and the benchmarks ``conftest`` calls :func:`flush_bench_metrics` at
+session end, which writes one ``BENCH_<suite>.json`` per suite that
+recorded something.
 """
 
 from __future__ import annotations
@@ -19,15 +26,18 @@ from repro import __version__, nn
 from repro.data import DataLoader, make_cifar_like, make_imagenet_like, shard_dataset
 from repro.observability import get_registry
 from repro.optim import SGD, MultiStepLR
+from repro.utils import set_seed
 
 __all__ = [
+    "artifact",
     "print_table",
     "print_series",
     "record_bench",
     "flush_bench_metrics",
-    "BENCH_METRICS_FILE",
     "image_loaders",
     "imagenet_loaders",
+    "rank_loaders",
+    "ddp_epoch",
     "scaled_vgg19",
     "scaled_resnet18",
     "scaled_resnet50",
@@ -39,36 +49,51 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Machine-readable benchmark record (the CI perf artifact)
+# Machine-readable benchmark artifacts (the CI perf record)
 # ---------------------------------------------------------------------------
 
-BENCH_METRICS_FILE = "BENCH_observability.json"
-_BENCH_RECORDS: list[dict] = []
+_ARTIFACTS: dict[str, dict] = {}
+
+
+def artifact(suite: str, body: dict | None = None) -> dict:
+    """The body of ``BENCH_<suite>.json``: ``body`` (default
+    ``{"scenarios": {}}``) on the first call for ``suite``, the same dict
+    on every later one.  A bench module fills it; :func:`flush_bench_metrics`
+    writes it."""
+    return _ARTIFACTS.setdefault(suite, {"scenarios": {}} if body is None else body)
 
 
 def record_bench(kind: str, title: str, payload: dict) -> None:
-    """Append one benchmark result to the session's JSON record."""
-    _BENCH_RECORDS.append({"kind": kind, "title": title, **payload})
+    """Append one printed table/series to the ``observability`` suite."""
+    artifact("observability", {"records": []})["records"].append(
+        {"kind": kind, "title": title, **payload})
 
 
-def flush_bench_metrics(path: str | None = None) -> str:
-    """Write every recorded table/series plus a metrics-registry snapshot.
+def flush_bench_metrics() -> list[str]:
+    """Write ``BENCH_<suite>.json`` into the working directory for every
+    suite that recorded something: the envelope (``generated_at``,
+    ``repro_version``, ``python``) plus the suite's body.  The
+    ``observability`` suite also gets a metrics-registry snapshot.
 
-    Called from the benchmarks ``conftest`` at session end, so a
-    ``pytest benchmarks`` run always leaves a CI-diffable
-    ``BENCH_observability.json`` behind.
+    Called from the benchmarks ``conftest`` at session end; returns the
+    paths written.
     """
-    path = path or BENCH_METRICS_FILE
-    data = {
+    envelope = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "repro_version": __version__,
         "python": platform.python_version(),
-        "records": _BENCH_RECORDS,
-        "metrics": get_registry().snapshot(),
     }
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, default=str)
-    return path
+    paths = []
+    for suite, body in _ARTIFACTS.items():
+        if not any(body.values()):
+            continue
+        if suite == "observability":
+            body = {**body, "metrics": get_registry().snapshot()}
+        path = f"BENCH_{suite}.json"
+        with open(path, "w") as f:
+            json.dump({**envelope, **body}, f, indent=2, sort_keys=True, default=str)
+        paths.append(path)
+    return paths
 
 
 def fmt(v) -> str:
@@ -190,17 +215,43 @@ def eb_search(model, train, detector, epochs):
 
 
 # ---------------------------------------------------------------------------
-# Fig. 4 (bottom): Algorithm 1 end to end under data parallelism
+# Simulated data parallelism (Figs. 4, 6, 7)
 # ---------------------------------------------------------------------------
 
-def _fig4_loaders(seed, n_nodes, worker_batch, iters):
+def rank_loaders(seed, n_nodes, worker_batch, iters, pool):
+    """``n_nodes`` per-rank train loaders of ``iters`` batches of
+    ``worker_batch`` each, cut from the shuffled train split of a
+    ``pool``-image synthetic CIFAR set seeded ``seed``, plus that set's val
+    loader.  Every batch is full only when the set's 80 % train split holds
+    ``worker_batch * n_nodes * iters`` images.
+
+    The images and the labels come from two separate shuffled passes over
+    the train loader, so a rank's labels do not follow its images.  The
+    Fig. 4 / 6 / 7 benches and the pinned Fig. 4 bottom rows are built on
+    exactly these bytes.
+    """
     n = worker_batch * n_nodes * iters
-    train, val, _ = image_loaders(np.random.default_rng(seed), n=n + 64, classes=4, noise=0.2,
+    train, val, _ = image_loaders(np.random.default_rng(seed), n=pool, classes=4,
                                   batch=worker_batch)
     x = np.concatenate([xb for xb, _ in train])[:n]
     y = np.concatenate([yb for _, yb in train])[:n]
-    loaders = [DataLoader(sx, sy, worker_batch) for sx, sy in shard_dataset(x, y, n_nodes)]
-    return loaders, val
+    return [DataLoader(sx, sy, worker_batch) for sx, sy in shard_dataset(x, y, n_nodes)], val
+
+
+def ddp_epoch(model, compressor_factory, n_nodes, seed, bandwidth, worker_batch, iters, pool,
+              **trainer_kwargs):
+    """One epoch of ``model`` on ``n_nodes`` simulated ranks linked at
+    ``bandwidth`` Gbps: SGD (lr 0.05, momentum 0.9), the codec
+    ``compressor_factory(n_nodes)``, :func:`rank_loaders` seeded ``seed``.
+    Returns the epoch's ``TimelineBreakdown``."""
+    from repro.distributed import ClusterSpec, DistributedTrainer
+
+    set_seed(seed)
+    loaders, _ = rank_loaders(seed, n_nodes, worker_batch, iters, pool)
+    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    trainer = DistributedTrainer(model, opt, ClusterSpec(n_nodes, bandwidth_gbps=bandwidth),
+                                 compressor=compressor_factory(n_nodes), **trainer_kwargs)
+    return trainer.train_epoch(loaders)
 
 
 def _fig4_rows(history, svd_seconds=0.0):
@@ -225,19 +276,19 @@ def fig4_endtoend(cluster, epochs, warmup, worker_batch, iters=4, width=0.25, se
     from repro.core import PufferfishTrainer
     from repro.distributed import DistributedTrainer
     from repro.models import resnet18_hybrid_config
-    from repro.utils import set_seed
 
     make_opt = lambda params: SGD(params, lr=0.05, momentum=0.9)
     make_trainer = lambda model, opt: DistributedTrainer(model, opt, cluster)
+    pool = worker_batch * cluster.world_size * iters + 64
 
     set_seed(seed)
-    loaders, val = _fig4_loaders(seed, cluster.world_size, worker_batch, iters)
+    loaders, val = rank_loaders(seed, cluster.world_size, worker_batch, iters, pool)
     vanilla = scaled_resnet18(classes=4, width=width)
     trainer = make_trainer(vanilla, make_opt(vanilla.parameters()))
     trainer.fit(loaders, val, epochs)
 
     set_seed(seed)
-    loaders, val = _fig4_loaders(seed, cluster.world_size, worker_batch, iters)
+    loaders, val = rank_loaders(seed, cluster.world_size, worker_batch, iters, pool)
     model = scaled_resnet18(classes=4, width=width)
     pt = PufferfishTrainer(model, resnet18_hybrid_config(model), make_opt, warmup, epochs,
                            make_trainer)

@@ -22,14 +22,7 @@ Gate: ``benchmarks/gate.py cluster`` against
 ``benchmarks/baselines/cluster_baseline.json``.
 """
 
-import json
-import platform
-import time
-
-import pytest
-
-from harness import print_table
-from repro import __version__
+from harness import artifact, print_table
 from repro.cluster import (
     CanaryConfig,
     ClusterAutoscaler,
@@ -43,6 +36,7 @@ from repro.cluster import (
     replica_spec_for,
     run_canary,
 )
+from repro.lifecycle import PINNED_FACTORIZED_PROFILE, PINNED_FULL_PROFILE
 from repro.serve import (
     ArrivalSpec,
     BatchPolicy,
@@ -53,16 +47,12 @@ from repro.serve import (
     generate_arrivals,
 )
 
-CLUSTER_BENCH_FILE = "BENCH_cluster.json"
-
-_SCENARIOS: dict[str, dict] = {}
+_SCENARIOS = artifact("cluster")["scenarios"]
 
 # The serving benchmark's pinned measurement-derived profiles (VGG-19,
-# width 0.25, rank ratio 0.25) — reused here so the fleet numbers share
-# provenance with the single-replica crossover table.
-PROFILE_BATCHES = (1, 2, 4, 8, 16, 32)
-PINNED_FULL_S = (0.0047, 0.0074, 0.0124, 0.0212, 0.0392, 0.0769)
-PINNED_FACTORIZED_S = (0.0043, 0.0064, 0.0119, 0.0205, 0.0371, 0.0721)
+# width 0.25, rank ratio 0.25), so the fleet numbers share provenance with
+# the single-replica crossover table.
+PINNED = {"full": PINNED_FULL_PROFILE, "factorized": PINNED_FACTORIZED_PROFILE}
 
 SLO_S = 0.150
 POLICY = BatchPolicy(max_batch_size=16, max_wait_s=0.010)
@@ -72,32 +62,11 @@ FLEET_RATE = 2550.0
 FLEET_DURATION_S = 10.0
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _write_cluster_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(CLUSTER_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-
-
-def _pinned_profiles() -> dict[str, LatencyProfile]:
-    return {
-        "full": LatencyProfile(PROFILE_BATCHES, PINNED_FULL_S),
-        "factorized": LatencyProfile(PROFILE_BATCHES, PINNED_FACTORIZED_S),
-    }
-
-
 def _replicas():
     """Replica specs from the registry's exact parameter accounting."""
     registry = default_registry()
-    profiles = _pinned_profiles()
     out = {}
-    for variant, profile in profiles.items():
+    for variant, profile in PINNED.items():
         served = registry.materialize("vgg19", variant, width=0.25, rank_ratio=0.25)
         out[variant] = (served, replica_spec_for(served, profile), profile)
     return out
@@ -259,15 +228,13 @@ def test_autoscale_spike():
 def test_canary_rollout():
     """A healthy rollout promotes; a pathologically slow canary rolls
     back at the first gate — both outcomes digested and gated exactly."""
-    profiles = _pinned_profiles()
     scenario = ClusterScenario(parse_phases("400x120"), window_s=10.0, seed=3)
     config = CanaryConfig(slo_s=SLO_S, batch=POLICY)
 
-    promoted = run_canary(scenario, profiles["full"], profiles["factorized"], config)
-    slow = LatencyProfile(
-        PROFILE_BATCHES, tuple(40 * t for t in PINNED_FACTORIZED_S)
-    )
-    rolled_back = run_canary(scenario, profiles["full"], slow, config)
+    fact = PINNED_FACTORIZED_PROFILE
+    promoted = run_canary(scenario, PINNED_FULL_PROFILE, fact, config)
+    slow = LatencyProfile(fact.batch_sizes, tuple(40 * t for t in fact.latency_s))
+    rolled_back = run_canary(scenario, PINNED_FULL_PROFILE, slow, config)
 
     print_table(
         "Canary rollout full -> factorized (400 rps, 3 windows/step)",

@@ -30,15 +30,10 @@ to a band.  Results are written to ``BENCH_compression.json``.
 """
 
 import hashlib
-import json
-import platform
-import time
 
 import numpy as np
-import pytest
 
-from harness import print_table
-from repro import __version__
+from harness import artifact, print_table
 from repro.compression import make_compressor
 from repro.core import build_hybrid
 from repro.data import DataLoader, make_cifar_like, shard_dataset
@@ -58,8 +53,6 @@ from repro.models import (
 )
 from repro.optim import SGD
 from repro.utils import set_seed
-
-COMPRESSION_BENCH_FILE = "BENCH_compression.json"
 
 NODES = 4
 BATCH = 8
@@ -87,20 +80,7 @@ CHAOS_FAULTS = (
     "failure=0.1:rejoin:0.5"
 )
 
-_SCENARIOS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_compression_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(COMPRESSION_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
+_SCENARIOS = artifact("compression")["scenarios"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,10 @@ The session leaves ``BENCH_faults.json`` behind;
 metric regresses more than 20% against the baseline.
 """
 
-import json
-import platform
-import time
-
 import numpy as np
 import pytest
 
-from harness import print_series, print_table
-from repro import __version__
+from harness import artifact, print_series, print_table
 from repro.core import build_hybrid
 from repro.data import DataLoader, shard_dataset
 from repro.distributed import (
@@ -41,24 +36,9 @@ from repro.models import MLP, mlp_hybrid_config
 from repro.optim import SGD
 from repro.utils import set_seed
 
-FAULTS_BENCH_FILE = "BENCH_faults.json"
-
 # Deterministic scenario metrics accumulated across this module's tests,
-# written to BENCH_faults.json by the module-scoped teardown below.
-_SCENARIOS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_faults_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(FAULTS_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
+# written to BENCH_faults.json at session end.
+_SCENARIOS = artifact("faults")["scenarios"]
 
 
 def _make_trainer(n_nodes=4, faults=None, seed=0, hidden=16, pufferfish=False):

@@ -24,15 +24,10 @@ here than in the paper and end-to-end totals for the compressors are
 asserted with a 15% band rather than strictly.
 """
 
-import numpy as np
-
-from harness import image_loaders, print_series, print_table, scaled_resnet18, scaled_resnet50
+from harness import ddp_epoch, print_series, print_table, scaled_resnet18, scaled_resnet50
 from repro.compression import NoCompression, PowerSGD, Signum
 from repro.core import build_hybrid
-from repro.data import DataLoader, shard_dataset
-from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import resnet18_hybrid_config, resnet50_hybrid_config
-from repro.optim import SGD
 from repro.utils import set_seed
 
 # Calibrated on an otherwise-idle machine so vanilla SGD's compute:comm
@@ -44,24 +39,11 @@ WORKER_BATCH = 16
 
 def _breakdown(model, compressor_factory, n_nodes, rng_seed, iters=2,
                bandwidth=BANDWIDTH_GBPS, batch=WORKER_BATCH, **trainer_kwargs):
-    set_seed(rng_seed)
-    n = batch * n_nodes * iters
     # image_loaders keeps 80 % for training: ask for enough that every
     # worker gets ``iters`` full batches.
-    train, _, _ = image_loaders(
-        np.random.default_rng(rng_seed), n=max(2 * n, 64), classes=4, batch=batch
-    )
-    x = np.concatenate([xb for xb, _ in train])[:n]
-    y = np.concatenate([yb for _, yb in train])[:n]
-    shards = shard_dataset(x, y, n_nodes)
-    loaders = [DataLoader(sx, sy, batch) for sx, sy in shards]
-
-    cluster = ClusterSpec(n_nodes, bandwidth_gbps=bandwidth)
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    trainer = DistributedTrainer(
-        model, opt, cluster, compressor=compressor_factory(n_nodes), **trainer_kwargs
-    )
-    return trainer.train_epoch(loaders)
+    pool = max(2 * batch * n_nodes * iters, 64)
+    return ddp_epoch(model, compressor_factory, n_nodes, rng_seed, bandwidth, batch, iters, pool,
+                     **trainer_kwargs)
 
 
 def _codec(tl):

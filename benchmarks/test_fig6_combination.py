@@ -13,17 +13,11 @@ combination still trains (loss decreases); (iv) composing with flat Top-k
 yields a smaller codec cost than composing with PowerSGD.
 """
 
-import numpy as np
-
-from harness import image_loaders, print_table
+from harness import ddp_epoch, print_table
 from repro.compression import NoCompression, PowerSGD, TopK
 from repro.core import build_hybrid
-from repro.data import DataLoader, shard_dataset
-from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import resnet18_hybrid_config
 from repro.models import resnet18 as make_resnet18
-from repro.optim import SGD
-from repro.utils import set_seed
 
 N_NODES = 8
 BANDWIDTH = 0.3
@@ -31,19 +25,9 @@ WORKER_BATCH = 16
 
 
 def _run(model, compressor_factory, seed=66, iters=2):
-    set_seed(seed)
-    n = WORKER_BATCH * N_NODES * iters
-    train, _, _ = image_loaders(np.random.default_rng(seed), n=n, classes=4, batch=WORKER_BATCH)
-    x = np.concatenate([xb for xb, _ in train])[:n]
-    y = np.concatenate([yb for _, yb in train])[:n]
-    loaders = [DataLoader(sx, sy, WORKER_BATCH) for sx, sy in shard_dataset(x, y, N_NODES)]
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    trainer = DistributedTrainer(
-        model, opt, ClusterSpec(N_NODES, bandwidth_gbps=BANDWIDTH),
-        compressor=compressor_factory(N_NODES),
-    )
-    tl = trainer.train_epoch(loaders)
-    return tl
+    pool = WORKER_BATCH * N_NODES * iters  # the 80 % train split leaves a short last batch
+    return ddp_epoch(model, compressor_factory, N_NODES, seed, BANDWIDTH, WORKER_BATCH, iters,
+                     pool)
 
 
 def test_fig6_pufferfish_plus_powersgd(benchmark, rng):

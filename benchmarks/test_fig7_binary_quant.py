@@ -12,36 +12,20 @@ smaller than fp32; (iii) Pufferfish beats it end-to-end in the paper's
 bandwidth regime.
 """
 
-import numpy as np
-
-from harness import image_loaders, print_table
+from harness import ddp_epoch, print_table
 from repro.compression import NoCompression, StochasticBinary
 from repro.core import build_hybrid
-from repro.data import DataLoader, shard_dataset
-from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import resnet50_hybrid_config
 from repro.models import resnet50 as make_resnet50
-from repro.optim import SGD
-from repro.utils import set_seed
 
 BANDWIDTH = 1.0  # idle-machine calibration; see test_fig4_distributed.py
 WORKER_BATCH = 8
 
 
 def _run(model, compressor_factory, n_nodes, seed=77):
-    set_seed(seed)
     n = WORKER_BATCH * n_nodes
-    train, _, _ = image_loaders(np.random.default_rng(seed), n=max(n, 64), classes=4,
-                                batch=WORKER_BATCH)
-    x = np.concatenate([xb for xb, _ in train])[:n]
-    y = np.concatenate([yb for _, yb in train])[:n]
-    loaders = [DataLoader(sx, sy, WORKER_BATCH) for sx, sy in shard_dataset(x, y, n_nodes)]
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    trainer = DistributedTrainer(
-        model, opt, ClusterSpec(n_nodes, bandwidth_gbps=BANDWIDTH),
-        compressor=compressor_factory(n_nodes),
-    )
-    return trainer.train_epoch(loaders)
+    return ddp_epoch(model, compressor_factory, n_nodes, seed, BANDWIDTH, WORKER_BATCH, 1,
+                     max(n, 64))
 
 
 def test_fig7_binary_quantization_breakdown(benchmark, rng):

@@ -25,15 +25,10 @@ Gate: ``benchmarks/gate.py gateway`` against
 """
 
 import asyncio
-import json
-import platform
-import time
 from pathlib import Path
 
-import pytest
-
-from harness import print_table
-from repro import __version__
+from gate import MAX_SHED_RATE_DELTA, MIN_AGREEMENT, THROUGHPUT_RATIO_BAND
+from harness import artifact, print_table
 from repro.gateway import (
     GatewayServer,
     LoadClient,
@@ -52,10 +47,9 @@ from repro.serve import (
     ServeSimulator,
 )
 
-GATEWAY_BENCH_FILE = "BENCH_gateway.json"
 PINNED_PROFILE = Path(__file__).parent / "profiles" / "gateway_pinned.json"
 
-_SCENARIOS: dict[str, dict] = {}
+_SCENARIOS = artifact("gateway")["scenarios"]
 
 # The committed twin scenario: a pinned profile slow enough that real
 # scheduling jitter is small against service times, and bursty arrivals
@@ -72,25 +66,6 @@ SPEC = ArrivalSpec(
     window_s=0.5,
 )
 CONFIG_KW = dict(slo_s=0.4, policy=BatchPolicy(16, 0.03), replicas=1)
-
-# Bands for the live twin (characterized over repeated runs on a loaded
-# single-core machine; see docs/GATEWAY.md).
-MAX_SHED_RATE_DELTA = 0.05
-THROUGHPUT_RATIO_BAND = (0.9, 1.1)
-MIN_AGREEMENT = 0.80
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_gateway_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(GATEWAY_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
 
 
 def _profile() -> LatencyProfile:

@@ -7,7 +7,7 @@ would time one method against itself), re-checks the parity contract from
 node against the three-node composite it replaced and a PowerSGD round
 with in-place error feedback against the allocate-per-round codec it
 replaced, the chunked exact gradient mean against the whole-array formula it
-replaced, and writes ``BENCH_kernels.json`` (speedup tables + parity summary).
+replaced, and records ``BENCH_kernels.json`` (speedup tables + parity summary).
 ``benchmarks/gate.py kernels`` gates the artifact against the committed
 baseline: structure exactly, parity booleans, and per-op speedup floors
 (the headline: ≥1.5× on the batched im2col-matmul conv forward).
@@ -18,14 +18,13 @@ numbers document the reference machine and only the floors are enforced.
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from harness import print_table, scaled_vgg19
+from harness import artifact, print_table, scaled_vgg19
 from repro.compression import EncodeResult, PowerSGD
 from repro.compression.base import exact_mean
 from repro.compression.powersgd import _as_matrix, _orthogonalize
@@ -41,7 +40,6 @@ from repro.tensor.backend import (
 from repro.utils import set_seed
 from tests.oracles import AdamLoop, LAMBLoop, argmax_pool_oracle, exact_mean_oracle
 
-KERNELS_FILE = "BENCH_kernels.json"
 REPEATS = 5
 SMALL_ROW_ROUNDS = 4 * REPEATS  # sub-millisecond conv rows: a best-of-5 still moves by 10 %
 WARMUP_S = 1.5
@@ -793,7 +791,7 @@ def test_emit_kernels_artifact():
             for name, s in sorted(_EXACT_MEAN.items())
         ],
     )
-    artifact = {
+    kernels = artifact("kernels", {
         "schema": 6,
         "ops": _RESULTS,
         "fused_step": _FUSED,
@@ -802,8 +800,5 @@ def test_emit_kernels_artifact():
         "powersgd_round": _POWERSGD,
         "exact_mean": _EXACT_MEAN,
         "parity_all_ok": all(r["parity_ok"] for r in _RESULTS.values()),
-    }
-    with open(KERNELS_FILE, "w") as f:
-        json.dump(artifact, f, indent=2, sort_keys=True)
-    print(f"\nkernel benchmark written to {KERNELS_FILE}")
-    assert artifact["parity_all_ok"]
+    })
+    assert kernels["parity_all_ok"]

@@ -23,15 +23,9 @@ Gate: ``benchmarks/gate.py lifecycle`` against
 ``benchmarks/baselines/lifecycle_baseline.json``.
 """
 
-import json
-import platform
-import time
-
 import numpy as np
-import pytest
 
-from harness import print_table
-from repro import __version__
+from harness import artifact, print_table
 from repro.lifecycle import (
     DeploymentConfig,
     LifecycleConfig,
@@ -41,9 +35,7 @@ from repro.lifecycle import (
     run_lifecycle,
 )
 
-LIFECYCLE_BENCH_FILE = "BENCH_lifecycle.json"
-
-_SCENARIOS: dict[str, dict] = {}
+_SCENARIOS = artifact("lifecycle")["scenarios"]
 
 # Tuned so the loop demonstrably exercises everything the gate asserts:
 # a 0.75 energy target with a 0.5 rank cap makes the warm-up spectra pick
@@ -83,19 +75,6 @@ def _run_cached(config: LifecycleConfig):
     if key not in _RUNS:
         _RUNS[key] = run_lifecycle(config)
     return _RUNS[key]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_lifecycle_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(LIFECYCLE_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
 
 
 def test_pipeline():

@@ -21,15 +21,11 @@ fused speedup, measured compute) ride along for context but only
 invariants about them are gated.
 """
 
-import json
-import platform
 import time
 
 import numpy as np
-import pytest
 
-from harness import print_table, scaled_vgg19
-from repro import __version__
+from harness import artifact, print_table, scaled_vgg19
 from repro.data import DataLoader, shard_dataset
 from repro.distributed import (
     ClusterSpec,
@@ -42,22 +38,7 @@ from repro.optim import SGD
 from repro.utils import set_seed
 from tests.oracles import SGDLoop
 
-OVERLAP_BENCH_FILE = "BENCH_overlap.json"
-
-_SCENARIOS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_overlap_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(OVERLAP_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
+_SCENARIOS = artifact("overlap")["scenarios"]
 
 
 def _fill_grads(params, seed):

@@ -21,14 +21,8 @@ Gate: ``benchmarks/gate.py serving`` against
 ``benchmarks/baselines/serving_baseline.json``.
 """
 
-import json
-import platform
-import time
-
-import pytest
-
-from harness import print_table
-from repro import __version__
+from harness import artifact, print_table
+from repro.lifecycle import PINNED_FACTORIZED_PROFILE, PINNED_FULL_PROFILE
 from repro.serve import (
     ArrivalSpec,
     BatchPolicy,
@@ -40,43 +34,20 @@ from repro.serve import (
     measure_latency_profile,
 )
 
-SERVING_BENCH_FILE = "BENCH_serving.json"
-
-_SCENARIOS: dict[str, dict] = {}
+_SCENARIOS = artifact("serving")["scenarios"]
 
 # Measurement-derived per-batch forward seconds (VGG-19, width 0.25,
 # rank ratio 0.25, batch sizes 1..32) — representative medians recorded
-# on the development host.  Pinning them makes the crossover scenario a
-# deterministic function of the seed, so CI gates it exactly; the
-# ``measured_*`` scenarios re-derive the same shape from live timings.
-PROFILE_BATCHES = (1, 2, 4, 8, 16, 32)
-PINNED_FULL_S = (0.0047, 0.0074, 0.0124, 0.0212, 0.0392, 0.0769)
-PINNED_FACTORIZED_S = (0.0043, 0.0064, 0.0119, 0.0205, 0.0371, 0.0721)
+# on the development host and pinned in ``repro.lifecycle``.  Pinning them
+# makes the crossover scenario a deterministic function of the seed, so CI
+# gates it exactly; the ``measured_*`` scenarios re-derive the same shape
+# from live timings.
+PINNED = {"full": PINNED_FULL_PROFILE, "factorized": PINNED_FACTORIZED_PROFILE}
 
 SLO_S = 0.150
 POLICY = BatchPolicy(max_batch_size=16, max_wait_s=0.010)
 RATES = (380, 430, 500)
 DURATION_S = 10.0
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_serving_artifact():
-    yield
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "scenarios": _SCENARIOS,
-    }
-    with open(SERVING_BENCH_FILE, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-
-
-def _pinned_profiles() -> dict[str, LatencyProfile]:
-    return {
-        "full": LatencyProfile(PROFILE_BATCHES, PINNED_FULL_S),
-        "factorized": LatencyProfile(PROFILE_BATCHES, PINNED_FACTORIZED_S),
-    }
 
 
 def _sweep(profiles: dict[str, LatencyProfile]) -> dict[str, dict]:
@@ -154,7 +125,7 @@ def test_pinned_crossover():
     restatement of the paper's claim that factorization, unlike gradient
     compression, still pays at inference time.
     """
-    grid = _sweep(_pinned_profiles())
+    grid = _sweep(PINNED)
     full, fact = grid["full"], grid["factorized"]
 
     rows = []
@@ -219,7 +190,7 @@ def test_measured_profiles(benchmark):
         served = registry.materialize("vgg19", variant, width=0.25, rank_ratio=0.25)
         profiles[variant] = measure_latency_profile(
             served.model,
-            served.input_shape,
+            served.input_spec,
             batch_sizes=(1, 4, 16),
             repeats=3,
             meta={"model": "vgg19", "variant": variant},

@@ -6,11 +6,14 @@ faster algorithms, which helps the vanilla (large, regular) convolutions
 more than the thin factorized ones — the VGG-19 speedup collapses from
 1.23x to 1.01x while ResNet-18 keeps 1.16x.
 
-The CPU analogue of "speed-optimized" execution is a larger batch: BLAS
-utilization improves most for the big dense GEMMs of the vanilla model.
-The claim under test is the *direction of the change*: the Pufferfish
-speedup in the optimized regime is smaller than in the reproducible
-regime, yet ResNet-18 stays ahead.
+The CPU analogue of "speed-optimized" execution is a larger batch (128
+instead of 32).  The paper's claim is the direction of the change: the
+ResNet-18 speedup shrinks (1.48x -> 1.16x) yet stays above 1.  This bench
+prints both speedups but asserts only the second half, Pufferfish faster
+than vanilla at batch 128.  The direction is not checked, and five
+consecutive runs on a 2-core CPU box measured the opposite one (median pair
+speedup at batch 32 / 128: 1.01/1.02, 0.95/1.09, 1.07/1.07, 0.98/1.08,
+1.06/1.11).
 """
 
 import time

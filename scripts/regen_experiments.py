@@ -197,13 +197,25 @@ def gen_cluster_fleet(artifact: dict) -> list[str]:
     return lines
 
 
-def gen_kernel_speedups(artifact: dict) -> list[str]:
-    """Per-op backend speedup table.  Sourced from the *committed*
-    kernels baseline (not a fresh ``BENCH_kernels.json``) so ``--check``
-    never flaps on machine noise: the table documents the reference
-    machine; CI enforces only parity tags and speedup floors."""
-    ops = artifact["ops"]
-    lines = [
+def _col(key: str, spec: str = "{}"):
+    """A kernel-table cell: ``spec`` applied to the entry's ``key``."""
+    return lambda name, s: spec.format(s[key])
+
+
+def _name(name: str, s: dict) -> str:
+    return name
+
+
+_MATCH, _SHAPE = ("Match", _col("match")), ("Shape", _col("shape"))
+_SPEEDUP = ("Speedup", _col("speedup", "{:.2f}×"))
+_FLOOR = ("Enforced floor", _col("min_speedup", "≥{:.1f}×"))
+
+
+# One entry per kernels-baseline section: (section key, intro text,
+# ((header, formatter(name, entry)), ...)); rows are sorted by name.
+KERNEL_TABLES = (
+    (
+        "ops",
         "Per-op `numpy` vs `fast` backend timings "
         "(`benchmarks/test_kernels.py`, gated by "
         "`benchmarks/gate.py kernels`; regenerated by "
@@ -211,172 +223,125 @@ def gen_kernel_speedups(artifact: dict) -> list[str]:
         "`benchmarks/baselines/kernels_baseline.json`).  Milliseconds are "
         "from the baseline machine and purely documentary — the CI gate "
         "enforces only the parity tags and the floors in the last column.",
-        "",
-    ]
-    rows = []
-    for op in sorted(ops):
-        r = ops[op]
-        floor = r["min_speedup"]
-        rows.append(
-            [
-                f"`{op}`",
-                r["tag"],
-                r["shape"],
-                f"{r['numpy_ms']:.2f}",
-                f"{r['fast_ms']:.2f}",
-                f"{r['speedup']:.2f}×",
-                f"≥{floor:.1f}×" if floor is not None else "—",
-            ]
-        )
-    lines += _md_table(
-        ["Op", "Parity", "Shape", "numpy (ms)", "fast (ms)", "Speedup",
-         "Enforced floor"],
-        rows,
-    )
-    fused = artifact.get("fused_step")
-    if fused:
-        lines += [
-            "",
-            "Arena optimizer step (fast backend) vs the "
-            "in-place per-tensor loop at CPU-scaled VGG-19 widths "
-            "(50 steps, best of 7):",
-            "",
-        ]
-        rows = []
-        for name in sorted(fused):
-            s = fused[name]
-            rows.append(
-                [
-                    f"`{name.upper() if name == 'lamb' else name.capitalize()}`",
-                    s["match"],
-                    f"{s['n_tensors']} tensors / {s['n_params']:,} params",
-                    f"{s['loop_ms']:.2f}",
-                    f"{s['fused_ms']:.2f}",
-                    f"{s['speedup']:.2f}×",
-                    f"≥{s['min_speedup']:.1f}×",
-                ]
-            )
+        (
+            ("Op", lambda name, s: f"`{name}`"),
+            ("Parity", _col("tag")),
+            _SHAPE,
+            ("numpy (ms)", _col("numpy_ms", "{:.2f}")),
+            ("fast (ms)", _col("fast_ms", "{:.2f}")),
+            _SPEEDUP,
+            ("Enforced floor", lambda name, s: "—" if s["min_speedup"] is None
+             else f"≥{s['min_speedup']:.1f}×"),
+        ),
+    ),
+    (
+        "fused_step",
+        "Arena optimizer step (fast backend) vs the "
+        "in-place per-tensor loop at CPU-scaled VGG-19 widths "
+        "(50 steps, best of 7):",
+        (
+            ("Optimizer",
+             lambda name, s: f"`{name.upper() if name == 'lamb' else name.capitalize()}`"),
+            _MATCH,
+            ("Model", lambda name, s: f"{s['n_tensors']} tensors / {s['n_params']:,} params"),
+            ("loop (ms)", _col("loop_ms", "{:.2f}")),
+            ("fused (ms)", _col("fused_ms", "{:.2f}")),
+            _SPEEDUP,
+            _FLOOR,
+        ),
+    ),
+    (
+        "linear_fwd_bwd",
+        "`functional.linear` (one graph node, weight gradient written "
+        "in `(out, in)` layout) vs the `x @ W.T + b` composite it "
+        "replaced, forward + backward with the input as data:",
+        (
+            ("Layer", _name),
+            _MATCH,
+            _SHAPE,
+            ("Graph nodes", lambda name, s: f"{s['nodes_composite']} → {s['nodes_fused']}"),
+            ("composite (ms)", _col("composite_ms", "{:.2f}")),
+            ("fused (ms)", _col("fused_ms", "{:.2f}")),
+            _SPEEDUP,
+            _FLOOR,
+        ),
+    ),
+    (
+        "max_pool_fwd_bwd",
+        "`max_pool2d` as k² shifted strided slabs vs the route it "
+        "replaced (strided windows, `argmax`, `put_along_axis`, a "
+        "scatter-add per offset; kept in `tests/oracles.py` as the oracle), forward + "
+        "backward on post-ReLU activations, one implementation for both "
+        "backends:",
+        (
+            ("Case", _name),
+            _MATCH,
+            _SHAPE,
+            ("argmax route (ms)", _col("oracle_ms", "{:.2f}")),
+            ("slabs (ms)", _col("slab_ms", "{:.2f}")),
+            _SPEEDUP,
+            _FLOOR,
+        ),
+    ),
+    (
+        "powersgd_round",
+        "One PowerSGD protocol round (every worker's `encode` + the "
+        "`decode_aggregate`, best of rounds 3–8) with error feedback "
+        "folded into one resident matrix per (worker, layer), vs the "
+        "codec it replaced (`m = g + err` and `err = m − m̂` as fresh "
+        "arrays every round; kept in the benchmark as the oracle).  "
+        "MB are `tracemalloc` totals of four rounds: *resident* is what "
+        "the codec holds between rounds (the in-place codec also keeps "
+        "the round's shared `m̂`), *peak* the most alive at once, the "
+        "workers' gradients included:",
+        (
+            ("Case", _name),
+            _MATCH,
+            _SHAPE,
+            ("allocating (ms)", _col("oracle_ms", "{:.2f}")),
+            ("in place (ms)", _col("inplace_ms", "{:.2f}")),
+            _SPEEDUP,
+            ("Resident MB",
+             lambda name, s: f"{s['oracle_resident_mb']} → {s['inplace_resident_mb']}"),
+            ("Peak MB", lambda name, s: f"{s['oracle_peak_mb']} → {s['inplace_peak_mb']}"),
+            _FLOOR,
+        ),
+    ),
+    (
+        "exact_mean",
+        "The exact gradient mean of `ddp_factorized`'s decode "
+        "(`compression.base.exact_mean`: float64 chunks of "
+        "`MEAN_CHUNK` elements that stay in cache) vs the whole-array "
+        "`astype / += / (/ n) / astype` formula it replaced (kept in "
+        "`tests/oracles.py` as the oracle), best of 20 interleaved:",
+        (
+            ("Case", _name),
+            _MATCH,
+            _SHAPE,
+            ("whole-array (ms)", _col("oracle_ms", "{:.2f}")),
+            ("chunked (ms)", _col("chunked_ms", "{:.2f}")),
+            _SPEEDUP,
+            _FLOOR,
+        ),
+    ),
+)
+
+
+def gen_kernel_speedups(artifact: dict) -> list[str]:
+    """Backend kernel tables, one per :data:`KERNEL_TABLES` entry the
+    artifact holds.  Sourced from the *committed* kernels baseline (not a
+    fresh ``BENCH_kernels.json``) so ``--check`` never flaps on machine
+    noise: the tables document the reference machine; CI enforces only
+    parity tags and speedup floors."""
+    lines: list[str] = []
+    for key, intro, columns in KERNEL_TABLES:
+        section = artifact.get(key)
+        if not section:
+            continue
+        lines += ([""] if lines else []) + [intro, ""]
         lines += _md_table(
-            ["Optimizer", "Match", "Model", "loop (ms)", "fused (ms)",
-             "Speedup", "Enforced floor"],
-            rows,
-        )
-    linear = artifact.get("linear_fwd_bwd")
-    if linear:
-        lines += [
-            "",
-            "`functional.linear` (one graph node, weight gradient written "
-            "in `(out, in)` layout) vs the `x @ W.T + b` composite it "
-            "replaced, forward + backward with the input as data:",
-            "",
-        ]
-        rows = [
-            [
-                name,
-                s["match"],
-                s["shape"],
-                f"{s['nodes_composite']} → {s['nodes_fused']}",
-                f"{s['composite_ms']:.2f}",
-                f"{s['fused_ms']:.2f}",
-                f"{s['speedup']:.2f}×",
-                f"≥{s['min_speedup']:.1f}×",
-            ]
-            for name, s in sorted(linear.items())
-        ]
-        lines += _md_table(
-            ["Layer", "Match", "Shape", "Graph nodes", "composite (ms)",
-             "fused (ms)", "Speedup", "Enforced floor"],
-            rows,
-        )
-    pool = artifact.get("max_pool_fwd_bwd")
-    if pool:
-        lines += [
-            "",
-            "`max_pool2d` as k² shifted strided slabs vs the route it "
-            "replaced (strided windows, `argmax`, `put_along_axis`, a "
-            "scatter-add per offset; kept in `tests/oracles.py` as the oracle), forward + "
-            "backward on post-ReLU activations, one implementation for both "
-            "backends:",
-            "",
-        ]
-        rows = [
-            [
-                name,
-                s["match"],
-                s["shape"],
-                f"{s['oracle_ms']:.2f}",
-                f"{s['slab_ms']:.2f}",
-                f"{s['speedup']:.2f}×",
-                f"≥{s['min_speedup']:.1f}×",
-            ]
-            for name, s in sorted(pool.items())
-        ]
-        lines += _md_table(
-            ["Case", "Match", "Shape", "argmax route (ms)", "slabs (ms)",
-             "Speedup", "Enforced floor"],
-            rows,
-        )
-    powersgd = artifact.get("powersgd_round")
-    if powersgd:
-        lines += [
-            "",
-            "One PowerSGD protocol round (every worker's `encode` + the "
-            "`decode_aggregate`, best of rounds 3–8) with error feedback "
-            "folded into one resident matrix per (worker, layer), vs the "
-            "codec it replaced (`m = g + err` and `err = m − m̂` as fresh "
-            "arrays every round; kept in the benchmark as the oracle).  "
-            "MB are `tracemalloc` totals of four rounds: *resident* is what "
-            "the codec holds between rounds (the in-place codec also keeps "
-            "the round's shared `m̂`), *peak* the most alive at once, the "
-            "workers' gradients included:",
-            "",
-        ]
-        rows = [
-            [
-                name,
-                s["match"],
-                s["shape"],
-                f"{s['oracle_ms']:.2f}",
-                f"{s['inplace_ms']:.2f}",
-                f"{s['speedup']:.2f}×",
-                f"{s['oracle_resident_mb']} → {s['inplace_resident_mb']}",
-                f"{s['oracle_peak_mb']} → {s['inplace_peak_mb']}",
-                f"≥{s['min_speedup']:.1f}×",
-            ]
-            for name, s in sorted(powersgd.items())
-        ]
-        lines += _md_table(
-            ["Case", "Match", "Shape", "allocating (ms)", "in place (ms)",
-             "Speedup", "Resident MB", "Peak MB", "Enforced floor"],
-            rows,
-        )
-    mean = artifact.get("exact_mean")
-    if mean:
-        lines += [
-            "",
-            "The exact gradient mean of `ddp_factorized`'s decode "
-            "(`compression.base.exact_mean`: float64 chunks of "
-            "`MEAN_CHUNK` elements that stay in cache) vs the whole-array "
-            "`astype / += / (/ n) / astype` formula it replaced (kept in "
-            "`tests/oracles.py` as the oracle), best of 20 interleaved:",
-            "",
-        ]
-        rows = [
-            [
-                name,
-                s["match"],
-                s["shape"],
-                f"{s['oracle_ms']:.2f}",
-                f"{s['chunked_ms']:.2f}",
-                f"{s['speedup']:.2f}×",
-                f"≥{s['min_speedup']:.1f}×",
-            ]
-            for name, s in sorted(mean.items())
-        ]
-        lines += _md_table(
-            ["Case", "Match", "Shape", "whole-array (ms)", "chunked (ms)", "Speedup",
-             "Enforced floor"],
-            rows,
+            [header for header, _ in columns],
+            [[cell(name, s) for _, cell in columns] for name, s in sorted(section.items())],
         )
     return lines
 

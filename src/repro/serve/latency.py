@@ -122,10 +122,8 @@ def measure_latency_profile(
 ) -> LatencyProfile:
     """Time real ``no_grad`` eval-mode forwards at each batch size.
 
-    ``input_spec`` is either an :class:`~repro.serve.inputs.InputSpec`
-    (any modality — images, token sequences, seq2seq pairs) or a plain
-    per-example shape tuple, which is treated as an image spec for
-    backward compatibility.
+    ``input_spec`` is an :class:`~repro.serve.inputs.InputSpec` (any
+    modality — images, token sequences, seq2seq pairs).
 
     Best-of-``repeats`` per batch size (minimum is the standard estimator
     for a noise-floored quantity).  The model is put in eval mode so
@@ -133,12 +131,8 @@ def measure_latency_profile(
     runs under ``no_grad`` — no autograd graph is built, which the
     eval-path test suite asserts engine-wide.
     """
-    from .inputs import InputSpec
-
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if not isinstance(input_spec, InputSpec):
-        input_spec = InputSpec("image", tuple(int(d) for d in input_spec))
     model.eval()
     rng = np.random.default_rng(0)
     latencies: list[float] = []

@@ -366,18 +366,14 @@ class TestClusterCommand:
     """`repro cluster` — placement, autoscaling, and canary subcommands,
     all replaying saved latency profiles so no live measurement runs."""
 
-    BATCHES = (1, 2, 4, 8, 16, 32)
-    FULL_S = (0.0047, 0.0074, 0.0124, 0.0212, 0.0392, 0.0769)
-    FACT_S = (0.0043, 0.0064, 0.0119, 0.0205, 0.0371, 0.0721)
-
     @pytest.fixture
     def profiles(self, tmp_path):
-        from repro.serve import LatencyProfile
+        from repro.lifecycle import PINNED_FACTORIZED_PROFILE, PINNED_FULL_PROFILE
 
         full = tmp_path / "full.json"
         fact = tmp_path / "fact.json"
-        LatencyProfile(self.BATCHES, self.FULL_S).save(full)
-        LatencyProfile(self.BATCHES, self.FACT_S).save(fact)
+        PINNED_FULL_PROFILE.save(full)
+        PINNED_FACTORIZED_PROFILE.save(fact)
         return str(full), str(fact)
 
     def test_place_compares_variants(self, profiles, capsys):
@@ -475,14 +471,14 @@ class TestClusterCommand:
         assert "advance" in out
 
     def test_canary_rollback_exit_code(self, tmp_path, capsys):
+        from repro.lifecycle import PINNED_FACTORIZED_PROFILE as fact
+        from repro.lifecycle import PINNED_FULL_PROFILE
         from repro.serve import LatencyProfile
 
         full = tmp_path / "full.json"
         slow = tmp_path / "slow.json"
-        LatencyProfile(self.BATCHES, self.FULL_S).save(full)
-        LatencyProfile(
-            self.BATCHES, tuple(40 * t for t in self.FACT_S)
-        ).save(slow)
+        PINNED_FULL_PROFILE.save(full)
+        LatencyProfile(fact.batch_sizes, tuple(40 * t for t in fact.latency_s)).save(slow)
         args = [
             "cluster", "canary", "--model", "vgg19", "--width", "0.25",
             "--phases", "120x60", "--steps", "0.5,1.0",

@@ -35,6 +35,8 @@ from repro.cluster import (
     route_arrivals,
     run_canary,
 )
+from repro.lifecycle import PINNED_FACTORIZED_PROFILE as FACT
+from repro.lifecycle import PINNED_FULL_PROFILE as FULL
 from repro.serve import LatencyProfile
 
 
@@ -47,12 +49,8 @@ def _observability_off():
     obs.get_registry().reset()
 
 
-# Pinned measurement-derived profiles (same tables the serving benchmark
-# pins), so every simulator-backed test here is machine-independent.
-BATCHES = (1, 2, 4, 8, 16, 32)
-FULL = LatencyProfile(BATCHES, (0.0047, 0.0074, 0.0124, 0.0212, 0.0392, 0.0769))
-FACT = LatencyProfile(BATCHES, (0.0043, 0.0064, 0.0119, 0.0205, 0.0371, 0.0721))
-
+# FULL / FACT: the pinned measurement-derived profiles the serving and cluster
+# benchmarks use, so every simulator-backed test here is machine-independent.
 HOST = HostSpec(mem_bytes=12_000_000, compute_rps=2000.0)
 FULL_REPLICA = ReplicaSpec("vgg19", "full", 5_151_184, FULL.capacity_rps())
 FACT_REPLICA = ReplicaSpec("vgg19", "factorized", 2_103_760, FACT.capacity_rps())
@@ -488,7 +486,7 @@ class TestCanary:
 
     def test_bad_canary_rolls_back(self):
         # A canary 40x slower than baseline sheds nearly everything.
-        slow = LatencyProfile(BATCHES, tuple(40 * t for t in FACT.latency_s))
+        slow = LatencyProfile(FACT.batch_sizes, tuple(40 * t for t in FACT.latency_s))
         report = run_canary(self.scenario(), FULL, slow)
         assert report.status == "rolled_back"
         assert report.final_fraction == 0.0

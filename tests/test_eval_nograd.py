@@ -14,7 +14,7 @@ from repro import nn
 from repro.core import Trainer
 from repro.data import DataLoader
 from repro.optim import SGD
-from repro.serve import measure_latency_profile
+from repro.serve import InputSpec, measure_latency_profile
 from repro.tensor import Tensor, graph_nodes_created, no_grad
 
 
@@ -78,7 +78,7 @@ class TestGraphNodeCounter:
         model = MLP(3 * 32 * 32, [16], 4)  # flattens image inputs itself
         before = graph_nodes_created()
         profile = measure_latency_profile(
-            model, (3, 32, 32), batch_sizes=(1, 2), repeats=1, warmup=0
+            model, InputSpec("image", (3, 32, 32)), batch_sizes=(1, 2), repeats=1, warmup=0
         )
         assert graph_nodes_created() == before
         assert len(profile.batch_sizes) == 2
