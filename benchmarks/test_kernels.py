@@ -367,13 +367,12 @@ def test_lamb_update_parity_speed(rng):
     m0 = (rng.standard_normal(size) * 0.1).astype(np.float32)
     v0 = (rng.random(size) * 0.01).astype(np.float32)
     mask = (rng.random(size) > 0.3).astype(np.float32) * 1e-2
-    tmp = np.empty(size, dtype=np.float32)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
 
     states = {}
     for name, be in (("numpy", ref_be), ("fast", fast_be)):
         flat, g, m, v = flat0.copy(), g0.copy(), m0.copy(), v0.copy()
-        be.lamb_update(flat, g, m, v, tmp, mask, starts, sizes, 1e-3, 0.9, 0.999, 1e-6, 5)
+        be.lamb_update(flat, g, m, v, mask, starts, sizes, 1e-3, 0.9, 0.999, 1e-6, 5)
         states[name] = (flat, m, v)
     oks, errs = zip(*(
         check_parity("lamb_update", r, o)
@@ -384,12 +383,12 @@ def test_lamb_update_parity_speed(rng):
         return flat0.copy(), g0.copy(), m0.copy(), v0.copy()
 
     n_ms = best_ms(
-        lambda f, g_, m, v: ref_be.lamb_update(f, g_, m, v, tmp, mask, starts, sizes,
+        lambda f, g_, m, v: ref_be.lamb_update(f, g_, m, v, mask, starts, sizes,
                                                1e-3, 0.9, 0.999, 1e-6, 5),
         setup=setup,
     )
     f_ms = best_ms(
-        lambda f, g_, m, v: fast_be.lamb_update(f, g_, m, v, tmp, mask, starts, sizes,
+        lambda f, g_, m, v: fast_be.lamb_update(f, g_, m, v, mask, starts, sizes,
                                                 1e-3, 0.9, 0.999, 1e-6, 5),
         setup=setup,
     )

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..tensor.backend import CHUNK_BYTES
+
 __all__ = [
     "Compressor",
     "EncodeResult",
@@ -54,8 +56,8 @@ __all__ = [
 FLOAT32_BYTES = 4
 
 #: Elements per pass of :func:`exact_mean`: its two float64 scratch chunks
-#: (512 KiB together) stay in L2 while every worker's slice is folded in.
-MEAN_CHUNK = 32768
+#: (``CHUNK_BYTES`` each) stay in L2 while every worker's slice is folded in.
+MEAN_CHUNK = CHUNK_BYTES // 8
 
 
 def exact_mean(arrays, dtype=None) -> np.ndarray:
@@ -159,7 +161,9 @@ class ResidualStore:
     caller's array and a payload's matrix is always the resident buffer.
     The residual is never materialised: a later :meth:`fold` subtracts
     ``m̂`` and adds the new gradient into the buffer (the two float32
-    roundings of ``g + (M − m̂)``, so bit-identical to it), and
+    roundings of ``g + (M − m̂)``, so bit-identical to it) — a block of
+    rows at a time, ``CHUNK_BYTES`` of the buffer per block, so the block
+    stays in L2 between the two roundings — and
     :meth:`settle` only records ``m̂``, which keeps ``decode_aggregate``
     pure — it may run twice per round and never writes to a payload.  A key
     that skips rounds keeps the ``m̂`` of *its* last round, whatever the
@@ -194,9 +198,13 @@ class ResidualStore:
         state[1] = None
         if m_hat is buf:  # the last round went out exactly: residual +0.0
             buf.fill(0.0)
-        else:
-            buf -= m_hat
-        buf += m
+            buf += m
+            return buf
+        rows = max(1, CHUNK_BYTES // max(1, buf[:1].nbytes))
+        for r in range(0, len(buf), rows):
+            block = buf[r : r + rows]
+            block -= m_hat[r : r + rows]
+            block += m[r : r + rows]
         return buf
 
     def settle(self, key: tuple[int, int], m_hat: np.ndarray | None = None) -> None:

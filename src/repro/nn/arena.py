@@ -9,10 +9,11 @@ the model — see :class:`repro.optim.Optimizer`.
 
 Gradients deliberately stay per-tensor: the autograd engine rebinds
 ``p.grad`` on first accumulation and ``zero_grad`` sets it back to
-``None``, so a gradient view could never survive an iteration.  Instead
-:meth:`ParameterArena.gather_grad` packs the per-tensor gradients into a
-caller-owned flat buffer once per step (one sequential pass, no
-re-allocation).
+``None``, so a gradient view could never survive an iteration.  Nor is the
+packed gradient ever built whole: :meth:`ParameterArena.grad_chunk` copies
+one chunk of it straight from the ``p.grad`` arrays into a caller-owned
+chunk-sized buffer, and the optimizer streams its update through the arena
+one such chunk at a time.
 
 The arena stays valid as long as nobody rebinds ``p.data`` to a fresh
 array; code that does so (a second arena over the same parameters) is
@@ -21,6 +22,7 @@ detected by :meth:`intact` and consumers rebuild the arena lazily.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,17 +90,25 @@ class ParameterArena:
 
     # ------------------------------------------------------------------
 
-    def gather_grad(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Pack every ``p.grad`` into a flat float32 buffer (zeros where a
-        parameter received no gradient)."""
-        if out is None:
-            out = np.empty(self.size, dtype=np.float32)
-        elif out.shape != (self.size,):
-            raise ValueError(f"gather buffer has shape {out.shape}, need ({self.size},)")
-        for p, off, size in self.segments():
-            seg = out[off : off + size]
-            if p.grad is None:
-                seg.fill(0.0)
-            else:
-                seg[...] = p.grad.reshape(-1)
+    def grad_chunk(self, out: np.ndarray, start: int) -> np.ndarray:
+        """Copy elements ``start … start + out.size`` of the packed gradient
+        (every ``p.grad`` flattened in arena order, zeros where a parameter
+        received no gradient) into the float32 buffer ``out``."""
+        stop = start + out.size
+        if start < 0 or stop > self.size:
+            raise ValueError(f"chunk [{start}, {stop}) is outside the arena's {self.size} elements")
+        offsets = self.offsets
+        i = bisect.bisect_right(offsets, start) - 1
+        while i < len(offsets) and offsets[i] < stop:
+            off = offsets[i]
+            lo, hi = max(start, off), min(stop, off + self.sizes[i])
+            dst = out[lo - start : hi - start]
+            g = self.params[i].grad
+            if g is None:
+                dst.fill(0.0)
+            elif g.flags.c_contiguous:
+                dst[...] = g.reshape(-1)[lo - off : hi - off]
+            else:  # copies only the chunk's elements, not the whole tensor
+                dst[...] = g.flat[lo - off : hi - off]
+            i += 1
         return out

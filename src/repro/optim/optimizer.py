@@ -4,11 +4,23 @@
 alias one contiguous float32 buffer, optimizer state (momentum buffer, Adam
 moments) lives in flat slabs of the same length, and weight decay is applied
 through a per-element mask (zero on ``no_decay`` parameters), built by the
-first step that decays and rebuilt when ``weight_decay`` changes.  The
-``no_decay`` flags themselves are read when the arena is built.  A step is a
+first step that decays and rebuilt when ``weight_decay`` changes.  The arena
+and the state slabs are built with the optimizer, and the ``no_decay`` flags
+are read then.  A step is a
 handful of in-place vector ops instead of a Python loop over every tensor,
 dispatched through the backend registry (:mod:`repro.tensor.backend`) so the
 ``fast`` backend can run the allocation-free variants.
+
+The step streams: :data:`CHUNK` elements at a time (``CHUNK_BYTES`` per
+operand), each chunk's gradient is copied straight from the ``p.grad``
+arrays into a chunk-sized scratch (:meth:`ParameterArena.grad_chunk`) and
+the algorithm's whole vector chain runs on that chunk's slices of the arena,
+the state slabs and the decay mask while they sit in L2.  No arena-sized
+copy of the gradient is built, and every element sees the same IEEE
+operations in the same order as a whole-arena chain, so the bytes do not
+depend on the chunking.  LAMB is the exception: its trust ratio needs each
+segment's whole update, so it packs the gradient into one ``u`` slab and
+runs its chain over the arena at once.
 
 Three algorithms share the machinery:
 
@@ -47,12 +59,15 @@ from ..tensor import backend as _backend
 
 __all__ = ["Optimizer", "SGD", "Adam", "LAMB", "clip_grad_norm"]
 
+#: float32 elements per chunk of a streamed step.
+CHUNK = _backend.CHUNK_BYTES // 4
+
 
 class Optimizer:
     """One flat-arena update over a list of :class:`Parameter`.
 
     Subclasses implement :meth:`_update` (the per-step vector chain, one
-    backend-registry dispatch) and the :meth:`_reset_state` /
+    backend-registry dispatch per chunk) and the :meth:`_reset_state` /
     :meth:`_state` / :meth:`_load_state` trio over their flat slabs.
     """
 
@@ -63,8 +78,10 @@ class Optimizer:
         self.lr = float(lr)
         self.weight_decay = weight_decay
         self._arena: ParameterArena | None = None
-        self._grad_buf: np.ndarray | None = None
-        self._tmp: np.ndarray | None = None
+        # Chunk-sized float32 scratch: each chunk's gradient, and the
+        # temporary of the chains that need one.
+        self._grad_chunk: np.ndarray | None = None
+        self._tmp_chunk: np.ndarray | None = None
         # (offset, size) of every segment that decays, read from the
         # ``no_decay`` flags when the arena is built.
         self._decay_segments: list[tuple[int, int]] = []
@@ -72,6 +89,11 @@ class Optimizer:
         # for; built by the first step that decays.
         self._decay_mask: np.ndarray | None = None
         self._mask_decay = 0.0
+        # The arena and the state slabs are built now, before any step
+        # allocates its temporaries: long-lived buffers first keeps them
+        # below the transient ones in the heap.  Subclasses set what
+        # ``_reset_state`` reads before calling this.
+        self._ensure_arena()
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -103,8 +125,7 @@ class Optimizer:
         if arena is not None and _metrics.COLLECT:
             _metrics.REGISTRY.counter("arena.rebuilds").inc()
         arena = self._arena = ParameterArena(self.params)
-        self._grad_buf = np.empty(arena.size, dtype=np.float32)
-        self._tmp = None
+        self._grad_chunk = self._tmp_chunk = None
         self._decay_segments = [
             (off, size) for p, off, size in arena.segments() if not getattr(p, "no_decay", False)
         ]
@@ -131,40 +152,56 @@ class Optimizer:
             self._decay_mask, self._mask_decay = mask, wd
         return self._decay_mask
 
-    def _scratch_slab(self) -> np.ndarray:
-        """The arena-sized float32 temp the update chains write through,
-        allocated by the first step that needs one."""
-        if self._tmp is None:
-            self._tmp = np.empty(self._arena.size, dtype=np.float32)
-        return self._tmp
+    def _chunks(self, fill, need_tmp: bool):
+        """Yield ``(sl, g, tmp)`` for each :data:`CHUNK`-element slice ``sl``
+        of the arena, in order.  ``g`` is the chunk scratch, filled by
+        ``fill(g, sl.start)`` with that slice of the gradient (the update may
+        clobber it); ``tmp`` is a second chunk of scratch when ``need_tmp``,
+        else ``None``."""
+        size = self._arena.size
+        n = min(CHUNK, size)
+        if self._grad_chunk is None:
+            self._grad_chunk = np.empty(n, dtype=np.float32)
+        if need_tmp and self._tmp_chunk is None:
+            self._tmp_chunk = np.empty(n, dtype=np.float32)
+        for start in range(0, size, CHUNK):
+            stop = min(start + CHUNK, size)
+            g = fill(self._grad_chunk[: stop - start], start)
+            tmp = self._tmp_chunk[: stop - start] if need_tmp else None
+            yield slice(start, stop), g, tmp
 
     # ------------------------------------------------------------------
 
     def step(self) -> None:
         arena = self._ensure_arena()
-        grad = arena.gather_grad(out=self._grad_buf)
-        self._update(arena.flat, grad)
+        self._update(arena.flat, arena.grad_chunk)
 
     def step_flat(self, grad_vec: np.ndarray) -> None:
         """Apply one update from an externally aggregated flat gradient
         (e.g. :func:`repro.distributed.allreduce_mean` over flattened
-        worker gradients), skipping the gather."""
+        worker gradients) instead of the ``p.grad`` arrays.  ``grad_vec`` is
+        only read."""
         arena = self._ensure_arena()
         if grad_vec.shape != (arena.size,):
             raise ValueError(
                 f"flat gradient has shape {grad_vec.shape}, need ({arena.size},)"
             )
-        # Work on our scratch copy: the update mutates the gradient buffer.
-        np.copyto(self._grad_buf, grad_vec)
-        self._update(arena.flat, self._grad_buf)
+
+        def fill(out: np.ndarray, start: int) -> np.ndarray:
+            np.copyto(out, grad_vec[start : start + out.size])
+            return out
+
+        self._update(arena.flat, fill)
 
     # -- subclass hooks ------------------------------------------------
 
     def _reset_state(self, arena: ParameterArena) -> None:
         """Drop/zero flat state slabs after an arena (re)build."""
 
-    def _update(self, flat: np.ndarray, g: np.ndarray) -> None:
-        """In-place parameter update over the flat vector; ``g`` is clobbered."""
+    def _update(self, flat: np.ndarray, fill) -> None:
+        """In-place parameter update over the flat vector.  ``fill(out,
+        start)`` writes gradient elements ``start … start + out.size`` into
+        ``out`` and returns it (see :meth:`_chunks`)."""
         raise NotImplementedError
 
     def _state(self) -> dict:
@@ -228,56 +265,73 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ):
-        super().__init__(params, lr, weight_decay)
         self.momentum = momentum
         self.nesterov = nesterov
         self._momentum_buf: np.ndarray | None = None
+        # False until a step has copied its gradient into the momentum slab.
+        self._momentum_started = False
+        super().__init__(params, lr, weight_decay)
 
     def _reset_state(self, arena: ParameterArena) -> None:
-        self._momentum_buf = None
+        self._momentum_buf = (
+            np.empty(arena.size, dtype=np.float32) if self.momentum > 0 else None
+        )
+        self._momentum_started = False
 
-    def _update(self, flat: np.ndarray, g: np.ndarray) -> None:
+    def _update(self, flat: np.ndarray, fill) -> None:
         """In-place ``flat -= lr * d`` where ``d`` is the decayed,
-        momentum-filtered gradient.  ``g`` is clobbered.
+        momentum-filtered gradient, one chunk at a time.
 
         The vector chain itself lives in the backend layer
         (:meth:`repro.tensor.backend.Backend.sgd_update`) so backends can
         fuse or reorder passes; the arena/mask bookkeeping stays here.
         """
         mask = self._mask()
+        buf = self._momentum_buf
+        # The first momentum step copies the (decayed) gradient in: a -0.0
+        # stays -0.0.
+        first = not self._momentum_started
+        sgd_update = _backend.active().sgd_update
         # ``g`` is the scratch of the final ``lr·d``; only the decay and
-        # Nesterov terms need a second slab.
-        tmp = self._scratch_slab() if mask is not None or self.nesterov else None
-        self._momentum_buf = _backend.active().sgd_update(
-            flat,
-            g,
-            tmp,
-            mask,
-            self._momentum_buf,
-            self.lr,
-            self.momentum,
-            self.nesterov,
-        )
+        # Nesterov terms need a second chunk.
+        for sl, g, tmp in self._chunks(fill, mask is not None or self.nesterov):
+            sgd_update(
+                flat[sl],
+                g,
+                tmp,
+                None if mask is None else mask[sl],
+                None if buf is None else buf[sl],
+                self.lr,
+                self.momentum,
+                self.nesterov,
+                first,
+            )
+        self._momentum_started = buf is not None
 
     def _state(self) -> dict:
-        buf = self._momentum_buf
+        buf = self._momentum_buf if self._momentum_started else None
         return {"momentum_buf": None if buf is None else buf.copy()}
 
     def _load_state(self, state: dict) -> None:
         buf = state["momentum_buf"]
-        self._momentum_buf = None if buf is None else np.asarray(buf, dtype=np.float32).copy()
+        self._momentum_started = buf is not None
+        if buf is None:
+            return
+        if self._momentum_buf is None:
+            self._momentum_buf = np.empty(self._arena.size, dtype=np.float32)
+        np.copyto(self._momentum_buf, np.asarray(buf, dtype=np.float32))
 
 
 class _Moments(Optimizer):
     """Adam-style first/second moment slabs under one global step count."""
 
     def __init__(self, params, lr, betas, eps, weight_decay):
-        super().__init__(params, lr, weight_decay)
         self.betas = betas
         self.eps = eps
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0
+        super().__init__(params, lr, weight_decay)
 
     def _reset_state(self, arena: ParameterArena) -> None:
         self._m = np.zeros(arena.size, dtype=np.float32)
@@ -296,9 +350,9 @@ class _Moments(Optimizer):
 class Adam(_Moments):
     """Adam (Kingma & Ba 2015) over one flat parameter vector.
 
-    The first/second moments are flat slabs updated in one dispatched
-    vector chain (``adam_update``), so a step is a dozen vector ops
-    regardless of how many tensors the model has.
+    The first/second moments are flat slabs updated by one dispatched
+    vector chain (``adam_update``) per chunk, so a step is a dozen vector
+    ops per chunk regardless of how many tensors the model has.
     """
 
     def __init__(
@@ -311,21 +365,24 @@ class Adam(_Moments):
     ):
         super().__init__(params, lr, betas, eps, weight_decay)
 
-    def _update(self, flat: np.ndarray, g: np.ndarray) -> None:
+    def _update(self, flat: np.ndarray, fill) -> None:
         self._t += 1
-        _backend.active().adam_update(
-            flat,
-            g,
-            self._m,
-            self._v,
-            self._scratch_slab(),
-            self._mask(),
-            self.lr,
-            self.betas[0],
-            self.betas[1],
-            self.eps,
-            self._t,
-        )
+        mask = self._mask()
+        adam_update = _backend.active().adam_update
+        for sl, g, tmp in self._chunks(fill, True):
+            adam_update(
+                flat[sl],
+                g,
+                self._m[sl],
+                self._v[sl],
+                tmp,
+                None if mask is None else mask[sl],
+                self.lr,
+                self.betas[0],
+                self.betas[1],
+                self.eps,
+                self._t,
+            )
 
 
 class LAMB(_Moments):
@@ -347,23 +404,25 @@ class LAMB(_Moments):
         eps: float = 1e-6,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr, betas, eps, weight_decay)
         self._seg_starts: np.ndarray | None = None
         self._seg_sizes: np.ndarray | None = None
+        # The packed gradient, overwritten in place by the update vector u.
+        self._u: np.ndarray | None = None
+        super().__init__(params, lr, betas, eps, weight_decay)
 
     def _reset_state(self, arena: ParameterArena) -> None:
         super()._reset_state(arena)
         self._seg_starts = np.asarray(arena.offsets, dtype=np.intp)
         self._seg_sizes = np.asarray(arena.sizes, dtype=np.intp)
+        self._u = np.empty(arena.size, dtype=np.float32)
 
-    def _update(self, flat: np.ndarray, g: np.ndarray) -> None:
+    def _update(self, flat: np.ndarray, fill) -> None:
         self._t += 1
         _backend.active().lamb_update(
             flat,
-            g,
+            fill(self._u, 0),
             self._m,
             self._v,
-            self._scratch_slab(),
             self._mask(),
             self._seg_starts,
             self._seg_sizes,

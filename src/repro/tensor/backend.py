@@ -49,6 +49,7 @@ import numpy as np
 
 __all__ = [
     "Backend",
+    "CHUNK_BYTES",
     "NumpyBackend",
     "FastBackend",
     "PARITY",
@@ -123,6 +124,16 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
         return int(ph), int(pw)
     return int(padding), int(padding)
 
+
+#: Bytes per operand of one pass of a streamed elementwise chain.  The
+#: optimizer step (:class:`repro.optim.Optimizer`), error feedback's fold
+#: (:class:`repro.compression.ResidualStore`) and
+#: :func:`repro.compression.base.exact_mean` walk their arena-sized operands
+#: this many bytes at a time, so each operand's chunk stays in L2 from one
+#: pass of the chain to the next instead of streaming through memory once per
+#: pass.  The traversal never changes a result: every element sees the same
+#: IEEE operations in the same order.
+CHUNK_BYTES = 1 << 18
 
 # ----------------------------------------------------------------------
 # Scratch buffers
@@ -596,25 +607,33 @@ class Backend:
         lr: float,
         momentum: float,
         nesterov: bool,
-    ) -> np.ndarray | None:
+        first: bool = False,
+    ) -> None:
         """In-place ``flat -= lr * d`` where ``d`` is the decayed,
         momentum-filtered gradient.  ``g`` is clobbered — it holds the final
         ``lr * d`` — and ``tmp`` is only written with a ``decay_mask`` or
-        ``nesterov`` (pass ``None`` otherwise); returns the (possibly newly
-        allocated) momentum buffer.
+        ``nesterov`` (pass ``None`` otherwise).  ``momentum_buf`` (``None``
+        without momentum) is updated in place; on the ``first`` step it
+        takes a copy of the decayed gradient, so a ``-0.0`` stays ``-0.0``.
 
         This is already a fused vector chain — four in-place passes over
-        the arena.  The update is memory-bandwidth-bound, so the fast
-        backend shares it: measured alternatives (cache-blocked chunking,
-        BLAS level-1 ``axpy`` chains) were no faster or strictly slower.
+        its operands — and memory-bandwidth-bound, so the fast backend
+        shares it (BLAS level-1 ``axpy`` chains measured strictly slower).
+        What pays is the traversal: :class:`repro.optim.SGD` calls it once
+        per ``CHUNK_BYTES`` chunk, so the passes after the first read from
+        L2.  On the 1 969 930-element ``ddp_powersgd`` MLP arena (momentum,
+        gradient copy included, a 2-core Xeon with 2 MiB of L2 per core,
+        median of 5×20 calls)
+        the chain takes 3.56 ms over the whole arena, 2.40 ms in 64 Ki-element
+        chunks, 2.60 ms in 32 Ki and 3.09 ms in 16 Ki.
         """
         if decay_mask is not None:
             # g += decay_mask * flat  (mask is 0 on no_decay segments)
             np.multiply(decay_mask, flat, out=tmp)
             g += tmp
         if momentum > 0:
-            if momentum_buf is None:
-                momentum_buf = g.copy()
+            if first:
+                np.copyto(momentum_buf, g)
             else:
                 momentum_buf *= momentum
                 momentum_buf += g
@@ -629,7 +648,6 @@ class Backend:
         # g is dead once the momentum buffer took it in (or it is d itself).
         np.multiply(d, np.float32(lr), out=g)
         flat -= g
-        return momentum_buf
 
     def adam_update(
         self,
@@ -689,7 +707,6 @@ class Backend:
         g: np.ndarray,
         m: np.ndarray,
         v: np.ndarray,
-        tmp: np.ndarray,
         decay_mask: np.ndarray | None,
         seg_starts: np.ndarray,
         seg_sizes: np.ndarray,
@@ -1064,7 +1081,6 @@ class FastBackend(Backend):
         g: np.ndarray,
         m: np.ndarray,
         v: np.ndarray,
-        tmp: np.ndarray,
         decay_mask: np.ndarray | None,
         seg_starts: np.ndarray,
         seg_sizes: np.ndarray,
@@ -1077,16 +1093,17 @@ class FastBackend(Backend):
         """Whole-arena LAMB: one vectorized moment/update chain, then
         segmented trust-ratio norms via :meth:`segment_norms` broadcast
         back over the tiling with ``np.repeat``.  Tolerance-tagged: the
-        reduceat summation order differs from the per-segment dots."""
-        m *= beta1
-        np.multiply(g, 1 - beta1, out=tmp)
-        m += tmp
-        v *= beta2
-        np.multiply(g, 1 - beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        # g is dead: reuse it as the update vector u = m̂/(√v̂+eps)+wd·w.
+        reduceat summation order differs from the per-segment dots.  Its
+        one temporary is the pooled ``lamb_den`` slab."""
         den = _scratch("lamb_den", flat.shape, np.float32)
+        m *= beta1
+        np.multiply(g, 1 - beta1, out=den)
+        m += den
+        v *= beta2
+        np.multiply(g, 1 - beta2, out=den)
+        den *= g
+        v += den
+        # g is dead: reuse it as the update vector u = m̂/(√v̂+eps)+wd·w.
         np.divide(v, 1 - beta2**step, out=den)
         np.sqrt(den, out=den)
         den += eps
@@ -1101,8 +1118,8 @@ class FastBackend(Backend):
         ok = (w_norm > 0) & (u_norm > 0)
         np.divide(w_norm, u_norm, out=ratio, where=ok)
         ratio *= np.float32(lr)
-        np.multiply(g, np.repeat(ratio, seg_sizes), out=tmp)
-        flat -= tmp
+        np.multiply(g, np.repeat(ratio, seg_sizes), out=den)
+        flat -= den
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,10 @@ scratch buffer.  Three rules keep that true without copying every gradient:
   tensor's, an optimizer, a clipper or the AMP unscale may update ``p.grad``
   in place, and :class:`repro.distributed.DistributedTrainer` moves each
   worker's ``p.grad`` arrays out of the model instead of copying them.
+  The one exception is a *borrowed* ``.grad``: a read-only array the
+  trainer set from a codec's aggregate (PowerSGD's ``m̂``, which its error
+  feedback keeps).  An in-place write to it raises; a later backward
+  accumulates into a new array.
 
 What the graph keeps alive
 --------------------------
@@ -146,7 +150,9 @@ def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
 
     ``owned=True`` donates ``grad``: the caller built it for this call
     and holds no other reference, so the first arrival adopts the buffer
-    instead of copying it (see the module docstring's ownership rules).
+    instead of copying it (see the module docstring's ownership rules).  A
+    read-only ``self.grad`` is borrowed (a codec's aggregate): the sum goes
+    into a new array and the borrowed one is left as it was.
     """
     if not self.requires_grad:
         return
@@ -160,7 +166,16 @@ def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         if GRAD_ARRIVAL_HOOK is not None:
             GRAD_ARRIVAL_HOOK(self)
     else:
-        self.grad += grad
+        _add_into(self, grad)
+
+
+def _add_into(node, grad: np.ndarray) -> None:
+    """``node.grad += grad``; a read-only (borrowed) ``node.grad`` is replaced
+    by the sum instead of written."""
+    if node.grad.flags.writeable:
+        node.grad += grad
+    else:
+        node.grad = node.grad + grad
 
 
 def _zeros_like(a: np.ndarray) -> Callable[[], np.ndarray]:
@@ -222,7 +237,7 @@ def _seed(root, grad: np.ndarray) -> None:
         if GRAD_ARRIVAL_HOOK is not None:
             GRAD_ARRIVAL_HOOK(root)
     else:
-        root.grad += grad
+        _add_into(root, grad)
 
 
 class Tensor:

@@ -59,16 +59,26 @@ class TestParameterArena:
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
 
-    def test_gather_grad(self):
+    def test_grad_chunk(self):
+        """Any chunk of the packed gradient, copied from the ``p.grad``
+        arrays: zeros for a missing gradient, a non-contiguous one read in
+        C order, chunks that start and end inside segments."""
         model = small_model()
         params = list(model.parameters())
         arena = ParameterArena(params)
         fill_grads(model, 1)
         params[0].grad = None  # missing gradient -> zeros
-        vec = arena.gather_grad()
-        assert np.array_equal(vec[: arena.sizes[0]], np.zeros(arena.sizes[0], np.float32))
-        off = arena.offsets[1]
-        assert np.array_equal(vec[off : off + arena.sizes[1]], params[1].grad.reshape(-1))
+        params[2].grad = np.asfortranarray(params[2].grad)
+        want = np.concatenate(
+            [np.zeros(arena.sizes[0], np.float32)] + [p.grad.reshape(-1) for p in params[1:]]
+        )
+        for chunk in (1, 7, arena.size):
+            for start in range(0, arena.size, chunk):
+                out = np.full(min(chunk, arena.size - start), np.nan, np.float32)
+                assert arena.grad_chunk(out, start) is out
+                assert out.tobytes() == want[start : start + out.size].tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            arena.grad_chunk(np.empty(2, np.float32), arena.size - 1)
 
     def test_intact_detects_rebinding(self):
         model = small_model()
@@ -134,11 +144,10 @@ class TestFusedSGD:
         m1, m2 = small_model(11), small_model(11)
         o1 = SGD(m1.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
         o2 = SGD(m2.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
-        arena2 = o2._ensure_arena()
         for step in range(3):
             fill_grads(m1, 50 + step)
             fill_grads(m2, 50 + step)
-            flat = arena2.gather_grad()
+            flat = np.concatenate([p.grad.reshape(-1) for p in m2.parameters()])
             o1.step()
             o2.step_flat(flat)
             for a, b in zip(m1.parameters(), m2.parameters()):
@@ -185,7 +194,7 @@ class TestFusedSGD:
         opt = SGD(model.parameters(), lr=0.05)
         opt.zero_grad()
         before = [p.data.copy() for p in model.parameters()]
-        opt.step()  # all grads None -> gathered zeros -> no movement
+        opt.step()  # all grads None -> zero chunks -> no movement
         for p, old in zip(model.parameters(), before):
             assert np.array_equal(p.data, old)
 

@@ -168,7 +168,7 @@ class TestOpParity:
             flat, g = flat0.copy(), g0.copy()
             buf = None if buf0 is None else buf0.copy()
             tmp = np.empty(size, dtype=np.float32)
-            buf = backend.get(b).sgd_update(flat, g, tmp, mask, buf, 0.05, momentum, nesterov)
+            backend.get(b).sgd_update(flat, g, tmp, mask, buf, 0.05, momentum, nesterov)
             states[b] = (flat, buf)
         assert_parity("sgd_update", states["numpy"][0], states[name][0])
         if momentum:
@@ -205,9 +205,8 @@ class TestOpParity:
         states = {}
         for b in ("numpy", name):
             flat, g, m, v = flat0.copy(), g0.copy(), m0.copy(), v0.copy()
-            tmp = np.empty(size, dtype=np.float32)
             backend.get(b).lamb_update(
-                flat, g, m, v, tmp, mask, starts, seg_sizes, 1e-3, 0.9, 0.999, 1e-6, step
+                flat, g, m, v, mask, starts, seg_sizes, 1e-3, 0.9, 0.999, 1e-6, step
             )
             states[b] = (flat, m, v)
         for ref, got in zip(states["numpy"], states[name]):

@@ -388,17 +388,26 @@ class TestErrorFeedbackInPlace:
             comp.advance_step()
         assert seen[0] is seen[1] is seen[2] is seen[3]
 
-    def test_the_decoded_aggregate_is_the_callers_to_overwrite(self, name, rng):
+    def test_a_write_never_reaches_the_residual(self, name, rng):
         """The trainer binds decoded arrays to ``p.grad``; whatever happens
-        to them there must not reach the residual the codec still owes."""
+        to them there must not reach the residual the codec still owes.  An
+        entry the residual itself keeps (PowerSGD's ``m̂``) is handed over
+        read-only, so a write to it raises; any other entry is the caller's
+        to overwrite."""
         kept, scribbled = make_compressor(name, 2), make_compressor(name, 2)
         for _ in range(4):
             gsets = [grads_for(rng) for _ in range(2)]
             a = kept.decode_aggregate([kept.encode(w, g) for w, g in enumerate(gsets)])
             b = scribbled.decode_aggregate([scribbled.encode(w, g) for w, g in enumerate(gsets)])
+            borrowed = [name == "powersgd" and y.ndim >= 2 for y in b]
+            assert [not y.flags.writeable for y in b] == borrowed
             for x, y in zip(a, b):
                 assert x.tobytes() == y.tobytes()
-                y.fill(np.nan)
+                if y.flags.writeable:
+                    y.fill(np.nan)
+                else:
+                    with pytest.raises(ValueError, match="read-only"):
+                        y.fill(np.nan)
             assert kept.error_norm(0) == scribbled.error_norm(0)
             kept.advance_step()
             scribbled.advance_step()

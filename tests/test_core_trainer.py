@@ -42,14 +42,14 @@ class TestTrainer:
 
     def test_amp_epoch_builds_the_arena_once(self, rng):
         """The AMP round trip writes the fp16-rounded values back into the
-        parameter arrays, so the optimizer's arena (and its momentum) lives
-        through every step of the epoch."""
+        parameter arrays, so the optimizer's arena (and its momentum), built
+        with the optimizer, lives through every step of the epoch."""
         x, y = make_task(rng)
         loader = DataLoader(x, y, 16, shuffle=True)
         model = make_model()
-        t = Trainer(model, SGD(model.parameters(), lr=0.1, momentum=0.9), amp=True)
         with obs.observe(tracing=False) as (_, registry):
             registry.reset()
+            t = Trainer(model, SGD(model.parameters(), lr=0.1, momentum=0.9), amp=True)
             t.train_epoch(loader)
             counters = registry.counters()
         assert counters.get("arena.builds") == 1

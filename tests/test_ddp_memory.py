@@ -16,11 +16,18 @@ included, may rise above the level it starts or ends at by at most one
 worker's gradient plus the decoded output (two model sizes; holding all
 four workers' gradients at once needs four).
 
+Between iterations the level is exact.  ``tracemalloc`` puts NumPy's array
+buffers in a domain of their own, and the bytes there are a sum over the
+parameter shapes: the optimizer's state and one chunk of gradient scratch,
+the error memory, and the decoded gradient — whose matrices are the ``m̂``
+the error memory keeps, handed over once rather than copied.
+
 The arena optimizers allocate only the arena-sized slabs an update reads: a
-``weight_decay=0`` update reads no decay mask, and ``SGD`` without decay or
-Nesterov writes its final ``lr·d`` into the gradient it already overwrites.
-The decay mask follows ``weight_decay`` when it changes, as the per-tensor
-loops in ``tests/oracles.py`` do.
+``weight_decay=0`` update reads no decay mask, the step streams the gradient
+through chunk-sized scratch instead of gathering it into a slab, and ``SGD``
+without decay or Nesterov writes its final ``lr·d`` into the gradient chunk
+it already overwrites.  The decay mask follows ``weight_decay`` when it
+changes, as the per-tensor loops in ``tests/oracles.py`` do.
 """
 
 from __future__ import annotations
@@ -35,30 +42,35 @@ from repro.data import DataLoader
 from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.models import MLP
 from repro.optim import LAMB, SGD, Adam
+from repro.optim.optimizer import CHUNK
 from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL
 from repro.utils import set_seed
 from tests.oracles import AdamLoop, LAMBLoop, SGDLoop
 
 WORLD = 4
 BATCH = 4
+RANK = 2
+FLOAT32 = 4
+#: tracemalloc's domain for NumPy's array data buffers.
+NUMPY_DOMAIN = 389047
 
 
-def powersgd_trainer(optimizer_cls, overlap: bool):
+def powersgd_trainer(optimizer_cls, overlap: bool, widths=(256, 128, 128)):
     """A 4-worker PowerSGD trainer whose parameters dwarf its activations
     (batch 4), and loaders that yield one batch per epoch."""
     set_seed(0)
-    model = MLP(256, [128, 128], 10)
+    model = MLP(widths[0], list(widths[1:]), 10)
     opt = optimizer_cls(list(model.parameters()), lr=0.01, momentum=0.9)
     trainer = DistributedTrainer(
         model,
         opt,
         ClusterSpec(WORLD),
-        compressor=make_compressor("powersgd", WORLD, rank=2),
+        compressor=make_compressor("powersgd", WORLD, rank=RANK),
         overlap=overlap,
         bucket_mb=0.05,
     )
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((BATCH * WORLD, 256)).astype(np.float32)
+    x = rng.standard_normal((BATCH * WORLD, widths[0])).astype(np.float32)
     y = rng.integers(0, 10, BATCH * WORLD)
     loaders = [DataLoader(x[w::WORLD], y[w::WORLD], BATCH) for w in range(WORLD)]
     return model, trainer, loaders
@@ -82,9 +94,9 @@ def iteration_rises(trainer, loaders, iterations: int) -> list[int]:
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
-# A per-tensor optimizer reads every gradient in place, the arena gathers
-# them into its own buffer; the ids are the names the two had when both
-# lived in repro.optim.
+# A per-tensor optimizer reads every gradient in place, the arena streams
+# them through a chunk of scratch; the ids are the names the two had when
+# both lived in repro.optim.
 @pytest.mark.parametrize("optimizer_cls", [SGDLoop, SGD], ids=["SGD", "FusedSGD"])
 def test_an_iteration_holds_one_workers_gradient(optimizer_cls, overlap):
     model, trainer, loaders = powersgd_trainer(optimizer_cls, overlap)
@@ -98,15 +110,65 @@ def test_an_iteration_holds_one_workers_gradient(optimizer_cls, overlap):
         assert rise <= bound, f"round {r + 1}: {rise} B above its level, bound {bound} B"
 
 
-def arena_slabs(opt) -> set[str]:
-    """Names of the arena-sized arrays the optimizer holds."""
-    size = opt._arena.size
-    return {k for k, v in vars(opt).items() if isinstance(v, np.ndarray) and v.size == size}
+def numpy_bytes() -> int:
+    """Bytes of every NumPy array buffer allocated since tracing started
+    and still alive."""
+    snapshot = tracemalloc.take_snapshot()
+    traces = snapshot.filter_traces([tracemalloc.DomainFilter(True, NUMPY_DOMAIN)]).traces
+    return sum(t.size for t in traces)
+
+
+#: The level of the test below after three iterations, traced from before
+#: the trainer is built, on the code before the step streamed and PowerSGD
+#: handed its ``m̂`` over once: that optimizer gathered every gradient into
+#: an arena-sized slab, and the decode gave the trainer a copy of each ``m̂``.
+GATHERING_LEVEL = 5_990_768
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+def test_the_steady_state_level_is_exact(overlap):
+    """Between iterations the trainer holds, byte for byte, what it held once
+    built (the arena and the momentum slab, the data) plus the sum below.
+    That is two model-sized slabs fewer than :data:`GATHERING_LEVEL` — the
+    gathered gradient and the copy of every ``m̂`` — less the one chunk of
+    scratch the streamed step reads the gradient through."""
+    tracemalloc.start()
+    try:
+        start = numpy_bytes()
+        model, trainer, loaders = powersgd_trainer(SGD, overlap, widths=(512, 256, 128))
+        built = numpy_bytes() - start
+        levels = []
+        for _ in range(3):
+            trainer.train_epoch(loaders)
+            levels.append(numpy_bytes() - start)
+    finally:
+        tracemalloc.stop()
+    params = list(model.parameters())
+    model_bytes = sum(p.data.nbytes for p in params)
+    assert model_bytes > CHUNK * FLOAT32
+    matrices = [p.data.reshape(p.data.shape[0], -1) for p in params if p.data.ndim >= 2]
+    matrix_bytes = sum(m.nbytes for m in matrices)
+    held = {
+        "gradient chunk": CHUNK * FLOAT32,
+        "error memory": WORLD * matrix_bytes,
+        "m̂, the matrices' p.grad": matrix_bytes,
+        "the vectors' p.grad": model_bytes - matrix_bytes,
+        "warm-start Q": sum(m.shape[1] * RANK * FLOAT32 for m in matrices),
+    }
+    assert [level - built for level in levels] == [sum(held.values())] * 3, held
+    assert GATHERING_LEVEL - levels[-1] == model_bytes + matrix_bytes - CHUNK * FLOAT32
+
+
+def held_arrays(opt) -> dict[str, int]:
+    """Name -> element count of every array the optimizer holds."""
+    return {k: v.size for k, v in vars(opt).items() if isinstance(v, np.ndarray)}
 
 
 def stepped(opt_cls, **kwargs):
+    """Two steps on an arena of more than one chunk, so a chunk-sized
+    scratch and an arena-sized slab cannot be mistaken for each other."""
     set_seed(0)
-    model = MLP(12, [10, 8], 4)
+    model = MLP(300, [256], 4)
     opt = opt_cls(list(model.parameters()), lr=1e-3, **kwargs)
     rng = np.random.default_rng(0)
     for _ in range(2):
@@ -117,20 +179,28 @@ def stepped(opt_cls, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "opt_cls,kwargs,slabs",
+    "opt_cls,kwargs,slabs,chunks",
     [
-        (SGD, {}, {"_grad_buf"}),
-        (SGD, {"momentum": 0.9}, {"_grad_buf", "_momentum_buf"}),
-        (SGD, {"momentum": 0.9, "nesterov": True}, {"_grad_buf", "_momentum_buf", "_tmp"}),
-        (SGD, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_decay_mask"}),
-        (Adam, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
-        (Adam, {"weight_decay": 1e-2}, {"_grad_buf", "_tmp", "_m", "_v", "_decay_mask"}),
-        (LAMB, {}, {"_grad_buf", "_tmp", "_m", "_v"}),
+        (SGD, {}, set(), {"_grad_chunk"}),
+        (SGD, {"momentum": 0.9}, {"_momentum_buf"}, {"_grad_chunk"}),
+        (SGD, {"momentum": 0.9, "nesterov": True}, {"_momentum_buf"}, {"_grad_chunk", "_tmp_chunk"}),
+        (SGD, {"weight_decay": 1e-2}, {"_decay_mask"}, {"_grad_chunk", "_tmp_chunk"}),
+        (Adam, {}, {"_m", "_v"}, {"_grad_chunk", "_tmp_chunk"}),
+        (Adam, {"weight_decay": 1e-2}, {"_m", "_v", "_decay_mask"}, {"_grad_chunk", "_tmp_chunk"}),
+        (LAMB, {}, {"_m", "_v", "_u"}, set()),
     ],
     ids=["sgd", "sgd-momentum", "sgd-nesterov", "sgd-decay", "adam", "adam-decay", "lamb"],
 )
-def test_fused_optimizers_hold_only_the_slabs_an_update_reads(opt_cls, kwargs, slabs):
-    assert arena_slabs(stepped(opt_cls, **kwargs)) == slabs
+def test_fused_optimizers_hold_only_the_slabs_an_update_reads(opt_cls, kwargs, slabs, chunks):
+    """Every array the optimizer holds is an arena-sized slab the update
+    reads, a chunk of scratch, or (LAMB) one segment boundary per tensor."""
+    opt = stepped(opt_cls, **kwargs)
+    size = opt._arena.size
+    assert size > CHUNK
+    want = {**{k: size for k in slabs}, **{k: CHUNK for k in chunks}}
+    if opt_cls is LAMB:
+        want.update(_seg_starts=len(opt.params), _seg_sizes=len(opt.params))
+    assert held_arrays(opt) == want
 
 
 PAIRS = [(SGDLoop, SGD, {"momentum": 0.9}), (AdamLoop, Adam, {}), (LAMBLoop, LAMB, {})]

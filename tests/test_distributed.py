@@ -229,11 +229,44 @@ class TestGradientHandOff:
         loaders = [DataLoader(sx, sy, 8) for sx, sy in shard_dataset(x, y, 2)]
         trainer.train_epoch(loaders)
         assert seen and all(n > 0 for n in seen)
-        # After the step every p.grad is the decoded mean, a fresh array.
+        # After the step every p.grad is the decoded mean: a matrix's is the
+        # m̂ PowerSGD's error feedback keeps, read-only, and no p.grad aliases
+        # another.
         grads = [p.grad for p in params]
-        assert all(g is not None and g.flags.writeable for g in grads)
+        assert all(g is not None for g in grads)
+        assert [g.flags.writeable for g in grads] == [g.ndim < 2 for g in grads]
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
+
+    def test_a_borrowed_grad_fails_closed_and_still_sums(self, rng):
+        """After a PowerSGD epoch an in-place write to a matrix's ``p.grad``
+        raises instead of corrupting the residual, and a backward without
+        ``zero_grad`` still adds into it — into a new array, leaving the
+        codec's ``m̂`` as it was."""
+        from repro.compression import PowerSGD
+
+        model = MLP(6, [8], 3)
+        params = list(model.parameters())
+        comp = PowerSGD(2, rank=2)
+        trainer = DistributedTrainer(model, SGD(params, lr=0.1), ClusterSpec(2), compressor=comp)
+        x = rng.standard_normal((16, 6)).astype(np.float32)
+        y = rng.integers(0, 3, 16)
+        trainer.train_epoch([DataLoader(sx, sy, 8) for sx, sy in shard_dataset(x, y, 2)])
+        weight = params[0]
+        borrowed = weight.grad
+        assert not borrowed.flags.writeable
+        before = borrowed.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            weight.grad *= 2.0
+        batch = Tensor(x[:4])
+        nn.CrossEntropyLoss()(model(batch), y[:4]).backward()
+        fresh = weight.grad
+        for p in params:
+            p.grad = None
+        nn.CrossEntropyLoss()(model(batch), y[:4]).backward()
+        assert fresh.tobytes() == (before + weight.grad).tobytes()
+        assert fresh.flags.writeable and not np.shares_memory(fresh, borrowed)
+        assert borrowed.tobytes() == before.tobytes()
 
     def test_workers_get_distinct_gradient_buffers(self, rng):
         from repro.distributed.ddp import _take_grads

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.models import MLP
+from repro.nn.module import Parameter
 from repro.optim import LAMB, SGD, Adam
+from repro.optim.optimizer import CHUNK
 from repro.tensor import Tensor, backend
 from repro.tensor.backend import TOLERANCE_ATOL, TOLERANCE_RTOL, FastBackend
 from repro.utils import set_seed
@@ -39,6 +41,15 @@ def fill_grads(model, seed):
     rng = np.random.default_rng(seed)
     for p in model.parameters():
         p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+
+
+def packed_grad(params):
+    """Every ``p.grad`` flattened in order, zeros for a missing one: the flat
+    gradient ``step_flat`` takes."""
+    return np.concatenate(
+        [np.zeros(p.data.size, np.float32) if p.grad is None else p.grad.reshape(-1)
+         for p in params]
+    ).astype(np.float32)
 
 
 def rebind_through_fp16(model):
@@ -113,13 +124,14 @@ class TestFusedVsLoop:
         m1, m2 = small_model(11), small_model(11)
         o1 = fused_cls(m1.parameters(), lr=1e-3, weight_decay=1e-2)
         o2 = fused_cls(m2.parameters(), lr=1e-3, weight_decay=1e-2)
-        arena2 = o2._ensure_arena()
         for step in range(3):
             fill_grads(m1, 50 + step)
             fill_grads(m2, 50 + step)
-            flat = arena2.gather_grad()
+            flat = packed_grad(o2.params)
+            before = flat.copy()
             o1.step()
             o2.step_flat(flat)
+            assert flat.tobytes() == before.tobytes()  # read, never written
             for a, b in zip(m1.parameters(), m2.parameters()):
                 assert np.array_equal(a.data, b.data)
 
@@ -268,3 +280,116 @@ class TestSegmentedNormProperty:
         # And the reference backend's per-segment dots agree with it too.
         ref_backend = backend.get("numpy").segment_norms(x, starts, seg_sizes)
         np.testing.assert_allclose(ref_backend, ref, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)
+
+
+def chunk_tiling(total):
+    """Segment sizes tiling ``total`` elements: three tiny segments, one
+    large one, a short segment across the first chunk boundary when there is
+    one (the parameter left without a gradient), then the rest."""
+    gap = min(CHUNK, total) - 4
+    sizes = [1, 5, 2, gap - 8, min(7, total - gap)]
+    if total > sum(sizes):
+        sizes.append(total - sum(sizes))
+    return sizes
+
+
+class TestStreamedStep:
+    """The step runs one chunk of ``CHUNK`` elements at a time; its bytes must
+    not depend on where the chunk boundaries fall.  Arenas of ``CHUNK - 1``,
+    ``CHUNK`` and ``CHUNK + 1`` elements, tiny segments, a parameter with
+    ``grad=None`` across a boundary (the loops get the zero gradient the
+    arena gives it), a non-contiguous gradient, and ``-0.0`` gradients on
+    the first step, against the per-tensor loops byte for byte."""
+
+    REVERSED_SEGMENT = 3  # its gradient is a reversed, non-contiguous view
+    NONE_SEGMENT = 4
+
+    def run_pair(self, loop_cls, fused_cls, total, kwargs, backend_name, steps=3):
+        rng = np.random.default_rng(total)
+        sizes = chunk_tiling(total)
+        init = [rng.standard_normal(n).astype(np.float32) for n in sizes]
+        p_loop = [Parameter(w.copy()) for w in init]
+        p_fused = [Parameter(w.copy()) for w in init]
+        for ps in (p_loop, p_fused):
+            ps[1].no_decay = True
+        loop = loop_cls(p_loop, **kwargs)
+        fused = fused_cls(p_fused, **kwargs)
+        with backend.use(backend_name):
+            for step in range(steps):
+                grads = [rng.standard_normal(n).astype(np.float32) for n in sizes]
+                if step == 0:
+                    for g in grads:
+                        g[::3] = -0.0
+                for i, (a, b, g) in enumerate(zip(p_loop, p_fused, grads)):
+                    if i == self.NONE_SEGMENT:
+                        a.grad, b.grad = np.zeros_like(g), None
+                    elif i == self.REVERSED_SEGMENT:
+                        a.grad, b.grad = g.copy(), g[::-1].copy()[::-1]
+                    else:
+                        a.grad, b.grad = g.copy(), g.copy()
+                loop.step()
+                fused.step()
+        return loop, fused, p_loop, p_fused
+
+    @pytest.mark.parametrize("backend_name", ["numpy", "fast"])
+    @pytest.mark.parametrize("total", [CHUNK - 1, CHUNK, CHUNK + 1], ids=["chunk-1", "chunk", "chunk+1"])
+    @pytest.mark.parametrize(
+        "loop_cls,fused_cls,kwargs",
+        [
+            (SGDLoop, SGD, dict(lr=0.05)),
+            (SGDLoop, SGD, dict(lr=0.05, momentum=0.9)),
+            (SGDLoop, SGD, dict(lr=0.05, momentum=0.9, nesterov=True)),
+            (SGDLoop, SGD, dict(lr=0.05, momentum=0.9, weight_decay=1e-2)),
+            (SGDLoop, SGD, dict(lr=0.05, momentum=0.9, weight_decay=1e-2, nesterov=True)),
+            (AdamLoop, Adam, dict(lr=1e-3)),
+            (AdamLoop, Adam, dict(lr=1e-3, weight_decay=1e-2)),
+        ],
+        ids=["sgd", "sgd-momentum", "sgd-nesterov", "sgd-decay", "sgd-decay-nesterov",
+             "adam", "adam-decay"],
+    )
+    def test_bytes_match_the_loops(self, loop_cls, fused_cls, kwargs, total, backend_name):
+        loop, fused, p_loop, p_fused = self.run_pair(loop_cls, fused_cls, total, kwargs, backend_name)
+        assert fused._arena.size == total
+        for a, b in zip(p_loop, p_fused):
+            assert a.data.tobytes() == b.data.tobytes()
+        if kwargs.get("momentum"):
+            # The momentum slab too: a first-step -0.0 gradient stays -0.0.
+            want = np.concatenate([loop.state[id(p)]["momentum"] for p in p_loop])
+            assert fused._momentum_buf.tobytes() == want.tobytes()
+
+    def test_first_momentum_step_keeps_negative_zero(self):
+        p = Parameter(np.ones(CHUNK + 5, dtype=np.float32))
+        opt = SGD([p], lr=0.1, momentum=0.9)
+        p.grad = np.full(CHUNK + 5, -0.0, dtype=np.float32)
+        opt.step()
+        assert np.signbit(opt._momentum_buf).all()
+
+    @pytest.mark.parametrize("backend_name", ["numpy", "fast"])
+    @pytest.mark.parametrize("total", [CHUNK - 1, CHUNK + 1], ids=["chunk-1", "chunk+1"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_lamb_matches_its_whole_arena_chain(self, total, backend_name, weight_decay):
+        """LAMB packs the gradient into its ``u`` slab and runs the backend's
+        whole-arena chain: byte-equal to that chain on the packed gradient,
+        and within the tolerance tag of the per-tensor loop."""
+        kwargs = dict(lr=1e-3, weight_decay=weight_decay)
+        loop, fused, p_loop, p_fused = self.run_pair(
+            LAMBLoop, LAMB, total, kwargs, backend_name, steps=2
+        )
+        for a, b in zip(p_loop, p_fused):
+            np.testing.assert_allclose(b.data, a.data, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)
+        # One more step, against the chain run by hand on a packed copy.
+        rng = np.random.default_rng(99)
+        for p in p_fused:
+            p.grad = rng.standard_normal(p.data.size).astype(np.float32)
+        p_fused[self.NONE_SEGMENT].grad = None
+        flat, m, v = fused._arena.flat.copy(), fused._m.copy(), fused._v.copy()
+        g = packed_grad(p_fused)
+        mask = fused._mask()
+        with backend.use(backend_name):
+            backend.active().lamb_update(
+                flat, g, m, v, mask, fused._seg_starts, fused._seg_sizes,
+                1e-3, 0.9, 0.999, 1e-6, fused._t + 1,
+            )
+            fused.step()
+        assert fused._arena.flat.tobytes() == flat.tobytes()
+        assert fused._m.tobytes() == m.tobytes() and fused._v.tobytes() == v.tobytes()

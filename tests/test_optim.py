@@ -136,7 +136,7 @@ class TestAdam:
     def test_step_allocates_no_new_state_after_first(self):
         p = param_with_grad([1.0, 2.0], [0.1, 0.2])
         opt = Adam([p], lr=0.1)
-        slabs = ("_m", "_v", "_tmp", "_grad_buf")
+        slabs = ("_m", "_v", "_tmp_chunk", "_grad_chunk")
         opt.step()
         buffers = {k: id(getattr(opt, k)) for k in slabs}
         p.grad = np.array([0.3, 0.4], dtype=np.float32)
