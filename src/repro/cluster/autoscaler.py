@@ -31,6 +31,9 @@ from .scenario import ClusterScenario, route_arrivals
 
 __all__ = ["PoolConfig", "ScaleEvent", "WindowRecord", "ClusterReport", "ClusterAutoscaler"]
 
+# How the final fleet is packed onto hosts (see ``placement.pack``).
+PLACEMENT_POLICY = "ffd"
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -199,7 +202,6 @@ class ClusterAutoscaler:
         scenario: ClusterScenario,
         pools: list[PoolConfig],
         host_spec: HostSpec | None = None,
-        placement_policy: str = "ffd",
     ):
         if not pools:
             raise ClusterConfigError("autoscaler needs at least one pool")
@@ -214,7 +216,6 @@ class ClusterAutoscaler:
         self.scenario = scenario
         self.pools = list(pools)
         self.host_spec = host_spec
-        self.placement_policy = placement_policy
 
     def run(self) -> ClusterReport:
         sc = self.scenario
@@ -307,7 +308,7 @@ class ClusterAutoscaler:
                 for pool in self.pools
                 for _ in range(replicas[pool.name])
             ]
-            placement = pack(fleet, self.host_spec, policy=self.placement_policy)
+            placement = pack(fleet, self.host_spec, policy=PLACEMENT_POLICY)
         return ClusterReport(
             scenario_seed=sc.seed,
             window_s=sc.window_s,

@@ -63,7 +63,6 @@ def replica_spec_for(
     served,
     profile,
     *,
-    bytes_per_param: int = 4,
     overhead_bytes: int = 0,
 ) -> ReplicaSpec:
     """Build a :class:`ReplicaSpec` from a materialized model + profile.
@@ -75,7 +74,7 @@ def replica_spec_for(
     return ReplicaSpec(
         model=served.name,
         variant=served.variant,
-        mem_bytes=served.memory_bytes(bytes_per_param) + overhead_bytes,
+        mem_bytes=served.memory_bytes() + overhead_bytes,
         capacity_rps=profile.capacity_rps(),
     )
 

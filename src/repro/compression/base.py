@@ -55,8 +55,8 @@ __all__ = [
 
 FLOAT32_BYTES = 4
 
-#: Elements per pass of :func:`exact_mean`: its two float64 scratch chunks
-#: (``CHUNK_BYTES`` each) stay in L2 while every worker's slice is folded in.
+#: Elements per pass of :func:`exact_mean`: its float64 scratch chunk
+#: (``CHUNK_BYTES``) stays in L2 while every worker's slice is folded in.
 MEAN_CHUNK = CHUNK_BYTES // 8
 
 
@@ -69,9 +69,10 @@ def exact_mean(arrays, dtype=None) -> np.ndarray:
     result is byte-equal to that formula on every input — signed zeros,
     infinities and NaN payloads included (``tests/oracles.py`` keeps the
     formula as the oracle).  Only the traversal differs: ``MEAN_CHUNK``
-    elements at a time, worker 0 copied and every later worker cast into two
-    float64 scratch chunks that stay in cache, where the formula streams
-    whole-array float64 temporaries through memory once per worker.
+    elements at a time in one float64 scratch chunk that stays in cache,
+    worker 0 copied in and every later worker added straight from its own
+    dtype (the widening cast inside ``np.add`` is exact), where the formula
+    streams whole-array float64 temporaries through memory once per worker.
     """
     if not arrays:
         raise ValueError("exact_mean of no arrays")
@@ -82,14 +83,13 @@ def exact_mean(arrays, dtype=None) -> np.ndarray:
     out = np.empty(first.shape, dtype=first.dtype if dtype is None else dtype)
     dst = out.reshape(-1)
     flats = [a.reshape(-1) for a in arrays]  # views of contiguous inputs
-    acc_buf, cast_buf = np.empty((2, min(dst.size, MEAN_CHUNK)), dtype=np.float64)
+    acc_buf = np.empty(min(dst.size, MEAN_CHUNK), dtype=np.float64)
     for start in range(0, dst.size, MEAN_CHUNK):
         stop = min(start + MEAN_CHUNK, dst.size)
-        acc, cast = acc_buf[: stop - start], cast_buf[: stop - start]
+        acc = acc_buf[: stop - start]
         acc[...] = flats[0][start:stop]
         for flat in flats[1:]:
-            cast[...] = flat[start:stop]
-            acc += cast
+            np.add(acc, flat[start:stop], out=acc)
         np.divide(acc, n, out=acc)
         dst[start:stop] = acc
     return out

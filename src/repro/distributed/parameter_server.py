@@ -24,6 +24,9 @@ from .cost_model import ClusterSpec, _check_degradation
 
 __all__ = ["parameter_server_time", "BandwidthTrace", "effective_epoch_times"]
 
+# The link speed at which ``effective_epoch_times`` is handed comm seconds.
+NOMINAL_GBPS = 10.0
+
 
 def parameter_server_time(
     nbytes: float,
@@ -91,16 +94,15 @@ def effective_epoch_times(
     compute_seconds: float,
     n_epochs: int,
     trace: BandwidthTrace,
-    nominal_gbps: float = 10.0,
 ) -> list[float]:
     """Per-epoch totals when bandwidth follows ``trace`` over the run.
 
     ``comm_seconds_at_nominal`` is the per-epoch communication time at
-    ``nominal_gbps``; compute is bandwidth-independent.
+    :data:`NOMINAL_GBPS`; compute is bandwidth-independent.
     """
     out = []
     for epoch in range(n_epochs):
         progress = (epoch + 0.5) / n_epochs
         bw = trace.bandwidth_at(progress)
-        out.append(compute_seconds + comm_seconds_at_nominal * nominal_gbps / bw)
+        out.append(compute_seconds + comm_seconds_at_nominal * NOMINAL_GBPS / bw)
     return out

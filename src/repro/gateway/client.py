@@ -123,76 +123,76 @@ class RequestRecord:
 
 
 class LoadClient:
-    """Replay a trace against a live gateway over localhost sockets."""
+    """Replay a trace against a live gateway over localhost sockets.
+
+    Each request has ``timeout_s`` from its write to its last byte; when
+    that passes, a loop timer fails the pending await and drops the
+    connection, and the record says ``error == "timeout"``.
+    """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
 
-    # -- one request over one (reader, writer) pair ----------------------
+    # -- one request over one connection -------------------------------
 
     async def _issue(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        conn,
         req: TraceRequest,
         record: RequestRecord,
         t0: float,
         keep_alive: bool,
-    ) -> None:
+    ):
+        """Send ``req`` over ``conn`` (a new connection when ``None``) and
+        read its response into ``record``.  Returns the connection to reuse,
+        or ``None`` when it failed, with the reason in ``record.error``."""
         loop = asyncio.get_running_loop()
         body = {"id": req.rid, "payload": req.payload, "steps": req.steps}
-        writer.write(
-            _http.render_request(
-                "POST", "/v1/infer", body, host=self.host, keep_alive=keep_alive
-            )
-        )
-        await writer.drain()
-        record.sent_s = loop.time() - t0
-        status, headers = await _http._read_status_and_headers(reader)
-        record.http_status = status
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            async for chunk in _http.iter_chunks(reader):
-                frame = json.loads(chunk)
-                t = loop.time() - t0
-                if frame.get("final"):
-                    record.final_s = t
+        try:
+            reader, writer = conn or await asyncio.open_connection(self.host, self.port)
+            conn = (reader, writer)
+            deadline = loop.call_later(self.timeout_s, _expire, reader, writer)
+            try:
+                writer.write(
+                    _http.render_request(
+                        "POST", "/v1/infer", body, host=self.host, keep_alive=keep_alive
+                    )
+                )
+                await writer.drain()
+                record.sent_s = loop.time() - t0
+                status, headers = await _http._read_head(reader, _http._status_line, b"")
+                record.http_status = status
+                if headers.get("transfer-encoding", "").lower() == "chunked":
+                    async for chunk in _http.iter_chunks(reader):
+                        frame = json.loads(chunk)
+                        t = loop.time() - t0
+                        if frame.get("final"):
+                            record.final_s = t
+                            record.status = frame.get("status", "")
+                            record.batch = frame.get("batch")
+                        else:
+                            record.chunk_times.append(t)
+                            record.result = frame.get("result")
+                else:
+                    frame = json.loads(await _http._read_body(reader, headers) or b"{}")
+                    record.final_s = loop.time() - t0
                     record.status = frame.get("status", "")
                     record.batch = frame.get("batch")
-                else:
-                    record.chunk_times.append(t)
                     record.result = frame.get("result")
-        else:
-            length = int(headers.get("content-length", "0") or "0")
-            data = await reader.readexactly(length) if length else b""
-            frame = json.loads(data or b"{}")
-            record.final_s = loop.time() - t0
-            record.status = frame.get("status", "")
-            record.batch = frame.get("batch")
-            record.result = frame.get("result")
-        record.latency_s = record.final_s - record.sent_s
-
-    async def _one_shot(self, req: TraceRequest, t0: float) -> RequestRecord:
-        record = RequestRecord(rid=req.rid, sent_s=0.0)
-        try:
-            reader, writer = await asyncio.open_connection(self.host, self.port)
-            try:
-                await asyncio.wait_for(
-                    self._issue(reader, writer, req, record, t0, keep_alive=False),
-                    timeout=self.timeout_s,
-                )
+                record.latency_s = record.final_s - record.sent_s
             finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, asyncio.CancelledError):
-                    pass
-        except asyncio.TimeoutError:
-            record.error = "timeout"
-        except (ConnectionError, _http.HttpError, asyncio.IncompleteReadError) as e:
-            record.error = f"{type(e).__name__}: {e}"
-        return record
+                deadline.cancel()
+        except (asyncio.TimeoutError, ConnectionError, _http.HttpError) as e:
+            record.error = (
+                "timeout" if isinstance(e, asyncio.TimeoutError) else f"{type(e).__name__}: {e}"
+            )
+        if conn is not None and (record.error or conn[1].is_closing()):
+            # Failed, or the deadline fired just as the response ended.
+            conn[1].close()
+            return None
+        return conn
 
     # -- replay modes ----------------------------------------------------
 
@@ -205,7 +205,15 @@ class LoadClient:
             delay = req.at_s - (loop.time() - t0)
             if delay > 0:
                 await asyncio.sleep(delay)
-            return await self._one_shot(req, t0)
+            record = RequestRecord(rid=req.rid, sent_s=0.0)
+            conn = await self._issue(None, req, record, t0, keep_alive=False)
+            if conn is not None:
+                conn[1].close()
+                try:
+                    await conn[1].wait_closed()
+                except ConnectionError:
+                    pass
+            return record
 
         return list(await asyncio.gather(*(_fire(r) for r in trace)))
 
@@ -215,48 +223,29 @@ class LoadClient:
         """Closed loop: ``workers`` keep-alive connections, back-to-back."""
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        queue: asyncio.Queue[TraceRequest] = asyncio.Queue()
-        for req in trace:
-            queue.put_nowait(req)
+        t0 = asyncio.get_running_loop().time()
+        pending = iter(trace)  # shared: each worker takes the next request
         records: list[RequestRecord] = []
 
         async def _worker() -> None:
-            reader = writer = None
-            try:
-                while True:
-                    try:
-                        req = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return
-                    record = RequestRecord(rid=req.rid, sent_s=0.0)
-                    try:
-                        if writer is None:
-                            reader, writer = await asyncio.open_connection(
-                                self.host, self.port
-                            )
-                        await asyncio.wait_for(
-                            self._issue(reader, writer, req, record, t0, keep_alive=True),
-                            timeout=self.timeout_s,
-                        )
-                    except asyncio.TimeoutError:
-                        record.error = "timeout"
-                        writer = reader = None
-                    except (
-                        ConnectionError,
-                        _http.HttpError,
-                        asyncio.IncompleteReadError,
-                    ) as e:
-                        record.error = f"{type(e).__name__}: {e}"
-                        writer = reader = None
-                    records.append(record)
-            finally:
-                if writer is not None:
-                    writer.close()
+            conn = None
+            for req in pending:
+                record = RequestRecord(rid=req.rid, sent_s=0.0)
+                records.append(record)
+                conn = await self._issue(conn, req, record, t0, keep_alive=True)
+            if conn is not None:
+                conn[1].close()
 
         await asyncio.gather(*(_worker() for _ in range(min(workers, len(trace) or 1))))
         return sorted(records, key=lambda r: r.rid)
+
+
+def _expire(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """A request's deadline passed: fail its pending read and drop the
+    connection, which also wakes a drain stalled on a peer that stopped
+    reading (the read after it then raises)."""
+    reader.set_exception(asyncio.TimeoutError())
+    writer.transport.abort()
 
 
 def summarize_records(records: list[RequestRecord], duration_s: float) -> dict:

@@ -2,7 +2,9 @@
 
 The gateway speaks just enough HTTP for its own clients: request-line +
 headers + ``Content-Length`` bodies on the way in, fixed-length or
-``Transfer-Encoding: chunked`` responses on the way out.  Chunked
+``Transfer-Encoding: chunked`` responses on the way out.  One head parser
+serves both directions: a head is read with one ``readuntil`` and parsed
+from bytes.  Chunked
 encoding is what makes streaming inference work over plain HTTP — the
 server flushes one chunk per completed batch step and the client sees
 partial results while later steps are still computing.
@@ -43,6 +45,7 @@ READ_TIMEOUT_S = 10.0
 
 CRLF = b"\r\n"
 LAST_CHUNK = b"0\r\n\r\n"
+CONTENT_TYPE = "application/json"  # both directions carry JSON only
 
 STATUS_TEXT = {
     200: "OK",
@@ -96,43 +99,64 @@ class HttpResponse:
         return self.headers.get("transfer-encoding", "").lower() == "chunked"
 
 
-async def _read_line(reader: asyncio.StreamReader, head: bytes = b"") -> bytes:
-    """One CRLF-terminated line, ``head`` being bytes of it already read."""
-    try:
-        line = head + await reader.readuntil(CRLF)
-    except asyncio.IncompleteReadError as e:
-        if not e.partial and not head:
-            return b""  # clean EOF between requests
-        raise HttpError(400, "truncated line") from e
-    except asyncio.LimitOverrunError as e:
-        raise HttpError(413, "header line too long") from e
-    if len(line) > MAX_LINE:
-        raise HttpError(413, "header line too long")
-    return line[:-2]
+async def _read_head(reader: asyncio.StreamReader, parse_start, first: bytes):
+    """One message head — start line and headers — read with one ``readuntil``.
 
-
-async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    ``first`` is the head's first byte when the caller has read it already
+    (``read_request`` waits for it unbounded), else ``b""``.  The head must
+    fit the stream's buffer limit (asyncio's default is 64 KiB) and each of
+    its lines :data:`MAX_LINE`, or it is a 413.  The lines are checked in
+    wire order, the start line through ``parse_start`` first.  The start
+    line ends at the first CRLF after byte 0, so one CRLF before it is
+    skipped (RFC 9112 §2.2).
+    """
+    head = first + await _read(reader.readuntil(CRLF + CRLF), "head")
+    end = head.find(CRLF, 1)
+    start = parse_start(_checked(head[:end]))
     headers: dict[str, str] = {}
-    while True:
-        line = await _read_line(reader)
-        if not line:
-            return headers
+    # Every header line ends in CRLF; the last piece of the split is empty.
+    for line in head[end + 2 : -2].split(CRLF)[:-1]:
+        name, sep, value = _checked(line).partition(b":")
         if len(headers) > 100:
             raise HttpError(413, "too many headers")
-        name, sep, value = line.partition(b":")
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.decode("latin-1").strip().lower()] = value.decode("latin-1").strip()
+    return start, headers
 
 
-async def _read_exactly(reader: asyncio.StreamReader, n: int, what: str) -> bytes:
+def _checked(line: bytes) -> bytes:
+    if len(line) + len(CRLF) > MAX_LINE:
+        raise HttpError(413, "header line too long")
+    return line
+
+
+def _request_line(line: bytes) -> tuple[str, str]:
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise HttpError(400, f"malformed request line {line!r}")
+    return parts[0].upper(), parts[1]
+
+
+def _status_line(line: bytes) -> int:
+    parts = line.decode("latin-1").split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1.") or not parts[1].isdecimal():
+        raise HttpError(400, f"malformed status line {line!r}")
+    return int(parts[1])
+
+
+async def _read(stream_read, what: str) -> bytes:
+    """Await one stream read; a short read is a 400, an overlong one a 413."""
     try:
-        return await reader.readexactly(n)
+        return await stream_read
     except asyncio.IncompleteReadError as e:
         raise HttpError(400, f"truncated {what}") from e
+    except asyncio.LimitOverrunError as e:
+        raise HttpError(413, f"{what} too large") from e
 
 
-def _content_length(headers: dict[str, str]) -> int:
+async def _read_body(reader: asyncio.StreamReader, headers: dict[str, str]) -> bytes:
+    """The ``Content-Length`` body that follows a head."""
     value = headers.get("content-length", "0") or "0"
     try:
         length = int(value)
@@ -140,7 +164,7 @@ def _content_length(headers: dict[str, str]) -> int:
         raise HttpError(400, f"malformed Content-Length {value!r}") from e
     if length < 0 or length > MAX_BODY:
         raise HttpError(413, "body too large")
-    return length
+    return await _read(reader.readexactly(length), "body") if length else b""
 
 
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
@@ -153,20 +177,13 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     first = await reader.read(1)
     if not first:
         return None
-    # A timer, not ``wait_for``: no task per request on the serving path.
     stall = asyncio.get_running_loop().call_later(READ_TIMEOUT_S, _fail_stalled, reader)
     try:
-        line = await _read_line(reader, first)
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise HttpError(400, f"malformed request line {line!r}")
-        method, path, _version = parts
-        headers = await _read_headers(reader)
-        length = _content_length(headers)
-        body = await _read_exactly(reader, length, "body") if length else b""
+        (method, path), headers = await _read_head(reader, _request_line, first)
+        body = await _read_body(reader, headers)
     finally:
         stall.cancel()
-    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+    return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
 def _fail_stalled(reader: asyncio.StreamReader) -> None:
@@ -180,10 +197,8 @@ def render_response(
     status: int,
     body: bytes | dict | list | None = None,
     *,
-    content_type: str = "application/json",
     keep_alive: bool = True,
     chunked: bool = False,
-    extra_headers: dict[str, str] | None = None,
 ) -> bytes:
     """Response head (+ body unless ``chunked``), ready to write.
 
@@ -194,14 +209,12 @@ def render_response(
         body = json.dumps(body, sort_keys=True).encode()
     body = body or b""
     lines = [f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}"]
-    lines.append(f"Content-Type: {content_type}")
+    lines.append(f"Content-Type: {CONTENT_TYPE}")
     if chunked:
         lines.append("Transfer-Encoding: chunked")
     else:
         lines.append(f"Content-Length: {len(body)}")
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-    for k, v in (extra_headers or {}).items():
-        lines.append(f"{k}: {v}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     return head if chunked else head + body
 
@@ -224,43 +237,30 @@ def render_request(
     *,
     host: str = "localhost",
     keep_alive: bool = True,
-    extra_headers: dict[str, str] | None = None,
 ) -> bytes:
     if isinstance(body, dict):
         body = json.dumps(body, sort_keys=True).encode()
     body = body or b""
     lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
     if body:
-        lines.append("Content-Type: application/json")
+        lines.append(f"Content-Type: {CONTENT_TYPE}")
     lines.append(f"Content-Length: {len(body)}")
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-    for k, v in (extra_headers or {}).items():
-        lines.append(f"{k}: {v}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-async def _read_status_and_headers(reader: asyncio.StreamReader) -> tuple[int, dict[str, str]]:
-    line = await _read_line(reader)
-    if not line:
-        raise HttpError(400, "connection closed before response")
-    parts = line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise HttpError(400, f"malformed status line {line!r}")
-    return int(parts[1]), await _read_headers(reader)
 
 
 async def iter_chunks(reader: asyncio.StreamReader):
     """Yield decoded chunk payloads until the terminal zero-length chunk."""
     while True:
-        size_line = await _read_line(reader)
+        size_line = _checked((await _read(reader.readuntil(CRLF), "chunk"))[:-2])
         try:
             size = int(size_line.split(b";")[0], 16)
         except ValueError as e:
             raise HttpError(400, f"malformed chunk size {size_line!r}") from e
         if size < 0 or size > MAX_BODY:
             raise HttpError(413, "chunk too large")
-        data = await _read_exactly(reader, size, "chunk")
-        await _read_exactly(reader, 2, "chunk")  # trailing CRLF
+        data = await _read(reader.readexactly(size), "chunk")
+        await _read(reader.readexactly(2), "chunk")  # trailing CRLF
         if size == 0:
             return
         yield data
@@ -268,10 +268,9 @@ async def iter_chunks(reader: asyncio.StreamReader):
 
 async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
     """Read one full response, reassembling chunked bodies."""
-    status, headers = await _read_status_and_headers(reader)
+    status, headers = await _read_head(reader, _status_line, b"")
     if headers.get("transfer-encoding", "").lower() == "chunked":
         body = b"".join([c async for c in iter_chunks(reader)])
     else:
-        length = _content_length(headers)
-        body = await _read_exactly(reader, length, "body") if length else b""
+        body = await _read_body(reader, headers)
     return HttpResponse(status=status, headers=headers, body=body)

@@ -201,13 +201,13 @@ class GatewayServer:
             # held back by the pool — only by the batch not being ready.
             delay = core.dispatch_due() - self.now()
             if delay > 0:
+                # Sleep until the flush deadline, but wake early when a new
+                # arrival may have filled the batch.  The timer wakes every
+                # idle worker; each one re-reads the queue.
                 self._work.clear()
-                try:
-                    # Sleep until the flush deadline, but wake early when a
-                    # new arrival may have filled the batch.
-                    await asyncio.wait_for(self._work.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
+                flush = self._loop.call_later(delay, self._work.set)
+                await self._work.wait()
+                flush.cancel()
                 continue
             dispatch_s = self.now()
             live, expired = core.cut_batch(dispatch_s)

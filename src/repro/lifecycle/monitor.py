@@ -79,8 +79,7 @@ class SpectrumSnapshot:
 class SpectrumMonitor:
     """Collects :class:`SpectrumSnapshot` records over a training run."""
 
-    def __init__(self, round_decimals: int = _ROUND_DECIMALS):
-        self.round_decimals = round_decimals
+    def __init__(self):
         self.snapshots: list[SpectrumSnapshot] = []
 
     def observe(self, model: Module, epoch: int, phase: str) -> SpectrumSnapshot:
@@ -89,7 +88,7 @@ class SpectrumMonitor:
             effective = materialize_hybrid(model)
             raw = layer_spectra(effective)
         spectra = {
-            path: tuple(round(float(v), self.round_decimals) for v in sv)
+            path: tuple(round(float(v), _ROUND_DECIMALS) for v in sv)
             for path, sv in raw.items()
         }
         snap = SpectrumSnapshot(

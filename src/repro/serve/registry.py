@@ -42,6 +42,9 @@ __all__ = [
 
 VARIANTS = ("full", "factorized")
 
+# Served weights are fp32: the memory a replica of ``params`` holds.
+BYTES_PER_PARAM = 4
+
 # The conv models take NCHW CIFAR-shaped images (MLP flattens them
 # internally); the sequence zoo declares its own token specs below.
 INPUT_SHAPE = (3, 32, 32)
@@ -172,10 +175,10 @@ class ServedModel:
         if self.input_spec is None:
             self.input_spec = InputSpec("image", self.input_shape)
 
-    def memory_bytes(self, bytes_per_param: int = 4) -> int:
-        """Resident weight footprint of one replica (fp32 by default) —
-        the memory cost the cluster placement engine bin-packs."""
-        return self.params * bytes_per_param
+    def memory_bytes(self) -> int:
+        """Resident weight footprint of one replica (fp32 weights) — the
+        memory cost the cluster placement engine bin-packs."""
+        return self.params * BYTES_PER_PARAM
 
     def describe(self) -> dict:
         out = {
