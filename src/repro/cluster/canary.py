@@ -44,8 +44,6 @@ class CanaryConfig:
     shed_delta_tolerance: float = 0.01
     slo_s: float = 0.15
     batch: BatchPolicy = field(default_factory=BatchPolicy)
-    headroom: float = 1.2  # provision ceil(headroom · share · rate / capacity)
-    max_replicas: int = 64
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -62,10 +60,6 @@ class CanaryConfig:
             raise ClusterConfigError("shed_delta_tolerance must be >= 0")
         if self.slo_s <= 0:
             raise ClusterConfigError("slo_s must be positive")
-        if self.headroom < 1.0:
-            raise ClusterConfigError("headroom must be >= 1")
-        if self.max_replicas < 1:
-            raise ClusterConfigError("max_replicas must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,12 +118,18 @@ class CanaryReport:
         }
 
 
-def _provision(rate_rps: float, share: float, capacity: float, cfg: CanaryConfig) -> int:
+# Each pool gets ceil(_HEADROOM · share · rate / capacity) replicas,
+# capped at _MAX_REPLICAS.
+_HEADROOM = 1.2
+_MAX_REPLICAS = 64
+
+
+def _provision(rate_rps: float, share: float, capacity: float) -> int:
     """Deterministic replica count for one pool's traffic share."""
     if share <= 0.0:
         return 0
-    need = math.ceil(cfg.headroom * share * rate_rps / capacity)
-    return min(max(need, 1), cfg.max_replicas)
+    need = math.ceil(_HEADROOM * share * rate_rps / capacity)
+    return min(max(need, 1), _MAX_REPLICAS)
 
 
 def _pool_shed(
@@ -177,8 +177,8 @@ def run_canary(
         for step_i, fraction in enumerate(cfg.steps):
             base_offered = base_shed = can_offered = can_shed = 0
             rate = scenario.rate_at(w * scenario.window_s)
-            n_base = _provision(rate, 1.0 - fraction, baseline_profile.capacity_rps(), cfg)
-            n_can = _provision(rate, fraction, canary_profile.capacity_rps(), cfg)
+            n_base = _provision(rate, 1.0 - fraction, baseline_profile.capacity_rps())
+            n_can = _provision(rate, fraction, canary_profile.capacity_rps())
             for _ in range(cfg.windows_per_step):
                 arrivals = scenario.window_arrivals(w)
                 span = scenario.window_bounds(w)

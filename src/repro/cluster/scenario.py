@@ -49,14 +49,15 @@ class LoadPhase:
 
 @dataclass(frozen=True)
 class ClusterScenario:
-    """A windowed, seeded offered-load schedule for the control loop."""
+    """A windowed, seeded offered-load schedule for the control loop.
+
+    A ``"bursty"`` process uses :class:`ArrivalSpec`'s default burst shape.
+    """
 
     phases: tuple[LoadPhase, ...]
     window_s: float = 10.0
     process: str = "poisson"
     seed: int = 0
-    burst_factor: float = 4.0
-    burst_prob: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.phases:
@@ -103,8 +104,6 @@ class ClusterScenario:
             duration_s=end - start,
             process=self.process,
             seed=derive_seed(self.seed, _KIND_WINDOW, w),
-            burst_factor=self.burst_factor,
-            burst_prob=self.burst_prob,
         )
         return start + generate_arrivals(spec)
 

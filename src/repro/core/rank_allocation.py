@@ -73,16 +73,13 @@ def energy_rank_allocation(
     return overrides
 
 
-def budget_rank_allocation(
-    model: Module,
-    param_budget: int,
-    min_rank: int = 1,
-) -> dict[str, int]:
+def budget_rank_allocation(model: Module, param_budget: int) -> dict[str, int]:
     """Greedy global allocation under a total parameter budget.
 
-    Each candidate (layer, next-rank-increment) is scored by marginal
-    retained energy per added parameter; increments are granted best-first
-    until the budget over the factorizable leaves is exhausted.
+    Every factorizable leaf starts at rank 1.  Each candidate
+    (layer, next-rank-increment) is scored by marginal retained energy per
+    added parameter; increments are granted best-first until the budget
+    over the factorizable leaves is exhausted.
     """
     specs = []  # (path, shape, s, cost_per_rank)
     for path, layer in factorizable_leaves(model):
@@ -92,8 +89,8 @@ def budget_rank_allocation(
         s = np.linalg.svd(w.astype(np.float64), compute_uv=False)
         specs.append((path, w.shape, s, sum(w.shape)))
 
-    ranks = {path: min_rank for path, _, _, _ in specs}
-    spent = sum(_lowrank_params(shape, min_rank) for _, shape, _, _ in specs)
+    ranks = {path: 1 for path, _, _, _ in specs}
+    spent = sum(_lowrank_params(shape, 1) for _, shape, _, _ in specs)
     if spent > param_budget:
         return ranks  # budget too tight: everything at the floor
 

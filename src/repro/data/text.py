@@ -16,6 +16,7 @@ solve it), which is what makes BLEU a meaningful metric here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -118,9 +119,9 @@ class TranslationDataset:
     src: np.ndarray
     tgt: np.ndarray
     vocab_size: int
-    pad_idx: int = 0
-    bos_idx: int = 1
-    eos_idx: int = 2
+    pad_idx: ClassVar[int] = 0
+    bos_idx: ClassVar[int] = 1
+    eos_idx: ClassVar[int] = 2
 
     def __len__(self) -> int:
         return len(self.src)

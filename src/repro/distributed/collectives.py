@@ -32,12 +32,7 @@ def allreduce_mean(worker_vectors: list[np.ndarray]) -> np.ndarray:
     return exact_mean(worker_vectors)
 
 
-def bucketed_allreduce_mean(
-    worker_vectors: list[np.ndarray],
-    buckets,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def bucketed_allreduce_mean(worker_vectors: list[np.ndarray], buckets) -> np.ndarray:
     """Per-bucket elementwise mean over flat worker vectors.
 
     ``buckets`` is any sequence of objects with ``offset``/``size``
@@ -63,8 +58,7 @@ def bucketed_allreduce_mean(
         expected = off + length
     if expected != size:
         raise ValueError(f"buckets cover {expected} elements, vectors have {size}")
-    if out is None:
-        out = np.empty_like(worker_vectors[0])
+    out = np.empty_like(worker_vectors[0])
     for b in buckets:
         sl = slice(int(b.offset), int(b.offset) + int(b.size))
         out[sl] = allreduce_mean([v[sl] for v in worker_vectors])

@@ -31,7 +31,7 @@ from .client import (
 )
 from .executor import ModelExecutor, ProfileExecutor
 from .http import HttpError, HttpRequest, HttpResponse
-from .server import GatewayServer, run_server
+from .server import GatewayServer
 from .validate import TwinResult, run_twin, run_twin_async
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "HttpRequest",
     "HttpResponse",
     "GatewayServer",
-    "run_server",
     "TwinResult",
     "run_twin",
     "run_twin_async",

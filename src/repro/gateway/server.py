@@ -61,7 +61,7 @@ from ..serve.core import COMPLETED, RequestOutcome, ServeReport, ServingCore
 from ..serve.simulator import ServeConfig
 from . import http as _http
 
-__all__ = ["GatewayServer", "run_server", "NAMESPACE"]
+__all__ = ["GatewayServer", "NAMESPACE"]
 
 NAMESPACE = "serve.gateway"
 
@@ -165,12 +165,6 @@ class GatewayServer:
         close = getattr(self.executor, "close", None)
         if close is not None:
             close()
-
-    async def serve_until(self, stop_event: asyncio.Event) -> None:
-        """Run until ``stop_event`` fires, then shut down gracefully."""
-        await self.start()
-        await stop_event.wait()
-        await self.stop()
 
     # -- report ----------------------------------------------------------
 
@@ -463,24 +457,3 @@ class GatewayServer:
             await writer.drain()
             return keep
 
-
-def run_server(server: GatewayServer, duration_s: float | None = None) -> ServeReport:
-    """Blocking convenience runner: start, serve, stop, report.
-
-    With ``duration_s`` the server stops itself after that many seconds;
-    otherwise it runs until the surrounding task is cancelled (the CLI
-    wires SIGINT/SIGTERM to the stop event).
-    """
-
-    async def _main() -> ServeReport:
-        stop = asyncio.Event()
-        await server.start()
-        if duration_s is not None:
-            asyncio.get_running_loop().call_later(duration_s, stop.set)
-        try:
-            await stop.wait()
-        finally:
-            await server.stop()
-        return server.report()
-
-    return asyncio.run(_main())

@@ -90,11 +90,12 @@ def _compare(
     )
 
 
+# Client-side bound on each replayed request.
+_TIMEOUT_S = 30.0
+
+
 async def run_twin_async(
-    profile: LatencyProfile,
-    config: ServeConfig,
-    spec: ArrivalSpec,
-    timeout_s: float = 30.0,
+    profile: LatencyProfile, config: ServeConfig, spec: ArrivalSpec
 ) -> TwinResult:
     """Replay ``spec``'s trace through the simulator and a live localhost
     gateway (profile-timed executor), and reduce to the gated deltas."""
@@ -105,7 +106,7 @@ async def run_twin_async(
     server = GatewayServer(ProfileExecutor(profile), config, port=0)
     await server.start()
     try:
-        client = LoadClient("127.0.0.1", server.port, timeout_s=timeout_s)
+        client = LoadClient("127.0.0.1", server.port, timeout_s=_TIMEOUT_S)
         records = await client.run_open(trace)
     finally:
         await server.stop()
@@ -113,11 +114,6 @@ async def run_twin_async(
     return _compare(trace, sim_report, live_report, records)
 
 
-def run_twin(
-    profile: LatencyProfile,
-    config: ServeConfig,
-    spec: ArrivalSpec,
-    timeout_s: float = 30.0,
-) -> TwinResult:
+def run_twin(profile: LatencyProfile, config: ServeConfig, spec: ArrivalSpec) -> TwinResult:
     """Synchronous wrapper around :func:`run_twin_async`."""
-    return asyncio.run(run_twin_async(profile, config, spec, timeout_s=timeout_s))
+    return asyncio.run(run_twin_async(profile, config, spec))

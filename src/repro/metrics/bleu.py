@@ -28,21 +28,22 @@ def _strip(seq: Sequence[int], strip_ids: frozenset) -> list[int]:
     return [t for t in seq if t not in strip_ids]
 
 
+# BLEU-4: n-gram orders 1..4.
+_MAX_N = 4
+# Added to clipped counts so short corpora with a missing n-gram order
+# don't collapse to exactly zero (add-epsilon smoothing).
+_SMOOTH = 1e-9
+
+
 def corpus_bleu(
     hypotheses: Iterable[Sequence[int]],
     references: Iterable[Sequence[int]],
-    max_n: int = 4,
     strip_ids: Iterable[int] = (),
-    smooth: float = 1e-9,
 ) -> float:
-    """Corpus-level BLEU in [0, 100].
-
-    ``smooth`` is added to clipped counts so short corpora with a missing
-    n-gram order don't collapse to exactly zero (add-epsilon smoothing).
-    """
+    """Corpus-level BLEU-4 in [0, 100], add-epsilon smoothed."""
     strip = frozenset(strip_ids)
-    clipped = [0] * max_n
-    totals = [0] * max_n
+    clipped = [0] * _MAX_N
+    totals = [0] * _MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -50,7 +51,7 @@ def corpus_bleu(
         ref = _strip(ref, strip)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, _MAX_N + 1):
             h_ngrams = sentence_ngrams(hyp, n)
             r_ngrams = sentence_ngrams(ref, n)
             totals[n - 1] += max(sum(h_ngrams.values()), 0)
@@ -60,10 +61,10 @@ def corpus_bleu(
     if hyp_len == 0:
         return 0.0
     log_precisions = []
-    for n in range(max_n):
+    for n in range(_MAX_N):
         if totals[n] == 0:
             continue
-        p = (clipped[n] + smooth) / totals[n]
+        p = (clipped[n] + _SMOOTH) / totals[n]
         log_precisions.append(math.log(p))
     if not log_precisions:
         return 0.0

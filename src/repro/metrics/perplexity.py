@@ -7,9 +7,13 @@ import math
 __all__ = ["perplexity"]
 
 
-def perplexity(mean_nll: float, cap: float = 1e9) -> float:
-    """``exp(mean negative log-likelihood)``, clamped against overflow."""
+# Ceiling on the reported perplexity, so a diverged run prints a number.
+_CAP = 1e9
+
+
+def perplexity(mean_nll: float) -> float:
+    """``exp(mean negative log-likelihood)``, clamped at ``1e9`` against overflow."""
     try:
-        return min(math.exp(mean_nll), cap)
+        return min(math.exp(mean_nll), _CAP)
     except OverflowError:
-        return cap
+        return _CAP

@@ -27,13 +27,11 @@ class MLP(Module):
         return self.net(x)
 
 
-def mlp_hybrid_config(
-    rank_ratio: float = 0.25, first_lowrank_index: int = 0
-) -> FactorizationConfig:
+def mlp_hybrid_config(rank_ratio: float = 0.25) -> FactorizationConfig:
     """Factorize all hidden FC layers; the classifier head stays full-rank."""
     return FactorizationConfig(
         rank_ratio=rank_ratio,
-        first_lowrank_index=first_lowrank_index,
+        first_lowrank_index=0,
         skip_first_conv=False,
         skip_last_fc=True,
     )

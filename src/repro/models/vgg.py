@@ -100,14 +100,14 @@ class VGG(Module):
         return sequential_conv_bn_pairs(self.features)
 
 
-def vgg11(num_classes: int = 10, width_mult: float = 1.0, in_size: int = 32) -> VGG:
+def vgg11(num_classes: int = 10, width_mult: float = 1.0) -> VGG:
     """VGG-11-BN (used in Fig. 2a's from-scratch low-rank study)."""
-    return VGG(11, num_classes, width_mult, in_size=in_size)
+    return VGG(11, num_classes, width_mult)
 
 
-def vgg19(num_classes: int = 10, width_mult: float = 1.0, in_size: int = 32) -> VGG:
+def vgg19(num_classes: int = 10, width_mult: float = 1.0) -> VGG:
     """VGG-19-BN, the paper's main CIFAR-10 VGG."""
-    return VGG(19, num_classes, width_mult, in_size=in_size)
+    return VGG(19, num_classes, width_mult)
 
 
 def vgg19_hybrid_config(rank_ratio: float = 0.25) -> FactorizationConfig:
@@ -162,11 +162,11 @@ def vgg19_lth(num_classes: int = 10, width_mult: float = 1.0) -> VGGLTH:
     return VGGLTH(num_classes, width_mult)
 
 
-def vgg19_lth_hybrid_config(rank_ratio: float = 0.25) -> FactorizationConfig:
-    """Hybrid config for the LTH-variant VGG-19: convs 10-16 low-rank, the
-    single classifier FC full-rank (appendix Table 18)."""
+def vgg19_lth_hybrid_config() -> FactorizationConfig:
+    """Hybrid config for the LTH-variant VGG-19: convs 10-16 low-rank at rank
+    ratio 0.25, the single classifier FC full-rank (appendix Table 18)."""
     return FactorizationConfig(
-        rank_ratio=rank_ratio,
+        rank_ratio=0.25,
         first_lowrank_index=9,
         skip_first_conv=True,
         skip_last_fc=True,

@@ -18,7 +18,7 @@ from .attention import (
     TransformerEncoderLayer,
     TransformerDecoderLayer,
 )
-from .loss import CrossEntropyLoss, NLLLoss, MSELoss
+from .loss import CrossEntropyLoss
 from .amp import GradScaler, autocast_round_trip, cast_gradients_fp16
 from . import init
 
@@ -52,8 +52,6 @@ __all__ = [
     "TransformerEncoderLayer",
     "TransformerDecoderLayer",
     "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
     "GradScaler",
     "autocast_round_trip",
     "cast_gradients_fp16",

@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming / Xavier families)."""
+"""Weight initialization schemes (Kaiming-uniform and plain uniform)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from ..utils import get_rng
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "uniform", "zeros"]
+__all__ = ["kaiming_uniform", "uniform"]
 
 
 def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -24,37 +24,18 @@ def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
     return fan_in, fan_out
 
 
-def kaiming_uniform(
-    shape, a: float = math.sqrt(5), rng: np.random.Generator | None = None
-) -> np.ndarray:
+# PyTorch's default negative slope for Linear/Conv weights.
+_KAIMING_A = math.sqrt(5)
+
+
+def kaiming_uniform(shape) -> np.ndarray:
     """He-uniform init matching PyTorch's default for Linear/Conv layers."""
-    rng = rng or get_rng()
     fan_in, _ = _fan(tuple(shape))
-    gain = math.sqrt(2.0 / (1.0 + a * a))
+    gain = math.sqrt(2.0 / (1.0 + _KAIMING_A * _KAIMING_A))
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return get_rng().uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def kaiming_normal(shape, rng: np.random.Generator | None = None) -> np.ndarray:
-    """He-normal init (gain for ReLU)."""
-    rng = rng or get_rng()
-    fan_in, _ = _fan(tuple(shape))
-    std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
+def uniform(shape, bound: float) -> np.ndarray:
+    return get_rng().uniform(-bound, bound, size=shape).astype(np.float32)
 
-
-def xavier_uniform(shape, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot-uniform init (used for attention projections)."""
-    rng = rng or get_rng()
-    fan_in, fan_out = _fan(tuple(shape))
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def uniform(shape, bound: float, rng: np.random.Generator | None = None) -> np.ndarray:
-    rng = rng or get_rng()
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float32)

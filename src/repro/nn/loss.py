@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, cross_entropy, nll_loss
+from ..tensor import Tensor, cross_entropy
 from .module import Module
 
-__all__ = ["CrossEntropyLoss", "NLLLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss(Module):
@@ -27,22 +27,3 @@ class CrossEntropyLoss(Module):
             ignore_index=self.ignore_index,
         )
 
-
-class NLLLoss(Module):
-    """Negative log-likelihood over log-probabilities."""
-
-    def __init__(self, ignore_index: int | None = None):
-        super().__init__()
-        self.ignore_index = ignore_index
-
-    def forward(self, log_probs: Tensor, targets: np.ndarray) -> Tensor:
-        return nll_loss(log_probs, targets, ignore_index=self.ignore_index)
-
-
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = pred - target
-        return (diff * diff).mean()

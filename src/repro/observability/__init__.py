@@ -44,7 +44,6 @@ from .metrics import (
     disable_metrics,
     enable_metrics,
     get_registry,
-    metrics_enabled,
 )
 from .trace import (
     Span,
@@ -56,7 +55,6 @@ from .trace import (
     get_tracer,
     span,
     traced,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -79,10 +77,8 @@ __all__ = [
     "observe",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "enable_metrics",
     "disable_metrics",
-    "metrics_enabled",
     "enable_module_spans",
     "disable_module_spans",
 ]

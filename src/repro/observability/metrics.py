@@ -33,7 +33,6 @@ __all__ = [
     "get_registry",
     "enable_metrics",
     "disable_metrics",
-    "metrics_enabled",
     "diff_counters",
 ]
 
@@ -54,10 +53,6 @@ def disable_metrics() -> None:
     COLLECT = False
 
 
-def metrics_enabled() -> bool:
-    return COLLECT
-
-
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
@@ -69,9 +64,8 @@ def _label_suffix(key: tuple) -> str:
 class _Metric:
     """Shared plumbing: a name, a lock, and labelled children of same type."""
 
-    def __init__(self, name: str, description: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.description = description
         self._lock = threading.Lock()
         self._children: dict[tuple, _Metric] = {}
 
@@ -94,8 +88,8 @@ class _Metric:
 class Counter(_Metric):
     """Monotonically increasing count."""
 
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
+    def __init__(self, name: str):
+        super().__init__(name)
         self._value = 0
 
     def inc(self, n: int | float = 1) -> None:
@@ -118,8 +112,8 @@ class Counter(_Metric):
 class Gauge(_Metric):
     """A value that can go up and down (e.g. current LR, live parameters)."""
 
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
+    def __init__(self, name: str):
+        super().__init__(name)
         self._value = 0.0
 
     def set(self, v: float) -> None:
@@ -152,8 +146,8 @@ class Histogram(_Metric):
     raw samples is both exact and cheap.
     """
 
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
+    def __init__(self, name: str):
+        super().__init__(name)
         self._values: list[float] = []
 
     def observe(self, v: float) -> None:
@@ -208,13 +202,13 @@ class MetricsRegistry:
 
     # -- accessors ------------------------------------------------------
 
-    def _get_or_create(self, name: str, cls, description: str) -> _Metric:
+    def _get_or_create(self, name: str, cls) -> _Metric:
         metric = self._metrics.get(name)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(name)
                 if metric is None:
-                    metric = cls(name, description)
+                    metric = cls(name)
                     self._metrics[name] = metric
         if not isinstance(metric, cls):
             raise TypeError(
@@ -222,14 +216,14 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._get_or_create(name, Counter, description)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, description)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, description: str = "") -> Histogram:
-        return self._get_or_create(name, Histogram, description)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     # -- export ---------------------------------------------------------
 

@@ -7,11 +7,9 @@ records its wall time and its *exclusive* time (wall time minus the wall
 time of its direct children) — the number that tells you where the time
 actually went rather than who was on the call stack.
 
-Export formats:
-
-* :meth:`Tracer.as_dicts` — plain JSON-serializable records.
-* :meth:`Tracer.chrome_trace` — the Chrome ``traceEvents`` format; load the
-  file in ``chrome://tracing`` or https://ui.perfetto.dev for a flame view.
+Export: :meth:`Tracer.chrome_trace` — the Chrome ``traceEvents`` format;
+load the file in ``chrome://tracing`` or https://ui.perfetto.dev for a
+flame view.
 
 Zero-overhead contract: when tracing is disabled (the default),
 :func:`span` returns a shared no-op singleton — one module-attribute check,
@@ -33,7 +31,6 @@ __all__ = [
     "traced",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "enable_module_spans",
     "disable_module_spans",
     "get_tracer",
@@ -56,10 +53,6 @@ def enable_tracing() -> None:
 def disable_tracing() -> None:
     global ENABLED
     ENABLED = False
-
-
-def tracing_enabled() -> bool:
-    return ENABLED
 
 
 def enable_module_spans() -> None:
@@ -88,17 +81,6 @@ class Span:
     def exclusive(self) -> float:
         """Wall time spent in this span but not in any child span."""
         return self.duration - self.child_time
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "exclusive": self.exclusive,
-            "thread_id": self.thread_id,
-            "depth": self.depth,
-            "attrs": self.attrs,
-        }
 
 
 class _ActiveSpan:
@@ -227,9 +209,6 @@ class Tracer:
         self._epoch = self._clock()
 
     # -- export ---------------------------------------------------------
-
-    def as_dicts(self) -> list[dict]:
-        return [s.as_dict() for s in self.spans()]
 
     def chrome_trace(self) -> dict:
         """Chrome ``traceEvents`` JSON (complete 'X' events, µs units)."""

@@ -59,12 +59,13 @@ _SEQ_VOCAB = 50
 _LSTM_SEQ_LEN = 16
 _TRANSFORMER_SEQ_LEN = 12
 _BASE_DIM = 128  # width 1.0 embedding / d_model
+_DIM_MULTIPLE = 4  # d_model must split evenly over the attention heads
 
 
-def _seq_dim(width: float, multiple_of: int = 4) -> int:
+def _seq_dim(width: float) -> int:
     """Width-scaled embedding dim, floored and rounded for head splits."""
-    dim = max(multiple_of, int(_BASE_DIM * width))
-    return dim - dim % multiple_of
+    dim = max(_DIM_MULTIPLE, int(_BASE_DIM * width))
+    return dim - dim % _DIM_MULTIPLE
 
 
 def build_model(name: str, num_classes: int = 4, width: float = 0.25):

@@ -102,15 +102,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "softmax")
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Numerically stable log-softmax along the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - log_z
     s = np.exp(out)
 
     def backward(g: np.ndarray, nx) -> None:
-        nx._accumulate(g - s * g.sum(axis=axis, keepdims=True), owned=True)
+        nx._accumulate(g - s * g.sum(axis=-1, keepdims=True), owned=True)
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x,), backward, "log_softmax")
 

@@ -15,10 +15,13 @@ from .tensor import Tensor
 __all__ = ["numerical_grad", "check_gradients"]
 
 
-def numerical_grad(
-    fn: Callable[[], Tensor], param: Tensor, eps: float = 1e-3
-) -> np.ndarray:
-    """Central-difference gradient of scalar ``fn()`` w.r.t. ``param``.
+# Central-difference step.
+_EPS = 1e-3
+
+
+def numerical_grad(fn: Callable[[], Tensor], param: Tensor) -> np.ndarray:
+    """Central-difference gradient of scalar ``fn()`` w.r.t. ``param``
+    (step ``1e-3``).
 
     ``fn`` must rebuild the forward pass from scratch on each call (the graph
     is re-recorded); ``param.data`` is perturbed in place and restored.
@@ -27,19 +30,18 @@ def numerical_grad(
     flat = param.data.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + _EPS
         plus = float(fn().data)
-        flat[i] = orig - eps
+        flat[i] = orig - _EPS
         minus = float(fn().data)
         flat[i] = orig
-        grad.reshape(-1)[i] = (plus - minus) / (2 * eps)
+        grad.reshape(-1)[i] = (plus - minus) / (2 * _EPS)
     return grad.astype(param.data.dtype)
 
 
 def check_gradients(
     fn: Callable[[], Tensor],
     params: Sequence[Tensor],
-    eps: float = 1e-3,
     rtol: float = 1e-2,
     atol: float = 1e-3,
     max_bad_frac: float = 0.0,
@@ -58,7 +60,7 @@ def check_gradients(
     loss.backward()
     for idx, p in enumerate(params):
         assert p.grad is not None, f"param {idx} received no gradient"
-        num = numerical_grad(fn, p, eps=eps)
+        num = numerical_grad(fn, p)
         err = np.abs(p.grad.astype(np.float64) - num.astype(np.float64))
         tol = atol + rtol * np.abs(num.astype(np.float64))
         bad = err > tol

@@ -734,9 +734,9 @@ class Tensor:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
+    def zeros(*shape) -> "Tensor":
+        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE))
 
     @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
+    def ones(*shape) -> "Tensor":
+        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE))

@@ -45,11 +45,12 @@ def save_model(model: Module, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
-def load_model(model: Module, path: str | Path, strict: bool = True) -> None:
-    """Load a state dict saved by :func:`save_model` into ``model``."""
+def load_model(model: Module, path: str | Path) -> None:
+    """Load a state dict saved by :func:`save_model` into ``model``
+    (strictly: every key must match)."""
     with np.load(path) as data:
         state = {k[len("model/"):]: data[k] for k in data.files if k.startswith("model/")}
-    model.load_state_dict(state, strict=strict)
+    model.load_state_dict(state)
 
 
 def save_checkpoint(
@@ -120,7 +121,6 @@ def load_checkpoint(
     path: str | Path,
     model: Module,
     optimizer: Optimizer | None = None,
-    strict: bool = True,
 ) -> dict:
     """Restore model (+ optimizer) state; returns the saved metadata dict."""
     with np.load(path) as data:
@@ -135,5 +135,5 @@ def load_checkpoint(
             )
             optimizer.load_state_dict(opt_state)
             optimizer.lr = float(meta["optimizer"]["lr"])
-        model.load_state_dict(state, strict=strict)
+        model.load_state_dict(state)
     return meta.get("metadata", {})
