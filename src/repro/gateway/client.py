@@ -127,7 +127,11 @@ class LoadClient:
 
     Each request has ``timeout_s`` from its write to its last byte; when
     that passes, a loop timer fails the pending await and drops the
-    connection, and the record says ``error == "timeout"``.
+    connection, and the record says ``error == "timeout"``.  A response
+    that is valid HTTP but not the gateway's protocol also ends as one
+    record: ``"malformed_body"`` when a body or frame is not a JSON
+    object, ``"no_final_frame"`` when a chunked response ends without its
+    terminal frame.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0):
@@ -166,7 +170,7 @@ class LoadClient:
                 record.http_status = status
                 if headers.get("transfer-encoding", "").lower() == "chunked":
                     async for chunk in _http.iter_chunks(reader):
-                        frame = json.loads(chunk)
+                        frame = _frame(chunk)
                         t = loop.time() - t0
                         if frame.get("final"):
                             record.final_s = t
@@ -175,8 +179,10 @@ class LoadClient:
                         else:
                             record.chunk_times.append(t)
                             record.result = frame.get("result")
+                    if record.final_s is None:
+                        raise _Malformed("no_final_frame")
                 else:
-                    frame = json.loads(await _http._read_body(reader, headers) or b"{}")
+                    frame = _frame(await _http._read_body(reader, headers) or b"{}")
                     record.final_s = loop.time() - t0
                     record.status = frame.get("status", "")
                     record.batch = frame.get("batch")
@@ -184,10 +190,12 @@ class LoadClient:
                 record.latency_s = record.final_s - record.sent_s
             finally:
                 deadline.cancel()
-        except (asyncio.TimeoutError, ConnectionError, _http.HttpError) as e:
-            record.error = (
-                "timeout" if isinstance(e, asyncio.TimeoutError) else f"{type(e).__name__}: {e}"
-            )
+        except asyncio.TimeoutError:
+            record.error = "timeout"
+        except _Malformed as e:
+            record.error = str(e)
+        except (ConnectionError, _http.HttpError) as e:
+            record.error = f"{type(e).__name__}: {e}"
         if conn is not None and (record.error or conn[1].is_closing()):
             # Failed, or the deadline fired just as the response ended.
             conn[1].close()
@@ -238,6 +246,22 @@ class LoadClient:
 
         await asyncio.gather(*(_worker() for _ in range(min(workers, len(trace) or 1))))
         return sorted(records, key=lambda r: r.rid)
+
+
+class _Malformed(Exception):
+    """A response that is valid HTTP but not the gateway's protocol; the
+    message is the record's ``error``."""
+
+
+def _frame(data: bytes) -> dict:
+    """One body or chunk as the JSON object the gateway sends."""
+    try:
+        frame = json.loads(data)
+    except ValueError:  # not JSON, or not UTF-8
+        raise _Malformed("malformed_body") from None
+    if not isinstance(frame, dict):
+        raise _Malformed("malformed_body")
+    return frame
 
 
 def _expire(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:

@@ -10,7 +10,9 @@ live server: a peer that *started* a request and stalled gets ``408`` and a
 closed connection after ``READ_TIMEOUT_S``; a keep-alive connection idling
 *between* requests is left alone.  The client side has the mirror-image
 deadline: a gateway that never answers costs a request ``timeout_s``, an
-``error == "timeout"`` and its connection, and leaves no task behind.
+``error == "timeout"`` and its connection, and leaves no task behind; a
+gateway that answers with a body or a chunked stream the client cannot read
+costs a request a typed ``error`` and its connection, not the replay.
 """
 
 import asyncio
@@ -408,6 +410,78 @@ class TestClientDeadline:
         assert drains and drains[0] >= CLIENT_TIMEOUT_S / 2
         assert CLIENT_TIMEOUT_S * 0.9 <= took < CLIENT_TIMEOUT_S + SLACK_S
         assert peer == {"made": 1, "lost": 1}
+
+
+class _CannedPeer(asyncio.Protocol):
+    """Answers the first bytes of each connection with one fixed response
+    and leaves the connection open; counts the connections lost."""
+
+    def __init__(self, peer: dict, response: bytes):
+        self.peer, self.response, self.answered = peer, response, False
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.peer["made"] += 1
+
+    def data_received(self, data):
+        if not self.answered:
+            self.answered = True
+            self.transport.write(self.response)
+
+    def connection_lost(self, exc):
+        self.peer["lost"] += 1
+
+
+async def _against_canned_peer(response: bytes, mode: str, n: int = 3):
+    """Replay ``n`` requests in ``mode`` against a peer that answers every
+    one with ``response``; returns the records and the peer's counts."""
+    loop = asyncio.get_running_loop()
+    peer = {"made": 0, "lost": 0}
+    server = await loop.create_server(lambda: _CannedPeer(peer, response), "127.0.0.1", 0)
+    try:
+        client = LoadClient("127.0.0.1", server.sockets[0].getsockname()[1], timeout_s=5.0)
+        if mode == "closed":
+            records = await client.run_closed(_trace(n), workers=1)
+        else:
+            records = await client.run_open(_trace(n))
+        for _ in range(100):  # the peer sees the drop a little later
+            if peer["lost"] == peer["made"]:
+                break
+            await asyncio.sleep(0.01)
+        return records, peer
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+OK_HEAD = b"HTTP/1.1 200 OK\r\n"
+CHUNKED = OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
+
+
+class TestMalformedResponse:
+    """A response that is valid HTTP but not the gateway's protocol ends as
+    one record with a typed ``error``; the replay goes on and the
+    connection is dropped."""
+
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    @pytest.mark.parametrize(
+        "response, error",
+        [
+            (OK_HEAD + b"Content-Length: 3\r\n\r\nabc", "malformed_body"),
+            (OK_HEAD + b"Content-Length: 3\r\n\r\n[1]", "malformed_body"),
+            (OK_HEAD + b"Content-Length: 2\r\n\r\n\xff\xfe", "malformed_body"),
+            (CHUNKED + ghttp.encode_chunk(b"abc") + ghttp.LAST_CHUNK, "malformed_body"),
+            (CHUNKED + ghttp.encode_chunk({}) + ghttp.LAST_CHUNK, "no_final_frame"),
+            (CHUNKED + ghttp.LAST_CHUNK, "no_final_frame"),
+        ],
+        ids=["not-json", "not-an-object", "not-utf8", "chunk-not-json", "no-final", "no-frames"],
+    )
+    def test_ends_as_one_typed_record(self, response, error, mode):
+        records, peer = asyncio.run(_against_canned_peer(response, mode))
+        assert [r.rid for r in records] == [0, 1, 2]
+        assert [r.error for r in records] == [error] * 3
+        assert all(r.http_status == 200 and not r.ok and r.latency_s is None for r in records)
+        assert peer == {"made": 3, "lost": 3}
 
 
 async def _closed_loop(policy, n, before=lambda: None, after=lambda: None):
