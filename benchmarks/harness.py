@@ -225,16 +225,15 @@ def rank_loaders(seed, n_nodes, worker_batch, iters, pool):
     loader.  Every batch is full only when the set's 80 % train split holds
     ``worker_batch * n_nodes * iters`` images.
 
-    The images and the labels come from two separate shuffled passes over
-    the train loader, so a rank's labels do not follow its images.  The
-    Fig. 4 / 6 / 7 benches and the pinned Fig. 4 bottom rows are built on
-    exactly these bytes.
+    Images and labels come from one shuffled pass over the train loader,
+    so each label stays with its image.
     """
     n = worker_batch * n_nodes * iters
     train, val, _ = image_loaders(np.random.default_rng(seed), n=pool, classes=4,
                                   batch=worker_batch)
-    x = np.concatenate([xb for xb, _ in train])[:n]
-    y = np.concatenate([yb for _, yb in train])[:n]
+    batches = list(train)
+    x = np.concatenate([xb for xb, _ in batches])[:n]
+    y = np.concatenate([yb for _, yb in batches])[:n]
     return [DataLoader(sx, sy, worker_batch) for sx, sy in shard_dataset(x, y, n_nodes)], val
 
 

@@ -37,8 +37,8 @@ def digest(be: str) -> str:
 
 # fmt: off
 PINNED = {
-    "fast": "82ce1e70cb6efb54",
-    "numpy": "852a2306fbaf2b89",
+    "fast": "df4a73d284a5b0b4",
+    "numpy": "b321ee86b965e9bf",
 }
 # fmt: on
 
