@@ -7,6 +7,7 @@ import pytest
 from repro.compression import (
     ABTraining,
     NoCompression,
+    NonFiniteGradientError,
     PowerSGD,
     QSGD,
     Signum,
@@ -482,6 +483,44 @@ class TestABTraining:
         comp.advance_step()
         agg = comp.decode_aggregate([comp.encode(0, g)])
         assert np.allclose(agg[0], g[0], atol=1e-4)
+
+    def test_a_poisoned_factor_step_until_the_next_resyncs(self, rng):
+        """Worker 0's A-step gradient carries one NaN, every later gradient
+        is clean.  Pinned as it happens: the NaN reaches every worker's
+        decode through its residual until the next resync; the bases,
+        which only a resync writes, stay finite; that resync's SVD of the
+        poisoned mean raises; its encode has already flushed the residual,
+        so the step after it decodes finite, and the resync after that
+        refreshes the bases from a clean mean."""
+        comp = ABTraining(2, rank=2, resync_every=4)
+        rows = []
+        for step in range(9):
+            grads = [[rng.standard_normal((8, 6)).astype(np.float32)] for _ in range(2)]
+            if step == 1:
+                grads[0][0][0, 0] = np.nan
+            mode = comp._mode()
+            results = [comp.encode(w, grads[w]) for w in range(2)]
+            with np.errstate(all="ignore"):
+                try:
+                    (out,) = comp.decode_aggregate(results)
+                except NonFiniteGradientError:
+                    decoded = "raises"
+                else:
+                    decoded = "finite" if np.isfinite(out).all() else "nan"
+            comp.advance_step()
+            bases = np.isfinite(comp._us[0]).all() and np.isfinite(comp._vs[0]).all()
+            rows.append((mode, decoded, bool(bases)))
+        assert rows == [
+            ("resync", "finite", True),
+            ("a", "nan", True),
+            ("b", "nan", True),
+            ("a", "nan", True),
+            ("resync", "raises", True),
+            ("a", "finite", True),
+            ("b", "finite", True),
+            ("a", "finite", True),
+            ("resync", "finite", True),
+        ]
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
