@@ -64,6 +64,8 @@ from . import http as _http
 __all__ = ["GatewayServer", "NAMESPACE"]
 
 NAMESPACE = "serve.gateway"
+# The one gateway's replica-pool label in the serving metrics.
+_POOL = "gateway0"
 
 _log = logging.getLogger(__name__)
 
@@ -98,14 +100,12 @@ class GatewayServer:
         config: ServeConfig,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool: str = "gateway0",
     ):
         self.executor = executor
         self.config = config
         self.host = host
         self.port = port  # rebound to the real port once listening
-        self.pool = pool
-        self.core = ServingCore(executor.profile, config, pool=pool, namespace=NAMESPACE)
+        self.core = ServingCore(executor.profile, config, pool=_POOL, namespace=NAMESPACE)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._t0 = 0.0
@@ -140,7 +140,7 @@ class GatewayServer:
         ]
         if _metrics.COLLECT:
             _metrics.REGISTRY.gauge(f"{NAMESPACE}.pool.replicas").labels(
-                pool=self.pool
+                pool=_POOL
             ).set(self.config.replicas)
 
     async def stop(self) -> None:

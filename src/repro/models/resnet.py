@@ -133,6 +133,7 @@ class ResNet(Module):
     small_input: CIFAR-style 3×3 stem without max-pool (used for 32×32
         inputs); otherwise the ImageNet 7×7/stride-2 stem + 3×3 max-pool.
     width_factor: Bottleneck inner-width multiplier (2 = WideResNet-50-2).
+    Inputs are RGB.
     """
 
     def __init__(
@@ -143,7 +144,6 @@ class ResNet(Module):
         width_mult: float = 1.0,
         small_input: bool = True,
         width_factor: int = 1,
-        in_channels: int = 3,
     ):
         super().__init__()
         scale = lambda w: max(8, int(w * width_mult))
@@ -152,13 +152,13 @@ class ResNet(Module):
 
         if small_input:
             self.stem = Sequential(
-                Conv2d(in_channels, widths[0], 3, stride=1, padding=1, bias=False),
+                Conv2d(3, widths[0], 3, stride=1, padding=1, bias=False),
                 BatchNorm2d(widths[0]),
                 ReLU(),
             )
         else:
             self.stem = Sequential(
-                Conv2d(in_channels, widths[0], 7, stride=2, padding=3, bias=False),
+                Conv2d(3, widths[0], 7, stride=2, padding=3, bias=False),
                 BatchNorm2d(widths[0]),
                 ReLU(),
                 MaxPool2d(3, 2),

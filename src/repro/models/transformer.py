@@ -45,8 +45,11 @@ class Seq2SeqTransformer(Module):
 
     The source and target share one embedding (the synthetic translation
     task shares a vocabulary, as the paper's shared-embedding setup does),
-    and the generator is tied to the embedding weight.
+    and the generator is tied to the embedding weight.  Token 0 is padding,
+    as in :class:`~repro.data.TranslationDataset`.
     """
+
+    pad_idx = 0
 
     def __init__(
         self,
@@ -57,14 +60,12 @@ class Seq2SeqTransformer(Module):
         d_ff: int | None = None,
         dropout: float = 0.1,
         max_len: int = 256,
-        pad_idx: int = 0,
     ):
         super().__init__()
         d_ff = d_ff or 4 * d_model
         self.d_model = d_model
-        self.pad_idx = pad_idx
         self.vocab_size = vocab_size
-        self.embedding = Embedding(vocab_size, d_model, padding_idx=pad_idx)
+        self.embedding = Embedding(vocab_size, d_model, padding_idx=self.pad_idx)
         self.pos_enc = PositionalEncoding(d_model, max_len=max_len, dropout=dropout)
         self.encoder_layers = ModuleList(
             TransformerEncoderLayer(d_model, n_heads, d_ff, dropout)

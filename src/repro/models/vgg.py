@@ -49,6 +49,7 @@ class VGG(Module):
     num_classes: classifier width.
     width_mult: scales every conv/FC width (1.0 = paper architecture).
     in_size: input spatial size; must be divisible by 32 (five pools).
+    Inputs are RGB.
     """
 
     def __init__(
@@ -56,7 +57,6 @@ class VGG(Module):
         depth: int = 19,
         num_classes: int = 10,
         width_mult: float = 1.0,
-        in_channels: int = 3,
         in_size: int = 32,
     ):
         super().__init__()
@@ -68,7 +68,7 @@ class VGG(Module):
         scale = lambda w: max(8, int(w * width_mult))
 
         layers: list[Module] = []
-        c_prev = in_channels
+        c_prev = 3
         for item in _PLANS[depth]:
             if item == "M":
                 layers.append(MaxPool2d(2, 2))
@@ -130,14 +130,13 @@ class VGGLTH(Module):
     """The open_lth-style VGG-19: conv stack + a single FC classifier
     (appendix Table 18).  Used for the Fig. 5 / LTH comparison, where the
     paper deploys Pufferfish on the LTH repo's architecture "for fairer
-    comparison"."""
+    comparison".  Inputs are 32×32 RGB."""
 
-    def __init__(self, num_classes: int = 10, width_mult: float = 1.0,
-                 in_channels: int = 3, in_size: int = 32):
+    def __init__(self, num_classes: int = 10, width_mult: float = 1.0):
         super().__init__()
         scale = lambda w: max(8, int(w * width_mult))
         layers: list[Module] = []
-        c_prev = in_channels
+        c_prev = 3
         for item in _PLANS[19]:
             if item == "M":
                 layers.append(MaxPool2d(2, 2))
@@ -148,10 +147,8 @@ class VGGLTH(Module):
                 layers.append(ReLU())
                 c_prev = c
         self.features = Sequential(*layers)
-        spatial = in_size // 32
-        self.classifier = Sequential(
-            Flatten(), Linear(c_prev * spatial * spatial, num_classes)
-        )
+        # Five 2×2 pools take 32×32 to 1×1.
+        self.classifier = Sequential(Flatten(), Linear(c_prev, num_classes))
 
     def forward(self, x):
         return self.classifier(self.features(x))

@@ -35,10 +35,9 @@ class Parameter(Tensor):
     ``no_decay`` flag optimizers use to exempt norm scales from weight decay.
     """
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
         self.no_decay = False
-        self.name = name
 
 
 class Module:

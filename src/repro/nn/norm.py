@@ -119,10 +119,11 @@ class BatchNorm1d(_BatchNormBase):
 class LayerNorm(Module):
     """Layer normalization over the trailing dimension (Transformer-style)."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-6):
+    eps = 1e-6
+
+    def __init__(self, normalized_shape: int):
         super().__init__()
         self.normalized_shape = normalized_shape
-        self.eps = eps
         self.weight = Parameter(np.ones(normalized_shape, dtype=np.float32))
         self.bias = Parameter(np.zeros(normalized_shape, dtype=np.float32))
         self.weight.no_decay = True

@@ -22,10 +22,12 @@ class MaxPool2d(Module):
 
 
 class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None):
+    """Non-overlapping average pooling (stride = kernel size)."""
+
+    def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
         return avg_pool2d(x, self.kernel_size, self.stride)

@@ -75,19 +75,15 @@ class LinearWarmup(_Scheduler):
 
 
 class ReduceLROnPlateau(_Scheduler):
-    """Decay when ``metric`` has not improved for ``patience`` evaluations."""
+    """Decay when ``metric`` has not improved for ``patience`` evaluations,
+    never below an LR of ``1e-6``."""
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factor: float = 0.25,
-        patience: int = 0,
-        min_lr: float = 1e-6,
-    ):
+    min_lr = 1e-6
+
+    def __init__(self, optimizer: Optimizer, factor: float = 0.25, patience: int = 0):
         super().__init__(optimizer)
         self.factor = factor
         self.patience = patience
-        self.min_lr = min_lr
         self.best: float | None = None
         self.bad_evals = 0
 
