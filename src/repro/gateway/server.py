@@ -456,4 +456,3 @@ class GatewayServer:
             writer.write(_http.encode_chunk(final) + _http.LAST_CHUNK)
             await writer.drain()
             return keep
-

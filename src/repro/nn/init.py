@@ -38,4 +38,3 @@ def kaiming_uniform(shape) -> np.ndarray:
 
 def uniform(shape, bound: float) -> np.ndarray:
     return get_rng().uniform(-bound, bound, size=shape).astype(np.float32)
-

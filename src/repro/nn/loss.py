@@ -26,4 +26,3 @@ class CrossEntropyLoss(Module):
             label_smoothing=self.label_smoothing,
             ignore_index=self.ignore_index,
         )
-

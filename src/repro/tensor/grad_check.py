@@ -15,7 +15,6 @@ from .tensor import Tensor
 __all__ = ["numerical_grad", "check_gradients"]
 
 
-# Central-difference step.
 _EPS = 1e-3
 
 

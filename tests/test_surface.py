@@ -73,9 +73,9 @@ def _public_names(tree: ast.Module) -> int:
     return 0
 
 
-def surface(src: Path = SRC) -> dict[str, int]:
+def surface() -> dict[str, int]:
     counts = {"options": 0, "public_names": 0, "src_lines": 0}
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
         counts["options"] += _options(tree)
