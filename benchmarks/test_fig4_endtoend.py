@@ -15,10 +15,12 @@ and the SVD conversion.  Claim under test: the full Pufferfish schedule
 takes strictly less simulated time, a speedup in the 1.05-3x band around
 the paper's.
 
-Accuracy parity is not tested.  The two accuracy checks below are met by
-the first warm-up epoch, which both arms share (same seed, same model, same
-data).  Both arms reach 1.0 validation accuracy by the last epoch: the task
-saturates at this size.
+Accuracy parity: Pufferfish's best validation accuracy over its low-rank
+epochs (after ``WARMUP``) must come within 0.15 of vanilla's best and
+above chance.  The warm-up epochs are left out because both arms share them
+(same seed, same model, same data), so they would meet both checks alone.
+At this size the low-rank epochs read 0.560 / 0.888 / 0.983 / 1.0 against
+vanilla's best 1.0: the task saturates.
 """
 
 from harness import fig4_endtoend, print_series
@@ -53,7 +55,7 @@ def test_fig4_end_to_end_convergence(benchmark, rng):
     total_v = curve_v[-1][0]
     total_p = curve_p[-1][0]
     best_v = max(a for _, a in curve_v)
-    best_p = max(a for _, a in curve_p)
+    best_p = max(a for _, a in curve_p[WARMUP:])
     speedup = total_v / total_p
     print(f"\nend-to-end speedup (same #epochs, incl. warm-up + SVD): "
           f"{speedup:.2f}x (paper: 1.74x prototype / 1.64x DDP)")
@@ -61,6 +63,6 @@ def test_fig4_end_to_end_convergence(benchmark, rng):
     # Strictly less simulated wall-clock for the full Pufferfish schedule.
     assert total_p < total_v
     assert 1.05 < speedup < 3.0
-    # Met by the shared first warm-up epoch (see the module docstring).
+    # Over the low-rank epochs only (see the module docstring).
     assert best_p > best_v - 0.15
     assert best_p > 0.3  # above the 0.25 chance level

@@ -65,7 +65,7 @@ from ..tensor import backend as tensor_backend
 from . import cluster, gateway, lifecycle, serve, simulate, train
 from .groups import ConfigError
 
-__all__ = ["main", "build_parser", "COMMANDS"]
+__all__ = ["main", "COMMANDS"]
 
 # {command: (add_parser, run)} in --help order; "group leaf" keys nest one level.
 COMMANDS = {

@@ -25,20 +25,12 @@ a sha256 timeline digest; ``cluster.*`` metrics flow through
 :mod:`repro.observability`.  See ``docs/CLUSTER.md``.
 """
 
-from .autoscaler import ClusterAutoscaler, ClusterReport, PoolConfig, ScaleEvent, WindowRecord
-from .canary import PROMOTED, ROLLED_BACK, CanaryConfig, CanaryReport, CanaryStepRecord, run_canary
+from .autoscaler import ClusterAutoscaler, ClusterReport, PoolConfig, ScaleEvent
+from .canary import CanaryConfig, run_canary
 from .errors import ClusterConfigError, ClusterError
 from .hosts import Host, HostSpec, ReplicaSpec, replica_spec_for
-from .placement import (
-    PLACEMENT_POLICIES,
-    PlacementResult,
-    lower_bound_hosts,
-    next_fit,
-    pack,
-)
+from .placement import lower_bound_hosts, next_fit, pack
 from .policies import (
-    POLICIES,
-    ScalingPolicy,
     ShedRatePolicy,
     TargetUtilizationPolicy,
     WindowStats,
@@ -53,8 +45,6 @@ __all__ = [
     "HostSpec",
     "ReplicaSpec",
     "replica_spec_for",
-    "PLACEMENT_POLICIES",
-    "PlacementResult",
     "pack",
     "next_fit",
     "lower_bound_hosts",
@@ -62,21 +52,14 @@ __all__ = [
     "LoadPhase",
     "parse_phases",
     "route_arrivals",
-    "POLICIES",
     "WindowStats",
-    "ScalingPolicy",
     "TargetUtilizationPolicy",
     "ShedRatePolicy",
     "make_policy",
     "PoolConfig",
     "ScaleEvent",
-    "WindowRecord",
     "ClusterReport",
     "ClusterAutoscaler",
     "CanaryConfig",
-    "CanaryStepRecord",
-    "CanaryReport",
     "run_canary",
-    "PROMOTED",
-    "ROLLED_BACK",
 ]

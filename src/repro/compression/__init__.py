@@ -20,9 +20,8 @@ from .signum import Signum
 from .qsgd import QSGD
 from .topk import TopK
 from .binary import StochasticBinary
-from .atomo import Atomo, atomo_probabilities
-from .abtraining import ABTraining
-from .variance import VarianceGated
+from .atomo import Atomo
+from . import abtraining, variance  # noqa: F401  (register "abtrain", "vargate")
 
 __all__ = [
     "Compressor",
@@ -34,11 +33,8 @@ __all__ = [
     "TopK",
     "StochasticBinary",
     "Atomo",
-    "ABTraining",
-    "VarianceGated",
     "NonFiniteGradientError",
     "UndecodedRoundError",
-    "atomo_probabilities",
     "make_compressor",
     "register_compressor",
     "registered_compressors",

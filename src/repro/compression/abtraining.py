@@ -33,6 +33,7 @@ from .base import (
     EncodeResult,
     ResidualStore,
     register_compressor,
+    require_finite,
     svd,
 )
 
@@ -101,6 +102,7 @@ class ABTraining(Compressor):
     def encode(
         self, worker: int, grads: list[np.ndarray], layer_offset: int = 0
     ) -> EncodeResult:
+        require_finite(grads, f"worker {worker}'s gradient")
         mode = self._mode()
         entries: list[tuple] = []
         nbytes = 0

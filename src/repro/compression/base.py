@@ -124,10 +124,11 @@ class UndecodedRoundError(RuntimeError):
 
 class NonFiniteGradientError(np.linalg.LinAlgError):
     """A codec met a gradient holding NaN or ±inf that it cannot carry:
-    an SVD codec's factorization failed on it, or a codec whose encoding
-    would hide it (a sign, a top-k selection) refused it before any
-    momentum or residual moved.  A subclass of numpy's ``LinAlgError``, so
-    handlers written for that still catch it."""
+    an SVD codec refused it before LAPACK saw it, or a codec whose encoding
+    would hide it (a sign, a top-k selection, a projection onto a shared
+    basis) refused it before any momentum or residual moved.  A subclass
+    of numpy's ``LinAlgError``, so handlers written for that still catch
+    it."""
 
 
 def require_finite(arrays, what: str) -> None:
@@ -139,15 +140,12 @@ def require_finite(arrays, what: str) -> None:
 
 
 def svd(m: np.ndarray, what: str):
-    """``np.linalg.svd(m, full_matrices=False)``.  A failure on a matrix
+    """``np.linalg.svd(m, full_matrices=False)`` of a finite ``m``.  A matrix
     that is not finite raises :class:`NonFiniteGradientError` naming
-    ``what``; the finite path pays no extra pass."""
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        if np.isfinite(m).all():
-            raise
-        raise NonFiniteGradientError(f"{what} is not finite, so its SVD failed ({e})") from e
+    ``what`` before LAPACK sees it: OpenBLAS 0.3.31's SVD never returns on
+    some such matrices (an ``inf`` at ``[0, 0]``)."""
+    require_finite((m,), what)
+    return np.linalg.svd(m, full_matrices=False)
 
 
 class ResidualStore:

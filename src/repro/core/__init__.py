@@ -5,12 +5,9 @@ from .layers import LowRankLinear, LowRankConv2d, LowRankLSTMLayer, LowRankLSTM
 from .factorize import (
     factorize_matrix,
     unroll_conv_weight,
-    roll_conv_factors,
-    default_rank,
     factorize_linear,
     factorize_conv2d,
     factorize_lstm_layer,
-    approximation_error,
 )
 from .hybrid import (
     FactorizationConfig,
@@ -40,13 +37,7 @@ from .rank_allocation import (
     budget_rank_allocation,
     allocation_report,
 )
-from .tucker import (
-    TuckerConv2d,
-    tucker2_decompose,
-    tucker_conv_from,
-    mode_unfold,
-    mode_fold,
-)
+from .tucker import TuckerConv2d, tucker2_decompose, tucker_conv_from
 from .materialize import materialize_layer, materialize_hybrid
 from .fold import fold_batchnorm, folded_pairs
 from ..nn.module import FoldedModelError
@@ -58,12 +49,9 @@ __all__ = [
     "LowRankLSTM",
     "factorize_matrix",
     "unroll_conv_weight",
-    "roll_conv_factors",
-    "default_rank",
     "factorize_linear",
     "factorize_conv2d",
     "factorize_lstm_layer",
-    "approximation_error",
     "FactorizationConfig",
     "FactorizationReport",
     "factorizable_leaves",
@@ -87,8 +75,6 @@ __all__ = [
     "TuckerConv2d",
     "tucker2_decompose",
     "tucker_conv_from",
-    "mode_unfold",
-    "mode_fold",
     "materialize_layer",
     "materialize_hybrid",
     "fold_batchnorm",

@@ -8,22 +8,14 @@ from .cost_model import (
     ring_allreduce_time,
     allgather_time,
     broadcast_time,
-    pipelined_broadcast_time,
-    hierarchical_allreduce_time,
-    hierarchical_allgather_time,
-    hierarchical_broadcast_time,
     allreduce_cost,
     allgather_cost,
     broadcast_cost,
-    pipelined_broadcast_cost,
-    bucket_comm_times,
 )
 from .collectives import allreduce_mean, bucketed_allreduce_mean
 from .ddp import TimelineBreakdown, DistributedTrainer
 from .overlap import (
     Bucket,
-    BucketEvent,
-    OverlapTimeline,
     build_buckets,
     schedule_overlap,
     GradientArrivalRecorder,
@@ -37,7 +29,6 @@ from .errors import (
 from .faults import (
     DropSpec,
     FailureSpec,
-    FaultEvent,
     FaultInjector,
     FaultSpec,
     LinkSpec,
@@ -52,24 +43,16 @@ __all__ = [
     "ring_allreduce_time",
     "allgather_time",
     "broadcast_time",
-    "pipelined_broadcast_time",
-    "hierarchical_allreduce_time",
-    "hierarchical_allgather_time",
-    "hierarchical_broadcast_time",
     "allreduce_cost",
     "allgather_cost",
     "broadcast_cost",
-    "pipelined_broadcast_cost",
     "allreduce_mean",
     "TimelineBreakdown",
     "DistributedTrainer",
     "Bucket",
-    "BucketEvent",
-    "OverlapTimeline",
     "build_buckets",
     "schedule_overlap",
     "GradientArrivalRecorder",
-    "bucket_comm_times",
     "bucketed_allreduce_mean",
     "parameter_server_time",
     "BandwidthTrace",
@@ -80,7 +63,6 @@ __all__ = [
     "AllWorkersLostError",
     "FaultSpec",
     "FaultInjector",
-    "FaultEvent",
     "StragglerSpec",
     "LinkSpec",
     "DropSpec",

@@ -23,20 +23,18 @@ Docs: ``docs/GATEWAY.md``.
 
 from .client import (
     LoadClient,
-    RequestRecord,
     TraceRequest,
     build_trace,
     summarize_records,
     trace_digest,
 )
 from .executor import ModelExecutor, ProfileExecutor
-from .http import HttpError, HttpRequest, HttpResponse
+from .http import HttpError
 from .server import GatewayServer
-from .validate import TwinResult, run_twin, run_twin_async
+from .validate import run_twin
 
 __all__ = [
     "LoadClient",
-    "RequestRecord",
     "TraceRequest",
     "build_trace",
     "summarize_records",
@@ -44,10 +42,6 @@ __all__ = [
     "ModelExecutor",
     "ProfileExecutor",
     "HttpError",
-    "HttpRequest",
-    "HttpResponse",
     "GatewayServer",
-    "TwinResult",
     "run_twin",
-    "run_twin_async",
 ]

@@ -23,15 +23,14 @@ CLI: ``repro lifecycle run / promote / deploy``.  Gated by
 """
 
 from .errors import CorruptCheckpointError, LifecycleConfigError, LifecycleError, PromotionError
-from .monitor import SpectrumMonitor, SpectrumSnapshot
-from .scheduler import RankDecision, RankPolicy, RankScheduler
-from .pipeline import LifecycleConfig, LifecycleRun, run_lifecycle
-from .registry import CheckpointRecord, PromotionRegistry
+from .monitor import SpectrumMonitor
+from .scheduler import RankPolicy, RankScheduler
+from .pipeline import LifecycleConfig, run_lifecycle
+from .registry import PromotionRegistry
 from .deploy import (
     PINNED_FACTORIZED_PROFILE,
     PINNED_FULL_PROFILE,
     DeploymentConfig,
-    DeploymentReport,
     run_deployment,
 )
 
@@ -41,17 +40,12 @@ __all__ = [
     "LifecycleConfigError",
     "PromotionError",
     "SpectrumMonitor",
-    "SpectrumSnapshot",
     "RankPolicy",
-    "RankDecision",
     "RankScheduler",
     "LifecycleConfig",
-    "LifecycleRun",
     "run_lifecycle",
-    "CheckpointRecord",
     "PromotionRegistry",
     "DeploymentConfig",
-    "DeploymentReport",
     "run_deployment",
     "PINNED_FULL_PROFILE",
     "PINNED_FACTORIZED_PROFILE",

@@ -7,12 +7,6 @@ from .macs import (
     lowrank_fc_macs,
     conv_macs,
     lowrank_conv_macs,
-    lstm_macs,
-    lowrank_lstm_macs,
-    attention_macs,
-    lowrank_attention_macs,
-    ffn_macs,
-    lowrank_ffn_macs,
     fc_params,
     lowrank_fc_params,
     conv_params,
@@ -26,7 +20,7 @@ from .macs import (
 )
 from .classification import topk_accuracy, accuracy
 from .perplexity import perplexity
-from .bleu import corpus_bleu, evaluate_translation, sentence_ngrams
+from .bleu import corpus_bleu, evaluate_translation
 
 __all__ = [
     "measure_macs",
@@ -34,12 +28,6 @@ __all__ = [
     "lowrank_fc_macs",
     "conv_macs",
     "lowrank_conv_macs",
-    "lstm_macs",
-    "lowrank_lstm_macs",
-    "attention_macs",
-    "lowrank_attention_macs",
-    "ffn_macs",
-    "lowrank_ffn_macs",
     "fc_params",
     "lowrank_fc_params",
     "conv_params",
@@ -54,6 +42,5 @@ __all__ = [
     "accuracy",
     "perplexity",
     "corpus_bleu",
-    "sentence_ngrams",
     "evaluate_translation",
 ]

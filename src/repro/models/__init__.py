@@ -8,7 +8,6 @@ from .vgg import (
     vgg19_lth,
     vgg11_hybrid_config,
     vgg19_hybrid_config,
-    vgg19_lth_hybrid_config,
 )
 from .resnet import (
     BasicBlock,
@@ -21,12 +20,7 @@ from .resnet import (
     resnet50_hybrid_config,
 )
 from .lstm_lm import LSTMLanguageModel, lstm_lm_hybrid_config
-from .transformer import (
-    Seq2SeqTransformer,
-    transformer_hybrid_config,
-    causal_mask,
-    padding_mask,
-)
+from .transformer import Seq2SeqTransformer, transformer_hybrid_config
 
 __all__ = [
     "MLP",
@@ -37,7 +31,6 @@ __all__ = [
     "vgg19_lth",
     "vgg11_hybrid_config",
     "vgg19_hybrid_config",
-    "vgg19_lth_hybrid_config",
     "BasicBlock",
     "Bottleneck",
     "ResNet",
@@ -50,6 +43,4 @@ __all__ = [
     "lstm_lm_hybrid_config",
     "Seq2SeqTransformer",
     "transformer_hybrid_config",
-    "causal_mask",
-    "padding_mask",
 ]

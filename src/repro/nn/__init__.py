@@ -10,7 +10,7 @@ from .pooling import MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten
 from .dropout import Dropout
 from .container import Sequential, ModuleList
 from .embedding import Embedding
-from .rnn import LSTM, LSTMLayer, lstm_step
+from .rnn import LSTM, LSTMLayer
 from .attention import (
     MultiHeadAttention,
     PositionwiseFFN,
@@ -45,7 +45,6 @@ __all__ = [
     "Embedding",
     "LSTM",
     "LSTMLayer",
-    "lstm_step",
     "MultiHeadAttention",
     "PositionwiseFFN",
     "PositionalEncoding",

@@ -16,17 +16,13 @@ Typical use::
 
     from repro import observability as obs
 
-    obs.enable()                      # tracing + metrics
-    ... run a workload ...
-    obs.get_tracer().write_chrome_trace("trace.json")
-    print(obs.get_registry().snapshot())
-    obs.disable()
+    with obs.observe() as (tracer, registry):     # tracing + metrics
+        ... run a workload ...
+    tracer.write_chrome_trace("trace.json")
+    print(registry.snapshot())
 
-or scoped::
-
-    with obs.observe() as (tracer, registry):
-        ... run ...
-    tracer.summary(); registry.counters()
+:func:`observe` is the one switch: it turns on what it is asked for, leaves
+on what already was, and restores the previous flags on exit.
 """
 
 from __future__ import annotations
@@ -34,36 +30,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import metrics, trace
-from .metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    diff_counters,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-)
-from .trace import (
-    Span,
-    Tracer,
-    disable_module_spans,
-    disable_tracing,
-    enable_module_spans,
-    enable_tracing,
-    get_tracer,
-    span,
-    traced,
-)
+from .metrics import REGISTRY, Counter, diff_counters, get_registry
+from .trace import Span, Tracer, get_tracer, span, traced
 
 __all__ = [
     "metrics",
     "trace",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "REGISTRY",
     "Span",
     "Tracer",
@@ -72,47 +45,24 @@ __all__ = [
     "diff_counters",
     "get_registry",
     "get_tracer",
-    "enable",
-    "disable",
     "observe",
-    "enable_tracing",
-    "disable_tracing",
-    "enable_metrics",
-    "disable_metrics",
-    "enable_module_spans",
-    "disable_module_spans",
 ]
-
-
-def enable(
-    tracing: bool = True, metric_collection: bool = True, module_spans: bool = False
-) -> None:
-    """Turn on the requested observability features process-wide."""
-    if tracing:
-        enable_tracing()
-    if metric_collection:
-        enable_metrics()
-    if module_spans:
-        enable_module_spans()
-
-
-def disable() -> None:
-    """Turn every observability feature off (the zero-overhead default)."""
-    disable_tracing()
-    disable_metrics()
-    disable_module_spans()
 
 
 @contextmanager
 def observe(tracing: bool = True, metric_collection: bool = True, module_spans: bool = False):
-    """Scoped enablement; restores the previous flags on exit.
+    """Turn on the requested features until the block exits.
 
-    Yields ``(tracer, registry)`` — the global instances, *not* cleared on
-    entry, so nest-friendly; call ``tracer.clear()`` / ``registry.reset()``
-    yourself for an isolated capture.
+    A feature already on stays on (a nested ``observe(tracing=False)`` keeps
+    the outer block's tracing), and the exit restores the three flags as
+    they were on entry.  Yields ``(tracer, registry)`` — the global
+    instances, *not* cleared on entry; call ``tracer.clear()`` /
+    ``registry.reset()`` yourself for an isolated capture.
     """
     prev = (trace.ENABLED, metrics.COLLECT, trace.MODULE_SPANS)
-    enable(tracing=tracing, metric_collection=metric_collection, module_spans=module_spans)
+    trace.ENABLED = trace.ENABLED or tracing
+    metrics.COLLECT = metrics.COLLECT or metric_collection
+    trace.MODULE_SPANS = trace.MODULE_SPANS or module_spans
     try:
         yield get_tracer(), get_registry()
     finally:

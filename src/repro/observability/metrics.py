@@ -31,26 +31,14 @@ __all__ = [
     "REGISTRY",
     "COLLECT",
     "get_registry",
-    "enable_metrics",
-    "disable_metrics",
     "diff_counters",
 ]
 
-# Module-level collection switch.  Instrumented code reads this attribute
+# Module-level collection switch, flipped only by
+# :func:`repro.observability.observe`.  Instrumented code reads this attribute
 # directly (``if metrics.COLLECT: ...``) so the disabled path costs one
 # dict lookup and a branch.
 COLLECT = False
-
-
-def enable_metrics() -> None:
-    """Turn on metric collection process-wide."""
-    global COLLECT
-    COLLECT = True
-
-
-def disable_metrics() -> None:
-    global COLLECT
-    COLLECT = False
 
 
 def _label_key(labels: dict) -> tuple:

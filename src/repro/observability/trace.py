@@ -29,40 +29,17 @@ __all__ = [
     "Tracer",
     "span",
     "traced",
-    "enable_tracing",
-    "disable_tracing",
-    "enable_module_spans",
-    "disable_module_spans",
     "get_tracer",
     "ENABLED",
     "MODULE_SPANS",
 ]
 
-# Module-level switches, read directly by hot paths (attribute load only).
+# Module-level switches, read directly by hot paths (attribute load only)
+# and flipped only by :func:`repro.observability.observe`.
 ENABLED = False
 # Separate flag for per-Module.forward spans: they are much finer-grained
 # than phase spans, so they opt in independently.
 MODULE_SPANS = False
-
-
-def enable_tracing() -> None:
-    global ENABLED
-    ENABLED = True
-
-
-def disable_tracing() -> None:
-    global ENABLED
-    ENABLED = False
-
-
-def enable_module_spans() -> None:
-    global MODULE_SPANS
-    MODULE_SPANS = True
-
-
-def disable_module_spans() -> None:
-    global MODULE_SPANS
-    MODULE_SPANS = False
 
 
 @dataclass

@@ -2,12 +2,10 @@
 Early-Bird structured channel pruning."""
 
 from .lth import (
-    prunable_weights,
     global_magnitude_mask,
     apply_masks,
     sparsity,
     LTHRunner,
-    LTHRound,
 )
 from .early_bird import (
     bn_channel_scores,
@@ -21,12 +19,10 @@ from .early_bird import (
 )
 
 __all__ = [
-    "prunable_weights",
     "global_magnitude_mask",
     "apply_masks",
     "sparsity",
     "LTHRunner",
-    "LTHRound",
     "bn_channel_scores",
     "channel_mask",
     "mask_distance",

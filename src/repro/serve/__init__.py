@@ -38,59 +38,28 @@ Typical use::
     print(report.summary())
 """
 
-from .admission import (
-    SHED_ADMISSION,
-    SHED_DEADLINE,
-    SHED_ERROR,
-    SHED_SHUTDOWN,
-    AdmissionController,
-    AdmissionDecision,
-)
-from .batcher import BatchPolicy, DynamicBatcher, Request
+from .admission import AdmissionController
+from .batcher import BatchPolicy, DynamicBatcher
 from .core import BatchRecord, RequestOutcome, ServeReport, ServingCore
-from .inputs import INPUT_KINDS, InputSpec
-from .latency import DEFAULT_BATCH_SIZES, LatencyProfile, measure_latency_profile
+from .inputs import InputSpec
+from .latency import LatencyProfile, measure_latency_profile
 from .loadgen import ArrivalSpec, generate_arrivals
-from .registry import (
-    IMAGE_MODELS,
-    SEQUENCE_MODELS,
-    VARIANTS,
-    ModelRegistry,
-    ServedModel,
-    build_model,
-    default_registry,
-    hybrid_config_for,
-    input_spec_for,
-)
+from .registry import ModelRegistry, ServedModel, default_registry
 from .simulator import ServeConfig, ServeSimulator
 
 __all__ = [
     "AdmissionController",
-    "AdmissionDecision",
-    "SHED_ADMISSION",
-    "SHED_DEADLINE",
-    "SHED_SHUTDOWN",
-    "SHED_ERROR",
     "ServingCore",
     "ArrivalSpec",
     "generate_arrivals",
     "BatchPolicy",
     "DynamicBatcher",
-    "Request",
     "InputSpec",
-    "INPUT_KINDS",
     "LatencyProfile",
-    "DEFAULT_BATCH_SIZES",
     "measure_latency_profile",
-    "VARIANTS",
-    "IMAGE_MODELS",
-    "SEQUENCE_MODELS",
     "ModelRegistry",
     "ServedModel",
-    "build_model",
     "default_registry",
-    "hybrid_config_for",
-    "input_spec_for",
     "BatchRecord",
     "RequestOutcome",
     "ServeConfig",

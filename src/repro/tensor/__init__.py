@@ -6,7 +6,7 @@ functional primitives (softmax, cross-entropy, embedding, dropout).
 """
 
 from . import backend
-from .tensor import Tensor, graph_nodes_created, is_grad_enabled, no_grad
+from .tensor import Tensor, graph_nodes_created, no_grad
 from .conv_ops import conv2d, max_pool2d, avg_pool2d, global_avg_pool2d, im2col, col2im
 from .functional import (
     softmax,
@@ -19,14 +19,13 @@ from .functional import (
     bias_relu,
     linear,
 )
-from .grad_check import numerical_grad, check_gradients
+from .grad_check import check_gradients
 from .profiler import count_macs
 
 __all__ = [
     "Tensor",
     "backend",
     "no_grad",
-    "is_grad_enabled",
     "graph_nodes_created",
     "conv2d",
     "max_pool2d",
@@ -43,7 +42,6 @@ __all__ = [
     "one_hot",
     "bias_relu",
     "linear",
-    "numerical_grad",
     "check_gradients",
     "count_macs",
 ]

@@ -127,7 +127,7 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 
 #: Bytes per operand of one pass of a streamed elementwise chain.  The
 #: optimizer step (:class:`repro.optim.Optimizer`), error feedback's fold
-#: (:class:`repro.compression.ResidualStore`) and
+#: (:class:`repro.compression.base.ResidualStore`) and
 #: :func:`repro.compression.base.exact_mean` walk their arena-sized operands
 #: this many bytes at a time, so each operand's chunk stays in L2 from one
 #: pass of the chain to the next instead of streaming through memory once per

@@ -15,11 +15,11 @@ Two consumers can be active, independently or together:
   its enclosing one (each region is counted exactly once, and
   ``outer.total`` covers only work outside the inner context — the
   documented historical semantics).
-* the global metrics registry — when
-  :func:`repro.observability.enable_metrics` is on, every recorded kernel
-  also increments the ``macs``, ``gemm_calls`` and ``conv_calls``
-  counters exactly once, regardless of how many ``count_macs`` frames are
-  stacked.
+* the global metrics registry — inside
+  ``repro.observability.observe(...)`` (metric collection is on by
+  default there), every recorded kernel also increments the ``macs``,
+  ``gemm_calls`` and ``conv_calls`` counters exactly once, regardless of
+  how many ``count_macs`` frames are stacked.
 
 Robustness: earlier versions chained restoration through a ``_prev``
 attribute stored *on the context-manager object*, so re-entering the same

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compression import Atomo, atomo_probabilities
+from repro.compression import Atomo
+from repro.compression.atomo import atomo_probabilities
 from repro.models import MLP
 from repro.optim import LAMB, SGD, Adam
 from repro.tensor import Tensor

@@ -41,11 +41,9 @@ from repro.serve import LatencyProfile
 
 
 @pytest.fixture(autouse=True)
-def _observability_off():
-    obs.disable()
+def _registry_clean():
     obs.get_registry().reset()
     yield
-    obs.disable()
     obs.get_registry().reset()
 
 
@@ -230,8 +228,8 @@ class TestPlacement:
             pack([FACT_REPLICA], HOST, policy="random")
 
     def test_placement_metrics_flow(self):
-        obs.enable_metrics()
-        pack([FACT_REPLICA] * 4, HOST)
+        with obs.observe(tracing=False):
+            pack([FACT_REPLICA] * 4, HOST)
         snap = obs.get_registry().snapshot()
         assert snap["counters"]["cluster.replicas_placed"] == 4
         assert snap["gauges"]["cluster.hosts{policy=ffd}"] == 1
@@ -458,8 +456,8 @@ class TestAutoscaler:
             ClusterAutoscaler(sc, pools)
 
     def test_cluster_metrics_flow(self):
-        obs.enable_metrics()
-        report = run_spike()
+        with obs.observe(tracing=False):
+            report = run_spike()
         snap = obs.get_registry().snapshot()
         assert snap["gauges"]["cluster.pool.replicas{pool=pool}"] == \
             report.records[-1].replicas

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.compression import (
-    ABTraining,
     NoCompression,
     NonFiniteGradientError,
     PowerSGD,
@@ -14,10 +13,11 @@ from repro.compression import (
     StochasticBinary,
     TopK,
     UndecodedRoundError,
-    VarianceGated,
     make_compressor,
     registered_compressors,
 )
+from repro.compression.abtraining import ABTraining
+from repro.compression.variance import VarianceGated
 
 
 def grads_for(rng, shapes=((8, 6), (5,), (4, 3, 3, 3))):
@@ -486,12 +486,18 @@ class TestABTraining:
 
     def test_a_poisoned_factor_step_until_the_next_resyncs(self, rng):
         """Worker 0's A-step gradient carries one NaN, every later gradient
-        is clean.  Pinned as it happens: the NaN reaches every worker's
-        decode through its residual until the next resync; the bases,
-        which only a resync writes, stay finite; that resync's SVD of the
-        poisoned mean raises; its encode has already flushed the residual,
-        so the step after it decodes finite, and the resync after that
-        refreshes the bases from a clean mean."""
+        is clean.  Its encode refuses it before any residual folds, so the
+        residuals and bases are byte-for-byte what they were, and every
+        later step — the factor steps and both resyncs — decodes finite."""
+
+        def state():
+            residuals = sorted(
+                (key, m.tobytes(), m_hat.tobytes())
+                for key, (m, m_hat) in comp._residuals._state.items()
+            )
+            bases = [d[k].tobytes() for d in (comp._us, comp._vs) for k in sorted(d)]
+            return residuals, bases
+
         comp = ABTraining(2, rank=2, resync_every=4)
         rows = []
         for step in range(9):
@@ -499,27 +505,27 @@ class TestABTraining:
             if step == 1:
                 grads[0][0][0, 0] = np.nan
             mode = comp._mode()
-            results = [comp.encode(w, grads[w]) for w in range(2)]
-            with np.errstate(all="ignore"):
-                try:
-                    (out,) = comp.decode_aggregate(results)
-                except NonFiniteGradientError:
-                    decoded = "raises"
-                else:
-                    decoded = "finite" if np.isfinite(out).all() else "nan"
+            before = state()
+            try:
+                results = [comp.encode(w, grads[w]) for w in range(2)]
+            except NonFiniteGradientError:
+                decoded = "raises"
+                assert state() == before
+            else:
+                (out,) = comp.decode_aggregate(results)
+                decoded = "finite" if np.isfinite(out).all() else "nan"
             comp.advance_step()
-            bases = np.isfinite(comp._us[0]).all() and np.isfinite(comp._vs[0]).all()
-            rows.append((mode, decoded, bool(bases)))
+            rows.append((mode, decoded))
         assert rows == [
-            ("resync", "finite", True),
-            ("a", "nan", True),
-            ("b", "nan", True),
-            ("a", "nan", True),
-            ("resync", "raises", True),
-            ("a", "finite", True),
-            ("b", "finite", True),
-            ("a", "finite", True),
-            ("resync", "finite", True),
+            ("resync", "finite"),
+            ("a", "raises"),
+            ("b", "finite"),
+            ("a", "finite"),
+            ("resync", "finite"),
+            ("a", "finite"),
+            ("b", "finite"),
+            ("a", "finite"),
+            ("resync", "finite"),
         ]
 
     def test_validates_parameters(self):

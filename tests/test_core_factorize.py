@@ -6,15 +6,13 @@ import pytest
 
 from repro import nn
 from repro.core import (
-    approximation_error,
-    default_rank,
     factorize_conv2d,
     factorize_linear,
     factorize_lstm_layer,
     factorize_matrix,
-    roll_conv_factors,
     unroll_conv_weight,
 )
+from repro.core.factorize import approximation_error, default_rank, roll_conv_factors
 from repro.tensor import Tensor
 
 

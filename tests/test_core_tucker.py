@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import (
-    TuckerConv2d,
-    mode_fold,
-    mode_unfold,
-    tucker2_decompose,
-    tucker_conv_from,
-)
+from repro.core import TuckerConv2d, tucker2_decompose, tucker_conv_from
+from repro.core.tucker import mode_fold, mode_unfold
 from repro.core.tucker import tucker2_reconstruct
 from repro.tensor import Tensor
 

@@ -29,15 +29,17 @@ from repro.distributed import (
     allreduce_cost,
     broadcast_cost,
     broadcast_time,
+    parameter_server_time,
+    allgather_time,
+    ring_allreduce_time,
+)
+from repro.distributed.cost_model import (
     bucket_comm_times,
     hierarchical_allgather_time,
     hierarchical_allreduce_time,
     hierarchical_broadcast_time,
-    parameter_server_time,
     pipelined_broadcast_cost,
     pipelined_broadcast_time,
-    allgather_time,
-    ring_allreduce_time,
 )
 from repro.utils import canonical_digest
 

@@ -32,6 +32,7 @@ from repro.distributed import (
 )
 from repro.models import MLP
 from repro.observability import metrics as obs_metrics
+from repro.observability import observe
 from repro.optim import SGD
 from repro.utils import set_seed
 
@@ -40,9 +41,8 @@ from repro.utils import set_seed
 def metrics_registry():
     """Fresh registry with collection on; restores the off default."""
     obs_metrics.REGISTRY.reset()
-    obs_metrics.enable_metrics()
-    yield obs_metrics.REGISTRY
-    obs_metrics.disable_metrics()
+    with observe(tracing=False):
+        yield obs_metrics.REGISTRY
     obs_metrics.REGISTRY.reset()
 
 

@@ -18,28 +18,28 @@ from hypothesis import strategies as st
 from repro import observability as obs
 from repro.gateway import ProfileExecutor
 from repro.serve import (
-    SHED_ADMISSION,
-    SHED_DEADLINE,
-    SHED_ERROR,
-    SHED_SHUTDOWN,
     BatchPolicy,
     DynamicBatcher,
     LatencyProfile,
-    Request,
     RequestOutcome,
     ServeConfig,
     ServeReport,
     ServeSimulator,
     ServingCore,
 )
+from repro.serve.admission import (
+    SHED_ADMISSION,
+    SHED_DEADLINE,
+    SHED_ERROR,
+    SHED_SHUTDOWN,
+)
+from repro.serve.batcher import Request
 
 
 @pytest.fixture(autouse=True)
-def _observability_off():
-    obs.disable()
+def _registry_clean():
     obs.get_registry().reset()
     yield
-    obs.disable()
     obs.get_registry().reset()
 
 

@@ -25,11 +25,9 @@ from repro.serve import ArrivalSpec, BatchPolicy, LatencyProfile, ServeConfig
 
 
 @pytest.fixture(autouse=True)
-def _observability_off():
-    obs.disable()
+def _registry_clean():
     obs.get_registry().reset()
     yield
-    obs.disable()
     obs.get_registry().reset()
 
 

@@ -30,12 +30,12 @@ from repro.lifecycle import (
     RankPolicy,
     RankScheduler,
     SpectrumMonitor,
-    SpectrumSnapshot,
     run_deployment,
     run_lifecycle,
 )
-from repro.serve import default_registry, hybrid_config_for
-from repro.serve.registry import build_model
+from repro.lifecycle.monitor import SpectrumSnapshot
+from repro.serve import default_registry
+from repro.serve.registry import build_model, hybrid_config_for
 
 TINY = LifecycleConfig(
     model="mlp",

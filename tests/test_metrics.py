@@ -10,31 +10,33 @@ from repro import nn
 from repro.core import LowRankConv2d, LowRankLinear, LowRankLSTMLayer
 from repro.metrics import (
     accuracy,
-    attention_macs,
     attention_params,
     conv_macs,
     conv_params,
     corpus_bleu,
     fc_macs,
     fc_params,
-    ffn_macs,
     ffn_params,
-    lowrank_attention_macs,
     lowrank_attention_params,
     lowrank_conv_macs,
     lowrank_conv_params,
     lowrank_fc_macs,
     lowrank_fc_params,
-    lowrank_ffn_macs,
     lowrank_ffn_params,
-    lowrank_lstm_macs,
     lowrank_lstm_params,
-    lstm_macs,
     lstm_params,
     measure_macs,
     perplexity,
-    sentence_ngrams,
     topk_accuracy,
+)
+from repro.metrics.bleu import sentence_ngrams
+from repro.metrics.macs import (
+    attention_macs,
+    ffn_macs,
+    lowrank_attention_macs,
+    lowrank_ffn_macs,
+    lowrank_lstm_macs,
+    lstm_macs,
 )
 from repro.tensor import Tensor
 

@@ -27,14 +27,18 @@ from repro.tensor import Tensor
 from repro.tensor.profiler import add_macs, count_macs, macs_active, profiling_active
 
 
+def _flags():
+    return trace_mod.ENABLED, metrics_mod.COLLECT, trace_mod.MODULE_SPANS
+
+
 @pytest.fixture(autouse=True)
 def _observability_off():
     """Every test starts and ends with the global flags down and state clean."""
-    obs.disable()
+    assert _flags() == (False, False, False)
     obs.get_tracer().clear()
     obs.get_registry().reset()
     yield
-    obs.disable()
+    assert _flags() == (False, False, False)
     obs.get_tracer().clear()
     obs.get_registry().reset()
 
@@ -207,8 +211,8 @@ class TestTracer:
 
         assert fn() == 42  # disabled: no span recorded
         assert obs.get_tracer().spans("decorated") == []
-        obs.enable_tracing()
-        assert fn() == 42
+        with obs.observe(metric_collection=False):
+            assert fn() == 42
         assert len(obs.get_tracer().spans("decorated")) == 1
         assert calls == [1, 1]
 
@@ -223,9 +227,9 @@ class TestDisabledPath:
         assert obs.get_tracer().spans() == []
 
     def test_enabled_module_span_records(self):
-        obs.enable_tracing()
-        with trace_mod.span("live"):
-            pass
+        with obs.observe(metric_collection=False):
+            with trace_mod.span("live"):
+                pass
         assert len(obs.get_tracer().spans("live")) == 1
 
     def test_kernels_record_nothing_when_disabled(self):
@@ -241,6 +245,33 @@ class TestDisabledPath:
             assert tracer is obs.get_tracer()
             assert registry is obs.get_registry()
         assert not trace_mod.ENABLED and not metrics_mod.COLLECT
+
+    def test_nested_observe_only_turns_on_and_each_exit_restores(self):
+        with obs.observe():
+            assert _flags() == (True, True, False)
+            with obs.observe(tracing=False):
+                assert _flags() == (True, True, False)  # tracing stays on
+            with obs.observe(tracing=False, metric_collection=False, module_spans=True):
+                assert _flags() == (True, True, True)
+            assert _flags() == (True, True, False)
+        assert _flags() == (False, False, False)
+        with obs.observe(tracing=False):
+            assert _flags() == (False, True, False)
+            with obs.observe(metric_collection=False):
+                assert _flags() == (True, True, False)
+            assert _flags() == (False, True, False)
+        assert _flags() == (False, False, False)
+
+    def test_observe_restores_on_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with obs.observe(module_spans=True):
+                assert _flags() == (True, True, True)
+                raise RuntimeError("boom")
+        assert _flags() == (False, False, False)
+
+    def test_observe_is_the_only_switch(self):
+        for module in (obs, trace_mod, metrics_mod):
+            assert not [n for n in dir(module) if n.startswith(("enable", "disable"))]
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +407,7 @@ class TestKernelProfiling:
         """Same forward pass: scoped counter and registry agree exactly."""
         lin = nn.Linear(16, 8, bias=False)
         x = Tensor(np.zeros((4, 16), dtype=np.float32))
-        obs.enable_metrics()
-        with count_macs() as c:
+        with obs.observe(tracing=False), count_macs() as c:
             lin(x)
         assert c.total == 4 * 8 * 16
         assert obs.get_registry().counters()["macs"] == c.total
@@ -385,8 +415,7 @@ class TestKernelProfiling:
 
     def test_macs_counted_once_despite_nesting(self):
         """Nested count_macs frames must not double-count into the registry."""
-        obs.enable_metrics()
-        with count_macs() as outer:
+        with obs.observe(tracing=False), count_macs() as outer:
             with count_macs() as inner:
                 add_macs(7)
         assert inner.total == 7
@@ -395,8 +424,8 @@ class TestKernelProfiling:
 
     def test_conv_records_conv_calls(self):
         conv = nn.Conv2d(3, 4, 3, padding=1, bias=False)
-        obs.enable_metrics()
-        conv(Tensor(np.zeros((1, 3, 6, 6), dtype=np.float32)))
+        with obs.observe(tracing=False):
+            conv(Tensor(np.zeros((1, 3, 6, 6), dtype=np.float32)))
         counters = obs.get_registry().counters()
         assert counters["conv_calls"] == 1
         assert counters["macs"] > 0

@@ -16,13 +16,12 @@ from repro.distributed import (
     GradientArrivalRecorder,
     allreduce_mean,
     broadcast_time,
-    bucket_comm_times,
     bucketed_allreduce_mean,
     build_buckets,
     parse_fault_spec,
-    pipelined_broadcast_time,
     schedule_overlap,
 )
+from repro.distributed.cost_model import bucket_comm_times, pipelined_broadcast_time
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor

@@ -109,7 +109,8 @@ class TestVGGLTHVariant:
 
     def test_hybrid_config_keeps_head(self):
         from repro.core import build_hybrid
-        from repro.models import vgg19_lth, vgg19_lth_hybrid_config
+        from repro.models import vgg19_lth
+        from repro.models.vgg import vgg19_lth_hybrid_config
 
         model = vgg19_lth(num_classes=10, width_mult=0.25)
         hybrid, report = build_hybrid(model, vgg19_lth_hybrid_config())

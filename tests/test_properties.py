@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression import NoCompression, Signum, TopK
-from repro.core import approximation_error, default_rank, factorize_matrix
+from repro.core import factorize_matrix
+from repro.core.factorize import approximation_error, default_rank
 from repro.metrics import corpus_bleu, perplexity, topk_accuracy
 from repro.tensor import Tensor, softmax
 from repro.tensor.tensor import _unbroadcast

@@ -16,12 +16,12 @@ from repro.pruning import (
     channel_mask,
     global_magnitude_mask,
     mask_distance,
-    prunable_weights,
     prune_resnet,
     prune_vgg,
     resnet_internal_bns,
     sparsity,
 )
+from repro.pruning.lth import prunable_weights
 from repro.tensor import Tensor
 
 

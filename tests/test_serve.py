@@ -10,26 +10,23 @@ import pytest
 
 from repro import observability as obs
 from repro.serve import (
-    SHED_ADMISSION,
-    SHED_DEADLINE,
     AdmissionController,
     ArrivalSpec,
     BatchPolicy,
     DynamicBatcher,
     LatencyProfile,
-    Request,
     ServeConfig,
     ServeSimulator,
     generate_arrivals,
 )
+from repro.serve.admission import SHED_ADMISSION, SHED_DEADLINE
+from repro.serve.batcher import Request
 
 
 @pytest.fixture(autouse=True)
-def _observability_off():
-    obs.disable()
+def _registry_clean():
     obs.get_registry().reset()
     yield
-    obs.disable()
     obs.get_registry().reset()
 
 
@@ -269,10 +266,10 @@ class TestServeSimulator:
             ServeConfig(slo_s=0.1, replicas=0)
 
     def test_metrics_flow_through_registry(self):
-        obs.enable_metrics()
         arrivals = generate_arrivals(ArrivalSpec(rate_rps=400, duration_s=2, seed=8))
         cfg = ServeConfig(slo_s=0.03, policy=BatchPolicy(4, 0.005))
-        report = ServeSimulator(flat_profile(0.012), cfg).run(arrivals)
+        with obs.observe(tracing=False):
+            report = ServeSimulator(flat_profile(0.012), cfg).run(arrivals)
         snap = obs.get_registry().snapshot()
         counters = snap["counters"]
         assert counters["serve.requests"] == report.n_requests
@@ -291,12 +288,12 @@ class TestServeSimulator:
         """The live per-pool gauges are the autoscaler's input signal;
         at run end they must equal the report summary exactly — not a
         separate end-of-run accounting path."""
-        obs.enable_metrics()
         arrivals = generate_arrivals(ArrivalSpec(rate_rps=500, duration_s=2, seed=3))
         cfg = ServeConfig(slo_s=0.03, policy=BatchPolicy(4, 0.005), replicas=2)
-        report = ServeSimulator(flat_profile(0.012), cfg, pool="edge").run(
-            arrivals, duration_s=2.0
-        )
+        with obs.observe(tracing=False):
+            report = ServeSimulator(flat_profile(0.012), cfg, pool="edge").run(
+                arrivals, duration_s=2.0
+            )
         gauges = obs.get_registry().snapshot()["gauges"]
         assert gauges["serve.pool.shed_rate{pool=edge}"] == pytest.approx(
             report.shed_rate
@@ -311,11 +308,11 @@ class TestServeSimulator:
         assert 0.0 < report.utilization <= 1.0
 
     def test_pools_keep_separate_gauges(self):
-        obs.enable_metrics()
         arrivals = generate_arrivals(ArrivalSpec(rate_rps=200, duration_s=1, seed=3))
         cfg = ServeConfig(slo_s=0.05, policy=BatchPolicy(8, 0.005))
-        ra = ServeSimulator(flat_profile(0.001), cfg, pool="a").run(arrivals, 1.0)
-        rb = ServeSimulator(flat_profile(0.030), cfg, pool="b").run(arrivals, 1.0)
+        with obs.observe(tracing=False):
+            ra = ServeSimulator(flat_profile(0.001), cfg, pool="a").run(arrivals, 1.0)
+            rb = ServeSimulator(flat_profile(0.030), cfg, pool="b").run(arrivals, 1.0)
         gauges = obs.get_registry().snapshot()["gauges"]
         assert gauges["serve.pool.shed_rate{pool=a}"] == pytest.approx(ra.shed_rate)
         assert gauges["serve.pool.shed_rate{pool=b}"] == pytest.approx(rb.shed_rate)
@@ -366,7 +363,8 @@ class TestSequenceServing:
     """Satellite: the LSTM/Transformer zoo is servable end to end."""
 
     def test_registry_covers_sequence_models(self):
-        from repro.serve import IMAGE_MODELS, SEQUENCE_MODELS, default_registry
+        from repro.serve import default_registry
+        from repro.serve.registry import IMAGE_MODELS, SEQUENCE_MODELS
 
         names = default_registry().names()
         for name in IMAGE_MODELS + SEQUENCE_MODELS:
@@ -434,7 +432,8 @@ class TestServedFold:
 
     def test_params_and_macs_count_the_unfolded_model(self):
         from repro.metrics import measure_macs
-        from repro.serve import build_model, default_registry, input_spec_for
+        from repro.serve import default_registry
+        from repro.serve.registry import build_model, input_spec_for
         from repro.utils import set_seed
 
         served = default_registry().materialize("vgg11", "full", width=0.25)

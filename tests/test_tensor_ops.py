@@ -4,7 +4,8 @@ bookkeeping (no_grad, detach, gradient accumulation, broadcasting)."""
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad, is_grad_enabled
+from repro.tensor import Tensor, no_grad
+from repro.tensor.tensor import is_grad_enabled
 
 
 class TestConstruction:
