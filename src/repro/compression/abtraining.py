@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.linalg import svd
 from .base import (
     FLOAT32_BYTES,
     Compressor,
     EncodeResult,
+    NonFiniteGradientError,
     ResidualStore,
     register_compressor,
     require_finite,
-    svd,
 )
 
 __all__ = ["ABTraining"]
@@ -178,7 +179,9 @@ class ABTraining(Compressor):
         return out
 
     def _refresh_basis(self, layer: int, mean: np.ndarray) -> None:
-        u, _, vt = svd(mean.astype(np.float64), f"the mean gradient of layer {layer}")
+        u, _, vt = svd(
+            mean.astype(np.float64), f"the mean gradient of layer {layer}", NonFiniteGradientError
+        )
         r = min(self.rank, u.shape[1])
         self._us[layer] = u[:, :r].astype(np.float32)
         self._vs[layer] = vt[:r].T.astype(np.float32)

@@ -22,8 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.linalg import svd
 from ..utils import spawn_rng
-from .base import FLOAT32_BYTES, Compressor, EncodeResult, register_compressor, svd
+from .base import (
+    FLOAT32_BYTES,
+    Compressor,
+    EncodeResult,
+    NonFiniteGradientError,
+    register_compressor,
+)
 
 __all__ = ["Atomo", "atomo_probabilities"]
 
@@ -96,7 +103,9 @@ class Atomo(Compressor):
                 nbytes += g.size * FLOAT32_BYTES
                 continue
             m = g.reshape(g.shape[0], -1).astype(np.float64)
-            u, s, vt = svd(m, f"worker {worker}'s gradient of layer {layer_offset + i}")
+            u, s, vt = svd(
+                m, f"worker {worker}'s gradient of layer {layer_offset + i}", NonFiniteGradientError
+            )
             p = atomo_probabilities(s, self.budget)
             keep = self._rng.random(len(s)) < p
             # Unbiased rescale of kept atoms.

@@ -139,15 +139,6 @@ def require_finite(arrays, what: str) -> None:
             raise NonFiniteGradientError(f"{what} is not finite")
 
 
-def svd(m: np.ndarray, what: str):
-    """``np.linalg.svd(m, full_matrices=False)`` of a finite ``m``.  A matrix
-    that is not finite raises :class:`NonFiniteGradientError` naming
-    ``what`` before LAPACK sees it: OpenBLAS 0.3.31's SVD never returns on
-    some such matrices (an ``inf`` at ``[0, 0]``)."""
-    require_finite((m,), what)
-    return np.linalg.svd(m, full_matrices=False)
-
-
 class ResidualStore:
     """Error feedback in place, for codecs whose residual is ``M − m̂``
     (PowerSGD, AB-Training).

@@ -1,7 +1,7 @@
 """Pufferfish core: low-rank layers, SVD factorization, hybrid networks and
 the Algorithm 1 training procedure."""
 
-from .layers import LowRankLinear, LowRankConv2d, LowRankLSTMLayer, LowRankLSTM
+from .layers import LowRankLinear, LowRankConv2d, LowRankLSTMLayer
 from .factorize import (
     factorize_matrix,
     unroll_conv_weight,
@@ -46,7 +46,6 @@ __all__ = [
     "LowRankLinear",
     "LowRankConv2d",
     "LowRankLSTMLayer",
-    "LowRankLSTM",
     "factorize_matrix",
     "unroll_conv_weight",
     "factorize_linear",

@@ -19,6 +19,7 @@ from ..nn.conv import Conv2d
 from ..nn.linear import Linear
 from ..nn.rnn import LSTMLayer
 from .layers import LowRankConv2d, LowRankLinear, LowRankLSTMLayer
+from .linalg import svd
 
 __all__ = [
     "factorize_matrix",
@@ -42,11 +43,17 @@ def factorize_matrix(w: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a 2-D matrix, got shape {w.shape}")
     rank = min(rank, min(w.shape))
     # float64 SVD for accuracy, cast factors back to the weight dtype.
-    u_full, s, vt_full = np.linalg.svd(w.astype(np.float64), full_matrices=False)
+    u_full, s, vt_full = svd(w.astype(np.float64), "the weight", np.linalg.LinAlgError)
     sqrt_s = np.sqrt(s[:rank])
     u = (u_full[:, :rank] * sqrt_s).astype(w.dtype)
     vt = (sqrt_s[:, None] * vt_full[:rank]).astype(w.dtype)
     return u, vt
+
+
+def _lstm_gates(w: np.ndarray, hidden: int) -> np.ndarray:
+    """An LSTM's gate-stacked ``(4h, n)`` matrix as its ``(4, h, n)`` view:
+    ``[g]`` is gate ``g``'s ``(h, n)`` block, in the order (i, f, g, o)."""
+    return w.reshape(4, hidden, -1)
 
 
 def unroll_conv_weight(w: np.ndarray) -> np.ndarray:
@@ -123,15 +130,10 @@ def factorize_lstm_layer(layer: LSTMLayer, rank: int) -> LowRankLSTMLayer:
     h, d = layer.hidden_size, layer.input_size
     rank = min(rank, h, d)
     out = LowRankLSTMLayer(d, h, rank)
+    w_ih, w_hh = _lstm_gates(layer.weight_ih.data, h), _lstm_gates(layer.weight_hh.data, h)
     for gate in range(4):
-        w_i = layer.weight_ih.data[gate * h : (gate + 1) * h]  # (h, d)
-        w_h = layer.weight_hh.data[gate * h : (gate + 1) * h]  # (h, h)
-        u_i, vt_i = factorize_matrix(w_i, rank)
-        u_h, vt_h = factorize_matrix(w_h, rank)
-        out.u_ih.data[gate] = u_i
-        out.vt_ih.data[gate] = vt_i
-        out.u_hh.data[gate] = u_h
-        out.vt_hh.data[gate] = vt_h
+        out.u_ih.data[gate], out.vt_ih.data[gate] = factorize_matrix(w_ih[gate], rank)
+        out.u_hh.data[gate], out.vt_hh.data[gate] = factorize_matrix(w_hh[gate], rank)
     out.bias_ih.data = layer.bias_ih.data.copy()
     out.bias_hh.data = layer.bias_hh.data.copy()
     return out

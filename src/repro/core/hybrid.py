@@ -27,6 +27,7 @@ from .factorize import (
     factorize_linear,
     factorize_lstm_layer,
 )
+from .linalg import naming
 
 __all__ = [
     "FactorizationConfig",
@@ -152,7 +153,9 @@ def build_hybrid(
     The input model is untouched; the returned model shares no arrays with
     it.  Low-rank layers are initialized from the truncated SVD of the
     (possibly partially trained) input weights, so calling this after the
-    warm-up epochs implements the paper's "vanilla warm-up training".
+    warm-up epochs implements the paper's "vanilla warm-up training".  A
+    weight that is not finite raises ``np.linalg.LinAlgError`` naming its
+    layer, before LAPACK sees it.
     """
     report = FactorizationReport(params_before=model.num_parameters())
     hybrid = copy.deepcopy(model)
@@ -168,7 +171,8 @@ def build_hybrid(
         rank = config.rank_overrides.get(
             path, default_rank(_max_rank(layer), config.rank_ratio)
         )
-        hybrid.set_submodule(path, _factorize(layer, rank))
+        with naming(path):
+            hybrid.set_submodule(path, _factorize(layer, rank))
         report.replaced.append((path, rank))
     report.svd_seconds = time.perf_counter() - t0
 

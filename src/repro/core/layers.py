@@ -10,7 +10,10 @@ the paper):
   ``c_out`` channels (Fig. 1).
 * :class:`LowRankLSTMLayer` — every gate matrix of both the input-hidden and
   hidden-hidden paths factorized separately with a shared rank, giving the
-  Table 1 parameter count ``4dr + 12hr``.
+  Table 1 parameter count ``4dr + 12hr``.  It runs :class:`repro.nn.LSTMLayer`'s
+  time loop with its own two gate projections; a stacked low-rank LSTM is a
+  :class:`repro.nn.LSTM` holding these layers, which is what
+  :func:`repro.core.build_hybrid` makes of one.
 
 Attention and FFN blocks are factorized by swapping their internal
 ``Linear`` projections for :class:`LowRankLinear` (the appendix-D shapes,
@@ -26,10 +29,10 @@ import numpy as np
 from ..nn import init
 from ..nn.conv import Conv2d
 from ..nn.module import Module, Parameter
-from ..nn.rnn import lstm_step
+from ..nn.rnn import _LSTMRecurrence
 from ..tensor import Tensor, functional
 
-__all__ = ["LowRankLinear", "LowRankConv2d", "LowRankLSTMLayer", "LowRankLSTM"]
+__all__ = ["LowRankLinear", "LowRankConv2d", "LowRankLSTMLayer"]
 
 
 class LowRankLinear(Module):
@@ -118,13 +121,14 @@ class LowRankConv2d(Module):
         )
 
 
-class LowRankLSTMLayer(Module):
+class LowRankLSTMLayer(_LSTMRecurrence):
     """LSTM layer with every gate matrix factorized at a shared rank.
 
     Factors are stored stacked over the gate axis — ``u_ih (4, h, r)``,
     ``vt_ih (4, r, d)`` — so the whole-gate projection is two batched GEMMs
     per step instead of eight separate ones.  Gate order is (i, f, g, o),
-    matching :class:`repro.nn.LSTMLayer` Eq. (2).
+    matching :class:`repro.nn.LSTMLayer` Eq. (2).  Not an ``LSTMLayer``
+    itself, so :func:`repro.core.factorizable_leaves` never factorizes it again.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rank: int):
@@ -151,65 +155,17 @@ class LowRankLSTMLayer(Module):
         gates = u @ mid  # (4, h, N)
         return gates.transpose(2, 0, 1).reshape(n, 4 * self.hidden_size)
 
-    def forward(
-        self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    def _input_gates(self, x: Tensor) -> Tensor:
         t, b, _ = x.shape
-        if state is None:
-            h = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
-            c = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
-        else:
-            h, c = state
-
         flat = x.reshape(t * b, self.input_size)
-        gx_all = (self._project(flat, self.u_ih, self.vt_ih) + self.bias_ih).reshape(
-            t, b, 4 * self.hidden_size
-        )
-        outputs: list[Tensor] = []
-        for step in range(t):
-            gh = self._project(h, self.u_hh, self.vt_hh) + self.bias_hh
-            h, c = lstm_step(x[step], h, c, gx_all[step], gh, self.hidden_size)
-            outputs.append(h.reshape(1, b, self.hidden_size))
-        out = Tensor.concat(outputs, axis=0)
-        return out, (h, c)
+        gates = self._project(flat, self.u_ih, self.vt_ih) + self.bias_ih
+        return gates.reshape(t, b, 4 * self.hidden_size)
+
+    def _hidden_gates(self, h: Tensor) -> Tensor:
+        return self._project(h, self.u_hh, self.vt_hh) + self.bias_hh
 
     def __repr__(self) -> str:
         return (
             f"LowRankLSTMLayer(in={self.input_size}, hidden={self.hidden_size}, "
             f"rank={self.rank})"
         )
-
-
-class LowRankLSTM(Module):
-    """Stacked low-rank LSTM mirroring :class:`repro.nn.LSTM`."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rank: int,
-        num_layers: int = 1,
-        dropout: float = 0.0,
-    ):
-        super().__init__()
-        from ..nn.container import ModuleList
-        from ..nn.dropout import Dropout
-
-        self.num_layers = num_layers
-        self.hidden_size = hidden_size
-        self.layers = ModuleList(
-            LowRankLSTMLayer(input_size if i == 0 else hidden_size, hidden_size, rank)
-            for i in range(num_layers)
-        )
-        self.dropout = Dropout(dropout) if dropout > 0 else None
-
-    def forward(self, x: Tensor, states=None):
-        new_states = []
-        out = x
-        for i, layer in enumerate(self.layers):
-            state = states[i] if states is not None else None
-            out, s = layer(out, state)
-            new_states.append(s)
-            if self.dropout is not None and i < self.num_layers - 1:
-                out = self.dropout(out)
-        return out, new_states

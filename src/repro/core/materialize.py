@@ -23,6 +23,7 @@ from ..nn.conv import Conv2d
 from ..nn.linear import Linear
 from ..nn.module import Module
 from ..nn.rnn import LSTMLayer
+from .factorize import _lstm_gates
 from .layers import LowRankConv2d, LowRankLinear, LowRankLSTMLayer
 from .tucker import TuckerConv2d
 
@@ -54,14 +55,9 @@ def materialize_layer(layer: Module) -> Module:
 
     if isinstance(layer, LowRankLSTMLayer):
         out = LSTMLayer(layer.input_size, layer.hidden_size)
-        w_ih = np.concatenate(
-            [layer.u_ih.data[g] @ layer.vt_ih.data[g] for g in range(4)], axis=0
-        )
-        w_hh = np.concatenate(
-            [layer.u_hh.data[g] @ layer.vt_hh.data[g] for g in range(4)], axis=0
-        )
-        out.weight_ih.data = w_ih.astype(np.float32)
-        out.weight_hh.data = w_hh.astype(np.float32)
+        h = layer.hidden_size
+        _lstm_gates(out.weight_ih.data, h)[...] = layer.u_ih.data @ layer.vt_ih.data
+        _lstm_gates(out.weight_hh.data, h)[...] = layer.u_hh.data @ layer.vt_hh.data
         out.bias_ih.data = layer.bias_ih.data.copy()
         out.bias_hh.data = layer.bias_hh.data.copy()
         return out

@@ -6,8 +6,8 @@ selection as future work, citing Idelbayev & Carreira-Perpinán (2020):
 accuracy and smaller model sizes … the search space for the rank
 allocation problem is large."
 
-This module implements two practical allocators that plug straight into
-:class:`repro.core.FactorizationConfig.rank_overrides`:
+This module implements two practical allocators whose result plugs straight
+into the ``rank_overrides`` field of :class:`repro.core.FactorizationConfig`:
 
 * :func:`energy_rank_allocation` — per layer, keep the smallest rank whose
   truncated spectrum retains a target fraction of spectral energy.  Layers
@@ -30,18 +30,23 @@ from ..nn.linear import Linear
 from ..nn.module import Module
 from .factorize import unroll_conv_weight
 from .hybrid import factorizable_leaves
-from .spectrum import energy_rank
+from .linalg import naming
+from .spectrum import energy_rank, singular_values
 
 __all__ = ["energy_rank_allocation", "budget_rank_allocation", "allocation_report"]
 
 
-def _leaf_matrix(layer) -> np.ndarray | None:
-    """The 2-D matrix whose spectrum drives the layer's rank choice."""
+def _leaf_spectrum(path: str, layer) -> tuple[tuple[int, int], np.ndarray] | None:
+    """Shape and singular values of the 2-D matrix whose spectrum drives the
+    layer's rank choice; ``None`` for LSTM layers (the global ratio)."""
     if isinstance(layer, Conv2d):
-        return unroll_conv_weight(layer.weight.data)
-    if isinstance(layer, Linear):
-        return layer.weight.data
-    return None  # LSTM layers handled by the global ratio
+        w = unroll_conv_weight(layer.weight.data)
+    elif isinstance(layer, Linear):
+        w = layer.weight.data
+    else:
+        return None
+    with naming(path):
+        return w.shape, singular_values(w)
 
 
 def _lowrank_params(shape: tuple[int, int], r: int) -> int:
@@ -63,12 +68,12 @@ def energy_rank_allocation(
     """
     overrides: dict[str, int] = {}
     for path, layer in factorizable_leaves(model):
-        w = _leaf_matrix(layer)
-        if w is None:
+        spectrum = _leaf_spectrum(path, layer)
+        if spectrum is None:
             continue
-        s = np.linalg.svd(w.astype(np.float64), compute_uv=False)
+        shape, s = spectrum
         r = energy_rank(s, energy_threshold)
-        cap = max(min_rank, int(max_ratio * min(w.shape)))
+        cap = max(min_rank, int(max_ratio * min(shape)))
         overrides[path] = int(np.clip(r, min_rank, cap))
     return overrides
 
@@ -83,11 +88,11 @@ def budget_rank_allocation(model: Module, param_budget: int) -> dict[str, int]:
     """
     specs = []  # (path, shape, s, cost_per_rank)
     for path, layer in factorizable_leaves(model):
-        w = _leaf_matrix(layer)
-        if w is None:
+        spectrum = _leaf_spectrum(path, layer)
+        if spectrum is None:
             continue
-        s = np.linalg.svd(w.astype(np.float64), compute_uv=False)
-        specs.append((path, w.shape, s, sum(w.shape)))
+        shape, s = spectrum
+        specs.append((path, shape, s, sum(shape)))
 
     ranks = {path: 1 for path, _, _, _ in specs}
     spent = sum(_lowrank_params(shape, 1) for _, shape, _, _ in specs)
@@ -128,9 +133,8 @@ def allocation_report(
     for path, layer in factorizable_leaves(model):
         if path not in overrides:
             continue
-        w = _leaf_matrix(layer)
-        s = np.linalg.svd(w.astype(np.float64), compute_uv=False)
+        shape, s = _leaf_spectrum(path, layer)
         r = overrides[path]
         energy = float((s[:r] ** 2).sum() / max((s**2).sum(), 1e-12))
-        rows.append((path, int(min(w.shape)), r, energy))
+        rows.append((path, int(min(shape)), r, energy))
     return rows

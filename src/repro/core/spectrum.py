@@ -22,7 +22,8 @@ from ..nn.conv import Conv2d
 from ..nn.linear import Linear
 from ..nn.module import Module
 from ..nn.rnn import LSTMLayer
-from .factorize import unroll_conv_weight
+from .factorize import _lstm_gates, unroll_conv_weight
+from .linalg import naming, svdvals
 
 __all__ = [
     "singular_values",
@@ -45,7 +46,7 @@ def singular_values(w: np.ndarray) -> np.ndarray:
         w = unroll_conv_weight(w)
     elif w.ndim != 2:
         raise ValueError(f"expected 2-D or 4-D weight, got shape {w.shape}")
-    return np.linalg.svd(w.astype(np.float64), compute_uv=False)
+    return svdvals(w.astype(np.float64), "the weight", np.linalg.LinAlgError)
 
 
 def energy_curve(s: np.ndarray) -> np.ndarray:
@@ -87,19 +88,19 @@ def layer_spectra(model: Module) -> dict[str, np.ndarray]:
     """Singular values for every factorizable leaf of ``model``.
 
     LSTM layers contribute one entry per gate matrix
-    (``<path>.ih{gate}`` / ``<path>.hh{gate}``).
+    (``<path>.ih_{gate}`` / ``<path>.hh_{gate}``).  A weight that is not
+    finite raises ``np.linalg.LinAlgError`` naming its layer.
     """
     out: dict[str, np.ndarray] = {}
     for path, mod in model.named_modules():
-        if isinstance(mod, (Linear, Conv2d)):
-            out[path] = singular_values(mod.weight.data)
-        elif isinstance(mod, LSTMLayer):
-            h = mod.hidden_size
-            for gate, name in enumerate("ifgo"):
-                out[f"{path}.ih_{name}"] = singular_values(
-                    mod.weight_ih.data[gate * h : (gate + 1) * h]
-                )
-                out[f"{path}.hh_{name}"] = singular_values(
-                    mod.weight_hh.data[gate * h : (gate + 1) * h]
-                )
+        with naming(path):
+            if isinstance(mod, (Linear, Conv2d)):
+                out[path] = singular_values(mod.weight.data)
+            elif isinstance(mod, LSTMLayer):
+                h = mod.hidden_size
+                gates_ih = _lstm_gates(mod.weight_ih.data, h)
+                gates_hh = _lstm_gates(mod.weight_hh.data, h)
+                for name, w_ih, w_hh in zip("ifgo", gates_ih, gates_hh):
+                    out[f"{path}.ih_{name}"] = singular_values(w_ih)
+                    out[f"{path}.hh_{name}"] = singular_values(w_hh)
     return out

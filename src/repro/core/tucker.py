@@ -26,6 +26,7 @@ import numpy as np
 from ..nn.conv import Conv2d
 from ..nn.module import Module
 from ..tensor import Tensor
+from .linalg import svd
 
 __all__ = ["mode_unfold", "mode_fold", "tucker2_decompose", "TuckerConv2d", "tucker_conv_from"]
 
@@ -58,9 +59,9 @@ def tucker2_decompose(
     rank_in = min(rank_in, c_in)
 
     w64 = w.astype(np.float64)
-    u_out, _, _ = np.linalg.svd(mode_unfold(w64, 0), full_matrices=False)
+    u_out, _, _ = svd(mode_unfold(w64, 0), "the kernel", np.linalg.LinAlgError)
     a = u_out[:, :rank_out]  # (c_out, r_out)
-    u_in, _, _ = np.linalg.svd(mode_unfold(w64, 1), full_matrices=False)
+    u_in, _, _ = svd(mode_unfold(w64, 1), "the kernel", np.linalg.LinAlgError)
     b = u_in[:, :rank_in]  # (c_in, r_in)
 
     # core = W ×₁ Aᵀ ×₂ Bᵀ

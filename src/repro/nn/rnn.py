@@ -21,8 +21,6 @@ __all__ = ["LSTMLayer", "LSTM", "lstm_step"]
 
 
 def lstm_step(
-    x_t: Tensor,
-    h_prev: Tensor,
     c_prev: Tensor,
     gates_x: Tensor,
     gates_h: Tensor,
@@ -31,7 +29,8 @@ def lstm_step(
     """One LSTM recurrence given pre-computed gate pre-activations.
 
     ``gates_x``/``gates_h`` are ``(B, 4h)`` contributions from the input and
-    hidden paths; gate order is (input, forget, cell, output) as in Eq. (1).
+    hidden paths (the previous hidden state enters only through
+    ``gates_h``); gate order is (input, forget, cell, output) as in Eq. (1).
     """
     gates = gates_x + gates_h
     i = gates[:, 0 * hidden : 1 * hidden].sigmoid()
@@ -43,7 +42,36 @@ def lstm_step(
     return h_t, c_t
 
 
-class LSTMLayer(Module):
+class _LSTMRecurrence(Module):
+    """The LSTM time loop over a ``(T, B, d)`` sequence, shared by
+    :class:`LSTMLayer` and ``repro.core.LowRankLSTMLayer``: a subclass
+    supplies ``hidden_size`` and its two gate projections,
+    ``_input_gates(x) -> (T, B, 4h)`` for the whole sequence and
+    ``_hidden_gates(h) -> (B, 4h)`` per step, biases included."""
+
+    def forward(
+        self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
+    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        t, b, _ = x.shape
+        if state is None:
+            h = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
+            c = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
+        else:
+            h, c = state
+
+        # Input-path gates for all steps at once; hidden path per step.
+        gx_all = self._input_gates(x)
+        outputs: list[Tensor] = []
+        for step in range(t):
+            gx = gx_all[step]
+            gh = self._hidden_gates(h)
+            h, c = lstm_step(c, gx, gh, self.hidden_size)
+            outputs.append(h.reshape(1, b, self.hidden_size))
+        out = Tensor.concat(outputs, axis=0)
+        return out, (h, c)
+
+
+class LSTMLayer(_LSTMRecurrence):
     """A single LSTM layer run over a ``(T, B, d)`` sequence."""
 
     def __init__(self, input_size: int, hidden_size: int):
@@ -62,27 +90,6 @@ class LSTMLayer(Module):
 
     def _hidden_gates(self, h: Tensor) -> Tensor:
         return functional.linear(h, self.weight_hh, self.bias_hh)
-
-    def forward(
-        self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        t, b, _ = x.shape
-        if state is None:
-            h = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
-            c = Tensor(np.zeros((b, self.hidden_size), dtype=np.float32))
-        else:
-            h, c = state
-
-        # Input-path gates for all steps in one GEMM; hidden path per step.
-        gx_all = self._input_gates(x)
-        outputs: list[Tensor] = []
-        for step in range(t):
-            gx = gx_all[step]
-            gh = self._hidden_gates(h)
-            h, c = lstm_step(x[step], h, c, gx, gh, self.hidden_size)
-            outputs.append(h.reshape(1, b, self.hidden_size))
-        out = Tensor.concat(outputs, axis=0)
-        return out, (h, c)
 
     def __repr__(self) -> str:
         return f"LSTMLayer(in={self.input_size}, hidden={self.hidden_size})"

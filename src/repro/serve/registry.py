@@ -1,8 +1,9 @@
-"""Model registry: named builders, variant materialization, cost accounting.
+"""Model registry: the zoo's builders, variant materialization, cost accounting.
 
 The serving layer's source of truth for *what* can be served: every model
-in the zoo registers a builder, and :meth:`ModelRegistry.materialize`
-turns ``(name, variant)`` into a ready :class:`ServedModel` — the
+in the zoo (:data:`IMAGE_MODELS` + :data:`SEQUENCE_MODELS`, built by
+:func:`build_model`), and :meth:`ModelRegistry.materialize` turns
+``(name, variant)`` into a ready :class:`ServedModel` — the
 ``full`` variant as trained, or the ``factorized`` variant rebuilt
 through the paper's truncated-SVD hybrid conversion.  Each materialized
 variant reports its parameter count and measured per-example MACs, which
@@ -13,10 +14,9 @@ The served model is an eval-only copy with every BatchNorm that follows a
 conv folded into that conv (:func:`repro.core.fold_batchnorm`): the same
 state dict, less work per forward.
 
-Checkpoints saved by :func:`repro.utils.save_model` /
-:func:`~repro.utils.save_checkpoint` load into either variant; for
-``factorized`` the architecture is hybridized first so a checkpoint from
-:class:`~repro.core.PufferfishTrainer` drops straight in.
+Checkpoints saved by :func:`repro.utils.save_checkpoint` load into either
+variant; for ``factorized`` the architecture is hybridized first so a
+checkpoint from :class:`~repro.core.PufferfishTrainer` drops straight in.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class ServedModel:
 
 
 class ModelRegistry:
-    """Name → builder table with cached variant materialization.
+    """Cached variant materialization of the zoo's models.
 
     Materializing the factorized variant pays the one-time truncated SVD,
     so repeated lookups (rate sweeps, CLI reruns in one process) hit the
@@ -206,14 +206,7 @@ class ModelRegistry:
     """
 
     def __init__(self):
-        self._builders: dict[str, object] = {}
         self._cache: dict[tuple, ServedModel] = {}
-
-    def register(self, name: str, builder) -> None:
-        self._builders[name] = builder
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._builders))
 
     def materialize(
         self,
@@ -231,14 +224,15 @@ class ModelRegistry:
 
         ``rank_overrides`` threads allocator-chosen per-layer ranks into
         the factorized architecture.  ``checkpoint`` may be any
-        :func:`repro.utils.save_model` / ``save_checkpoint`` file — a
-        *promoted lifecycle artifact* carries its rank map and lineage in
+        :func:`repro.utils.save_checkpoint` file — a *promoted lifecycle
+        artifact* carries its rank map and lineage in
         the metadata, so the matching per-layer hybrid is rebuilt
         automatically before the weights load and the lineage is exposed
         on the served model.
         """
-        if name not in self._builders:
-            raise ValueError(f"unknown model {name!r}; registered: {self.names()}")
+        zoo = IMAGE_MODELS + SEQUENCE_MODELS
+        if name not in zoo:
+            raise ValueError(f"unknown model {name!r}; expected one of {zoo}")
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         key = (name, variant, num_classes, width, rank_ratio, seed,
@@ -265,7 +259,7 @@ class ModelRegistry:
                 }
 
         set_seed(seed)
-        model = self._builders[name](num_classes, width)
+        model = build_model(name, num_classes, width)
         factorization = None
         if variant == "factorized":
             model, report = build_hybrid(
@@ -279,9 +273,9 @@ class ModelRegistry:
                 "n_factorized": len(report.replaced),
             }
         if checkpoint is not None:
-            from ..utils import load_model
+            from ..utils import load_checkpoint
 
-            load_model(model, checkpoint)
+            load_checkpoint(checkpoint, model)
         model.eval()
         spec = input_spec_for(name)
         example = spec.example_batch(1, np.random.default_rng(0))
@@ -314,8 +308,5 @@ class ModelRegistry:
 
 
 def default_registry() -> ModelRegistry:
-    """A fresh registry holding the full model zoo (conv + sequence)."""
-    registry = ModelRegistry()
-    for name in IMAGE_MODELS + SEQUENCE_MODELS:
-        registry.register(name, lambda c, w, _n=name: build_model(_n, c, w))
-    return registry
+    """A fresh registry (an empty cache) over the full model zoo."""
+    return ModelRegistry()

@@ -5,8 +5,6 @@ from .serialization import (
     canonical_digest,
     save_checkpoint,
     load_checkpoint,
-    save_model,
-    load_model,
     peek_checkpoint,
     amend_checkpoint,
 )
@@ -19,8 +17,6 @@ __all__ = [
     "canonical_digest",
     "save_checkpoint",
     "load_checkpoint",
-    "save_model",
-    "load_model",
     "peek_checkpoint",
     "amend_checkpoint",
 ]

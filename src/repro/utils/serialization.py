@@ -23,8 +23,6 @@ __all__ = [
     "canonical_digest",
     "save_checkpoint",
     "load_checkpoint",
-    "save_model",
-    "load_model",
     "peek_checkpoint",
     "amend_checkpoint",
 ]
@@ -37,20 +35,6 @@ def canonical_digest(obj) -> str:
     report, timeline and trace in the repo is compared by."""
     payload = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def save_model(model: Module, path: str | Path) -> None:
-    """Write a model's state dict to ``path`` (.npz)."""
-    arrays = {f"model/{k}": v for k, v in model.state_dict().items()}
-    np.savez(path, **arrays)
-
-
-def load_model(model: Module, path: str | Path) -> None:
-    """Load a state dict saved by :func:`save_model` into ``model``
-    (strictly: every key must match)."""
-    with np.load(path) as data:
-        state = {k[len("model/"):]: data[k] for k in data.files if k.startswith("model/")}
-    model.load_state_dict(state)
 
 
 def save_checkpoint(
@@ -88,8 +72,8 @@ def peek_checkpoint(path: str | Path) -> dict:
 
     Lets loaders decide *how* to build the architecture before loading
     weights — e.g. a promoted lifecycle checkpoint carries its rank map,
-    which must shape the hybrid before ``load_model`` can succeed.
-    Returns ``{}`` for plain :func:`save_model` files.
+    which must shape the hybrid before :func:`load_checkpoint` can succeed.
+    Returns ``{}`` for a file without metadata.
     """
     with np.load(path) as data:
         if _META_KEY not in data.files:
@@ -122,7 +106,8 @@ def load_checkpoint(
     model: Module,
     optimizer: Optimizer | None = None,
 ) -> dict:
-    """Restore model (+ optimizer) state; returns the saved metadata dict."""
+    """Restore model (+ optimizer) state; returns the saved metadata dict
+    (``{}`` for a file without metadata, whose model still loads)."""
     with np.load(path) as data:
         meta = json.loads(bytes(data[_META_KEY]).decode()) if _META_KEY in data.files else {}
         state = {k[len("model/"):]: data[k] for k in data.files if k.startswith("model/")}

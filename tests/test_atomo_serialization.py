@@ -8,7 +8,7 @@ from repro.compression.atomo import atomo_probabilities
 from repro.models import MLP
 from repro.optim import LAMB, SGD, Adam
 from repro.tensor import Tensor
-from repro.utils import load_checkpoint, load_model, save_checkpoint, save_model
+from repro.utils import load_checkpoint, save_checkpoint
 
 
 class TestAtomoProbabilities:
@@ -112,9 +112,9 @@ class TestAtomoCompressor:
 class TestSerialization:
     def test_model_roundtrip(self, tmp_path, rng):
         m1 = MLP(8, [16], 4)
-        save_model(m1, tmp_path / "m.npz")
+        save_checkpoint(tmp_path / "m.npz", m1)
         m2 = MLP(8, [16], 4)
-        load_model(m2, tmp_path / "m.npz")
+        load_checkpoint(tmp_path / "m.npz", m2)
         x = Tensor(rng.standard_normal((3, 8)))
         assert np.allclose(m1(x).data, m2(x).data)
 
@@ -232,14 +232,14 @@ class TestSerialization:
 
         model = MLP(8, [32, 32], 4)
         hybrid, _ = build_hybrid(model, FactorizationConfig(rank_ratio=0.25))
-        save_model(hybrid, tmp_path / "h.npz")
+        save_checkpoint(tmp_path / "h.npz", hybrid)
         hybrid2, _ = build_hybrid(model, FactorizationConfig(rank_ratio=0.25))
-        load_model(hybrid2, tmp_path / "h.npz")
+        load_checkpoint(tmp_path / "h.npz", hybrid2)
         x = Tensor(rng.standard_normal((2, 8)))
         assert np.allclose(hybrid(x).data, hybrid2(x).data)
 
     def test_strict_load_rejects_wrong_architecture(self, tmp_path):
-        save_model(MLP(8, [16], 4), tmp_path / "m.npz")
+        save_checkpoint(tmp_path / "m.npz", MLP(8, [16], 4))
         wrong = MLP(8, [32], 4)
         with pytest.raises((KeyError, ValueError)):
-            load_model(wrong, tmp_path / "m.npz")
+            load_checkpoint(tmp_path / "m.npz", wrong)

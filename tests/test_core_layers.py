@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import LowRankConv2d, LowRankLinear, LowRankLSTM, LowRankLSTMLayer
+from repro import nn
+from repro.core import (
+    FactorizationConfig,
+    LowRankConv2d,
+    LowRankLinear,
+    LowRankLSTMLayer,
+    build_hybrid,
+)
 from repro.metrics import (
     lowrank_conv_params,
     lowrank_fc_params,
@@ -120,15 +127,19 @@ class TestLowRankLSTMLayer:
 
 
 class TestLowRankLSTMStack:
+    """A stacked low-rank LSTM is an ``nn.LSTM`` holding low-rank layers:
+    what ``build_hybrid`` makes of a vanilla stack."""
+
     def test_two_layers(self, rng):
-        lstm = LowRankLSTM(6, 8, rank=2, num_layers=2, dropout=0.0)
+        vanilla = nn.LSTM(6, 8, num_layers=2, dropout=0.0)
+        lstm, report = build_hybrid(vanilla, FactorizationConfig(rank_overrides={"layers.0": 2, "layers.1": 2}))
+        assert [r for _, r in report.replaced] == [2, 2]
+        assert all(isinstance(layer, LowRankLSTMLayer) for layer in lstm.layers)
         out, states = lstm(Tensor(rng.standard_normal((4, 2, 6))))
         assert out.shape == (4, 2, 8)
         assert len(states) == 2
 
     def test_smaller_than_vanilla(self):
-        from repro import nn
-
         vanilla = nn.LSTM(64, 64, num_layers=2)
-        low = LowRankLSTM(64, 64, rank=16, num_layers=2)
+        low, _ = build_hybrid(vanilla, FactorizationConfig(rank_ratio=0.25))
         assert low.num_parameters() < vanilla.num_parameters()

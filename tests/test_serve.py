@@ -366,9 +366,13 @@ class TestSequenceServing:
         from repro.serve import default_registry
         from repro.serve.registry import IMAGE_MODELS, SEQUENCE_MODELS
 
-        names = default_registry().names()
+        registry = default_registry()
         for name in IMAGE_MODELS + SEQUENCE_MODELS:
-            assert name in names
+            assert registry.materialize(name, "full", width=0.25).variant == "full"
+        fresh = default_registry()
+        with pytest.raises(ValueError, match="unknown model 'nope'"):
+            fresh.materialize("nope", "full")
+        assert not fresh._cache
 
     @pytest.mark.parametrize("name", ["lstm", "transformer"])
     def test_sequence_model_materializes_both_variants(self, name):

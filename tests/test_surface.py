@@ -23,9 +23,9 @@ caller (:func:`export_offenders`): a file under ``src/`` other than that
 from the package or reads it as an attribute of the package, a doc page
 (README, DESIGN, EXPERIMENTS, ``docs/*.md``) that names it, or it is an
 exception class.  A name only tests use is imported from its submodule.
-And every ``repro.<a>.<b>…`` name those doc pages cite must resolve
-(:func:`unresolved_doc_names`), so a cut or a rename cannot leave a doc
-behind.
+And every ``repro.<a>.<b>…`` name those doc pages, or the ``.py`` files
+under those directories, cite must resolve (:func:`unresolved_doc_names`),
+so a cut or a rename cannot leave a doc or a docstring behind.
 """
 
 from __future__ import annotations
@@ -197,10 +197,12 @@ def _resolve(dotted: str):
 
 
 def cited_names() -> set[tuple[str, str]]:
-    """``(doc page, dotted name)`` for every ``repro.…`` name a doc cites."""
+    """``(file, dotted name)`` for every ``repro.…`` name a doc page or a
+    ``.py`` file under :data:`CALLER_DIRS` cites (docstrings included)."""
+    code = [path for top in CALLER_DIRS for path in sorted((ROOT / top).rglob("*.py"))]
     return {
         (path.relative_to(ROOT).as_posix(), name)
-        for path in DOC_FILES
+        for path in (*DOC_FILES, *code)
         for name in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", path.read_text())
     }
 
@@ -218,7 +220,7 @@ def unresolved_doc_names() -> list[str]:
 def test_every_name_the_docs_cite_resolves():
     assert ("docs/OBSERVABILITY.md", "repro.observability") in cited_names()
     bad = unresolved_doc_names()
-    assert not bad, "docs cite names that do not resolve:\n  " + "\n  ".join(bad)
+    assert not bad, "docs or code cite names that do not resolve:\n  " + "\n  ".join(bad)
 
 
 def test_every_export_has_a_caller():
